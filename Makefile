@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke chaos bench-smoke bench-json pprof pprof-ground ci
+.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke chaos bench-smoke bench-build pprof pprof-ground ci
 
 all: build
 
@@ -64,25 +64,20 @@ chaos:
 	$(GO) test -race -count=1 ./internal/fault ./entangle/client
 
 # One iteration of every benchmark family: a fast sanity pass that the
-# figure harnesses still run end to end (not a measurement). Output is
+# figure harnesses still run end to end (not a measurement; measurements
+# come from `go run -C bench .`). Output is
 # written to bench-smoke.txt, which CI uploads as an artifact; a failing
 # run fails the target (no pipe, so no swallowed exit status).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . > bench-smoke.txt 2>&1 || (cat bench-smoke.txt; exit 1)
 	@cat bench-smoke.txt
 
-# Machine-readable perf trajectory: one iteration of every benchmark family
-# — the sharded-throughput rows report the 1-shard vs 2-shard scaling
-# factor (scaling-x) alongside the metered server-throughput latency
-# percentiles — rendered as BENCH_pr10.json (benchmark name -> experiment
-# seconds; benchmarks without the exp-seconds metric fall back to ns/op
-# converted to seconds; B/op, allocs/op, and custom metrics like ops/sec,
-# answer-p99-ms, or scaling-x appear under "name:metric" keys). CI derives
-# the same file from bench-smoke.txt and uploads it as an artifact.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . > bench-smoke.txt 2>&1 || (cat bench-smoke.txt; exit 1)
-	$(GO) run ./cmd/benchjson < bench-smoke.txt > BENCH_pr10.json
-	@cat BENCH_pr10.json
+# bench/ is a module of its own (the repository's benchmark, see
+# bench/README.md) that `go build ./...` never compiles: vet it here so a
+# refactor that breaks the symbols it imports fails tier-1 CI, not the
+# benchmark gate. PR-to-PR judgement is `go run -C bench . compare A B`.
+bench-build:
+	$(GO) vet -C bench ./...
 
 # Fuzz smoke: a short randomized run of each wire-protocol fuzz target
 # (frame reader and binary codec) on top of the committed seed corpus.
@@ -106,4 +101,4 @@ pprof-ground:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure6bScale/scale=10x' -benchtime 5x -cpuprofile ground-cpu.prof -memprofile ground-mem.prof .
 	@echo "inspect with: $(GO) tool pprof ground-cpu.prof   (or ground-mem.prof)"
 
-ci: build vet staticcheck test race
+ci: build vet bench-build staticcheck test race

@@ -159,11 +159,10 @@ func BenchmarkFigure6c(b *testing.B) {
 // re-grounded in one evaluation round over a wide Flights table at 10x and
 // 100x the seed size (the regime where re-grounding cost is the paper's
 // middle-tier bottleneck). path=streaming pulls rows through the batch
-// cursor pipeline the engine now uses — one id capture per table per round,
-// zero row clones; path=materialized is the pre-streaming executor — one
-// cloned table snapshot per round shared across the p queries. The bytes
-// metric (B/op, via ReportAllocs) carries the tentpole claim: streaming
-// allocates ≥10x fewer bytes per round at 10x scale, and the 100x shape
+// cursor pipeline the engine uses — one id capture per table per round,
+// zero row clones. The pre-streaming executor's row (one cloned table
+// snapshot per round, 64x the bytes at 10x scale) retired with the
+// executor; its result stays recorded in EXPERIMENTS.md. The 100x shape
 // completes with the resident set bounded by the batch size
 // (peak-batch-rows metric), not the table.
 func BenchmarkFigure6bScale(b *testing.B) {
@@ -178,12 +177,11 @@ func BenchmarkFigure6bScale(b *testing.B) {
 		}
 	}
 	for _, scale := range []struct {
-		name         string
-		rows         int
-		materialized bool // the 100x shape only runs the streaming path
+		name string
+		rows int
 	}{
-		{"10x", 20_000, true},
-		{"100x", 200_000, false},
+		{"10x", 20_000},
+		{"100x", 200_000},
 	} {
 		tbl := scaleFlightsTable(b, scale.rows)
 		snap := storage.Snapshot{CSN: 0}
@@ -203,24 +201,6 @@ func BenchmarkFigure6bScale(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(stats.PeakBatchRows()), "peak-batch-rows")
-		})
-		if !scale.materialized {
-			continue
-		}
-		b.Run(fmt.Sprintf("scale=%s/path=materialized", scale.name), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := &roundScanReader{tbl: tbl, snap: snap}
-				for j := 0; j < p; j++ {
-					gs, err := eq.GroundMaterialized(pending(j), r, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(gs) != matchingFlights {
-						b.Fatalf("groundings = %d, want %d", len(gs), matchingFlights)
-					}
-				}
-			}
 		})
 	}
 }
@@ -266,15 +246,7 @@ type snapCursorReader struct {
 	base *storage.ScanCursor
 }
 
-func (r *snapCursorReader) Scan(string) ([]types.Tuple, error) {
-	return r.tbl.AllAsOf(r.snap), nil
-}
-
 func (r *snapCursorReader) CanProbe(string, []int) bool { return false }
-
-func (r *snapCursorReader) Probe(string, []int, []types.Value) ([]types.Tuple, error) {
-	return nil, fmt.Errorf("not indexed")
-}
 
 func (r *snapCursorReader) ScanCursor(string) (eq.RowCursor, error) {
 	if r.base == nil {
@@ -285,22 +257,6 @@ func (r *snapCursorReader) ScanCursor(string) (eq.RowCursor, error) {
 
 func (r *snapCursorReader) ProbeCursor(_ string, cols []int, vals []types.Value) (eq.RowCursor, error) {
 	return r.tbl.ProbeCursor(r.snap, cols, vals)
-}
-
-// roundScanReader is the pre-streaming round scan cache: the first grounding
-// read of a table materializes a cloned snapshot, which the round's
-// remaining queries share.
-type roundScanReader struct {
-	tbl  *storage.Table
-	snap storage.Snapshot
-	rows []types.Tuple
-}
-
-func (r *roundScanReader) Scan(string) ([]types.Tuple, error) {
-	if r.rows == nil {
-		r.rows = r.tbl.AllAsOf(r.snap)
-	}
-	return r.rows, nil
 }
 
 // --- ablations ----------------------------------------------------------
@@ -643,13 +599,13 @@ func BenchmarkWALAppend(b *testing.B) {
 // codec at the same depth (envelope cost isolated), and the binary codec
 // with pipelined workers over a pooled client (depth amortizes write
 // batching on both sides — the ≥100k ops/s acceptance row, recorded in
-// BENCH_pr6.json).
+// EXPERIMENTS.md).
 //
 // Since PR 9 the measured server runs with a LIVE metrics registry — the
 // acceptance criterion is that the metered binary/96 row stays within 3%
 // of the unmetered PR 8 row — and the answer-latency percentiles the
 // registry accumulates (p50/p99/p999 of submit → outcome for the pair
-// coordinations) are reported alongside throughput, so BENCH_pr9.json
+// coordinations) are reported alongside throughput, so the output
 // carries the latency distribution, not just the rate.
 func BenchmarkServerThroughput(b *testing.B) {
 	for _, mode := range []struct {
@@ -1007,7 +963,7 @@ func measureOverload(maxInFlight int) (p50, p90, shedFrac float64, err error) {
 // the paper's middle-tier bottleneck. Pairs are co-located on their home
 // shard, so two shards split the grounding work with no cross-shard
 // coordination; the acceptance claim is scaling-x >= 1.6 at 2 shards
-// (recorded in BENCH_pr10.json).
+// (recorded in EXPERIMENTS.md).
 func BenchmarkShardedThroughput(b *testing.B) {
 	var base float64 // best pairs/sec of the 1-shard row
 	for _, shards := range []int{1, 2} {

@@ -116,12 +116,6 @@ type Options struct {
 	// default, so the figure benchmarks reproduce the paper's re-ground-
 	// every-round cost; Stats.GroundCacheHits/Misses report its behavior.
 	GroundCache bool
-	// GroundBatch is the streaming grounding pipeline's cursor pull
-	// granularity in rows (0 = the default, 256). Each join level of a
-	// grounding holds at most one batch of row references, so resident
-	// grounding memory per query is O(join levels x GroundBatch) regardless
-	// of table size; batch size never changes the enumeration.
-	GroundBatch int
 	// SolveBudget bounds the exact coordinating-set search per evaluation
 	// round, in search nodes (0 = the default budget). Rounds that exhaust
 	// the budget fall back to the greedy closure and are counted in
@@ -209,7 +203,6 @@ func Open(opts Options) (*DB, error) {
 		GroundLatency:  opts.GroundLatency,
 		GroundWorkers:  opts.GroundWorkers,
 		GroundCache:    opts.GroundCache,
-		GroundBatch:    opts.GroundBatch,
 		SolveBudget:    opts.SolveBudget,
 		VacuumInterval: opts.VacuumInterval,
 		Trace:          opts.Trace,

@@ -1,35 +1,11 @@
 package entangle
 
-// StatsSnapshot is the engine counter set in serializable form: one JSON-
-// tagged struct shared by the network server's stats frame and the shell's
-// \stats meta command, so every surface reports the same quantities under
-// the same names.
+// StatsSnapshot is the engine counter set in serializable form: the
+// engine's own JSON-tagged Stats plus the service-layer counters, shared by
+// the network server's stats frame and the shell's \stats meta command, so
+// every surface reports the same quantities under the same names.
 type StatsSnapshot struct {
-	Submitted      int64 `json:"submitted"`
-	Runs           int64 `json:"runs"`
-	EvalRounds     int64 `json:"eval_rounds"`
-	Commits        int64 `json:"commits"`
-	GroupCommits   int64 `json:"group_commits"`
-	CommitBatches  int64 `json:"commit_batches"`
-	EntangleOps    int64 `json:"entangle_ops"`
-	Requeues       int64 `json:"requeues"`
-	Timeouts       int64 `json:"timeouts"`
-	Rollbacks      int64 `json:"rollbacks"`
-	Failures       int64 `json:"failures"`
-	WidowsAverted  int64 `json:"widows_averted"`
-	WriteConflicts int64 `json:"write_conflicts"`
-	Vacuums        int64 `json:"vacuums"`
-	VersionsPruned int64 `json:"versions_pruned"`
-
-	GroundCacheHits   int64 `json:"ground_cache_hits"`
-	GroundCacheMisses int64 `json:"ground_cache_misses"`
-	IndexedGroundings int64 `json:"indexed_groundings"`
-
-	GroundRowsStreamed  int64 `json:"ground_rows_streamed"`
-	GroundPeakBatchRows int64 `json:"ground_peak_batch_rows"`
-
-	SolveSteps     int64 `json:"solve_steps"`
-	SolveFallbacks int64 `json:"solve_fallbacks"`
+	Stats
 
 	// Service-layer counters, filled in by the network server's stats
 	// frame (always zero for an embedded DB — the engine itself never
@@ -40,36 +16,5 @@ type StatsSnapshot struct {
 	FaultsInjected int64 `json:"faults_injected"`
 }
 
-// SnapshotStats converts raw engine counters into the serializable form.
-func SnapshotStats(s Stats) StatsSnapshot {
-	return StatsSnapshot{
-		Submitted:      s.Submitted,
-		Runs:           s.Runs,
-		EvalRounds:     s.EvalRounds,
-		Commits:        s.Commits,
-		GroupCommits:   s.GroupCommits,
-		CommitBatches:  s.CommitBatches,
-		EntangleOps:    s.EntangleOps,
-		Requeues:       s.Requeues,
-		Timeouts:       s.Timeouts,
-		Rollbacks:      s.Rollbacks,
-		Failures:       s.Failures,
-		WidowsAverted:  s.WidowsAverted,
-		WriteConflicts: s.WriteConflicts,
-		Vacuums:        s.Vacuums,
-		VersionsPruned: s.VersionsPruned,
-
-		GroundCacheHits:   s.GroundCacheHits,
-		GroundCacheMisses: s.GroundCacheMisses,
-		IndexedGroundings: s.IndexedGroundings,
-
-		GroundRowsStreamed:  s.GroundRowsStreamed,
-		GroundPeakBatchRows: s.GroundPeakBatchRows,
-
-		SolveSteps:     s.SolveSteps,
-		SolveFallbacks: s.SolveFallbacks,
-	}
-}
-
 // StatsSnapshot returns the engine counters in serializable form.
-func (db *DB) StatsSnapshot() StatsSnapshot { return SnapshotStats(db.engine.Stats()) }
+func (db *DB) StatsSnapshot() StatsSnapshot { return StatsSnapshot{Stats: db.engine.Stats()} }

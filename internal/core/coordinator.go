@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/eq"
 	"repro/internal/txn"
 )
 
@@ -41,139 +42,45 @@ func (lc *localCoordinator) finalize(r *run) {
 	e := lc.e
 	e.bump(e.met.runs)
 
-	// Union-find groups over the accumulated partner edges. Autocommit
+	// Groups are the closure of the accumulated partner edges. Autocommit
 	// members are excluded: they have no commit to coordinate.
-	idx := make(map[*member]int, len(r.members))
-	for i, m := range r.members {
-		idx[m] = i
-	}
-	parent := make([]int, len(r.members))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
+	groups := eq.NewDisjointSets(len(r.members))
+	if e.policy.widowGuard {
+		idx := make(map[*member]int, len(r.members))
+		for i, m := range r.members {
+			idx[m] = i
 		}
-		return parent[x]
-	}
-	widowGuard := e.opts.Isolation != NoWidowGuard
-	if widowGuard {
 		for i, m := range r.members {
 			if m.tx == nil {
 				continue
 			}
 			for p := range m.partners {
 				if p.tx != nil {
-					parent[find(idx[p])] = find(i)
+					groups.Union(i, idx[p])
 				}
 			}
 		}
 	}
-	groups := make(map[int][]*member)
-	for i, m := range r.members {
-		groups[find(i)] = append(groups[find(i)], m)
-	}
 
-	// First pass: split the groups into commit units (every member ready)
-	// and abort groups. All units commit through one batched WAL append —
-	// a single group-commit flush for the whole run — instead of one
-	// serialized flush per group.
-	type commitUnit struct {
-		members []*member
-		txns    []*txn.Txn
-	}
-	var units []commitUnit
-	var abortGroups [][]*member
-	for _, group := range groups {
+	// Split the groups into commit units (every member ready) and abort
+	// groups. All units commit through one batched WAL append — a single
+	// group-commit flush for the whole run — instead of one serialized
+	// flush per group.
+	var units, abortGroups [][]*member
+	for _, set := range groups.Sets() {
+		group := make([]*member, len(set))
 		allReady := true
-		for _, m := range group {
-			if m.state != stateReady {
-				allReady = false
-				break
-			}
+		for k, i := range set {
+			group[k] = r.members[i]
+			allReady = allReady && group[k].state == stateReady
 		}
-		if !allReady {
-			abortGroups = append(abortGroups, group)
-			continue
-		}
-		u := commitUnit{members: group}
-		for _, m := range group {
-			if m.tx != nil {
-				u.txns = append(u.txns, m.tx)
-			}
-		}
-		units = append(units, u)
-	}
-
-	// Validate up front so a single stale transaction (an engine-invariant
-	// violation, not a runtime condition) fails only its own unit rather
-	// than sinking the whole batch.
-	unitErr := make([]error, len(units))
-	var txnUnits [][]*txn.Txn
-	var batched []int // unit index per txnUnits entry
-	for i, u := range units {
-		if len(u.txns) == 0 {
-			continue
-		}
-		for _, t := range u.txns {
-			if t.State() != txn.Active {
-				unitErr[i] = errStaleCommit
-				break
-			}
-		}
-		if unitErr[i] == nil {
-			txnUnits = append(txnUnits, u.txns)
-			batched = append(batched, i)
-		}
-	}
-	commitStart := time.Now()
-	var commitDur time.Duration
-	if len(txnUnits) > 0 {
-		batchErr := e.txm.CommitUnits(txnUnits)
-		commitDur = time.Since(commitStart)
-		e.met.commitFlush.Observe(commitDur)
-		if batchErr == nil {
-			e.statsMu.Lock()
-			e.met.commitBatches.Add(1)
-			for _, u := range txnUnits {
-				if len(u) > 1 {
-					e.met.groupCommits.Add(1)
-				}
-			}
-			e.statsMu.Unlock()
+		if allReady {
+			units = append(units, group)
 		} else {
-			// The batched WAL append failed (I/O error). Everything behind
-			// the flush fails, as in any group-commit DBMS, and we must not
-			// write more: retrying per unit could append valid records past
-			// a torn frame mid-log (unrecoverable, where a torn tail is
-			// not), and appending Abort records could contradict a commit
-			// record the failed batch already made durable. The log itself
-			// latches failed on the first write error, so all further
-			// durable work fails loudly (fail-stop); the failed units'
-			// transactions stay in limbo deliberately — whether their
-			// commit record reached disk is indeterminate, so neither
-			// undoing in memory nor releasing their locks is safe.
-			for _, i := range batched {
-				unitErr[i] = batchErr
-			}
+			abortGroups = append(abortGroups, group)
 		}
 	}
-	for i, u := range units {
-		for _, m := range u.members {
-			if t := m.entry.prog.Trace; t != 0 && e.tracer != nil && len(u.txns) > 0 {
-				e.tracer.Span(t, t, "commit", commitStart, commitDur, "")
-			}
-			// A commit failure dooms only the failed unit; pure-autocommit
-			// groups had nothing to commit and always succeed.
-			if unitErr[i] != nil {
-				e.settle(m.entry, e.met.failures, Outcome{Status: StatusFailed, Err: unitErr[i], Attempts: m.entry.attempts})
-				continue
-			}
-			e.settle(m.entry, e.met.commits, Outcome{Status: StatusCommitted, Attempts: m.entry.attempts})
-		}
-	}
+	e.commitUnits(units, false)
 
 	for _, group := range abortGroups {
 		// Group cannot commit: every member aborts. Ready members are the
@@ -196,6 +103,86 @@ func (lc *localCoordinator) finalize(r *run) {
 			case stateAbortedFinal:
 				e.settle(m.entry, e.met.failures, Outcome{Status: StatusFailed, Err: m.finalErr, Attempts: m.entry.attempts})
 			}
+		}
+	}
+}
+
+// commitUnits is the one commit routine: it retires commit units — each a
+// group of ready members, or with twoPhase the local members of a decided
+// cross-shard group — through one batched WAL append, observes the flush,
+// counts it, stamps the commit span, and settles every member.
+func (e *Engine) commitUnits(units [][]*member, twoPhase bool) {
+	note := ""
+	if twoPhase {
+		note = "2pc"
+	}
+	// Validate up front so a single stale transaction (an engine-invariant
+	// violation, not a runtime condition) fails only its own unit rather
+	// than sinking the whole batch. Pure-autocommit units have nothing to
+	// commit and always succeed.
+	unitErr := make([]error, len(units))
+	var txnUnits [][]*txn.Txn
+	var batched []int // unit index per txnUnits entry
+	for i, u := range units {
+		var txns []*txn.Txn
+		for _, m := range u {
+			if m.tx == nil {
+				continue
+			}
+			txns = append(txns, m.tx)
+			if m.tx.State() != txn.Active {
+				unitErr[i] = errStaleCommit
+			}
+		}
+		if len(txns) > 0 && unitErr[i] == nil {
+			txnUnits = append(txnUnits, txns)
+			batched = append(batched, i)
+		}
+	}
+	start := time.Now()
+	var dur time.Duration
+	if len(txnUnits) > 0 {
+		batchErr := e.txm.CommitUnits(txnUnits)
+		dur = time.Since(start)
+		e.met.commitFlush.Observe(dur)
+		if batchErr == nil {
+			e.statsMu.Lock()
+			e.met.commitBatches.Add(1)
+			for _, u := range txnUnits {
+				// A cross-shard unit is a group commit however few of the
+				// group's members live on this shard.
+				if len(u) > 1 || twoPhase {
+					e.met.groupCommits.Add(1)
+				}
+			}
+			e.statsMu.Unlock()
+		}
+		// A failed batched WAL append (I/O error) fails everything behind
+		// the flush, as in any group-commit DBMS, and we must not write
+		// more: retrying per unit could append valid records past a torn
+		// frame mid-log (unrecoverable, where a torn tail is not), and
+		// appending Abort records could contradict a commit record the
+		// failed batch already made durable. The log itself latches failed
+		// on the first write error, so all further durable work fails
+		// loudly (fail-stop); the failed units' transactions stay in limbo
+		// deliberately — whether their commit record reached disk is
+		// indeterminate, so neither undoing in memory nor releasing their
+		// locks is safe.
+		for _, i := range batched {
+			unitErr[i] = batchErr
+		}
+	}
+	for i, u := range units {
+		for _, m := range u {
+			if t := m.entry.prog.Trace; m.tx != nil {
+				e.tracer.Span(t, t, "commit", start, dur, note)
+			}
+			// A commit failure dooms only the failed unit.
+			if unitErr[i] != nil {
+				e.settle(m.entry, e.met.failures, Outcome{Status: StatusFailed, Err: unitErr[i], Attempts: m.entry.attempts})
+				continue
+			}
+			e.settle(m.entry, e.met.commits, Outcome{Status: StatusCommitted, Attempts: m.entry.attempts})
 		}
 	}
 }

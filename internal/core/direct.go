@@ -37,7 +37,7 @@ func (e *Engine) RunDirect(p Program) Outcome {
 			// direct program is one statement of a larger traced request
 			// (DB.ExecTraced runs a whole script under one id), so the
 			// layer that minted the id owns its Finish.
-			if t := p.Trace; t != 0 && e.tracer != nil {
+			if t := p.Trace; t != 0 {
 				e.tracer.Span(t, t, "exec", start, time.Since(start),
 					fmt.Sprintf("status=%v attempts=%d", o.Status, ent.attempts))
 			}
@@ -66,7 +66,7 @@ func (e *Engine) runDirectOnce(p Program, ent *pending, deadline time.Time) (Out
 	e.acquireConn()
 	var beginErr error
 	if !p.Autocommit {
-		m.tx, beginErr = e.txm.Begin(levelFor(e.opts.Isolation))
+		m.tx, beginErr = e.txm.Begin(e.policy.level)
 	}
 	var err error
 	if beginErr != nil {
@@ -114,5 +114,5 @@ func (e *Engine) runDirectOnce(p Program, ent *pending, deadline time.Time) (Out
 // Begin/Commit helpers for code that wants a bare classical transaction
 // without the Program wrapper (the SQL shell uses this).
 func (e *Engine) BeginClassical() (*txn.Txn, error) {
-	return e.txm.Begin(levelFor(e.opts.Isolation))
+	return e.txm.Begin(e.policy.level)
 }

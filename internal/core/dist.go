@@ -8,7 +8,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/eq"
 	"repro/internal/obs"
-	"repro/internal/txn"
 )
 
 // ErrInDoubt fails the handle of a transaction that was parked prepared in
@@ -90,9 +89,9 @@ type distRuntime struct {
 	cfg DistConfig
 
 	mu       sync.Mutex
-	offers   map[uint64]*liveOffer     // offer id -> exported offer
-	prepares map[uint64]*dist.Prepare  // offer id -> undelivered reservation
-	parked   map[uint64]*parkedGroup   // group id -> prepared members
+	offers   map[uint64]*liveOffer    // offer id -> exported offer
+	prepares map[uint64]*dist.Prepare // offer id -> undelivered reservation
+	parked   map[uint64]*parkedGroup  // group id -> prepared members
 	stop     chan struct{}
 	stopped  sync.Once
 }
@@ -168,10 +167,8 @@ func (d *distRuntime) park(group uint64, ms []*member) {
 	d.mu.Unlock()
 	for _, m := range ms {
 		v := dist.Vote{Group: group, Offer: m.entry.offerID, Node: d.cfg.Node, Yes: true}
-		if t := m.entry.prog.Trace; t != 0 && e.tracer != nil {
-			if begin, spans, ok := e.tracer.Export(t); ok {
-				v.Trace, v.TraceBegin, v.Spans = t, begin, spans
-			}
+		if begin, spans, ok := e.tracer.Export(m.entry.prog.Trace); ok {
+			v.Trace, v.TraceBegin, v.Spans = m.entry.prog.Trace, begin, spans
 		}
 		go d.cfg.Transport.Vote(v)
 	}
@@ -285,7 +282,7 @@ func (e *Engine) DeliverPrepare(p dist.Prepare) {
 }
 
 // ApplyDecision resolves a parked group (any goroutine; idempotent).
-// Commit goes through the ordinary batched commit path; abort rolls the
+// Commit goes through the one commit routine (commitUnits); abort rolls the
 // members back and requeues them — averted widows, exactly as when a
 // local group member cannot commit.
 func (e *Engine) ApplyDecision(group uint64, commit bool) {
@@ -298,30 +295,7 @@ func (e *Engine) ApplyDecision(group uint64, commit bool) {
 		return
 	}
 	if commit {
-		txns := make([]*txn.Txn, 0, len(pg.members))
-		for _, m := range pg.members {
-			txns = append(txns, m.tx)
-		}
-		start := time.Now()
-		err := e.txm.CommitUnits([][]*txn.Txn{txns})
-		dur := time.Since(start)
-		e.met.commitFlush.Observe(dur)
-		if err == nil {
-			e.statsMu.Lock()
-			e.met.commitBatches.Add(1)
-			e.met.groupCommits.Add(1)
-			e.statsMu.Unlock()
-		}
-		for _, m := range pg.members {
-			if t := m.entry.prog.Trace; t != 0 && e.tracer != nil {
-				e.tracer.Span(t, t, "commit", start, dur, "2pc")
-			}
-			if err != nil {
-				e.settle(m.entry, e.met.failures, Outcome{Status: StatusFailed, Err: err, Attempts: m.entry.attempts})
-			} else {
-				e.settle(m.entry, e.met.commits, Outcome{Status: StatusCommitted, Attempts: m.entry.attempts})
-			}
-		}
+		e.commitUnits([][]*member{pg.members}, true)
 	} else {
 		for _, m := range pg.members {
 			m.tx.Abort()
@@ -376,29 +350,20 @@ func (dc *distCoordinator) beforeRound(r *run, blocked []*member) (int, []*membe
 // deliver validates and applies one reservation. The member takes shared
 // locks on its offered tables and re-checks that no commit advanced them
 // past the CSN the answer was computed at — its half of the group-wide
-// validation; every other member does the same on its own shard.
+// validation; every other member does the same on its own shard. Unlike a
+// local round, whose snapshot is microseconds old, the offer CSN can be
+// many rounds old, so the staleness check runs at every isolation level.
 func (dc *distCoordinator) deliver(r *run, m *member, lo *liveOffer, p *dist.Prepare) bool {
 	e := dc.e
 	start := time.Now()
-	ok := lo != nil && m.query != nil && m.tx != nil && m.query.String() == lo.queryStr
-	if ok && lockingLevel(e.opts.Isolation) {
-		for _, table := range lo.tables {
-			if err := m.tx.LockTableShared(table); err != nil {
-				ok = false
-				break
-			}
-		}
+	ok := lo != nil && m.query != nil && m.tx != nil && m.query.String() == lo.queryStr &&
+		e.lockAndValidate(m.tx, lo.tables, p.CSN) == nil
+	note := "2pc"
+	if !ok {
+		note += " stale"
 	}
-	if ok && e.groundChanged(lo.tables, p.CSN) {
-		ok = false
-	}
-	if t := m.entry.prog.Trace; t != 0 && e.tracer != nil {
-		note := "2pc"
-		if !ok {
-			note += " stale"
-		}
-		e.tracer.Span(t, t, "validate", start, time.Since(start), note)
-	}
+	t := m.entry.prog.Trace
+	e.tracer.Span(t, t, "validate", start, time.Since(start), note)
 	if !ok {
 		dc.d.voteNo(p.Group, p.Offer)
 		return false
@@ -407,12 +372,7 @@ func (dc *distCoordinator) deliver(r *run, m *member, lo *liveOffer, p *dist.Pre
 	m.tx.RefreshSnapshot(snap.View)
 	snap.Release()
 	m.distGroup = p.Group
-	r.mu.Lock()
-	m.state = stateRunning
-	m.query = nil
-	r.active++
-	r.mu.Unlock()
-	m.answerCh <- answerMsg{answer: &eq.Answer{Status: eq.Answered, Tuples: p.Ans.Tuples, Bindings: p.Ans.Bindings}}
+	r.resume(m, answerMsg{answer: &eq.Answer{Status: eq.Answered, Tuples: p.Ans.Tuples, Bindings: p.Ans.Bindings}})
 	return true
 }
 

@@ -49,15 +49,6 @@ type Options struct {
 	// the paper's serialized middle-tier behavior; 0 picks the default
 	// (max(8, NumCPU) — grounding is round-trip-bound, not CPU-bound).
 	GroundWorkers int
-	// MaxGroundings bounds grounding enumeration per query.
-	MaxGroundings int
-	// GroundBatch is the streaming grounding pipeline's cursor pull
-	// granularity in rows (0 = eq.DefaultBatchRows). Each join level of a
-	// grounding holds at most one batch of row references, so resident
-	// grounding memory per query is O(join levels x GroundBatch) regardless
-	// of table size. Batch size never changes the enumeration, only the
-	// pull cadence.
-	GroundBatch int
 	// SolveBudget bounds the exact coordinating-set search per evaluation
 	// round, in search nodes (0 = eq.DefaultSolveBudget). A round that
 	// exhausts the budget falls back to the greedy closure for the
@@ -122,33 +113,34 @@ func defaultGroundWorkers() int {
 	return 8
 }
 
-// Stats are cumulative engine counters.
+// Stats are cumulative engine counters. The JSON tags are the wire
+// vocabulary of the stats frame and equal the obs registry counter names.
 type Stats struct {
-	Submitted      int64 // programs submitted
-	Runs           int64 // runs executed
-	EvalRounds     int64 // entangled-query evaluation rounds across runs
-	Commits        int64 // programs finally committed
-	GroupCommits   int64 // entanglement groups committed atomically
-	CommitBatches  int64 // batched end-of-run WAL commit flushes
-	EntangleOps    int64 // entanglement operations performed
-	Requeues       int64 // aborts that returned a transaction to the pool
-	Timeouts       int64 // programs expired by their timeout
-	Rollbacks      int64 // program-requested rollbacks
-	Failures       int64 // programs failed with a non-retryable error
-	WidowsAverted  int64 // ready transactions aborted because a group member could not commit
-	WriteConflicts int64 // snapshot-isolation first-committer-wins losses (retried)
-	Vacuums        int64 // automatic version-GC passes
-	VersionsPruned int64 // row versions reclaimed by automatic vacuuming
+	Submitted      int64 `json:"submitted"`       // programs submitted
+	Runs           int64 `json:"runs"`            // runs executed
+	EvalRounds     int64 `json:"eval_rounds"`     // entangled-query evaluation rounds across runs
+	Commits        int64 `json:"commits"`         // programs finally committed
+	GroupCommits   int64 `json:"group_commits"`   // entanglement groups committed atomically
+	CommitBatches  int64 `json:"commit_batches"`  // batched end-of-run WAL commit flushes
+	EntangleOps    int64 `json:"entangle_ops"`    // entanglement operations performed
+	Requeues       int64 `json:"requeues"`        // aborts that returned a transaction to the pool
+	Timeouts       int64 `json:"timeouts"`        // programs expired by their timeout
+	Rollbacks      int64 `json:"rollbacks"`       // program-requested rollbacks
+	Failures       int64 `json:"failures"`        // programs failed with a non-retryable error
+	WidowsAverted  int64 `json:"widows_averted"`  // ready transactions aborted because a group member could not commit
+	WriteConflicts int64 `json:"write_conflicts"` // snapshot-isolation first-committer-wins losses (retried)
+	Vacuums        int64 `json:"vacuums"`         // automatic version-GC passes
+	VersionsPruned int64 `json:"versions_pruned"` // row versions reclaimed by automatic vacuuming
 
-	GroundCacheHits   int64 // pending queries answered from the cross-round grounding cache
-	GroundCacheMisses int64 // pending queries re-grounded (cold, invalidated, or bypassed)
-	IndexedGroundings int64 // grounding atom probes served by hash indexes instead of scans
+	GroundCacheHits   int64 `json:"ground_cache_hits"`   // pending queries answered from the cross-round grounding cache
+	GroundCacheMisses int64 `json:"ground_cache_misses"` // pending queries re-grounded (cold, invalidated, or bypassed)
+	IndexedGroundings int64 `json:"indexed_groundings"`  // grounding atom probes served by hash indexes instead of scans
 
-	GroundRowsStreamed  int64 // rows pulled through grounding cursors across all rounds
-	GroundPeakBatchRows int64 // high-water mark of rows resident in one grounding pipeline's batch buffers
+	GroundRowsStreamed  int64 `json:"ground_rows_streamed"`   // rows pulled through grounding cursors across all rounds
+	GroundPeakBatchRows int64 `json:"ground_peak_batch_rows"` // high-water mark of rows resident in one grounding pipeline's batch buffers
 
-	SolveSteps     int64 // coordinating-set search nodes across all evaluation rounds
-	SolveFallbacks int64 // rounds where the exact search ran out of budget and fell back to greedy closure
+	SolveSteps     int64 `json:"solve_steps"`     // coordinating-set search nodes across all evaluation rounds
+	SolveFallbacks int64 `json:"solve_fallbacks"` // rounds where the exact search ran out of budget and fell back to greedy closure
 }
 
 // pending is a pooled program awaiting (re)execution.
@@ -164,8 +156,9 @@ type pending struct {
 
 // Engine is the entangled transaction manager.
 type Engine struct {
-	txm  *txn.Manager
-	opts Options
+	txm    *txn.Manager
+	opts   Options
+	policy isolationPolicy // opts.Isolation's row of the policy table
 
 	// coord owns the commit path: localCoordinator in-process (the
 	// historical behavior), distCoordinator when EnableDist has made this
@@ -227,6 +220,7 @@ func NewEngine(txm *txn.Manager, opts Options) *Engine {
 	e := &Engine{
 		txm:      txm,
 		opts:     o,
+		policy:   o.Isolation.policy(),
 		conns:    make(chan struct{}, o.Connections),
 		arrivalq: make(chan *pending, 1<<16),
 		wake:     make(chan struct{}, 1),

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"repro/internal/obs"
 	"sync"
 
 	"repro/internal/eq"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -62,7 +62,7 @@ func (rc *roundCursors) cursor(tbl *storage.Table, view storage.Snapshot) *stora
 	return e.base.Clone(view)
 }
 
-// groundReader is the eq.Reader an evaluation round hands each pending
+// groundReader is the eq.CursorReader an evaluation round hands each pending
 // query: it reads through the round's pinned snapshot (plus the posing
 // transaction's own uncommitted writes) instead of taking shared locks —
 // the lock-free grounding path. Every query of a round grounds against the
@@ -71,12 +71,10 @@ func (rc *roundCursors) cursor(tbl *storage.Table, view storage.Snapshot) *stora
 // blocked" argument, because not even transactions outside the run can
 // perturb it mid-round.
 //
-// The reader implements eq.CursorReader: full scans stream through the
-// round's shared cursor cache (one chain-id capture per table per round,
-// zero row cloning), and equality-bound atoms probe the table's hash
-// indexes through the same snapshot visibility check. The materializing
-// Scan/Probe methods remain as the eq interface contract (and for any
-// non-streaming caller) but the grounding pipeline never calls them.
+// Full scans stream through the round's shared cursor cache (one chain-id
+// capture per table per round, zero row cloning), and equality-bound atoms
+// probe the table's hash indexes through the same snapshot visibility
+// check.
 //
 // Every read resolves through g.view, whose Self is the posing transaction:
 // for tables the poser wrote, its uncommitted versions (and tombstones) are
@@ -94,8 +92,8 @@ type groundReader struct {
 	view    storage.Snapshot // round snapshot, Self = posing tx (if any)
 	txID    uint64           // posing transaction (0 for autocommit members)
 	trace   TraceSink
-	cursors *roundCursors // shared round cursor cache (nil: capture directly)
-	indexed *obs.Counter  // engine's indexed_groundings counter (nil ok)
+	cursors *roundCursors // shared round cursor cache
+	indexed *obs.Counter  // engine's indexed_groundings counter
 	traced  map[string]bool
 }
 
@@ -112,22 +110,19 @@ func (g *groundReader) traceRG(table string) {
 	g.trace.GroundingRead(g.txID, table)
 }
 
-// ScanCursor streams table through the round's shared chain-id capture
-// (eq.CursorReader) — the grounding pipeline's scan access path.
+// ScanCursor streams table through the round's shared chain-id capture —
+// the grounding pipeline's scan access path.
 func (g *groundReader) ScanCursor(table string) (eq.RowCursor, error) {
 	tbl, err := g.cat.Get(table)
 	if err != nil {
 		return nil, fmt.Errorf("core: grounding read: %w", err)
 	}
 	g.traceRG(tbl.Name())
-	if g.cursors != nil {
-		return g.cursors.cursor(tbl, g.view), nil
-	}
-	return tbl.ScanCursorAsOf(g.view), nil
+	return g.cursors.cursor(tbl, g.view), nil
 }
 
 // ProbeCursor streams an indexed equality probe through the round snapshot
-// (eq.CursorReader) — the grounding pipeline's probe access path.
+// — the grounding pipeline's probe access path.
 func (g *groundReader) ProbeCursor(table string, cols []int, vals []types.Value) (eq.RowCursor, error) {
 	tbl, err := g.cat.Get(table)
 	if err != nil {
@@ -138,26 +133,12 @@ func (g *groundReader) ProbeCursor(table string, cols []int, vals []types.Value)
 	if err != nil {
 		return nil, fmt.Errorf("core: grounding read: %w", err)
 	}
-	if g.indexed != nil {
-		g.indexed.Add(1)
-	}
+	g.indexed.Add(1)
 	return cur, nil
 }
 
-// Scan materializes a full snapshot read of table (eq.Reader). The
-// streaming pipeline uses ScanCursor instead; this remains for
-// non-streaming callers.
-func (g *groundReader) Scan(table string) ([]types.Tuple, error) {
-	tbl, err := g.cat.Get(table)
-	if err != nil {
-		return nil, fmt.Errorf("core: grounding read: %w", err)
-	}
-	g.traceRG(tbl.Name())
-	return tbl.AllAsOf(g.view), nil
-}
-
 // CanProbe reports whether table carries an equality index over the given
-// column positions (eq.IndexedReader). A positive answer commits the
+// column positions. A positive answer commits the
 // planner to probing instead of scanning, so the grounding-read trace
 // event is emitted here — even if an empty outer atom means no probe ever
 // executes, the query's read dependency on the table is recorded, exactly
@@ -172,22 +153,4 @@ func (g *groundReader) CanProbe(table string, cols []int) bool {
 	}
 	g.traceRG(tbl.Name())
 	return true
-}
-
-// Probe materializes an indexed equality probe through the round snapshot
-// (eq.IndexedReader). The streaming pipeline uses ProbeCursor instead.
-func (g *groundReader) Probe(table string, cols []int, vals []types.Value) ([]types.Tuple, error) {
-	tbl, err := g.cat.Get(table)
-	if err != nil {
-		return nil, fmt.Errorf("core: grounding read: %w", err)
-	}
-	g.traceRG(tbl.Name())
-	rows, err := tbl.MatchAsOf(g.view, cols, vals)
-	if err != nil {
-		return nil, fmt.Errorf("core: grounding read: %w", err)
-	}
-	if g.indexed != nil {
-		g.indexed.Add(1)
-	}
-	return rows, nil
 }

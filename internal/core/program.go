@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/eq"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -67,19 +68,42 @@ const (
 	SnapshotIsolated
 )
 
+// isolationPolicy is what an Isolation level means to the commit path. The
+// levels are rows of one table, not branches through the path: the engine
+// looks its row up once and every stage reads the column it needs.
+type isolationPolicy struct {
+	name string
+	// level is the substrate isolation member transactions begin at.
+	level txn.IsolationLevel
+	// quasiLocks enforces repeatable (quasi-)reads (§3.3.3): answered
+	// members take shared locks on the grounded tables and validate them
+	// against the round snapshot. RelaxedReads opts out by definition;
+	// SnapshotIsolated relies on snapshots plus first-committer-wins.
+	quasiLocks bool
+	// widowGuard commits entanglement groups all-or-nothing (§3.3.1).
+	widowGuard bool
+}
+
+var isolationPolicies = [...]isolationPolicy{
+	FullEntangled:    {"FULL-ENTANGLED", txn.Serializable, true, true},
+	RelaxedReads:     {"RELAXED-READS", txn.ReadCommitted, false, true},
+	NoWidowGuard:     {"NO-WIDOW-GUARD", txn.Serializable, true, false},
+	SnapshotIsolated: {"SNAPSHOT-ISOLATED", txn.SnapshotIsolation, false, true},
+}
+
+// policy returns the level's row; unknown levels get the default's.
+func (i Isolation) policy() isolationPolicy {
+	if i < 0 || int(i) >= len(isolationPolicies) {
+		return isolationPolicies[FullEntangled]
+	}
+	return isolationPolicies[i]
+}
+
 func (i Isolation) String() string {
-	switch i {
-	case FullEntangled:
-		return "FULL-ENTANGLED"
-	case RelaxedReads:
-		return "RELAXED-READS"
-	case NoWidowGuard:
-		return "NO-WIDOW-GUARD"
-	case SnapshotIsolated:
-		return "SNAPSHOT-ISOLATED"
-	default:
+	if i < 0 || int(i) >= len(isolationPolicies) {
 		return fmt.Sprintf("Isolation(%d)", int(i))
 	}
+	return isolationPolicies[i].name
 }
 
 // Program is one entangled (or classical) transaction: a body executed

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/eq"
+	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
@@ -70,25 +71,6 @@ var (
 	errStaleCommit      = errors.New("core: group member no longer active at commit")
 )
 
-func levelFor(iso Isolation) txn.IsolationLevel {
-	switch iso {
-	case RelaxedReads:
-		return txn.ReadCommitted
-	case SnapshotIsolated:
-		return txn.SnapshotIsolation
-	default:
-		return txn.Serializable
-	}
-}
-
-// lockingLevel reports whether iso enforces repeatable (quasi-)reads with
-// shared locks and round-snapshot validation. RelaxedReads opts out by
-// definition; SnapshotIsolated relies on snapshots plus first-committer-
-// wins instead of read locks.
-func lockingLevel(iso Isolation) bool {
-	return iso != RelaxedReads && iso != SnapshotIsolated
-}
-
 // executeRun runs a batch of pooled transactions to quiescence: start all
 // members, alternate member execution with entangled-query evaluation
 // rounds, then commit/abort per the group-commit rules.
@@ -104,7 +86,7 @@ func (e *Engine) executeRun(batch []*pending) {
 	runStart := time.Now()
 	for _, ent := range batch {
 		ent.attempts++
-		if t := ent.prog.Trace; t != 0 && e.tracer != nil {
+		if t := ent.prog.Trace; t != 0 {
 			// The submit span covers the pool wait: (re)enqueue to run start.
 			e.tracer.Span(t, t, "submit", ent.enqueued, runStart.Sub(ent.enqueued),
 				fmt.Sprintf("attempt=%d", ent.attempts))
@@ -148,11 +130,7 @@ func (e *Engine) executeRun(batch []*pending) {
 
 	// Abort members still blocked: they return to the dormant pool.
 	for _, m := range r.blockedMembers() {
-		r.mu.Lock()
-		m.state = stateRunning // resumes only to unwind into abortedRetry
-		r.active++
-		r.mu.Unlock()
-		m.answerCh <- answerMsg{abortRun: true}
+		r.resume(m, answerMsg{abortRun: true})
 	}
 	r.wg.Wait()
 	e.coord.finalize(r)
@@ -164,6 +142,17 @@ func (r *run) waitQuiescent() {
 		r.cond.Wait()
 	}
 	r.mu.Unlock()
+}
+
+// resume hands a blocked member its answer — or, with abortRun, the order
+// to unwind into abortedRetry — and counts it running again.
+func (r *run) resume(m *member, msg answerMsg) {
+	r.mu.Lock()
+	m.state = stateRunning
+	m.query = nil
+	r.active++
+	r.mu.Unlock()
+	m.answerCh <- msg
 }
 
 func (r *run) blockedMembers() []*member {
@@ -186,7 +175,7 @@ func (r *run) runMember(m *member) {
 	defer e.releaseConn()
 
 	if !m.entry.prog.Autocommit {
-		tx, err := e.txm.Begin(levelFor(e.opts.Isolation))
+		tx, err := e.txm.Begin(e.policy.level)
 		if err != nil {
 			m.finalErr = err
 			r.setDone(m, stateAbortedFinal)
@@ -246,9 +235,21 @@ func (r *run) setDone(m *member, st memberState) {
 func (e *Engine) acquireConn() { e.conns <- struct{}{} }
 func (e *Engine) releaseConn() { <-e.conns }
 
+// round is one evaluation round's shared state: the blocked members, the
+// snapshot they all ground against, and what each stage learned.
+type round struct {
+	r       *run
+	blocked []*member
+	view    storage.Snapshot // the round's pinned snapshot
+	res     *eq.Result
+	stale   []bool // per blocked member: validation failed, abort and retry
+	note    string // span note; set only when lifecycle tracing is on
+}
+
 // evaluateQueries runs one entangled-query evaluation round over the
-// blocked members and resumes everyone who received an answer (including
-// empty answers, per Appendix B). It returns the number of resumed members.
+// blocked members — ground, solve, validate, deliver — and resumes everyone
+// who received an answer (including empty answers, per Appendix B). It
+// returns the number of resumed members.
 //
 // The round pins ONE storage snapshot and every pending query grounds
 // against it — no shared locks, no short-lived grounding transactions, no
@@ -263,20 +264,33 @@ func (e *Engine) releaseConn() { <-e.conns }
 func (e *Engine) evaluateQueries(r *run, blocked []*member) int {
 	e.bump(e.met.evalRounds)
 	r.round++
-
 	snap := e.txm.AcquireSnapshot()
 	defer snap.Release()
+	rd := &round{r: r, blocked: blocked, view: snap.View, stale: make([]bool, len(blocked))}
+	if e.tracer != nil {
+		rd.note = fmt.Sprintf("round=%d", r.round)
+	}
+	rd.groundAndSolve()
+	for _, comp := range rd.res.Components {
+		rd.validate(comp)
+	}
+	return rd.deliver()
+}
 
+// groundAndSolve grounds every blocked member's query against the round
+// snapshot (or reuses its cross-round cached groundings) and searches for
+// the coordinating set.
+func (rd *round) groundAndSolve() {
+	e := rd.r.e
 	// All queries of the round ground against one pinned snapshot, so they
 	// share one chain-id capture per table; each query streams through its
 	// own cursor clone (posers that wrote a grounded table see their own
 	// versions through their clone's Self).
-	cursors := newRoundCursors(snap.View)
-
-	pendings := make([]eq.Pending, len(blocked))
-	cacheKeys := make([]string, len(blocked))
-	for i, m := range blocked {
-		view := snap.View
+	cursors := newRoundCursors(rd.view)
+	pendings := make([]eq.Pending, len(rd.blocked))
+	cacheKeys := make([]string, len(rd.blocked))
+	for i, m := range rd.blocked {
+		view := rd.view
 		var txID uint64
 		if m.tx != nil {
 			// A member grounds against the round snapshot plus its own
@@ -319,16 +333,15 @@ func (e *Engine) evaluateQueries(r *run, blocked []*member) int {
 	// round trips overlapped) is safe. The coordinating-set search inside
 	// Evaluate still consumes the groundings in submission order, so the
 	// chosen answers match the serialized path's exactly.
-	evalStart := time.Now()
+	start := time.Now()
 	res := eq.Evaluate(pendings, eq.EvalOptions{
-		MaxGroundings: e.opts.MaxGroundings,
 		GroundWorkers: e.opts.GroundWorkers,
 		GroundLatency: e.opts.GroundLatency,
 		SolveBudget:   e.opts.SolveBudget,
-		BatchRows:     e.opts.GroundBatch,
 		Stream:        &e.streamStats,
 		PullDur:       e.met.groundPull,
 	})
+	rd.res = res
 	e.bumpN(e.met.solveSteps, int64(res.Solve.Steps))
 	if res.Solve.Exhausted {
 		e.bump(e.met.solveFallbacks)
@@ -336,252 +349,198 @@ func (e *Engine) evaluateQueries(r *run, blocked []*member) int {
 	e.met.groundRound.Observe(res.GroundDur)
 	e.met.solveRound.Observe(res.SolveDur)
 
-	// Per-round trace spans: every traced member that went through this
-	// round's grounding and search gets ground + solve spans (the stage
-	// work is shared; the spans attribute its wall time to each waiter).
-	var roundNote string
+	// Every traced member that went through this round's grounding and
+	// search gets ground + solve spans (the stage work is shared; the spans
+	// attribute its wall time to each waiter).
 	if e.tracer != nil {
-		roundNote = fmt.Sprintf("round=%d", r.round)
-		for _, m := range blocked {
+		for _, m := range rd.blocked {
 			t := m.entry.prog.Trace
-			if t == 0 {
-				continue
-			}
-			e.tracer.Span(t, t, "ground", evalStart, res.GroundDur, roundNote)
-			e.tracer.Span(t, t, "solve", evalStart.Add(res.GroundDur), res.SolveDur, roundNote)
+			e.tracer.Span(t, t, "ground", start, res.GroundDur, rd.note)
+			e.tracer.Span(t, t, "solve", start.Add(res.GroundDur), res.SolveDur, rd.note)
 		}
 	}
 
 	// Freshly grounded queries refill the cache (own-writes groundings and
 	// fingerprints already past the round snapshot are refused inside).
 	if e.groundCache != nil {
-		for i, m := range blocked {
+		for i, m := range rd.blocked {
 			if pendings[i].HasCached {
 				continue
 			}
 			if gs, ok := res.Groundings[i]; ok {
-				e.groundCache.store(cacheKeys[i], m.query.BodyTables(), snap.View.CSN, e.txm.Catalog(), m.tx, gs)
+				e.groundCache.store(cacheKeys[i], m.query.BodyTables(), rd.view.CSN, e.txm.Catalog(), m.tx, gs)
 			}
 		}
 	}
+}
 
-	// Entanglement components: answered members connected by partner edges
-	// form one entanglement operation each.
-	parent := make([]int, len(blocked))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
+// validate turns one answered component into an entanglement operation:
+// the members' lifecycle traces merge, the operation is logged, mutual
+// partnership is recorded for group commit, and at the locking levels the
+// component's grounding reads are made repeatable. Members that fail are
+// marked stale; deliver aborts them.
+func (rd *round) validate(comp []int) {
+	e := rd.r.e
+	start := time.Now()
+	members := make([]*member, len(comp))
+	var txIDs, traces []uint64
+	for k, i := range comp {
+		m := rd.blocked[i]
+		members[k] = m
+		if m.tx != nil {
+			txIDs = append(txIDs, m.tx.ID())
 		}
-		return parent[x]
-	}
-	union := func(a, b int) { parent[find(b)] = find(a) }
-	answered := make([]bool, len(blocked))
-	for i := range blocked {
-		if a := res.Answers[i]; a != nil && a.Status == eq.Answered {
-			answered[i] = true
-			for _, j := range res.Partners[i] {
-				union(i, j)
-			}
+		if t := m.entry.prog.Trace; t != 0 {
+			traces = append(traces, t)
 		}
 	}
-	components := make(map[int][]int)
-	for i := range blocked {
-		if answered[i] {
-			root := find(i)
-			components[root] = append(components[root], i)
-		}
+	// Entangled queries share one fate from here on; their lifecycle traces
+	// merge too — one trace id (the smallest) now carries every member's
+	// spans, each still attributed to its original actor.
+	if len(traces) > 1 {
+		e.tracer.Merge(traces)
 	}
-
-	aborted := make(map[int]bool) // members whose quasi-read locks failed
-	for _, comp := range components {
-		compStart := time.Now()
-		// Entangled queries share one fate from here on; their lifecycle
-		// traces merge too — one trace id (the smallest) now carries every
-		// member's spans, each still attributed to its original actor.
-		if e.tracer != nil && len(comp) > 1 {
-			ids := make([]uint64, 0, len(comp))
-			for _, i := range comp {
-				if t := blocked[i].entry.prog.Trace; t != 0 {
-					ids = append(ids, t)
-				}
-			}
-			if len(ids) > 1 {
-				e.tracer.Merge(ids)
-			}
-		}
-		// recordValidate stamps the lock/validate span (entangle logging,
-		// quasi-read locks, round-snapshot validation) on every traced
-		// member of the component, however the section exits.
-		recordValidate := func(comp []int) {
-			if e.tracer == nil {
-				return
-			}
-			d := time.Since(compStart)
-			for _, i := range comp {
-				t := blocked[i].entry.prog.Trace
-				if t == 0 {
-					continue
-				}
-				note := roundNote
-				if aborted[i] {
-					note += " stale"
-				}
-				e.tracer.Span(t, t, "validate", compStart, d, note)
-			}
-		}
-		opID := e.nextOpID()
-		var txIDs []uint64
+	staleAll := func() {
 		for _, i := range comp {
-			if blocked[i].tx != nil {
-				txIDs = append(txIDs, blocked[i].tx.ID())
-			}
+			rd.stale[i] = true
 		}
-		if len(txIDs) > 0 {
-			if err := e.txm.LogEntangle(opID, txIDs); err != nil {
-				for _, i := range comp {
-					aborted[i] = true
-				}
-				recordValidate(comp)
-				continue
-			}
-		}
-		// Record mutual partnership for group commit.
-		for _, i := range comp {
-			for _, j := range comp {
-				if i != j {
-					blocked[i].partners[blocked[j]] = true
+	}
+	opID := e.nextOpID()
+	if len(txIDs) > 0 && e.txm.LogEntangle(opID, txIDs) != nil {
+		staleAll()
+	} else {
+		for _, m := range members {
+			for _, p := range members {
+				if m != p {
+					m.partners[p] = true
 				}
 			}
 		}
-		// Quasi-read locks (§3.3.3): at the locking levels every participant
-		// takes shared locks on its own grounded tables (the locks the
-		// grounding reads would have held under 2PL, acquired post-hoc) and
-		// on the tables its partners grounded on, making quasi-reads
-		// repeatable under Strict 2PL from here to commit.
-		if lockingLevel(e.opts.Isolation) {
-			for _, i := range comp {
-				m := blocked[i]
-				if m.tx == nil {
-					continue
-				}
-				for _, table := range res.GroundTables[i] {
-					if err := m.tx.LockTableShared(table); err != nil {
-						aborted[i] = true
-					}
-				}
-				for _, j := range comp {
-					if i == j {
-						continue
-					}
-					for _, table := range res.GroundTables[j] {
-						if err := m.tx.LockTableShared(table); err != nil {
-							aborted[i] = true
-						}
-						if sink := e.opts.Trace; sink != nil && !aborted[i] {
-							sink.QuasiRead(m.tx.ID(), table)
-						}
-					}
-				}
-			}
-			// Snapshot validation: the locks only freeze the tables from now
-			// on; if a commit from outside the run slipped in between the
-			// round snapshot and the locks, every answer in this component is
-			// based on stale groundings — the whole component aborts and
-			// retries (like deadlock victims, invisible to the program). The
-			// check covers the union of the component's grounded tables,
-			// including those grounded by autocommit members, whose answers
-			// partners consumed all the same.
+		if e.policy.quasiLocks {
+			// Quasi-read locks (§3.3.3): every participant locks the union of
+			// the component's grounded tables — its own (the locks its
+			// grounding reads would have held under 2PL, acquired post hoc)
+			// and its partners', including tables grounded by autocommit
+			// members, whose answers partners consumed all the same. A member
+			// that cannot lock aborts alone; stale groundings abort the whole
+			// component (like deadlock victims, invisible to the program).
+			var tables []string
 			seen := make(map[string]bool)
-			var compTables []string
 			for _, i := range comp {
-				for _, table := range res.GroundTables[i] {
+				for _, table := range rd.res.GroundTables[i] {
 					if !seen[table] {
 						seen[table] = true
-						compTables = append(compTables, table)
+						tables = append(tables, table)
 					}
 				}
 			}
-			if e.groundChanged(compTables, snap.View.CSN) {
-				for _, i := range comp {
-					aborted[i] = true
+			for k, i := range comp {
+				err := e.lockAndValidate(members[k].tx, tables, rd.view.CSN)
+				if errors.Is(err, errStaleGrounding) {
+					staleAll()
+					break
+				}
+				if err != nil {
+					rd.stale[i] = true
+					continue
+				}
+				if sink := e.opts.Trace; sink != nil && members[k].tx != nil {
+					for _, j := range comp {
+						if j != i {
+							for _, table := range rd.res.GroundTables[j] {
+								sink.QuasiRead(members[k].tx.ID(), table)
+							}
+						}
+					}
 				}
 			}
 		}
 		if sink := e.opts.Trace; sink != nil {
 			sink.Entangle(opID, txIDs)
 		}
-		recordValidate(comp)
 	}
+	// The validate span covers entangle logging, quasi-read locks and
+	// round-snapshot validation, on every traced member of the component.
+	d := time.Since(start)
+	for _, i := range comp {
+		note := rd.note
+		if rd.stale[i] {
+			note += " stale"
+		}
+		t := rd.blocked[i].entry.prog.Trace
+		e.tracer.Span(t, t, "validate", start, d, note)
+	}
+}
 
-	// Deliver. Empty answers resume the transaction too; NoPartner and
-	// Errored members stay blocked for the next round or the end of the
-	// run. Empty answers at the locking levels also lock-and-validate the
-	// member's own grounded tables — the member proceeds on the strength of
-	// "no partner values existed", which must stay true to commit.
+// deliver resumes the round's members. Empty answers resume the
+// transaction too; NoPartner and Errored members stay blocked for the next
+// round or the end of the run. Empty answers at the locking levels also
+// lock-and-validate the member's own grounded tables — the member proceeds
+// on the strength of "no partner values existed", which must stay true to
+// commit.
+func (rd *round) deliver() int {
+	e := rd.r.e
 	resumed := 0
-	for i, m := range blocked {
-		a := res.Answers[i]
+	for i, m := range rd.blocked {
+		a := rd.res.Answers[i]
 		if a == nil {
 			continue
 		}
-		if a.Status == eq.NoPartner && e.dist != nil && m.tx != nil {
-			// No local partner: remember what this round computed so the
-			// coordinator can offer the query to the matchmaker.
-			m.offerGrounds = res.Groundings[i]
-			m.offerTables = res.GroundTables[i]
-			m.offerCSN = snap.View.CSN
-		}
-		if !aborted[i] && a.Status == eq.EmptyAnswer && lockingLevel(e.opts.Isolation) && m.tx != nil {
-			for _, table := range res.GroundTables[i] {
-				if err := m.tx.LockTableShared(table); err != nil {
-					aborted[i] = true
-					break
-				}
+		tables := rd.res.GroundTables[i]
+		switch a.Status {
+		case eq.NoPartner:
+			if e.dist != nil && m.tx != nil {
+				// No local partner: remember what this round computed so the
+				// coordinator can offer the query to the matchmaker.
+				m.offerGrounds, m.offerTables, m.offerCSN = rd.res.Groundings[i], tables, rd.view.CSN
 			}
-			if !aborted[i] && e.groundChanged(res.GroundTables[i], snap.View.CSN) {
-				aborted[i] = true
+			continue
+		case eq.Errored:
+			continue
+		case eq.EmptyAnswer:
+			if e.policy.quasiLocks && m.tx != nil && e.lockAndValidate(m.tx, tables, rd.view.CSN) != nil {
+				rd.stale[i] = true
 			}
 		}
-		if aborted[i] {
-			r.mu.Lock()
-			m.state = stateRunning // will unwind to abortedRetry
-			r.active++
-			r.mu.Unlock()
-			m.answerCh <- answerMsg{abortRun: true}
-			resumed++ // progress: the member leaves the blocked set
+		resumed++ // progress either way: the member leaves the blocked set
+		if rd.stale[i] {
+			rd.r.resume(m, answerMsg{abortRun: true})
 			continue
 		}
-		switch a.Status {
-		case eq.Answered, eq.EmptyAnswer:
-			if m.tx != nil {
-				// A snapshot-isolated member's later reads should agree with
-				// the state its answer was computed against: advance its
-				// snapshot to the round's.
-				m.tx.RefreshSnapshot(snap.View)
-			}
-			r.mu.Lock()
-			m.state = stateRunning
-			m.query = nil
-			r.active++
-			r.mu.Unlock()
-			m.answerCh <- answerMsg{answer: a}
-			resumed++
+		if m.tx != nil {
+			// A snapshot-isolated member's later reads should agree with the
+			// state its answer was computed against: advance its snapshot to
+			// the round's.
+			m.tx.RefreshSnapshot(rd.view)
 		}
+		rd.r.resume(m, answerMsg{answer: a})
 	}
 	return resumed
 }
 
-// groundChanged reports whether any of tables carries a commit newer than
-// csn — the round-snapshot staleness check behind quasi-read validation.
-func (e *Engine) groundChanged(tables []string, csn uint64) bool {
-	for _, table := range tables {
-		if tbl, err := e.txm.Catalog().Get(table); err == nil && tbl.LastCSN() > csn {
-			return true
+// errStaleGrounding reports that a commit newer than the snapshot an answer
+// was computed at has touched a grounded table: the answer is void.
+var errStaleGrounding = errors.New("core: grounded table changed since the answer's snapshot")
+
+// lockAndValidate makes the grounding reads behind an answer repeatable
+// for tx: at the locking levels it takes shared locks on tables, then it
+// checks that none of them carries a commit newer than csn — the locks only
+// freeze the tables from now on, and a foreign commit that slipped in
+// between the snapshot and the locks voids the answer (errStaleGrounding).
+// The answered component, the empty answer and a cross-shard reservation
+// all go through here.
+func (e *Engine) lockAndValidate(tx *txn.Txn, tables []string, csn uint64) error {
+	if tx != nil && e.policy.quasiLocks {
+		for _, table := range tables {
+			if err := tx.LockTableShared(table); err != nil {
+				return err
+			}
 		}
 	}
-	return false
+	for _, table := range tables {
+		if tbl, err := e.txm.Catalog().Get(table); err == nil && tbl.LastCSN() > csn {
+			return errStaleGrounding
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -44,9 +45,6 @@ type Options struct {
 	Decisions map[uint64]bool
 	// Metrics registers the matchmaker counters when set.
 	Metrics *obs.Registry
-	// Solve options forwarded to eq.Evaluate (zero values = defaults).
-	MaxGroundings int
-	SolveBudget   int
 }
 
 type groupState struct {
@@ -144,14 +142,6 @@ func (m *Matchmaker) AddOffer(o *Offer) {
 	}
 }
 
-// RemoveOffer withdraws a pooled offer (the member settled on its home
-// shard). Groups already formed around it proceed to a no-vote instead.
-func (m *Matchmaker) RemoveOffer(node string, id uint64) {
-	m.mu.Lock()
-	delete(m.offers, (&Offer{Node: node, ID: id}).Key())
-	m.mu.Unlock()
-}
-
 // match runs one coordinating-set search over the pooled offers and forms
 // a group per answered component. Caller holds m.mu; returns the groups to
 // fan prepares out for (off-lock).
@@ -164,48 +154,16 @@ func (m *Matchmaker) match() []*groupState {
 	for k := range m.offers {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	pend := make([]eq.Pending, len(keys))
 	for i, k := range keys {
 		o := m.offers[k]
 		pend[i] = eq.Pending{ID: i, Query: o.Query, Cached: o.Grounds, HasCached: true}
 	}
-	res := eq.Evaluate(pend, eq.EvalOptions{
-		MaxGroundings: m.opts.MaxGroundings,
-		SolveBudget:   m.opts.SolveBudget,
-	})
-
-	// Union answered offers into components along partner edges.
-	parent := make([]int, len(keys))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	answered := make([]bool, len(keys))
-	for i := range keys {
-		if a := res.Answers[i]; a != nil && a.Status == eq.Answered {
-			answered[i] = true
-			for _, j := range res.Partners[i] {
-				parent[find(j)] = find(i)
-			}
-		}
-	}
-	comps := make(map[int][]int)
-	for i := range keys {
-		if answered[i] {
-			root := find(i)
-			comps[root] = append(comps[root], i)
-		}
-	}
+	res := eq.Evaluate(pend, eq.EvalOptions{})
 
 	var formed []*groupState
-	for _, comp := range comps {
+	for _, comp := range res.Components {
 		if len(comp) < 2 {
 			// A lone answered offer needs no cross-shard coordination; its
 			// home shard will answer it locally when that becomes true.
@@ -274,23 +232,15 @@ func (m *Matchmaker) HandleVote(v Vote) {
 	}
 	yes := v.Yes
 	g.votes[key] = &yes
-	commit := true
-	complete := true
+	// Any no decides immediately, so an undecided group holds only yes
+	// votes: a yes decides once none is outstanding.
 	for _, vote := range g.votes {
-		if vote == nil {
-			complete = false
-			break
-		}
-		if !*vote {
-			commit = false
+		if yes && vote == nil {
+			m.mu.Unlock()
+			return
 		}
 	}
-	if !complete && commit {
-		m.mu.Unlock()
-		return
-	}
-	// Any no decides immediately; otherwise the tally is complete.
-	m.decideLocked(g, commit)
+	m.decideLocked(g, yes)
 	m.mu.Unlock()
 }
 
@@ -404,14 +354,6 @@ func (m *Matchmaker) janitor() {
 				m.decideLocked(g, false)
 			}
 			m.mu.Unlock()
-		}
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
 }

@@ -2,6 +2,7 @@ package eq
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -47,7 +48,7 @@ func (s Status) String() string {
 	}
 }
 
-// Pending is one query awaiting evaluation, paired with the Reader (the
+// Pending is one query awaiting evaluation, paired with the reader (the
 // posing transaction) its grounding reads go through.
 type Pending struct {
 	// ID is a caller-chosen identifier, unique within the round.
@@ -56,7 +57,7 @@ type Pending struct {
 	Query *Query
 	// Reader supplies the grounding reads. If nil, evaluation fails with
 	// Errored.
-	Reader Reader
+	Reader CursorReader
 	// Cached supplies this query's groundings from a previous round when
 	// HasCached is set: grounding (and its simulated DBMS round trip) is
 	// skipped and the Reader is not consulted. The caller is responsible
@@ -92,6 +93,12 @@ type Result struct {
 	// whose postconditions this query's head satisfied — the entanglement
 	// operation membership used for group commit and quasi-reads.
 	Partners map[int][]int
+	// Components partitions the answered queries' Pending.IDs along those
+	// partner edges: each component is one entanglement operation — the
+	// unit that validates, commits, or aborts together. Components are
+	// ordered by their earliest-submitted member, members in submission
+	// order; every answered query appears in exactly one.
+	Components [][]int
 	// GroundTables maps Pending.ID to the tables its grounding read — the
 	// quasi-read targets for its partners.
 	GroundTables map[int][]string
@@ -111,11 +118,12 @@ type Result struct {
 	SolveDur  time.Duration
 }
 
+// maxRoundGroundings bounds grounding enumeration per query in an
+// evaluation round: the safety valve against runaway cross products.
+const maxRoundGroundings = 10000
+
 // EvalOptions tunes evaluation.
 type EvalOptions struct {
-	// MaxGroundings bounds grounding enumeration per query (0 = default
-	// 10000).
-	MaxGroundings int
 	// GroundWorkers bounds the worker pool that grounds the pending queries
 	// concurrently. Values <= 1 ground serially in submission order — the
 	// paper's middle-tier behavior, whose per-round cost grows linearly with
@@ -134,11 +142,6 @@ type EvalOptions struct {
 	// runs the greedy closure alone — the pre-exact behavior, kept for
 	// ablation benchmarks.
 	SolveBudget int
-	// BatchRows is the streaming grounding pipeline's cursor pull
-	// granularity (0 = DefaultBatchRows). It bounds resident grounding
-	// memory per query at O(join levels x BatchRows) rows without changing
-	// the enumeration.
-	BatchRows int
 	// Stream, when non-nil, accumulates rows-streamed and peak-batch
 	// accounting across the round's grounding pipelines.
 	Stream *StreamStats
@@ -187,8 +190,8 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 	res.SolveDur = time.Since(solveStart)
 
 	// Entanglement membership: queries whose chosen groundings exchange
-	// atoms. Build atom -> producer query and atom -> consumer queries maps
-	// over the chosen groundings only.
+	// atoms. Map each chosen head atom to its producers, then connect every
+	// chosen postcondition's consumer to them.
 	producerOf := make(map[string][]int)
 	for i, gi := range chosen {
 		if gi < 0 {
@@ -202,6 +205,7 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 	for i := range partnerSets {
 		partnerSets[i] = make(map[int]bool)
 	}
+	sets := NewDisjointSets(len(pending))
 	for i, gi := range chosen {
 		if gi < 0 {
 			continue
@@ -211,9 +215,21 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 				if j != i {
 					partnerSets[i][j] = true
 					partnerSets[j][i] = true
+					sets.Union(i, j)
 				}
 			}
 		}
+	}
+	// Unanswered queries exchange nothing and stay singletons.
+	for _, set := range sets.Sets() {
+		if chosen[set[0]] < 0 {
+			continue
+		}
+		ids := make([]int, len(set))
+		for k, i := range set {
+			ids[k] = pending[i].ID
+		}
+		res.Components = append(res.Components, ids)
 	}
 
 	formable := FormableSet(queries)
@@ -233,7 +249,7 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 			for j := range partnerSets[i] {
 				res.Partners[p.ID] = append(res.Partners[p.ID], pending[j].ID)
 			}
-			sortInts(res.Partners[p.ID])
+			sort.Ints(res.Partners[p.ID])
 			continue
 		}
 		if formable[i] {
@@ -253,10 +269,6 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 // locks and yields byte-identical output to the serial one. Each task also
 // pays EvalOptions.GroundLatency, the simulated DBMS round trip.
 func GroundAll(pending []Pending, opts EvalOptions) ([][]*Grounding, []error) {
-	maxG := opts.MaxGroundings
-	if maxG == 0 {
-		maxG = 10000
-	}
 	groundings := make([][]*Grounding, len(pending))
 	errs := make([]error, len(pending))
 	groundOne := func(i int) {
@@ -275,8 +287,7 @@ func GroundAll(pending []Pending, opts EvalOptions) ([][]*Grounding, []error) {
 			return
 		}
 		gs, err := GroundWith(p.Query, p.Reader, GroundOptions{
-			MaxGroundings: maxG,
-			BatchRows:     opts.BatchRows,
+			MaxGroundings: maxRoundGroundings,
 			Stats:         opts.Stream,
 			PullDur:       opts.PullDur,
 		})
@@ -314,12 +325,4 @@ func GroundAll(pending []Pending, opts EvalOptions) ([][]*Grounding, []error) {
 	close(tasks)
 	wg.Wait()
 	return groundings, errs
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -74,6 +74,24 @@ func (r *probeReader) Probe(table string, cols []int, vals []types.Value) ([]typ
 	return out, nil
 }
 
+// ScanCursor and ProbeCursor serve the same rows (and the same counters)
+// through the pipeline's cursor surface.
+func (r *probeReader) ScanCursor(table string) (RowCursor, error) {
+	rows, err := r.Scan(table)
+	if err != nil {
+		return nil, err
+	}
+	return &sliceCursor{rows: rows}, nil
+}
+
+func (r *probeReader) ProbeCursor(table string, cols []int, vals []types.Value) (RowCursor, error) {
+	rows, err := r.Probe(table, cols, vals)
+	if err != nil {
+		return nil, err
+	}
+	return &sliceCursor{rows: rows}, nil
+}
+
 func groundingKeys(gs []*Grounding) []string {
 	out := make([]string, len(gs))
 	for i, g := range gs {

@@ -33,7 +33,7 @@ import (
 // same unbound-variable error the materialized path raised at emission.
 //
 // The plan fetches no rows: access-path choice consults only
-// IndexedReader.CanProbe. Row flow is the executor's job (stream.go), which
+// CursorReader.CanProbe. Row flow is the executor's job (stream.go), which
 // is what lets planning stay allocation-light and the pipeline lazy.
 
 // planStep is one level of the join: an atom, its access path, and the
@@ -57,15 +57,15 @@ type joinPlan struct {
 // else a probe over any single bound position (the match loop re-verifies
 // the remaining bound positions, so a subset probe is always semantically
 // equivalent), else a scan.
-func probePath(ir IndexedReader, rel string, boundPos []int) (bool, []int) {
-	if ir == nil || len(boundPos) == 0 {
+func probePath(r CursorReader, rel string, boundPos []int) (bool, []int) {
+	if len(boundPos) == 0 {
 		return false, nil
 	}
-	if ir.CanProbe(rel, boundPos) {
+	if r.CanProbe(rel, boundPos) {
 		return true, boundPos
 	}
 	for _, c := range boundPos {
-		if ir.CanProbe(rel, []int{c}) {
+		if r.CanProbe(rel, []int{c}) {
 			return true, []int{c}
 		}
 	}
@@ -73,8 +73,7 @@ func probePath(ir IndexedReader, rel string, boundPos []int) (bool, []int) {
 }
 
 // planQuery builds the join plan for q against r's index metadata.
-func planQuery(q *Query, r Reader) *joinPlan {
-	ir, _ := r.(IndexedReader)
+func planQuery(q *Query, r CursorReader) *joinPlan {
 	eqBound := eqBindings(q)
 	n := len(q.Body)
 	bound := make(map[string]bool, len(eqBound))
@@ -121,7 +120,7 @@ func planQuery(q *Query, r Reader) *joinPlan {
 					free[t.Name] = true
 				}
 			}
-			probe, probeCols := probePath(ir, atom.Rel, boundPos)
+			probe, probeCols := probePath(r, atom.Rel, boundPos)
 			c := candidate{idx: i, boundCnt: len(boundPos), freeCnt: len(free), probe: probe, probeCols: probeCols}
 			if best.idx < 0 || better(c, best) {
 				best = c

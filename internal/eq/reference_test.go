@@ -6,20 +6,41 @@ import (
 	"repro/internal/types"
 )
 
+// sliceReader is the materialized access path the reference executor reads
+// through: whole relations and whole probe results as slices. The test
+// fixtures implement it next to the cursor surface the shipped pipeline
+// consumes.
+type sliceReader interface {
+	CursorReader
+	Scan(table string) ([]types.Tuple, error)
+	Probe(table string, cols []int, vals []types.Value) ([]types.Tuple, error)
+}
+
+// Scan returns the named relation's rows.
+func (m MapReader) Scan(table string) ([]types.Tuple, error) {
+	rows, ok := m[table]
+	if !ok {
+		return nil, fmt.Errorf("eq: no such relation %s", table)
+	}
+	return rows, nil
+}
+
+// Probe is never planned (CanProbe is false).
+func (m MapReader) Probe(table string, _ []int, _ []types.Value) ([]types.Tuple, error) {
+	return nil, fmt.Errorf("eq: relation %s has no index", table)
+}
+
 // GroundMaterialized is the pre-streaming grounding executor, kept as the
-// differential-testing and benchmarking baseline: it consumes the same
-// joinPlan as the streaming pipeline but materializes every scan as a full
-// row slice and every probe as a per-valuation slice, exactly as Ground did
-// before the cursor rewrite. The engine never calls it; the streaming ≡
-// materialized property test asserts Ground enumerates byte-identical
-// groundings in identical order, and BenchmarkFigure6bScale measures the
-// memory the streaming path no longer pays.
-func GroundMaterialized(q *Query, r Reader, maxGroundings int) ([]*Grounding, error) {
+// differential-testing oracle: it consumes the same joinPlan as the
+// streaming pipeline but materializes every scan as a full row slice and
+// every probe as a per-valuation slice, exactly as Ground did before the
+// cursor rewrite. The streaming ≡ materialized property test asserts Ground
+// enumerates byte-identical groundings in identical order.
+func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Grounding, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	plan := planQuery(q, r)
-	ir, _ := r.(IndexedReader)
 
 	// Materialize every scan level up front, one Scan per relation.
 	scans := make(map[string][]types.Tuple)
@@ -100,7 +121,7 @@ func GroundMaterialized(q *Query, r Reader, maxGroundings int) ([]*Grounding, er
 				}
 			}
 			var err error
-			rows, err = ir.Probe(atom.Rel, step.probeCols, vals)
+			rows, err = r.Probe(atom.Rel, step.probeCols, vals)
 			if err != nil {
 				return fmt.Errorf("eq: grounding read of %s: %w", atom.Rel, err)
 			}

@@ -172,42 +172,17 @@ func newProblem(groundings [][]*Grounding) *problem {
 // returned ordered by their smallest query index, members ascending —
 // submission order, for determinism.
 func (p *problem) components() [][]int {
-	parent := make([]int, len(p.groundings))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(a, b int) { parent[find(b)] = find(a) }
+	sets := NewDisjointSets(len(p.groundings))
 	for qi := range p.groundings {
 		for _, pk := range p.postKeys[qi] {
 			for _, k := range pk {
 				for _, pr := range p.producers[k] {
-					union(qi, pr.query)
+					sets.Union(qi, pr.query)
 				}
 			}
 		}
 	}
-	byRoot := make(map[int][]int)
-	var roots []int
-	for qi := range p.groundings {
-		r := find(qi)
-		if len(byRoot[r]) == 0 {
-			roots = append(roots, r)
-		}
-		byRoot[r] = append(byRoot[r], qi)
-	}
-	sort.Slice(roots, func(i, j int) bool { return byRoot[roots[i]][0] < byRoot[roots[j]][0] })
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, byRoot[r])
-	}
-	return out
+	return sets.Sets()
 }
 
 // exactSolver runs the branch-and-bound search over one component.

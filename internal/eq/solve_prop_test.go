@@ -41,6 +41,64 @@ func checkCoordinatingSet(t *testing.T, groundings [][]*Grounding, chosen []int)
 	}
 }
 
+// checkComponents evaluates the queries as one round and verifies
+// Result.Components against its definition: the closure of the partner
+// edges over the answered queries, every answered query in exactly one
+// component, no unanswered query in any, in submission order. IDs are
+// deliberately not the submission positions.
+func checkComponents(t *testing.T, queries []*Query, db MapReader) {
+	t.Helper()
+	pend := make([]Pending, len(queries))
+	for i, q := range queries {
+		pend[i] = Pending{ID: 2*i + 1, Query: q, Reader: db}
+	}
+	res := Evaluate(pend, EvalOptions{})
+	seen := make(map[int]bool)
+	prevFirst := -1
+	for _, comp := range res.Components {
+		if len(comp) == 0 {
+			t.Fatal("empty component")
+		}
+		if comp[0] <= prevFirst {
+			t.Fatalf("components not ordered by earliest member: %v", res.Components)
+		}
+		prevFirst = comp[0]
+		// Closure of comp[0] along partner edges.
+		closure := map[int]bool{comp[0]: true}
+		for frontier := []int{comp[0]}; len(frontier) > 0; frontier = frontier[1:] {
+			for _, j := range res.Partners[frontier[0]] {
+				if !closure[j] {
+					closure[j] = true
+					frontier = append(frontier, j)
+				}
+			}
+		}
+		if len(closure) != len(comp) {
+			t.Fatalf("component %v is not the partner closure %v", comp, closure)
+		}
+		for k, id := range comp {
+			if !closure[id] {
+				t.Fatalf("component %v has member %d outside the partner closure %v", comp, id, closure)
+			}
+			if k > 0 && comp[k-1] >= id {
+				t.Fatalf("component %v members out of submission order", comp)
+			}
+			if seen[id] {
+				t.Fatalf("query %d appears in two components: %v", id, res.Components)
+			}
+			seen[id] = true
+			if res.Answers[id].Status != Answered {
+				t.Fatalf("component %v contains query %d with status %v", comp, id, res.Answers[id].Status)
+			}
+		}
+	}
+	for id, a := range res.Answers {
+		if a.Status == Answered && !seen[id] {
+			t.Fatalf("answered query %d is in no component: %v", id, res.Components)
+		}
+	}
+}
+
 // randomQueries builds a random mix of pairs, cycles, and loner queries
 // over a shared value domain, with some queries mentioning partners that
 // do not exist.
@@ -98,6 +156,7 @@ func TestSolvePropertyRandomStructures(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for iter := 0; iter < 500; iter++ {
 		queries, db := randomQueries(rng)
+		checkComponents(t, queries, db)
 		groundings := make([][]*Grounding, len(queries))
 		for i, q := range queries {
 			gs, err := Ground(q, db, 0)
@@ -153,6 +212,7 @@ func TestSolveCompletePairsAlwaysAnswered(t *testing.T) {
 		for i, q := range queries {
 			pend[i] = Pending{ID: i, Query: q, Reader: db}
 		}
+		checkComponents(t, queries, db)
 		res := Evaluate(pend, EvalOptions{})
 		for i := range queries {
 			if res.Answers[i].Status != Answered {
@@ -294,6 +354,7 @@ func TestSolveMatchesBruteForceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 1500; iter++ {
 		queries, db := randomCompetingQueries(rng)
+		checkComponents(t, queries, db)
 		groundings := make([][]*Grounding, len(queries))
 		for i, q := range queries {
 			gs, err := Ground(q, db, 0)

@@ -20,38 +20,15 @@ import (
 //
 // Order preservation is the load-bearing invariant: for the same plan, the
 // streaming executor enumerates byte-identical groundings in identical
-// order to the materialized reference (GroundMaterialized), because cursors
-// yield rows in exactly the order Scan/Probe return them and the
-// bind-check-recurse structure is unchanged. The exact solver's tie-breaks,
+// order to the materialized reference the tests keep as their oracle,
+// because cursors yield rows in storage order and the bind-check-recurse
+// structure is unchanged. The exact solver's tie-breaks,
 // the cross-round grounding cache, and serial-vs-parallel determinism all
 // lean on this.
 
-// DefaultBatchRows is the cursor pull granularity when GroundOptions (or
-// EvalOptions) leave BatchRows zero.
+// DefaultBatchRows is the cursor pull granularity when GroundOptions leaves
+// BatchRows zero — the value every evaluation round runs with.
 const DefaultBatchRows = 256
-
-// RowCursor is the pull iterator the streaming join consumes. Next appends
-// up to max rows to buf and returns the extended slice; returning buf
-// unchanged means exhaustion. Returned rows may alias storage the producer
-// owns and are valid only until the next call that reuses buf — the
-// executor copies values out of rows and never retains or mutates them.
-// Rewind resets the cursor to its first row without redoing the open.
-type RowCursor interface {
-	Next(buf []types.Tuple, max int) ([]types.Tuple, error)
-	Rewind()
-}
-
-// CursorReader is an optional Reader extension for sources that can stream
-// rows in batches instead of materializing relations. ScanCursor must
-// enumerate exactly the rows Scan would return, in the same order, and
-// ProbeCursor exactly the rows Probe would return — grounding through
-// cursors and through slices is then observably identical, which the
-// streaming ≡ materialized property test enforces.
-type CursorReader interface {
-	IndexedReader
-	ScanCursor(table string) (RowCursor, error)
-	ProbeCursor(table string, cols []int, vals []types.Value) (RowCursor, error)
-}
 
 // StreamStats accumulates streaming-pipeline accounting across grounding
 // calls. Safe for concurrent use by parallel grounding workers.
@@ -101,28 +78,6 @@ type GroundOptions struct {
 	PullDur *obs.Histogram
 }
 
-// sliceCursor adapts a materialized row slice to RowCursor — the path for
-// plain Readers (and per-valuation Probe results) that have no cursor API.
-type sliceCursor struct {
-	rows []types.Tuple
-	pos  int
-}
-
-func (c *sliceCursor) Next(buf []types.Tuple, max int) ([]types.Tuple, error) {
-	if max <= 0 {
-		max = 1
-	}
-	end := c.pos + max
-	if end > len(c.rows) {
-		end = len(c.rows)
-	}
-	buf = append(buf, c.rows[c.pos:end]...)
-	c.pos = end
-	return buf, nil
-}
-
-func (c *sliceCursor) Rewind() { c.pos = 0 }
-
 // streamLevel is the runtime state of one join level.
 type streamLevel struct {
 	step *planStep
@@ -132,7 +87,6 @@ type streamLevel struct {
 
 	scanCur   RowCursor     // cached scan cursor, reused via Rewind
 	probeVals []types.Value // reusable probe key buffer
-	probeCur  sliceCursor   // reusable wrapper for non-cursor Probe results
 	bound     []string      // variable names bound by the current row
 }
 
@@ -140,25 +94,20 @@ type streamLevel struct {
 type groundStream struct {
 	q       *Query
 	plan    *joinPlan
-	r       Reader
-	ir      IndexedReader
-	cr      CursorReader
+	r       CursorReader
 	batch   int
 	stats   *StreamStats
 	pullDur *obs.Histogram
 
-	val      Valuation
-	levels   []streamLevel
-	scanRows map[string][]types.Tuple // non-cursor readers: one Scan per relation
+	val    Valuation
+	levels []streamLevel
 
 	out  []*Grounding
 	seen map[string]bool
 	max  int
 }
 
-func newGroundStream(q *Query, plan *joinPlan, r Reader, opts GroundOptions) *groundStream {
-	ir, _ := r.(IndexedReader)
-	cr, _ := r.(CursorReader)
+func newGroundStream(q *Query, plan *joinPlan, r CursorReader, opts GroundOptions) *groundStream {
 	batch := opts.BatchRows
 	if batch <= 0 {
 		batch = DefaultBatchRows
@@ -167,8 +116,6 @@ func newGroundStream(q *Query, plan *joinPlan, r Reader, opts GroundOptions) *gr
 		q:       q,
 		plan:    plan,
 		r:       r,
-		ir:      ir,
-		cr:      cr,
 		batch:   batch,
 		stats:   opts.Stats,
 		pullDur: opts.PullDur,
@@ -197,9 +144,9 @@ func (s *groundStream) open(i int) error {
 	if !step.probe {
 		if lv.scanCur == nil {
 			var err error
-			lv.scanCur, err = s.scanCursor(step.atom.Rel)
+			lv.scanCur, err = s.r.ScanCursor(step.atom.Rel)
 			if err != nil {
-				return err
+				return fmt.Errorf("eq: grounding read of %s: %w", step.atom.Rel, err)
 			}
 		} else {
 			lv.scanCur.Rewind()
@@ -222,54 +169,15 @@ func (s *groundStream) open(i int) error {
 				}
 			}
 		}
-		cur, err := s.probeCursor(lv, step.atom.Rel, step.probeCols, lv.probeVals)
+		cur, err := s.r.ProbeCursor(step.atom.Rel, step.probeCols, lv.probeVals)
 		if err != nil {
-			return err
+			return fmt.Errorf("eq: grounding read of %s: %w", step.atom.Rel, err)
 		}
 		lv.cur = cur
 	}
 	lv.buf = lv.buf[:0]
 	lv.pos = 0
 	return nil
-}
-
-func (s *groundStream) scanCursor(rel string) (RowCursor, error) {
-	if s.cr != nil {
-		cur, err := s.cr.ScanCursor(rel)
-		if err != nil {
-			return nil, fmt.Errorf("eq: grounding read of %s: %w", rel, err)
-		}
-		return cur, nil
-	}
-	if s.scanRows == nil {
-		s.scanRows = make(map[string][]types.Tuple)
-	}
-	rows, ok := s.scanRows[rel]
-	if !ok {
-		var err error
-		rows, err = s.r.Scan(rel)
-		if err != nil {
-			return nil, fmt.Errorf("eq: grounding read of %s: %w", rel, err)
-		}
-		s.scanRows[rel] = rows
-	}
-	return &sliceCursor{rows: rows}, nil
-}
-
-func (s *groundStream) probeCursor(lv *streamLevel, rel string, cols []int, vals []types.Value) (RowCursor, error) {
-	if s.cr != nil {
-		cur, err := s.cr.ProbeCursor(rel, cols, vals)
-		if err != nil {
-			return nil, fmt.Errorf("eq: grounding read of %s: %w", rel, err)
-		}
-		return cur, nil
-	}
-	rows, err := s.ir.Probe(rel, cols, vals)
-	if err != nil {
-		return nil, fmt.Errorf("eq: grounding read of %s: %w", rel, err)
-	}
-	lv.probeCur = sliceCursor{rows: rows}
-	return &lv.probeCur, nil
 }
 
 // refill pulls the next batch into level i's buffer; false means the cursor
@@ -425,7 +333,7 @@ func (s *groundStream) emit() error {
 
 // GroundWith enumerates the groundings of q against r through the
 // streaming pipeline. See Ground for the enumeration contract.
-func GroundWith(q *Query, r Reader, opts GroundOptions) ([]*Grounding, error) {
+func GroundWith(q *Query, r CursorReader, opts GroundOptions) ([]*Grounding, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -450,6 +358,6 @@ func GroundWith(q *Query, r Reader, opts GroundOptions) ([]*Grounding, error) {
 // unlimited) terminates the pipeline the instant the cap is hit — the
 // safety valve against runaway cross products now also bounds the work, not
 // just the output.
-func Ground(q *Query, r Reader, maxGroundings int) ([]*Grounding, error) {
+func Ground(q *Query, r CursorReader, maxGroundings int) ([]*Grounding, error) {
 	return GroundWith(q, r, GroundOptions{MaxGroundings: maxGroundings})
 }

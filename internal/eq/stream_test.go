@@ -152,8 +152,8 @@ func assertSameSequence(t *testing.T, caseNo int, label string, got, want []*Gro
 // TestGroundStreamingMatchesMaterializedRandomized is the streaming ≡
 // materialized property test: over randomized relations and queries, the
 // streaming pipeline must enumerate byte-identical groundings in identical
-// order to the materialized reference under every reader capability (plain
-// Reader, IndexedReader, CursorReader) and batch size, capped enumerations
+// order to the materialized reference under every reader fixture (unindexed
+// slices, indexed slices, counting cursors) and batch size, capped enumerations
 // must be exact prefixes, and index-routed plans must agree with scan plans
 // on the grounding set.
 func TestGroundStreamingMatchesMaterializedRandomized(t *testing.T) {
