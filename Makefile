@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke chaos bench-smoke bench-build pprof pprof-ground ci
+.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke chaos bench-smoke bench-build bench-test pprof pprof-ground ci
 
 all: build
 
@@ -79,6 +79,12 @@ bench-smoke:
 bench-build:
 	$(GO) vet -C bench ./...
 
+# The benchmark's own tests (~4 s): an in-process smoke of all five
+# workloads plus the compare/stats units. They compile and run against
+# wire, client, server and dist, and root `go test ./...` never sees them.
+bench-test:
+	$(GO) test -C bench ./...
+
 # Fuzz smoke: a short randomized run of each wire-protocol fuzz target
 # (frame reader and binary codec) on top of the committed seed corpus.
 # One -fuzz pattern per invocation — Go's fuzzer requires exactly one
@@ -101,4 +107,4 @@ pprof-ground:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure6bScale/scale=10x' -benchtime 5x -cpuprofile ground-cpu.prof -memprofile ground-mem.prof .
 	@echo "inspect with: $(GO) tool pprof ground-cpu.prof   (or ground-mem.prof)"
 
-ci: build vet bench-build staticcheck test race
+ci: build vet bench-build bench-test staticcheck test race

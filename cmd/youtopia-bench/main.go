@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/entangle"
 	"repro/internal/harness"
 )
 
@@ -39,7 +40,8 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := harness.Config{N: *n, Users: *users, StmtLatency: *latency, Seed: *seed, GroundWorkers: *workers, GroundCache: *gcache, SolveBudget: *solveB}
+	cfg := harness.Config{N: *n, Users: *users, Seed: *seed, Engine: entangle.Options{
+		StmtLatency: *latency, GroundWorkers: *workers, GroundCache: *gcache, SolveBudget: *solveB}}
 	fmt.Printf("youtopia-bench: N=%d users=%d latency=%v seed=%d workers=%d groundcache=%v solvebudget=%d\n\n", *n, *users, *latency, *seed, *workers, *gcache, *solveB)
 
 	run6a := func() {

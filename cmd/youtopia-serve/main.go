@@ -76,7 +76,6 @@ func main() {
 		conns       = flag.Int("connections", 0, "engine connection limit (0 = default 100)")
 		groundCache = flag.Bool("ground-cache", true, "enable the cross-round grounding cache")
 		drainWait   = flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
-		jsonOnly    = flag.Bool("json-only", false, "refuse binary codec negotiation; every connection stays on JSON frames (debuggable with netcat/tcpdump)")
 		maxInFlight = flag.Int("max-in-flight", 0, "admission control: max requests executing across all connections; excess is shed with a retryable error (0 = default 1024, negative = unbounded)")
 		perConnPend = flag.Int("per-conn-pending", 0, "max parked Wait/session requests per connection before shedding (0 = default 64)")
 		faultSeed   = flag.Int64("fault-seed", 1, "failpoint RNG seed (with -fault; fixed seed = reproducible chaos)")
@@ -144,7 +143,6 @@ func main() {
 		PerConnPending: *perConnPend,
 		Faults:         reg,
 	})
-	srv.JSONOnly = *jsonOnly
 
 	// Sharded deployment: join the placement map, host the coordinator on
 	// shard 0, and resolve any in-doubt groups recovery surfaced against

@@ -183,13 +183,10 @@ func main() {
 	)
 	if *connect != "" {
 		var c *client.Client
-		// The shell is the debugging surface, so its connection stays on
-		// JSON frames — a tcpdump of a shell session reads as text even
-		// when the server offers the binary codec.
 		// Tracing is on: the shell is the debugging surface, and a traced
 		// request against a server without a tracer costs nothing (the
 		// server drops the id).
-		c, err = client.DialOptions(*connect, client.Options{Codec: wire.CodecJSON, Trace: true})
+		c, err = client.DialOptions(*connect, client.Options{Trace: true})
 		if err == nil {
 			be = &remoteBackend{c: c, is: c.Interactive()}
 			fmt.Printf("connected to %s\n", *connect)

@@ -26,8 +26,6 @@
 // Interactive sessions are the exception: they are connection-scoped
 // server-side, so their calls fail over a reconnect rather than retry.
 //
-// Dial negotiates the binary codec (wire protocol v2) and falls back to
-// JSON against servers that do not speak it; Options.Codec pins either.
 // Requests are write-batched: callers encode into one output buffer and a
 // flusher goroutine writes accumulated frames in one syscall, so
 // pipelined callers — the Async methods, or many goroutines sharing one
@@ -88,13 +86,6 @@ type Options struct {
 	// never answers. Default 5s.
 	DialTimeout time.Duration
 
-	// Codec selects the wire codec: wire.CodecBinary (the default, "")
-	// negotiates the binary fast path and falls back to JSON against a
-	// server that does not offer it; wire.CodecJSON pins JSON — every
-	// frame stays readable with netcat, and the connection works against
-	// any protocol-v1 server.
-	Codec string
-
 	// WriteTimeout bounds one batched request write so a dead peer cannot
 	// park the flusher (and every caller behind it) forever. Default 30s.
 	WriteTimeout time.Duration
@@ -118,16 +109,13 @@ type Options struct {
 	// call and attaches it on the wire, so a server run with tracing
 	// enabled records the query's span tree under an id this client knows
 	// (Handle.TraceID, Call.TraceID). Off by default: an untraced request
-	// is byte-identical to the PR 6 encoding and costs the server nothing.
+	// carries no trace bytes and costs the server nothing.
 	Trace bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.Codec == "" {
-		o.Codec = wire.CodecBinary
 	}
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 30 * time.Second
@@ -158,14 +146,12 @@ type Client struct {
 	opts Options
 	id   string // stable random identity, carried on every hello
 
-	mu        sync.Mutex
-	cc        *conn       // live connection; nil while down
-	flight    *dialFlight // in-progress reconnect, single-flighted
-	closed    bool
-	nextID    uint64 // request IDs, client-wide so retries never collide
-	nextIdem  uint64 // idempotency ids
-	noDedup   bool   // legacy server: no hello, no idempotency, no retry of mutations
-	codecName string
+	mu       sync.Mutex
+	cc       *conn       // live connection; nil while down
+	flight   *dialFlight // in-progress reconnect, single-flighted
+	closed   bool
+	nextID   uint64 // request IDs, client-wide so retries never collide
+	nextIdem uint64 // idempotency ids
 
 	reconnects atomic.Int64
 	retries    atomic.Int64
@@ -181,10 +167,9 @@ type dialFlight struct {
 // write batching, and the read loop. It dies as a unit — any transport
 // error fails every pending call and hands control back to the Client.
 type conn struct {
-	cl    *Client
-	nc    net.Conn
-	br    *bufio.Reader
-	codec wire.Codec // fixed after the handshake
+	cl *Client
+	nc net.Conn
+	br *bufio.Reader
 
 	outMu       sync.Mutex
 	outCond     *sync.Cond
@@ -199,147 +184,76 @@ type conn struct {
 	err     error
 }
 
-// Dial connects to a youtopia-serve address ("host:port"), verifies
-// protocol compatibility, and negotiates the binary codec when the server
-// offers it.
+// Dial connects to a youtopia-serve address ("host:port"), binds this
+// client's identity, and verifies protocol compatibility.
 func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
 
 // DialOptions is Dial with explicit options. The initial dial is a single
 // fail-fast attempt; automatic reconnection (with backoff and budget)
 // begins once the first connection is established.
 func DialOptions(addr string, opts Options) (*Client, error) {
-	opts = opts.withDefaults()
-	if opts.Codec != wire.CodecJSON && opts.Codec != wire.CodecBinary {
-		return nil, fmt.Errorf("client: unknown codec %q", opts.Codec)
-	}
 	var idb [8]byte
 	if _, err := rand.Read(idb[:]); err != nil {
 		return nil, fmt.Errorf("client: identity: %w", err)
 	}
-	c := &Client{addr: addr, opts: opts, id: hex.EncodeToString(idb[:])}
-	cc, name, noDedup, err := c.dialConn()
+	c := &Client{addr: addr, opts: opts.withDefaults(), id: hex.EncodeToString(idb[:])}
+	cc, err := c.dialConn()
 	if err != nil {
 		return nil, err
 	}
-	c.cc, c.codecName, c.noDedup = cc, name, noDedup
+	c.cc = cc
 	return c, nil
 }
 
-// dialConn makes one connection attempt: TCP connect, handshake (identity
-// bind + codec negotiation) under a deadline, then the reader and flusher
-// start.
-func (c *Client) dialConn() (*conn, string, bool, error) {
+// dialConn makes one connection attempt: TCP connect, hello under a
+// deadline, then the reader and flusher start.
+func (c *Client) dialConn() (*conn, error) {
 	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
 	if err != nil {
-		return nil, "", false, fmt.Errorf("client: dial %s: %w", c.addr, err)
+		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
 	cc := &conn{
 		cl:          c,
 		nc:          nc,
 		br:          bufio.NewReaderSize(nc, readBufSize),
-		codec:       wire.JSON,
 		pending:     make(map[uint64]chan *wire.Response),
 		flusherDone: make(chan struct{}),
 	}
 	cc.outCond = sync.NewCond(&cc.outMu)
-	// The handshake runs synchronously under a deadline — no reader or
-	// flusher goroutines yet, so the codec switch cannot race anything. A
-	// peer that accepts TCP but never speaks the protocol fails the
-	// handshake instead of hanging.
+	// The hello runs synchronously under a deadline, before the reader and
+	// flusher goroutines exist. A peer that accepts TCP but never speaks
+	// the protocol fails the handshake instead of hanging.
 	nc.SetDeadline(time.Now().Add(c.opts.DialTimeout))
-	name, noDedup, err := cc.handshake(c.opts.Codec, c.id)
-	if err != nil {
+	if err := cc.hello(c.id); err != nil {
 		nc.Close()
-		return nil, "", false, err
+		return nil, err
 	}
 	nc.SetDeadline(time.Time{})
 	go cc.readLoop()
 	go cc.flusher()
-	return cc, name, noDedup, nil
+	return cc, nil
 }
 
-// syncCall writes one request frame and reads one response frame on the
-// calling goroutine; only valid before readLoop starts.
-func (cc *conn) syncCall(codec wire.Codec, req wire.Request) (*wire.Response, error) {
-	frame, err := codec.AppendRequestFrame(nil, &req)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cc.nc.Write(frame); err != nil {
-		return nil, err
-	}
-	payload, err := wire.ReadFrame(cc.br)
-	if err != nil {
-		return nil, err
+// hello binds the client identity — so handles and the idempotency window
+// survive reconnects — and checks the server's protocol version. A peer
+// that does not speak the frame format fails here: its reply does not
+// decode, or it closes the connection.
+func (cc *conn) hello(clientID string) error {
+	if err := wire.WriteFrame(cc.nc, wire.Request{ID: 1, Op: wire.OpHello, Client: clientID}); err != nil {
+		return fmt.Errorf("client: hello: %w", err)
 	}
 	var resp wire.Response
-	if err := codec.DecodeResponse(payload, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// handshake binds the client identity and negotiates the codec. The hello
-// (like every pre-negotiation frame) travels as JSON, so it is safe
-// against any server version:
-//   - a binary-capable server answers with the codec both sides use next;
-//   - a JSON-only server (or a JSON-pinned hello) answers CodecJSON;
-//   - a protocol-v1 server answers "unknown op" — the client falls back
-//     to the v1 version-checking ping, stays on JSON, and disables the
-//     idempotency machinery (a v1 server has no dedup window).
-func (cc *conn) handshake(want, clientID string) (codecName string, noDedup bool, err error) {
-	resp, err := cc.syncCall(wire.JSON, wire.Request{ID: 1, Op: wire.OpHello, Codec: want, Client: clientID})
-	if err != nil {
-		return "", false, fmt.Errorf("client: hello: %w", err)
+	if err := wire.ReadInto(cc.br, &resp); err != nil {
+		return fmt.Errorf("client: hello: %w", err)
 	}
 	if !resp.OK {
-		// A v1 server rejects the unknown op; fall back to its own
-		// liveness/version check and keep speaking JSON.
-		if err := cc.checkVersion(); err != nil {
-			return "", false, err
-		}
-		return wire.CodecJSON, true, nil
-	}
-	if resp.Version != wire.ProtocolVersion {
-		return "", false, fmt.Errorf("client: protocol version mismatch: server %d, client %d",
-			resp.Version, wire.ProtocolVersion)
-	}
-	switch resp.Codec {
-	case wire.CodecBinary:
-		cc.codec = wire.Binary
-		return wire.CodecBinary, false, nil
-	case wire.CodecJSON, "":
-		// Negotiation succeeded but the server keeps this connection on
-		// JSON (e.g. a JSON-only deployment).
-		return wire.CodecJSON, false, nil
-	default:
-		return "", false, fmt.Errorf("client: server chose unknown codec %q", resp.Codec)
-	}
-}
-
-// checkVersion is the v1 handshake: a ping whose response carries the
-// protocol version.
-func (cc *conn) checkVersion() error {
-	resp, err := cc.syncCall(wire.JSON, wire.Request{ID: 2, Op: wire.OpPing})
-	if err != nil {
-		return fmt.Errorf("client: ping: %w", err)
-	}
-	if !resp.OK {
-		return fmt.Errorf("client: ping: %s", resp.Error)
+		return fmt.Errorf("client: hello: %s", resp.Error)
 	}
 	if resp.Version != wire.ProtocolVersion {
 		return fmt.Errorf("client: protocol version mismatch: server %d, client %d",
 			resp.Version, wire.ProtocolVersion)
 	}
 	return nil
-}
-
-// Codec reports the negotiated codec name (wire.CodecBinary or
-// wire.CodecJSON).
-func (c *Client) Codec() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.codecName
 }
 
 // Healthy reports whether the client currently holds a live connection.
@@ -417,8 +331,6 @@ func (c *Client) reconnect() (*conn, error) {
 	c.mu.Unlock()
 
 	var cc *conn
-	var name string
-	var noDedup bool
 	var err error
 	backoff := c.opts.ReconnectBackoff
 	for attempt := 0; attempt < c.opts.DialBudget; attempt++ {
@@ -432,7 +344,7 @@ func (c *Client) reconnect() (*conn, error) {
 			err = ErrClosed
 			break
 		}
-		cc, name, noDedup, err = c.dialConn()
+		cc, err = c.dialConn()
 		if err == nil {
 			break
 		}
@@ -448,8 +360,6 @@ func (c *Client) reconnect() (*conn, error) {
 			cc, err = nil, ErrClosed
 		} else {
 			c.cc = cc
-			c.codecName = name
-			c.noDedup = noDedup
 			c.reconnects.Add(1)
 		}
 	}
@@ -475,7 +385,7 @@ func (cc *conn) readLoop() {
 			return
 		}
 		var resp wire.Response
-		if err := cc.codec.DecodeResponse(payload, &resp); err != nil {
+		if err := wire.Binary.DecodeResponse(payload, &resp); err != nil {
 			cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 			return
 		}
@@ -582,7 +492,7 @@ func (cc *conn) send(req *wire.Request, ch chan *wire.Response) error {
 		cc.dropPending(req.ID)
 		return cc.deadErr()
 	}
-	buf, err := cc.codec.AppendRequestFrame(cc.outBuf, req)
+	buf, err := wire.Binary.AppendRequestFrame(cc.outBuf, req)
 	if err != nil {
 		cc.outMu.Unlock()
 		cc.dropPending(req.ID)
@@ -602,7 +512,7 @@ func (cc *conn) dropPending(id uint64) {
 
 // idempotentOp reports whether op is safe to retry under an idempotency
 // id: the server dedups re-execution, so the retry is exactly-once.
-func idempotentOp(op string) bool {
+func idempotentOp(op wire.Op) bool {
 	switch op {
 	case wire.OpExec, wire.OpDDL, wire.OpSubmit, wire.OpWait, wire.OpPoll:
 		return true
@@ -612,10 +522,11 @@ func idempotentOp(op string) bool {
 
 // naturallyRetryable reports ops safe to retry even without dedup:
 // read-only, or creating connection-scoped state that dies with the
-// failed connection anyway. The 2PC shard ops (offer/prepare/vote/decide)
-// are deliberately absent: the protocol repairs its own lost messages
-// (see shard.go), so a transport retry could only resurrect stale ones.
-func naturallyRetryable(op string) bool {
+// failed connection anyway. OpShardMsg (the 2PC offer/prepare/vote/decide
+// envelope) is deliberately absent: the protocol repairs its own lost
+// messages (see shard.go), so a transport retry could only resurrect
+// stale ones.
+func naturallyRetryable(op wire.Op) bool {
 	switch op {
 	case wire.OpPing, wire.OpStats, wire.OpTables, wire.OpSessionOpen,
 		wire.OpPlacement, wire.OpShardStatus:
@@ -654,7 +565,7 @@ func (c *Client) startCall(req wire.Request) *Call {
 	}
 	c.nextID++
 	req.ID = c.nextID
-	if !c.noDedup && idempotentOp(req.Op) {
+	if idempotentOp(req.Op) {
 		c.nextIdem++
 		req.Idem = c.nextIdem
 	}
@@ -826,15 +737,7 @@ func (c *Client) QueryAsync(src string) *Call { return c.ExecAsync(src) }
 // entangled queries) to the server's run scheduler and returns immediately
 // with a Handle.
 func (c *Client) SubmitScript(script string) (*Handle, error) {
-	trace := c.mintTrace()
-	resp, err := c.call(wire.Request{Op: wire.OpSubmit, SQL: script, Trace: trace})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Trace != 0 {
-		trace = resp.Trace
-	}
-	return &Handle{c: c, id: resp.Handle, trace: trace}, nil
+	return c.SubmitScriptTraced(script, 0)
 }
 
 // mintTrace returns a fresh trace id when Options.Trace is set, else 0.
@@ -852,7 +755,7 @@ func (c *Client) Stats() (entangle.StatsSnapshot, error) {
 	if err != nil {
 		return snap, err
 	}
-	if err := json.Unmarshal(resp.Stats, &snap); err != nil {
+	if err := json.Unmarshal(resp.Body, &snap); err != nil {
 		return snap, fmt.Errorf("client: decode stats: %w", err)
 	}
 	return snap, nil
@@ -876,7 +779,7 @@ func (c *Client) Metrics() (obs.Snapshot, error) {
 	if err != nil {
 		return snap, err
 	}
-	if err := json.Unmarshal(resp.Stats, &snap); err != nil {
+	if err := json.Unmarshal(resp.Body, &snap); err != nil {
 		return snap, fmt.Errorf("client: decode metrics: %w", err)
 	}
 	return snap, nil
@@ -891,7 +794,7 @@ func (c *Client) Trace(id uint64) (obs.Trace, error) {
 	if err != nil {
 		return tr, err
 	}
-	if err := json.Unmarshal(resp.Stats, &tr); err != nil {
+	if err := json.Unmarshal(resp.Body, &tr); err != nil {
 		return tr, fmt.Errorf("client: decode trace: %w", err)
 	}
 	return tr, nil

@@ -28,18 +28,11 @@ func fakeServer(t *testing.T, serve func(net.Conn)) string {
 			}
 			go func(nc net.Conn) {
 				defer nc.Close()
-				payload, err := wire.ReadFrame(nc)
-				if err != nil {
-					return
-				}
 				var req wire.Request
-				if wire.JSON.DecodeRequest(payload, &req) != nil || req.Op != wire.OpHello {
+				if wire.ReadInto(nc, &req) != nil || req.Op != wire.OpHello {
 					return
 				}
-				wire.WriteFrame(nc, wire.Response{
-					ID: req.ID, OK: true,
-					Version: wire.ProtocolVersion, Codec: wire.CodecJSON,
-				})
+				wire.WriteFrame(nc, wire.Response{ID: req.ID, OK: true, Version: wire.ProtocolVersion})
 				serve(nc)
 			}(nc)
 		}
@@ -49,7 +42,6 @@ func fakeServer(t *testing.T, serve func(net.Conn)) string {
 
 // tight budgets so exhaustion tests finish in milliseconds.
 var tight = Options{
-	Codec:               wire.CodecJSON,
 	RetryBudget:         3,
 	DialBudget:          2,
 	ReconnectBackoff:    time.Millisecond,
@@ -88,12 +80,8 @@ func TestRetriesExhaustedTyped(t *testing.T) {
 func TestOverloadRetriesExhausted(t *testing.T) {
 	addr := fakeServer(t, func(nc net.Conn) {
 		for {
-			payload, err := wire.ReadFrame(nc)
-			if err != nil {
-				return
-			}
 			var req wire.Request
-			if wire.JSON.DecodeRequest(payload, &req) != nil {
+			if wire.ReadInto(nc, &req) != nil {
 				return
 			}
 			wire.WriteFrame(nc, wire.Response{
@@ -120,12 +108,8 @@ func TestOverloadRetriesExhausted(t *testing.T) {
 func TestNonIdempotentOpsFailOverReconnect(t *testing.T) {
 	addr := fakeServer(t, func(nc net.Conn) {
 		for {
-			payload, err := wire.ReadFrame(nc)
-			if err != nil {
-				return
-			}
 			var req wire.Request
-			if wire.JSON.DecodeRequest(payload, &req) != nil {
+			if wire.ReadInto(nc, &req) != nil {
 				return
 			}
 			if req.Op == wire.OpSessionOpen {
@@ -155,12 +139,8 @@ func TestNonIdempotentOpsFailOverReconnect(t *testing.T) {
 func TestClosedClientFailsFast(t *testing.T) {
 	addr := fakeServer(t, func(nc net.Conn) {
 		for {
-			payload, err := wire.ReadFrame(nc)
-			if err != nil {
-				return
-			}
 			var req wire.Request
-			if wire.JSON.DecodeRequest(payload, &req) != nil {
+			if wire.ReadInto(nc, &req) != nil {
 				return
 			}
 			wire.WriteFrame(nc, wire.Response{ID: req.ID, OK: true, Version: wire.ProtocolVersion})

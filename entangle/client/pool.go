@@ -37,9 +37,7 @@ func DialPool(addr string, size int) (*Pool, error) {
 	return DialPoolOptions(addr, size, Options{})
 }
 
-// DialPoolOptions opens size connections to addr. All connections
-// negotiate independently but against one server they agree; Codec
-// reports the first connection's choice.
+// DialPoolOptions opens size connections to addr.
 func DialPoolOptions(addr string, size int, opts Options) (*Pool, error) {
 	if size <= 0 {
 		return nil, errors.New("client: pool size must be positive")
@@ -144,9 +142,6 @@ func (p *Pool) Get() *Client {
 
 // Size reports the number of pooled connections.
 func (p *Pool) Size() int { return len(p.conns) }
-
-// Codec reports the negotiated codec of the pool's connections.
-func (p *Pool) Codec() string { return p.conns[0].Codec() }
 
 // Close closes every pooled connection; the first error wins.
 func (p *Pool) Close() error {

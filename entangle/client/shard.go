@@ -9,19 +9,19 @@ import (
 	"repro/internal/wire"
 )
 
-// The sharded-deployment surface of the client: the placement fetch and
-// the server-to-server 2PC ops. Servers in a sharded deployment dial
-// their peers with this very package, so the cross-shard protocol rides
-// the same connection machinery (reconnects, write batching, codec
-// negotiation) as ordinary client traffic.
+// The sharded-deployment surface of the client: the placement fetch, the
+// in-doubt status inquiry, and the one server-to-server 2PC message op.
+// Servers in a sharded deployment dial their peers with this very
+// package, so the cross-shard protocol rides the same connection
+// machinery (reconnects, write batching) as ordinary client traffic.
 //
-// Retry discipline: offer/prepare/vote/decide are deliberately NOT
-// transparently retried — the 2PC protocol already repairs every lost
-// message (a lost offer re-offers on the scheduler's retry tick, a lost
-// prepare or vote times the group out into a safe abort, a lost decide is
-// recovered by the participant's status poll), and a blind transport
-// retry could resurrect a message the protocol has moved past. Placement
-// and status are read-only and retry freely.
+// Retry discipline: shard messages are deliberately NOT transparently
+// retried — the 2PC protocol already repairs every lost message (a lost
+// offer re-offers on the scheduler's retry tick, a lost prepare or vote
+// times the group out into a safe abort, a lost decide is recovered by the
+// participant's status poll), and a blind transport retry could resurrect
+// a message the protocol has moved past. Placement and status are
+// read-only and retry freely.
 
 // Placement fetches the server's versioned shard placement map.
 func (c *Client) Placement() (*shard.Map, error) {
@@ -29,7 +29,7 @@ func (c *Client) Placement() (*shard.Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	return shard.Unmarshal(resp.Stats)
+	return shard.Unmarshal(resp.Body)
 }
 
 // SubmitScriptTraced is SubmitScript under a caller-supplied trace id (0 =
@@ -49,35 +49,15 @@ func (c *Client) SubmitScriptTraced(script string, trace uint64) (*Handle, error
 	return &Handle{c: c, id: resp.Handle, trace: trace}, nil
 }
 
-// shardCall sends one 2PC message (JSON payload in Request.SQL).
-func (c *Client) shardCall(op string, payload any) error {
-	raw, err := json.Marshal(payload)
+// ShardSend delivers one 2PC message (offer, prepare, vote or decide) to
+// the peer server, JSON-encoded in the request's Body.
+func (c *Client) ShardSend(msg dist.Envelope) error {
+	raw, err := json.Marshal(msg)
 	if err != nil {
-		return fmt.Errorf("client: encode %s: %w", op, err)
+		return fmt.Errorf("client: encode shard message: %w", err)
 	}
-	_, err = c.call(wire.Request{Op: op, SQL: string(raw)})
+	_, err = c.call(wire.Request{Op: wire.OpShardMsg, Body: raw})
 	return err
-}
-
-// ShardOffer advertises an unmatched entangled query to the coordinator.
-func (c *Client) ShardOffer(o dist.Offer) error {
-	return c.shardCall(wire.OpShardOffer, &o)
-}
-
-// ShardPrepare delivers a matched answer to a participant for
-// revalidation and durable prepare.
-func (c *Client) ShardPrepare(p dist.Prepare) error {
-	return c.shardCall(wire.OpShardPrepare, &p)
-}
-
-// ShardVote reports a participant's prepare outcome to the coordinator.
-func (c *Client) ShardVote(v dist.Vote) error {
-	return c.shardCall(wire.OpShardVote, &v)
-}
-
-// ShardDecide delivers the coordinator's logged verdict to a participant.
-func (c *Client) ShardDecide(d dist.Decide) error {
-	return c.shardCall(wire.OpShardDecide, &d)
 }
 
 // ShardStatus inquires a group's verdict (in-doubt resolution). The group
@@ -88,7 +68,7 @@ func (c *Client) ShardStatus(group uint64) (dist.Status, error) {
 	if err != nil {
 		return st, err
 	}
-	if err := json.Unmarshal(resp.Stats, &st); err != nil {
+	if err := json.Unmarshal(resp.Body, &st); err != nil {
 		return st, fmt.Errorf("client: decode status: %w", err)
 	}
 	return st, nil

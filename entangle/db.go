@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eq"
-	"repro/internal/fault"
 	"repro/internal/lock"
 	"repro/internal/obs"
 	"repro/internal/sql"
@@ -57,6 +56,10 @@ type (
 	Stats = core.Stats
 	// Isolation selects the entangled isolation level.
 	Isolation = core.Isolation
+	// Options configures Open: the storage substrate (Path, SyncWAL,
+	// LockWaitTimeout, LockShards, Faults) and the engine over it. Every
+	// field is declared and documented once, on core.Options.
+	Options = core.Options
 )
 
 // Isolation levels and statuses, re-exported.
@@ -71,81 +74,6 @@ const (
 	StatusTimedOut   = core.StatusTimedOut
 	StatusFailed     = core.StatusFailed
 )
-
-// Options configures Open.
-type Options struct {
-	// Path is the write-ahead log file. Empty disables durability (pure
-	// in-memory engine, as used by benchmarks).
-	Path string
-	// SyncWAL fsyncs commit records.
-	SyncWAL bool
-	// Isolation is the entangled isolation level (default FullEntangled).
-	Isolation Isolation
-	// RunFrequency f: start a run per f arrivals (§5.2.2; default 1).
-	RunFrequency int
-	// Connections bounds concurrently executing transactions (default 100,
-	// the paper's default).
-	Connections int
-	// DefaultTimeout for programs without one (default 10s).
-	DefaultTimeout time.Duration
-	// RetryInterval for re-running pooled transactions (default 25ms).
-	RetryInterval time.Duration
-	// LockWaitTimeout bounds lock waits, like innodb_lock_wait_timeout
-	// (default 2s).
-	LockWaitTimeout time.Duration
-	// StmtLatency simulates the per-statement client-DBMS round trip.
-	StmtLatency time.Duration
-	// GroundLatency simulates the per-query grounding round trip during
-	// entangled-query evaluation (paid inside each grounding task, so it
-	// overlaps across GroundWorkers).
-	GroundLatency time.Duration
-	// GroundWorkers bounds the pool that grounds a run's pending queries
-	// concurrently. 1 forces the paper's serialized middle-tier evaluation;
-	// 0 picks the default (max(8, NumCPU)). Any value produces the same
-	// answers as the serial path — only wall-clock changes.
-	GroundWorkers int
-	// LockShards is the lock manager's shard count (default
-	// lock.DefaultShards). Resources hash by table name to a shard, so
-	// concurrent grounding and commit traffic on distinct tables does not
-	// convoy on one mutex.
-	LockShards int
-	// GroundCache enables the cross-round grounding cache: a pending
-	// entangled query is only re-grounded in a later evaluation round when
-	// the CSN fingerprint of its grounded tables advanced (a commit touched
-	// them) or the posing transaction itself wrote a grounded table. Off by
-	// default, so the figure benchmarks reproduce the paper's re-ground-
-	// every-round cost; Stats.GroundCacheHits/Misses report its behavior.
-	GroundCache bool
-	// SolveBudget bounds the exact coordinating-set search per evaluation
-	// round, in search nodes (0 = the default budget). Rounds that exhaust
-	// the budget fall back to the greedy closure and are counted in
-	// Stats.SolveFallbacks. Negative always runs the greedy closure — the
-	// pre-exact solver, kept only for ablation benchmarks, which does NOT
-	// guarantee a maximum-size answered set when coordination structures
-	// compete.
-	SolveBudget int
-	// VacuumInterval enables periodic MVCC version garbage collection: the
-	// engine prunes row versions older than the GC watermark (the oldest
-	// active snapshot) on this cadence. Zero disables automatic vacuuming;
-	// DB.Vacuum remains available for manual passes.
-	VacuumInterval time.Duration
-	// Trace receives schedule events (e.g. *isolation.Recorder).
-	Trace core.TraceSink
-	// Faults, when set, arms the WAL's failpoints from the given registry
-	// (see internal/fault). Nil — the default — is zero-overhead.
-	Faults *fault.Registry
-	// Metrics, when set, is the observability registry all engine counters
-	// and latency histograms register into (see internal/obs). Nil opens a
-	// private registry — Stats/StatsSnapshot always work — that simply is
-	// not shared with a debug endpoint.
-	Metrics *obs.Registry
-	// Tracer, when set, enables per-query lifecycle tracing: Exec and
-	// SubmitScript mint a trace id per call (parse → submit → ground →
-	// solve → validate → commit → answer spans), and traced ids arriving
-	// over the wire are honored. Nil — the default — records nothing and
-	// keeps the id==0 fast path allocation-free.
-	Tracer *obs.Tracer
-}
 
 // DB is an open database.
 type DB struct {
@@ -193,22 +121,7 @@ func Open(opts Options) (*DB, error) {
 		// still awaiting their group decision.
 		txm.SeedTx(recovery.MaxTx)
 	}
-	engine := core.NewEngine(txm, core.Options{
-		Isolation:      opts.Isolation,
-		RunFrequency:   opts.RunFrequency,
-		Connections:    opts.Connections,
-		DefaultTimeout: opts.DefaultTimeout,
-		RetryInterval:  opts.RetryInterval,
-		StmtLatency:    opts.StmtLatency,
-		GroundLatency:  opts.GroundLatency,
-		GroundWorkers:  opts.GroundWorkers,
-		GroundCache:    opts.GroundCache,
-		SolveBudget:    opts.SolveBudget,
-		VacuumInterval: opts.VacuumInterval,
-		Trace:          opts.Trace,
-		Metrics:        opts.Metrics,
-		Tracer:         opts.Tracer,
-	})
+	engine := core.NewEngine(txm, opts)
 	return &DB{cat: cat, locks: locks, log: log, txm: txm, engine: engine, path: opts.Path, recovery: recovery}, nil
 }
 

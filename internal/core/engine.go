@@ -7,12 +7,34 @@ import (
 	"time"
 
 	"repro/internal/eq"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/txn"
 )
 
-// Options configures an Engine.
+// Options configures a database: the engine built by NewEngine plus the
+// storage substrate entangle.Open builds under it. It is the one place an
+// option is declared — entangle.Options is this type, and Open hands the
+// value it was given straight to NewEngine.
 type Options struct {
+	// Path is the write-ahead log file. Empty disables durability (pure
+	// in-memory engine, as used by benchmarks). Consumed by entangle.Open.
+	Path string
+	// SyncWAL fsyncs commit records. Consumed by entangle.Open.
+	SyncWAL bool
+	// LockWaitTimeout bounds lock waits, like innodb_lock_wait_timeout
+	// (default 2s). Consumed by entangle.Open.
+	LockWaitTimeout time.Duration
+	// LockShards is the lock manager's shard count (default
+	// lock.DefaultShards). Resources hash by table name to a shard, so
+	// concurrent grounding and commit traffic on distinct tables does not
+	// convoy on one mutex. Consumed by entangle.Open.
+	LockShards int
+	// Faults, when set, arms the WAL's failpoints from the given registry
+	// (see internal/fault). Nil — the default — is zero-overhead. Consumed
+	// by entangle.Open.
+	Faults *fault.Registry
+
 	// Isolation is the entangled isolation level (default FullEntangled).
 	Isolation Isolation
 	// RunFrequency f: start a new run once f new transactions have arrived
@@ -62,24 +84,27 @@ type Options struct {
 	// grounded tables has advanced (some commit touched them) or when the
 	// posing transaction itself wrote a grounded table. Off by default so
 	// the figure benchmarks keep reproducing the paper's re-ground-every-
-	// round middle-tier cost; BenchmarkFigure6bGroundCache measures the
-	// win.
+	// round middle-tier cost; Stats.GroundCacheHits/Misses report its
+	// behavior and BenchmarkFigure6bGroundCache measures the win.
 	GroundCache bool
 	// VacuumInterval triggers periodic version garbage collection: the
 	// storage layer prunes row versions older than the GC watermark (the
-	// oldest active snapshot). Zero disables automatic vacuuming; callers
-	// can still vacuum through the transaction manager explicitly.
+	// oldest active snapshot). Zero disables automatic vacuuming; DB.Vacuum
+	// remains available for manual passes.
 	VacuumInterval time.Duration
-	// Trace receives schedule events (nil disables tracing).
+	// Trace receives schedule events (e.g. *isolation.Recorder); nil
+	// disables them.
 	Trace TraceSink
 	// Metrics is the observability registry the engine registers its
-	// counters and latency histograms in. Nil makes the engine create a
-	// private registry, so the legacy Stats snapshot always works; pass
-	// one to surface engine metrics on a shared /metrics endpoint.
+	// counters and latency histograms in (see internal/obs). Nil makes the
+	// engine create a private registry — Stats/StatsSnapshot always work —
+	// that simply is not shared with a /metrics endpoint.
 	Metrics *obs.Registry
-	// Tracer receives per-query lifecycle spans (submit → ground → solve
-	// → validate → commit → answer). Nil disables lifecycle tracing; a
-	// program with Trace == 0 records nothing either way.
+	// Tracer, when set, enables per-query lifecycle tracing: Exec and
+	// SubmitScript mint a trace id per call (parse → submit → ground →
+	// solve → validate → commit → answer spans), and traced ids arriving
+	// over the wire are honored. Nil — the default — records nothing and
+	// keeps the id==0 fast path allocation-free.
 	Tracer *obs.Tracer
 }
 
@@ -212,6 +237,7 @@ type Engine struct {
 	// rows/peak-batch accounting (bridged into the registry as gauges).
 	groundCache *groundCache
 	streamStats eq.StreamStats
+	evalOpts    eq.EvalOptions // every round's evaluation options, fixed at NewEngine
 }
 
 // NewEngine builds an engine over a transaction manager.
@@ -238,10 +264,15 @@ func NewEngine(txm *txn.Manager, opts Options) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	e.met = newCoreMetrics(reg)
+	e.met = newCoreMetrics(reg, &e.streamStats)
 	e.tracer = o.Tracer
-	reg.Gauge("ground_rows_streamed", e.streamStats.Rows)
-	reg.Gauge("ground_peak_batch_rows", e.streamStats.PeakBatchRows)
+	e.evalOpts = eq.EvalOptions{
+		GroundWorkers: o.GroundWorkers,
+		GroundLatency: o.GroundLatency,
+		SolveBudget:   o.SolveBudget,
+		Stream:        &e.streamStats,
+		PullDur:       e.met.groundPull,
+	}
 	if o.Trace != nil {
 		txm.SetObserver(&traceObserver{e: e})
 	}
@@ -258,7 +289,7 @@ func (e *Engine) Txm() *txn.Manager { return e.txm }
 func (e *Engine) Stats() Stats {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
-	return e.met.legacy(&e.streamStats)
+	return e.met.stats()
 }
 
 // Submit queues an entangled transaction for execution and returns a

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+
 	"repro/internal/eq"
 	"repro/internal/obs"
 )
@@ -11,10 +13,12 @@ import (
 // is a single registry read instead of a mixture of mutex-copied struct
 // fields and separately-loaded atomics.
 //
-// Counter names match the legacy StatsSnapshot JSON tags so /metrics and
-// \stats agree on vocabulary.
+// Counter names match the Stats JSON tags so /metrics and \stats agree on
+// vocabulary — and so Stats can be rendered from the tags alone.
 type coreMetrics struct {
 	reg *obs.Registry
+	// statSources[i] reads the quantity behind Stats field i.
+	statSources []func() int64
 
 	submitted     *obs.Counter
 	runs          *obs.Counter
@@ -48,8 +52,10 @@ type coreMetrics struct {
 	groundPull    *obs.Histogram // one cursor batch pull in the streaming pipeline
 }
 
-func newCoreMetrics(reg *obs.Registry) *coreMetrics {
-	return &coreMetrics{
+// newCoreMetrics registers the engine's instruments in reg; stream is the
+// streaming pipeline's own accounting, bridged in as gauges.
+func newCoreMetrics(reg *obs.Registry, stream *eq.StreamStats) *coreMetrics {
+	m := &coreMetrics{
 		reg:           reg,
 		submitted:     reg.Counter("submitted"),
 		runs:          reg.Counter("runs"),
@@ -81,41 +87,37 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		commitFlush:   reg.Histogram("commit_flush"),
 		groundPull:    reg.Histogram("ground_pull"),
 	}
+	gauges := map[string]func() int64{
+		"ground_rows_streamed":   stream.Rows,
+		"ground_peak_batch_rows": stream.PeakBatchRows,
+	}
+	// Every Stats field's JSON tag names a gauge above or a registry counter
+	// (the same *Counter the field of m holds — Counter is get-or-create).
+	st := reflect.TypeOf(Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		name := st.Field(i).Tag.Get("json")
+		src := gauges[name]
+		if src != nil {
+			reg.Gauge(name, src)
+		} else {
+			src = reg.Counter(name).Load
+		}
+		m.statSources = append(m.statSources, src)
+	}
+	return m
 }
 
-// legacy renders the registry-backed counters as the historical Stats
-// struct in one pass; stream supplies the streaming pipeline's gauges.
-// Callers hold e.statsMu so the lifecycle counters (which are incremented
-// under the same lock) form an internally consistent set — a snapshot can
-// never show more settled programs than submitted ones.
-func (m *coreMetrics) legacy(stream *eq.StreamStats) Stats {
-	return Stats{
-		Submitted:      m.submitted.Load(),
-		Runs:           m.runs.Load(),
-		EvalRounds:     m.evalRounds.Load(),
-		Commits:        m.commits.Load(),
-		GroupCommits:   m.groupCommits.Load(),
-		CommitBatches:  m.commitBatches.Load(),
-		EntangleOps:    m.entangleOps.Load(),
-		Requeues:       m.requeues.Load(),
-		Timeouts:       m.timeouts.Load(),
-		Rollbacks:      m.rollbacks.Load(),
-		Failures:       m.failures.Load(),
-		WidowsAverted:  m.widowsAverted.Load(),
-		WriteConflicts: m.writeConflict.Load(),
-		Vacuums:        m.vacuums.Load(),
-		VersionsPruned: m.versionsPrune.Load(),
-
-		GroundCacheHits:   m.groundCacheHits.Load(),
-		GroundCacheMisses: m.groundCacheMisses.Load(),
-		IndexedGroundings: m.indexedGroundings.Load(),
-
-		GroundRowsStreamed:  stream.Rows(),
-		GroundPeakBatchRows: stream.PeakBatchRows(),
-
-		SolveSteps:     m.solveSteps.Load(),
-		SolveFallbacks: m.solveFallbacks.Load(),
+// stats renders the registry as a Stats value in one pass. Callers hold
+// e.statsMu so the lifecycle counters (which are incremented under the
+// same lock) form an internally consistent set — a snapshot can never show
+// more settled programs than submitted ones.
+func (m *coreMetrics) stats() Stats {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i, src := range m.statSources {
+		v.Field(i).SetInt(src())
 	}
+	return s
 }
 
 // bump increments one lifecycle counter under statsMu, the snapshot

@@ -334,13 +334,7 @@ func (rd *round) groundAndSolve() {
 	// Evaluate still consumes the groundings in submission order, so the
 	// chosen answers match the serialized path's exactly.
 	start := time.Now()
-	res := eq.Evaluate(pendings, eq.EvalOptions{
-		GroundWorkers: e.opts.GroundWorkers,
-		GroundLatency: e.opts.GroundLatency,
-		SolveBudget:   e.opts.SolveBudget,
-		Stream:        &e.streamStats,
-		PullDur:       e.met.groundPull,
-	})
+	res := eq.Evaluate(pendings, e.evalOpts)
 	rd.res = res
 	e.bumpN(e.met.solveSteps, int64(res.Solve.Steps))
 	if res.Solve.Exhausted {

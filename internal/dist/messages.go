@@ -21,6 +21,7 @@
 package dist
 
 import (
+	"strconv"
 	"time"
 
 	"repro/internal/eq"
@@ -34,19 +35,19 @@ import (
 // those groundings are valid at. Offers are keyed by (Node, ID); a
 // re-offer after re-grounding replaces the previous one.
 type Offer struct {
-	Node     string    `json:"node"`  // participant address (prepare/decide callback target)
-	Shard    int       `json:"shard"`
-	ID       uint64    `json:"id"`    // stable per submitted program on its home shard
-	Trace    uint64    `json:"trace,omitempty"`
-	Query    *eq.Query `json:"query"`
+	Node     string          `json:"node"` // participant address (prepare/decide callback target)
+	Shard    int             `json:"shard"`
+	ID       uint64          `json:"id"` // stable per submitted program on its home shard
+	Trace    uint64          `json:"trace,omitempty"`
+	Query    *eq.Query       `json:"query"`
 	Grounds  []*eq.Grounding `json:"grounds"`
-	Tables   []string  `json:"tables"`
-	CSN      uint64    `json:"csn"`
-	Deadline time.Time `json:"deadline"`
+	Tables   []string        `json:"tables"`
+	CSN      uint64          `json:"csn"`
+	Deadline time.Time       `json:"deadline"`
 }
 
 // Key identifies the offer in the matchmaker pool.
-func (o *Offer) Key() string { return o.Node + "/" + itoa(o.ID) }
+func (o *Offer) Key() string { return o.Node + "/" + strconv.FormatUint(o.ID, 10) }
 
 // Answer is the JSON-safe projection of eq.Answer a Prepare delivers (no
 // error field — errors never travel on the prepare path).
@@ -85,6 +86,18 @@ type Decide struct {
 	Commit bool   `json:"commit"`
 }
 
+// Envelope is the one fire-and-forget message shard servers exchange:
+// exactly one member is set, and it names the kind. A transport moves
+// envelopes without looking inside; the receiving server's deliver
+// switches on the member. Status is not here — it is a request/response
+// inquiry, not a message.
+type Envelope struct {
+	Offer   *Offer   `json:"offer,omitempty"`   // participant -> coordinator
+	Prepare *Prepare `json:"prepare,omitempty"` // coordinator -> participant
+	Vote    *Vote    `json:"vote,omitempty"`    // participant -> coordinator
+	Decide  *Decide  `json:"decide,omitempty"`  // coordinator -> participant
+}
+
 // Status is a participant's in-doubt inquiry and its answer. Pending
 // means the coordinator still has the group open (keep waiting); Known
 // false with Pending false means no record exists at all — which, under
@@ -94,18 +107,4 @@ type Status struct {
 	Known   bool   `json:"known"`
 	Commit  bool   `json:"commit"`
 	Pending bool   `json:"pending,omitempty"`
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

@@ -28,23 +28,15 @@ type Config struct {
 	N int
 	// Users in the social graph.
 	Users int
-	// StmtLatency simulates the client-DBMS round trip per statement; this
-	// is what makes throughput connection-bound, as in the paper's setup.
-	StmtLatency time.Duration
 	// Seed for workload generation.
 	Seed int64
-	// GroundWorkers is the engine's grounding pool size: 1 reproduces the
-	// paper's serialized middle-tier evaluation (the linear-in-p cost of
-	// Figure 6(b)); 0 uses the engine's parallel default.
-	GroundWorkers int
-	// GroundCache enables the engine's cross-round grounding cache, so
-	// pending queries whose grounded tables did not change are not
-	// re-grounded every round (the BenchmarkFigure6bGroundCache knob).
-	GroundCache bool
-	// SolveBudget is the exact coordinating-set search budget (0 = engine
-	// default; negative = greedy-closure-only, the pre-exact solver, for
-	// the BenchmarkAblationSolver baseline).
-	SolveBudget int
+	// Engine is the engine configuration under test, passed to
+	// entangle.Open as one value. The experiments read StmtLatency (the
+	// client-DBMS round trip that makes throughput connection-bound, as in
+	// the paper's setup), GroundWorkers (1 = the paper's serialized middle
+	// tier), GroundCache and SolveBudget from it, and each overrides the
+	// fields it sweeps itself: Connections, RunFrequency, the timeouts.
+	Engine entangle.Options
 }
 
 func (c *Config) withDefaults() Config {
@@ -55,8 +47,8 @@ func (c *Config) withDefaults() Config {
 	if out.Users <= 0 {
 		out.Users = 1000
 	}
-	if out.StmtLatency <= 0 {
-		out.StmtLatency = 200 * time.Microsecond
+	if out.Engine.StmtLatency <= 0 {
+		out.Engine.StmtLatency = 200 * time.Microsecond
 	}
 	if out.Seed == 0 {
 		out.Seed = 1
@@ -85,16 +77,10 @@ func newDB(cfg Config, connections, runFreq int) (*entangle.DB, *workload.Datase
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := entangle.Open(entangle.Options{
-		Connections:    connections,
-		RunFrequency:   runFreq,
-		StmtLatency:    cfg.StmtLatency,
-		GroundWorkers:  cfg.GroundWorkers,
-		GroundCache:    cfg.GroundCache,
-		SolveBudget:    cfg.SolveBudget,
-		DefaultTimeout: 5 * time.Minute,
-		RetryInterval:  10 * time.Millisecond,
-	})
+	opts := cfg.Engine
+	opts.Connections, opts.RunFrequency = connections, runFreq
+	opts.DefaultTimeout, opts.RetryInterval = 5*time.Minute, 10*time.Millisecond
+	db, err := entangle.Open(opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -248,7 +234,7 @@ func MeasurePending(cfg Config, p, f int) (float64, error) {
 // dormant pool for the whole experiment and is re-executed (and
 // re-aborted) by every run. The per-run cost is dominated by the simulated
 // grounding round trips for the pending queries (GroundLatency). With
-// Config.GroundWorkers=1 that work is serialized as in the paper's middle
+// Config.Engine.GroundWorkers=1 that work is serialized as in the paper's middle
 // tier — total time scales with (runs executed) x p, and runs scale with
 // 1/f; with a parallel pool the round trips overlap and the per-run cost
 // flattens to roughly ceil(p/workers) x GroundLatency.
@@ -257,16 +243,13 @@ func MeasurePendingStats(cfg Config, p, f int) (float64, entangle.Stats, error) 
 	if err != nil {
 		return 0, entangle.Stats{}, err
 	}
-	db, err := entangle.Open(entangle.Options{
-		Connections:    100 + p,
-		RunFrequency:   f,
-		GroundLatency:  500 * time.Microsecond,
-		GroundWorkers:  cfg.GroundWorkers,
-		GroundCache:    cfg.GroundCache,
-		SolveBudget:    cfg.SolveBudget,
-		DefaultTimeout: 10 * time.Minute,
-		RetryInterval:  500 * time.Millisecond,
-	})
+	opts := cfg.Engine
+	opts.Connections, opts.RunFrequency = 100+p, f
+	// This experiment isolates evaluation cost: grounding round trips are
+	// simulated, statement round trips are not.
+	opts.StmtLatency, opts.GroundLatency = 0, 500*time.Microsecond
+	opts.DefaultTimeout, opts.RetryInterval = 10*time.Minute, 500*time.Millisecond
+	db, err := entangle.Open(opts)
 	if err != nil {
 		return 0, entangle.Stats{}, err
 	}

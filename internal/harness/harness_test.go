@@ -5,13 +5,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/entangle"
 )
 
 // Small configurations keep these integration tests quick while still
 // asserting the paper's qualitative claims.
 
 func smallCfg() Config {
-	return Config{N: 60, Users: 400, StmtLatency: 100 * time.Microsecond, Seed: 3}
+	return Config{N: 60, Users: 400, Seed: 3, Engine: entangle.Options{StmtLatency: 100 * time.Microsecond}}
 }
 
 func TestFigure6aShapes(t *testing.T) {
@@ -45,7 +47,7 @@ func TestFigure6aShapes(t *testing.T) {
 }
 
 func TestFigure6bShapes(t *testing.T) {
-	series, err := Figure6b(Config{N: 40, Users: 400, StmtLatency: 50 * time.Microsecond, Seed: 3},
+	series, err := Figure6b(Config{N: 40, Users: 400, Seed: 3, Engine: entangle.Options{StmtLatency: 50 * time.Microsecond}},
 		[]int{4, 16}, []int{1, 8})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +64,7 @@ func TestFigure6bShapes(t *testing.T) {
 }
 
 func TestFigure6cRuns(t *testing.T) {
-	series, err := Figure6c(Config{N: 24, Users: 600, StmtLatency: 50 * time.Microsecond, Seed: 3},
+	series, err := Figure6c(Config{N: 24, Users: 600, Seed: 3, Engine: entangle.Options{StmtLatency: 50 * time.Microsecond}},
 		[]int{2, 4}, []int{8})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +100,7 @@ func TestPrintSeries(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := (&Config{}).withDefaults()
-	if c.N == 0 || c.Users == 0 || c.StmtLatency == 0 || c.Seed == 0 {
+	if c.N == 0 || c.Users == 0 || c.Engine.StmtLatency == 0 || c.Seed == 0 {
 		t.Errorf("defaults not applied: %+v", c)
 	}
 }

@@ -24,11 +24,13 @@ import (
 // entanglement groups, and drives the two-phase group commit.
 //
 // Server-to-server traffic reuses the ordinary client protocol: each
-// process dials its peers with entangle/client and speaks the shard_*
-// ops, so cross-shard messages get the same codec negotiation, write
-// batching, and self-healing reconnects as user traffic. Submissions that
+// process dials its peers with entangle/client, so cross-shard messages get
+// the same write batching and self-healing reconnects as user traffic. The
+// four fire-and-forget 2PC messages travel as one dist.Envelope through one
+// send/deliver pair — the transport seam: send picks loopback or TCP,
+// deliver is what the receiving server runs either way. Submissions that
 // arrive at the wrong server are forwarded to their routing key's home
-// shard the same way — any node can serve any client.
+// shard over the same connections — any node can serve any client.
 
 // ShardOptions tunes the sharded deployment member; zero values select
 // the protocol defaults.
@@ -48,14 +50,13 @@ type ShardOptions struct {
 // distState is one server's view of the sharded deployment. It implements
 // both halves of the cross-shard transport: core.DistTransport for its own
 // engine (participant -> coordinator) and dist.Sender for the matchmaker
-// it may host (coordinator -> participant), with loopback short-circuits
-// so self-addressed messages never touch a socket.
+// it may host (coordinator -> participant).
 type distState struct {
 	s         *Server
 	placement *shard.Map
 	shardID   int
-	self      string // this server's address in the placement map
-	coord     string // the coordinator's (shard 0's) address
+	self      string           // this server's address in the placement map
+	coord     string           // the coordinator's (shard 0's) address
 	mm        *dist.Matchmaker // non-nil on shard 0
 
 	// Failpoints: "dist.prepare" fails coordinator->participant prepares,
@@ -65,7 +66,15 @@ type distState struct {
 	ptVote    *fault.Point
 
 	mu    sync.Mutex
-	peers map[string]*client.Client // lazily dialed, self-healing
+	peers map[string]*peerConn // lazily dialed, one dial per node in flight
+}
+
+// peerConn is one peer's self-healing client connection, or the dial that
+// is producing it: c and err are valid once ready is closed.
+type peerConn struct {
+	ready chan struct{}
+	c     *client.Client
+	err   error
 }
 
 // EnableSharding makes this server one member of a sharded deployment:
@@ -88,7 +97,7 @@ func (s *Server) EnableSharding(m *shard.Map, shardID int, opts ShardOptions) er
 		shardID:   shardID,
 		self:      m.Nodes[shardID],
 		coord:     m.Nodes[0],
-		peers:     make(map[string]*client.Client),
+		peers:     make(map[string]*peerConn),
 	}
 	if f := s.opts.Faults; f != nil {
 		ds.ptPrepare = f.Point("dist.prepare")
@@ -130,10 +139,12 @@ func (s *Server) CloseSharding() {
 	}
 	ds.mu.Lock()
 	peers := ds.peers
-	ds.peers = make(map[string]*client.Client)
+	ds.peers = make(map[string]*peerConn)
 	ds.mu.Unlock()
-	for _, c := range peers {
-		c.Close()
+	for _, p := range peers {
+		if <-p.ready; p.c != nil {
+			p.c.Close()
+		}
 	}
 }
 
@@ -177,20 +188,76 @@ func (s *Server) ResolveInDoubtGroups(budget time.Duration) error {
 	return nil
 }
 
+// peerDialTimeout bounds one dial of a peer server.
+const peerDialTimeout = 2 * time.Second
+
 // peer returns the self-healing client connection to a peer node, dialing
-// it on first use.
+// it on first use. The dial runs outside ds.mu, so an unreachable peer
+// stalls only the callers addressing it; concurrent callers for one node
+// share one dial. A failed dial is forgotten, so the next send retries.
 func (ds *distState) peer(node string) (*client.Client, error) {
 	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if c := ds.peers[node]; c != nil {
-		return c, nil
+	p := ds.peers[node]
+	if p != nil {
+		ds.mu.Unlock()
+		<-p.ready
+		return p.c, p.err
 	}
-	c, err := client.DialOptions(node, client.Options{DialTimeout: 2 * time.Second})
+	p = &peerConn{ready: make(chan struct{})}
+	ds.peers[node] = p
+	ds.mu.Unlock()
+
+	p.c, p.err = client.DialOptions(node, client.Options{DialTimeout: peerDialTimeout})
+	if p.err != nil {
+		ds.mu.Lock()
+		if ds.peers[node] == p {
+			delete(ds.peers, node)
+		}
+		ds.mu.Unlock()
+	}
+	close(p.ready)
+	return p.c, p.err
+}
+
+// send moves one 2PC message to node: straight into deliver when node is
+// this server, else over the peer connection, whose server runs the same
+// deliver. Every cross-shard message goes through here.
+func (ds *distState) send(node string, msg dist.Envelope) error {
+	if node == ds.self {
+		return ds.deliver(msg)
+	}
+	c, err := ds.peer(node)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ds.peers[node] = c
-	return c, nil
+	return c.ShardSend(msg)
+}
+
+var errNotCoordinator = errors.New("server: not the group coordinator")
+
+// deliver hands a received 2PC message to its consumer: the hosted
+// matchmaker for offers and votes, this server's engine for prepares and
+// decides.
+func (ds *distState) deliver(msg dist.Envelope) error {
+	switch {
+	case msg.Offer != nil:
+		if ds.mm == nil {
+			return errNotCoordinator
+		}
+		ds.mm.AddOffer(msg.Offer)
+	case msg.Vote != nil:
+		if ds.mm == nil {
+			return errNotCoordinator
+		}
+		ds.mm.HandleVote(*msg.Vote)
+	case msg.Prepare != nil:
+		ds.s.db.DeliverPrepare(*msg.Prepare)
+	case msg.Decide != nil:
+		ds.s.db.ApplyDecision(msg.Decide.Group, msg.Decide.Commit)
+	default:
+		return errors.New("server: empty shard message")
+	}
+	return nil
 }
 
 // --- core.DistTransport (participant -> coordinator) ---------------------
@@ -198,17 +265,7 @@ func (ds *distState) peer(node string) (*client.Client, error) {
 // Offer advertises an unmatched entangled query to the coordinator. A
 // lost offer is harmless: the scheduler's retry tick re-grounds and
 // re-offers the member while it waits.
-func (ds *distState) Offer(o dist.Offer) {
-	if ds.mm != nil {
-		ds.mm.AddOffer(&o)
-		return
-	}
-	c, err := ds.peer(ds.coord)
-	if err != nil {
-		return
-	}
-	_ = c.ShardOffer(o)
-}
+func (ds *distState) Offer(o dist.Offer) { _ = ds.send(ds.coord, dist.Envelope{Offer: &o}) }
 
 // Vote reports a prepare outcome to the coordinator. A lost vote resolves
 // through the group timeout (abort — all-or-nothing holds).
@@ -216,15 +273,7 @@ func (ds *distState) Vote(v dist.Vote) {
 	if ds.ptVote.Fire() != nil {
 		return // injected lost vote
 	}
-	if ds.mm != nil {
-		ds.mm.HandleVote(v)
-		return
-	}
-	c, err := ds.peer(ds.coord)
-	if err != nil {
-		return
-	}
-	_ = c.ShardVote(v)
+	_ = ds.send(ds.coord, dist.Envelope{Vote: &v})
 }
 
 // Status is the synchronous in-doubt inquiry.
@@ -247,99 +296,46 @@ func (ds *distState) Prepare(node string, p dist.Prepare) error {
 	if err := ds.ptPrepare.Fire(); err != nil {
 		return err // injected lost prepare
 	}
-	if node == ds.self {
-		ds.s.db.DeliverPrepare(p)
-		return nil
-	}
-	c, err := ds.peer(node)
-	if err != nil {
-		return err
-	}
-	return c.ShardPrepare(p)
+	return ds.send(node, dist.Envelope{Prepare: &p})
 }
 
 // Decide delivers the logged verdict. A lost decide is repaired by the
 // participant's status poll.
 func (ds *distState) Decide(node string, d dist.Decide) error {
-	if node == ds.self {
-		ds.s.db.ApplyDecision(d.Group, d.Commit)
-		return nil
-	}
-	c, err := ds.peer(node)
-	if err != nil {
-		return err
-	}
-	return c.ShardDecide(d)
+	return ds.send(node, dist.Envelope{Decide: &d})
 }
 
 // --- wire handlers -------------------------------------------------------
 
-var errNotCoordinator = errors.New("server: not the group coordinator")
-
-// handleShard executes the sharding ops (placement fetch and the
-// server-to-server 2PC messages).
+// handleShard executes the sharding ops: the placement fetch, the in-doubt
+// status inquiry, and the one server-to-server 2PC message op.
 func (s *Server) handleShard(req wire.Request) wire.Response {
 	ds := s.dist
 	if ds == nil {
 		return fail(req.ID, errors.New("server: sharding not enabled"))
 	}
+	var body []byte
+	var err error
 	switch req.Op {
 	case wire.OpPlacement:
-		raw, err := ds.placement.Marshal()
-		if err != nil {
-			return fail(req.ID, err)
-		}
-		return wire.Response{ID: req.ID, OK: true, Stats: raw}
-
-	case wire.OpShardOffer:
-		if ds.mm == nil {
-			return fail(req.ID, errNotCoordinator)
-		}
-		var o dist.Offer
-		if err := json.Unmarshal([]byte(req.SQL), &o); err != nil {
-			return fail(req.ID, fmt.Errorf("bad offer: %w", err))
-		}
-		ds.mm.AddOffer(&o)
-		return wire.Response{ID: req.ID, OK: true}
-
-	case wire.OpShardPrepare:
-		var p dist.Prepare
-		if err := json.Unmarshal([]byte(req.SQL), &p); err != nil {
-			return fail(req.ID, fmt.Errorf("bad prepare: %w", err))
-		}
-		s.db.DeliverPrepare(p)
-		return wire.Response{ID: req.ID, OK: true}
-
-	case wire.OpShardVote:
-		if ds.mm == nil {
-			return fail(req.ID, errNotCoordinator)
-		}
-		var v dist.Vote
-		if err := json.Unmarshal([]byte(req.SQL), &v); err != nil {
-			return fail(req.ID, fmt.Errorf("bad vote: %w", err))
-		}
-		ds.mm.HandleVote(v)
-		return wire.Response{ID: req.ID, OK: true}
-
-	case wire.OpShardDecide:
-		var d dist.Decide
-		if err := json.Unmarshal([]byte(req.SQL), &d); err != nil {
-			return fail(req.ID, fmt.Errorf("bad decide: %w", err))
-		}
-		s.db.ApplyDecision(d.Group, d.Commit)
-		return wire.Response{ID: req.ID, OK: true}
-
+		body, err = ds.placement.Marshal()
 	case wire.OpShardStatus:
 		if ds.mm == nil {
 			return fail(req.ID, errNotCoordinator)
 		}
-		raw, err := json.Marshal(ds.mm.Decision(req.Handle))
-		if err != nil {
-			return fail(req.ID, err)
+		body, err = json.Marshal(ds.mm.Decision(req.Handle))
+	case wire.OpShardMsg:
+		var msg dist.Envelope
+		if err = json.Unmarshal(req.Body, &msg); err != nil {
+			err = fmt.Errorf("bad shard message: %w", err)
+		} else {
+			err = ds.deliver(msg)
 		}
-		return wire.Response{ID: req.ID, OK: true, Stats: raw}
 	}
-	return fail(req.ID, fmt.Errorf("unknown shard op %q", req.Op))
+	if err != nil {
+		return fail(req.ID, err)
+	}
+	return wire.Response{ID: req.ID, OK: true, Body: body}
 }
 
 // homeOf returns the shard owning a script's routing key, and whether the
@@ -370,4 +366,3 @@ func (ds *distState) forwardSubmit(cs *clientState, req wire.Request) wire.Respo
 	}
 	return resp
 }
-

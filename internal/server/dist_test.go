@@ -2,17 +2,24 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/entangle"
 	"repro/entangle/client"
+	"repro/internal/dist"
+	"repro/internal/eq"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // shardedPair is a two-shard deployment over loopback TCP: two servers,
@@ -49,38 +56,47 @@ func startShardedPair(t *testing.T, groupTimeout time.Duration,
 		if dbOpts != nil {
 			opts = dbOpts(i)
 		}
-		db, err := entangle.Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var so Options
 		if srvOpts != nil {
 			so = srvOpts(i)
 		}
-		srv := NewWithOptions(db, so)
-		if err := srv.EnableSharding(sp.place, i, ShardOptions{
-			GroupTimeout:  groupTimeout,
-			SweepInterval: 20 * time.Millisecond,
-			StatusGrace:   200 * time.Millisecond,
-			StatusTick:    50 * time.Millisecond,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		served := make(chan error, 1)
-		go func(ln net.Listener) { served <- srv.Serve(ln) }(lns[i])
-		sp.dbs[i], sp.srvs[i] = db, srv
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-			if err := <-served; err != nil && !errors.Is(err, ErrServerClosed) {
-				t.Errorf("serve: %v", err)
-			}
-			db.Close()
-			srv.CloseSharding()
-		})
+		sp.dbs[i], sp.srvs[i] = startShardMember(t, lns[i], sp.place, i, groupTimeout, opts, so)
 	}
 	return sp
+}
+
+// startShardMember opens one engine and serves it on ln as shard i of the
+// placement; cleanup shuts the server down, then the engine, then the
+// peer connections.
+func startShardMember(t *testing.T, ln net.Listener, place *shard.Map, i int, groupTimeout time.Duration,
+	opts entangle.Options, so Options) (*entangle.DB, *Server) {
+	t.Helper()
+	db, err := entangle.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewWithOptions(db, so)
+	if err := srv.EnableSharding(place, i, ShardOptions{
+		GroupTimeout:  groupTimeout,
+		SweepInterval: 20 * time.Millisecond,
+		StatusGrace:   200 * time.Millisecond,
+		StatusTick:    50 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		if err := <-served; err != nil && !errors.Is(err, ErrServerClosed) {
+			t.Errorf("serve: %v", err)
+		}
+		db.Close()
+		srv.CloseSharding()
+	})
+	return db, srv
 }
 
 // seed creates the flight schema and seed rows on every shard — each
@@ -371,5 +387,315 @@ func TestTwoProcessTraceMergesIntoOneTrace(t *testing.T) {
 				t.Errorf("member %d missing %q span (has %v)", member, want, names[member])
 			}
 		}
+	}
+}
+
+// fakeNode is a scripted peer server: it speaks just enough of the wire
+// protocol to be dialed by a real server's peer connection, records every
+// 2PC message it is sent, and answers status inquiries "pending". It lets
+// a test play the other side of the protocol against ONE real server.
+type fakeNode struct {
+	addr                             string
+	offers, prepares, votes, decides chan dist.Envelope
+}
+
+func startFakeNode(t *testing.T) *fakeNode {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	inbox := func() chan dist.Envelope { return make(chan dist.Envelope, 16) } // far more than any one test sends of a kind
+	f := &fakeNode{addr: ln.Addr().String(), offers: inbox(), prepares: inbox(), votes: inbox(), decides: inbox()}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go f.serve(nc)
+		}
+	}()
+	return f
+}
+
+func (f *fakeNode) serve(nc net.Conn) {
+	defer nc.Close()
+	for {
+		var req wire.Request
+		if wire.ReadInto(nc, &req) != nil {
+			return
+		}
+		resp := wire.Response{ID: req.ID, OK: true, Version: wire.ProtocolVersion}
+		switch req.Op {
+		case wire.OpShardMsg:
+			var msg dist.Envelope
+			if err := json.Unmarshal(req.Body, &msg); err != nil {
+				resp = wire.Response{ID: req.ID, Error: err.Error()}
+				break
+			}
+			ch := f.decides
+			switch {
+			case msg.Offer != nil:
+				ch = f.offers
+			case msg.Prepare != nil:
+				ch = f.prepares
+			case msg.Vote != nil:
+				ch = f.votes
+			}
+			select {
+			case ch <- msg:
+			default: // re-offers on every retry tick: the first few suffice
+			}
+		case wire.OpShardStatus:
+			resp.Body, _ = json.Marshal(dist.Status{Group: req.Handle, Pending: true})
+		}
+		if wire.WriteFrame(nc, resp) != nil {
+			return
+		}
+	}
+}
+
+func await(t *testing.T, ch chan dist.Envelope, what string) dist.Envelope {
+	t.Helper()
+	select {
+	case msg := <-ch:
+		return msg
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		return dist.Envelope{}
+	}
+}
+
+// slotOffer is the offer of a user who wants the same slot as partner,
+// grounded over a two-slot table: two of them with swapped names unify.
+func slotOffer(t *testing.T, node string, id uint64, user, partner string) *dist.Offer {
+	t.Helper()
+	q := &eq.Query{
+		Head:   []eq.Atom{eq.NewAtom("R", eq.CStr(user), eq.V("s"))},
+		Post:   []eq.Atom{eq.NewAtom("R", eq.CStr(partner), eq.V("s"))},
+		Body:   []eq.Atom{eq.NewAtom("Slots", eq.V("s"))},
+		Choose: 1,
+	}
+	gs, err := eq.Ground(q, eq.MapReader{"Slots": {{types.Int(1)}, {types.Int(2)}}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &dist.Offer{Node: node, ID: id, Query: q, Grounds: gs, Tables: []string{"Slots"}, CSN: 7,
+		Deadline: time.Now().Add(time.Minute)}
+}
+
+// TestEveryEnvelopeKindLoopbackAndTCP drives each of the four 2PC message
+// kinds into one real server's deliver twice — through send's loopback
+// branch, and over a TCP connection through the shard-message op — and
+// demands the same effects either way. The test plays the peer: a fake
+// participant against a real coordinator (offer, vote), then a fake
+// coordinator against a real participant (prepare, decide). The
+// dist.prepare and dist.vote failpoints are armed with a zero delay, so
+// each firing is counted without losing the message.
+func TestEveryEnvelopeKindLoopbackAndTCP(t *testing.T) {
+	type route func(t *testing.T, srv *Server, msg dist.Envelope) error
+	routes := []struct {
+		name string
+		via  route
+	}{
+		{"loopback", func(t *testing.T, srv *Server, msg dist.Envelope) error {
+			return srv.dist.send(srv.dist.self, msg)
+		}},
+		{"tcp", func(t *testing.T, srv *Server, msg dist.Envelope) error {
+			return dialTest(t, srv.dist.self).ShardSend(msg)
+		}},
+	}
+	counted := func(point string) *fault.Registry {
+		reg := fault.NewRegistry(1)
+		reg.Enable(point, fault.Trigger{EveryNth: 1}, fault.Action{Kind: fault.KindDelay})
+		return reg
+	}
+	listen := func(t *testing.T) net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
+	}
+
+	for _, rt := range routes {
+		t.Run(rt.name+"/coordinator", func(t *testing.T) {
+			fake, ln, reg := startFakeNode(t), listen(t), counted("dist.prepare")
+			place := shard.New([]string{ln.Addr().String(), fake.addr})
+			db, srv := startShardMember(t, ln, place, 0, 30*time.Second,
+				entangle.Options{}, Options{Faults: reg})
+			counter := func(name string) int64 { return db.Metrics().Snapshot().Counters[name] }
+
+			// An empty message is refused, by either route.
+			if err := rt.via(t, srv, dist.Envelope{}); err == nil || !strings.Contains(err.Error(), "empty shard message") {
+				t.Fatalf("empty message: err = %v", err)
+			}
+
+			// offer x2: the matchmaker pools both, forms one group, and
+			// prepares both members at the fake participant.
+			for i, o := range []*dist.Offer{
+				slotOffer(t, fake.addr, 1, "A", "B"), slotOffer(t, fake.addr, 2, "B", "A"),
+			} {
+				if err := rt.via(t, srv, dist.Envelope{Offer: o}); err != nil {
+					t.Fatalf("offer %d: %v", i, err)
+				}
+			}
+			p1, p2 := await(t, fake.prepares, "prepare").Prepare, await(t, fake.prepares, "prepare").Prepare
+			if p1.Group == 0 || p1.Group != p2.Group || p1.Offer+p2.Offer != 3 || p1.CSN != 7 {
+				t.Fatalf("prepares: %+v / %+v", p1, p2)
+			}
+			if sa, sb := p1.Ans.Bindings["s"], p2.Ans.Bindings["s"]; !sa.Equal(sb) {
+				t.Fatalf("members answered different slots: %v vs %v", sa, sb)
+			}
+			if got := counter("dist_offers"); got != 2 {
+				t.Errorf("dist_offers = %d, want 2", got)
+			}
+			if got := reg.Fired(); got != 2 {
+				t.Errorf("dist.prepare fired %d times, want 2", got)
+			}
+
+			// vote x2: the tally completes, the verdict is commit, and it
+			// fans out to the participant.
+			for _, p := range []*dist.Prepare{p1, p2} {
+				v := &dist.Vote{Group: p.Group, Offer: p.Offer, Node: fake.addr, Yes: true}
+				if err := rt.via(t, srv, dist.Envelope{Vote: v}); err != nil {
+					t.Fatalf("vote: %v", err)
+				}
+			}
+			if d := await(t, fake.decides, "decide").Decide; d.Group != p1.Group || !d.Commit {
+				t.Fatalf("decide = %+v, want commit of group %d", d, p1.Group)
+			}
+			if got := counter("dist_group_commits"); got != 1 {
+				t.Errorf("dist_group_commits = %d, want 1", got)
+			}
+			if st, err := srv.dist.Status(p1.Group); err != nil || !st.Known || !st.Commit {
+				t.Errorf("status = %+v, %v, want known commit", st, err)
+			}
+		})
+
+		t.Run(rt.name+"/participant", func(t *testing.T) {
+			fake, ln, reg := startFakeNode(t), listen(t), counted("dist.vote")
+			place := shard.New([]string{fake.addr, ln.Addr().String()})
+			place.Overrides = map[string]int{"Minnie": 1}
+			db, srv := startShardMember(t, ln, place, 1, 30*time.Second,
+				entangle.Options{RetryInterval: 10 * time.Millisecond}, Options{Faults: reg})
+			c := dialTest(t, srv.dist.self)
+			setupFlights(t, c)
+
+			// Coordinator-bound kinds are refused here, by either route.
+			for _, msg := range []dist.Envelope{
+				{Offer: slotOffer(t, fake.addr, 1, "A", "B")}, {Vote: &dist.Vote{Group: 1, Offer: 1, Node: fake.addr}},
+			} {
+				if err := rt.via(t, srv, msg); err == nil || !strings.Contains(err.Error(), errNotCoordinator.Error()) {
+					t.Fatalf("coordinator-bound message at a participant: err = %v", err)
+				}
+			}
+
+			// Minnie's partner lives elsewhere: her engine offers her query
+			// to the (fake) coordinator.
+			h, err := c.SubmitScript(flightPair("Minnie", "Mickey"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := await(t, fake.offers, "offer").Offer
+			if o.Node != srv.dist.self || o.Shard != 1 || len(o.Grounds) == 0 {
+				t.Fatalf("offer = %+v", o)
+			}
+
+			// prepare: the member revalidates, parks prepared, votes yes.
+			const group = 77
+			g := o.Grounds[0]
+			prep := &dist.Prepare{Group: group, Offer: o.ID, CSN: o.CSN, Ans: dist.Answer{Tuples: g.Head, Bindings: g.Val}}
+			if err := rt.via(t, srv, dist.Envelope{Prepare: prep}); err != nil {
+				t.Fatalf("prepare: %v", err)
+			}
+			if v := await(t, fake.votes, "vote").Vote; v.Group != group || v.Offer != o.ID || !v.Yes || v.Node != srv.dist.self {
+				t.Fatalf("vote = %+v, want yes for offer %d of group %d", v, o.ID, group)
+			}
+			if got := db.Engine().Parked(); got != 1 {
+				t.Fatalf("parked groups = %d, want 1", got)
+			}
+			if got := reg.Fired(); got != 1 {
+				t.Errorf("dist.vote fired %d times, want 1", got)
+			}
+			if _, done := h.Poll(); done {
+				t.Fatal("member settled before the decision")
+			}
+
+			// decide: the parked member commits.
+			if err := rt.via(t, srv, dist.Envelope{Decide: &dist.Decide{Group: group, Commit: true}}); err != nil {
+				t.Fatalf("decide: %v", err)
+			}
+			if out := h.Wait(); out.Status != entangle.StatusCommitted {
+				t.Fatalf("Minnie: %+v", out)
+			}
+			if got := db.Engine().Parked(); got != 0 {
+				t.Errorf("parked groups = %d after the decision, want 0", got)
+			}
+			// The head atom is FlightRes('Minnie', fno, fdate).
+			if b := bookingsOn(t, c, "Minnie"); len(b) != 1 || b[0] != g.Head[0].Args[1].String() {
+				t.Errorf("bookings = %v, want the prepared flight %v", b, g.Head[0].Args[1])
+			}
+		})
+	}
+}
+
+// TestUnreachablePeerDoesNotStallHealthyPeers pins the peer-dial fix: a
+// peer that accepts TCP but never answers the hello used to be dialed
+// under the peer-table lock, stalling every send — to every node — for the
+// dial timeout. Sends to it must share one dial, and a send to a live
+// peer issued meanwhile must return promptly.
+func TestUnreachablePeerDoesNotStallHealthyPeers(t *testing.T) {
+	hole, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hole.Close()
+	var dials atomic.Int64
+	dialed := make(chan struct{}, 4)
+	go func() {
+		for {
+			nc, err := hole.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close() // held open, never answered
+			dials.Add(1)
+			dialed <- struct{}{}
+		}
+	}()
+	live := startFakeNode(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := shard.New([]string{ln.Addr().String(), hole.Addr().String(), live.addr})
+	_, srv := startShardMember(t, ln, place, 0, time.Second, entangle.Options{}, Options{})
+
+	stuck := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { stuck <- srv.dist.Decide(hole.Addr().String(), dist.Decide{Group: 1}) }()
+	}
+	<-dialed // the black-holed dial is now in flight
+
+	start := time.Now()
+	if err := srv.dist.Decide(live.addr, dist.Decide{Group: 2, Commit: true}); err != nil {
+		t.Fatalf("send to the live peer: %v", err)
+	}
+	if took := time.Since(start); took > peerDialTimeout/4 {
+		t.Fatalf("send to the live peer took %v behind the black-holed dial", took)
+	}
+	if d := await(t, live.decides, "decide at the live peer").Decide; d.Group != 2 || !d.Commit {
+		t.Fatalf("live peer got %+v", d)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-stuck; err == nil {
+			t.Fatal("send to the black-holed peer succeeded")
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("black-holed peer was dialed %d times by 2 concurrent sends, want 1", n)
 	}
 }

@@ -14,8 +14,7 @@
 // finds its handles again and can still Wait on programs it submitted, and
 // programs keep running across the disconnect (a disconnect must not undo
 // a coordination that partners already depend on). Connections that never
-// identify themselves get private, connection-scoped state — the PR 4
-// semantics.
+// identify themselves get private, connection-scoped state.
 //
 // Retries are made exactly-once by a per-client dedup window: requests may
 // carry a client-assigned idempotency id, and the server remembers the
@@ -29,9 +28,10 @@
 // requests with wire.ErrOverloaded (err_code "overloaded"), which clients
 // treat as retryable-with-backoff since a shed request was never dispatched.
 //
-// Every connection starts in the JSON codec (the v1 protocol); a client
-// may negotiate the binary codec with an OpHello first request. Response
-// frames are write-batched per connection: handlers enqueue encoded
+// Every connection speaks the one binary frame format of internal/wire from
+// its first byte; a peer speaking anything else gets one "bad request"
+// response and a closed connection. Response frames are write-batched per
+// connection: handlers enqueue encoded
 // frames into one output buffer and a single flusher goroutine writes
 // whatever has accumulated in one syscall, so a pipelining client costs
 // one write per batch instead of one per response.
@@ -123,12 +123,6 @@ type ServiceStats struct {
 type Server struct {
 	db   *entangle.DB
 	opts Options
-
-	// JSONOnly disables binary-codec negotiation: hellos are answered
-	// with the JSON codec. Set before Serve; it exists for debugging
-	// (every frame stays netcat-readable) and for exercising the
-	// client's fallback path.
-	JSONOnly bool
 
 	// dist is non-nil once EnableSharding makes this server a member of a
 	// sharded deployment (see dist.go). Written before Serve, read-only
@@ -245,8 +239,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			srv:         s,
 			nc:          nc,
 			br:          bufio.NewReaderSize(nc, readBufSize),
-			codecR:      wire.JSON,
-			codecW:      wire.JSON,
 			cs:          newClientState(""),
 			sessions:    make(map[uint64]*session),
 			slots:       make(chan struct{}, s.opts.PerConnPending),
@@ -519,11 +511,6 @@ type conn struct {
 	nc  net.Conn
 	br  *bufio.Reader
 
-	// codecR is the request decoder. It is owned by the read loop (only
-	// the loop reads frames, and only the loop — via a hello — replaces
-	// it), so it needs no lock.
-	codecR wire.Codec
-
 	// cs is the client state this connection acts for: a private
 	// connection-scoped state until a hello carrying a Client id binds a
 	// durable one. Written only by the read loop (before any concurrent
@@ -535,13 +522,9 @@ type conn struct {
 
 	// Write batching: handlers encode their response into outBuf under
 	// outMu; the flusher goroutine swaps the buffer out and writes it in
-	// one syscall. codecW lives under the same lock so a codec switch
-	// cannot interleave with a frame encode — the hello response is
-	// encoded in the old codec and everything after it in the new one, in
-	// buffer order.
+	// one syscall.
 	outMu       sync.Mutex
 	outCond     *sync.Cond
-	codecW      wire.Codec
 	outBuf      []byte
 	outSpare    []byte // recycled flushed buffer
 	outClosed   bool   // no further enqueues; flusher drains and exits
@@ -587,17 +570,15 @@ func (c *conn) serve() {
 			rbuf = payload[:0]
 		}
 		var req wire.Request
-		if err := c.codecR.DecodeRequest(payload, &req); err != nil {
+		if err := wire.Binary.DecodeRequest(payload, &req); err != nil {
 			// The frame was well-formed but the payload was not: report
 			// once (a typed error, not a hang), then give up on the stream.
-			// A binary frame sent before any hello lands here too — the
-			// connection is still in JSON.
+			// A peer speaking another protocol lands here — the '{' of a
+			// JSON document is not an opcode.
 			c.enqueue(wire.Response{Error: fmt.Sprintf("bad request: %v", err)})
 			return
 		}
 		if req.Op == wire.OpHello {
-			// Codec negotiation is handled inline so the switch is ordered
-			// against every other frame on the connection.
 			c.hello(req, first)
 			first = false
 			continue
@@ -726,10 +707,8 @@ func (c *conn) dispatch(req wire.Request) wire.Response {
 	return resp
 }
 
-// hello negotiates the connection codec and binds the client identity.
-// Only the first request on a connection may negotiate — by then no other
-// response can be in flight, so the codec switch has an unambiguous
-// position in both byte streams.
+// hello binds the client identity. Only the first request on a connection
+// may — by then no handler is running, so replacing c.cs cannot race one.
 func (c *conn) hello(req wire.Request, first bool) {
 	if !first {
 		c.enqueue(fail(req.ID, errors.New("hello must be the first request")))
@@ -738,20 +717,7 @@ func (c *conn) hello(req wire.Request, first bool) {
 	if req.Client != "" {
 		c.srv.bindClient(c, req.Client)
 	}
-	name := wire.CodecJSON
-	if req.Codec == wire.CodecBinary && !c.srv.JSONOnly {
-		name = wire.CodecBinary
-	}
-	// The hello response travels in the connection's current (JSON) codec;
-	// everything after it speaks the negotiated one. enqueue and the codec
-	// switch share outMu, so no later frame can be encoded in between.
-	c.enqueue(wire.Response{ID: req.ID, OK: true, Version: wire.ProtocolVersion, Codec: name})
-	if name == wire.CodecBinary {
-		c.outMu.Lock()
-		c.codecW = wire.Binary
-		c.outMu.Unlock()
-		c.codecR = wire.Binary
-	}
+	c.enqueue(wire.Response{ID: req.ID, OK: true, Version: wire.ProtocolVersion})
 }
 
 // enqueue appends one encoded response frame to the connection's output
@@ -764,13 +730,13 @@ func (c *conn) enqueue(resp wire.Response) {
 		return
 	}
 	n := len(c.outBuf)
-	buf, err := c.codecW.AppendResponseFrame(c.outBuf, &resp)
+	buf, err := wire.Binary.AppendResponseFrame(c.outBuf, &resp)
 	if err != nil {
 		// Nothing reached the buffer (Append*Frame leaves buf unchanged on
 		// error): substitute an error response so the client's request does
 		// not hang on a silently dropped reply (e.g. a SELECT whose rows
 		// exceed MaxFrameSize).
-		buf, err = c.codecW.AppendResponseFrame(c.outBuf[:n], &wire.Response{ID: resp.ID,
+		buf, err = wire.Binary.AppendResponseFrame(c.outBuf[:n], &wire.Response{ID: resp.ID,
 			Error: fmt.Sprintf("response could not be encoded: %v", err)})
 		if err != nil {
 			c.outBroken = true
@@ -979,7 +945,7 @@ func (c *conn) handle(req wire.Request) wire.Response {
 		if err != nil {
 			return fail(req.ID, err)
 		}
-		return wire.Response{ID: req.ID, OK: true, Stats: raw}
+		return wire.Response{ID: req.ID, OK: true, Body: raw}
 
 	case wire.OpTables:
 		return wire.Response{ID: req.ID, OK: true, Tables: wire.TableInfos(c.srv.db.Catalog())}
@@ -989,7 +955,7 @@ func (c *conn) handle(req wire.Request) wire.Response {
 		if err != nil {
 			return fail(req.ID, err)
 		}
-		return wire.Response{ID: req.ID, OK: true, Stats: raw}
+		return wire.Response{ID: req.ID, OK: true, Body: raw}
 
 	case wire.OpTrace:
 		// The trace id travels in Handle — the same opaque-u64 shape.
@@ -1001,14 +967,13 @@ func (c *conn) handle(req wire.Request) wire.Response {
 		if err != nil {
 			return fail(req.ID, err)
 		}
-		return wire.Response{ID: req.ID, OK: true, Stats: raw, Trace: tr.ID}
+		return wire.Response{ID: req.ID, OK: true, Body: raw, Trace: tr.ID}
 
-	case wire.OpPlacement, wire.OpShardOffer, wire.OpShardPrepare,
-		wire.OpShardVote, wire.OpShardDecide, wire.OpShardStatus:
+	case wire.OpPlacement, wire.OpShardStatus, wire.OpShardMsg:
 		return c.srv.handleShard(req)
 
 	default:
-		return fail(req.ID, fmt.Errorf("unknown op %q", req.Op))
+		return fail(req.ID, fmt.Errorf("unknown op %d", req.Op))
 	}
 }
 

@@ -241,9 +241,9 @@ func TestServerRejectsGarbageStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	// A frame whose payload is not JSON: server answers with an error
+	// A frame whose payload is not a request: server answers with an error
 	// frame, then closes. Framed by hand since WriteFrame validates.
-	payload := []byte("this is not json")
+	payload := []byte("this is not a request")
 	hdr := []byte{0, 0, 0, byte(len(payload))}
 	if _, err := nc.Write(append(hdr, payload...)); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestStatsFrameAndRegistryVocabularyPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	// No hello: a legacy JSON-framed connection, so the frame arrives as sent.
+	// No hello: an anonymous raw connection, so the frame arrives as sent.
 	if err := wire.WriteFrame(nc, wire.Request{ID: 1, Op: wire.OpStats}); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestStatsFrameAndRegistryVocabularyPinned(t *testing.T) {
 	if err := wire.ReadInto(nc, &resp); err != nil || !resp.OK {
 		t.Fatalf("stats: %v %+v", err, resp)
 	}
-	if got := string(resp.Stats); got != idleFrame {
+	if got := string(resp.Body); got != idleFrame {
 		t.Errorf("idle stats frame changed:\n got %s\nwant %s", got, idleFrame)
 	}
 

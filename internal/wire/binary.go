@@ -2,16 +2,15 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/types"
 )
 
-// The binary payload encoding ("wire protocol v2"). Layout discipline
-// follows types.EncodeTuple: every message's encoded size is computed
-// exactly before encoding, so one frame is one grow (≤1 allocation) and
-// the length prefix is written without buffering the payload separately.
+// The frame payload encoding (wire protocol v2). Layout discipline follows
+// types.EncodeTuple: every message's encoded size is computed exactly
+// before encoding, so one frame is one grow (≤1 allocation) and the
+// length prefix is written without buffering the payload separately.
 //
 // Integers are varints (uvarint for IDs/counts, zig-zag varint for
 // signed fields), strings and byte blobs are length-prefixed, tuples use
@@ -20,33 +19,31 @@ import (
 //
 // Request payload:
 //
-//	u8      opcode
+//	u8      opcode (the Op value)
 //	uvarint id
 //	uvarint handle
 //	uvarint session
 //	uvarint idem
 //	string  sql
-//	string  codec
 //	string  client
+//	bytes   body
 //	[uvarint trace]  — present only when Trace != 0; decoders read it iff
-//	                   payload bytes remain, so a traceless frame is
-//	                   byte-identical to the PR 6 encoding
+//	                   payload bytes remain
 //
 // Response payload:
 //
 //	uvarint id
 //	u8      flags (bit0 OK, bit1 Done, bit2 Result, bit3 Outcome,
-//	               bit4 Stats, bit5 Tables, bit6 Trace)
+//	               bit4 Body, bit5 Tables, bit6 Trace)
 //	varint  version
 //	uvarint handle
 //	uvarint session
 //	string  error
 //	string  err_code
-//	string  codec
 //	[Result]  uvarint ncols, ncols×string; uvarint nrows, nrows×tuple;
 //	          varint rows_affected
 //	[Outcome] string status; string error; string err_code; varint attempts
-//	[Stats]   bytes (raw JSON, opaque to the codec)
+//	[Body]    bytes (opaque to the codec)
 //	[Tables]  uvarint n, n×(string name; string schema; varint rows)
 //	[Trace]   uvarint trace id
 //
@@ -55,120 +52,30 @@ import (
 // trailing garbage are all errors. The fuzz wall in binary_fuzz_test.go
 // holds the decoder to "never panic, never over-allocate".
 
-// Binary opcodes, one per Op* string.
-const (
-	opcodePing         = 1
-	opcodeExec         = 2
-	opcodeDDL          = 3
-	opcodeSubmit       = 4
-	opcodeWait         = 5
-	opcodePoll         = 6
-	opcodeSessionOpen  = 7
-	opcodeSessionExec  = 8
-	opcodeSessionClose = 9
-	opcodeStats        = 10
-	opcodeTables       = 11
-	opcodeHello        = 12
-	opcodeMetrics      = 13
-	opcodeTrace        = 14
-	opcodePlacement    = 15
-	opcodeShardOffer   = 16
-	opcodeShardPrepare = 17
-	opcodeShardVote    = 18
-	opcodeShardDecide  = 19
-	opcodeShardStatus  = 20
-)
+// Codec is the frame format: it turns Request/Response payloads into
+// frame bytes and back. There is one, and every connection speaks it from
+// its first byte.
+//
+// The Append*Frame methods append a complete frame (header + payload) to
+// buf so a writer can coalesce many frames into one buffer and flush them
+// with a single Write. On error buf is returned unchanged — nothing
+// half-encoded reaches the stream, so the caller may substitute a
+// different frame (e.g. an error response).
+type Codec struct{}
 
-func opcodeOf(op string) (byte, bool) {
-	switch op {
-	case OpPing:
-		return opcodePing, true
-	case OpExec:
-		return opcodeExec, true
-	case OpDDL:
-		return opcodeDDL, true
-	case OpSubmit:
-		return opcodeSubmit, true
-	case OpWait:
-		return opcodeWait, true
-	case OpPoll:
-		return opcodePoll, true
-	case OpSessionOpen:
-		return opcodeSessionOpen, true
-	case OpSessionExec:
-		return opcodeSessionExec, true
-	case OpSessionClose:
-		return opcodeSessionClose, true
-	case OpStats:
-		return opcodeStats, true
-	case OpTables:
-		return opcodeTables, true
-	case OpHello:
-		return opcodeHello, true
-	case OpMetrics:
-		return opcodeMetrics, true
-	case OpTrace:
-		return opcodeTrace, true
-	case OpPlacement:
-		return opcodePlacement, true
-	case OpShardOffer:
-		return opcodeShardOffer, true
-	case OpShardPrepare:
-		return opcodeShardPrepare, true
-	case OpShardVote:
-		return opcodeShardVote, true
-	case OpShardDecide:
-		return opcodeShardDecide, true
-	case OpShardStatus:
-		return opcodeShardStatus, true
-	}
-	return 0, false
-}
+// Binary is the frame format's value.
+var Binary Codec
 
-func opOf(code byte) (string, bool) {
-	switch code {
-	case opcodePing:
-		return OpPing, true
-	case opcodeExec:
-		return OpExec, true
-	case opcodeDDL:
-		return OpDDL, true
-	case opcodeSubmit:
-		return OpSubmit, true
-	case opcodeWait:
-		return OpWait, true
-	case opcodePoll:
-		return OpPoll, true
-	case opcodeSessionOpen:
-		return OpSessionOpen, true
-	case opcodeSessionExec:
-		return OpSessionExec, true
-	case opcodeSessionClose:
-		return OpSessionClose, true
-	case opcodeStats:
-		return OpStats, true
-	case opcodeTables:
-		return OpTables, true
-	case opcodeHello:
-		return OpHello, true
-	case opcodeMetrics:
-		return OpMetrics, true
-	case opcodeTrace:
-		return OpTrace, true
-	case opcodePlacement:
-		return OpPlacement, true
-	case opcodeShardOffer:
-		return OpShardOffer, true
-	case opcodeShardPrepare:
-		return OpShardPrepare, true
-	case opcodeShardVote:
-		return OpShardVote, true
-	case opcodeShardDecide:
-		return OpShardDecide, true
-	case opcodeShardStatus:
-		return OpShardStatus, true
+// CodecBinary is the frame format's name; CodecByName resolves it. Nothing
+// is negotiated any more — the pair remains for callers (the benchmark's
+// wire probe) that ask for the format by name.
+const CodecBinary = "binary"
+
+func CodecByName(name string) (Codec, error) {
+	if name != CodecBinary {
+		return Codec{}, fmt.Errorf("wire: unknown codec %q", name)
 	}
-	return "", false
+	return Binary, nil
 }
 
 // Response flag bits.
@@ -177,7 +84,7 @@ const (
 	respFlagDone    = 1 << 1
 	respFlagResult  = 1 << 2
 	respFlagOutcome = 1 << 3
-	respFlagStats   = 1 << 4
+	respFlagBody    = 1 << 4
 	respFlagTables  = 1 << 5
 	respFlagTrace   = 1 << 6
 )
@@ -205,7 +112,7 @@ func strSize(s string) int { return uvlen(uint64(len(s))) + len(s) }
 
 func binaryRequestSize(r *Request) int {
 	n := 1 + uvlen(r.ID) + uvlen(r.Handle) + uvlen(r.Session) +
-		uvlen(r.Idem) + strSize(r.SQL) + strSize(r.Codec) + strSize(r.Client)
+		uvlen(r.Idem) + strSize(r.SQL) + strSize(r.Client) + uvlen(uint64(len(r.Body))) + len(r.Body)
 	if r.Trace != 0 {
 		n += uvlen(r.Trace)
 	}
@@ -226,7 +133,7 @@ func binaryResultSize(res *Result) int {
 
 func binaryResponseSize(r *Response) int {
 	n := uvlen(r.ID) + 1 + vlen(int64(r.Version)) + uvlen(r.Handle) +
-		uvlen(r.Session) + strSize(r.Error) + strSize(r.ErrCode) + strSize(r.Codec)
+		uvlen(r.Session) + strSize(r.Error) + strSize(r.ErrCode)
 	if r.Result != nil {
 		n += binaryResultSize(r.Result)
 	}
@@ -234,8 +141,8 @@ func binaryResponseSize(r *Response) int {
 		o := r.Outcome
 		n += strSize(o.Status) + strSize(o.Error) + strSize(o.ErrCode) + vlen(int64(o.Attempts))
 	}
-	if len(r.Stats) > 0 {
-		n += uvlen(uint64(len(r.Stats))) + len(r.Stats)
+	if len(r.Body) > 0 {
+		n += uvlen(uint64(len(r.Body))) + len(r.Body)
 	}
 	if len(r.Tables) > 0 {
 		n += uvlen(uint64(len(r.Tables)))
@@ -256,36 +163,47 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-type binaryCodec struct{}
+func appendBytes(buf, b []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(b)))
+	return append(buf, b...)
+}
 
-func (binaryCodec) Name() string { return CodecBinary }
+// grow ensures buf has room for need more bytes with at most one
+// allocation (mirrors types.grow).
+func grow(buf []byte, need int) []byte {
+	if cap(buf)-len(buf) >= need {
+		return buf
+	}
+	grown := make([]byte, len(buf), len(buf)+need)
+	copy(grown, buf)
+	return grown
+}
 
-func (binaryCodec) AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
-	opcode, ok := opcodeOf(req.Op)
-	if !ok {
-		return buf, fmt.Errorf("%w: unknown op %q", ErrEncode, req.Op)
+func (Codec) AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
+	if req.Op == 0 || req.Op >= opEnd {
+		return buf, fmt.Errorf("%w: unknown op %d", ErrEncode, req.Op)
 	}
 	size := binaryRequestSize(req)
 	if size > MaxFrameSize {
 		return buf, ErrFrameTooLarge
 	}
 	out := grow(buf, headerSize+size)
-	out = appendUint32(out, uint32(size))
-	out = append(out, opcode)
+	out = binary.BigEndian.AppendUint32(out, uint32(size))
+	out = append(out, byte(req.Op))
 	out = binary.AppendUvarint(out, req.ID)
 	out = binary.AppendUvarint(out, req.Handle)
 	out = binary.AppendUvarint(out, req.Session)
 	out = binary.AppendUvarint(out, req.Idem)
 	out = appendStr(out, req.SQL)
-	out = appendStr(out, req.Codec)
 	out = appendStr(out, req.Client)
+	out = appendBytes(out, req.Body)
 	if req.Trace != 0 {
 		out = binary.AppendUvarint(out, req.Trace)
 	}
 	return out, nil
 }
 
-func (binaryCodec) AppendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
+func (Codec) AppendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
 	size := binaryResponseSize(resp)
 	if size > MaxFrameSize {
 		return buf, ErrFrameTooLarge
@@ -303,8 +221,8 @@ func (binaryCodec) AppendResponseFrame(buf []byte, resp *Response) ([]byte, erro
 	if resp.Outcome != nil {
 		flags |= respFlagOutcome
 	}
-	if len(resp.Stats) > 0 {
-		flags |= respFlagStats
+	if len(resp.Body) > 0 {
+		flags |= respFlagBody
 	}
 	if len(resp.Tables) > 0 {
 		flags |= respFlagTables
@@ -313,7 +231,7 @@ func (binaryCodec) AppendResponseFrame(buf []byte, resp *Response) ([]byte, erro
 		flags |= respFlagTrace
 	}
 	out := grow(buf, headerSize+size)
-	out = appendUint32(out, uint32(size))
+	out = binary.BigEndian.AppendUint32(out, uint32(size))
 	out = binary.AppendUvarint(out, resp.ID)
 	out = append(out, flags)
 	out = binary.AppendVarint(out, int64(resp.Version))
@@ -321,7 +239,6 @@ func (binaryCodec) AppendResponseFrame(buf []byte, resp *Response) ([]byte, erro
 	out = binary.AppendUvarint(out, resp.Session)
 	out = appendStr(out, resp.Error)
 	out = appendStr(out, resp.ErrCode)
-	out = appendStr(out, resp.Codec)
 	if resp.Result != nil {
 		res := resp.Result
 		out = binary.AppendUvarint(out, uint64(len(res.Columns)))
@@ -341,9 +258,8 @@ func (binaryCodec) AppendResponseFrame(buf []byte, resp *Response) ([]byte, erro
 		out = appendStr(out, o.ErrCode)
 		out = binary.AppendVarint(out, int64(o.Attempts))
 	}
-	if len(resp.Stats) > 0 {
-		out = binary.AppendUvarint(out, uint64(len(resp.Stats)))
-		out = append(out, resp.Stats...)
+	if len(resp.Body) > 0 {
+		out = appendBytes(out, resp.Body)
 	}
 	if len(resp.Tables) > 0 {
 		out = binary.AppendUvarint(out, uint64(len(resp.Tables)))
@@ -486,24 +402,22 @@ func (r *breader) done() error {
 	return nil
 }
 
-func (binaryCodec) DecodeRequest(payload []byte, req *Request) error {
+func (Codec) DecodeRequest(payload []byte, req *Request) error {
 	r := breader{buf: payload}
-	opcode := r.u8()
-	op, known := opOf(opcode)
-	if r.err == nil && !known {
-		r.fail("unknown opcode %d", opcode)
+	req.Op = Op(r.u8())
+	if r.err == nil && (req.Op == 0 || req.Op >= opEnd) {
+		r.fail("unknown opcode %d", req.Op)
 	}
-	req.Op = op
 	req.ID = r.uvarint()
 	req.Handle = r.uvarint()
 	req.Session = r.uvarint()
 	req.Idem = r.uvarint()
 	req.SQL = r.str()
-	req.Codec = r.str()
 	req.Client = r.str()
-	// Optional trailing trace id: a PR 6 encoder simply never writes it,
-	// and "read iff bytes remain" keeps the strict no-trailing-garbage
-	// rule intact — anything after the trace uvarint still fails done().
+	req.Body = r.raw()
+	// Optional trailing trace id: "read iff bytes remain" keeps the strict
+	// no-trailing-garbage rule intact — anything after the trace uvarint
+	// still fails done().
 	req.Trace = 0
 	if r.err == nil && r.remaining() > 0 {
 		req.Trace = r.uvarint()
@@ -511,7 +425,7 @@ func (binaryCodec) DecodeRequest(payload []byte, req *Request) error {
 	return r.done()
 }
 
-func (binaryCodec) DecodeResponse(payload []byte, resp *Response) error {
+func (Codec) DecodeResponse(payload []byte, resp *Response) error {
 	r := breader{buf: payload}
 	resp.ID = r.uvarint()
 	flags := r.u8()
@@ -522,10 +436,9 @@ func (binaryCodec) DecodeResponse(payload []byte, resp *Response) error {
 	resp.Session = r.uvarint()
 	resp.Error = r.str()
 	resp.ErrCode = r.str()
-	resp.Codec = r.str()
 	resp.Result = nil
 	resp.Outcome = nil
-	resp.Stats = nil
+	resp.Body = nil
 	resp.Tables = nil
 	if flags&respFlagResult != 0 {
 		res := &Result{}
@@ -552,8 +465,8 @@ func (binaryCodec) DecodeResponse(payload []byte, resp *Response) error {
 		o.Attempts = int(r.varint())
 		resp.Outcome = o
 	}
-	if flags&respFlagStats != 0 {
-		resp.Stats = json.RawMessage(r.raw())
+	if flags&respFlagBody != 0 {
+		resp.Body = r.raw()
 	}
 	if flags&respFlagTables != 0 {
 		if n := r.count("table"); n > 0 {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -14,15 +13,12 @@ import (
 	"repro/internal/types"
 )
 
-// Cross-codec property: for every wire message, the binary codec and the
-// JSON codec decode to the same struct. The JSON path is the v1 protocol
-// that every remote test already exercises end to end, so it acts as the
-// oracle; the binary path must be observationally identical, including
-// the err_code sentinel mapping that errors.Is depends on.
+// Round-trip property: for every wire message, decode ∘ encode is the
+// identity — including the opaque Body section, the shard ops, and the
+// err_code sentinel mapping that errors.Is depends on.
 
 // genValue draws one types.Value covering every kind, with zero/empty and
-// extreme edge cases. Dates stay within years JSON can round-trip (the
-// JSON codec ships dates in display form).
+// extreme edge cases.
 func genValue(rng *rand.Rand) types.Value {
 	switch rng.Intn(12) {
 	case 0:
@@ -52,10 +48,8 @@ func genValue(rng *rand.Rand) types.Value {
 	}
 }
 
-// alphabet is drawn per rune so generated strings are valid UTF-8: the
-// JSON oracle cannot carry invalid UTF-8 (encoding/json substitutes
-// U+FFFD), and the protocol never does — SQL text and error strings are
-// Go strings. Control bytes, quotes, and multibyte runes all appear.
+// alphabet is drawn per rune: control bytes, quotes, and multibyte runes
+// all appear in generated strings.
 var alphabet = []rune("abcdefghijklmnopqrstuvwxyzABC =',;\"\\{}[]\x00\n\x7fé世–")
 
 func randString(rng *rand.Rand, n int) string {
@@ -74,10 +68,19 @@ func genTuple(rng *rand.Rand) types.Tuple {
 	return t
 }
 
-var allOps = []string{
-	OpPing, OpExec, OpDDL, OpSubmit, OpWait, OpPoll,
-	OpSessionOpen, OpSessionExec, OpSessionClose, OpStats, OpTables, OpHello,
-	OpMetrics, OpTrace,
+// genBody draws an opaque Body section: absent, JSON-looking, or raw
+// bytes (the codec must not care which).
+func genBody(rng *rand.Rand) []byte {
+	switch rng.Intn(4) {
+	case 0:
+		return []byte(fmt.Sprintf(`{"commits":%d,"runs":%d}`, rng.Intn(1000), rng.Intn(100)))
+	case 1:
+		b := make([]byte, 1+rng.Intn(300))
+		rng.Read(b)
+		return b
+	default:
+		return nil
+	}
 }
 
 var allErrCodes = []string{
@@ -88,13 +91,13 @@ var allErrCodes = []string{
 func genRequest(rng *rand.Rand) Request {
 	return Request{
 		ID:      rng.Uint64() >> uint(rng.Intn(64)),
-		Op:      allOps[rng.Intn(len(allOps))],
+		Op:      OpPing + Op(rng.Intn(int(opEnd-OpPing))), // every op, the shard ops included
 		SQL:     randString(rng, rng.Intn(60)),
 		Handle:  rng.Uint64() >> uint(rng.Intn(64)),
 		Session: rng.Uint64() >> uint(rng.Intn(64)),
-		Codec:   []string{"", CodecJSON, CodecBinary}[rng.Intn(3)],
 		Idem:    rng.Uint64() >> uint(rng.Intn(64)),
 		Client:  []string{"", randString(rng, 1+rng.Intn(16))}[rng.Intn(2)],
+		Body:    genBody(rng),
 		Trace:   []uint64{0, rng.Uint64() >> uint(rng.Intn(64))}[rng.Intn(2)],
 	}
 }
@@ -117,7 +120,6 @@ func genResponse(rng *rand.Rand) Response {
 		Error:   randString(rng, rng.Intn(30)),
 		ErrCode: allErrCodes[rng.Intn(len(allErrCodes))],
 		Version: rng.Intn(5),
-		Codec:   []string{"", CodecJSON, CodecBinary}[rng.Intn(3)],
 		Handle:  rng.Uint64() >> uint(rng.Intn(64)),
 		Session: rng.Uint64() >> uint(rng.Intn(64)),
 		Done:    rng.Intn(2) == 0,
@@ -134,9 +136,7 @@ func genResponse(rng *rand.Rand) Response {
 			Attempts: rng.Intn(50),
 		}
 	}
-	if rng.Intn(4) == 0 {
-		resp.Stats = json.RawMessage(fmt.Sprintf(`{"commits":%d,"runs":%d}`, rng.Intn(1000), rng.Intn(100)))
-	}
+	resp.Body = genBody(rng)
 	for i := rng.Intn(3); i > 0; i-- {
 		resp.Tables = append(resp.Tables, TableInfo{
 			Name:   randString(rng, 1+rng.Intn(10)),
@@ -158,88 +158,86 @@ func framePayload(t *testing.T, frame []byte) []byte {
 	return payload
 }
 
-func TestCodecCrossPropertyRequests(t *testing.T) {
+func TestCodecRoundTripRequests(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for i := 0; i < 3000; i++ {
 		req := genRequest(rng)
-
-		jf, err := JSON.AppendRequestFrame(nil, &req)
+		frame, err := Binary.AppendRequestFrame(nil, &req)
 		if err != nil {
-			t.Fatalf("#%d json encode: %v", i, err)
+			t.Fatalf("#%d encode: %v", i, err)
 		}
-		bf, err := Binary.AppendRequestFrame(nil, &req)
-		if err != nil {
-			t.Fatalf("#%d binary encode: %v", i, err)
+		var got Request
+		if err := Binary.DecodeRequest(framePayload(t, frame), &got); err != nil {
+			t.Fatalf("#%d decode: %v", i, err)
 		}
-		var viaJSON, viaBinary Request
-		if err := JSON.DecodeRequest(framePayload(t, jf), &viaJSON); err != nil {
-			t.Fatalf("#%d json decode: %v", i, err)
-		}
-		if err := Binary.DecodeRequest(framePayload(t, bf), &viaBinary); err != nil {
-			t.Fatalf("#%d binary decode: %v", i, err)
-		}
-		if !reflect.DeepEqual(viaJSON, viaBinary) {
-			t.Fatalf("#%d request diverges:\n json:   %+v\n binary: %+v\n orig:   %+v", i, viaJSON, viaBinary, req)
-		}
-		if !reflect.DeepEqual(viaBinary, req) {
-			t.Fatalf("#%d binary not lossless:\n got:  %+v\n want: %+v", i, viaBinary, req)
+		if !reflect.DeepEqual(got, req) {
+			t.Fatalf("#%d request not lossless:\n got:  %+v\n want: %+v", i, got, req)
 		}
 	}
 }
 
-func TestCodecCrossPropertyResponses(t *testing.T) {
+func TestCodecRoundTripResponses(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for i := 0; i < 3000; i++ {
 		resp := genResponse(rng)
+		frame, err := Binary.AppendResponseFrame(nil, &resp)
+		if err != nil {
+			t.Fatalf("#%d encode: %v", i, err)
+		}
+		var got Response
+		if err := Binary.DecodeResponse(framePayload(t, frame), &got); err != nil {
+			t.Fatalf("#%d decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, resp) {
+			t.Fatalf("#%d response not lossless:\n got:  %+v\n want: %+v", i, got, resp)
+		}
+	}
+}
 
-		jf, err := JSON.AppendResponseFrame(nil, &resp)
+// TestCodecRejectsUnknownOps: the opcode byte is the Op value, so both
+// directions must refuse values outside the assigned range.
+func TestCodecRejectsUnknownOps(t *testing.T) {
+	for _, op := range []Op{0, opEnd, 255} {
+		if _, err := Binary.AppendRequestFrame(nil, &Request{ID: 1, Op: op}); !errors.Is(err, ErrEncode) {
+			t.Errorf("encode op %d: err = %v, want ErrEncode", op, err)
+		}
+		frame, err := Binary.AppendRequestFrame(nil, &Request{ID: 1, Op: OpPing})
 		if err != nil {
-			t.Fatalf("#%d json encode: %v", i, err)
+			t.Fatal(err)
 		}
-		bf, err := Binary.AppendResponseFrame(nil, &resp)
-		if err != nil {
-			t.Fatalf("#%d binary encode: %v", i, err)
-		}
-		var viaJSON, viaBinary Response
-		if err := JSON.DecodeResponse(framePayload(t, jf), &viaJSON); err != nil {
-			t.Fatalf("#%d json decode: %v", i, err)
-		}
-		if err := Binary.DecodeResponse(framePayload(t, bf), &viaBinary); err != nil {
-			t.Fatalf("#%d binary decode: %v", i, err)
-		}
-		if !reflect.DeepEqual(viaJSON, viaBinary) {
-			t.Fatalf("#%d response diverges:\n json:   %+v\n binary: %+v\n orig:   %+v", i, viaJSON, viaBinary, resp)
+		frame[headerSize] = byte(op)
+		var got Request
+		if err := Binary.DecodeRequest(frame[headerSize:], &got); err == nil {
+			t.Errorf("decode opcode %d succeeded: %+v", op, got)
 		}
 	}
 }
 
 // TestCodecSentinelErrorsSurviveBinary pins the err_code chain end to end:
 // an engine sentinel encoded on the server side must satisfy errors.Is
-// after a binary round trip, exactly as it does after a JSON one.
+// after a round trip through the frame.
 func TestCodecSentinelErrorsSurviveBinary(t *testing.T) {
 	sentinels := []error{core.ErrTimeout, core.ErrEngineClosed, core.ErrRolledBack, core.ErrDraining}
 	for _, sentinel := range sentinels {
 		o := core.Outcome{Status: core.StatusTimedOut, Err: fmt.Errorf("wrapped: %w", sentinel), Attempts: 3}
 		resp := Response{ID: 7, OK: true, Done: true, Outcome: FromOutcome(o)}
-		for _, c := range []Codec{JSON, Binary} {
-			frame, err := c.AppendResponseFrame(nil, &resp)
-			if err != nil {
-				t.Fatalf("%s encode: %v", c.Name(), err)
-			}
-			var got Response
-			if err := c.DecodeResponse(framePayload(t, frame), &got); err != nil {
-				t.Fatalf("%s decode: %v", c.Name(), err)
-			}
-			if got.Outcome == nil {
-				t.Fatalf("%s: outcome lost", c.Name())
-			}
-			back := got.Outcome.ToOutcome()
-			if !errors.Is(back.Err, sentinel) {
-				t.Errorf("%s: errors.Is lost for %v: got %v", c.Name(), sentinel, back.Err)
-			}
-			if back.Attempts != 3 || back.Status != core.StatusTimedOut {
-				t.Errorf("%s: outcome fields drifted: %+v", c.Name(), back)
-			}
+		frame, err := Binary.AppendResponseFrame(nil, &resp)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		var got Response
+		if err := Binary.DecodeResponse(framePayload(t, frame), &got); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if got.Outcome == nil {
+			t.Fatal("outcome lost")
+		}
+		back := got.Outcome.ToOutcome()
+		if !errors.Is(back.Err, sentinel) {
+			t.Errorf("errors.Is lost for %v: got %v", sentinel, back.Err)
+		}
+		if back.Attempts != 3 || back.Status != core.StatusTimedOut {
+			t.Errorf("outcome fields drifted: %+v", back)
 		}
 	}
 }
@@ -285,9 +283,9 @@ func TestBinaryEncodeExactSize(t *testing.T) {
 	}
 }
 
-// TestBinaryTraceOptionality pins the compat contract of the trace field:
-// a Trace=0 request encodes to exactly the PR 6 byte layout (no trailing
-// uvarint at all), a traced frame round-trips, and attaching a trace to
+// TestBinaryTraceOptionality pins the contract of the trace field: a
+// Trace=0 request carries no trailing uvarint at all (an untraced request
+// pays zero bytes), a traced frame round-trips, and attaching a trace to
 // the encode hot path costs zero allocations either way.
 func TestBinaryTraceOptionality(t *testing.T) {
 	base := Request{ID: 9, Op: OpSubmit, SQL: "BEGIN; COMMIT"}
@@ -358,7 +356,7 @@ func TestBinaryDecodeRejectsLyingCounts(t *testing.T) {
 	}
 	// A directly lying row count: uvarint 2^62 rows in a tiny payload.
 	var r Response
-	lying := []byte{1 /*id*/, respFlagResult | respFlagOK /*flags*/, 0 /*version*/, 0, 0, 0, 0, 0 /*hdl,ses,strs*/, 0 /*ncols*/}
+	lying := []byte{1 /*id*/, respFlagResult | respFlagOK /*flags*/, 0 /*version*/, 0, 0, 0, 0 /*hdl,ses,strs*/, 0 /*ncols*/}
 	lying = append(lying, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f) // nrows = huge
 	if err := Binary.DecodeResponse(lying, &r); err == nil {
 		t.Fatal("lying row count decoded without error")

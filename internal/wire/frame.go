@@ -1,18 +1,15 @@
 // Package wire defines the network protocol between youtopia-serve and
-// entangle/client: length-prefixed frames over a byte stream, with a
-// payload codec negotiated per connection.
+// entangle/client: length-prefixed frames over a byte stream.
 //
 // Framing is deliberately minimal — a 4-byte big-endian payload length
-// followed by one payload. Every connection starts with JSON payloads
-// (the Request/Response types in messages.go), so a session can be
-// driven (and debugged) from any language with a socket and a JSON
-// library; a client may negotiate the compact binary codec (binary.go)
-// with a "hello" first request, see Codec in codec.go. Stdlib only.
+// followed by one payload in the binary layout of binary.go (the
+// Request/Response types of messages.go). There is one frame format and
+// no negotiation: a peer speaking anything else gets one "bad request"
+// error response and a closed connection. Stdlib only.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -27,61 +24,46 @@ const MaxFrameSize = 8 << 20 // 8 MiB
 // MaxFrameSize.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 
-// ErrEncode is wrapped around marshal failures in WriteFrame. Both it and
-// ErrFrameTooLarge are reported before any byte reaches the stream, so the
-// caller may safely substitute a different frame (e.g. an error response).
+// ErrEncode is wrapped around encode failures (a request with an unknown
+// op). Both it and ErrFrameTooLarge are reported before any byte reaches
+// the stream, so the caller may safely substitute a different frame (e.g.
+// an error response).
 var ErrEncode = errors.New("wire: encode")
 
 // headerSize is the length-prefix size in bytes.
 const headerSize = 4
 
-// WriteFrame marshals v and writes one frame. Safe for any JSON-
-// serializable v; the caller serializes concurrent writers.
+// WriteFrame encodes v — a Request or a Response — and writes its frame:
+// the one-message convenience for callers that drive a raw socket. The
+// caller serializes concurrent writers.
 func WriteFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
+	var frame []byte
+	var err error
+	switch m := v.(type) {
+	case Request:
+		frame, err = Binary.AppendRequestFrame(nil, &m)
+	case Response:
+		frame, err = Binary.AppendResponseFrame(nil, &m)
+	default:
+		err = fmt.Errorf("%w: %T is not a frame payload", ErrEncode, v)
+	}
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrEncode, err)
+		return err
 	}
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	buf := make([]byte, headerSize+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[headerSize:], payload)
-	_, err = w.Write(buf)
+	_, err = w.Write(frame)
 	return err
 }
 
-// ReadFrame reads one frame's payload. io.EOF is returned unwrapped on a
-// clean close (no bytes read); a connection dying mid-frame returns
-// io.ErrUnexpectedEOF. Oversized frames return ErrFrameTooLarge without
-// reading (or allocating) the payload.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wire: read header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("wire: read payload: %w", err)
-	}
-	return payload, nil
-}
+// ReadFrame reads one frame's payload into a fresh buffer. io.EOF is
+// returned unwrapped on a clean close (no bytes read); a connection dying
+// mid-frame returns io.ErrUnexpectedEOF. Oversized frames return
+// ErrFrameTooLarge without reading (or allocating) the payload.
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameBuf(r, nil) }
 
 // ReadFrameBuf is ReadFrame with a caller-owned scratch buffer: the
 // returned payload aliases buf when it fits, so the caller may reuse buf
-// for the next frame only after it is done with the payload. Both codecs'
-// Decode* methods copy everything they keep out of the payload, so a
+// for the next frame only after it is done with the payload. The Decode*
+// methods copy everything they keep out of the payload, so a
 // read loop decoding each frame before reading the next can recycle one
 // buffer for the life of the connection.
 func ReadFrameBuf(r io.Reader, buf []byte) ([]byte, error) {
@@ -109,14 +91,18 @@ func ReadFrameBuf(r io.Reader, buf []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// ReadInto reads one frame and unmarshals it into v.
+// ReadInto reads one frame and decodes it into v, a *Request or a
+// *Response.
 func ReadInto(r io.Reader, v any) error {
 	payload, err := ReadFrame(r)
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("wire: decode frame: %w", err)
+	switch m := v.(type) {
+	case *Request:
+		return Binary.DecodeRequest(payload, m)
+	case *Response:
+		return Binary.DecodeResponse(payload, m)
 	}
-	return nil
+	return fmt.Errorf("wire: decode frame: %T is not a frame payload", v)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/types"
@@ -28,7 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := ReadInto(&buf, &gotReq); err != nil {
 		t.Fatal(err)
 	}
-	if gotReq != req {
+	if !reflect.DeepEqual(gotReq, req) {
 		t.Fatalf("request round trip: %+v != %+v", gotReq, req)
 	}
 	var gotResp Response

@@ -1,168 +1,144 @@
 package wire
 
 import (
-	"encoding/json"
-
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-// ProtocolVersion is bumped on incompatible frame-shape changes; Ping
-// responses carry it so clients can detect mismatched servers. Version 1
-// is the JSON-framed protocol of PR 4; the binary codec is negotiated on
-// top of it (OpHello) without changing the version, so a v1 JSON peer
-// still interoperates.
-const ProtocolVersion = 1
+// ProtocolVersion is bumped on incompatible frame-shape changes; hello and
+// ping responses carry it so clients can detect mismatched servers.
+// Version 2 is the single binary frame format of binary.go, spoken from
+// the first byte of every connection.
+const ProtocolVersion = 2
 
-// Codec names negotiated by OpHello. A connection always starts in JSON
-// (so a hello is readable by any server, and a server that never sees a
-// hello keeps speaking JSON to legacy clients); both directions switch to
-// the agreed codec immediately after the hello response.
-const (
-	CodecJSON   = "json"
-	CodecBinary = "binary"
-)
+// An Op names a request's operation; its value is the opcode byte of the
+// frame, so numbers are append-only. One TCP connection carries any mix;
+// the server answers each request with exactly one Response bearing the
+// same ID, not necessarily in order (a Wait parks server-side while later
+// requests proceed).
+type Op uint8
 
-// Request ops. One TCP connection carries any mix; the server answers each
-// request with exactly one Response bearing the same ID, not necessarily
-// in order (a Wait parks server-side while later requests proceed).
 const (
 	// OpPing: liveness + protocol version check.
-	OpPing = "ping"
+	OpPing Op = 1
 	// OpExec: run a classical SQL script (autocommit; DDL allowed) and
 	// return the last statement's result. Entangled queries are rejected —
 	// they need OpSubmit so the run scheduler can coordinate them.
-	OpExec = "exec"
+	OpExec Op = 2
 	// OpDDL: run a DDL-only script (CREATE TABLE / CREATE INDEX).
-	OpDDL = "ddl"
+	OpDDL Op = 3
 	// OpSubmit: submit a (typically BEGIN...COMMIT, possibly entangled)
 	// script to the run scheduler; returns a server-side handle id
 	// immediately.
-	OpSubmit = "submit"
+	OpSubmit Op = 4
 	// OpWait: block until the handle's program completes; returns its
 	// Outcome.
-	OpWait = "wait"
+	OpWait Op = 5
 	// OpPoll: non-blocking completion check on a handle.
-	OpPoll = "poll"
+	OpPoll Op = 6
 	// OpSessionOpen: open an interactive session (statement-at-a-time
 	// classical transactions: BEGIN/COMMIT/ROLLBACK, host variables).
-	OpSessionOpen = "session_open"
+	OpSessionOpen Op = 7
 	// OpSessionExec: execute statements in an interactive session.
-	OpSessionExec = "session_exec"
+	OpSessionExec Op = 8
 	// OpSessionClose: close an interactive session (open transaction rolls
 	// back).
-	OpSessionClose = "session_close"
-	// OpStats: engine counter snapshot (the \stats frame).
-	OpStats = "stats"
+	OpSessionClose Op = 9
+	// OpStats: engine counter snapshot (the \stats frame), JSON in
+	// Response.Body.
+	OpStats Op = 10
 	// OpTables: catalog listing.
-	OpTables = "tables"
-	// OpHello: codec negotiation. Must be the first request on a
-	// connection, always JSON-framed; the response names the codec both
-	// sides speak from then on. A PR 4 server answers it with
-	// "unknown op" and the client falls back to JSON.
-	OpHello = "hello"
+	OpTables Op = 11
+	// OpHello: binds the connection to the stable client identity in
+	// Request.Client, so handles and the idempotency window survive
+	// reconnects. Must be the first request on a connection; connections
+	// that never send it get private, connection-scoped state.
+	OpHello Op = 12
 	// OpMetrics: observability registry snapshot — counters plus latency
-	// histogram percentiles (obs.Registry.Snapshot), carried as raw JSON
-	// in Response.Stats. Distinct from OpStats, which renders the legacy
-	// entangle.StatsSnapshot counter set.
-	OpMetrics = "metrics"
+	// histogram percentiles (obs.Registry.Snapshot) as JSON in
+	// Response.Body.
+	OpMetrics Op = 13
 	// OpTrace: fetch one trace's span tree by id (Request.Handle carries
-	// the trace id — it is the same "server-side opaque u64" shape a
-	// handle is, so the binary frame needs no new field). The rendered
-	// obs.Trace rides in Response.Stats as raw JSON; unknown ids answer
-	// OK=false.
-	OpTrace = "trace"
-
-	// Sharding ops (PR 10). Payloads are the internal/dist message structs
-	// rendered as JSON — requests carry theirs in Request.SQL, responses in
-	// Response.Stats — so the binary codec needs no new frame fields and a
-	// JSON peer sees ordinary requests. Server-to-server traffic (offer /
-	// prepare / vote / decide) reuses the same client protocol: each serve
-	// process dials its peers like any client would.
-
+	// the trace id — the same "server-side opaque u64" shape a handle is).
+	// The rendered obs.Trace rides in Response.Body as JSON; unknown ids
+	// answer OK=false.
+	OpTrace Op = 14
 	// OpPlacement: fetch the cluster's versioned shard placement map
-	// (shard.Map as JSON in Response.Stats). Clients call it once at pool
+	// (shard.Map as JSON in Response.Body). Clients call it once at pool
 	// dial time and re-fetch when a routed request misses.
-	OpPlacement = "placement"
-	// OpShardOffer: participant → coordinator. A dist.Offer for a query
-	// blocked with no local partner.
-	OpShardOffer = "shard_offer"
-	// OpShardPrepare: coordinator → participant. A dist.Prepare delivering
-	// a tentative cross-shard answer for revalidation.
-	OpShardPrepare = "shard_prepare"
-	// OpShardVote: participant → coordinator. A dist.Vote (yes = parked and
-	// prepared durably; no = validation failed).
-	OpShardVote = "shard_vote"
-	// OpShardDecide: coordinator → participant. A dist.Decide carrying the
-	// logged group verdict.
-	OpShardDecide = "shard_decide"
+	OpPlacement Op = 15
 	// OpShardStatus: participant → coordinator. Inquire a group's verdict
-	// (Request.Handle carries the group id; dist.Status returns in
-	// Response.Stats). Recovery uses it to resolve in-doubt groups.
-	OpShardStatus = "shard_status"
+	// (Request.Handle carries the group id; dist.Status returns as JSON in
+	// Response.Body). Recovery uses it to resolve in-doubt groups.
+	OpShardStatus Op = 16
+	// OpShardMsg: one fire-and-forget message of the cross-shard group
+	// commit — a dist.Envelope (offer, prepare, vote or decide) as JSON in
+	// Request.Body. Server-to-server traffic reuses the client protocol:
+	// each serve process dials its peers like any client would.
+	OpShardMsg Op = 17
+
+	opEnd = OpShardMsg + 1 // first unassigned opcode: follows the last op above
 )
 
 // Request is the client→server frame payload.
 type Request struct {
-	ID      uint64 `json:"id"`
-	Op      string `json:"op"`
-	SQL     string `json:"sql,omitempty"`     // exec / ddl / submit / session_exec
-	Handle  uint64 `json:"handle,omitempty"`  // wait / poll
-	Session uint64 `json:"session,omitempty"` // session_exec / session_close
-	Codec   string `json:"codec,omitempty"`   // hello: codec the client wants
-	Idem    uint64 `json:"idem,omitempty"`    // client-assigned idempotency id (0 = none)
-	Client  string `json:"client,omitempty"`  // hello: stable client identity for dedup across reconnects
-	Trace   uint64 `json:"trace,omitempty"`   // lifecycle trace id (0 = untraced; see internal/obs)
+	ID      uint64
+	Op      Op
+	SQL     string // exec / ddl / submit / session_exec
+	Handle  uint64 // wait / poll
+	Session uint64 // session_exec / session_close
+	Idem    uint64 // client-assigned idempotency id (0 = none)
+	Client  string // hello: stable client identity for dedup across reconnects
+	Body    []byte // op-specific payload, opaque to the codec (shard_msg)
+	Trace   uint64 // lifecycle trace id (0 = untraced; see internal/obs)
 }
 
 // Response is the server→client frame payload. Exactly one per request,
 // correlated by ID. OK false carries Error (and ErrCode when the error is
 // one of the engine's sentinel conditions).
 //
-// One exception to the correlation rule: a well-framed request whose JSON
-// cannot be decoded at all has an unrecoverable ID, so the server answers
-// with ID 0 and then closes the connection (the stream can no longer be
-// trusted). Clients should treat an ID-0 error response as fatal to the
-// connection, not to any particular request.
+// One exception to the correlation rule: a well-framed request whose
+// payload cannot be decoded at all has an unrecoverable ID, so the server
+// answers with ID 0 and then closes the connection (the stream can no
+// longer be trusted). Clients should treat an ID-0 error response as fatal
+// to the connection, not to any particular request.
 type Response struct {
-	ID      uint64 `json:"id"`
-	OK      bool   `json:"ok"`
-	Error   string `json:"error,omitempty"`
-	ErrCode string `json:"err_code,omitempty"`
+	ID      uint64
+	OK      bool
+	Error   string
+	ErrCode string
 
-	Version int             `json:"version,omitempty"` // ping / hello
-	Codec   string          `json:"codec,omitempty"`   // hello: codec the server chose
-	Result  *Result         `json:"result,omitempty"`  // exec / session_exec
-	Handle  uint64          `json:"handle,omitempty"`  // submit
-	Session uint64          `json:"session,omitempty"` // session_open
-	Done    bool            `json:"done,omitempty"`    // poll: outcome present
-	Outcome *Outcome        `json:"outcome,omitempty"` // wait / poll
-	Stats   json.RawMessage `json:"stats,omitempty"`   // stats / metrics / trace payloads
-	Tables  []TableInfo     `json:"tables,omitempty"`  // tables
+	Version int         // ping / hello
+	Result  *Result     // exec / session_exec
+	Handle  uint64      // submit
+	Session uint64      // session_open
+	Done    bool        // poll: outcome present
+	Outcome *Outcome    // wait / poll
+	Body    []byte      // stats / metrics / trace / placement / shard_status payloads, opaque to the codec
+	Tables  []TableInfo // tables
 
 	// Trace echoes the request's trace id — canonicalized, so after an
 	// entanglement merge the client learns which trace its spans now live
-	// under. Zero when the request was untraced; JSON peers that predate
-	// the field simply never see it (omitempty), and the binary codec
-	// gates it behind a flags bit, so absent = zero bytes on the wire.
-	Trace uint64 `json:"trace,omitempty"`
+	// under. Zero when the request was untraced; the frame gates it behind
+	// a flags bit, so absent = zero bytes on the wire.
+	Trace uint64
 }
 
-// Result is a query result in wire form; rows reuse the value encoding of
-// internal/types (see types/json.go).
+// Result is a query result in wire form; rows use the value encoding of
+// internal/types.
 type Result struct {
-	Columns      []string      `json:"columns,omitempty"`
-	Rows         []types.Tuple `json:"rows,omitempty"`
-	RowsAffected int           `json:"rows_affected,omitempty"`
+	Columns      []string
+	Rows         []types.Tuple
+	RowsAffected int
 }
 
 // Outcome is a program's final disposition in wire form. Status is the
 // core.Status string (COMMITTED, ROLLED-BACK, TIMED-OUT, FAILED).
 type Outcome struct {
-	Status   string `json:"status"`
-	Error    string `json:"error,omitempty"`
-	ErrCode  string `json:"err_code,omitempty"`
-	Attempts int    `json:"attempts"`
+	Status   string
+	Error    string
+	ErrCode  string
+	Attempts int
 }
 
 // ErrCode values let the client map sentinel failures back onto the
@@ -183,9 +159,9 @@ const (
 
 // TableInfo is one catalog entry.
 type TableInfo struct {
-	Name   string `json:"name"`
-	Schema string `json:"schema"`
-	Rows   int    `json:"rows"`
+	Name   string
+	Schema string
+	Rows   int
 }
 
 // TableInfos renders a catalog in wire form — one shared implementation
