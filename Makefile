@@ -10,8 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line repeats the cross-shard wake tests: they run with the
+# retry tick disabled, so a schedule-dependent lost wake fails here as a
+# flake instead of silently falling back to the tick.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestDist|TestWake' ./internal/core/
 
 vet:
 	$(GO) vet ./...

@@ -79,6 +79,7 @@ type liveOffer struct {
 // the coordinator's verdict.
 type parkedGroup struct {
 	members []*member
+	done    chan struct{} // closed by take: the group is resolved, its poller exits
 }
 
 // distRuntime is the engine's participant state for cross-shard group
@@ -139,15 +140,16 @@ func (d *distRuntime) takeReservation(m *member) (*liveOffer, *dist.Prepare) {
 	return d.offers[oid], p
 }
 
-// forget withdraws a settled program's offer and any undelivered
-// reservation; a racing prepare for it is voted down at delivery.
-func (d *distRuntime) forget(ent *pending) {
+// forget withdraws a settled program's offer — a racing prepare for it is
+// voted down at delivery — and returns the reservation it held but never
+// consumed, which the caller must vote down.
+func (d *distRuntime) forget(ent *pending) *dist.Prepare {
 	d.mu.Lock()
-	if oid := ent.offerID; oid != 0 {
-		delete(d.offers, oid)
-		delete(d.prepares, oid)
-	}
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	p := d.prepares[ent.offerID]
+	delete(d.offers, ent.offerID)
+	delete(d.prepares, ent.offerID)
+	return p
 }
 
 func (d *distRuntime) voteNo(group, offer uint64) {
@@ -163,7 +165,8 @@ func (d *distRuntime) park(group uint64, ms []*member) {
 		e.txm.Enter()
 	}
 	d.mu.Lock()
-	d.parked[group] = &parkedGroup{members: ms}
+	pg := &parkedGroup{members: ms, done: make(chan struct{})}
+	d.parked[group] = pg
 	d.mu.Unlock()
 	for _, m := range ms {
 		v := dist.Vote{Group: group, Offer: m.entry.offerID, Node: d.cfg.Node, Yes: true}
@@ -172,21 +175,18 @@ func (d *distRuntime) park(group uint64, ms []*member) {
 		}
 		go d.cfg.Transport.Vote(v)
 	}
-	go d.pollDecision(group)
+	go d.pollDecision(group, pg.done)
 }
 
 func (d *distRuntime) take(group uint64) *parkedGroup {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	pg := d.parked[group]
-	delete(d.parked, group)
+	if pg != nil {
+		delete(d.parked, group)
+		close(pg.done)
+	}
 	return pg
-}
-
-func (d *distRuntime) has(group uint64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.parked[group] != nil
 }
 
 // Parked reports how many distributed groups are currently prepared and
@@ -202,37 +202,26 @@ func (e *Engine) Parked() int {
 }
 
 // pollDecision is the parked group's safety net: if the pushed decision is
-// lost, ask the coordinator. A pending group keeps us waiting (the
-// coordinator's timeout will decide it); a group the coordinator has no
-// record of is a presumed abort.
-func (d *distRuntime) pollDecision(group uint64) {
-	grace := time.NewTimer(d.cfg.StatusGrace)
-	defer grace.Stop()
-	select {
-	case <-grace.C:
-	case <-d.stop:
-		return
-	}
-	tick := time.NewTicker(d.cfg.StatusTick)
-	defer tick.Stop()
+// lost, ask the coordinator — after StatusGrace, then every StatusTick. A
+// pending group keeps us waiting (the coordinator's timeout will decide
+// it); a group the coordinator has no record of is a presumed abort. done
+// ends the poller the moment the group is resolved.
+func (d *distRuntime) pollDecision(group uint64, done <-chan struct{}) {
+	wait := time.NewTimer(d.cfg.StatusGrace)
+	defer wait.Stop()
 	for {
-		if !d.has(group) {
-			return
-		}
-		st, err := d.cfg.Transport.Status(group)
-		if err == nil && st.Known {
-			d.e.ApplyDecision(group, st.Commit)
-			return
-		}
-		if err == nil && !st.Pending {
-			d.e.ApplyDecision(group, false)
-			return
-		}
 		select {
-		case <-tick.C:
+		case <-wait.C:
+		case <-done:
+			return
 		case <-d.stop:
 			return
 		}
+		if st, err := d.cfg.Transport.Status(group); err == nil && !st.Pending {
+			d.e.ApplyDecision(group, st.Known && st.Commit)
+			return
+		}
+		wait.Reset(d.cfg.StatusTick)
 	}
 }
 
@@ -256,35 +245,34 @@ func (d *distRuntime) shutdown() {
 }
 
 // DeliverPrepare hands a matchmaker prepare to the engine (any
-// goroutine). The reservation is consumed by the scheduler at the next
-// round's beforeRound; a prepare for an unknown or already-reserved offer
-// is refused with an immediate no vote.
+// goroutine). The reservation wakes its member: the scheduler re-executes
+// that one pool entry on its next turn and the run's beforeRound consumes
+// the reservation — no arrival, no tick. A prepare for an unknown or
+// already-reserved offer is refused with an immediate no vote.
 func (e *Engine) DeliverPrepare(p dist.Prepare) {
 	d := e.dist
 	if d == nil {
 		return
 	}
 	d.mu.Lock()
-	_, known := d.offers[p.Offer]
-	_, reserved := d.prepares[p.Offer]
-	if known && !reserved {
-		cp := p
-		d.prepares[p.Offer] = &cp
+	lo := d.offers[p.Offer]
+	if _, reserved := d.prepares[p.Offer]; lo == nil || reserved {
 		d.mu.Unlock()
-		select {
-		case e.wake <- struct{}{}:
-		default:
-		}
+		d.voteNo(p.Group, p.Offer)
 		return
 	}
+	d.prepares[p.Offer] = &p
 	d.mu.Unlock()
-	d.voteNo(p.Group, p.Offer)
+	e.wakeEntry(lo.entry)
 }
 
 // ApplyDecision resolves a parked group (any goroutine; idempotent).
 // Commit goes through the one commit routine (commitUnits); abort rolls the
 // members back and requeues them — averted widows, exactly as when a
-// local group member cannot commit.
+// local group member cannot commit — and wakes them, so the retry that
+// re-offers them starts now. An entry already woken this way since its last
+// arrival- or tick-triggered run is only pooled: a group that aborts every
+// time retries at tick cadence, not in a hot loop.
 func (e *Engine) ApplyDecision(group uint64, commit bool) {
 	d := e.dist
 	if d == nil {
@@ -296,23 +284,31 @@ func (e *Engine) ApplyDecision(group uint64, commit bool) {
 	}
 	if commit {
 		e.commitUnits([][]*member{pg.members}, true)
-	} else {
-		for _, m := range pg.members {
-			m.tx.Abort()
-			e.bump(e.met.widowsAverted)
-			select {
-			case e.requeueq <- m.entry:
-				select {
-				case e.wake <- struct{}{}:
-				default:
-				}
-			case <-e.done:
-				e.settle(m.entry, e.met.failures, Outcome{Status: StatusFailed, Err: ErrEngineClosed, Attempts: m.entry.attempts})
-			}
-		}
 	}
-	for range pg.members {
+	for _, m := range pg.members {
+		if !commit {
+			e.requeueAborted(m)
+		}
 		e.txm.Exit()
+	}
+}
+
+// requeueAborted rolls back one member of an aborted group and returns its
+// entry to the scheduler (any goroutine).
+func (e *Engine) requeueAborted(m *member) {
+	m.tx.Abort()
+	e.bump(e.met.widowsAverted)
+	eager := !m.entry.abortWoken
+	m.entry.abortWoken = true
+	select {
+	case e.requeueq <- m.entry:
+		if eager {
+			e.wakeEntry(m.entry)
+		} else {
+			e.poke()
+		}
+	case <-e.done:
+		e.settle(m.entry, e.met.failures, Outcome{Status: StatusFailed, Err: ErrEngineClosed, Attempts: m.entry.attempts})
 	}
 }
 

@@ -47,9 +47,11 @@ type Options struct {
 	Connections int
 	// DefaultTimeout applies to programs that do not set one. Default 10s.
 	DefaultTimeout time.Duration
-	// RetryInterval triggers a run when transactions are pooled but too few
-	// arrivals have accumulated, so pending transactions are retried and
-	// timeouts expire. Default 25ms.
+	// RetryInterval is the scheduler's backstop tick: it runs the whole pool
+	// when too few arrivals have accumulated, so pending transactions are
+	// retried, timeouts expire and a lost cross-shard offer is re-exported.
+	// Nothing on the cross-shard commit path waits for it — a delivered
+	// prepare or abort decision wakes its member at once. Default 25ms.
 	RetryInterval time.Duration
 	// StmtLatency simulates the per-statement client-DBMS round trip of the
 	// paper's middle-tier-over-MySQL deployment. Zero for tests; the
@@ -177,6 +179,10 @@ type pending struct {
 	submitAt time.Time // Submit time: answer-latency histogram anchor
 	enqueued time.Time // last (re)entry into the pool: submit-span anchor
 	offerID  uint64    // stable cross-shard offer id (minted on first export)
+	// abortWoken: a group-abort decision already bought this entry an eager
+	// retry since its last arrival- or tick-triggered run; the next abort
+	// leaves it to the tick. Owned by whoever owns the entry.
+	abortWoken bool
 }
 
 // Engine is the entangled transaction manager.
@@ -196,6 +202,11 @@ type Engine struct {
 	mu       sync.Mutex
 	closed   bool
 	draining bool
+	// woken is the cross-shard slice of the wake index: pool entries that an
+	// event from another shard (a delivered prepare, an abort decision) made
+	// runnable. Any goroutine adds; the scheduler takes the set on its next
+	// turn and runs exactly those entries.
+	woken map[*pending]bool
 
 	// arrivalq carries submitted programs to the scheduler, which ingests
 	// them one at a time between runs — every RunFrequency-th ingested
@@ -219,6 +230,8 @@ type Engine struct {
 	done   chan struct{}
 	// requeueq carries pool re-entries from goroutines other than the
 	// scheduler (a distributed group decided abort; the members retry).
+	// Buffered so an abort decision's deliverer does not wait for a run in
+	// progress; the scheduler drains it at the top of every turn.
 	requeueq chan *pending
 
 	// statsMu orders program-lifecycle counter increments against Stats
@@ -327,11 +340,54 @@ func (e *Engine) Submit(p Program) *Handle {
 	if t := p.Trace; t != 0 {
 		e.tracer.Begin(t, now)
 	}
+	e.poke()
+	return h
+}
+
+// poke asks the scheduler for a turn (any goroutine). One buffered token is
+// enough: the scheduler re-reads every queue and the woken set after it.
+func (e *Engine) poke() {
 	select {
 	case e.wake <- struct{}{}:
 	default:
 	}
-	return h
+}
+
+// wakeEntry puts a dormant entry in the woken set and pokes the scheduler,
+// which re-executes it on its next turn without waiting for an arrival or
+// the tick. The set is level-triggered: an entry woken while its run is
+// still executing is run again as soon as executeRun returns.
+func (e *Engine) wakeEntry(ent *pending) {
+	e.mu.Lock()
+	if e.woken == nil {
+		e.woken = make(map[*pending]bool)
+	}
+	e.woken[ent] = true
+	e.mu.Unlock()
+	e.poke()
+}
+
+// takeWoken empties the woken set and splits the pool (scheduler goroutine
+// only) into the woken entries and the rest, which stays dormant. A woken
+// entry that is not pooled — a whole-pool run got to it first and it parked
+// or settled, or it reached requeueq after this turn's ingest — is dropped:
+// the tick is its backstop.
+func (e *Engine) takeWoken(pool []*pending) (batch, rest []*pending) {
+	e.mu.Lock()
+	woken := e.woken
+	e.woken = nil
+	e.mu.Unlock()
+	if len(woken) == 0 {
+		return nil, pool
+	}
+	for _, ent := range pool {
+		if woken[ent] {
+			batch = append(batch, ent)
+		} else {
+			rest = append(rest, ent)
+		}
+	}
+	return batch, rest
 }
 
 // settle delivers a program's final outcome: lifecycle counter, answer-
@@ -349,8 +405,12 @@ func (e *Engine) settle(ent *pending, c *obs.Counter, o Outcome) {
 	}
 	if e.dist != nil {
 		// A settled program can no longer honor a cross-shard reservation:
-		// withdraw its offer so a racing prepare is voted down promptly.
-		e.dist.forget(ent)
+		// withdraw its offer so a racing prepare is voted down at delivery,
+		// and vote down the one it already holds — its partner is parked on
+		// another shard, holding locks until the group decides.
+		if p := e.dist.forget(ent); p != nil {
+			e.dist.voteNo(p.Group, p.Offer)
+		}
 	}
 	ent.handle.done <- o
 }
@@ -382,8 +442,9 @@ func (e *Engine) Close() {
 	<-e.done
 }
 
-// loop is the scheduler: it forms runs per the run-frequency policy,
-// retries pooled transactions on a timer, and expires timeouts.
+// loop is the scheduler: it forms runs per the run-frequency policy, runs
+// woken entries as soon as they are woken, and on the backstop tick retries
+// the whole pool and expires timeouts.
 func (e *Engine) loop() {
 	defer close(e.done)
 	ticker := time.NewTicker(e.opts.RetryInterval)
@@ -408,21 +469,7 @@ func (e *Engine) loop() {
 				// the coordinator's decision. The handles fail now.
 				e.dist.shutdown()
 			}
-			pool := e.pool
-			e.pool = nil
-			for {
-				select {
-				case ent := <-e.arrivalq:
-					pool = append(pool, ent)
-					continue
-				case ent := <-e.requeueq:
-					pool = append(pool, ent)
-					continue
-				default:
-				}
-				break
-			}
-			for _, ent := range pool {
+			for _, ent := range e.sweepAll() {
 				e.settle(ent, nil, Outcome{Status: StatusFailed, Err: ErrEngineClosed, Attempts: ent.attempts})
 			}
 			return
@@ -440,23 +487,23 @@ func (e *Engine) loop() {
 			msg.reply <- len(e.pool) + len(e.arrivalq)
 		case <-e.wake:
 			e.runIfDue(false)
-		case ent := <-e.requeueq:
-			e.requeue(ent)
 		case <-ticker.C:
 			e.runIfDue(true)
 		}
 	}
 }
 
-// runIfDue is the scheduler core. It ingests queued arrivals one at a
-// time; every RunFrequency-th ingested arrival triggers a run, executed
-// synchronously before further ingestion — so runs cannot coalesce and the
-// f knob of §5.2.2 directly controls how many runs a stream of arrivals
-// pays for. Each run drains the entire dormant pool (new arrivals plus
-// transactions returned by earlier runs), per §4: "include in a run all
-// transactions present in the dormant pool". force (retry tick, Flush)
-// runs the pool even without enough arrivals, so pending transactions are
-// retried and timeouts expire.
+// runIfDue is the scheduler core: every run — arrival-, tick-, Flush- or
+// wake-triggered — is formed here and differs only in the batch it selects.
+// It ingests queued arrivals one at a time; every RunFrequency-th ingested
+// arrival triggers a run, executed synchronously before further ingestion —
+// so runs cannot coalesce and the f knob of §5.2.2 directly controls how
+// many runs a stream of arrivals pays for. Such a run drains the entire
+// dormant pool (new arrivals plus transactions returned by earlier runs),
+// per §4: "include in a run all transactions present in the dormant pool".
+// force (retry tick, Flush) runs the pool even without enough arrivals, so
+// pending transactions are retried and timeouts expire. With neither, the
+// run holds exactly the woken set and the rest of the pool stays dormant.
 //
 // The pool is only touched from the scheduler goroutine.
 func (e *Engine) runIfDue(force bool) {
@@ -465,6 +512,8 @@ func (e *Engine) runIfDue(force bool) {
 	ingest:
 		for !trigger {
 			select {
+			case ent := <-e.requeueq:
+				e.requeue(ent)
 			case ent := <-e.arrivalq:
 				if e.drainAborted {
 					e.settle(ent, e.met.timeouts, Outcome{Status: StatusTimedOut, Err: ErrDraining, Attempts: ent.attempts})
@@ -492,15 +541,19 @@ func (e *Engine) runIfDue(force bool) {
 			}
 		}
 		e.pool = kept
-		if !trigger && force && len(e.pool) > 0 {
-			trigger = true
+		batch, rest := e.pool, []*pending(nil)
+		if trigger || force {
+			for _, ent := range batch {
+				ent.abortWoken = false
+			}
+		} else {
+			batch, rest = e.takeWoken(e.pool)
 		}
 		force = false
-		if !trigger || len(e.pool) == 0 {
+		if len(batch) == 0 {
 			return
 		}
-		batch := e.pool
-		e.pool = nil
+		e.pool = rest
 		e.executeRun(batch)
 	}
 }
@@ -514,8 +567,8 @@ func (e *Engine) requeue(ent *pending) {
 	}
 	e.bump(e.met.requeues)
 	ent.enqueued = now // the next submit span measures this pool wait
-	// Called from the scheduler goroutine (finalizeRun), so appending to
-	// the pool directly is safe.
+	// Called from the scheduler goroutine only (finalize, requeueq ingest),
+	// so appending to the pool directly is safe.
 	e.pool = append(e.pool, ent)
 }
 
@@ -593,22 +646,25 @@ func (e *Engine) drainStep(abort bool) int {
 // only) and marks the engine so late-slipping arrivals fail at ingestion.
 func (e *Engine) abortPoolForDrain() {
 	e.drainAborted = true
+	for _, ent := range e.sweepAll() {
+		e.settle(ent, e.met.timeouts, Outcome{Status: StatusTimedOut, Err: ErrDraining, Attempts: ent.attempts})
+	}
+}
+
+// sweepAll empties the pool and both intake queues (scheduler goroutine
+// only) and returns every entry they held, for a terminal settle.
+func (e *Engine) sweepAll() []*pending {
 	pool := e.pool
 	e.pool = nil
 	for {
 		select {
 		case ent := <-e.arrivalq:
 			pool = append(pool, ent)
-			continue
 		case ent := <-e.requeueq:
 			pool = append(pool, ent)
-			continue
 		default:
+			return pool
 		}
-		break
-	}
-	for _, ent := range pool {
-		e.settle(ent, e.met.timeouts, Outcome{Status: StatusTimedOut, Err: ErrDraining, Attempts: ent.attempts})
 	}
 }
 

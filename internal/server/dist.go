@@ -264,7 +264,9 @@ func (ds *distState) deliver(msg dist.Envelope) error {
 
 // Offer advertises an unmatched entangled query to the coordinator. A
 // lost offer is harmless: the scheduler's retry tick re-grounds and
-// re-offers the member while it waits.
+// re-offers the member while it waits — the one place the cross-shard path
+// still leans on the tick; a delivered prepare or decision wakes its
+// member directly (core.Engine.DeliverPrepare / ApplyDecision).
 func (ds *distState) Offer(o dist.Offer) { _ = ds.send(ds.coord, dist.Envelope{Offer: &o}) }
 
 // Vote reports a prepare outcome to the coordinator. A lost vote resolves
