@@ -10,12 +10,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line repeats the cross-shard wake tests: they run with the
-# retry tick disabled, so a schedule-dependent lost wake fails here as a
-# flake instead of silently falling back to the tick.
+# The second line repeats the cross-shard wake tests and the arrival
+# selection tests (including the randomized equivalence against whole-pool
+# runs): they run with the retry tick disabled, so a schedule-dependent lost
+# wake or stranded member fails here as a flake instead of silently falling
+# back to the tick.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestDist|TestWake' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestDist|TestWake|TestArrival|TestCommittedWrite|TestPull|TestSelection' ./internal/core/
 
 vet:
 	$(GO) vet ./...

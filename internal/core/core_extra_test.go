@@ -114,7 +114,25 @@ func TestRunFrequencyControlsRunCount(t *testing.T) {
 // different partners in sequence groups all three for commit.
 func TestMultiQueryPartnersAccumulate(t *testing.T) {
 	e := newTestEngine(t, Options{RunFrequency: 3})
-	hub := Program{
+	hub, spoke1, spoke2 := multiQueryHub()
+	h1 := e.Submit(hub)
+	h2 := e.Submit(spoke1)
+	h3 := e.Submit(spoke2)
+	for i, h := range []*Handle{h1, h2, h3} {
+		if o := h.Wait(); o.Status != StatusCommitted {
+			t.Fatalf("tx %d: %+v", i, o)
+		}
+	}
+	// One transitive group of three: exactly one group commit.
+	if st := e.Stats(); st.GroupCommits != 1 {
+		t.Errorf("GroupCommits = %d, want 1 (transitive hub group)", st.GroupCommits)
+	}
+}
+
+// multiQueryHub is a hub that entangles with s1 on a flight and then with
+// s2 on a hotel, plus the two spokes.
+func multiQueryHub() (hub, spoke1, spoke2 Program) {
+	hub = Program{
 		Name:    "hub",
 		Timeout: 3 * time.Second,
 		Body: func(tx *Tx) error {
@@ -128,7 +146,7 @@ func TestMultiQueryPartnersAccumulate(t *testing.T) {
 			return nil
 		},
 	}
-	spoke1 := Program{
+	spoke1 = Program{
 		Name:    "s1",
 		Timeout: 3 * time.Second,
 		Body: func(tx *Tx) error {
@@ -138,7 +156,7 @@ func TestMultiQueryPartnersAccumulate(t *testing.T) {
 			return nil
 		},
 	}
-	spoke2 := Program{
+	spoke2 = Program{
 		Name:    "s2",
 		Timeout: 3 * time.Second,
 		Body: func(tx *Tx) error {
@@ -148,18 +166,7 @@ func TestMultiQueryPartnersAccumulate(t *testing.T) {
 			return nil
 		},
 	}
-	h1 := e.Submit(hub)
-	h2 := e.Submit(spoke1)
-	h3 := e.Submit(spoke2)
-	for i, h := range []*Handle{h1, h2, h3} {
-		if o := h.Wait(); o.Status != StatusCommitted {
-			t.Fatalf("tx %d: %+v", i, o)
-		}
-	}
-	// One transitive group of three: exactly one group commit.
-	if st := e.Stats(); st.GroupCommits != 1 {
-		t.Errorf("GroupCommits = %d, want 1 (transitive hub group)", st.GroupCommits)
-	}
+	return hub, spoke1, spoke2
 }
 
 // TestHubFailureAbortsWholeTransitiveGroup: if the hub rolls back after

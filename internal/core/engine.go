@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/eq"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
@@ -39,7 +41,7 @@ type Options struct {
 	Isolation Isolation
 	// RunFrequency f: start a new run once f new transactions have arrived
 	// (§5.2.2). Default 1 — a run per arrival, the paper's most eager
-	// policy.
+	// policy. Such a run re-executes only what the arrivals can entangle with.
 	RunFrequency int
 	// Connections bounds concurrently executing transactions, modelling the
 	// DBMS connection limit the paper identifies as the concurrency cap.
@@ -48,10 +50,10 @@ type Options struct {
 	// DefaultTimeout applies to programs that do not set one. Default 10s.
 	DefaultTimeout time.Duration
 	// RetryInterval is the scheduler's backstop tick: it runs the whole pool
-	// when too few arrivals have accumulated, so pending transactions are
-	// retried, timeouts expire and a lost cross-shard offer is re-exported.
-	// Nothing on the cross-shard commit path waits for it — a delivered
-	// prepare or abort decision wakes its member at once. Default 25ms.
+	// (§4's rule), so timeouts expire, a lost cross-shard offer is
+	// re-exported, and bodies that depend on Attempt() or the clock retry.
+	// Nothing on the commit path waits for it: arrivals pull in their
+	// partners, prepares and abort decisions wake theirs. Default 25ms.
 	RetryInterval time.Duration
 	// StmtLatency simulates the per-statement client-DBMS round trip of the
 	// paper's middle-tier-over-MySQL deployment. Zero for tests; the
@@ -183,6 +185,37 @@ type pending struct {
 	// retry since its last arrival- or tick-triggered run; the next abort
 	// leaves it to the tick. Owned by whoever owns the entry.
 	abortWoken bool
+	// wait is set while the entry's last run ended with it still blocked
+	// (scheduler goroutine only): arrival runs leave such an entry dormant.
+	wait *waitRecord
+}
+
+// waitRecord is what one attempt depended on: the entangled queries it
+// posed, the tables its Tx operations and query bodies named, and the
+// commit clock at its start. Until one of those tables commits, re-running
+// it repeats the attempt — unless its body reads Attempt() or the clock.
+type waitRecord struct {
+	queries []*eq.Query
+	tables  []string
+	csn     uint64
+}
+
+// note adds a table to the record (nil-safe: RunDirect members keep none).
+func (w *waitRecord) note(table string) {
+	if w != nil && !slices.Contains(w.tables, table) {
+		w.tables = append(w.tables, table)
+	}
+}
+
+// changed reports whether a commit touched one of the recorded tables since
+// the attempt started (a table that is gone counts as changed).
+func (w *waitRecord) changed(cat *storage.Catalog) bool {
+	for _, name := range w.tables {
+		if tbl, err := cat.Get(name); err != nil || tbl.LastCSN() > w.csn {
+			return true
+		}
+	}
+	return false
 }
 
 // Engine is the entangled transaction manager.
@@ -202,10 +235,10 @@ type Engine struct {
 	mu       sync.Mutex
 	closed   bool
 	draining bool
-	// woken is the cross-shard slice of the wake index: pool entries that an
-	// event from another shard (a delivered prepare, an abort decision) made
-	// runnable. Any goroutine adds; the scheduler takes the set on its next
-	// turn and runs exactly those entries.
+	// woken holds pool entries that an event from another shard (a
+	// delivered prepare, an abort decision) made runnable. Any goroutine
+	// adds; every batch formation consumes the set, and a turn with neither
+	// an arrival nor a tick runs exactly those entries.
 	woken map[*pending]bool
 
 	// arrivalq carries submitted programs to the scheduler, which ingests
@@ -367,21 +400,28 @@ func (e *Engine) wakeEntry(ent *pending) {
 	e.poke()
 }
 
-// takeWoken empties the woken set and splits the pool (scheduler goroutine
-// only) into the woken entries and the rest, which stays dormant. A woken
-// entry that is not pooled — a whole-pool run got to it first and it parked
-// or settled, or it reached requeueq after this turn's ingest — is dropped:
-// the tick is its backstop.
-func (e *Engine) takeWoken(pool []*pending) (batch, rest []*pending) {
+// selectBatch consumes the woken set and splits the pool (scheduler
+// goroutine only) into the run's batch and the entries that stay dormant:
+//
+//   - force (tick, Flush, Drain): the whole pool, §4's rule;
+//   - arrival: every woken entry, every entry without a wait record
+//     (arrivals, retry and widow requeues) and every entry whose recorded
+//     tables committed since — executeRun pulls in the rest on demand;
+//   - neither (a wake): exactly the woken entries.
+//
+// A woken entry that is not pooled (a run got to it first, or it reached
+// requeueq after this turn's ingest) is dropped: the tick is its backstop.
+func (e *Engine) selectBatch(arrival, force bool) (batch, rest []*pending) {
 	e.mu.Lock()
 	woken := e.woken
 	e.woken = nil
 	e.mu.Unlock()
-	if len(woken) == 0 {
-		return nil, pool
+	if force {
+		return e.pool, nil
 	}
-	for _, ent := range pool {
-		if woken[ent] {
+	cat := e.txm.Catalog()
+	for _, ent := range e.pool {
+		if woken[ent] || arrival && (ent.wait == nil || ent.wait.changed(cat)) {
 			batch = append(batch, ent)
 		} else {
 			rest = append(rest, ent)
@@ -494,16 +534,16 @@ func (e *Engine) loop() {
 }
 
 // runIfDue is the scheduler core: every run — arrival-, tick-, Flush- or
-// wake-triggered — is formed here and differs only in the batch it selects.
-// It ingests queued arrivals one at a time; every RunFrequency-th ingested
-// arrival triggers a run, executed synchronously before further ingestion —
-// so runs cannot coalesce and the f knob of §5.2.2 directly controls how
-// many runs a stream of arrivals pays for. Such a run drains the entire
-// dormant pool (new arrivals plus transactions returned by earlier runs),
-// per §4: "include in a run all transactions present in the dormant pool".
-// force (retry tick, Flush) runs the pool even without enough arrivals, so
-// pending transactions are retried and timeouts expire. With neither, the
-// run holds exactly the woken set and the rest of the pool stays dormant.
+// wake-triggered — is formed here and differs only in the batch it selects
+// (selectBatch). It ingests queued arrivals one at a time; every
+// RunFrequency-th ingested arrival triggers a run, executed synchronously
+// before further ingestion — so runs cannot coalesce and the f knob of
+// §5.2.2 directly controls how many runs a stream of arrivals pays for.
+// Such a run re-executes only what the arrivals can entangle with; force
+// (retry tick, Flush, Drain) runs the whole dormant pool, per §4: "include
+// in a run all transactions present in the dormant pool", so pending
+// transactions are retried and timeouts expire. With neither, the run holds
+// exactly the woken set.
 //
 // The pool is only touched from the scheduler goroutine.
 func (e *Engine) runIfDue(force bool) {
@@ -541,13 +581,11 @@ func (e *Engine) runIfDue(force bool) {
 			}
 		}
 		e.pool = kept
-		batch, rest := e.pool, []*pending(nil)
+		batch, rest := e.selectBatch(trigger, force)
 		if trigger || force {
 			for _, ent := range batch {
 				ent.abortWoken = false
 			}
-		} else {
-			batch, rest = e.takeWoken(e.pool)
 		}
 		force = false
 		if len(batch) == 0 {

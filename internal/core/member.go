@@ -72,6 +72,7 @@ func (m *member) autocommitTxn(fn func(t *txn.Txn) error) error {
 }
 
 func (m *member) opScan(table string) ([]types.Tuple, error) {
+	m.wait.note(table)
 	m.simulateLatency()
 	if m.entry.prog.Autocommit {
 		var rows []types.Tuple
@@ -87,6 +88,7 @@ func (m *member) opScan(table string) ([]types.Tuple, error) {
 }
 
 func (m *member) opScanIDs(table string) ([]storage.RowID, []types.Tuple, error) {
+	m.wait.note(table)
 	m.simulateLatency()
 	if m.entry.prog.Autocommit {
 		var ids []storage.RowID
@@ -108,6 +110,7 @@ func (m *member) opLookup(table string, columns []string, key types.Tuple) ([]ty
 }
 
 func (m *member) opLookupIDs(table string, columns []string, key types.Tuple) ([]storage.RowID, []types.Tuple, error) {
+	m.wait.note(table)
 	m.simulateLatency()
 	if m.entry.prog.Autocommit {
 		var ids []storage.RowID
@@ -124,6 +127,7 @@ func (m *member) opLookupIDs(table string, columns []string, key types.Tuple) ([
 }
 
 func (m *member) opInsert(table string, row types.Tuple) (storage.RowID, error) {
+	m.wait.note(table)
 	m.simulateLatency()
 	if m.entry.prog.Autocommit {
 		var id storage.RowID
@@ -139,6 +143,7 @@ func (m *member) opInsert(table string, row types.Tuple) (storage.RowID, error) 
 }
 
 func (m *member) opUpdate(table string, id storage.RowID, row types.Tuple) error {
+	m.wait.note(table)
 	m.simulateLatency()
 	if m.entry.prog.Autocommit {
 		return m.check(m.autocommitTxn(func(t *txn.Txn) error {
@@ -149,6 +154,7 @@ func (m *member) opUpdate(table string, id storage.RowID, row types.Tuple) error
 }
 
 func (m *member) opDelete(table string, id storage.RowID) error {
+	m.wait.note(table)
 	m.simulateLatency()
 	if m.entry.prog.Autocommit {
 		return m.check(m.autocommitTxn(func(t *txn.Txn) error {
@@ -170,6 +176,10 @@ func (m *member) opEntangle(q *eq.Query) *eq.Answer {
 	r := m.run
 	if r.direct {
 		return &eq.Answer{Status: eq.Errored, Err: ErrDirectEntangle}
+	}
+	m.wait.queries = append(m.wait.queries, q)
+	for _, a := range q.Body {
+		m.wait.note(a.Rel)
 	}
 	r.mu.Lock()
 	m.query = q

@@ -4,8 +4,9 @@
 //
 //   - Programs are submitted with a timeout and enter a dormant pool.
 //   - The scheduler forms runs (one run per f arrivals, the run frequency
-//     knob of §5.2.2) and executes every pooled transaction concurrently,
-//     each in its own goroutine under Strict 2PL.
+//     knob of §5.2.2) and executes their transactions concurrently, each
+//     in its own goroutine under Strict 2PL: an arrival's run only what
+//     the arrivals can entangle with, the tick every pooled transaction.
 //   - A transaction that poses an entangled query blocks; when every
 //     member of the run is blocked, ready to commit, or aborted, the
 //     scheduler evaluates all pending entangled queries together

@@ -36,6 +36,7 @@ type member struct {
 	answerCh chan answerMsg
 	partners map[*member]bool // entanglement partners accumulated this run
 	finalErr error
+	wait     *waitRecord // this attempt's dependencies; nil under RunDirect
 
 	// Cross-shard scratch (distCoordinator only). A NoPartner evaluation
 	// leaves the groundings behind so afterRound can export them as an
@@ -83,40 +84,27 @@ func (e *Engine) executeRun(batch []*pending) {
 	defer e.txm.Exit()
 	r := &run{e: e}
 	r.cond = sync.NewCond(&r.mu)
-	runStart := time.Now()
 	for _, ent := range batch {
-		ent.attempts++
-		if t := ent.prog.Trace; t != 0 {
-			// The submit span covers the pool wait: (re)enqueue to run start.
-			e.tracer.Span(t, t, "submit", ent.enqueued, runStart.Sub(ent.enqueued),
-				fmt.Sprintf("attempt=%d", ent.attempts))
-		}
-		m := &member{
-			run:      r,
-			entry:    ent,
-			answerCh: make(chan answerMsg, 1),
-			partners: make(map[*member]bool),
-		}
-		r.members = append(r.members, m)
-	}
-	r.active = len(r.members)
-	for _, m := range r.members {
-		r.wg.Add(1)
-		go r.runMember(m)
+		r.start(ent)
 	}
 
 	// Evaluation rounds: once every member is blocked, ready, or aborted,
-	// evaluate all pending entangled queries together; resume the answered
-	// transactions; repeat until a round answers nobody (Figure 4's "the
-	// system recognizes that no-one can proceed further"). The coordinator
-	// brackets each round: beforeRound resumes members whose answers were
-	// prepared elsewhere (cross-shard reservations), afterRound exports the
-	// still-unmatched queries. The local coordinator makes both a no-op.
+	// pull in the dormant entries the blocked queries can entangle with, or
+	// else evaluate all pending entangled queries together; resume the
+	// answered transactions; repeat until a round answers nobody (Figure 4's
+	// "the system recognizes that no-one can proceed further"). The
+	// coordinator brackets each round: beforeRound resumes members whose
+	// answers were prepared elsewhere (cross-shard reservations), afterRound
+	// exports the still-unmatched queries. The local coordinator makes both a
+	// no-op.
 	for {
 		r.waitQuiescent()
 		blocked := r.blockedMembers()
 		if len(blocked) == 0 {
 			break
+		}
+		if r.pull(blocked) {
+			continue
 		}
 		resumed, remaining := e.coord.beforeRound(r, blocked)
 		if len(remaining) > 0 {
@@ -128,12 +116,74 @@ func (e *Engine) executeRun(batch []*pending) {
 		}
 	}
 
-	// Abort members still blocked: they return to the dormant pool.
+	// Abort members still blocked: they return to the dormant pool, keeping
+	// what this attempt waited on for the next arrival's selection.
 	for _, m := range r.blockedMembers() {
+		m.entry.wait = m.wait
 		r.resume(m, answerMsg{abortRun: true})
 	}
 	r.wg.Wait()
 	e.coord.finalize(r)
+}
+
+// start begins one attempt of a pooled entry as a member of the run: the
+// batch and every pulled entry go through here.
+func (r *run) start(ent *pending) {
+	e := r.e
+	ent.attempts++
+	ent.wait = nil
+	if t := ent.prog.Trace; t != 0 {
+		// The submit span covers the pool wait: (re)enqueue to this start.
+		e.tracer.Span(t, t, "submit", ent.enqueued, time.Since(ent.enqueued),
+			fmt.Sprintf("attempt=%d", ent.attempts))
+	}
+	m := &member{
+		run:      r,
+		entry:    ent,
+		answerCh: make(chan answerMsg, 1),
+		partners: make(map[*member]bool),
+		wait:     &waitRecord{csn: e.txm.CSN()},
+	}
+	r.mu.Lock()
+	r.members = append(r.members, m)
+	r.active++
+	r.mu.Unlock()
+	r.wg.Add(1)
+	go r.runMember(m)
+}
+
+// pull starts, as members of the run, every dormant pool entry that
+// recorded a query able to entangle with a blocked member's query, and
+// reports whether it started any. Repeated at every quiescence, it closes
+// transitively: a pulled member's own query pulls its partners next.
+// Scheduler goroutine only, like the pool.
+func (r *run) pull(blocked []*member) bool {
+	e := r.e
+	kept := e.pool[:0]
+	pulled := false
+	for _, ent := range e.pool {
+		if ent.wait != nil && entanglesAny(ent.wait.queries, blocked) {
+			r.start(ent)
+			pulled = true
+		} else {
+			kept = append(kept, ent)
+		}
+	}
+	e.pool = kept
+	return pulled
+}
+
+// entanglesAny reports whether some recorded query can entangle with some
+// blocked member's query.
+func entanglesAny(queries []*eq.Query, blocked []*member) bool {
+	for _, q := range queries {
+		for _, m := range blocked {
+			if eq.CanEntangle(q, m.query) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (r *run) waitQuiescent() {

@@ -323,6 +323,30 @@ func TestNoPartnerBlocks(t *testing.T) {
 	}
 }
 
+// TestCanEntangle: Mickey and Minnie can meet; Donald's post names Daffy,
+// but Mickey's post names Minnie, so neither feeds the other — while a
+// Daffy feeds Donald, which is enough in either direction.
+func TestCanEntangle(t *testing.T) {
+	person := func(me, them string) *Query {
+		q := mickeyQuery()
+		q.Head[0].Args[0], q.Post[0].Args[0] = CStr(me), CStr(them)
+		return q
+	}
+	for _, c := range []struct {
+		a, b *Query
+		want bool
+	}{
+		{mickeyQuery(), minnieQuery(), true},
+		{person("Donald", "Daffy"), mickeyQuery(), false},
+		{person("Donald", "Daffy"), person("Daffy", "Goofy"), true},
+		{person("Daffy", "Goofy"), person("Donald", "Daffy"), true},
+	} {
+		if got := CanEntangle(c.a, c.b); got != c.want {
+			t.Errorf("CanEntangle(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 // TestEmptyAnswerWhenPartnersIncompatible: partners are present and the
 // combined query is formulable, but no common value exists — query
 // succeeds with an empty answer (Appendix B) and the transaction proceeds.

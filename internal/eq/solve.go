@@ -593,6 +593,26 @@ func hasUnifiableProducer(queries []*Query, alive []bool, qi int, p Atom) bool {
 	return false
 }
 
+// CanEntangle reports whether a and b could ever meet in one combined
+// query: a postcondition atom of either unifies with a head atom of the
+// other — the conservative, database-independent test FormableSet uses.
+func CanEntangle(a, b *Query) bool {
+	return feeds(a, b) || feeds(b, a)
+}
+
+// feeds reports whether some head atom of producer unifies with some
+// postcondition atom of consumer.
+func feeds(producer, consumer *Query) bool {
+	for _, p := range consumer.Post {
+		for _, h := range producer.Head {
+			if atomsUnify(p, h) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // atomsUnify reports syntactic unifiability of two atoms: same relation and
 // arity, and wherever both arguments are constants they must be equal.
 // (Variables unify with anything; repeated-variable consistency is not

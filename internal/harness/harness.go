@@ -232,19 +232,24 @@ func MeasurePending(cfg Config, p, f int) (float64, error) {
 // coordination pair's second member is submitted p transactions after the
 // first, so a steady state of p partner-less transactions pends in the
 // dormant pool for the whole experiment and is re-executed (and
-// re-aborted) by every run. The per-run cost is dominated by the simulated
-// grounding round trips for the pending queries (GroundLatency). With
-// Config.Engine.GroundWorkers=1 that work is serialized as in the paper's middle
-// tier — total time scales with (runs executed) x p, and runs scale with
-// 1/f; with a parallel pool the round trips overlap and the per-run cost
-// flattens to roughly ceil(p/workers) x GroundLatency.
+// re-aborted) by every run. The experiment drives the runs itself — a
+// db.Flush every f submissions, with the engine's own arrival trigger out
+// of reach (RunFrequency 1<<30) — because Flush runs the whole pool as §4
+// states the rule, where an engine arrival run would re-execute only what
+// the arrivals can entangle with. The per-run cost is dominated by the
+// simulated grounding round trips for the pending queries (GroundLatency).
+// With Config.Engine.GroundWorkers=1 that work is serialized as in the
+// paper's middle tier — total time scales with (runs executed) x p, and
+// runs scale with 1/f; with a parallel pool the round trips overlap and the
+// per-run cost flattens to roughly ceil(p/workers) x GroundLatency.
 func MeasurePendingStats(cfg Config, p, f int) (float64, entangle.Stats, error) {
 	d, err := workload.NewDataset(workload.Config{Users: cfg.Users, Seed: cfg.Seed})
 	if err != nil {
 		return 0, entangle.Stats{}, err
 	}
+	f = max(f, 1) // RunFrequency's default
 	opts := cfg.Engine
-	opts.Connections, opts.RunFrequency = 100+p, f
+	opts.Connections, opts.RunFrequency = 100+p, 1<<30
 	// This experiment isolates evaluation cost: grounding round trips are
 	// simulated, statement round trips are not.
 	opts.StmtLatency, opts.GroundLatency = 0, 500*time.Microsecond
@@ -282,7 +287,9 @@ func MeasurePendingStats(cfg Config, p, f int) (float64, entangle.Stats, error) 
 	submit := func(prog entangle.Program) {
 		prog.Timeout = 10 * time.Minute
 		handles = append(handles, submitted{h: db.Submit(prog), i: seq})
-		seq++
+		if seq++; seq%f == 0 {
+			db.Flush()
+		}
 	}
 	for i := 0; i < pairs; i++ {
 		u, v := d.NextPair()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -151,41 +152,47 @@ func (s *Server) CloseSharding() {
 // ResolveInDoubtGroups resolves the transactions recovery left in-doubt
 // (prepared, no local verdict) against the coordinator's logged decision:
 // Known commit redoes the withheld effects, Known abort (or no record at
-// all — presumed abort) discards them. Pending groups and an unreachable
-// coordinator are retried until the budget expires; unresolved groups
-// stay in-doubt (their effects stay withheld) and an error reports them.
+// all — presumed abort) discards them. Every pass asks about every
+// remaining group, so one undecided group cannot starve the others; pending
+// groups and an unreachable coordinator are retried until the budget
+// expires, then the unresolved groups stay in-doubt (their effects stay
+// withheld) and the error names each of them.
 func (s *Server) ResolveInDoubtGroups(budget time.Duration) error {
 	ds := s.dist
 	if ds == nil {
 		return nil
 	}
-	groups := make(map[uint64]bool)
+	var groups []uint64
 	for _, g := range s.db.InDoubt() {
-		groups[g] = true
-	}
-	if len(groups) == 0 {
-		return nil
-	}
-	deadline := time.Now().Add(budget)
-	for g := range groups {
-		for {
-			st, err := ds.Status(g)
-			if err == nil && !st.Pending {
-				// Known verdict, or no record at all: under presumed
-				// abort, "unknown" IS the abort verdict.
-				commit := st.Known && st.Commit
-				if err := s.db.ResolveInDoubt(g, commit); err != nil {
-					return err
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("server: in-doubt group %d unresolved: coordinator unreachable", g)
-			}
-			time.Sleep(100 * time.Millisecond)
+		if !slices.Contains(groups, g) {
+			groups = append(groups, g)
 		}
 	}
-	return nil
+	slices.Sort(groups)
+	deadline := time.Now().Add(budget)
+	for {
+		var left []uint64
+		for _, g := range groups {
+			st, err := ds.Status(g)
+			if err != nil || st.Pending {
+				left = append(left, g)
+				continue
+			}
+			// Known verdict, or no record at all: under presumed abort,
+			// "unknown" IS the abort verdict.
+			if err := s.db.ResolveInDoubt(g, st.Known && st.Commit); err != nil {
+				return err
+			}
+		}
+		if len(left) == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("server: in-doubt groups %v unresolved: coordinator unreachable or undecided", left)
+		}
+		groups = left
+		time.Sleep(100 * time.Millisecond)
+	}
 }
 
 // peerDialTimeout bounds one dial of a peer server.

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +21,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/txn"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -392,11 +396,34 @@ func TestTwoProcessTraceMergesIntoOneTrace(t *testing.T) {
 
 // fakeNode is a scripted peer server: it speaks just enough of the wire
 // protocol to be dialed by a real server's peer connection, records every
-// 2PC message it is sent, and answers status inquiries "pending". It lets
-// a test play the other side of the protocol against ONE real server.
+// 2PC message it is sent, and answers status inquiries from a per-group
+// script ("pending" for any group not in it). It lets a test play the other
+// side of the protocol against ONE real server.
 type fakeNode struct {
 	addr                             string
 	offers, prepares, votes, decides chan dist.Envelope
+
+	mu       sync.Mutex
+	statuses map[uint64]dist.Status
+}
+
+// script makes the node answer status inquiries about st.Group with st.
+func (f *fakeNode) script(st dist.Status) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.statuses == nil {
+		f.statuses = make(map[uint64]dist.Status)
+	}
+	f.statuses[st.Group] = st
+}
+
+func (f *fakeNode) status(group uint64) dist.Status {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if st, ok := f.statuses[group]; ok {
+		return st
+	}
+	return dist.Status{Group: group, Pending: true}
 }
 
 func startFakeNode(t *testing.T) *fakeNode {
@@ -449,7 +476,7 @@ func (f *fakeNode) serve(nc net.Conn) {
 			default: // re-offers on every retry tick: the first few suffice
 			}
 		case wire.OpShardStatus:
-			resp.Body, _ = json.Marshal(dist.Status{Group: req.Handle, Pending: true})
+			resp.Body, _ = json.Marshal(f.status(req.Handle))
 		}
 		if wire.WriteFrame(nc, resp) != nil {
 			return
@@ -639,6 +666,76 @@ func TestEveryEnvelopeKindLoopbackAndTCP(t *testing.T) {
 				t.Errorf("bookings = %v, want the prepared flight %v", b, g.Head[0].Args[1])
 			}
 		})
+	}
+}
+
+// TestResolveInDoubtAsksEveryGroup: a participant restarts with two groups
+// in doubt — it was killed between prepare and commit. The coordinator
+// reports group A pending for as long as it is asked and group B committed.
+// A stuck on "pending" must not starve B: B resolves and its withheld
+// effect appears, while A stays in doubt and the error names it.
+func TestResolveInDoubtAsksEveryGroup(t *testing.T) {
+	const groupA, groupB = 701, 702
+	path := filepath.Join(t.TempDir(), "part.wal")
+	db, err := entangle.Open(entangle.Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ExecDDL("CREATE TABLE Pledges (name VARCHAR, amount INT)"); err != nil {
+		t.Fatal(err)
+	}
+	txm := db.Engine().Txm()
+	for _, g := range []uint64{groupA, groupB} {
+		tx, err := txm.Begin(txn.Serializable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Insert("Pledges", types.Tuple{types.Str(fmt.Sprint("g", g)), types.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := txm.Prepare(tx, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// "Kill": restart from the log as it stands — both prepares flushed, no
+	// verdict for either.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	restart := filepath.Join(t.TempDir(), "restart.wal")
+	if err := os.WriteFile(restart, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	coord := startFakeNode(t)
+	coord.script(dist.Status{Group: groupB, Known: true, Commit: true})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := shard.New([]string{coord.addr, ln.Addr().String()})
+	part, srv := startShardMember(t, ln, place, 1, 30*time.Second, entangle.Options{Path: restart}, Options{})
+	if n := len(part.InDoubt()); n != 2 {
+		t.Fatalf("in-doubt transactions after restart = %d, want 2", n)
+	}
+
+	err = srv.ResolveInDoubtGroups(300 * time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(groupA)) || strings.Contains(err.Error(), fmt.Sprint(groupB)) {
+		t.Fatalf("err = %v, want one naming group %d only", err, groupA)
+	}
+	for _, g := range part.InDoubt() {
+		if g != groupA {
+			t.Errorf("group %d still in doubt", g)
+		}
+	}
+	res, err := part.Query("SELECT name FROM Pledges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Str64() != fmt.Sprint("g", groupB) {
+		t.Errorf("Pledges = %v, want group %d's row only", res.Rows, groupB)
 	}
 }
 
