@@ -14,10 +14,12 @@ test:
 # selection tests (including the randomized equivalence against whole-pool
 # runs): they run with the retry tick disabled, so a schedule-dependent lost
 # wake or stranded member fails here as a flake instead of silently falling
-# back to the tick.
+# back to the tick. It also repeats the never-waiting quasi-lock test, the
+# bound-scan partition tests (eight grounding workers racing for one
+# partition's build) and the ground-cache eviction-order test.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestDist|TestWake|TestArrival|TestCommittedWrite|TestPull|TestSelection' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestDist|TestWake|TestArrival|TestCommittedWrite|TestPull|TestSelection|TestQuasiLock|TestPartition|TestGroundCacheOrder' ./internal/core/
 
 vet:
 	$(GO) vet ./...

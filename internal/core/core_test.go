@@ -18,8 +18,13 @@ import (
 // the Figure 1(a) data.
 func newTestEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
+	return newTestEngineOn(t, opts, lock.New(500*time.Millisecond))
+}
+
+// newTestEngineOn is newTestEngine over a caller-built lock manager.
+func newTestEngineOn(t *testing.T, opts Options, locks *lock.Manager) *Engine {
+	t.Helper()
 	cat := storage.NewCatalog()
-	locks := lock.New(500 * time.Millisecond)
 	txm := txn.NewManager(cat, locks, nil)
 
 	mustCreate := func(name string, cols ...types.Column) {

@@ -279,9 +279,10 @@ type Engine struct {
 	nextOp uint64 // entanglement operation ids (guarded by statsMu)
 
 	// Grounding hot-path machinery: the cross-round grounding cache (nil
-	// when Options.GroundCache is off) and the streaming pipeline's
-	// rows/peak-batch accounting (bridged into the registry as gauges).
+	// when Options.GroundCache is off), the rounds' shared access paths and
+	// the streaming pipeline's rows/peak-batch accounting (gauges).
 	groundCache *groundCache
+	cursors     *roundCursors
 	streamStats eq.StreamStats
 	evalOpts    eq.EvalOptions // every round's evaluation options, fixed at NewEngine
 }
@@ -306,6 +307,7 @@ func NewEngine(txm *txn.Manager, opts Options) *Engine {
 	if o.GroundCache {
 		e.groundCache = newGroundCache(0)
 	}
+	e.cursors = newRoundCursors(txm.Catalog(), &e.streamStats)
 	reg := o.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/list"
 	"sync"
 
 	"repro/internal/eq"
@@ -17,36 +18,31 @@ import (
 //
 // Entries are keyed by query identity (the canonical {C} H ⇐ B rendering,
 // so two members posing syntactically identical queries share one entry)
-// and validated against a CSN fingerprint: the LastCSN of every grounded
-// table at grounding time. MVCC makes the validation exact — if a table's
-// LastCSN still equals the fingerprint, no commit has touched it since, so
-// a scan at any later round snapshot returns byte-identical rows and the
-// cached groundings are the ones re-grounding would enumerate.
+// and validated against the csnPrint fingerprint of every grounded table —
+// the rule the round's bound-scan partitions follow too.
 //
 // Two cases must bypass or invalidate the cache:
 //
 //   - a committed write to any grounded table advances its LastCSN past the
-//     fingerprint: the entry is evicted and the query re-grounds (lookup);
+//     fingerprint: lookup misses and the query re-grounds; the entry stays
+//     until the store that follows replaces it;
 //   - the posing transaction itself holds uncommitted writes on a grounded
 //     table: its grounding view differs from the committed snapshot the
 //     entry was computed against, so the lookup bypasses the cache (the
 //     entry stays valid for other posers) and the store refuses to cache
 //     the own-writes result.
 //
-// A store is also refused when a table's LastCSN already exceeds the round
-// snapshot's CSN: the commit that advanced it was invisible to this round,
-// so the fingerprint could falsely validate against a later round that sees
-// it.
+// A store is also refused when printAt refuses a table's fingerprint.
 type groundCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*groundCacheEntry
-	order   []string // FIFO eviction queue (may hold keys already removed)
+	entries map[string]*list.Element // Value: *groundCacheEntry
+	order   *list.List               // eviction order: least recently stored first
 }
 
 type groundCacheEntry struct {
-	tables     []string // the query's grounded (body) tables
-	csns       []uint64 // Table.LastCSN fingerprint at grounding time
+	key        string
+	prints     []csnPrint // the query's grounded (body) tables at grounding time
 	groundings []*eq.Grounding
 }
 
@@ -60,28 +56,23 @@ func newGroundCache(capacity int) *groundCache {
 	if capacity <= 0 {
 		capacity = defaultGroundCacheCap
 	}
-	return &groundCache{cap: capacity, entries: make(map[string]*groundCacheEntry)}
+	return &groundCache{cap: capacity, entries: make(map[string]*list.Element), order: list.New()}
 }
 
-// lookup returns the cached groundings for key when still current. A stale
-// entry (some grounded table's LastCSN moved past the fingerprint) is
-// evicted on sight.
+// lookup returns the cached groundings for key when still current.
 func (c *groundCache) lookup(key string, cat *storage.Catalog, poser *txn.Txn) ([]*eq.Grounding, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	el, ok := c.entries[key]
+	var e *groundCacheEntry
+	if ok {
+		e = el.Value.(*groundCacheEntry)
+	}
 	c.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	for i, name := range e.tables {
-		tbl, err := cat.Get(name)
-		if err != nil || tbl.LastCSN() != e.csns[i] {
-			c.mu.Lock()
-			delete(c.entries, key)
-			c.mu.Unlock()
-			return nil, false
-		}
-		if poser != nil && poser.WroteTable(name) {
+	for _, p := range e.prints {
+		if !p.current(cat) || poser != nil && poser.WroteTable(p.tbl.Name()) {
 			return nil, false
 		}
 	}
@@ -91,35 +82,29 @@ func (c *groundCache) lookup(key string, cat *storage.Catalog, poser *txn.Txn) (
 // store records a freshly grounded result under key. snapCSN is the round
 // snapshot the grounding ran against.
 func (c *groundCache) store(key string, tables []string, snapCSN uint64, cat *storage.Catalog, poser *txn.Txn, groundings []*eq.Grounding) {
-	csns := make([]uint64, len(tables))
+	e := &groundCacheEntry{key: key, prints: make([]csnPrint, len(tables)), groundings: groundings}
 	for i, name := range tables {
 		tbl, err := cat.Get(name)
-		if err != nil {
+		if err != nil || poser != nil && poser.WroteTable(name) {
 			return
 		}
-		if poser != nil && poser.WroteTable(name) {
+		var ok bool
+		if e.prints[i], ok = printAt(tbl, snapCSN); !ok {
 			return
 		}
-		csn := tbl.LastCSN()
-		if csn > snapCSN {
-			return
-		}
-		csns[i] = csn
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		// Replace the entry wholesale rather than mutating in place:
-		// lookup hands out the previous entry's fields after dropping the
-		// mutex, and those must stay internally consistent.
-		c.entries[key] = &groundCacheEntry{tables: tables, csns: csns, groundings: groundings}
+	if el, ok := c.entries[key]; ok {
+		// Replace the entry wholesale rather than mutating in place (lookup
+		// reads the previous entry's fields after dropping the mutex), and
+		// count the key as newly stored.
+		el.Value = e
+		c.order.MoveToBack(el)
 		return
 	}
-	for len(c.entries) >= c.cap && len(c.order) > 0 {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, oldest)
+	for len(c.entries) >= c.cap {
+		delete(c.entries, c.order.Remove(c.order.Front()).(*groundCacheEntry).key)
 	}
-	c.entries[key] = &groundCacheEntry{tables: tables, csns: csns, groundings: groundings}
-	c.order = append(c.order, key)
+	c.entries[key] = c.order.PushBack(e)
 }

@@ -274,3 +274,51 @@ func TestGroundCacheLookupPoserCheck(t *testing.T) {
 		t.Error("non-writing poser was not served")
 	}
 }
+
+// TestGroundCacheOrderBounded: invalidating and re-storing one key, as
+// every committed write to a pending query's table does, keeps one
+// eviction-order slot no matter how often it happens, and a re-stored key
+// counts as the newest at capacity.
+func TestGroundCacheOrderBounded(t *testing.T) {
+	e := newTestEngine(t, Options{})
+	cat := e.Txm().Catalog()
+	commit := func(table string, row types.Tuple) {
+		t.Helper()
+		tx, err := e.BeginClassical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Insert(table, row); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flight := types.Tuple{types.Int(1), types.MustDate("2011-01-01"), types.Str("LA")}
+	c := newGroundCache(4)
+	for i := 0; i < 1000; i++ {
+		commit("Flights", flight)
+		if _, ok := c.lookup("hot", cat, nil); ok {
+			t.Fatalf("iteration %d: stale entry served", i)
+		}
+		c.store("hot", []string{"Flights"}, e.Txm().CSN(), cat, nil, nil)
+	}
+	if n := c.order.Len(); n != 1 {
+		t.Fatalf("eviction order holds %d slots for one key, want 1", n)
+	}
+	for _, k := range []string{"q1", "q2", "q3"} {
+		c.store(k, []string{"Hotels"}, e.Txm().CSN(), cat, nil, nil)
+	}
+	commit("Flights", flight)
+	c.store("hot", []string{"Flights"}, e.Txm().CSN(), cat, nil, nil)
+	c.store("q4", []string{"Hotels"}, e.Txm().CSN(), cat, nil, nil)
+	if _, ok := c.lookup("q1", cat, nil); ok {
+		t.Error("q1, the oldest store, was not evicted")
+	}
+	for _, k := range []string{"hot", "q2", "q3", "q4"} {
+		if _, ok := c.lookup(k, cat, nil); !ok {
+			t.Errorf("%s missing: the re-stored key must outlive older ones", k)
+		}
+	}
+}

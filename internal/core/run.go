@@ -333,25 +333,22 @@ func (e *Engine) evaluateQueries(r *run, blocked []*member) int {
 func (rd *round) groundAndSolve() {
 	e := rd.r.e
 	// All queries of the round ground against one pinned snapshot, so they
-	// share one chain-id capture per table; each query streams through its
-	// own cursor clone (posers that wrote a grounded table see their own
-	// versions through their clone's Self).
-	cursors := newRoundCursors(rd.view)
+	// share one chain-id capture per table and one partition per bound
+	// column set; each query streams through its own cursor (posers that
+	// wrote a grounded table see their own versions through their Self).
+	cursors := e.cursors.newRound(rd.view)
 	pendings := make([]eq.Pending, len(rd.blocked))
 	cacheKeys := make([]string, len(rd.blocked))
 	for i, m := range rd.blocked {
 		view := rd.view
-		var txID uint64
 		if m.tx != nil {
 			// A member grounds against the round snapshot plus its own
 			// uncommitted writes.
-			txID = m.tx.ID()
-			view.Self = txID
+			view.Self = m.tx.ID()
 		}
 		p := eq.Pending{ID: i, Query: m.query, Reader: &groundReader{
-			cat:     e.txm.Catalog(),
 			view:    view,
-			txID:    txID,
+			tx:      m.tx,
 			trace:   e.opts.Trace,
 			cursors: cursors,
 			indexed: e.met.indexedGroundings,
@@ -367,9 +364,9 @@ func (rd *round) groundAndSolve() {
 				// Preserve RG attribution for the isolation checker: the
 				// cached result stands in for grounding reads of the same
 				// tables.
-				if sink := e.opts.Trace; sink != nil && txID != 0 {
+				if sink := e.opts.Trace; sink != nil && m.tx != nil {
 					for _, table := range m.query.BodyTables() {
-						sink.GroundingRead(txID, table)
+						sink.GroundingRead(m.tx.ID(), table)
 					}
 				}
 			} else {
@@ -465,9 +462,10 @@ func (rd *round) validate(comp []int) {
 			// the component's grounded tables — its own (the locks its
 			// grounding reads would have held under 2PL, acquired post hoc)
 			// and its partners', including tables grounded by autocommit
-			// members, whose answers partners consumed all the same. A member
-			// that cannot lock aborts alone; stale groundings abort the whole
-			// component (like deadlock victims, invisible to the program).
+			// members, whose answers partners consumed all the same. A lock
+			// that is not free at once, like a stale grounding, aborts the
+			// whole component (like deadlock victims, invisible to the
+			// program), which releases its locks and retries in a later run.
 			var tables []string
 			seen := make(map[string]bool)
 			for _, i := range comp {
@@ -479,14 +477,9 @@ func (rd *round) validate(comp []int) {
 				}
 			}
 			for k, i := range comp {
-				err := e.lockAndValidate(members[k].tx, tables, rd.view.CSN)
-				if errors.Is(err, errStaleGrounding) {
+				if e.lockAndValidate(members[k].tx, tables, rd.view.CSN) != nil {
 					staleAll()
 					break
-				}
-				if err != nil {
-					rd.stale[i] = true
-					continue
 				}
 				if sink := e.opts.Trace; sink != nil && members[k].tx != nil {
 					for _, j := range comp {
@@ -562,8 +555,9 @@ func (rd *round) deliver() int {
 	return resumed
 }
 
-// errStaleGrounding reports that a commit newer than the snapshot an answer
-// was computed at has touched a grounded table: the answer is void.
+// errStaleGrounding reports that the answer's grounding reads cannot be made
+// repeatable: a commit newer than the snapshot it was computed at touched a
+// grounded table, or a quasi-read lock was not free. The answer is void.
 var errStaleGrounding = errors.New("core: grounded table changed since the answer's snapshot")
 
 // lockAndValidate makes the grounding reads behind an answer repeatable
@@ -573,11 +567,14 @@ var errStaleGrounding = errors.New("core: grounded table changed since the answe
 // between the snapshot and the locks voids the answer (errStaleGrounding).
 // The answered component, the empty answer and a cross-shard reservation
 // all go through here.
+// The locks are taken without waiting — the scheduler goroutine never
+// sleeps in the lock manager (DESIGN.md, "Scheduler") — and a lock that is
+// not free at once is errStaleGrounding.
 func (e *Engine) lockAndValidate(tx *txn.Txn, tables []string, csn uint64) error {
 	if tx != nil && e.policy.quasiLocks {
 		for _, table := range tables {
 			if err := tx.LockTableShared(table); err != nil {
-				return err
+				return fmt.Errorf("%w: %w", errStaleGrounding, err)
 			}
 		}
 	}

@@ -24,20 +24,20 @@ type RowCursor interface {
 // prescribes ("we associate grounding reads with the transaction posing the
 // entangled query").
 //
-// When the planner finds an atom whose argument positions cols are all
-// equality-bound (constants, variables bound by earlier atoms, or variables
-// constrained equal to a constant) and CanProbe reports an index over them,
-// the join routes that atom through ProbeCursor instead of streaming the
-// whole relation — the EMBANKS-style candidate pruning of the incremental
-// grounding path. ProbeCursor must yield exactly the rows ScanCursor would,
-// filtered to those whose positions cols equal vals, in the same relative
+// Every atom with equality-bound argument positions (constants, variables
+// bound by earlier atoms, or variables constrained equal to a constant)
+// opens through ProbeCursor instead of streaming the whole relation — the
+// EMBANKS-style candidate pruning of the incremental grounding path — over
+// any column set, whether a real index (CanProbe) covers it or not.
+// ProbeCursor must yield exactly the rows ScanCursor would, filtered to
+// those whose positions cols equal vals, in the same relative (scan, RowID)
 // order, so that probing and scanning enumerate identical groundings in
 // identical order.
 type CursorReader interface {
 	// ScanCursor streams every row of table.
 	ScanCursor(table string) (RowCursor, error)
-	// CanProbe reports whether table supports an indexed equality probe
-	// over the given column positions.
+	// CanProbe reports whether a real index on table covers the given
+	// column positions; it shapes join order only.
 	CanProbe(table string, cols []int) bool
 	// ProbeCursor streams the rows of table whose column positions cols
 	// equal vals, in scan order.
@@ -50,24 +50,34 @@ type MapReader map[string][]types.Tuple
 
 // ScanCursor streams the named relation's rows.
 func (m MapReader) ScanCursor(table string) (RowCursor, error) {
+	return m.ProbeCursor(table, nil, nil)
+}
+
+// CanProbe reports no indexes: join order ignores access paths.
+func (m MapReader) CanProbe(string, []int) bool { return false }
+
+// ProbeCursor streams the named relation's rows filtered to cols = vals.
+func (m MapReader) ProbeCursor(table string, cols []int, vals []types.Value) (RowCursor, error) {
 	rows, ok := m[table]
 	if !ok {
 		return nil, fmt.Errorf("eq: no such relation %s", table)
 	}
-	return &sliceCursor{rows: rows}, nil
+	return MatchCursor(rows, cols, vals), nil
 }
 
-// CanProbe reports no indexes: every atom scans.
-func (m MapReader) CanProbe(string, []int) bool { return false }
-
-// ProbeCursor is never planned (CanProbe is false).
-func (m MapReader) ProbeCursor(table string, _ []int, _ []types.Value) (RowCursor, error) {
-	return nil, fmt.Errorf("eq: relation %s has no index", table)
+// MatchCursor serves the rows of a slice whose positions cols equal vals
+// (every row when cols is empty), in slice order, appending references
+// without allocating. A row too short for a probed position passes, so the
+// join's row loop reports its arity error as a scan would.
+func MatchCursor(rows []types.Tuple, cols []int, vals []types.Value) RowCursor {
+	return &sliceCursor{rows: rows, cols: cols, vals: vals}
 }
 
 // sliceCursor serves a materialized row slice as a RowCursor.
 type sliceCursor struct {
 	rows []types.Tuple
+	cols []int
+	vals []types.Value
 	pos  int
 }
 
@@ -75,12 +85,18 @@ func (c *sliceCursor) Next(buf []types.Tuple, max int) ([]types.Tuple, error) {
 	if max <= 0 {
 		max = 1
 	}
-	end := c.pos + max
-	if end > len(c.rows) {
-		end = len(c.rows)
+	want := len(buf) + max
+rows:
+	for c.pos < len(c.rows) && len(buf) < want {
+		row := c.rows[c.pos]
+		c.pos++
+		for i, col := range c.cols {
+			if col < len(row) && !row[col].Equal(c.vals[i]) {
+				continue rows
+			}
+		}
+		buf = append(buf, row)
 	}
-	buf = append(buf, c.rows[c.pos:end]...)
-	c.pos = end
 	return buf, nil
 }
 

@@ -1,7 +1,6 @@
 package eq
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/types"
@@ -49,29 +48,19 @@ func (r *probeReader) CanProbe(table string, cols []int) bool {
 	return false
 }
 
+// Probe serves an index probe (counted in probes) or, over a column set no
+// index covers, a filtered scan (counted in scans).
 func (r *probeReader) Probe(table string, cols []int, vals []types.Value) ([]types.Tuple, error) {
-	if !r.CanProbe(table, cols) {
-		return nil, fmt.Errorf("probe without index on %s %v", table, cols)
+	if r.CanProbe(table, cols) {
+		r.probes++
+	} else {
+		r.scans++
 	}
-	r.probes++
-	all, err := r.MapReader.Scan(table)
+	cur, err := r.MapReader.ProbeCursor(table, cols, vals)
 	if err != nil {
 		return nil, err
 	}
-	var out []types.Tuple
-	for _, row := range all {
-		match := true
-		for i, c := range cols {
-			if !row[c].Equal(vals[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, row)
-		}
-	}
-	return out, nil
+	return cur.Next(nil, len(r.MapReader[table]))
 }
 
 // ScanCursor and ProbeCursor serve the same rows (and the same counters)

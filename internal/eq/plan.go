@@ -13,8 +13,8 @@ import (
 //  1. the most bound argument positions (constants, variables constrained
 //     equal to a constant, variables bound by earlier atoms) — maximally
 //     selective joins run outermost;
-//  2. among ties, an atom whose bound positions are index-probe-able — a
-//     probe touches only matching rows, a scan touches all of them;
+//  2. among ties, an atom whose bound positions a real index covers
+//     (CursorReader.CanProbe) — an index probe touches only matching rows;
 //  3. among ties, the fewest distinct free variables — fewer new bindings
 //     means a narrower downstream cross product;
 //  4. among ties, submission order — the deterministic final tie-break.
@@ -32,6 +32,11 @@ import (
 // mentioning a variable no atom binds go to the final set and surface the
 // same unbound-variable error the materialized path raised at emission.
 //
+// Every level with bound positions opens through ProbeCursor (over an
+// index's columns when one covers them, else over all of them); only levels
+// with none scan. A probe yields a scan's rows filtered, in scan order, so
+// CanProbe shapes join order but never which rows a level yields.
+//
 // The plan fetches no rows: access-path choice consults only
 // CursorReader.CanProbe. Row flow is the executor's job (stream.go), which
 // is what lets planning stay allocation-light and the pipeline lazy.
@@ -40,8 +45,8 @@ import (
 // constraints to apply as soon as the level's row is bound.
 type planStep struct {
 	atom      Atom
-	probe     bool
-	probeCols []int // schema positions probed (probe only)
+	indexed   bool  // a real index covers probeCols (CanProbe)
+	probeCols []int // schema positions the level probes on; nil: it scans
 	checks    []Constraint
 }
 
@@ -54,10 +59,10 @@ type joinPlan struct {
 
 // probePath decides the access path for an atom given its currently-bound
 // argument positions: a full-cover index probe when the reader has one,
-// else a probe over any single bound position (the match loop re-verifies
-// the remaining bound positions, so a subset probe is always semantically
-// equivalent), else a scan.
-func probePath(r CursorReader, rel string, boundPos []int) (bool, []int) {
+// else an index probe over any single bound position (the match loop
+// re-verifies the rest, so a subset probe is semantically equivalent), else
+// an unindexed probe over every bound position; nothing bound, a scan.
+func probePath(r CursorReader, rel string, boundPos []int) (indexed bool, cols []int) {
 	if len(boundPos) == 0 {
 		return false, nil
 	}
@@ -69,7 +74,7 @@ func probePath(r CursorReader, rel string, boundPos []int) (bool, []int) {
 			return true, []int{c}
 		}
 	}
-	return false, nil
+	return false, boundPos
 }
 
 // planQuery builds the join plan for q against r's index metadata.
@@ -85,15 +90,15 @@ func planQuery(q *Query, r CursorReader) *joinPlan {
 		idx       int
 		boundCnt  int
 		freeCnt   int
-		probe     bool
+		indexed   bool
 		probeCols []int
 	}
 	better := func(c, best candidate) bool {
 		if c.boundCnt != best.boundCnt {
 			return c.boundCnt > best.boundCnt
 		}
-		if c.probe != best.probe {
-			return c.probe
+		if c.indexed != best.indexed {
+			return c.indexed
 		}
 		return c.freeCnt < best.freeCnt
 		// Equal on all counts: keep the earlier candidate (submission order).
@@ -120,15 +125,15 @@ func planQuery(q *Query, r CursorReader) *joinPlan {
 					free[t.Name] = true
 				}
 			}
-			probe, probeCols := probePath(r, atom.Rel, boundPos)
-			c := candidate{idx: i, boundCnt: len(boundPos), freeCnt: len(free), probe: probe, probeCols: probeCols}
+			indexed, probeCols := probePath(r, atom.Rel, boundPos)
+			c := candidate{idx: i, boundCnt: len(boundPos), freeCnt: len(free), indexed: indexed, probeCols: probeCols}
 			if best.idx < 0 || better(c, best) {
 				best = c
 			}
 		}
 		used[best.idx] = true
 		atom := q.Body[best.idx]
-		steps = append(steps, planStep{atom: atom, probe: best.probe, probeCols: best.probeCols})
+		steps = append(steps, planStep{atom: atom, indexed: best.indexed, probeCols: best.probeCols})
 		for _, t := range atom.Args {
 			if t.IsVar {
 				bound[t.Name] = true

@@ -32,8 +32,10 @@ func (m MapReader) Probe(table string, _ []int, _ []types.Value) ([]types.Tuple,
 
 // GroundMaterialized is the pre-streaming grounding executor, kept as the
 // differential-testing oracle: it consumes the same joinPlan as the
-// streaming pipeline but materializes every scan as a full row slice and
-// every probe as a per-valuation slice, exactly as Ground did before the
+// streaming pipeline but materializes every level without a covering index
+// as a full row slice — bound or not, so the row loop alone filters what
+// the pipeline's unindexed probes and shared partitions serve — and every
+// index probe as a per-valuation slice, exactly as Ground did before the
 // cursor rewrite. The streaming ≡ materialized property test asserts Ground
 // enumerates byte-identical groundings in identical order.
 func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Grounding, error) {
@@ -47,7 +49,7 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 	scanRows := make([][]types.Tuple, len(plan.steps))
 	for i := range plan.steps {
 		step := &plan.steps[i]
-		if step.probe {
+		if step.indexed {
 			continue
 		}
 		rows, ok := scans[step.atom.Rel]
@@ -105,7 +107,7 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 		step := &plan.steps[i]
 		atom := step.atom
 		rows := scanRows[i]
-		if step.probe {
+		if step.indexed {
 			vals := make([]types.Value, len(step.probeCols))
 			for k, c := range step.probeCols {
 				t := atom.Args[c]

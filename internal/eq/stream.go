@@ -45,7 +45,9 @@ func (s *StreamStats) Rows() int64 { return s.rows.Load() }
 // rewrite bounds, where the materialized path held whole relations.
 func (s *StreamStats) PeakBatchRows() int64 { return s.peakBatch.Load() }
 
-func (s *StreamStats) addRows(n int64) {
+// AddRows counts n rows read on the grounding path outside the pipeline's
+// own pulls (a shared partition's build pass).
+func (s *StreamStats) AddRows(n int64) {
 	if s != nil && n > 0 {
 		s.rows.Add(n)
 	}
@@ -136,12 +138,12 @@ func (s *groundStream) capped() bool {
 }
 
 // open positions level i's cursor at its first row: scan levels reuse one
-// cursor per level and rewind it, probe levels open a fresh probe keyed by
-// the current valuation.
+// cursor per level and rewind it, probe levels (every level with bound
+// positions) open a fresh probe keyed by the current valuation.
 func (s *groundStream) open(i int) error {
 	lv := &s.levels[i]
 	step := lv.step
-	if !step.probe {
+	if step.probeCols == nil {
 		if lv.scanCur == nil {
 			var err error
 			lv.scanCur, err = s.r.ScanCursor(step.atom.Rel)
@@ -201,7 +203,7 @@ func (s *groundStream) refill(i int) (bool, error) {
 	if len(lv.buf) == 0 {
 		return false, nil
 	}
-	s.stats.addRows(int64(len(lv.buf)))
+	s.stats.AddRows(int64(len(lv.buf)))
 	if s.stats != nil {
 		resident := int64(0)
 		for j := 0; j <= i; j++ {

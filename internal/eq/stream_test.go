@@ -51,12 +51,16 @@ func (r *cursorReader) ProbeCursor(table string, cols []int, vals []types.Value)
 }
 
 // randomCase builds one randomized (relations, indexes, query) instance.
-// Values are drawn from a tiny domain (with occasional NULLs) so joins,
-// duplicate groundings, and constraint rejections all actually occur.
+// Values are drawn from a tiny domain (with occasional NULLs, and Dates
+// that Equal the Ints of the same payload) so joins, duplicate groundings,
+// and constraint rejections all actually occur.
 func randomCase(rng *rand.Rand) (MapReader, map[string][][]int, *Query) {
 	randVal := func() types.Value {
-		if rng.Intn(12) == 0 {
+		switch rng.Intn(12) {
+		case 0:
 			return types.Null()
+		case 1:
+			return types.Date(int64(rng.Intn(4)))
 		}
 		return types.Int(int64(rng.Intn(4)))
 	}
@@ -100,6 +104,19 @@ func randomCase(rng *rand.Rand) (MapReader, map[string][][]int, *Query) {
 			args[j] = randTerm(vars)
 		}
 		body[i] = Atom{Rel: rel, Args: args}
+	}
+	// Half the multi-atom bodies join every later atom to the first through
+	// one of its variables, so inner levels are bound by outer ones.
+	var outer []string
+	for _, t := range body[0].Args {
+		if t.IsVar {
+			outer = append(outer, t.Name)
+		}
+	}
+	if len(outer) > 0 && rng.Intn(2) == 0 {
+		for _, a := range body[1:] {
+			a.Args[rng.Intn(len(a.Args))] = V(outer[rng.Intn(len(outer))])
+		}
 	}
 	bodyVars := make(map[string]bool)
 	for _, a := range body {
@@ -153,11 +170,14 @@ func assertSameSequence(t *testing.T, caseNo int, label string, got, want []*Gro
 // materialized property test: over randomized relations and queries, the
 // streaming pipeline must enumerate byte-identical groundings in identical
 // order to the materialized reference under every reader fixture (unindexed
-// slices, indexed slices, counting cursors) and batch size, capped enumerations
-// must be exact prefixes, and index-routed plans must agree with scan plans
-// on the grounding set.
+// slices whose probes filter, indexed slices, counting cursors) and batch
+// size, capped enumerations must be exact prefixes, and index-routed plans
+// must agree with scan plans on the grounding set. The reference scans every
+// level no index covers, so each unindexed probe — the path the engine's
+// shared partitions serve — is checked against a plain filtered scan.
 func TestGroundStreamingMatchesMaterializedRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	innerProbes := 0 // cases whose unindexed probes re-opened per outer row
 	for caseNo := 0; caseNo < 300; caseNo++ {
 		db, indexes, q := randomCase(rng)
 
@@ -171,7 +191,7 @@ func TestGroundStreamingMatchesMaterializedRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: plain: %v", caseNo, err)
 		}
-		assertSameSequence(t, caseNo, "plain reader", plain, ref)
+		assertSameSequence(t, caseNo, "filtered-probe MapReader", plain, ref)
 		for _, batch := range []int{1, 3, DefaultBatchRows} {
 			cr := &cursorReader{probeReader: probeReader{MapReader: db}}
 			got, err := GroundWith(q, cr, GroundOptions{BatchRows: batch})
@@ -179,6 +199,9 @@ func TestGroundStreamingMatchesMaterializedRandomized(t *testing.T) {
 				t.Fatalf("case %d batch %d: %v", caseNo, batch, err)
 			}
 			assertSameSequence(t, caseNo, fmt.Sprintf("cursor batch=%d", batch), got, ref)
+			if batch == 1 && cr.probeCursors > 1 {
+				innerProbes++
+			}
 		}
 
 		// Index-routed plan: the plan may legally reorder atoms (probe-able
@@ -229,6 +252,9 @@ func TestGroundStreamingMatchesMaterializedRandomized(t *testing.T) {
 			assertSameSequence(t, caseNo, fmt.Sprintf("cap=%d materialized", k), cappedMat, ref[:k])
 		}
 	}
+	if innerProbes < 30 {
+		t.Errorf("only %d of 300 cases probed an inner level per outer row", innerProbes)
+	}
 }
 
 // TestGroundPinnedPathsMatchCursorReader re-checks the pinned paper queries
@@ -246,7 +272,7 @@ func TestGroundPinnedPathsMatchCursorReader(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameSequence(t, 0, q.String(), got, want)
-		if cr.scanCursors == 0 {
+		if cr.scanCursors+cr.probeCursors == 0 {
 			t.Error("cursor reader was not used")
 		}
 	}
@@ -296,7 +322,8 @@ func TestGroundCapTerminatesCrossProduct(t *testing.T) {
 
 // TestGroundStreamStatsBounded: grounding a relation through cursors keeps
 // the resident batch high-water mark at the batch size, not the table size,
-// while still streaming every row through the pipeline.
+// while still streaming every row through the pipeline. The filter is a
+// range test, not an equality, so the level scans rather than probes.
 func TestGroundStreamStatsBounded(t *testing.T) {
 	const n, batch = 5000, 64
 	rows := make([]types.Tuple, n)
@@ -307,7 +334,7 @@ func TestGroundStreamStatsBounded(t *testing.T) {
 	q := &Query{
 		Head:   []Atom{{Rel: "H", Args: []Term{V("f")}}},
 		Body:   []Atom{{Rel: "Flights", Args: []Term{V("f"), V("d")}}},
-		Where:  []Constraint{{Left: V("d"), Op: OpEq, Right: CStr("Paris")}},
+		Where:  []Constraint{{Left: V("d"), Op: OpGt, Right: CStr("Paris")}},
 		Choose: 1,
 	}
 	var stats StreamStats
@@ -316,7 +343,7 @@ func TestGroundStreamStatsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(gs) != 0 {
-		t.Fatalf("groundings = %d, want 0 (no Paris rows)", len(gs))
+		t.Fatalf("groundings = %d, want 0 (no rows past Paris)", len(gs))
 	}
 	if stats.Rows() != n {
 		t.Errorf("rows streamed = %d, want %d", stats.Rows(), n)

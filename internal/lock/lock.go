@@ -64,10 +64,11 @@ var compatible = [4][4]bool{
 	X:  {IS: false, IX: false, S: false, X: false},
 }
 
-// Errors returned by Acquire.
+// Errors returned by Acquire and TryAcquire.
 var (
-	ErrDeadlock = errors.New("lock: deadlock detected, requester chosen as victim")
-	ErrTimeout  = errors.New("lock: wait timed out")
+	ErrDeadlock   = errors.New("lock: deadlock detected, requester chosen as victim")
+	ErrTimeout    = errors.New("lock: wait timed out")
+	ErrWouldBlock = errors.New("lock: not grantable without waiting")
 )
 
 // TableRow addresses a lockable object: a whole table (Row == AllRows) or a
@@ -208,6 +209,18 @@ func (m *Manager) shardFor(obj TableRow) *shard {
 // exempt from the no-overtake rule, since a queued waiter may itself be
 // blocked on the upgrader's current holding.
 func (m *Manager) Acquire(tx uint64, obj TableRow, mode Mode) error {
+	return m.acquire(tx, obj, mode, true)
+}
+
+// TryAcquire grants mode on obj to tx exactly when Acquire would grant it
+// at once, and otherwise returns ErrWouldBlock, leaving nothing queued. The
+// test and the grant happen under one hold of the shard mutex, so no
+// request slips in between — which a Holds-then-Acquire pair cannot promise.
+func (m *Manager) TryAcquire(tx uint64, obj TableRow, mode Mode) error {
+	return m.acquire(tx, obj, mode, false)
+}
+
+func (m *Manager) acquire(tx uint64, obj TableRow, mode Mode, wait bool) error {
 	if obj.Row != AllRows && (mode == IS || mode == IX) {
 		return fmt.Errorf("lock: intention mode %s on row %v", mode, obj)
 	}
@@ -249,6 +262,10 @@ func (m *Manager) Acquire(tx uint64, obj TableRow, mode Mode) error {
 			// A grant can unblock later queue entries that are compatible.
 			sh.cond.Broadcast()
 			return nil
+		}
+		if !wait {
+			e.dequeue(w.seq)
+			return ErrWouldBlock
 		}
 		// Deadlock check against the waits-for graph derived from the live
 		// lock table (cached edges go stale while waiters sleep and would

@@ -295,3 +295,48 @@ func TestStatsCount(t *testing.T) {
 		t.Errorf("acquisitions = %d", acq)
 	}
 }
+
+// TestTryAcquireNeverQueues: TryAcquire grants exactly when Acquire would
+// grant at once — free objects, compatible holders, re-entrant covers,
+// upgrades past a queued waiter — and otherwise refuses with ErrWouldBlock,
+// leaving nothing queued and counting no wait. The case that matters: an S
+// request behind a queued IX is refused even though every holder is S.
+func TestTryAcquireNeverQueues(t *testing.T) {
+	m := New(0)
+	if err := m.TryAcquire(1, table("Flights"), S); err != nil {
+		t.Fatalf("free table: %v", err)
+	}
+	if err := m.TryAcquire(1, table("Flights"), IS); err != nil {
+		t.Fatalf("covered by S: %v", err)
+	}
+	queued := make(chan error, 1)
+	go func() { queued <- m.Acquire(2, table("Flights"), IX) }()
+	for {
+		if _, waits, _ := m.Stats(); waits == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := m.TryAcquire(3, table("Flights"), S); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("S behind a queued IX: %v, want ErrWouldBlock", err)
+	}
+	if err := m.TryAcquire(3, table("Hotels"), X); err != nil {
+		t.Fatalf("another table: %v", err)
+	}
+	if err := m.TryAcquire(1, table("Flights"), X); err != nil {
+		t.Fatalf("upgrade past the queue (Acquire grants it at once too): %v", err)
+	}
+	if _, waits, _ := m.Stats(); waits != 1 {
+		t.Fatalf("waits = %d, want only the queued IX's", waits)
+	}
+	if m.Holds(3, table("Flights"), S) {
+		t.Fatal("refused request was granted")
+	}
+	m.ReleaseAll(1)
+	if err := <-queued; err != nil {
+		t.Fatalf("queued IX: %v", err)
+	}
+	if err := m.TryAcquire(3, row("Flights", 7), IX); err == nil {
+		t.Fatal("intention mode on a row accepted")
+	}
+}

@@ -341,19 +341,20 @@ func (t *Txn) ensureActive() error {
 func (t *Txn) lockFreeReads() bool { return t.level == SnapshotIsolation }
 
 // lockTableShared acquires a table-level S lock (the paper's read-lock
-// granularity). Exposed for the entangled layer's quasi-read locks.
+// granularity), waiting if it must.
 func (t *Txn) lockTableShared(table string) error {
 	return t.mgr.locks.Acquire(t.id, lock.TableRow{Table: table, Row: lock.AllRows}, lock.S)
 }
 
-// LockTableShared acquires a table-level shared lock on behalf of the
-// transaction without reading — used by the entangled-transaction layer to
-// enforce repeatable quasi-reads (§3.3.3) at the locking levels.
+// LockTableShared takes a table-level shared lock on behalf of the
+// transaction without reading and without waiting (lock.ErrWouldBlock when
+// it is not free at once) — the entangled layer's quasi-read locks (§3.3.3),
+// taken on the scheduler goroutine, which never sleeps in the lock manager.
 func (t *Txn) LockTableShared(table string) error {
 	if err := t.ensureActive(); err != nil {
 		return err
 	}
-	return t.lockTableShared(table)
+	return t.mgr.locks.TryAcquire(t.id, lock.TableRow{Table: table, Row: lock.AllRows}, lock.S)
 }
 
 // statementEnd implements the ReadCommitted relaxation: shared locks are

@@ -1,9 +1,7 @@
 package types
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
+	"strconv"
 	"strings"
 )
 
@@ -66,47 +64,36 @@ func (t Tuple) String() string {
 }
 
 // Key returns a canonical string key usable as a map key; distinct tuples
-// produce distinct keys (kind-tagged, length-prefixed encoding).
+// produce distinct keys (kind-tagged, length-prefixed encoding: a value is
+// "kind:payload;", a string's payload "len:bytes"). Index buckets and ground
+// atoms key through it, so it appends into one buffer instead of using fmt.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var arr [64]byte
+	b := arr[:0]
 	for _, v := range t {
-		k := v.Kind()
-		// Fold dates into ints so Key agrees with Equal's int/date pairing.
-		if k == KindDate {
-			k = KindInt
-		}
-		fmt.Fprintf(&b, "%d:", uint8(k))
+		k := v.foldedKind()
+		b = strconv.AppendUint(b, uint64(k), 10)
+		b = append(b, ':')
 		switch k {
 		case KindString:
-			fmt.Fprintf(&b, "%d:%s;", len(v.Str64()), v.Str64())
+			b = strconv.AppendInt(b, int64(len(v.s)), 10)
+			b = append(b, ':')
+			b = append(b, v.s...)
 		case KindNull:
-			b.WriteByte(';')
 		default:
-			fmt.Fprintf(&b, "%d;", v.i)
+			b = strconv.AppendInt(b, v.i, 10)
 		}
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
-// Hash returns a 64-bit hash of the tuple consistent with Equal.
+// Hash returns a 64-bit hash of the tuple consistent with Equal, stable
+// within one process (see Value.Hash).
 func (t Tuple) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := HashSeed
 	for _, v := range t {
-		k := v.Kind()
-		if k == KindDate {
-			k = KindInt
-		}
-		h.Write([]byte{byte(k)})
-		switch k {
-		case KindString:
-			h.Write([]byte(v.Str64()))
-		case KindNull:
-		default:
-			binary.LittleEndian.PutUint64(buf[:], uint64(v.i))
-			h.Write(buf[:])
-		}
-		h.Write([]byte{0xFF})
+		h = v.Hash(h)
 	}
-	return h.Sum64()
+	return h
 }

@@ -1,7 +1,10 @@
 package types
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +57,65 @@ func TestTupleKeyDistinguishes(t *testing.T) {
 	// Int/date pairing must agree with Equal.
 	if (Tuple{Int(7)}).Key() != (Tuple{Date(7)}).Key() {
 		t.Error("Int and Date with same payload must share a key (they are Equal)")
+	}
+}
+
+// fmtKey is Tuple.Key's fmt-built rendering, kept as the reference the
+// append-built key must reproduce byte for byte.
+func fmtKey(t Tuple) string {
+	var b strings.Builder
+	for _, v := range t {
+		k := v.Kind()
+		if k == KindDate {
+			k = KindInt
+		}
+		fmt.Fprintf(&b, "%d:", uint8(k))
+		switch k {
+		case KindString:
+			fmt.Fprintf(&b, "%d:%s;", len(v.Str64()), v.Str64())
+		case KindNull:
+			b.WriteByte(';')
+		default:
+			fmt.Fprintf(&b, "%d;", v.i)
+		}
+	}
+	return b.String()
+}
+
+// TestTupleKeyMatchesFmtRendering: for random tuples over every kind —
+// Int/Date pairs, NULL, negative and extreme ints, strings holding the
+// encoding's own ':' and ';' separators, strings past the stack buffer —
+// Key equals the fmt rendering it replaced.
+func TestTupleKeyMatchesFmtRendering(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	strs := []string{"", ":", ";", "a:b;c", "1:;", "LA", strings.Repeat("x;", 40)}
+	randVal := func() Value {
+		switch rng.Intn(6) {
+		case 0:
+			return Int(rng.Int63() - rng.Int63())
+		case 1:
+			return Date(int64(rng.Intn(20000)) - 5000)
+		case 2:
+			return Null()
+		case 3:
+			return Bool(rng.Intn(2) == 0)
+		case 4:
+			return Int([]int64{0, -1, math.MinInt64, math.MaxInt64}[rng.Intn(4)])
+		default:
+			return Str(strs[rng.Intn(len(strs))])
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		tu := make(Tuple, rng.Intn(5))
+		for j := range tu {
+			tu[j] = randVal()
+		}
+		if got, want := tu.Key(), fmtKey(tu); got != want {
+			t.Fatalf("Key(%v) = %q, fmt rendering %q", tu, got, want)
+		}
+	}
+	if (Tuple{Date(7), Null()}).Key() != (Tuple{Int(7), Null()}).Key() {
+		t.Error("Date must fold into Int")
 	}
 }
 

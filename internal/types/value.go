@@ -14,6 +14,7 @@ package types
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"time"
 )
@@ -146,33 +147,49 @@ func (v Value) String() string {
 // by unification in the entangled-query evaluator, not three-valued SQL
 // comparison — use Compare for SQL semantics).
 func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
-		// Int and Date interoperate: subtraction of dates yields ints, and
-		// workloads compare them freely.
-		if (v.kind == KindInt && o.kind == KindDate) || (v.kind == KindDate && o.kind == KindInt) {
-			return v.i == o.i
-		}
+	// Int and Date interoperate: subtraction of dates yields ints, and
+	// workloads compare them freely.
+	if v.foldedKind() != o.foldedKind() {
 		return false
 	}
-	switch v.kind {
-	case KindString:
+	if v.kind == KindString {
 		return v.s == o.s
-	default:
-		return v.i == o.i
 	}
+	return v.i == o.i
+}
+
+// foldedKind is the kind Equal, Compare, Key and Hash go by: Date folds
+// into Int.
+func (v Value) foldedKind() Kind {
+	if v.kind == KindDate {
+		return KindInt
+	}
+	return v.kind
+}
+
+// HashSeed starts a Value.Hash chain.
+const HashSeed uint64 = 14695981039346656037
+
+// stringSeed keys string hashing; hashes are per process, for in-memory use.
+var stringSeed = maphash.MakeSeed()
+
+// Hash folds v into the running hash h and returns the result. Values that
+// are Equal fold identically (Date hashes as Int; a NULL's payload is 0),
+// and it allocates nothing, so hash partitions key rows through it.
+func (v Value) Hash(h uint64) uint64 {
+	const prime = 1099511628211 // FNV-1a
+	x := uint64(v.i)
+	if v.kind == KindString {
+		x = maphash.String(stringSeed, v.s)
+	}
+	return ((h^uint64(v.foldedKind()))*prime ^ x) * prime
 }
 
 // Compare orders two values: -1, 0, +1. NULL sorts before everything.
 // Mixed-kind comparisons order by kind except for the Int/Date pairing,
 // which compares numerically.
 func (v Value) Compare(o Value) int {
-	vk, ok := v.kind, o.kind
-	if vk == KindDate {
-		vk = KindInt
-	}
-	if ok == KindDate {
-		ok = KindInt
-	}
+	vk, ok := v.foldedKind(), o.foldedKind()
 	if vk != ok {
 		if vk < ok {
 			return -1
