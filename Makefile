@@ -16,13 +16,17 @@ test:
 # wake or stranded member fails here as a flake instead of silently falling
 # back to the tick. It also repeats the never-waiting quasi-lock test, the
 # bound-scan partition tests (eight grounding workers racing for one
-# partition's build) and the ground-cache eviction-order test.
+# partition's build), the ground-cache eviction-order test and the
+# column-level wake/validation tests (Column matches the four local ones,
+# Prepare the two cross-shard reservation ones).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestDist|TestWake|TestArrival|TestCommittedWrite|TestPull|TestSelection|TestQuasiLock|TestPartition|TestGroundCacheOrder' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestDist|TestWake|TestArrival|TestCommittedWrite|TestPull|TestSelection|TestQuasiLock|TestPartition|TestGroundCacheOrder|Column|TestPrepare' ./internal/core/
 
+# Vet plus the formatting gate: any file gofmt would change fails it.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Static analysis gate. CI installs staticcheck; locally the target skips
 # with a notice when the binary is absent so `make ci` stays runnable in

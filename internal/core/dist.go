@@ -67,11 +67,11 @@ func (e *Engine) EnableDist(cfg DistConfig) {
 }
 
 // liveOffer is the local record of an exported offer: what the member
-// asked, so a prepare for a different (re-used) offer id is refused.
+// asked, so a prepare for a different (re-used) offer id is refused, and
+// what its answer reads, which the prepare's delivery validates.
 type liveOffer struct {
-	entry    *pending
-	queryStr string
-	tables   []string
+	entry *pending
+	query *eq.Query
 }
 
 // parkedGroup holds the local members of a prepared distributed group:
@@ -110,7 +110,7 @@ func (d *distRuntime) registerOffer(m *member) *dist.Offer {
 	if _, reserved := d.prepares[ent.offerID]; reserved {
 		return nil
 	}
-	d.offers[ent.offerID] = &liveOffer{entry: ent, queryStr: m.query.String(), tables: m.offerTables}
+	d.offers[ent.offerID] = &liveOffer{entry: ent, query: m.query}
 	return &dist.Offer{
 		Node:     d.cfg.Node,
 		Shard:    d.cfg.Shard,
@@ -344,16 +344,17 @@ func (dc *distCoordinator) beforeRound(r *run, blocked []*member) (int, []*membe
 }
 
 // deliver validates and applies one reservation. The member takes shared
-// locks on its offered tables and re-checks that no commit advanced them
-// past the CSN the answer was computed at — its half of the group-wide
-// validation; every other member does the same on its own shard. Unlike a
-// local round, whose snapshot is microseconds old, the offer CSN can be
-// many rounds old, so the staleness check runs at every isolation level.
+// locks on its query's tables and re-checks that no commit after the CSN
+// the answer was computed at changed a column the query reads — the same
+// rule as a local answer, and its half of the group-wide validation; every
+// other member does the same on its own shard. Unlike a local round, whose
+// snapshot is microseconds old, the offer CSN can be many rounds old, so
+// the staleness check runs at every isolation level.
 func (dc *distCoordinator) deliver(r *run, m *member, lo *liveOffer, p *dist.Prepare) bool {
 	e := dc.e
 	start := time.Now()
-	ok := lo != nil && m.query != nil && m.tx != nil && m.query.String() == lo.queryStr &&
-		e.lockAndValidate(m.tx, lo.tables, p.CSN) == nil
+	ok := lo != nil && m.query != nil && m.tx != nil && m.query.String() == lo.query.String() &&
+		e.lockAndValidate(m.tx, readsOf(lo.query), p.CSN) == nil
 	note := "2pc"
 	if !ok {
 		note += " stale"

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -191,31 +190,28 @@ type pending struct {
 }
 
 // waitRecord is what one attempt depended on: the entangled queries it
-// posed, the tables its Tx operations and query bodies named, and the
-// commit clock at its start. Until one of those tables commits, re-running
-// it repeats the attempt — unless its body reads Attempt() or the clock.
+// posed, what it read (readSet: the whole of every table its Tx operations
+// named, the ReadCols of its query bodies) and the commit clock at its
+// start. Until a commit changes something it read, re-running it repeats the
+// attempt — unless its body reads Attempt() or the clock.
 type waitRecord struct {
 	queries []*eq.Query
-	tables  []string
+	reads   readSet
 	csn     uint64
 }
 
-// note adds a table to the record (nil-safe: RunDirect members keep none).
+// note adds a whole table to the record (nil-safe: RunDirect members keep
+// none).
 func (w *waitRecord) note(table string) {
-	if w != nil && !slices.Contains(w.tables, table) {
-		w.tables = append(w.tables, table)
+	if w != nil {
+		w.reads.add(table, nil)
 	}
 }
 
-// changed reports whether a commit touched one of the recorded tables since
-// the attempt started (a table that is gone counts as changed).
+// changed reports whether a commit changed something the attempt read since
+// it started.
 func (w *waitRecord) changed(cat *storage.Catalog) bool {
-	for _, name := range w.tables {
-		if tbl, err := cat.Get(name); err != nil || tbl.LastCSN() > w.csn {
-			return true
-		}
-	}
-	return false
+	return w.reads.changedSince(cat, w.csn)
 }
 
 // Engine is the entangled transaction manager.
@@ -402,22 +398,19 @@ func (e *Engine) wakeEntry(ent *pending) {
 	e.poke()
 }
 
-// selectBatch consumes the woken set and splits the pool (scheduler
-// goroutine only) into the run's batch and the entries that stay dormant:
+// selectBatch splits the pool (scheduler goroutine only) into the run's
+// batch and the entries that stay dormant, given the woken set runIfDue
+// consumed:
 //
 //   - force (tick, Flush, Drain): the whole pool, §4's rule;
 //   - arrival: every woken entry, every entry without a wait record
-//     (arrivals, retry and widow requeues) and every entry whose recorded
-//     tables committed since — executeRun pulls in the rest on demand;
+//     (arrivals, retry and widow requeues) and every entry something it
+//     read changed for since — executeRun pulls in the rest on demand;
 //   - neither (a wake): exactly the woken entries.
 //
-// A woken entry that is not pooled (a run got to it first, or it reached
-// requeueq after this turn's ingest) is dropped: the tick is its backstop.
-func (e *Engine) selectBatch(arrival, force bool) (batch, rest []*pending) {
-	e.mu.Lock()
-	woken := e.woken
-	e.woken = nil
-	e.mu.Unlock()
+// A woken entry that is not pooled (a run got to it first: it parked or
+// settled) is dropped.
+func (e *Engine) selectBatch(woken map[*pending]bool, arrival, force bool) (batch, rest []*pending) {
 	if force {
 		return e.pool, nil
 	}
@@ -550,6 +543,13 @@ func (e *Engine) loop() {
 // The pool is only touched from the scheduler goroutine.
 func (e *Engine) runIfDue(force bool) {
 	for {
+		// The woken set is consumed before the ingest: requeueAborted queues
+		// an entry before it wakes it, so every entry taken here is pooled
+		// by the time selectBatch looks.
+		e.mu.Lock()
+		woken := e.woken
+		e.woken = nil
+		e.mu.Unlock()
 		trigger := false
 	ingest:
 		for !trigger {
@@ -583,7 +583,7 @@ func (e *Engine) runIfDue(force bool) {
 			}
 		}
 		e.pool = kept
-		batch, rest := e.selectBatch(trigger, force)
+		batch, rest := e.selectBatch(woken, trigger, force)
 		if trigger || force {
 			for _, ent := range batch {
 				ent.abortWoken = false

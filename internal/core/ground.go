@@ -174,6 +174,62 @@ func (p csnPrint) current(cat *storage.Catalog) bool {
 	return err == nil && tbl == p.tbl && tbl.LastCSN() == p.csn
 }
 
+// readSet is what an attempt or an answer read, table by table: the column
+// positions whose values it depends on, nil meaning every column. It is the
+// one column-level rule of the scheduler: a commit that changed only
+// columns outside the set changes nothing that was read, so it neither
+// wakes a dormant member (waitRecord) nor voids an answer (lockAndValidate).
+// The fingerprints above stay table-level: a partition or a cached
+// grounding holds whole rows, unread columns included.
+type readSet struct {
+	tables []string
+	cols   [][]int
+}
+
+// readsOf is what q's body reads.
+func readsOf(q *eq.Query) *readSet {
+	rs := &readSet{}
+	rs.addQuery(q)
+	return rs
+}
+
+// addQuery records what q's body reads (eq.Query.ReadCols).
+func (rs *readSet) addQuery(q *eq.Query) {
+	for _, a := range q.Body {
+		rs.add(a.Rel, q.ReadCols(a))
+	}
+}
+
+// add records cols of table as read; nil reads the whole table. The set
+// takes cols over and may append to it.
+func (rs *readSet) add(table string, cols []int) {
+	i := slices.Index(rs.tables, table)
+	switch {
+	case i < 0:
+		rs.tables = append(rs.tables, table)
+		rs.cols = append(rs.cols, cols)
+	case rs.cols[i] == nil || cols == nil:
+		rs.cols[i] = nil
+	default:
+		for _, c := range cols {
+			if !slices.Contains(rs.cols[i], c) {
+				rs.cols[i] = append(rs.cols[i], c)
+			}
+		}
+	}
+}
+
+// changedSince reports whether a commit after csn changed a read column of
+// some table (a table that is gone counts as changed).
+func (rs *readSet) changedSince(cat *storage.Catalog, csn uint64) bool {
+	for i, name := range rs.tables {
+		if tbl, err := cat.Get(name); err != nil || tbl.ColsCSN(rs.cols[i]) > csn {
+			return true
+		}
+	}
+	return false
+}
+
 // groundReader is the eq.CursorReader an evaluation round hands each pending
 // query: it reads through the round's pinned snapshot (plus the posing
 // transaction's own uncommitted writes) instead of taking shared locks —

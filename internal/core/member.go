@@ -178,9 +178,7 @@ func (m *member) opEntangle(q *eq.Query) *eq.Answer {
 		return &eq.Answer{Status: eq.Errored, Err: ErrDirectEntangle}
 	}
 	m.wait.queries = append(m.wait.queries, q)
-	for _, a := range q.Body {
-		m.wait.note(a.Rel)
-	}
+	m.wait.reads.addQuery(q)
 	r.mu.Lock()
 	m.query = q
 	m.state = stateBlocked

@@ -466,18 +466,12 @@ func (rd *round) validate(comp []int) {
 			// that is not free at once, like a stale grounding, aborts the
 			// whole component (like deadlock victims, invisible to the
 			// program), which releases its locks and retries in a later run.
-			var tables []string
-			seen := make(map[string]bool)
-			for _, i := range comp {
-				for _, table := range rd.res.GroundTables[i] {
-					if !seen[table] {
-						seen[table] = true
-						tables = append(tables, table)
-					}
-				}
+			reads := &readSet{}
+			for _, m := range members {
+				reads.addQuery(m.query)
 			}
 			for k, i := range comp {
-				if e.lockAndValidate(members[k].tx, tables, rd.view.CSN) != nil {
+				if e.lockAndValidate(members[k].tx, reads, rd.view.CSN) != nil {
 					staleAll()
 					break
 				}
@@ -535,7 +529,7 @@ func (rd *round) deliver() int {
 		case eq.Errored:
 			continue
 		case eq.EmptyAnswer:
-			if e.policy.quasiLocks && m.tx != nil && e.lockAndValidate(m.tx, tables, rd.view.CSN) != nil {
+			if e.policy.quasiLocks && m.tx != nil && e.lockAndValidate(m.tx, readsOf(m.query), rd.view.CSN) != nil {
 				rd.stale[i] = true
 			}
 		}
@@ -556,32 +550,31 @@ func (rd *round) deliver() int {
 }
 
 // errStaleGrounding reports that the answer's grounding reads cannot be made
-// repeatable: a commit newer than the snapshot it was computed at touched a
-// grounded table, or a quasi-read lock was not free. The answer is void.
-var errStaleGrounding = errors.New("core: grounded table changed since the answer's snapshot")
+// repeatable: a commit newer than the snapshot it was computed at changed a
+// column it read, or a quasi-read lock was not free. The answer is void.
+var errStaleGrounding = errors.New("core: grounded column changed since the answer's snapshot")
 
 // lockAndValidate makes the grounding reads behind an answer repeatable
-// for tx: at the locking levels it takes shared locks on tables, then it
-// checks that none of them carries a commit newer than csn — the locks only
-// freeze the tables from now on, and a foreign commit that slipped in
-// between the snapshot and the locks voids the answer (errStaleGrounding).
-// The answered component, the empty answer and a cross-shard reservation
-// all go through here.
+// for tx: at the locking levels it takes shared locks on the read tables,
+// then it checks that no commit newer than csn changed a read column — the
+// locks only freeze the tables from now on, and a foreign commit that
+// slipped in between the snapshot and the locks voids the answer
+// (errStaleGrounding) if it changed what the answer read. The answered
+// component, the empty answer and a cross-shard reservation all go through
+// here. Locks stay table-level; only the staleness check is column-level.
 // The locks are taken without waiting — the scheduler goroutine never
 // sleeps in the lock manager (DESIGN.md, "Scheduler") — and a lock that is
 // not free at once is errStaleGrounding.
-func (e *Engine) lockAndValidate(tx *txn.Txn, tables []string, csn uint64) error {
+func (e *Engine) lockAndValidate(tx *txn.Txn, reads *readSet, csn uint64) error {
 	if tx != nil && e.policy.quasiLocks {
-		for _, table := range tables {
+		for _, table := range reads.tables {
 			if err := tx.LockTableShared(table); err != nil {
 				return fmt.Errorf("%w: %w", errStaleGrounding, err)
 			}
 		}
 	}
-	for _, table := range tables {
-		if tbl, err := e.txm.Catalog().Get(table); err == nil && tbl.LastCSN() > csn {
-			return errStaleGrounding
-		}
+	if reads.changedSince(e.txm.Catalog(), csn) {
+		return errStaleGrounding
 	}
 	return nil
 }

@@ -19,11 +19,13 @@ import (
 // members (the hubs pose one entangled query per spoke), loners, bodies that
 // read tables before entangling — User for the hometown, and Choice for the
 // partner's name — and classical writes to the tables those bodies and
-// queries read. Engine A runs every arrival with the selection
-// rule and no tick; engine B gives every arrival a whole-pool run (a Flush
-// after each Submit). After every step A must have committed exactly what B
-// has — a member the selection stranded shows up as the step where A falls
-// behind — and after a final Flush both hold the same Reserve rows.
+// queries read, including writes to Flight.fid, a column the rendezvous
+// queries do not read (the chooser's does). Engine A runs every arrival
+// with the selection rule and no tick; engine B gives every arrival a
+// whole-pool run (a Flush after each Submit). After every step A must have
+// committed exactly what B has — a member the selection stranded shows up
+// as the step where A falls behind — and after a final Flush both hold the
+// same Reserve rows.
 // Competing structures stay out: their tie-break depends on pool order.
 func TestSelectionMatchesWholePoolRuns(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
@@ -105,9 +107,13 @@ func drawSteps(t *testing.T, d *workload.Dataset, rng *rand.Rand) []equivStep {
 		case 5:
 			write := fmt.Sprintf("UPDATE User SET hometown='%s' WHERE uid=%d",
 				workload.CityName(rng.Intn(8)), d.RandomUser())
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				write = fmt.Sprintf("INSERT INTO Flight VALUES ('%s', 'NEW%d', %d)",
 					workload.CityName(rng.Intn(8)), gid, 9000+gid)
+			case 1:
+				write = fmt.Sprintf("UPDATE Flight SET fid=%d WHERE source='%s'",
+					9500+gid, workload.CityName(rng.Intn(8)))
 			}
 			units = append(units, []equivStep{{write: write}})
 		case 6:

@@ -1,6 +1,7 @@
 package eq
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -577,5 +578,63 @@ func TestBodyTablesAndAnswerRelations(t *testing.T) {
 	ar := q.AnswerRelations()
 	if len(ar) != 1 || ar[0] != "Reservation" {
 		t.Errorf("AnswerRelations = %v", ar)
+	}
+}
+
+func TestReadCols(t *testing.T) {
+	flights := NewAtom("Flights", V("fno"), V("fdate"), V("dest"), V("seats"))
+	cases := []struct {
+		name string
+		q    *Query
+		atom Atom
+		want []int
+	}{
+		{"head vars and a Where constant; seats is a singleton",
+			&Query{
+				Head:  []Atom{NewAtom("R", CStr("A"), V("fno"), V("fdate"))},
+				Body:  []Atom{flights},
+				Where: []Constraint{{Left: V("dest"), Op: OpEq, Right: CStr("LA")}},
+				Bind:  []string{"fno"},
+			}, flights, []int{0, 1, 2}},
+		{"constant in the atom",
+			&Query{
+				Head: []Atom{NewAtom("R", V("fno"))},
+				Body: []Atom{NewAtom("Flights", V("fno"), V("fdate"), CStr("LA"), V("seats"))},
+				Bind: []string{"fno"},
+			}, NewAtom("Flights", V("fno"), V("fdate"), CStr("LA"), V("seats")), []int{0, 2}},
+		{"join variable shared with another body atom",
+			&Query{
+				Head: []Atom{NewAtom("R", V("fno"))},
+				Body: []Atom{flights, NewAtom("Airlines", V("fno"), V("name"))},
+				Bind: []string{"fno"},
+			}, NewAtom("Airlines", V("fno"), V("name")), []int{0}},
+		{"variable repeated within the atom",
+			&Query{
+				Head: []Atom{NewAtom("R", V("y"))},
+				Body: []Atom{NewAtom("Pairs", V("x"), V("x"), V("y"), V("z"))},
+				Bind: []string{"y"},
+			}, NewAtom("Pairs", V("x"), V("x"), V("y"), V("z")), []int{0, 1, 2}},
+		{"Bind variable that is otherwise a singleton",
+			&Query{
+				Head: []Atom{NewAtom("R", CStr("A"))},
+				Body: []Atom{flights},
+				Bind: []string{"seats"},
+			}, flights, []int{3}},
+		{"no Bind: Answer.Bindings hands back every variable",
+			&Query{
+				Head: []Atom{NewAtom("R", V("fno"))},
+				Body: []Atom{flights},
+			}, flights, []int{0, 1, 2, 3}},
+		{"only singletons: nil, the whole table",
+			&Query{
+				Head: []Atom{NewAtom("R", CStr("A"))},
+				Body: []Atom{NewAtom("Flights", V("fno"), V("fdate"), V("dest"), V("seats")), NewAtom("Airlines", V("x"), V("name"))},
+				Bind: []string{"name"},
+			}, flights, nil},
+	}
+	for _, c := range cases {
+		if got := c.q.ReadCols(c.atom); !slices.Equal(got, c.want) || (got == nil) != (c.want == nil) {
+			t.Errorf("%s: ReadCols = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -30,7 +30,8 @@ type Query struct {
 	// Where holds comparison constraints over body variables.
 	Where []Constraint
 	// Bind names the variables whose values the transaction wants back as
-	// host variables (the AS @var syntax). May be empty.
+	// host variables (the AS @var syntax). May be empty. When set, the
+	// program reads no other variable from Answer.Bindings (ReadCols).
 	Bind []string
 	// Choose limits the number of groundings selected for this query; the
 	// paper fixes it to 1 and so do we (0 is treated as 1).
@@ -98,6 +99,51 @@ func (q *Query) BodyTables() []string {
 		}
 	}
 	return out
+}
+
+// ReadCols returns the positions of body atom a whose values the query's
+// answer depends on: a constant, or a variable that occurs anywhere else in
+// Head, Post, Body, Where or Bind (a second position of a itself included).
+// A variable occurring once is a fresh column variable the SQL compiler
+// made, read by nothing. Without Bind, though, the program may read any
+// variable from Answer.Bindings, so every position counts as read. Nil
+// means a reads no position — it still reads which rows exist, and nil
+// stands for the whole table.
+func (q *Query) ReadCols(a Atom) []int {
+	var cols []int
+	for i, t := range a.Args {
+		if !t.IsVar || len(q.Bind) == 0 || q.occurrences(t.Name) > 1 {
+			cols = append(cols, i)
+		}
+	}
+	return cols
+}
+
+// occurrences counts the places variable v appears in the query.
+func (q *Query) occurrences(v string) int {
+	n := 0
+	count := func(t Term) {
+		if t.IsVar && t.Name == v {
+			n++
+		}
+	}
+	for _, as := range [...][]Atom{q.Head, q.Post, q.Body} {
+		for _, b := range as {
+			for _, t := range b.Args {
+				count(t)
+			}
+		}
+	}
+	for _, c := range q.Where {
+		count(c.Left)
+		count(c.Right)
+	}
+	for _, b := range q.Bind {
+		if b == v {
+			n++
+		}
+	}
+	return n
 }
 
 // AnswerRelations returns the distinct ANSWER relations mentioned by head

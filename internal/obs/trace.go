@@ -15,11 +15,11 @@ import (
 // Actor even after the trace merges with entangled partners.
 type Span struct {
 	Name  string  `json:"name"`
-	Actor uint64  `json:"actor"`          // original trace id of the query this span belongs to
-	Start float64 `json:"start_ms"`       // offset from trace begin, milliseconds
-	DurMS float64 `json:"dur_ms"`         // span duration, milliseconds
+	Actor uint64  `json:"actor"`           // original trace id of the query this span belongs to
+	Start float64 `json:"start_ms"`        // offset from trace begin, milliseconds
+	DurMS float64 `json:"dur_ms"`          // span duration, milliseconds
 	Shard int     `json:"shard,omitempty"` // shard that recorded the span (sharded deployments)
-	Note  string  `json:"note,omitempty"` // free-form stage detail (round=2 rows=40 ...)
+	Note  string  `json:"note,omitempty"`  // free-form stage detail (round=2 rows=40 ...)
 }
 
 // Trace is one query lifecycle (or several, once entanglement merges

@@ -99,8 +99,8 @@ func Unmarshal(raw []byte) (*Map, error) {
 
 // RouteKey extracts the routing key of a script: the first single-quoted
 // SQL string literal (the paper's workload identifies the acting user by
-// name in the first SELECT ... INTO ANSWER atom). Doubled quotes ('') are
-// the SQL escape and belong to the literal. Scripts without a literal
+// name in the first SELECT ... INTO ANSWER atom). A doubled single quote
+// is the SQL escape and belongs to the literal. Scripts without a literal
 // route to "" — hash shard of the empty string — so routing is total.
 func RouteKey(script string) string {
 	for i := 0; i < len(script); i++ {

@@ -2,7 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -10,9 +10,10 @@ import (
 // Streaming read path: cursors pull a table's snapshot-visible rows in
 // RowID order in caller-paced batches, instead of materializing the whole
 // relation the way AllAsOf/MatchAsOf do. A cursor captures the table's
-// chain ids once at open (8 bytes per chain, not a cloned tuple) and
-// resolves visibility per batch under a short read lock, so grounding a
-// million-row table holds one batch of row references at a time.
+// ascending chain-id list once at open (a prefix of Table.order: no copy,
+// no sort) and resolves visibility per batch under a short read lock, so
+// grounding a million-row table holds one batch of row references at a
+// time.
 //
 // Returned rows alias stored version tuples. Versions are immutable once
 // installed (writers only append to chains), so the references stay valid
@@ -23,7 +24,8 @@ import (
 // after the capture hold only versions invisible to the cursor's snapshot
 // (their CSNs postdate it, or they are uncommitted by someone else), and a
 // chain removed after the capture (rollback, GC below the snapshot
-// watermark) resolves to "not visible" exactly as a live tombstone would.
+// watermark) resolves to "not visible" exactly as a live tombstone would —
+// as does a dead id the capture still lists.
 // A cursor therefore enumerates precisely the rows ScanAsOf would, in the
 // same order, no matter how the pulls interleave with concurrent commits.
 
@@ -32,22 +34,19 @@ import (
 type ScanCursor struct {
 	tbl  *Table
 	snap Snapshot
-	ids  []RowID // all chain ids at open, sorted ascending (shared, read-only)
+	ids  []RowID // all chain ids at open, ascending (shared, read-only)
 	pos  int
 }
 
 // ScanCursorAsOf opens a cursor over the rows visible to snap. The open
-// captures and sorts the table's chain ids and counts as one scan for
-// ScanCount accounting; the per-batch visibility resolution does not.
+// captures the table's ascending chain-id list without copying it and
+// counts as one scan for ScanCount accounting; the per-batch visibility
+// resolution does not.
 func (t *Table) ScanCursorAsOf(snap Snapshot) *ScanCursor {
 	t.scans.Add(1)
 	t.mu.RLock()
-	ids := make([]RowID, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
+	ids := t.order[:len(t.order):len(t.order)]
 	t.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return &ScanCursor{tbl: t, snap: snap, ids: ids}
 }
 
@@ -126,14 +125,11 @@ func (t *Table) ProbeCursor(snap Snapshot, cols []int, vals []types.Value) (*Pro
 			}
 		}
 		ids = append(ids, ix.buckets[key.Key()]...)
+		slices.Sort(ids)
 	} else {
-		ids = make([]RowID, 0, len(t.rows))
-		for id := range t.rows {
-			ids = append(ids, id)
-		}
+		ids = t.order[:len(t.order):len(t.order)]
 	}
 	t.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return &ProbeCursor{tbl: t, snap: snap, cols: cols, vals: vals, ids: ids}, nil
 }
 

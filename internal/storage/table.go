@@ -21,7 +21,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,7 +46,15 @@ type Table struct {
 	nextID   RowID
 	indexes  map[string]*hashIndex // by index name
 	lastCSN  uint64                // newest CSN stamped into this table
+	colCSN   []uint64              // per column position: newest CSN whose commit changed it
 	versions int                   // live version count (GC accounting)
+
+	// order lists every chain id ascending, so a scan needs no sort. Ids
+	// whose chain is gone stay listed (dead counts them) until a compaction.
+	// The slice is only ever appended past its length or replaced, never
+	// changed in place, so a captured prefix order[:n:n] stays valid.
+	order []RowID
+	dead  int
 
 	scans atomic.Int64 // full-table scans served (round-scan-cache accounting)
 }
@@ -58,6 +66,7 @@ func NewTable(name string, schema *types.Schema) *Table {
 		schema:  schema,
 		rows:    make(map[RowID][]version),
 		indexes: make(map[string]*hashIndex),
+		colCSN:  make([]uint64, len(schema.Columns)),
 	}
 }
 
@@ -81,12 +90,81 @@ func (t *Table) Len() int {
 }
 
 // LastCSN returns the newest commit sequence number stamped into this
-// table. Evaluation rounds use it to validate that a grounding snapshot is
-// still current when quasi-read locks are taken.
+// table, whatever the commit changed. The cross-round fingerprints (the
+// ground cache, bound-scan partitions) compare it, because they hold whole
+// rows; decisions that depend only on some columns use ColsCSN.
 func (t *Table) LastCSN() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.lastCSN
+}
+
+// ColsCSN returns the newest commit sequence number whose commit changed
+// one of the column positions cols: an update that rewrote some column to a
+// different value, or any insert, delete, load or restore, which count as
+// changing every column. Nil cols means the whole table, i.e. LastCSN; a
+// position outside the schema counts as the whole table too.
+func (t *Table) ColsCSN(cols []int) uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if cols == nil {
+		return t.lastCSN
+	}
+	var csn uint64
+	for _, c := range cols {
+		if c < 0 || c >= len(t.colCSN) {
+			return t.lastCSN
+		}
+		csn = max(csn, t.colCSN[c])
+	}
+	return csn
+}
+
+// noteCommit records a commit at csn that turned row image old into new
+// (nil: absent). Columns whose values differ are bumped; an insert or a
+// delete bumps every column. Caller holds t.mu.
+func (t *Table) noteCommit(csn uint64, old, new types.Tuple) {
+	t.lastCSN = max(t.lastCSN, csn)
+	for i := range t.colCSN {
+		if old == nil || new == nil || old[i] != new[i] {
+			t.colCSN[i] = max(t.colCSN[i], csn)
+		}
+	}
+}
+
+// addChain lists a fresh chain's id in t.order. Caller holds t.mu.
+func (t *Table) addChain(id RowID) {
+	n := len(t.order)
+	if n == 0 || t.order[n-1] < id {
+		t.order = append(t.order, id) // writes past every captured prefix
+		return
+	}
+	i, listed := slices.BinarySearch(t.order, id)
+	if listed {
+		t.dead-- // a dead id revived (restore of a row whose chain was pruned)
+		return
+	}
+	// Out of order (restore): the clipped slice has no spare capacity, so
+	// Insert allocates and captured prefixes keep the old array.
+	t.order = slices.Insert(slices.Clip(t.order), i, id)
+}
+
+// dropChain deletes id's emptied chain. Its id stays in t.order until dead
+// ids are over half the list; the compaction then builds a new slice.
+// Caller holds t.mu.
+func (t *Table) dropChain(id RowID) {
+	delete(t.rows, id)
+	t.dead++
+	if t.dead <= len(t.order)/2 {
+		return
+	}
+	live := make([]RowID, 0, len(t.order)-t.dead)
+	for _, id := range t.order {
+		if _, ok := t.rows[id]; ok {
+			live = append(live, id)
+		}
+	}
+	t.order, t.dead = live, 0
 }
 
 // VersionCount returns the total number of stored versions (live rows,
@@ -101,6 +179,9 @@ func (t *Table) VersionCount() int {
 // Caller holds t.mu.
 func (t *Table) appendVersion(id RowID, v version) {
 	fresh := len(t.rows[id]) == 0
+	if fresh {
+		t.addChain(id)
+	}
 	t.rows[id] = append(t.rows[id], v)
 	t.versions++
 	if v.row != nil {
@@ -108,8 +189,8 @@ func (t *Table) appendVersion(id RowID, v version) {
 			idx.insert(id, v.row, fresh)
 		}
 	}
-	if v.committed() && v.csn > t.lastCSN {
-		t.lastCSN = v.csn
+	if v.committed() {
+		t.noteCommit(v.csn, nil, nil)
 	}
 }
 
@@ -236,19 +317,21 @@ func (t *Table) DeleteCSN(id RowID, csn uint64) (types.Tuple, error) {
 
 // Stamp marks every uncommitted version txID holds on row id as committed
 // at csn. The transaction layer calls it once per written row at commit,
-// after the commit record is logged.
+// after the commit record is logged. Only the columns whose committed
+// values change count as changed for ColsCSN.
 func (t *Table) Stamp(txID uint64, id RowID, csn uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	vs := t.rows[id]
+	prev, _ := latestVisible(vs, 0) // the committed image before this commit
+	last := prev
 	for i := range vs {
 		if !vs[i].committed() && vs[i].tx == txID {
 			vs[i].csn = csn
+			last = vs[i].row
 		}
 	}
-	if csn > t.lastCSN {
-		t.lastCSN = csn
-	}
+	t.noteCommit(csn, prev, last)
 }
 
 // Rollback removes every uncommitted version txID holds on row id (abort).
@@ -274,7 +357,7 @@ func (t *Table) Rollback(txID uint64, id RowID) {
 		return
 	}
 	if len(kept) == 0 {
-		delete(t.rows, id)
+		t.dropChain(id)
 	} else {
 		t.rows[id] = kept
 	}
@@ -348,13 +431,8 @@ func (t *Table) ScanCount() int64 { return t.scans.Load() }
 func (t *Table) scanResolved(resolve func([]version) (types.Tuple, bool), fn func(id RowID, row types.Tuple) bool) {
 	t.scans.Add(1)
 	t.mu.RLock()
-	ids := make([]RowID, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		row, ok := resolve(t.rows[id])
+	for _, id := range t.order {
+		row, ok := resolve(t.rows[id]) // a dead id's nil chain resolves to nothing
 		if !ok {
 			continue
 		}
@@ -430,6 +508,7 @@ func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rows = make(map[RowID][]version)
+	t.order, t.dead = nil, 0
 	t.versions = 0
 	for _, idx := range t.indexes {
 		idx.clear()
@@ -474,7 +553,7 @@ func (t *Table) GC(watermark uint64) int {
 		pruned += keepFrom
 		t.versions -= keepFrom
 		if len(kept) == 0 {
-			delete(t.rows, id)
+			t.dropChain(id)
 		} else {
 			t.rows[id] = kept
 		}

@@ -560,3 +560,28 @@ func TestSnapshotV1Fallback(t *testing.T) {
 		t.Fatalf("v1 snapshot restored %v rows (err=%v), want 1", tbl, err)
 	}
 }
+
+// TestSnapshotRestoreBumpsEveryColumn: restored rows count as a commit to
+// every column at the snapshot CSN, so column-level staleness checks see
+// the restart.
+func TestSnapshotRestoreBumpsEveryColumn(t *testing.T) {
+	l, path := tmpLog(t)
+	cat := storage.NewCatalog()
+	tbl, _ := cat.Create("User", usersSchema())
+	if _, err := tbl.Insert(types.Tuple{types.Int(1), types.Str("SFO")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Checkpoint(l, cat, 7); err != nil {
+		t.Fatal(err)
+	}
+	fresh := storage.NewCatalog()
+	if _, ok, err := LoadSnapshot(path, fresh); err != nil || !ok {
+		t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
+	}
+	got, _ := fresh.Get("User")
+	for c := range got.Schema().Columns {
+		if csn := got.ColsCSN([]int{c}); csn != 7 {
+			t.Errorf("column %d: ColsCSN = %d after restore, want 7", c, csn)
+		}
+	}
+}

@@ -146,6 +146,8 @@ func (d *Dataset) Social(kind Kind, uid, dest int) entangle.Program {
 //	Head: Rendezvous(uid, ?dest)
 //	Post: Rendezvous(friend, ?dest)
 //	Body: Flight(?src, ?dest, ?fid), ?src = hometown
+//
+// The program reads only ?dest back (Bind), so the query does not read fid.
 func rendezvousQuery(rel string, uid, friend int, hometown string) *eq.Query {
 	return &eq.Query{
 		Head: []eq.Atom{eq.NewAtom(rel, eq.CInt(int64(uid)), eq.V("dest"))},
@@ -154,6 +156,7 @@ func rendezvousQuery(rel string, uid, friend int, hometown string) *eq.Query {
 		Where: []eq.Constraint{
 			{Left: eq.V("src"), Op: eq.OpEq, Right: eq.CStr(hometown)},
 		},
+		Bind:   []string{"dest"},
 		Choose: 1,
 	}
 }
