@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke chaos bench-smoke bench-build bench-test pprof pprof-ground ci
+.PHONY: all build test race vet staticcheck examples serve-smoke obs-smoke shard-smoke chaos bench-smoke bench-build bench-test pprof pprof-ground loc ci
 
 all: build
 
@@ -16,12 +16,12 @@ test:
 # wake or stranded member fails here as a flake instead of silently falling
 # back to the tick. It also repeats the never-waiting quasi-lock test, the
 # bound-scan partition tests (eight grounding workers racing for one
-# partition's build), the ground-cache eviction-order test and the
-# column-level wake/validation tests (Column matches the four local ones,
-# Prepare the two cross-shard reservation ones).
+# partition's build) and the column-level wake/validation tests (Column
+# matches the four local ones, Prepare the two cross-shard reservation ones,
+# which also run with no tick).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestDist|TestWake|TestArrival|TestCommittedWrite|TestPull|TestSelection|TestQuasiLock|TestPartition|TestGroundCacheOrder|Column|TestPrepare' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestDist|TestWake|TestArrival|TestCommittedWrite|TestPull|TestSelection|TestQuasiLock|TestPartition|Column|TestPrepare' ./internal/core/
 
 # Vet plus the formatting gate: any file gofmt would change fails it.
 vet:
@@ -105,10 +105,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryFrame$$' -fuzztime 10s ./internal/wire
 
-# CPU + heap profile of the Figure 6(b) grounding hot path (the cold vs
-# cached sweep); inspect with `go tool pprof cpu.prof` / `mem.prof`.
+# CPU + heap profile of the Figure 6(b) pending-queries sweep (every
+# pending query re-grounds in every run); inspect with
+# `go tool pprof cpu.prof` / `mem.prof`.
 pprof:
-	$(GO) test -run '^$$' -bench BenchmarkFigure6bGroundCache -benchtime 2x -cpuprofile cpu.prof -memprofile mem.prof .
+	$(GO) test -run '^$$' -bench 'BenchmarkFigure6b$$' -benchtime 2x -cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "inspect with: $(GO) tool pprof cpu.prof   (or mem.prof)"
 
 # CPU + heap profile of a 10x-scale grounding round through the streaming
@@ -118,5 +119,13 @@ pprof:
 pprof-ground:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure6bScale/scale=10x' -benchtime 5x -cpuprofile ground-cpu.prof -memprofile ground-mem.prof .
 	@echo "inspect with: $(GO) tool pprof ground-cpu.prof   (or ground-mem.prof)"
+
+# Non-test Go lines per package and in total, outside bench/ (a module of
+# its own, so ./... never lists it): the line counts simplifications report.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		while read -r pkg files; do \
+			[ -n "$$files" ] && printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+		done | awk '{ n += $$1; print } END { printf "%7d total\n", n }'
 
 ci: build vet bench-build bench-test staticcheck test race

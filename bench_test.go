@@ -109,32 +109,6 @@ func BenchmarkFigure6bGroundWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure6bGroundCache reruns the Figure 6(b) pending-queries sweep
-// cold vs cached with the paper's serialized (workers=1) middle tier:
-// cache=false re-grounds every pending query every round (per-run cost
-// linear in p), cache=true re-grounds only queries whose grounded tables'
-// CSN fingerprint advanced — for the steady state of p partner-less
-// transactions over the read-only Flight table, that is none of them, so
-// the p-linear re-grounding cost collapses to cache lookups. The tentpole
-// acceptance claim is ≥2x exp-seconds at p=32.
-func BenchmarkFigure6bGroundCache(b *testing.B) {
-	for _, cached := range []bool{false, true} {
-		for _, p := range []int{8, 32, 64} {
-			b.Run(fmt.Sprintf("cache=%v/p=%d", cached, p), func(b *testing.B) {
-				cfg := benchCfg(100)
-				cfg.Engine.GroundCache = cached
-				for i := 0; i < b.N; i++ {
-					secs, err := harness.MeasurePending(cfg, p, 10)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(secs, "exp-seconds")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkFigure6c sweeps coordinating-set sizes for both structures
 // (Figure 6(c): small slope in k).
 func BenchmarkFigure6c(b *testing.B) {

@@ -35,14 +35,13 @@ func main() {
 		sizes   = flag.String("k", "2,3,4,5,6,7,8,9,10", "coordinating-set sizes for 6c")
 		freqs6c = flag.String("f6c", "10,50", "run frequencies for 6c")
 		workers = flag.Int("workers", 1, "grounding pool size (1 = paper's serialized middle tier, matching the published figures; 0 = engine parallel default)")
-		gcache  = flag.Bool("groundcache", false, "enable the cross-round grounding cache (pending queries re-ground only when their tables' CSN fingerprint advances)")
 		solveB  = flag.Int("solvebudget", 0, "exact coordinating-set search budget in nodes (0 = default; negative = greedy-closure ablation)")
 	)
 	flag.Parse()
 
 	cfg := harness.Config{N: *n, Users: *users, Seed: *seed, Engine: entangle.Options{
-		StmtLatency: *latency, GroundWorkers: *workers, GroundCache: *gcache, SolveBudget: *solveB}}
-	fmt.Printf("youtopia-bench: N=%d users=%d latency=%v seed=%d workers=%d groundcache=%v solvebudget=%d\n\n", *n, *users, *latency, *seed, *workers, *gcache, *solveB)
+		StmtLatency: *latency, GroundWorkers: *workers, SolveBudget: *solveB}}
+	fmt.Printf("youtopia-bench: N=%d users=%d latency=%v seed=%d workers=%d solvebudget=%d\n\n", *n, *users, *latency, *seed, *workers, *solveB)
 
 	run6a := func() {
 		series, err := harness.Figure6a(cfg, ints(*conns))

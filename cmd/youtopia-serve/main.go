@@ -74,7 +74,6 @@ func main() {
 		syncWAL     = flag.Bool("sync", false, "fsync commit records")
 		freq        = flag.Int("f", 1, "run frequency (arrivals per run)")
 		conns       = flag.Int("connections", 0, "engine connection limit (0 = default 100)")
-		groundCache = flag.Bool("ground-cache", true, "enable the cross-round grounding cache")
 		drainWait   = flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 		maxInFlight = flag.Int("max-in-flight", 0, "admission control: max requests executing across all connections; excess is shed with a retryable error (0 = default 1024, negative = unbounded)")
 		perConnPend = flag.Int("per-conn-pending", 0, "max parked Wait/session requests per connection before shedding (0 = default 64)")
@@ -128,7 +127,6 @@ func main() {
 		SyncWAL:      *syncWAL,
 		RunFrequency: *freq,
 		Connections:  *conns,
-		GroundCache:  *groundCache,
 		Faults:       reg,
 		Metrics:      metrics,
 		Tracer:       tracer,

@@ -251,7 +251,7 @@ func TestCrashDuringGroupCommitBatch(t *testing.T) {
 // TestCheckpointCSNSurvivesRestart is the regression test for the lost
 // commit clock: a checkpoint truncates the log, so without the snapshot-
 // header CSN a restart would reseed the clock at 0 and reuse sequence
-// numbers that version visibility and ground-cache fingerprints already
+// numbers that version visibility and partition fingerprints already
 // depend on. The clock must strictly advance across checkpoint + restart.
 func TestCheckpointCSNSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "csn.wal")

@@ -149,8 +149,8 @@ func TestReadColumnCommitVoidsAnswer(t *testing.T) {
 // column col on A's shard while A's prepare is in flight (B has parked): the
 // reservation's delivery validates A's offer against it. It returns the
 // averted widows once both committed.
-func checkPrepare(t *testing.T, col int, retry time.Duration) int64 {
-	net, ea, eb := newDistPairRetry(t, 3*time.Second, retry)
+func checkPrepare(t *testing.T, col int) int64 {
+	net, ea, eb := newDistPairRetry(t, 3*time.Second, noTick)
 	addSeatFlights(t, ea)
 	addSeatFlights(t, eb)
 	net.slowPrepare["A"] = 300 * time.Millisecond
@@ -167,16 +167,16 @@ func checkPrepare(t *testing.T, col int, retry time.Duration) int64 {
 }
 
 func TestPrepareSurvivesUnreadColumnCommit(t *testing.T) {
-	if n := checkPrepare(t, 3, noTick); n != 0 {
+	if n := checkPrepare(t, 3); n != 0 {
 		t.Errorf("a seats commit voted the prepare down: %d averted widows, want 0", n)
 	}
 }
 
-// The member that votes its prepare down re-offers at once, but the offer
-// can reach the matchmaker before the abort does and be dropped; the tick
-// re-offers it.
+// The member that votes its prepare down re-offers at once, and the offer
+// can reach the matchmaker before its no vote does: the matchmaker holds it
+// and pools it with the abort, so no tick is needed to re-offer it.
 func TestPrepareVotedDownAfterReadColumnCommit(t *testing.T) {
-	if n := checkPrepare(t, 2, 10*time.Millisecond); n == 0 {
+	if n := checkPrepare(t, 2); n == 0 {
 		t.Error("a dest commit left the prepare valid: no averted widow")
 	}
 }

@@ -82,13 +82,9 @@ type Options struct {
 	// the exact search entirely and always runs greedy closure (the
 	// pre-exact solver, kept for ablation benchmarks).
 	SolveBudget int
-	// GroundCache enables the cross-round grounding cache: a pending
-	// entangled query is re-grounded only when the CSN fingerprint of its
-	// grounded tables has advanced (some commit touched them) or when the
-	// posing transaction itself wrote a grounded table. Off by default so
-	// the figure benchmarks keep reproducing the paper's re-ground-every-
-	// round middle-tier cost; Stats.GroundCacheHits/Misses report its
-	// behavior and BenchmarkFigure6bGroundCache measures the win.
+	// GroundCache is a no-op that no code reads: every blocked query grounds
+	// in every round it is evaluated in. The field stays only until the
+	// benchmark module stops setting it.
 	GroundCache bool
 	// VacuumInterval triggers periodic version garbage collection: the
 	// storage layer prunes row versions older than the GC watermark (the
@@ -160,8 +156,8 @@ type Stats struct {
 	Vacuums        int64 `json:"vacuums"`         // automatic version-GC passes
 	VersionsPruned int64 `json:"versions_pruned"` // row versions reclaimed by automatic vacuuming
 
-	GroundCacheHits   int64 `json:"ground_cache_hits"`   // pending queries answered from the cross-round grounding cache
-	GroundCacheMisses int64 `json:"ground_cache_misses"` // pending queries re-grounded (cold, invalidated, or bypassed)
+	GroundCacheHits   int64 `json:"ground_cache_hits"`   // always 0: kept for the stats vocabulary (no grounding cache exists)
+	GroundCacheMisses int64 `json:"ground_cache_misses"` // queries grounded: one per blocked member per evaluation round
 	IndexedGroundings int64 `json:"indexed_groundings"`  // grounding atom probes served by hash indexes instead of scans
 
 	GroundRowsStreamed  int64 `json:"ground_rows_streamed"`   // rows pulled through grounding cursors across all rounds
@@ -274,10 +270,8 @@ type Engine struct {
 
 	nextOp uint64 // entanglement operation ids (guarded by statsMu)
 
-	// Grounding hot-path machinery: the cross-round grounding cache (nil
-	// when Options.GroundCache is off), the rounds' shared access paths and
-	// the streaming pipeline's rows/peak-batch accounting (gauges).
-	groundCache *groundCache
+	// Grounding hot-path machinery: the rounds' shared access paths and the
+	// streaming pipeline's rows/peak-batch accounting (gauges).
 	cursors     *roundCursors
 	streamStats eq.StreamStats
 	evalOpts    eq.EvalOptions // every round's evaluation options, fixed at NewEngine
@@ -300,9 +294,6 @@ func NewEngine(txm *txn.Manager, opts Options) *Engine {
 		requeueq: make(chan *pending, 1024),
 	}
 	e.coord = &localCoordinator{e: e}
-	if o.GroundCache {
-		e.groundCache = newGroundCache(0)
-	}
 	e.cursors = newRoundCursors(txm.Catalog(), &e.streamStats)
 	reg := o.Metrics
 	if reg == nil {

@@ -150,25 +150,25 @@ func (p *partition) cursor(vals []types.Value) (eq.RowCursor, error) {
 	return eq.MatchCursor(p.buckets[types.Tuple(vals).Hash()], p.cols, vals), nil
 }
 
-// csnPrint is the cross-round fingerprint of one table, the rule the
-// grounding cache and the bound-scan partitions share: a result computed at
-// a round snapshot stays valid exactly while the table is still the
-// catalog's and its LastCSN has not moved — MVCC then guarantees any later
-// snapshot reads the same rows.
+// csnPrint is the cross-round fingerprint of one table, the rule that keeps
+// a bound-scan partition across rounds: a partition built at a round
+// snapshot stays valid exactly while the table is still the catalog's and
+// its LastCSN has not moved — MVCC then guarantees any later snapshot reads
+// the same rows.
 type csnPrint struct {
 	tbl *storage.Table
 	csn uint64
 }
 
-// printAt fingerprints tbl for a result computed at snapshot snapCSN. ok is
+// printAt fingerprints tbl for a partition built at snapshot snapCSN. ok is
 // false when LastCSN is already past the snapshot: that commit was invisible
-// to the result, yet the fingerprint would validate for later rounds.
+// to the build, yet the fingerprint would validate for later rounds.
 func printAt(tbl *storage.Table, snapCSN uint64) (p csnPrint, ok bool) {
 	p = csnPrint{tbl: tbl, csn: tbl.LastCSN()}
 	return p, p.csn <= snapCSN
 }
 
-// current reports whether the fingerprinted result still holds.
+// current reports whether the fingerprinted partition still holds.
 func (p csnPrint) current(cat *storage.Catalog) bool {
 	tbl, err := cat.Get(p.tbl.Name())
 	return err == nil && tbl == p.tbl && tbl.LastCSN() == p.csn
@@ -179,8 +179,8 @@ func (p csnPrint) current(cat *storage.Catalog) bool {
 // one column-level rule of the scheduler: a commit that changed only
 // columns outside the set changes nothing that was read, so it neither
 // wakes a dormant member (waitRecord) nor voids an answer (lockAndValidate).
-// The fingerprints above stay table-level: a partition or a cached
-// grounding holds whole rows, unread columns included.
+// The fingerprint above stays table-level: a partition holds whole rows,
+// unread columns included.
 type readSet struct {
 	tables []string
 	cols   [][]int

@@ -287,3 +287,190 @@ func TestQuasiLockRefusalDoesNotStallScheduler(t *testing.T) {
 		t.Fatalf("exchange took %v: the scheduler waited in the lock manager", d)
 	}
 }
+
+// TestRoundScanCacheOneScanPerRound is the regression test for the round
+// scan cache: an evaluation round with k queries grounding on one table
+// must perform exactly one snapshot scan of it, not k.
+func TestRoundScanCacheOneScanPerRound(t *testing.T) {
+	const pairs = 3 // 6 members, all grounding on Flights
+	// A huge retry interval keeps the ticker from starting a partial run
+	// before all members have arrived, so exactly one round evaluates.
+	e := newTestEngine(t, Options{RunFrequency: 2 * pairs, RetryInterval: time.Hour})
+	flights, err := e.Txm().Catalog().Get("Flights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := flights.ScanCount()
+	var handles []*Handle
+	for i := 0; i < pairs; i++ {
+		a, b := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+		handles = append(handles,
+			e.Submit(bookFlightProg(a, b, 5*time.Second)),
+			e.Submit(bookFlightProg(b, a, 5*time.Second)))
+	}
+	for _, h := range handles {
+		if o := h.Wait(); o.Status != StatusCommitted {
+			t.Fatalf("outcome %+v", o)
+		}
+	}
+	if got := flights.ScanCount() - before; got != 1 {
+		t.Fatalf("Flights scanned %d times for one round of %d queries, want 1", got, 2*pairs)
+	}
+}
+
+// TestIndexedGroundingStats: with an equality index on the constrained
+// column, grounding routes the Flights atom through an index probe (the
+// Stats counter proves it) and the pair still books one common flight —
+// identical to the scan path.
+func TestIndexedGroundingStats(t *testing.T) {
+	e := newTestEngine(t, Options{RunFrequency: 2})
+	if err := e.Txm().CreateIndex("Flights", "flights_dest", []string{"dest"}); err != nil {
+		t.Fatal(err)
+	}
+	h1 := e.Submit(bookFlightProg("Mickey", "Minnie", 5*time.Second))
+	h2 := e.Submit(bookFlightProg("Minnie", "Mickey", 5*time.Second))
+	if o := h1.Wait(); o.Status != StatusCommitted {
+		t.Fatalf("outcome %+v", o)
+	}
+	if o := h2.Wait(); o.Status != StatusCommitted {
+		t.Fatalf("outcome %+v", o)
+	}
+	if st := e.Stats(); st.IndexedGroundings == 0 {
+		t.Error("no grounding atom was index-routed")
+	}
+	rows := scanAll(t, e, "Reservations")
+	if len(rows) != 2 || !rows[0][1].Equal(rows[1][1]) {
+		t.Fatalf("reservations = %v", rows)
+	}
+}
+
+// tokyoQuery is a self-satisfying entangled query (its postcondition is its
+// own head), so it is answered alone as soon as a grounding exists.
+func tokyoQuery() *eq.Query {
+	return &eq.Query{
+		Head:   []eq.Atom{eq.NewAtom("FlightRes", eq.CStr("X"), eq.V("fno"))},
+		Post:   []eq.Atom{eq.NewAtom("FlightRes", eq.CStr("X"), eq.V("fno"))},
+		Body:   []eq.Atom{eq.NewAtom("Flights", eq.V("fno"), eq.V("fdate"), eq.V("dest"))},
+		Where:  []eq.Constraint{{Left: eq.V("dest"), Op: eq.OpEq, Right: eq.CStr("Tokyo")}},
+		Choose: 1,
+	}
+}
+
+// TestPendingMemberAnswersFromPostCommitRows: a partner-less query pends
+// across rounds that reuse one Flights partition; a committed write that
+// replaces every LA flight invalidates it, and the eventual answer reflects
+// the new committed state, never the rows the earlier rounds grounded on.
+func TestPendingMemberAnswersFromPostCommitRows(t *testing.T) {
+	e := newTestEngine(t, Options{RunFrequency: 100, RetryInterval: noTick})
+	h1 := e.Submit(bookFlightProg("Mickey", "Minnie", time.Minute))
+	e.Flush()
+	e.Flush()
+	e.Flush()
+
+	// Replace every LA flight with a new one: a stale grounding would book a
+	// deleted flight.
+	tx, err := e.BeginClassical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, rows, err := tx.ScanIDs("Flights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		if row[2].Str64() == "LA" {
+			if err := tx.Delete("Flights", ids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := tx.Insert("Flights", types.Tuple{types.Int(900), types.MustDate("2011-06-01"), types.Str("LA")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := e.Submit(bookFlightProg("Minnie", "Mickey", time.Minute))
+	e.Flush()
+	if o := h1.Wait(); o.Status != StatusCommitted {
+		t.Fatalf("Mickey: %+v", o)
+	}
+	if o := h2.Wait(); o.Status != StatusCommitted {
+		t.Fatalf("Minnie: %+v", o)
+	}
+	for _, row := range scanAll(t, e, "Reservations") {
+		if row[1].Int64() != 900 {
+			t.Errorf("stale grounding leaked: booked flight %v, want 900", row[1])
+		}
+	}
+}
+
+// TestPoserGroundsOwnUncommittedFlight: a poser holding uncommitted writes
+// on a grounded table grounds through its own view, so it is answered with
+// the Tokyo flight it inserted even though every earlier round of the same
+// query found none.
+func TestPoserGroundsOwnUncommittedFlight(t *testing.T) {
+	e := newTestEngine(t, Options{RunFrequency: 100, RetryInterval: 5 * time.Millisecond})
+
+	// A pends on the Tokyo query (no Tokyo flights exist): every round
+	// grounds to zero valuations, and A eventually times out.
+	hA := e.Submit(Program{
+		Name:    "A",
+		Timeout: 250 * time.Millisecond,
+		Body: func(tx *Tx) error {
+			a := tx.Entangle(tokyoQuery())
+			return fmt.Errorf("A unexpectedly resumed: %v", a.Status)
+		},
+	})
+	e.Flush()
+	e.Flush()
+	if o := hA.Wait(); o.Status != StatusTimedOut {
+		t.Fatalf("A: %+v", o)
+	}
+
+	// B inserts the only Tokyo flight uncommitted, then poses the identical
+	// query. Uncommitted writes do not advance LastCSN, so only B's own
+	// view, not the committed state A grounded on, holds the flight.
+	var answered eq.Status
+	var fno int64
+	hB := e.Submit(Program{
+		Name:    "B",
+		Timeout: 5 * time.Second,
+		Body: func(tx *Tx) error {
+			if _, err := tx.Insert("Flights", types.Tuple{
+				types.Int(777), types.MustDate("2011-07-01"), types.Str("Tokyo"),
+			}); err != nil {
+				return err
+			}
+			a := tx.Entangle(tokyoQuery())
+			answered = a.Status
+			if a.Status != eq.Answered {
+				return fmt.Errorf("B: %v", a.Status)
+			}
+			fno = a.Bindings["fno"].Int64()
+			return nil
+		},
+	})
+	e.Flush()
+	if o := hB.Wait(); o.Status != StatusCommitted {
+		t.Fatalf("B: %+v (grounded on the committed state, not its own writes?)", o)
+	}
+	if answered != eq.Answered || fno != 777 {
+		t.Fatalf("B answered %v fno=%d, want ANSWERED fno=777", answered, fno)
+	}
+}
+
+// TestGroundingsCountedPerRound: Stats.GroundCacheMisses counts the queries
+// grounded — a pending member re-grounds in every round a Flush runs — and
+// GroundCacheHits stays 0.
+func TestGroundingsCountedPerRound(t *testing.T) {
+	e := newTestEngine(t, Options{RunFrequency: 100, RetryInterval: noTick})
+	e.Submit(bookFlightProg("Mickey", "Minnie", time.Minute))
+	for round := int64(1); round <= 3; round++ {
+		e.Flush()
+		if st := e.Stats(); st.GroundCacheMisses != round || st.GroundCacheHits != 0 {
+			t.Fatalf("after Flush %d: %d groundings, %d hits; want %d, 0", round, st.GroundCacheMisses, st.GroundCacheHits, round)
+		}
+	}
+}

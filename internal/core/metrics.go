@@ -36,8 +36,7 @@ type coreMetrics struct {
 	vacuums       *obs.Counter
 	versionsPrune *obs.Counter
 
-	groundCacheHits   *obs.Counter
-	groundCacheMisses *obs.Counter
+	groundings        *obs.Counter // queries grounded: Stats.GroundCacheMisses
 	indexedGroundings *obs.Counter
 
 	solveSteps     *obs.Counter
@@ -73,8 +72,7 @@ func newCoreMetrics(reg *obs.Registry, stream *eq.StreamStats) *coreMetrics {
 		vacuums:       reg.Counter("vacuums"),
 		versionsPrune: reg.Counter("versions_pruned"),
 
-		groundCacheHits:   reg.Counter("ground_cache_hits"),
-		groundCacheMisses: reg.Counter("ground_cache_misses"),
+		groundings:        reg.Counter("ground_cache_misses"),
 		indexedGroundings: reg.Counter("indexed_groundings"),
 
 		solveSteps:     reg.Counter("solve_steps"),

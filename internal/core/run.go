@@ -328,8 +328,7 @@ func (e *Engine) evaluateQueries(r *run, blocked []*member) int {
 }
 
 // groundAndSolve grounds every blocked member's query against the round
-// snapshot (or reuses its cross-round cached groundings) and searches for
-// the coordinating set.
+// snapshot and searches for the coordinating set.
 func (rd *round) groundAndSolve() {
 	e := rd.r.e
 	// All queries of the round ground against one pinned snapshot, so they
@@ -338,7 +337,6 @@ func (rd *round) groundAndSolve() {
 	// wrote a grounded table see their own versions through their Self).
 	cursors := e.cursors.newRound(rd.view)
 	pendings := make([]eq.Pending, len(rd.blocked))
-	cacheKeys := make([]string, len(rd.blocked))
 	for i, m := range rd.blocked {
 		view := rd.view
 		if m.tx != nil {
@@ -346,35 +344,15 @@ func (rd *round) groundAndSolve() {
 			// uncommitted writes.
 			view.Self = m.tx.ID()
 		}
-		p := eq.Pending{ID: i, Query: m.query, Reader: &groundReader{
+		pendings[i] = eq.Pending{ID: i, Query: m.query, Reader: &groundReader{
 			view:    view,
 			tx:      m.tx,
 			trace:   e.opts.Trace,
 			cursors: cursors,
 			indexed: e.met.indexedGroundings,
 		}}
-		// Cross-round grounding reuse: a pending query whose grounded
-		// tables' CSN fingerprint has not advanced is answered from its
-		// previous groundings without touching the reader.
-		if e.groundCache != nil {
-			cacheKeys[i] = m.query.String()
-			if gs, ok := e.groundCache.lookup(cacheKeys[i], e.txm.Catalog(), m.tx); ok {
-				p.Cached, p.HasCached = gs, true
-				e.bump(e.met.groundCacheHits)
-				// Preserve RG attribution for the isolation checker: the
-				// cached result stands in for grounding reads of the same
-				// tables.
-				if sink := e.opts.Trace; sink != nil && m.tx != nil {
-					for _, table := range m.query.BodyTables() {
-						sink.GroundingRead(m.tx.ID(), table)
-					}
-				}
-			} else {
-				e.bump(e.met.groundCacheMisses)
-			}
-		}
-		pendings[i] = p
 	}
+	e.bumpN(e.met.groundings, int64(len(pendings)))
 	// Grounding fans out across the bounded worker pool: every query reads
 	// the same immutable snapshot, so parallel grounding (with its simulated
 	// round trips overlapped) is safe. The coordinating-set search inside
@@ -398,19 +376,6 @@ func (rd *round) groundAndSolve() {
 			t := m.entry.prog.Trace
 			e.tracer.Span(t, t, "ground", start, res.GroundDur, rd.note)
 			e.tracer.Span(t, t, "solve", start.Add(res.GroundDur), res.SolveDur, rd.note)
-		}
-	}
-
-	// Freshly grounded queries refill the cache (own-writes groundings and
-	// fingerprints already past the round snapshot are refused inside).
-	if e.groundCache != nil {
-		for i, m := range rd.blocked {
-			if pendings[i].HasCached {
-				continue
-			}
-			if gs, ok := res.Groundings[i]; ok {
-				e.groundCache.store(cacheKeys[i], m.query.BodyTables(), rd.view.CSN, e.txm.Catalog(), m.tx, gs)
-			}
 		}
 	}
 }

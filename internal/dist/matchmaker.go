@@ -67,6 +67,7 @@ type Matchmaker struct {
 	offers    map[string]*Offer
 	groups    map[uint64]*groupState
 	inflight  map[string]uint64 // offer key -> undecided group holding it
+	held      map[string]*Offer // offer key in flight -> its latest re-offer
 	decisions map[uint64]bool
 	stop      chan struct{}
 	done      chan struct{}
@@ -88,6 +89,7 @@ func New(opts Options) *Matchmaker {
 		offers:    make(map[string]*Offer),
 		groups:    make(map[uint64]*groupState),
 		inflight:  make(map[string]uint64),
+		held:      make(map[string]*Offer),
 		decisions: make(map[uint64]bool),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -128,8 +130,11 @@ func (m *Matchmaker) AddOffer(o *Offer) {
 	m.mu.Lock()
 	if _, busy := m.inflight[o.Key()]; busy {
 		// The member is already promised to an undecided group; pooling a
-		// second copy could entangle it twice (a cross-shard widow). The
-		// participant re-offers after the decision.
+		// second copy could entangle it twice (a cross-shard widow). Hold the
+		// latest copy for the decision instead: a member that votes its
+		// prepare down re-offers at once, and that re-offer can arrive before
+		// the no vote does.
+		m.held[o.Key()] = o
 		m.mu.Unlock()
 		return
 	}
@@ -144,7 +149,7 @@ func (m *Matchmaker) AddOffer(o *Offer) {
 
 // match runs one coordinating-set search over the pooled offers and forms
 // a group per answered component. Caller holds m.mu; returns the groups to
-// fan prepares out for (off-lock).
+// fan prepares out for.
 func (m *Matchmaker) match() []*groupState {
 	if len(m.offers) < 2 {
 		return nil
@@ -191,8 +196,9 @@ func (m *Matchmaker) match() []*groupState {
 	return formed
 }
 
-// sendPrepares fans a formed group's prepares out. A failed send is a no
-// vote: the group aborts rather than hang.
+// sendPrepares fans a formed group's prepares out, one goroutine per member,
+// so a caller may hold m.mu. A failed send is a no vote: the group aborts
+// rather than hang.
 func (m *Matchmaker) sendPrepares(g *groupState) {
 	for _, o := range g.members {
 		o := o
@@ -310,6 +316,23 @@ func (m *Matchmaker) decideLocked(g *groupState, commit bool) {
 	for node := range nodes {
 		node := node
 		go func() { _ = m.opts.Send.Decide(node, d) }()
+	}
+	// Re-offers held while the group was undecided: an abort pools them and
+	// matches at once, a commit discards them (their members are done).
+	repooled := false
+	for _, o := range g.members {
+		h := m.held[o.Key()]
+		delete(m.held, o.Key())
+		if h != nil && !commit {
+			m.offers[o.Key()] = h
+			bump(m.cOffers)
+			repooled = true
+		}
+	}
+	if repooled {
+		for _, f := range m.match() {
+			m.sendPrepares(f)
+		}
 	}
 }
 

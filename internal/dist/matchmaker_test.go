@@ -269,24 +269,15 @@ func TestFailedPrepareSendIsANoVote(t *testing.T) {
 
 // An offer promised to an undecided group must not be pooled a second
 // time: matching the copy with another partner would entangle one member
-// in two groups — a cross-shard widow.
+// in two groups — a cross-shard widow. The re-offer is held instead, and
+// the abort pools it without the member offering again.
 func TestInflightOfferIsNotRepooled(t *testing.T) {
 	s := newStubSender()
 	m := newTestMatchmaker(t, s, time.Minute)
-	m.AddOffer(pairOffer(t, "n0", 1, "A", "B"))
-	m.AddOffer(pairOffer(t, "n1", 2, "B", "A"))
-	group := s.await(t, "prepare", 2)[0].prepare.Group
+	group := reofferDuringGroup(t, s, m)
 
-	// A re-offers while its group is undecided, and a second B shows up
-	// that would match it.
-	m.AddOffer(pairOffer(t, "n0", 1, "A", "B"))
-	m.AddOffer(pairOffer(t, "n2", 9, "B", "A"))
-	s.quiet(t, "prepare", 2)
-
-	// Once the group is decided the member may be offered again.
 	m.HandleVote(Vote{Group: group, Offer: 2, Node: "n1", Yes: false})
 	s.await(t, "decide", 2)
-	m.AddOffer(pairOffer(t, "n0", 1, "A", "B"))
 	prepares := s.await(t, "prepare", 4)[2:]
 	if prepares[0].prepare.Group == group || prepares[0].prepare.Group != prepares[1].prepare.Group {
 		t.Fatalf("second round prepares = %+v, want one fresh group", prepares)
@@ -295,6 +286,33 @@ func TestInflightOfferIsNotRepooled(t *testing.T) {
 	if !reflect.DeepEqual(got, map[string]uint64{"n0": 1, "n2": 9}) {
 		t.Errorf("second group members = %v, want n0/1 and n2/9", got)
 	}
+}
+
+// A commit discards the held re-offer: its member is done, so the waiting
+// second B must not be matched with it.
+func TestCommitDiscardsHeldOffer(t *testing.T) {
+	s := newStubSender()
+	m := newTestMatchmaker(t, s, time.Minute)
+	group := reofferDuringGroup(t, s, m)
+
+	m.HandleVote(Vote{Group: group, Offer: 1, Node: "n0", Yes: true})
+	m.HandleVote(Vote{Group: group, Offer: 2, Node: "n1", Yes: true})
+	s.await(t, "decide", 2)
+	s.quiet(t, "prepare", 2)
+}
+
+// reofferDuringGroup forms the group of A (n0/1) and B (n1/2), then has A
+// re-offer while the group is undecided and a second B (n2/9) arrive that
+// would match it. It returns the group once no further prepare went out.
+func reofferDuringGroup(t *testing.T, s *stubSender, m *Matchmaker) uint64 {
+	t.Helper()
+	m.AddOffer(pairOffer(t, "n0", 1, "A", "B"))
+	m.AddOffer(pairOffer(t, "n1", 2, "B", "A"))
+	group := s.await(t, "prepare", 2)[0].prepare.Group
+	m.AddOffer(pairOffer(t, "n0", 1, "A", "B"))
+	m.AddOffer(pairOffer(t, "n2", 9, "B", "A"))
+	s.quiet(t, "prepare", 2)
+	return group
 }
 
 func TestDecisionIsThreeState(t *testing.T) {

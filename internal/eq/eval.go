@@ -58,15 +58,15 @@ type Pending struct {
 	// Reader supplies the grounding reads. If nil, evaluation fails with
 	// Errored.
 	Reader CursorReader
-	// Cached supplies this query's groundings from a previous round when
+	// Cached supplies this query's groundings, computed elsewhere, when
 	// HasCached is set: grounding (and its simulated DBMS round trip) is
 	// skipped and the Reader is not consulted. The caller is responsible
-	// for validating that the cached groundings are still current — the
-	// engine's cross-round grounding cache does so with a CSN fingerprint
-	// of the query's grounded tables.
+	// for their currency — the cross-shard matchmaker evaluates the
+	// groundings its offers carry, and each participant re-validates its
+	// answer against the offer's CSN at prepare time.
 	Cached []*Grounding
-	// HasCached distinguishes an empty cached grounding list (a valid
-	// cached result) from no cached result.
+	// HasCached distinguishes an empty supplied grounding list (a valid
+	// result) from none.
 	HasCached bool
 }
 
@@ -274,8 +274,8 @@ func GroundAll(pending []Pending, opts EvalOptions) ([][]*Grounding, []error) {
 	groundOne := func(i int) {
 		p := pending[i]
 		if p.HasCached {
-			// A validated cached grounding replaces the re-grounding round
-			// trip entirely — no reader access, no simulated latency.
+			// Supplied groundings replace the grounding round trip
+			// entirely — no reader access, no simulated latency.
 			groundings[i] = p.Cached
 			return
 		}

@@ -34,8 +34,8 @@ type Config struct {
 	// entangle.Open as one value. The experiments read StmtLatency (the
 	// client-DBMS round trip that makes throughput connection-bound, as in
 	// the paper's setup), GroundWorkers (1 = the paper's serialized middle
-	// tier), GroundCache and SolveBudget from it, and each overrides the
-	// fields it sweeps itself: Connections, RunFrequency, the timeouts.
+	// tier) and SolveBudget from it, and each overrides the fields it
+	// sweeps itself: Connections, RunFrequency, the timeouts.
 	Engine entangle.Options
 }
 

@@ -29,7 +29,7 @@ import (
 // The commit-clock CSN in the header is load-bearing: after a checkpoint
 // truncates the log, recovery sees no commit records, so without the
 // header the clock would restart at 0 and reuse sequence numbers that
-// ground-cache fingerprints and snapshot visibility already depend on.
+// partition fingerprints and snapshot visibility already depend on.
 // RecoverAll seeds the clock from max(snapshot CSN, log MaxCSN). The row
 // count is a fixed-width placeholder patched after one encoding scan —
 // the former two-scan count could disagree with the encoding scan under a
