@@ -158,7 +158,7 @@ type Stats struct {
 
 	GroundCacheHits   int64 `json:"ground_cache_hits"`   // always 0: kept for the stats vocabulary (no grounding cache exists)
 	GroundCacheMisses int64 `json:"ground_cache_misses"` // queries grounded: one per blocked member per evaluation round
-	IndexedGroundings int64 `json:"indexed_groundings"`  // grounding atom probes served by hash indexes instead of scans
+	IndexedGroundings int64 `json:"indexed_groundings"`  // grounding atom probes served by declared (CREATE INDEX) hash indexes
 
 	GroundRowsStreamed  int64 `json:"ground_rows_streamed"`   // rows pulled through grounding cursors across all rounds
 	GroundPeakBatchRows int64 `json:"ground_peak_batch_rows"` // high-water mark of rows resident in one grounding pipeline's batch buffers
@@ -270,9 +270,8 @@ type Engine struct {
 
 	nextOp uint64 // entanglement operation ids (guarded by statsMu)
 
-	// Grounding hot-path machinery: the rounds' shared access paths and the
-	// streaming pipeline's rows/peak-batch accounting (gauges).
-	cursors     *roundCursors
+	// Grounding hot-path machinery: the streaming pipeline's rows/peak-batch
+	// accounting (gauges).
 	streamStats eq.StreamStats
 	evalOpts    eq.EvalOptions // every round's evaluation options, fixed at NewEngine
 }
@@ -294,7 +293,6 @@ func NewEngine(txm *txn.Manager, opts Options) *Engine {
 		requeueq: make(chan *pending, 1024),
 	}
 	e.coord = &localCoordinator{e: e}
-	e.cursors = newRoundCursors(txm.Catalog(), &e.streamStats)
 	reg := o.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()

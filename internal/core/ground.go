@@ -12,30 +12,19 @@ import (
 	"repro/internal/types"
 )
 
-// roundCursors is the evaluation rounds' shared access-path store; the
-// engine keeps one, and newRound points it at each round's snapshot.
-//
-// Scans: all queries of a round share ONE chain-id capture per table
+// roundCursors is one evaluation round's shared scan captures: all queries
+// of the round share ONE chain-id capture per table
 // (storage.ScanCursorAsOf); each gets an independent-position Clone that
 // resolves visibility through its own Snapshot (Self = the posing
-// transaction), so a writer-poser still reads its own versions.
-//
-// Bound scans: a join level with bound positions and no covering index
-// probes a hash partition of the table on those positions, built in one
-// pass over the round's capture and shared by every query and worker that
-// probes the same (table, column set). A partition follows the cross-round
-// fingerprint rule (csnPrint): kept if the table's LastCSN was visible to
-// the round that built it, reused while LastCSN still equals that value,
-// dropped by newRound otherwise — so there is at most one per (table,
-// column set), holding row references, and no size bound is needed.
+// transaction), so a writer-poser still reads its own versions. Bound join
+// levels need no round state: they probe the table's maintained hash index
+// (groundReader.ProbeCursor).
 type roundCursors struct {
 	cat  *storage.Catalog
-	rows *eq.StreamStats  // partition builds count the rows they read here
 	view storage.Snapshot // this round's committed view: round CSN, Self = 0
 
 	mu     sync.Mutex
-	tables map[*storage.Table]*cursorEntry // this round's chain-id captures
-	parts  map[*storage.Table][]*partition // bound-scan partitions, across rounds
+	tables map[*storage.Table]*cursorEntry
 }
 
 // cursorEntry captures one table's chain ids exactly once; the per-entry
@@ -46,38 +35,9 @@ type cursorEntry struct {
 	base *storage.ScanCursor
 }
 
-// partition is a table's committed rows at one round snapshot in
-// RowID-ordered buckets, hashed on cols with types.Value.Hash (values that
-// are Equal share a bucket). Built once behind its own Once.
-type partition struct {
-	cols    []int
-	once    sync.Once
-	print   csnPrint
-	keep    bool // print was visible to the building round
-	buckets map[uint64][]types.Tuple
-	err     error
-}
-
-func newRoundCursors(cat *storage.Catalog, rows *eq.StreamStats) *roundCursors {
-	return &roundCursors{cat: cat, rows: rows, parts: make(map[*storage.Table][]*partition)}
-}
-
-// newRound pins the store to one round's snapshot, dropping the previous
-// round's captures and every partition whose fingerprint no longer holds.
-// Scheduler goroutine only, between rounds.
-func (rc *roundCursors) newRound(view storage.Snapshot) *roundCursors {
+func newRoundCursors(cat *storage.Catalog, view storage.Snapshot) *roundCursors {
 	view.Self = 0
-	rc.view = view
-	rc.tables = make(map[*storage.Table]*cursorEntry)
-	for tbl, ps := range rc.parts {
-		ps = slices.DeleteFunc(ps, func(p *partition) bool { return !p.keep || !p.print.current(rc.cat) })
-		if len(ps) == 0 {
-			delete(rc.parts, tbl)
-		} else {
-			rc.parts[tbl] = ps
-		}
-	}
-	return rc
+	return &roundCursors{cat: cat, view: view, tables: make(map[*storage.Table]*cursorEntry)}
 }
 
 // cursor returns a fresh scan cursor over tbl reading through view, sharing
@@ -98,89 +58,11 @@ func (rc *roundCursors) cursor(tbl *storage.Table, view storage.Snapshot) *stora
 	return e.base.Clone(view)
 }
 
-// partition returns the shared partition of tbl on cols, building it from
-// the round's capture on first use.
-func (rc *roundCursors) partition(tbl *storage.Table, cols []int) *partition {
-	rc.mu.Lock()
-	var p *partition
-	for _, q := range rc.parts[tbl] {
-		if slices.Equal(q.cols, cols) {
-			p = q
-			break
-		}
-	}
-	if p == nil {
-		p = &partition{cols: slices.Clone(cols)}
-		rc.parts[tbl] = append(rc.parts[tbl], p)
-	}
-	rc.mu.Unlock()
-	p.once.Do(func() { rc.build(p, tbl) })
-	return p
-}
-
-// build hashes the committed rows of the round's capture into p's buckets.
-// Its rows count once in the grounding row total, like any other read.
-func (rc *roundCursors) build(p *partition, tbl *storage.Table) {
-	p.print, p.keep = printAt(tbl, rc.view.CSN)
-	p.buckets = make(map[uint64][]types.Tuple)
-	cur := rc.cursor(tbl, rc.view)
-	var buf []types.Tuple
-	for {
-		if buf, p.err = cur.Next(buf[:0], eq.DefaultBatchRows); p.err != nil || len(buf) == 0 {
-			p.keep = p.keep && p.err == nil
-			return
-		}
-		rc.rows.AddRows(int64(len(buf)))
-		for _, row := range buf {
-			h := types.HashSeed
-			for _, c := range p.cols {
-				h = row[c].Hash(h)
-			}
-			p.buckets[h] = append(p.buckets[h], row)
-		}
-	}
-}
-
-// cursor serves the rows whose cols equal vals: one bucket, filtered
-// against hash collisions.
-func (p *partition) cursor(vals []types.Value) (eq.RowCursor, error) {
-	if p.err != nil {
-		return nil, fmt.Errorf("core: grounding read: %w", p.err)
-	}
-	return eq.MatchCursor(p.buckets[types.Tuple(vals).Hash()], p.cols, vals), nil
-}
-
-// csnPrint is the cross-round fingerprint of one table, the rule that keeps
-// a bound-scan partition across rounds: a partition built at a round
-// snapshot stays valid exactly while the table is still the catalog's and
-// its LastCSN has not moved — MVCC then guarantees any later snapshot reads
-// the same rows.
-type csnPrint struct {
-	tbl *storage.Table
-	csn uint64
-}
-
-// printAt fingerprints tbl for a partition built at snapshot snapCSN. ok is
-// false when LastCSN is already past the snapshot: that commit was invisible
-// to the build, yet the fingerprint would validate for later rounds.
-func printAt(tbl *storage.Table, snapCSN uint64) (p csnPrint, ok bool) {
-	p = csnPrint{tbl: tbl, csn: tbl.LastCSN()}
-	return p, p.csn <= snapCSN
-}
-
-// current reports whether the fingerprinted partition still holds.
-func (p csnPrint) current(cat *storage.Catalog) bool {
-	tbl, err := cat.Get(p.tbl.Name())
-	return err == nil && tbl == p.tbl && tbl.LastCSN() == p.csn
-}
-
 // readSet is what an attempt or an answer read, table by table: the column
 // positions whose values it depends on, nil meaning every column. It is the
 // one column-level rule of the scheduler: a commit that changed only
 // columns outside the set changes nothing that was read, so it neither
 // wakes a dormant member (waitRecord) nor voids an answer (lockAndValidate).
-// The fingerprint above stays table-level: a partition holds whole rows,
-// unread columns included.
 type readSet struct {
 	tables []string
 	cols   [][]int
@@ -236,8 +118,8 @@ func (rs *readSet) changedSince(cat *storage.Catalog, csn uint64) bool {
 // the lock-free grounding path. Every query of a round grounds against the
 // same CSN, so evaluation sees one fixed database state that not even
 // transactions outside the run can perturb mid-round. Scans stream through
-// the round's shared capture; bound levels probe a real index, or else the
-// shared partition (see ProbeCursor).
+// the round's shared capture; bound levels probe the table's hash index on
+// their columns (see ProbeCursor).
 //
 // Grounding reads are reported to the trace sink as RG events attributed
 // to the posing transaction (once per table per query, matching the old
@@ -279,31 +161,22 @@ func (g *groundReader) ScanCursor(table string) (eq.RowCursor, error) {
 }
 
 // ProbeCursor streams the rows of table whose positions cols equal vals —
-// the grounding pipeline's bound-level access path. The source:
-//
-//   - a real index covers cols (the planner narrows to a covering or
-//     single-column index when one exists): an index probe through the
-//     round snapshot, the only kind Stats.IndexedGroundings counts;
-//   - the poser holds uncommitted writes on the table: a filtered scan
-//     under its own view, never the committed partition;
-//   - otherwise the shared partition of the table on cols.
+// the grounding pipeline's bound-level access path — from the table's hash
+// index on cols: declared by CREATE INDEX, or built undeclared by the first
+// probe and maintained by every write since. It reads through the round
+// snapshot, so the poser's own uncommitted versions are visible and nobody
+// else's are. Only declared indexes count in Stats.IndexedGroundings.
 func (g *groundReader) ProbeCursor(table string, cols []int, vals []types.Value) (eq.RowCursor, error) {
 	tbl, err := g.cursors.cat.Get(table)
 	if err != nil {
 		return nil, fmt.Errorf("core: grounding read: %w", err)
 	}
 	g.traceRG(tbl.Name())
-	indexed := tbl.HasIndexForCols(cols)
-	width := len(tbl.Schema().Columns)
-	if !indexed && (g.tx == nil || !g.tx.WroteTable(tbl.Name())) && len(cols) == len(vals) &&
-		!slices.ContainsFunc(cols, func(c int) bool { return c < 0 || c >= width }) {
-		return g.cursors.partition(tbl, cols).cursor(vals)
-	}
 	cur, err := tbl.ProbeCursor(g.view, cols, vals)
 	if err != nil {
 		return nil, fmt.Errorf("core: grounding read: %w", err)
 	}
-	if indexed {
+	if tbl.HasIndexForCols(cols) {
 		g.indexed.Add(1)
 	}
 	return cur, nil

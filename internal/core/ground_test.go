@@ -25,13 +25,14 @@ func destQuery(me, dest string) *eq.Query {
 	}
 }
 
-// TestPartitionOwnWritesBypass: in one round, a poser holding an
-// uncommitted Tokyo flight grounds through its own view and is answered
-// with it, while two members probing the same (table, column) share the
-// committed partition: one finds its LA flight, the other no Tokyo flight
-// at all. Once the writer commits, the next run rebuilds the partition and
-// the Tokyo member is answered with the now-committed flight.
-func TestPartitionOwnWritesBypass(t *testing.T) {
+// TestProbeIndexOwnWritesVisible: in one round, a poser holding an
+// uncommitted Tokyo flight is answered with it, because the Flights(dest)
+// index that round's first probe builds lists every stored version and the
+// poser reads it through its own view. Two members probing the same (table,
+// column) read the same index through the committed view: one finds its LA
+// flight, the other no Tokyo flight at all. Once the writer commits, the
+// next run answers the Tokyo member with the now-committed flight.
+func TestProbeIndexOwnWritesVisible(t *testing.T) {
 	e := newTestEngine(t, Options{RunFrequency: 3, RetryInterval: noTick})
 	flights, err := e.Txm().Catalog().Get("Flights")
 	if err != nil {
@@ -64,7 +65,7 @@ func TestPartitionOwnWritesBypass(t *testing.T) {
 		t.Fatalf("writer: %+v", o)
 	}
 	if got := flights.ScanCount() - scans; got != 1 {
-		t.Errorf("Flights captured %d times in the first run, want 1 (one shared build)", got)
+		t.Errorf("Flights read whole %d times in the first run, want 1 (one index build)", got)
 	}
 	// The reader's quasi-read lock was not free while the writer held IX
 	// on Flights, so it retries too.
@@ -73,21 +74,21 @@ func TestPartitionOwnWritesBypass(t *testing.T) {
 		t.Fatalf("reader: %+v", o)
 	}
 	if o := waitWithin(t, ht, 5*time.Second); o.Status != StatusCommitted || o.Attempts != 2 {
-		t.Fatalf("tokyo: %+v; want committed on its second attempt (the partition leaked an uncommitted row?)", o)
+		t.Fatalf("tokyo: %+v; want committed on its second attempt (the index leaked an uncommitted row?)", o)
 	}
 	if fnos["writer"] != 777 || fnos["tokyo"] != 777 || fnos["reader"] != 122 {
 		t.Errorf("answers %v, want writer and tokyo on 777, reader on 122", fnos)
 	}
 	if st := e.Stats(); st.IndexedGroundings != 0 {
-		t.Errorf("IndexedGroundings = %d with no index on dest", st.IndexedGroundings)
+		t.Errorf("IndexedGroundings = %d with no declared index on dest", st.IndexedGroundings)
 	}
 }
 
-// TestPartitionReusedUntilCommit: a pending query re-grounded round after
-// round reads one stored partition until a commit touches the table; the
-// capture count and the rows-read total show the build, the reuse, and the
-// rebuild.
-func TestPartitionReusedUntilCommit(t *testing.T) {
+// TestProbeIndexMaintainedAcrossCommits: a pending query re-grounded round
+// after round builds the Flights(dest) index once; a committed insert is
+// added to it, so the next round rebuilds nothing and reads only the grown
+// bucket.
+func TestProbeIndexMaintainedAcrossCommits(t *testing.T) {
 	e := newTestEngine(t, Options{RunFrequency: 100, RetryInterval: noTick})
 	flights, err := e.Txm().Catalog().Get("Flights")
 	if err != nil {
@@ -97,18 +98,17 @@ func TestPartitionReusedUntilCommit(t *testing.T) {
 		tx.Entangle(flightQuery("Mickey", "Minnie")) // Minnie never comes
 		return nil
 	}})
-	round := func() (captures, rows int64) {
+	round := func() (builds, rows int64) {
 		c, r := flights.ScanCount(), e.Stats().GroundRowsStreamed
 		e.Flush()
 		return flights.ScanCount() - c, e.Stats().GroundRowsStreamed - r
 	}
-	// Four Flights rows, three to LA: a build reads all four, then the
-	// probe pulls the LA bucket.
-	if c, r := round(); c != 1 || r != 4+3 {
-		t.Fatalf("first round: %d captures, %d rows; want 1 build of 4 rows plus 3", c, r)
+	// Four Flights rows, three to LA: the probe reads only the LA bucket.
+	if c, r := round(); c != 1 || r != 3 {
+		t.Fatalf("first round: %d builds, %d rows; want 1 build, then the 3-row bucket", c, r)
 	}
 	if c, r := round(); c != 0 || r != 3 {
-		t.Fatalf("unchanged table: %d captures, %d rows; want the stored partition reused (0, 3)", c, r)
+		t.Fatalf("unchanged table: %d builds, %d rows; want the index reused (0, 3)", c, r)
 	}
 	tx, err := e.BeginClassical()
 	if err != nil {
@@ -120,11 +120,8 @@ func TestPartitionReusedUntilCommit(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if c, r := round(); c != 1 || r != 5+4 {
-		t.Fatalf("after a commit: %d captures, %d rows; want a rebuild (1, 5+4)", c, r)
-	}
-	if c, _ := round(); c != 0 {
-		t.Fatalf("rebuilt partition not reused: %d captures", c)
+	if c, r := round(); c != 0 || r != 4 {
+		t.Fatalf("after a commit: %d builds, %d rows; want the maintained index (0, 4)", c, r)
 	}
 	e.Close()
 	if o := waitWithin(t, h, 5*time.Second); o.Status != StatusFailed {
@@ -132,11 +129,11 @@ func TestPartitionReusedUntilCommit(t *testing.T) {
 	}
 }
 
-// TestPartitionSharedAcrossWorkers: sixteen queries of one round probing
-// the same (table, column set) from eight grounding workers build the
-// partition once (one capture) and still all coordinate. Run under -race it
-// checks the per-entry Once.
-func TestPartitionSharedAcrossWorkers(t *testing.T) {
+// TestProbeIndexBuiltOnceAcrossWorkers: sixteen queries of one round
+// probing the same (table, column set) from eight grounding workers build
+// the index once (one whole-table read) and still all coordinate. Run under
+// -race it checks the build's re-check under the table's write lock.
+func TestProbeIndexBuiltOnceAcrossWorkers(t *testing.T) {
 	const pairs = 8
 	e := newTestEngine(t, Options{RunFrequency: 2 * pairs, GroundWorkers: 8, RetryInterval: noTick})
 	flights, err := e.Txm().Catalog().Get("Flights")
@@ -157,73 +154,54 @@ func TestPartitionSharedAcrossWorkers(t *testing.T) {
 		}
 	}
 	if got := flights.ScanCount() - before; got != 1 {
-		t.Fatalf("Flights captured %d times for one round of %d probes, want 1", got, 2*pairs)
+		t.Fatalf("Flights read whole %d times for one round of %d probes, want 1", got, 2*pairs)
 	}
 }
 
-// TestPartitionNotKeptPastSnapshot: a partition built by a round whose
-// snapshot predates the table's last commit serves that round but is not
-// kept — its fingerprint could otherwise validate for a later round that
-// does see the commit.
-func TestPartitionNotKeptPastSnapshot(t *testing.T) {
+// TestProbeIndexHidesLaterCommits: a round whose snapshot predates a
+// committed insert does not see the row through the index, though the
+// index lists it; a round at a later snapshot does.
+func TestProbeIndexHidesLaterCommits(t *testing.T) {
 	e := newTestEngine(t, Options{})
 	cat := e.Txm().Catalog()
-	flights, err := cat.Get("Flights")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := newRoundCursors(cat, nil)
-	now := storage.Snapshot{CSN: e.Txm().CSN()}
-	for _, c := range []struct {
-		view  storage.Snapshot
-		built int64
-	}{
-		{storage.Snapshot{CSN: flights.LastCSN() - 1}, 1}, // the data load is invisible
-		{now, 1}, // not kept: rebuilt
-		{now, 0}, // kept: reused
-	} {
-		before := flights.ScanCount()
-		rc.newRound(c.view).partition(flights, []int{2})
-		if got := flights.ScanCount() - before; got != c.built {
-			t.Fatalf("round at CSN %d built %d partitions, want %d", c.view.CSN, got, c.built)
+	probe := func(view storage.Snapshot) int {
+		t.Helper()
+		g := &groundReader{view: view, cursors: newRoundCursors(cat, view)}
+		cur, err := g.ProbeCursor("Flights", []int{2}, []types.Value{types.Str("LA")})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestPartitionPullZeroAlloc: pulling a partition bucket appends row
-// references into the caller's buffer and allocates nothing, like the
-// storage cursors underneath.
-func TestPartitionPullZeroAlloc(t *testing.T) {
-	e := newTestEngine(t, Options{})
-	cat := e.Txm().Catalog()
-	flights, err := cat.Get("Flights")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := newRoundCursors(cat, nil).newRound(storage.Snapshot{CSN: e.Txm().CSN()})
-	cur, err := rc.partition(flights, []int{2}).cursor([]types.Value{types.Str("LA")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]types.Tuple, 0, 8)
-	n := 0
-	drain := func() {
-		cur.Rewind()
-		n = 0
+		n := 0
 		for {
-			out, _ := cur.Next(buf[:0], 2)
-			if len(out) == 0 {
-				return
+			rows, err := cur.Next(nil, 8)
+			if err != nil {
+				t.Fatal(err)
 			}
-			n += len(out)
+			if len(rows) == 0 {
+				return n
+			}
+			n += len(rows)
 		}
 	}
-	drain()
-	if n != 3 {
-		t.Fatalf("LA bucket served %d rows, want 3", n)
+	old := storage.Snapshot{CSN: e.Txm().CSN()}
+	if n := probe(old); n != 3 {
+		t.Fatalf("LA rows before the insert: %d, want 3", n)
 	}
-	if allocs := testing.AllocsPerRun(100, drain); allocs != 0 {
-		t.Fatalf("partition pull allocated %v times per drain, want 0", allocs)
+	tx, err := e.BeginClassical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert("Flights", types.Tuple{types.Int(900), types.MustDate("2011-06-01"), types.Str("LA")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := probe(old); n != 3 {
+		t.Errorf("a round at the older snapshot read %d LA rows, want 3", n)
+	}
+	if n := probe(storage.Snapshot{CSN: e.Txm().CSN()}); n != 4 {
+		t.Errorf("a round after the commit read %d LA rows, want 4", n)
 	}
 }
 
@@ -357,9 +335,9 @@ func tokyoQuery() *eq.Query {
 }
 
 // TestPendingMemberAnswersFromPostCommitRows: a partner-less query pends
-// across rounds that reuse one Flights partition; a committed write that
-// replaces every LA flight invalidates it, and the eventual answer reflects
-// the new committed state, never the rows the earlier rounds grounded on.
+// across rounds that probe one Flights index; a committed write replaces
+// every LA flight, and the eventual answer reflects the new committed
+// state, never the rows the earlier rounds grounded on.
 func TestPendingMemberAnswersFromPostCommitRows(t *testing.T) {
 	e := newTestEngine(t, Options{RunFrequency: 100, RetryInterval: noTick})
 	h1 := e.Submit(bookFlightProg("Mickey", "Minnie", time.Minute))
@@ -430,8 +408,8 @@ func TestPoserGroundsOwnUncommittedFlight(t *testing.T) {
 	}
 
 	// B inserts the only Tokyo flight uncommitted, then poses the identical
-	// query. Uncommitted writes do not advance LastCSN, so only B's own
-	// view, not the committed state A grounded on, holds the flight.
+	// query. Only B's own view, not the committed state A grounded on,
+	// holds the flight.
 	var answered eq.Status
 	var fno int64
 	hB := e.Submit(Program{

@@ -332,10 +332,10 @@ func (e *Engine) evaluateQueries(r *run, blocked []*member) int {
 func (rd *round) groundAndSolve() {
 	e := rd.r.e
 	// All queries of the round ground against one pinned snapshot, so they
-	// share one chain-id capture per table and one partition per bound
-	// column set; each query streams through its own cursor (posers that
-	// wrote a grounded table see their own versions through their Self).
-	cursors := e.cursors.newRound(rd.view)
+	// share one chain-id capture per table; each query streams through its
+	// own cursor (posers that wrote a grounded table see their own versions
+	// through their Self).
+	cursors := newRoundCursors(e.txm.Catalog(), rd.view)
 	pendings := make([]eq.Pending, len(rd.blocked))
 	for i, m := range rd.blocked {
 		view := rd.view

@@ -62,18 +62,13 @@ func (m MapReader) ProbeCursor(table string, cols []int, vals []types.Value) (Ro
 	if !ok {
 		return nil, fmt.Errorf("eq: no such relation %s", table)
 	}
-	return MatchCursor(rows, cols, vals), nil
+	return &sliceCursor{rows: rows, cols: cols, vals: vals}, nil
 }
 
-// MatchCursor serves the rows of a slice whose positions cols equal vals
+// sliceCursor serves the rows of a slice whose positions cols equal vals
 // (every row when cols is empty), in slice order, appending references
 // without allocating. A row too short for a probed position passes, so the
 // join's row loop reports its arity error as a scan would.
-func MatchCursor(rows []types.Tuple, cols []int, vals []types.Value) RowCursor {
-	return &sliceCursor{rows: rows, cols: cols, vals: vals}
-}
-
-// sliceCursor serves a materialized row slice as a RowCursor.
 type sliceCursor struct {
 	rows []types.Tuple
 	cols []int

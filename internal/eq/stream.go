@@ -22,9 +22,8 @@ import (
 // streaming executor enumerates byte-identical groundings in identical
 // order to the materialized reference the tests keep as their oracle,
 // because cursors yield rows in storage order and the bind-check-recurse
-// structure is unchanged. The exact solver's tie-breaks,
-// the cross-round grounding cache, and serial-vs-parallel determinism all
-// lean on this.
+// structure is unchanged. The exact solver's tie-breaks and
+// serial-vs-parallel determinism lean on this.
 
 // DefaultBatchRows is the cursor pull granularity when GroundOptions leaves
 // BatchRows zero — the value every evaluation round runs with.
@@ -45,9 +44,8 @@ func (s *StreamStats) Rows() int64 { return s.rows.Load() }
 // rewrite bounds, where the materialized path held whole relations.
 func (s *StreamStats) PeakBatchRows() int64 { return s.peakBatch.Load() }
 
-// AddRows counts n rows read on the grounding path outside the pipeline's
-// own pulls (a shared partition's build pass).
-func (s *StreamStats) AddRows(n int64) {
+// addRows counts n rows pulled through grounding cursors.
+func (s *StreamStats) addRows(n int64) {
 	if s != nil && n > 0 {
 		s.rows.Add(n)
 	}
@@ -203,7 +201,7 @@ func (s *groundStream) refill(i int) (bool, error) {
 	if len(lv.buf) == 0 {
 		return false, nil
 	}
-	s.stats.AddRows(int64(len(lv.buf)))
+	s.stats.addRows(int64(len(lv.buf)))
 	if s.stats != nil {
 		resident := int64(0)
 		for j := 0; j <= i; j++ {

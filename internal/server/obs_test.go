@@ -32,17 +32,19 @@ func TestTracedPairMergesIntoOneTrace(t *testing.T) {
 	defer minnie.Close()
 	setupFlights(t, mickey)
 
-	h1, err := mickey.SubmitScript(flightPair("Mickey", "Minnie"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := minnie.SubmitScript(flightPair("Minnie", "Mickey"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mint1, mint2 := h1.TraceID(), h2.TraceID()
+	// The ids are minted here: the second submit's response may already
+	// carry the merged id, so it cannot report the id that was sent.
+	mint1, mint2 := obs.MintID(), obs.MintID()
 	if mint1 == 0 || mint2 == 0 || mint1 == mint2 {
 		t.Fatalf("minted trace ids: %d / %d", mint1, mint2)
+	}
+	h1, err := mickey.SubmitScriptTraced(flightPair("Mickey", "Minnie"), mint1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := minnie.SubmitScriptTraced(flightPair("Minnie", "Mickey"), mint2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if o := h1.Wait(); o.Status != entangle.StatusCommitted {
 		t.Fatalf("Mickey: %+v", o)

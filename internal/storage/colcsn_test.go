@@ -19,11 +19,8 @@ func TestColsCSNTracksChangedColumns(t *testing.T) {
 		if got := colsCSN(tbl); got != [2]uint64{id, town} {
 			t.Errorf("%s: ColsCSN(id, town) = %v, want [%d %d]", step, got, id, town)
 		}
-		if got := tbl.LastCSN(); got != last {
-			t.Errorf("%s: LastCSN = %d, want %d", step, got, last)
-		}
 		if got := tbl.ColsCSN(nil); got != last {
-			t.Errorf("%s: ColsCSN(nil) = %d, want LastCSN %d", step, got, last)
+			t.Errorf("%s: ColsCSN(nil) = %d, want %d", step, got, last)
 		}
 	}
 

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/types"
@@ -9,25 +8,26 @@ import (
 
 // Streaming read path: cursors pull a table's snapshot-visible rows in
 // RowID order in caller-paced batches, instead of materializing the whole
-// relation the way AllAsOf/MatchAsOf do. A cursor captures the table's
-// ascending chain-id list once at open (a prefix of Table.order: no copy,
-// no sort) and resolves visibility per batch under a short read lock, so
-// grounding a million-row table holds one batch of row references at a
-// time.
+// relation the way AllAsOf/MatchAsOf do. A cursor captures an ascending
+// chain-id list once at open (a prefix of Table.order or of an index
+// bucket: no copy, no sort) and resolves visibility per batch under a short
+// read lock, so grounding a million-row table holds one batch of row
+// references at a time.
 //
 // Returned rows alias stored version tuples. Versions are immutable once
 // installed (writers only append to chains), so the references stay valid
 // indefinitely — but callers must not mutate them and must copy any value
 // they retain past the batch, because the batch buffer itself is reused.
 //
-// Snapshot stability makes the captured id list sound: chains appended
-// after the capture hold only versions invisible to the cursor's snapshot
-// (their CSNs postdate it, or they are uncommitted by someone else), and a
-// chain removed after the capture (rollback, GC below the snapshot
-// watermark) resolves to "not visible" exactly as a live tombstone would —
-// as does a dead id the capture still lists.
-// A cursor therefore enumerates precisely the rows ScanAsOf would, in the
-// same order, no matter how the pulls interleave with concurrent commits.
+// Snapshot stability makes the captured id list sound: chains appended, or
+// ids a bucket lists, after the capture hold only versions invisible to the
+// cursor's snapshot (their CSNs postdate it, or they are uncommitted by
+// someone else), and a chain removed after the capture (rollback, GC below
+// the snapshot watermark) resolves to "not visible" exactly as a live
+// tombstone would — as does a dead id the capture still lists. A cursor
+// therefore enumerates precisely the rows ScanAsOf would (filtered, for a
+// probe), in the same order, no matter how the pulls interleave with
+// concurrent commits.
 
 // ScanCursor streams one table's rows visible to a snapshot, in RowID
 // order. Not safe for concurrent use; Clone independent cursors instead.
@@ -83,54 +83,40 @@ func (c *ScanCursor) Rewind() { c.pos = 0 }
 
 // ProbeCursor streams the rows visible to a snapshot whose column
 // positions cols equal vals, in RowID order — the streaming counterpart of
-// MatchAsOf. When an index covers the column set, candidates come from its
-// bucket; otherwise every chain is filtered (the scan fallback), so the
-// enumeration is identical either way.
+// MatchAsOf, served from the table's hash index on the column set.
 type ProbeCursor struct {
 	tbl  *Table
 	snap Snapshot
 	cols []int
 	vals []types.Value
-	ids  []RowID // candidate chain ids, sorted ascending
+	ids  []RowID // the index bucket at open, ascending (shared, read-only)
 	pos  int
 }
 
-// ProbeCursor opens an equality-probe cursor. The candidate ids are
-// captured (and, for index buckets, copied) at open; visibility and the
-// equality predicate are re-checked per batch against the visible row,
-// because a bucket candidate may carry the key only in an invisible
-// version.
+// ProbeCursor opens an equality-probe cursor. With no index over the column
+// set, the first probe builds an undeclared one (under the write lock,
+// re-checking first) that every write maintains from then on. The open
+// captures the bucket without copying it; visibility and the equality
+// predicate are checked per batch against the visible row, because a bucket
+// candidate may carry the key only in an invisible version, or only share
+// its hash.
 func (t *Table) ProbeCursor(snap Snapshot, cols []int, vals []types.Value) (*ProbeCursor, error) {
-	if len(cols) != len(vals) {
-		return nil, fmt.Errorf("storage: probe on %s: %d columns vs %d values", t.name, len(cols), len(vals))
-	}
-	width := len(t.schema.Columns)
-	for _, c := range cols {
-		if c < 0 || c >= width {
-			return nil, fmt.Errorf("storage: probe on %s: column position %d out of range", t.name, c)
-		}
+	if err := t.checkProbe("probe", cols, vals); err != nil {
+		return nil, err
 	}
 	t.mu.RLock()
-	var ids []RowID
-	if ix := t.findIndexByCols(cols); ix != nil {
-		// Bucket key in the index's own column order; the bucket slice is
-		// mutated under the table's write lock, so copy under the read lock.
-		key := make(types.Tuple, len(ix.columns))
-		for i, c := range ix.columns {
-			for j, probe := range cols {
-				if probe == c {
-					key[i] = vals[j]
-					break
-				}
-			}
+	if len(cols) > 0 && t.index(cols) == nil {
+		t.mu.RUnlock()
+		t.mu.Lock()
+		if t.index(cols) == nil {
+			t.indexes = append(t.indexes, t.buildIndex("", slices.Clone(cols)))
 		}
-		ids = append(ids, ix.buckets[key.Key()]...)
-		slices.Sort(ids)
-	} else {
-		ids = t.order[:len(t.order):len(t.order)]
+		t.mu.Unlock()
+		t.mu.RLock()
 	}
+	ids := t.candidates(cols, vals)
 	t.mu.RUnlock()
-	return &ProbeCursor{tbl: t, snap: snap, cols: cols, vals: vals, ids: ids}, nil
+	return &ProbeCursor{tbl: t, snap: snap, cols: cols, vals: vals, ids: ids[:len(ids):len(ids)]}, nil
 }
 
 // Next appends up to max matching rows to buf and returns the extended
@@ -144,18 +130,7 @@ func (c *ProbeCursor) Next(buf []types.Tuple, max int) ([]types.Tuple, error) {
 	for c.pos < len(c.ids) && len(buf) < want {
 		id := c.ids[c.pos]
 		c.pos++
-		row, ok := visibleAt(c.tbl.rows[id], c.snap)
-		if !ok {
-			continue
-		}
-		match := true
-		for i, col := range c.cols {
-			if !row[col].Equal(c.vals[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
+		if row, ok := visibleAt(c.tbl.rows[id], c.snap); ok && matches(row, c.cols, c.vals) {
 			buf = append(buf, row)
 		}
 	}

@@ -2,134 +2,173 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/types"
 )
 
-// hashIndex is an equality index over one or more columns of a table. With
-// version chains an index entry means "some stored version of this row has
-// this key" — entries are added when versions are installed and removed
-// only when rollback or GC drops the last version carrying the key. Lookups
-// therefore filter candidates through the reader's visibility check. The
-// index is maintained while the table mutex is held, so it needs no locking
-// of its own.
+// hashIndex is an equality index over one or more columns of a table, keyed
+// by types.Value.Hash folded over those columns. With version chains an
+// index entry means "some stored version of this row hashes to this key" —
+// entries are added when versions are installed and removed only when
+// rollback or GC drops the last version carrying the hash. Every read
+// therefore re-checks the visible row with Equal, which filters invisible
+// versions and hash collisions alike. The index is maintained while the
+// table mutex is held, so it needs no locking of its own.
+//
+// Each bucket lists its row ids ascending, so reads come out in RowID order
+// with no sort. Like Table.order, a bucket is only ever appended past its
+// length or replaced, never changed in place, so a prefix captured under the
+// read lock (ProbeCursor) stays valid after the lock is released.
+//
+// A declared index has a name: CREATE INDEX made it, Indexes lists it,
+// checkpoints persist it, and the grounding planner may order joins by it.
+// An undeclared index has none: the first ProbeCursor over its column set
+// built it. It serves reads exactly like a declared one, but HasIndexForCols,
+// HasIndexOn and Indexes do not see it, so neither plans nor the log depend
+// on which probes happened to run.
 type hashIndex struct {
-	name    string
-	columns []int // column positions in the table schema
-	buckets map[string][]RowID
+	name    string // "" while undeclared
+	columns []int  // column positions in the table schema
+	buckets map[uint64][]RowID
 }
 
-func newHashIndex(name string, columns []int) *hashIndex {
-	return &hashIndex{name: name, columns: columns, buckets: make(map[string][]RowID)}
-}
-
-func (ix *hashIndex) keyFor(row types.Tuple) string {
-	key := make(types.Tuple, len(ix.columns))
-	for i, c := range ix.columns {
-		key[i] = row[c]
+// hash is the bucket key of row.
+func (ix *hashIndex) hash(row types.Tuple) uint64 {
+	h := types.HashSeed
+	for _, c := range ix.columns {
+		h = row[c].Hash(h)
 	}
-	return key.Key()
+	return h
 }
 
-// insert records id under the row's key; a row id appears at most once
-// per bucket no matter how many of its versions share the key. fresh
-// means the caller knows this is the row's first version, so the dedup
-// scan (O(bucket length)) is skipped — bulk loads stay linear.
-func (ix *hashIndex) insert(id RowID, row types.Tuple, fresh bool) {
-	k := ix.keyFor(row)
-	if !fresh {
-		for _, got := range ix.buckets[k] {
-			if got == id {
-				return
+// probeHash is the bucket key of the rows whose positions cols equal vals;
+// cols spells the index's column set in any order.
+func (ix *hashIndex) probeHash(cols []int, vals []types.Value) uint64 {
+	h := types.HashSeed
+	for _, c := range ix.columns {
+		h = vals[slices.Index(cols, c)].Hash(h)
+	}
+	return h
+}
+
+// insert lists id under row's key, at most once however many of the row's
+// versions share it. A new largest id appends; any other goes into a copy.
+func (ix *hashIndex) insert(id RowID, row types.Tuple) {
+	h := ix.hash(row)
+	ids := ix.buckets[h]
+	if n := len(ids); n == 0 || ids[n-1] < id {
+		ix.buckets[h] = append(ids, id)
+		return
+	}
+	if i, listed := slices.BinarySearch(ids, id); !listed {
+		ix.buckets[h] = slices.Insert(slices.Clip(ids), i, id)
+	}
+}
+
+// remove unlists id from bucket h, leaving the old array to captured
+// prefixes.
+func (ix *hashIndex) remove(id RowID, h uint64) {
+	ids := ix.buckets[h]
+	i, listed := slices.BinarySearch(ids, id)
+	switch {
+	case !listed:
+	case len(ids) == 1:
+		delete(ix.buckets, h)
+	default:
+		ix.buckets[h] = append(ids[:i:i], ids[i+1:]...)
+	}
+}
+
+// buildIndex returns an index over cols holding every stored version.
+// Building reads the whole table, so it counts as one scan. Caller holds
+// t.mu (write).
+func (t *Table) buildIndex(name string, cols []int) *hashIndex {
+	t.scans.Add(1)
+	ix := &hashIndex{name: name, columns: cols, buckets: make(map[uint64][]RowID)}
+	for _, id := range t.order {
+		for _, v := range t.rows[id] {
+			if v.row != nil {
+				ix.insert(id, v.row)
 			}
 		}
 	}
-	ix.buckets[k] = append(ix.buckets[k], id)
+	return ix
 }
 
-func (ix *hashIndex) remove(id RowID, row types.Tuple) {
-	k := ix.keyFor(row)
-	ids := ix.buckets[k]
-	for i, got := range ids {
-		if got == id {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			break
+// index returns an index whose column set is cols (any order, no
+// duplicates), declared or not: a hash index answers an equality probe over
+// its column set however the probe spells it. Caller holds t.mu.
+func (t *Table) index(cols []int) *hashIndex {
+next:
+	for _, ix := range t.indexes {
+		if len(ix.columns) != len(cols) {
+			continue
+		}
+		for _, c := range ix.columns {
+			if !slices.Contains(cols, c) {
+				continue next
+			}
+		}
+		return ix
+	}
+	return nil
+}
+
+// positions maps column names to schema positions.
+func (t *Table) positions(columns []string) ([]int, error) {
+	cols := make([]int, len(columns))
+	for i, c := range columns {
+		if cols[i] = t.schema.Index(c); cols[i] < 0 {
+			return nil, fmt.Errorf("no column %q in table %s", c, t.name)
 		}
 	}
-	if len(ids) == 0 {
-		delete(ix.buckets, k)
-	} else {
-		ix.buckets[k] = ids
-	}
+	return cols, nil
 }
 
-func (ix *hashIndex) clear() { ix.buckets = make(map[string][]RowID) }
-
-// CreateIndex builds an equality index named name over the given columns.
-// The index is populated from existing versions.
+// CreateIndex declares an equality index named name over the given columns,
+// populated from existing versions. An undeclared index over the same column
+// set becomes the declared one instead of being built twice.
 func (t *Table) CreateIndex(name string, columns ...string) error {
-	cols := make([]int, 0, len(columns))
-	for _, c := range columns {
-		i := t.schema.Index(c)
-		if i < 0 {
-			return fmt.Errorf("storage: index %s: no column %q in table %s", name, c, t.name)
-		}
-		cols = append(cols, i)
+	if name == "" {
+		return fmt.Errorf("storage: index on %s needs a name", t.name)
+	}
+	cols, err := t.positions(columns)
+	if err != nil {
+		return fmt.Errorf("storage: index %s: %w", name, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.indexes[name]; ok {
+	if slices.ContainsFunc(t.indexes, func(ix *hashIndex) bool { return ix.name == name }) {
 		return fmt.Errorf("storage: index %s already exists on %s", name, t.name)
 	}
-	ix := newHashIndex(name, cols)
-	for id, vs := range t.rows {
-		first := true
-		for _, v := range vs {
-			if v.row != nil {
-				ix.insert(id, v.row, first)
-				first = false
-			}
-		}
+	switch ix := t.index(cols); {
+	case ix == nil || ix.name != "":
+		t.indexes = append(t.indexes, t.buildIndex(name, cols))
+	case slices.Equal(ix.columns, cols):
+		ix.name = name
+	default: // the declared column order keys the buckets differently
+		*ix = *t.buildIndex(name, cols)
 	}
-	t.indexes[name] = ix
 	return nil
 }
 
-// HasIndexOn reports whether an equality index exists whose leading columns
-// are exactly the given columns (order-sensitive).
+// HasIndexOn reports whether a declared equality index covers exactly the
+// given columns (in any order).
 func (t *Table) HasIndexOn(columns ...string) bool {
+	cols, err := t.positions(columns)
+	return err == nil && t.HasIndexForCols(cols)
+}
+
+// HasIndexForCols reports whether a declared index covers an equality probe
+// over the given column positions (any order, no duplicates). The grounding
+// planner uses it to order joins, so undeclared indexes never change a plan.
+func (t *Table) HasIndexForCols(cols []int) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.findIndex(columns) != nil
-}
-
-func (t *Table) findIndex(columns []string) *hashIndex {
-	want := make([]int, 0, len(columns))
-	for _, c := range columns {
-		i := t.schema.Index(c)
-		if i < 0 {
-			return nil
-		}
-		want = append(want, i)
-	}
-	for _, ix := range t.indexes {
-		if len(ix.columns) != len(want) {
-			continue
-		}
-		match := true
-		for i := range want {
-			if ix.columns[i] != want[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return ix
-		}
-	}
-	return nil
+	ix := t.index(cols)
+	return ix != nil && ix.name != ""
 }
 
 // IndexInfo describes an index for catalog inspection and WAL replay.
@@ -138,178 +177,100 @@ type IndexInfo struct {
 	Columns []string
 }
 
-// Indexes returns metadata for every index on the table, sorted by name.
+// Indexes returns metadata for every declared index on the table, sorted by
+// name.
 func (t *Table) Indexes() []IndexInfo {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]IndexInfo, 0, len(t.indexes))
-	for name, ix := range t.indexes {
+	for _, ix := range t.indexes {
+		if ix.name == "" {
+			continue
+		}
 		cols := make([]string, len(ix.columns))
 		for i, c := range ix.columns {
 			cols[i] = t.schema.Columns[c].Name
 		}
-		out = append(out, IndexInfo{Name: name, Columns: cols})
+		out = append(out, IndexInfo{Name: ix.name, Columns: cols})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b IndexInfo) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
-// lookupResolved returns the (RowID, visible row) pairs whose visible row
-// (per resolve) equals key on the given columns, using an index for the
-// candidate set when one matches. Results are in ascending RowID order for
-// determinism; rows are shared references into the chains — callers clone
-// before releasing the lock. Caller holds t.mu (read).
-func (t *Table) lookupResolved(columns []string, key types.Tuple, resolve func([]version) (types.Tuple, bool)) ([]RowID, []types.Tuple, error) {
-	if len(columns) != len(key) {
-		return nil, nil, fmt.Errorf("storage: lookup on %s: %d columns vs %d key values", t.name, len(columns), len(key))
+// candidates returns, ascending, the chain ids that may hold a row whose
+// positions cols equal vals: the bucket of an index over the column set,
+// else every chain id (a scan). Readers resolve each id and re-check the
+// visible row with matches. Caller holds t.mu (read).
+func (t *Table) candidates(cols []int, vals []types.Value) []RowID {
+	if ix := t.index(cols); ix != nil {
+		return ix.buckets[ix.probeHash(cols, vals)]
 	}
-	cols := make([]int, len(columns))
-	for i, c := range columns {
-		idx := t.schema.Index(c)
-		if idx < 0 {
-			return nil, nil, fmt.Errorf("storage: lookup on %s: no column %q", t.name, c)
+	t.scans.Add(1)
+	return t.order
+}
+
+// matches reports whether row's positions cols equal vals.
+func matches(row types.Tuple, cols []int, vals []types.Value) bool {
+	for i, c := range cols {
+		if !row[c].Equal(vals[i]) {
+			return false
 		}
-		cols[i] = idx
 	}
-	match := func(row types.Tuple) bool {
-		for i, c := range cols {
-			if !row[c].Equal(key[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	var ids []RowID
-	var rows []types.Tuple
-	add := func(id RowID, vs []version) {
-		if row, ok := resolve(vs); ok && match(row) {
+	return true
+}
+
+// lookup returns the ids and rows visible to snap whose positions cols equal
+// vals, in RowID order. Rows are shared references into the immutable
+// version chains. Caller holds t.mu (read).
+func (t *Table) lookup(snap Snapshot, cols []int, vals []types.Value) (ids []RowID, rows []types.Tuple) {
+	for _, id := range t.candidates(cols, vals) {
+		if row, ok := visibleAt(t.rows[id], snap); ok && matches(row, cols, vals) {
 			ids = append(ids, id)
 			rows = append(rows, row)
 		}
 	}
-	if ix := t.findIndex(columns); ix != nil {
-		// Candidates from the bucket may carry the key only in an invisible
-		// version; re-check against the visible row.
-		for _, id := range ix.buckets[key.Key()] {
-			add(id, t.rows[id])
-		}
-	} else {
-		for id, vs := range t.rows {
-			add(id, vs)
-		}
+	return ids, rows
+}
+
+// lookupNamed is lookup over named columns: the SQL point-read path.
+func (t *Table) lookupNamed(snap Snapshot, columns []string, key types.Tuple) ([]RowID, []types.Tuple, error) {
+	if len(columns) != len(key) {
+		return nil, nil, fmt.Errorf("storage: lookup on %s: %d columns vs %d key values", t.name, len(columns), len(key))
 	}
-	sort.Sort(&idRowSort{ids: ids, rows: rows})
+	cols, err := t.positions(columns)
+	if err != nil {
+		return nil, nil, fmt.Errorf("storage: lookup: %w", err)
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ids, rows := t.lookup(snap, cols, key)
 	return ids, rows, nil
 }
 
-// idRowSort sorts parallel (id, row) slices by RowID.
-type idRowSort struct {
-	ids  []RowID
-	rows []types.Tuple
-}
-
-func (s *idRowSort) Len() int           { return len(s.ids) }
-func (s *idRowSort) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s *idRowSort) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-}
-
-// findIndexByCols returns an index whose column-position set equals cols
-// (order-insensitive: a hash index answers an equality probe over its
-// column set no matter how the probe spells the columns). Caller holds
-// t.mu (read).
-func (t *Table) findIndexByCols(cols []int) *hashIndex {
-	for _, ix := range t.indexes {
-		if len(ix.columns) != len(cols) {
-			continue
-		}
-		match := true
-		for _, c := range ix.columns {
-			found := false
-			for _, want := range cols {
-				if c == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				match = false
-				break
-			}
-		}
-		if match {
-			return ix
+// checkProbe validates an equality probe's arguments; op names it in errors.
+func (t *Table) checkProbe(op string, cols []int, vals []types.Value) error {
+	if len(cols) != len(vals) {
+		return fmt.Errorf("storage: %s on %s: %d columns vs %d values", op, t.name, len(cols), len(vals))
+	}
+	for _, c := range cols {
+		if c < 0 || c >= len(t.schema.Columns) {
+			return fmt.Errorf("storage: %s on %s: column position %d out of range", op, t.name, c)
 		}
 	}
 	return nil
 }
 
-// HasIndexForCols reports whether an equality probe over the given column
-// positions (any order, no duplicates) is index-accelerated. The grounding
-// planner uses it to decide whether an equality-bound atom probes or scans.
-func (t *Table) HasIndexForCols(cols []int) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.findIndexByCols(cols) != nil
-}
-
 // MatchAsOf returns the rows visible to snap whose column positions cols
-// equal vals, cloned, in RowID order — the visibility-aware indexed lookup
-// the grounding hot path probes instead of materializing the whole table.
-// When an index covers the column set the candidates come from its bucket;
-// otherwise every chain is filtered (the scan fallback), so the result is
-// identical either way.
+// equal vals, cloned, in RowID order. Candidates come from an index over the
+// column set when one exists, declared or not, and from every chain
+// otherwise, so the result is identical either way.
 func (t *Table) MatchAsOf(snap Snapshot, cols []int, vals []types.Value) ([]types.Tuple, error) {
-	if len(cols) != len(vals) {
-		return nil, fmt.Errorf("storage: match on %s: %d columns vs %d values", t.name, len(cols), len(vals))
-	}
-	width := len(t.schema.Columns)
-	for _, c := range cols {
-		if c < 0 || c >= width {
-			return nil, fmt.Errorf("storage: match on %s: column position %d out of range", t.name, c)
-		}
+	if err := t.checkProbe("match", cols, vals); err != nil {
+		return nil, err
 	}
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	match := func(row types.Tuple) bool {
-		for i, c := range cols {
-			if !row[c].Equal(vals[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	var ids []RowID
-	var rows []types.Tuple
-	add := func(id RowID, vs []version) {
-		if row, ok := visibleAt(vs, snap); ok && match(row) {
-			ids = append(ids, id)
-			rows = append(rows, row)
-		}
-	}
-	if ix := t.findIndexByCols(cols); ix != nil {
-		// Build the bucket key in the index's own column order; bucket
-		// candidates may carry the key only in an invisible version, so the
-		// visible row is re-checked by match.
-		key := make(types.Tuple, len(ix.columns))
-		for i, c := range ix.columns {
-			for j, probe := range cols {
-				if probe == c {
-					key[i] = vals[j]
-					break
-				}
-			}
-		}
-		for _, id := range ix.buckets[key.Key()] {
-			add(id, t.rows[id])
-		}
-	} else {
-		for id, vs := range t.rows {
-			add(id, vs)
-		}
-	}
-	sort.Sort(&idRowSort{ids: ids, rows: rows})
+	_, rows := t.lookup(snap, cols, vals)
+	t.mu.RUnlock()
 	for i, row := range rows {
 		rows[i] = row.Clone()
 	}
@@ -319,11 +280,7 @@ func (t *Table) MatchAsOf(snap Snapshot, cols []int, vals []types.Value) ([]type
 // LookupTx returns the RowIDs of rows whose given columns equal key in
 // reader's current-state view.
 func (t *Table) LookupTx(reader uint64, columns []string, key types.Tuple) ([]RowID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids, _, err := t.lookupResolved(columns, key, func(vs []version) (types.Tuple, bool) {
-		return latestVisible(vs, reader)
-	})
+	ids, _, err := t.lookupNamed(currentState(reader), columns, key)
 	return ids, err
 }
 
@@ -336,7 +293,7 @@ func (t *Table) Lookup(columns []string, key types.Tuple) ([]RowID, error) {
 // LookupAsOf returns the RowIDs of rows whose given columns equal key as
 // seen by snap — the lock-free indexed read.
 func (t *Table) LookupAsOf(snap Snapshot, columns []string, key types.Tuple) ([]RowID, error) {
-	ids, _, err := t.LookupRowsAsOf(snap, columns, key)
+	ids, _, err := t.lookupNamed(snap, columns, key)
 	return ids, err
 }
 
@@ -344,16 +301,9 @@ func (t *Table) LookupAsOf(snap Snapshot, columns []string, key types.Tuple) ([]
 // resolved in the same single pass under one lock acquisition — the hot
 // path of snapshot-isolated point reads.
 func (t *Table) LookupRowsAsOf(snap Snapshot, columns []string, key types.Tuple) ([]RowID, []types.Tuple, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids, rows, err := t.lookupResolved(columns, key, func(vs []version) (types.Tuple, bool) {
-		return visibleAt(vs, snap)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
+	ids, rows, err := t.lookupNamed(snap, columns, key)
 	for i, row := range rows {
 		rows[i] = row.Clone()
 	}
-	return ids, rows, nil
+	return ids, rows, err
 }

@@ -44,10 +44,10 @@ type Table struct {
 	mu       sync.RWMutex
 	rows     map[RowID][]version // oldest-first version chains
 	nextID   RowID
-	indexes  map[string]*hashIndex // by index name
-	lastCSN  uint64                // newest CSN stamped into this table
-	colCSN   []uint64              // per column position: newest CSN whose commit changed it
-	versions int                   // live version count (GC accounting)
+	indexes  []*hashIndex // declared and undeclared, in creation order
+	lastCSN  uint64       // newest CSN stamped into this table
+	colCSN   []uint64     // per column position: newest CSN whose commit changed it
+	versions int          // live version count (GC accounting)
 
 	// order lists every chain id ascending, so a scan needs no sort. Ids
 	// whose chain is gone stay listed (dead counts them) until a compaction.
@@ -56,17 +56,16 @@ type Table struct {
 	order []RowID
 	dead  int
 
-	scans atomic.Int64 // full-table scans served (round-scan-cache accounting)
+	scans atomic.Int64 // whole-table reads: scans, index builds, unindexed lookups
 }
 
 // NewTable creates an empty table.
 func NewTable(name string, schema *types.Schema) *Table {
 	return &Table{
-		name:    name,
-		schema:  schema,
-		rows:    make(map[RowID][]version),
-		indexes: make(map[string]*hashIndex),
-		colCSN:  make([]uint64, len(schema.Columns)),
+		name:   name,
+		schema: schema,
+		rows:   make(map[RowID][]version),
+		colCSN: make([]uint64, len(schema.Columns)),
 	}
 }
 
@@ -89,21 +88,12 @@ func (t *Table) Len() int {
 	return n
 }
 
-// LastCSN returns the newest commit sequence number stamped into this
-// table, whatever the commit changed. The cross-round fingerprints (the
-// ground cache, bound-scan partitions) compare it, because they hold whole
-// rows; decisions that depend only on some columns use ColsCSN.
-func (t *Table) LastCSN() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lastCSN
-}
-
 // ColsCSN returns the newest commit sequence number whose commit changed
 // one of the column positions cols: an update that rewrote some column to a
 // different value, or any insert, delete, load or restore, which count as
-// changing every column. Nil cols means the whole table, i.e. LastCSN; a
-// position outside the schema counts as the whole table too.
+// changing every column. Nil cols means the whole table: the newest CSN
+// stamped into it, whatever the commit changed. A position outside the
+// schema counts as the whole table too.
 func (t *Table) ColsCSN(cols []int) uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -178,15 +168,14 @@ func (t *Table) VersionCount() int {
 // appendVersion installs a version at the chain tail and indexes its key.
 // Caller holds t.mu.
 func (t *Table) appendVersion(id RowID, v version) {
-	fresh := len(t.rows[id]) == 0
-	if fresh {
+	if len(t.rows[id]) == 0 {
 		t.addChain(id)
 	}
 	t.rows[id] = append(t.rows[id], v)
 	t.versions++
 	if v.row != nil {
-		for _, idx := range t.indexes {
-			idx.insert(id, v.row, fresh)
+		for _, ix := range t.indexes {
+			ix.insert(id, v.row)
 		}
 	}
 	if v.committed() {
@@ -364,27 +353,21 @@ func (t *Table) Rollback(txID uint64, id RowID) {
 	t.unindexOrphans(id, kept, removed)
 }
 
-// unindexOrphans drops index entries for removed versions whose keys no
-// longer appear anywhere in the retained chain. Caller holds t.mu.
+// unindexOrphans drops id from the buckets of removed versions that no
+// retained version hashes to. Buckets are keyed by hash, so a kept version
+// whose key merely collides with a removed one still needs the entry.
+// Caller holds t.mu.
 func (t *Table) unindexOrphans(id RowID, kept []version, removed []types.Tuple) {
-	if len(removed) == 0 || len(t.indexes) == 0 {
-		return
-	}
-	for _, idx := range t.indexes {
-		live := make(map[string]bool, len(kept))
-		for _, v := range kept {
-			if v.row != nil {
-				live[idx.keyFor(v.row)] = true
-			}
-		}
-		seen := make(map[string]bool, len(removed))
+	for _, ix := range t.indexes {
+	removed:
 		for _, row := range removed {
-			k := idx.keyFor(row)
-			if live[k] || seen[k] {
-				continue
+			h := ix.hash(row)
+			for _, v := range kept {
+				if v.row != nil && ix.hash(v.row) == h {
+					continue removed
+				}
 			}
-			seen[k] = true
-			idx.remove(id, row)
+			ix.remove(id, h)
 		}
 	}
 }
@@ -418,10 +401,10 @@ func (t *Table) GetAsOf(snap Snapshot, id RowID) (types.Tuple, bool) {
 	return row.Clone(), true
 }
 
-// ScanCount returns the number of full-table scans this table has served.
-// The round-scan-cache regression tests use it to assert that an evaluation
-// round with k queries over one table materializes exactly one snapshot
-// scan.
+// ScanCount returns the number of whole-table reads this table has served:
+// scan cursors and callbacks, index builds, and lookups no index covers.
+// The grounding tests use it to assert that an evaluation round with k
+// queries over one table reads it once, not k times.
 func (t *Table) ScanCount() int64 { return t.scans.Load() }
 
 // scanResolved iterates chains in RowID order, resolving each through
@@ -472,19 +455,12 @@ func (t *Table) All() []types.Tuple {
 
 // AllAsOf returns every row visible to snap, cloned, in RowID order.
 func (t *Table) AllAsOf(snap Snapshot) []types.Tuple {
-	return t.AppendAllAsOf(snap, nil)
-}
-
-// AppendAllAsOf appends every row visible to snap (cloned, RowID order) to
-// buf and returns the extended slice — the allocation-lean variant the
-// evaluation round's scan cache uses to recycle its per-round buffers
-// instead of growing a fresh slice every round.
-func (t *Table) AppendAllAsOf(snap Snapshot, buf []types.Tuple) []types.Tuple {
+	var out []types.Tuple
 	t.ScanAsOf(snap, func(_ RowID, row types.Tuple) bool {
-		buf = append(buf, row.Clone())
+		out = append(out, row.Clone())
 		return true
 	})
-	return buf
+	return out
 }
 
 // CommittedCSN returns the CSN of the newest committed version of id
@@ -510,8 +486,8 @@ func (t *Table) Truncate() {
 	t.rows = make(map[RowID][]version)
 	t.order, t.dead = nil, 0
 	t.versions = 0
-	for _, idx := range t.indexes {
-		idx.clear()
+	for _, ix := range t.indexes {
+		clear(ix.buckets)
 	}
 }
 

@@ -52,6 +52,12 @@ func latestVisible(vs []version, self uint64) (types.Tuple, bool) {
 	return nil, false
 }
 
+// currentState is the snapshot that resolves every chain as
+// latestVisible(vs, reader) does: all committed versions plus reader's own.
+func currentState(reader uint64) Snapshot {
+	return Snapshot{CSN: uncommittedCSN - 1, Self: reader}
+}
+
 // visibleAt resolves a chain against a snapshot: the newest version that
 // either committed at or before the snapshot's CSN or belongs to the
 // snapshot's own transaction.

@@ -44,8 +44,8 @@ func TestUncommittedVersionInvisibleUntilStamped(t *testing.T) {
 	if _, ok := tbl.GetAsOf(Snapshot{CSN: 5}, id); !ok {
 		t.Error("commit at CSN 5 invisible to snapshot at 5")
 	}
-	if got := tbl.LastCSN(); got != 5 {
-		t.Errorf("LastCSN = %d, want 5", got)
+	if got := tbl.ColsCSN(nil); got != 5 {
+		t.Errorf("ColsCSN(nil) = %d, want 5", got)
 	}
 }
 

@@ -294,21 +294,6 @@ func (t *Txn) Stats() (reads, writes int64) { return t.reads, t.writes }
 // transaction runs at SnapshotIsolation).
 func (t *Txn) SnapshotView() storage.Snapshot { return t.snap }
 
-// WroteTable reports whether the transaction holds uncommitted writes on
-// the named table. The evaluation round's scan and grounding caches bypass
-// shared (committed-state) results for a poser that wrote a grounded table,
-// since its grounding view must include its own uncommitted versions. Only
-// safe to call while the owning goroutine is not mutating the transaction
-// (e.g. while the member is blocked on an entangled query).
-func (t *Txn) WroteTable(name string) bool {
-	for _, w := range t.undo {
-		if w.table.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
 // RefreshSnapshot advances a snapshot-isolated transaction's read view to
 // view's CSN (never backward). The run scheduler refreshes members to the
 // evaluation round's snapshot when delivering an entangled answer, so the

@@ -85,7 +85,8 @@ func WriteSnapshot(logPath string, cat *storage.Catalog, csn uint64) error {
 // LoadSnapshot restores tables from the snapshot file into cat and returns
 // the commit-clock CSN recorded at checkpoint time. Missing snapshot is
 // not an error (ok=false). Restored rows are stamped committed at the
-// snapshot CSN, so version order and table LastCSN survive the restart.
+// snapshot CSN, so version order and each table's commit CSNs (ColsCSN)
+// survive the restart.
 func LoadSnapshot(logPath string, cat *storage.Catalog) (csn uint64, ok bool, err error) {
 	data, err := os.ReadFile(SnapshotPath(logPath))
 	if err != nil {

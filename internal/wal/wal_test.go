@@ -490,8 +490,8 @@ func TestSnapshotCarriesCSN(t *testing.T) {
 		t.Fatalf("restored %d rows, want 1", ftbl.Len())
 	}
 	// Restored rows are stamped at the snapshot CSN.
-	if last := ftbl.LastCSN(); last != csn {
-		t.Fatalf("restored LastCSN = %d, want %d", last, csn)
+	if last := ftbl.ColsCSN(nil); last != csn {
+		t.Fatalf("restored ColsCSN(nil) = %d, want %d", last, csn)
 	}
 
 	// RecoverAll over a snapshot + empty log seeds MaxCSN from the header.
