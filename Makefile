@@ -15,13 +15,13 @@ test:
 # runs): they run with the retry tick disabled, so a schedule-dependent lost
 # wake or stranded member fails here as a flake instead of silently falling
 # back to the tick. It also repeats the never-waiting quasi-lock test, the
-# grounding-probe index tests (eight grounding workers racing to build one
-# undeclared index) and the column-level wake/validation tests (Column
+# grounding-probe index tests (in storage, concurrent probes race to build
+# one undeclared index) and the column-level wake/validation tests (Column
 # matches the four local ones, Prepare the two cross-shard reservation ones,
 # which also run with no tick).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestDist|TestWake|TestArrival|TestCommittedWrite|TestPull|TestSelection|TestQuasiLock|TestProbeIndex|Column|TestPrepare' ./internal/core/
+	$(GO) test -race -count=20 -run 'TestDist|TestWake|TestArrival|TestCommittedWrite|TestPull|TestSelection|TestQuasiLock|TestProbeIndex|Column|TestPrepare' ./internal/core/ ./internal/storage/
 
 # Vet plus the formatting gate: any file gofmt would change fails it.
 vet:

@@ -36,12 +36,8 @@ import (
 )
 
 func benchCfg(n int) harness.Config {
-	// GroundWorkers 1 pins the paper's serialized middle-tier evaluation, so
-	// the figure benchmarks keep reproducing the published shapes (time
-	// linear in p for 6(b)); BenchmarkFigure6bGroundWorkers overrides it to
-	// measure the parallel pipeline against this baseline.
 	return harness.Config{N: n, Users: 600, Seed: 1,
-		Engine: entangle.Options{StmtLatency: 100 * time.Microsecond, GroundWorkers: 1}}
+		Engine: entangle.Options{StmtLatency: 100 * time.Microsecond}}
 }
 
 // BenchmarkFigure6a sweeps the six workloads over connection counts
@@ -85,30 +81,6 @@ func BenchmarkFigure6b(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure6bGroundWorkers reruns the Figure 6(b) pending-queries
-// sweep serial vs parallel: workers=1 reproduces the paper's serialized
-// middle-tier evaluation (per-run cost linear in p), workers=16 overlaps
-// the simulated grounding round trips across the pool. The parallel series
-// should beat the serial one from p≈8 pending queries up, which is the
-// tentpole claim of the concurrent run-evaluation pipeline.
-func BenchmarkFigure6bGroundWorkers(b *testing.B) {
-	for _, workers := range []int{1, 16} {
-		for _, p := range []int{2, 8, 16, 32} {
-			b.Run(fmt.Sprintf("workers=%d/p=%d", workers, p), func(b *testing.B) {
-				cfg := benchCfg(100)
-				cfg.Engine.GroundWorkers = workers
-				for i := 0; i < b.N; i++ {
-					secs, err := harness.MeasurePending(cfg, p, 10)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(secs, "exp-seconds")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkFigure6c sweeps coordinating-set sizes for both structures
 // (Figure 6(c): small slope in k).
 func BenchmarkFigure6c(b *testing.B) {
@@ -134,8 +106,8 @@ func BenchmarkFigure6c(b *testing.B) {
 // re-grounded in one evaluation round over a wide Flights table at 10x and
 // 100x the seed size (the regime where re-grounding cost is the paper's
 // middle-tier bottleneck). path=streaming pulls rows through the batch
-// cursor pipeline the engine uses — one id capture per table per round,
-// zero row clones. The pre-streaming executor's row (one cloned table
+// cursor pipeline the engine uses — one id capture per query, zero row
+// clones. The pre-streaming executor's row (one cloned table
 // snapshot per round, 64x the bytes at 10x scale) retired with the
 // executor; its result stays recorded in EXPERIMENTS.md. The 100x shape
 // completes with the resident set bounded by the batch size
@@ -212,22 +184,18 @@ func scaleFlightsTable(b *testing.B, rows int) *storage.Table {
 	return tbl
 }
 
-// snapCursorReader serves grounding reads the way the engine's round cursor
-// cache does: one id capture per table per round, one clone per query, rows
-// pulled in batches as references into the version chains — never cloned.
+// snapCursorReader serves grounding reads the way the engine's groundReader
+// does: one id capture per scan it opens, rows pulled in batches as
+// references into the version chains — never cloned.
 type snapCursorReader struct {
 	tbl  *storage.Table
 	snap storage.Snapshot
-	base *storage.ScanCursor
 }
 
 func (r *snapCursorReader) CanProbe(string, []int) bool { return false }
 
 func (r *snapCursorReader) ScanCursor(string) (eq.RowCursor, error) {
-	if r.base == nil {
-		r.base = r.tbl.ScanCursorAsOf(r.snap)
-	}
-	return r.base.Clone(r.snap), nil
+	return r.tbl.ScanCursorAsOf(r.snap), nil
 }
 
 func (r *snapCursorReader) ProbeCursor(_ string, cols []int, vals []types.Value) (eq.RowCursor, error) {
@@ -922,7 +890,7 @@ func measureOverload(maxInFlight int) (p50, p90, shedFrac float64, err error) {
 
 // BenchmarkShardedThroughput is the PR 10 scaling row: the same disjoint
 // pair workload on one shard server vs two, each engine grounding
-// serially (GroundWorkers 1) against a simulated 1ms storage round trip —
+// serially against a simulated 1ms storage round trip —
 // the paper's middle-tier bottleneck. Pairs are co-located on their home
 // shard, so two shards split the grounding work with no cross-shard
 // coordination; the acceptance claim is scaling-x >= 1.6 at 2 shards
@@ -985,7 +953,6 @@ func measureShardedThroughput(shards int) (float64, int, error) {
 	for i := range lns {
 		db, err := entangle.Open(entangle.Options{
 			RunFrequency:  8,
-			GroundWorkers: 1,
 			GroundLatency: time.Millisecond,
 		})
 		if err != nil {

@@ -2,14 +2,14 @@ package entangle
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
 )
 
-// Determinism regression for the concurrent run-evaluation pipeline: the
-// same seeded workload of entangled pairs, executed once with serialized
-// grounding (GroundWorkers=1) and once with a parallel pool, must produce
+// Determinism regression for run evaluation: the same seeded workload of
+// entangled pairs, executed twice on fresh databases, must produce
 // identical eq.Solve choices — observable as the flight each participant
 // booked — and identical final table states. The booking scripts leave the
 // chosen grounding in the Bookings table, so choice divergence anywhere in
@@ -18,10 +18,9 @@ import (
 // runDeterministicWorkload executes `pairs` entangled pairs over a Flights
 // table with several equally-eligible rows and returns the sorted final
 // contents of every table.
-func runDeterministicWorkload(t *testing.T, groundWorkers, pairs, seed int) map[string][]string {
+func runDeterministicWorkload(t *testing.T, pairs, seed int) map[string][]string {
 	t.Helper()
 	db, err := Open(Options{
-		GroundWorkers:  groundWorkers,
 		RunFrequency:   2,
 		DefaultTimeout: time.Minute,
 	})
@@ -63,10 +62,10 @@ func runDeterministicWorkload(t *testing.T, groundWorkers, pairs, seed int) map[
 			handles = append(handles, h)
 		}
 		// Both members of the pair are in the pool; RunFrequency=2 starts
-		// the run, so scheduling is the same batch sequence in both modes.
+		// the run, so scheduling is the same batch sequence in both runs.
 		for _, h := range handles[len(handles)-2:] {
 			if o := h.Wait(); o.Status != StatusCommitted {
-				t.Fatalf("workers=%d pair %d: %+v", groundWorkers, p, o)
+				t.Fatalf("pair %d: %+v", p, o)
 			}
 		}
 	}
@@ -87,34 +86,16 @@ func runDeterministicWorkload(t *testing.T, groundWorkers, pairs, seed int) map[
 	return state
 }
 
-func TestSerialParallelDeterminism(t *testing.T) {
+func TestSeededRerunDeterminism(t *testing.T) {
 	const pairs = 8
 	for seed := 1; seed <= 3; seed++ {
-		serial := runDeterministicWorkload(t, 1, pairs, seed)
-		for _, workers := range []int{4, 16} {
-			parallel := runDeterministicWorkload(t, workers, pairs, seed)
-			if len(serial) != len(parallel) {
-				t.Fatalf("seed %d: table sets differ: %v vs %v", seed, serial, parallel)
-			}
-			for name, want := range serial {
-				got, ok := parallel[name]
-				if !ok {
-					t.Fatalf("seed %d: table %s missing from parallel run", seed, name)
-				}
-				if len(want) != len(got) {
-					t.Fatalf("seed %d table %s: %d rows serial vs %d parallel", seed, name, len(want), len(got))
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("seed %d table %s row %d: serial %q vs parallel(%d) %q",
-							seed, name, i, want[i], workers, got[i])
-					}
-				}
-			}
-			// Both booked every participant exactly once.
-			if n := len(parallel["Bookings"]); n != 2*pairs {
-				t.Fatalf("seed %d workers %d: %d bookings, want %d", seed, workers, n, 2*pairs)
-			}
+		first := runDeterministicWorkload(t, pairs, seed)
+		second := runDeterministicWorkload(t, pairs, seed)
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("seed %d: re-run diverged\nfirst:  %v\nsecond: %v", seed, first, second)
+		}
+		if n := len(first["Bookings"]); n != 2*pairs {
+			t.Fatalf("seed %d: %d bookings, want %d", seed, n, 2*pairs)
 		}
 	}
 }

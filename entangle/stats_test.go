@@ -2,9 +2,12 @@ package entangle
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Snapshot consistency: every StatsSnapshot taken while submissions and
@@ -80,5 +83,47 @@ func TestStatsSnapshotConsistentUnderLoad(t *testing.T) {
 	}
 	if final.Commits-base.Commits != 2*pairs {
 		t.Fatalf("commits = %d, want %d", final.Commits-base.Commits, 2*pairs)
+	}
+}
+
+// TestTracedProgramsLeaveNoLiveTrace: every traced program's trace is
+// finished once the program settles. Submit begins the trace before it
+// publishes the program to the scheduler; begun after, a program that
+// settled first had its finished trace re-created as a live one nothing
+// finishes, and Get returned that empty trace in place of the finished one.
+func TestTracedProgramsLeaveNoLiveTrace(t *testing.T) {
+	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1024})
+	db := openTest(t, Options{Tracer: tracer})
+	const submitters, perSubmitter = 4, 100
+	ids := make([][]uint64, submitters)
+	handles := make([][]*Handle, submitters)
+	var wg sync.WaitGroup
+	for s := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				id := obs.MintID()
+				h, err := db.SubmitScriptTraced("SELECT fno FROM Flights WHERE dest='LA';", id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids[s] = append(ids[s], id)
+				handles[s] = append(handles[s], h)
+			}
+		}()
+	}
+	wg.Wait()
+	answered := func(sp obs.Span) bool { return sp.Name == "answer" }
+	for s := range handles {
+		for i, h := range handles[s] {
+			if o := h.Wait(); o.Status != StatusCommitted {
+				t.Fatalf("program %d/%d: %+v", s, i, o)
+			}
+			if tr, ok := tracer.Get(ids[s][i]); !ok || !slices.ContainsFunc(tr.Spans, answered) {
+				t.Fatalf("program %d/%d: trace %d = %+v (found %v), want the finished trace with its answer span", s, i, ids[s][i], tr, ok)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"time"
 
@@ -64,16 +63,9 @@ type Options struct {
 	// each grounding is a SQL query against MySQL, and evaluation is
 	// serialized in the middle tier — so per-run cost grows linearly with
 	// the number of pending queries, the effect Figure 6(b) measures).
-	// Zero disables the simulation. The latency is paid inside each
-	// grounding task, so it overlaps across GroundWorkers.
+	// Zero disables the simulation. A round grounds its queries one after
+	// another, so it pays the latency once per grounded query.
 	GroundLatency time.Duration
-	// GroundWorkers bounds the worker pool grounding a run's pending
-	// queries concurrently. Groundings are read-only against the run's
-	// snapshot and the coordinating-set search consumes them in submission
-	// order, so any worker count yields the serial path's choices. 1 forces
-	// the paper's serialized middle-tier behavior; 0 picks the default
-	// (max(8, NumCPU) — grounding is round-trip-bound, not CPU-bound).
-	GroundWorkers int
 	// SolveBudget bounds the exact coordinating-set search per evaluation
 	// round, in search nodes (0 = eq.DefaultSolveBudget). A round that
 	// exhausts the budget falls back to the greedy closure for the
@@ -121,20 +113,7 @@ func (o *Options) withDefaults() Options {
 	if out.RetryInterval <= 0 {
 		out.RetryInterval = 25 * time.Millisecond
 	}
-	if out.GroundWorkers <= 0 {
-		out.GroundWorkers = defaultGroundWorkers()
-	}
 	return out
-}
-
-// defaultGroundWorkers sizes the grounding pool. Grounding simulates DBMS
-// round trips (sleeps, not CPU), so the pool is sized for overlap even on
-// small machines.
-func defaultGroundWorkers() int {
-	if n := runtime.NumCPU(); n > 8 {
-		return n
-	}
-	return 8
 }
 
 // Stats are cumulative engine counters. The JSON tags are the wire
@@ -300,7 +279,6 @@ func NewEngine(txm *txn.Manager, opts Options) *Engine {
 	e.met = newCoreMetrics(reg, &e.streamStats)
 	e.tracer = o.Tracer
 	e.evalOpts = eq.EvalOptions{
-		GroundWorkers: o.GroundWorkers,
 		GroundLatency: o.GroundLatency,
 		SolveBudget:   o.SolveBudget,
 		Stream:        &e.streamStats,
@@ -341,24 +319,26 @@ func (e *Engine) Submit(p Program) *Handle {
 	// (and swept by the scheduler's shutdown/drain pass) or refused — never
 	// stranded in arrivalq with a handle nobody will settle. The send is
 	// non-blocking: arrivalq holds 64k entries, and past that failing
-	// loudly beats blocking inside the lock.
+	// loudly beats blocking inside the lock. The program is counted and its
+	// trace begun before the send: once published, the scheduler may run and
+	// settle it before this goroutine runs again.
 	e.mu.Lock()
 	if e.closed || e.draining {
 		e.mu.Unlock()
 		h.done <- Outcome{Status: StatusFailed, Err: ErrEngineClosed}
 		return h
 	}
-	select {
-	case e.arrivalq <- ent:
-	default:
-		e.mu.Unlock()
-		h.done <- Outcome{Status: StatusFailed, Err: ErrSubmitQueueFull}
-		return h
-	}
-	e.mu.Unlock()
 	e.bump(e.met.submitted)
 	if t := p.Trace; t != 0 {
 		e.tracer.Begin(t, now)
+	}
+	select {
+	case e.arrivalq <- ent:
+		e.mu.Unlock()
+	default:
+		e.mu.Unlock()
+		e.settle(ent, e.met.failures, Outcome{Status: StatusFailed, Err: ErrSubmitQueueFull})
+		return h
 	}
 	e.poke()
 	return h

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/eq"
 	"repro/internal/obs"
@@ -11,52 +10,6 @@ import (
 	"repro/internal/txn"
 	"repro/internal/types"
 )
-
-// roundCursors is one evaluation round's shared scan captures: all queries
-// of the round share ONE chain-id capture per table
-// (storage.ScanCursorAsOf); each gets an independent-position Clone that
-// resolves visibility through its own Snapshot (Self = the posing
-// transaction), so a writer-poser still reads its own versions. Bound join
-// levels need no round state: they probe the table's maintained hash index
-// (groundReader.ProbeCursor).
-type roundCursors struct {
-	cat  *storage.Catalog
-	view storage.Snapshot // this round's committed view: round CSN, Self = 0
-
-	mu     sync.Mutex
-	tables map[*storage.Table]*cursorEntry
-}
-
-// cursorEntry captures one table's chain ids exactly once; the per-entry
-// Once means concurrent workers capturing DIFFERENT tables never serialize
-// behind each other.
-type cursorEntry struct {
-	once sync.Once
-	base *storage.ScanCursor
-}
-
-func newRoundCursors(cat *storage.Catalog, view storage.Snapshot) *roundCursors {
-	view.Self = 0
-	return &roundCursors{cat: cat, view: view, tables: make(map[*storage.Table]*cursorEntry)}
-}
-
-// cursor returns a fresh scan cursor over tbl reading through view, sharing
-// the round's one-time chain-id capture — exactly one storage scan per
-// table per round no matter how many queries ground on it or how many
-// workers ground them.
-func (rc *roundCursors) cursor(tbl *storage.Table, view storage.Snapshot) *storage.ScanCursor {
-	rc.mu.Lock()
-	e, ok := rc.tables[tbl]
-	if !ok {
-		e = &cursorEntry{}
-		rc.tables[tbl] = e
-	}
-	rc.mu.Unlock()
-	e.once.Do(func() {
-		e.base = tbl.ScanCursorAsOf(rc.view)
-	})
-	return e.base.Clone(view)
-}
 
 // readSet is what an attempt or an answer read, table by table: the column
 // positions whose values it depends on, nil meaning every column. It is the
@@ -118,8 +71,8 @@ func (rs *readSet) changedSince(cat *storage.Catalog, csn uint64) bool {
 // the lock-free grounding path. Every query of a round grounds against the
 // same CSN, so evaluation sees one fixed database state that not even
 // transactions outside the run can perturb mid-round. Scans stream through
-// the round's shared capture; bound levels probe the table's hash index on
-// their columns (see ProbeCursor).
+// a chain-id capture of their own; bound levels probe the table's hash
+// index on their columns (see ProbeCursor).
 //
 // Grounding reads are reported to the trace sink as RG events attributed
 // to the posing transaction (once per table per query, matching the old
@@ -131,13 +84,12 @@ type groundReader struct {
 	view    storage.Snapshot // round snapshot, Self = posing tx (if any)
 	tx      *txn.Txn         // posing transaction (nil for autocommit members)
 	trace   TraceSink
-	cursors *roundCursors // the engine's shared access-path store
-	indexed *obs.Counter  // engine's indexed_groundings counter
+	cat     *storage.Catalog
+	indexed *obs.Counter // engine's indexed_groundings counter
 	traced  map[string]bool
 }
 
-// traceRG reports one RG event per grounded table per query. A reader
-// serves exactly one grounding task, so no locking is needed.
+// traceRG reports one RG event per grounded table per query.
 func (g *groundReader) traceRG(table string) {
 	if g.trace == nil || g.tx == nil || g.traced[table] {
 		return
@@ -149,15 +101,15 @@ func (g *groundReader) traceRG(table string) {
 	g.trace.GroundingRead(g.tx.ID(), table)
 }
 
-// ScanCursor streams table through the round's shared chain-id capture —
-// the grounding pipeline's scan access path.
+// ScanCursor streams table through a chain-id capture taken through the
+// member's view — the grounding pipeline's scan access path.
 func (g *groundReader) ScanCursor(table string) (eq.RowCursor, error) {
-	tbl, err := g.cursors.cat.Get(table)
+	tbl, err := g.cat.Get(table)
 	if err != nil {
 		return nil, fmt.Errorf("core: grounding read: %w", err)
 	}
 	g.traceRG(tbl.Name())
-	return g.cursors.cursor(tbl, g.view), nil
+	return tbl.ScanCursorAsOf(g.view), nil
 }
 
 // ProbeCursor streams the rows of table whose positions cols equal vals —
@@ -167,7 +119,7 @@ func (g *groundReader) ScanCursor(table string) (eq.RowCursor, error) {
 // snapshot, so the poser's own uncommitted versions are visible and nobody
 // else's are. Only declared indexes count in Stats.IndexedGroundings.
 func (g *groundReader) ProbeCursor(table string, cols []int, vals []types.Value) (eq.RowCursor, error) {
-	tbl, err := g.cursors.cat.Get(table)
+	tbl, err := g.cat.Get(table)
 	if err != nil {
 		return nil, fmt.Errorf("core: grounding read: %w", err)
 	}
@@ -188,7 +140,7 @@ func (g *groundReader) ProbeCursor(table string, cols []int, vals []types.Value)
 // atom means no probe ever executes, the query's read dependency on the
 // table is recorded, exactly as the old fetch-every-relation path did.
 func (g *groundReader) CanProbe(table string, cols []int) bool {
-	tbl, err := g.cursors.cat.Get(table)
+	tbl, err := g.cat.Get(table)
 	if err != nil || !tbl.HasIndexForCols(cols) {
 		return false
 	}

@@ -129,35 +129,6 @@ func TestProbeIndexMaintainedAcrossCommits(t *testing.T) {
 	}
 }
 
-// TestProbeIndexBuiltOnceAcrossWorkers: sixteen queries of one round
-// probing the same (table, column set) from eight grounding workers build
-// the index once (one whole-table read) and still all coordinate. Run under
-// -race it checks the build's re-check under the table's write lock.
-func TestProbeIndexBuiltOnceAcrossWorkers(t *testing.T) {
-	const pairs = 8
-	e := newTestEngine(t, Options{RunFrequency: 2 * pairs, GroundWorkers: 8, RetryInterval: noTick})
-	flights, err := e.Txm().Catalog().Get("Flights")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := flights.ScanCount()
-	var handles []*Handle
-	for i := 0; i < pairs; i++ {
-		a, b := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
-		handles = append(handles,
-			e.Submit(bookFlightProg(a, b, 5*time.Second)),
-			e.Submit(bookFlightProg(b, a, 5*time.Second)))
-	}
-	for _, h := range handles {
-		if o := waitWithin(t, h, 5*time.Second); o.Status != StatusCommitted {
-			t.Fatalf("outcome %+v", o)
-		}
-	}
-	if got := flights.ScanCount() - before; got != 1 {
-		t.Fatalf("Flights read whole %d times for one round of %d probes, want 1", got, 2*pairs)
-	}
-}
-
 // TestProbeIndexHidesLaterCommits: a round whose snapshot predates a
 // committed insert does not see the row through the index, though the
 // index lists it; a round at a later snapshot does.
@@ -166,7 +137,7 @@ func TestProbeIndexHidesLaterCommits(t *testing.T) {
 	cat := e.Txm().Catalog()
 	probe := func(view storage.Snapshot) int {
 		t.Helper()
-		g := &groundReader{view: view, cursors: newRoundCursors(cat, view)}
+		g := &groundReader{view: view, cat: cat}
 		cur, err := g.ProbeCursor("Flights", []int{2}, []types.Value{types.Str("LA")})
 		if err != nil {
 			t.Fatal(err)
@@ -263,36 +234,6 @@ func TestQuasiLockRefusalDoesNotStallScheduler(t *testing.T) {
 	}
 	if d := time.Since(start); d >= time.Second {
 		t.Fatalf("exchange took %v: the scheduler waited in the lock manager", d)
-	}
-}
-
-// TestRoundScanCacheOneScanPerRound is the regression test for the round
-// scan cache: an evaluation round with k queries grounding on one table
-// must perform exactly one snapshot scan of it, not k.
-func TestRoundScanCacheOneScanPerRound(t *testing.T) {
-	const pairs = 3 // 6 members, all grounding on Flights
-	// A huge retry interval keeps the ticker from starting a partial run
-	// before all members have arrived, so exactly one round evaluates.
-	e := newTestEngine(t, Options{RunFrequency: 2 * pairs, RetryInterval: time.Hour})
-	flights, err := e.Txm().Catalog().Get("Flights")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := flights.ScanCount()
-	var handles []*Handle
-	for i := 0; i < pairs; i++ {
-		a, b := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
-		handles = append(handles,
-			e.Submit(bookFlightProg(a, b, 5*time.Second)),
-			e.Submit(bookFlightProg(b, a, 5*time.Second)))
-	}
-	for _, h := range handles {
-		if o := h.Wait(); o.Status != StatusCommitted {
-			t.Fatalf("outcome %+v", o)
-		}
-	}
-	if got := flights.ScanCount() - before; got != 1 {
-		t.Fatalf("Flights scanned %d times for one round of %d queries, want 1", got, 2*pairs)
 	}
 }
 

@@ -331,11 +331,7 @@ func (e *Engine) evaluateQueries(r *run, blocked []*member) int {
 // snapshot and searches for the coordinating set.
 func (rd *round) groundAndSolve() {
 	e := rd.r.e
-	// All queries of the round ground against one pinned snapshot, so they
-	// share one chain-id capture per table; each query streams through its
-	// own cursor (posers that wrote a grounded table see their own versions
-	// through their Self).
-	cursors := newRoundCursors(e.txm.Catalog(), rd.view)
+	cat := e.txm.Catalog()
 	pendings := make([]eq.Pending, len(rd.blocked))
 	for i, m := range rd.blocked {
 		view := rd.view
@@ -348,16 +344,11 @@ func (rd *round) groundAndSolve() {
 			view:    view,
 			tx:      m.tx,
 			trace:   e.opts.Trace,
-			cursors: cursors,
+			cat:     cat,
 			indexed: e.met.indexedGroundings,
 		}}
 	}
 	e.bumpN(e.met.groundings, int64(len(pendings)))
-	// Grounding fans out across the bounded worker pool: every query reads
-	// the same immutable snapshot, so parallel grounding (with its simulated
-	// round trips overlapped) is safe. The coordinating-set search inside
-	// Evaluate still consumes the groundings in submission order, so the
-	// chosen answers match the serialized path's exactly.
 	start := time.Now()
 	res := eq.Evaluate(pendings, e.evalOpts)
 	rd.res = res

@@ -271,12 +271,9 @@ func TestPaperMutualSatisfaction(t *testing.T) {
 	if f1 != 122 && f1 != 123 {
 		t.Fatalf("chose non-United or non-LA flight %d", f1)
 	}
-	// Partners recorded symmetrically.
-	if len(res.Partners[1]) != 1 || res.Partners[1][0] != 2 {
-		t.Errorf("partners[1] = %v", res.Partners[1])
-	}
-	if len(res.Partners[2]) != 1 || res.Partners[2][0] != 1 {
-		t.Errorf("partners[2] = %v", res.Partners[2])
+	// One entanglement operation holding both.
+	if !componentsAre(res, []int{1, 2}) {
+		t.Errorf("components = %v", res.Components)
 	}
 	// Grounding tables recorded for quasi-read locking.
 	if got := res.GroundTables[2]; len(got) != 2 {
@@ -526,8 +523,8 @@ func TestNoPostconditionAnsweredAlone(t *testing.T) {
 	if a.Status != Answered || a.Tuples[0].Args[0].Int64() != 7 {
 		t.Fatalf("answer = %+v", a)
 	}
-	if len(res.Partners[1]) != 0 {
-		t.Errorf("partners = %v", res.Partners[1])
+	if !componentsAre(res, []int{1}) {
+		t.Errorf("components = %v", res.Components)
 	}
 }
 
@@ -552,12 +549,15 @@ func TestTwoDisjointPairs(t *testing.T) {
 			t.Fatalf("query %d: %v", id, res.Answers[id].Status)
 		}
 	}
-	if len(res.Partners[1]) != 1 || res.Partners[1][0] != 2 {
-		t.Errorf("partners[1] = %v", res.Partners[1])
+	if !componentsAre(res, []int{1, 2}, []int{3, 4}) {
+		t.Errorf("components = %v", res.Components)
 	}
-	if len(res.Partners[3]) != 1 || res.Partners[3][0] != 4 {
-		t.Errorf("partners[3] = %v", res.Partners[3])
-	}
+}
+
+// componentsAre reports whether res groups its answered queries into
+// exactly the want components, in order.
+func componentsAre(res *Result, want ...[]int) bool {
+	return slices.EqualFunc(res.Components, want, slices.Equal[[]int])
 }
 
 func TestQueryStringRendering(t *testing.T) {

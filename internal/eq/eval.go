@@ -2,8 +2,6 @@ package eq
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -88,24 +86,20 @@ type Answer struct {
 type Result struct {
 	// Answers maps Pending.ID to the query's answer.
 	Answers map[int]*Answer
-	// Partners maps Pending.ID to the IDs of the other queries whose chosen
-	// groundings produced atoms this query's postcondition consumed, or
-	// whose postconditions this query's head satisfied — the entanglement
-	// operation membership used for group commit and quasi-reads.
-	Partners map[int][]int
-	// Components partitions the answered queries' Pending.IDs along those
-	// partner edges: each component is one entanglement operation — the
-	// unit that validates, commits, or aborts together. Components are
-	// ordered by their earliest-submitted member, members in submission
+	// Components partitions the answered queries' Pending.IDs along partner
+	// edges: two queries are partners when one's chosen grounding produced
+	// an atom the other's chosen postcondition consumed. Each component is
+	// one entanglement operation, the unit that validates, commits, or
+	// aborts together (group commit and quasi-read membership). Components
+	// are ordered by their earliest-submitted member, members in submission
 	// order; every answered query appears in exactly one.
 	Components [][]int
 	// GroundTables maps Pending.ID to the tables its grounding read — the
 	// quasi-read targets for its partners.
 	GroundTables map[int][]string
 	// Groundings maps Pending.ID to the full grounding enumeration of each
-	// successfully grounded query (cached or fresh). The engine's
-	// cross-round grounding cache stores these, keyed by query identity and
-	// the CSN fingerprint of the grounded tables.
+	// successfully grounded query (cached or fresh). A cross-shard member's
+	// offer carries its groundings to the matchmaker.
 	Groundings map[int][]*Grounding
 	// Solve reports what the coordinating-set search did this round —
 	// search nodes spent, component count, and whether any component
@@ -124,18 +118,10 @@ const maxRoundGroundings = 10000
 
 // EvalOptions tunes evaluation.
 type EvalOptions struct {
-	// GroundWorkers bounds the worker pool that grounds the pending queries
-	// concurrently. Values <= 1 ground serially in submission order — the
-	// paper's middle-tier behavior, whose per-round cost grows linearly with
-	// the pending count (Figure 6(b)). Grounding is read-only against the
-	// round's snapshot, so any worker count produces identical groundings;
-	// the coordinating-set search always consumes them in submission order,
-	// keeping evaluation deterministic either way.
-	GroundWorkers int
 	// GroundLatency simulates the per-query grounding round trip to the
-	// DBMS, applied inside each grounding task (so a parallel pool overlaps
-	// the simulated round trips exactly as a real middle tier would overlap
-	// its SQL queries). Zero disables the simulation.
+	// DBMS. Queries ground one after another, as in the paper's middle tier,
+	// so a round pays it once per grounded query and its cost grows linearly
+	// with the pending count (Figure 6(b)). Zero disables the simulation.
 	GroundLatency time.Duration
 	// SolveBudget bounds the exact coordinating-set search in nodes per
 	// round (0 = DefaultSolveBudget). Negative skips the exact search and
@@ -152,15 +138,14 @@ type EvalOptions struct {
 }
 
 // Evaluate runs one round of entangled query answering over the pending
-// set, per Appendix A: ground every query, search for a coordinating set,
-// and classify every query's outcome. The underlying database must not
-// change during the round; the caller (the run scheduler) guarantees this
-// by evaluating only when every transaction in the run is blocked and by
-// holding grounding locks through the posing transactions.
+// set, per Appendix A: ground every query in submission order, search for a
+// coordinating set, and classify every query's outcome. The underlying
+// database must not change during the round; the caller (the run
+// scheduler) guarantees this by grounding every query through readers
+// pinned to one snapshot.
 func Evaluate(pending []Pending, opts EvalOptions) *Result {
 	res := &Result{
 		Answers:      make(map[int]*Answer, len(pending)),
-		Partners:     make(map[int][]int),
 		GroundTables: make(map[int][]string),
 		Groundings:   make(map[int][]*Grounding, len(pending)),
 	}
@@ -169,21 +154,20 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 		queries[i] = p.Query
 	}
 	groundStart := time.Now()
-	groundings, errs := GroundAll(pending, opts)
-	res.GroundDur = time.Since(groundStart)
+	groundings := make([][]*Grounding, len(pending))
 	errored := make(map[int]error)
 	for i, p := range pending {
-		if errs[i] != nil {
-			errored[i] = errs[i]
+		gs, err := groundPending(p, opts)
+		if err != nil {
+			errored[i] = err
 			continue
 		}
+		groundings[i] = gs
 		res.GroundTables[p.ID] = p.Query.BodyTables()
-		res.Groundings[p.ID] = groundings[i]
+		res.Groundings[p.ID] = gs
 	}
+	res.GroundDur = time.Since(groundStart)
 
-	// The pipeline barrier: however the groundings were produced, the
-	// coordinating-set search consumes them indexed by submission order, so
-	// its choices are independent of worker scheduling.
 	solveStart := time.Now()
 	chosen, solveStats := SolveBudget(groundings, opts.SolveBudget)
 	res.Solve = solveStats
@@ -201,10 +185,6 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 			producerOf[h.Key()] = append(producerOf[h.Key()], i)
 		}
 	}
-	partnerSets := make([]map[int]bool, len(pending))
-	for i := range partnerSets {
-		partnerSets[i] = make(map[int]bool)
-	}
 	sets := NewDisjointSets(len(pending))
 	for i, gi := range chosen {
 		if gi < 0 {
@@ -212,11 +192,7 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 		}
 		for _, p := range groundings[i][gi].Post {
 			for _, j := range producerOf[p.Key()] {
-				if j != i {
-					partnerSets[i][j] = true
-					partnerSets[j][i] = true
-					sets.Union(i, j)
-				}
+				sets.Union(i, j)
 			}
 		}
 	}
@@ -246,10 +222,6 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 				bindings[k] = v
 			}
 			res.Answers[p.ID] = &Answer{Status: Answered, Tuples: g.Head, Bindings: bindings}
-			for j := range partnerSets[i] {
-				res.Partners[p.ID] = append(res.Partners[p.ID], pending[j].ID)
-			}
-			sort.Ints(res.Partners[p.ID])
 			continue
 		}
 		if formable[i] {
@@ -261,68 +233,23 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 	return res
 }
 
-// GroundAll runs the grounding stage of an evaluation round: it enumerates
-// the groundings of every pending query, either serially in submission
-// order or across a bounded worker pool (EvalOptions.GroundWorkers). The
-// returned slices are indexed by the pending set's positions; position i is
-// written only by the task grounding query i, so the parallel path needs no
-// locks and yields byte-identical output to the serial one. Each task also
-// pays EvalOptions.GroundLatency, the simulated DBMS round trip.
-func GroundAll(pending []Pending, opts EvalOptions) ([][]*Grounding, []error) {
-	groundings := make([][]*Grounding, len(pending))
-	errs := make([]error, len(pending))
-	groundOne := func(i int) {
-		p := pending[i]
-		if p.HasCached {
-			// Supplied groundings replace the grounding round trip
-			// entirely — no reader access, no simulated latency.
-			groundings[i] = p.Cached
-			return
-		}
-		if opts.GroundLatency > 0 {
-			time.Sleep(opts.GroundLatency)
-		}
-		if p.Reader == nil {
-			errs[i] = fmt.Errorf("eq: query %d has no reader", p.ID)
-			return
-		}
-		gs, err := GroundWith(p.Query, p.Reader, GroundOptions{
-			MaxGroundings: maxRoundGroundings,
-			Stats:         opts.Stream,
-			PullDur:       opts.PullDur,
-		})
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		groundings[i] = gs
+// groundPending enumerates one pending query's groundings. Supplied
+// groundings replace the grounding round trip entirely: no reader access,
+// no simulated latency. Otherwise the query pays EvalOptions.GroundLatency,
+// the simulated DBMS round trip, and streams through its reader.
+func groundPending(p Pending, opts EvalOptions) ([]*Grounding, error) {
+	if p.HasCached {
+		return p.Cached, nil
 	}
-
-	workers := opts.GroundWorkers
-	if workers > len(pending) {
-		workers = len(pending)
+	if opts.GroundLatency > 0 {
+		time.Sleep(opts.GroundLatency)
 	}
-	if workers <= 1 {
-		for i := range pending {
-			groundOne(i)
-		}
-		return groundings, errs
+	if p.Reader == nil {
+		return nil, fmt.Errorf("eq: query %d has no reader", p.ID)
 	}
-	var wg sync.WaitGroup
-	tasks := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range tasks {
-				groundOne(i)
-			}
-		}()
-	}
-	for i := range pending {
-		tasks <- i
-	}
-	close(tasks)
-	wg.Wait()
-	return groundings, errs
+	return GroundWith(p.Query, p.Reader, GroundOptions{
+		MaxGroundings: maxRoundGroundings,
+		Stats:         opts.Stream,
+		PullDur:       opts.PullDur,
+	})
 }

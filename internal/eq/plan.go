@@ -23,7 +23,7 @@ import (
 // entangled queries compile to, boundness dominates selectivity, and every
 // tie-break is computable from the query text plus index metadata alone.
 // The order is therefore a pure function of (query, index metadata), so
-// serial, parallel, cached, and re-run evaluation enumerate identically.
+// fresh, cached, and re-run evaluation enumerate identically.
 //
 // Phase 2 (selection pushdown) assigns each WHERE constraint to the
 // earliest join level at which every variable it mentions is bound by an

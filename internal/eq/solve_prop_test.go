@@ -3,6 +3,7 @@ package eq
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/types"
@@ -53,6 +54,32 @@ func checkComponents(t *testing.T, queries []*Query, db MapReader) {
 		pend[i] = Pending{ID: 2*i + 1, Query: q, Reader: db}
 	}
 	res := Evaluate(pend, EvalOptions{})
+	// Partner edges, derived from the answers alone: i and j are partners
+	// when an atom of i's postcondition, instantiated with i's bindings, is
+	// one of j's answer tuples.
+	partners := make(map[int][]int)
+	for i, ai := range res.Answers {
+		if ai.Status != Answered {
+			continue
+		}
+		for _, p := range queries[(i-1)/2].Post {
+			want, err := p.instantiate(Valuation(ai.Bindings))
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+			for j, aj := range res.Answers {
+				if j == i || aj.Status != Answered {
+					continue
+				}
+				for _, h := range aj.Tuples {
+					if h.Key() == want.Key() {
+						partners[i] = append(partners[i], j)
+						partners[j] = append(partners[j], i)
+					}
+				}
+			}
+		}
+	}
 	seen := make(map[int]bool)
 	prevFirst := -1
 	for _, comp := range res.Components {
@@ -66,7 +93,7 @@ func checkComponents(t *testing.T, queries []*Query, db MapReader) {
 		// Closure of comp[0] along partner edges.
 		closure := map[int]bool{comp[0]: true}
 		for frontier := []int{comp[0]}; len(frontier) > 0; frontier = frontier[1:] {
-			for _, j := range res.Partners[frontier[0]] {
+			for _, j := range partners[frontier[0]] {
 				if !closure[j] {
 					closure[j] = true
 					frontier = append(frontier, j)
@@ -447,6 +474,59 @@ func TestSolveExactBeatsGreedyOnCompetingChains(t *testing.T) {
 	}
 	if got := bruteForceMax(groundings); got != exact.Answered {
 		t.Fatalf("brute force says max is %d, exact found %d", got, exact.Answered)
+	}
+}
+
+// competingPendingSet builds a pending set where coordination structures
+// COMPETE — one spoke contested by a pair hub and a 3-chain, plus a
+// two-hub tie — so the exact solver has real backtracking to do.
+func competingPendingSet() []Pending {
+	reader := contestReader()
+	queries := append(competingChainQueries(), // contested spoke + pair hub + 3-chain
+		contestQuery("t", "bid", ""),   // tied spoke
+		contestQuery("bid", "t", "d1"), // tie hub 1
+		contestQuery("bid", "t", "d2"), // tie hub 2
+	)
+	pending := make([]Pending, len(queries))
+	for i, qu := range queries {
+		pending[i] = Pending{ID: i, Query: qu, Reader: reader}
+	}
+	return pending
+}
+
+// TestEvaluateCompetingDeterministicUnderSchedules evaluates the competing
+// pending set many times (Go randomizes map iteration on every run) and
+// demands the exact solver pick the identical coordinating set every time:
+// the 3-chain over the pair, and the earlier hub in the tie.
+func TestEvaluateCompetingDeterministicUnderSchedules(t *testing.T) {
+	var ref *Result
+	for iter := 0; iter < 60; iter++ {
+		res := Evaluate(competingPendingSet(), EvalOptions{})
+		if res.Solve.Answered != 5 {
+			t.Fatalf("iteration %d: answered %d, want 5 (chain of 3 + tie pair)", iter, res.Solve.Answered)
+		}
+		for _, id := range []int{0, 2, 3, 4, 5} {
+			if res.Answers[id].Status != Answered {
+				t.Fatalf("iteration %d: query %d status %v, want ANSWERED", iter, id, res.Answers[id].Status)
+			}
+		}
+		for _, id := range []int{1, 6} {
+			if res.Answers[id].Status != EmptyAnswer {
+				t.Fatalf("iteration %d: losing query %d status %v, want EMPTY", iter, id, res.Answers[id].Status)
+			}
+		}
+		if !componentsAre(res, []int{0, 2, 3}, []int{4, 5}) {
+			t.Fatalf("iteration %d: components %v, want [[0 2 3] [4 5]]", iter, res.Components)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		for id := range ref.Answers {
+			if !reflect.DeepEqual(ref.Answers[id], res.Answers[id]) {
+				t.Fatalf("iteration %d: answer for query %d diverged", iter, id)
+			}
+		}
 	}
 }
 

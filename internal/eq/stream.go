@@ -22,15 +22,15 @@ import (
 // streaming executor enumerates byte-identical groundings in identical
 // order to the materialized reference the tests keep as their oracle,
 // because cursors yield rows in storage order and the bind-check-recurse
-// structure is unchanged. The exact solver's tie-breaks and
-// serial-vs-parallel determinism lean on this.
+// structure is unchanged. The exact solver's tie-breaks and seeded
+// re-run determinism lean on this.
 
 // DefaultBatchRows is the cursor pull granularity when GroundOptions leaves
 // BatchRows zero — the value every evaluation round runs with.
 const DefaultBatchRows = 256
 
 // StreamStats accumulates streaming-pipeline accounting across grounding
-// calls. Safe for concurrent use by parallel grounding workers.
+// calls. Safe to read while a round grounds (the engine's Stats does).
 type StreamStats struct {
 	rows      atomic.Int64
 	peakBatch atomic.Int64

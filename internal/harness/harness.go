@@ -33,9 +33,8 @@ type Config struct {
 	// Engine is the engine configuration under test, passed to
 	// entangle.Open as one value. The experiments read StmtLatency (the
 	// client-DBMS round trip that makes throughput connection-bound, as in
-	// the paper's setup), GroundWorkers (1 = the paper's serialized middle
-	// tier) and SolveBudget from it, and each overrides the fields it
-	// sweeps itself: Connections, RunFrequency, the timeouts.
+	// the paper's setup) and SolveBudget from it, and each overrides the
+	// fields it sweeps itself: Connections, RunFrequency, the timeouts.
 	Engine entangle.Options
 }
 
@@ -237,11 +236,9 @@ func MeasurePending(cfg Config, p, f int) (float64, error) {
 // of reach (RunFrequency 1<<30) — because Flush runs the whole pool as §4
 // states the rule, where an engine arrival run would re-execute only what
 // the arrivals can entangle with. The per-run cost is dominated by the
-// simulated grounding round trips for the pending queries (GroundLatency).
-// With Config.Engine.GroundWorkers=1 that work is serialized as in the
-// paper's middle tier — total time scales with (runs executed) x p, and
-// runs scale with 1/f; with a parallel pool the round trips overlap and the
-// per-run cost flattens to roughly ceil(p/workers) x GroundLatency.
+// simulated grounding round trips for the pending queries (GroundLatency),
+// paid one after another as in the paper's middle tier: total time scales
+// with (runs executed) x p, and runs scale with 1/f.
 func MeasurePendingStats(cfg Config, p, f int) (float64, entangle.Stats, error) {
 	d, err := workload.NewDataset(workload.Config{Users: cfg.Users, Seed: cfg.Seed})
 	if err != nil {

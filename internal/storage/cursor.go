@@ -30,7 +30,7 @@ import (
 // concurrent commits.
 
 // ScanCursor streams one table's rows visible to a snapshot, in RowID
-// order. Not safe for concurrent use; Clone independent cursors instead.
+// order. Not safe for concurrent use; open one cursor per reader instead.
 type ScanCursor struct {
 	tbl  *Table
 	snap Snapshot
@@ -48,14 +48,6 @@ func (t *Table) ScanCursorAsOf(snap Snapshot) *ScanCursor {
 	ids := t.order[:len(t.order):len(t.order)]
 	t.mu.RUnlock()
 	return &ScanCursor{tbl: t, snap: snap, ids: ids}
-}
-
-// Clone returns an independent cursor over the same captured ids, reading
-// through snap. An evaluation round captures each table once and hands
-// every pending query its own clone (with its own Snapshot.Self), so k
-// queries over one table pay one capture, not k.
-func (c *ScanCursor) Clone(snap Snapshot) *ScanCursor {
-	return &ScanCursor{tbl: c.tbl, snap: snap, ids: c.ids}
 }
 
 // Next appends up to max rows to buf and returns the extended slice; no

@@ -122,29 +122,6 @@ func TestScanCursorRewind(t *testing.T) {
 	}
 }
 
-// TestScanCursorCloneSharesCapture: N clones of one base cursor cost one
-// scan capture total, yet resolve visibility through their own snapshots —
-// the round cursor cache's contract.
-func TestScanCursorCloneSharesCapture(t *testing.T) {
-	tbl := cursorTable(t)
-	before := tbl.ScanCount()
-	base := tbl.ScanCursorAsOf(Snapshot{CSN: 99})
-	shared := drainCursor(t, base.Clone(Snapshot{CSN: 99}), 4)
-	private := drainCursor(t, base.Clone(Snapshot{CSN: 99, Self: 7}), 4)
-	if got := tbl.ScanCount() - before; got != 1 {
-		t.Errorf("scan captures = %d, want 1", got)
-	}
-	if tuplesEqual(shared, private) {
-		t.Error("Self view should differ from committed view (uncommitted insert + delete)")
-	}
-	if !tuplesEqual(shared, collectAsOf(tbl, Snapshot{CSN: 99})) {
-		t.Errorf("shared clone diverged from ScanAsOf")
-	}
-	if !tuplesEqual(private, collectAsOf(tbl, Snapshot{CSN: 99, Self: 7})) {
-		t.Errorf("Self clone diverged from ScanAsOf")
-	}
-}
-
 // TestScanCursorStableUnderConcurrentCommits: rows committed after the
 // cursor's snapshot CSN — even mid-iteration — must never surface, and the
 // pre-capture rows must all surface. (Chain ids are captured at open;

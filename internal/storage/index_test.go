@@ -3,6 +3,7 @@ package storage
 import (
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/types"
@@ -162,6 +163,44 @@ func TestUndeclaredIndex(t *testing.T) {
 	}
 	if rows := probe([]int{0, 2}, types.Int(400), types.Str("LA")); len(rows) != 1 {
 		t.Errorf("re-keyed index probe = %v, want 1 row", rows)
+	}
+}
+
+// TestProbeIndexBuiltOnceAcrossGoroutines: probes racing on one unindexed
+// column set build a single undeclared index (one whole-table read) between
+// them. Run under -race it checks the build's re-check under the table's
+// write lock.
+func TestProbeIndexBuiltOnceAcrossGoroutines(t *testing.T) {
+	tbl := cursorTable(t)
+	scans := tbl.ScanCount()
+	cursors := make([]*ProbeCursor, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range cursors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			cur, err := tbl.ProbeCursor(Snapshot{CSN: 99}, []int{2}, []types.Value{types.Str("LA")})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			cursors[i] = cur
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := tbl.ScanCount() - scans; n != 1 || len(tbl.indexes) != 1 {
+		t.Fatalf("%d probes read the table %d times into %d indexes, want 1 and 1", len(cursors), n, len(tbl.indexes))
+	}
+	for i, cur := range cursors {
+		if cur == nil {
+			continue // its error is reported above
+		}
+		if rows := drainProbe(t, cur, 8); len(rows) != 1 {
+			t.Errorf("probe %d: LA rows = %v, want 1", i, rows)
+		}
 	}
 }
 
