@@ -175,16 +175,10 @@ func main() {
 		// wire's stats frame), and the fault firing ring — firings carry
 		// trace ids, so a chaos artifact correlates against /traces/recent.
 		statsFn := func() any {
-			snap := db.StatsSnapshot()
-			svc := srv.ServiceStats()
-			snap.Sheds = svc.Sheds
-			snap.Retries = svc.Retries
-			snap.Reconnects = svc.Reconnects
-			snap.FaultsInjected = svc.FaultsInjected
 			return struct {
 				Engine  entangle.StatsSnapshot `json:"engine"`
 				Firings []fault.Firing         `json:"fault_firings,omitempty"`
-			}{Engine: snap, Firings: reg.Firings()}
+			}{Engine: srv.StatsSnapshot(), Firings: reg.Firings()}
 		}
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {

@@ -79,16 +79,16 @@ func (e *exhaustedError) Error() string {
 func (e *exhaustedError) Unwrap() error        { return e.cause }
 func (e *exhaustedError) Is(target error) bool { return target == ErrRetriesExhausted }
 
+// writeTimeout bounds one batched request write so a dead peer cannot park
+// the flusher (and every caller behind it) forever.
+const writeTimeout = 30 * time.Second
+
 // Options tunes Dial.
 type Options struct {
 	// DialTimeout bounds the TCP connect and the protocol handshake, so
 	// Dial cannot hang against an endpoint that accepts connections but
 	// never answers. Default 5s.
 	DialTimeout time.Duration
-
-	// WriteTimeout bounds one batched request write so a dead peer cannot
-	// park the flusher (and every caller behind it) forever. Default 30s.
-	WriteTimeout time.Duration
 
 	// DialBudget is how many dial attempts one reconnect may spend before
 	// giving up (default 8). The initial Dial always makes exactly one
@@ -116,9 +116,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
 	}
 	if o.DialBudget <= 0 {
 		o.DialBudget = 8
@@ -416,7 +413,7 @@ func (cc *conn) flusher() {
 		cc.outSpare = nil
 		cc.outMu.Unlock()
 
-		cc.nc.SetWriteDeadline(time.Now().Add(cc.cl.opts.WriteTimeout))
+		cc.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_, err := cc.nc.Write(buf)
 		cc.outMu.Lock()
 		cc.outSpare = buf[:0]

@@ -57,8 +57,8 @@ type (
 	// Isolation selects the entangled isolation level.
 	Isolation = core.Isolation
 	// Options configures Open: the storage substrate (Path, SyncWAL,
-	// LockWaitTimeout, LockShards, Faults) and the engine over it. Every
-	// field is declared and documented once, on core.Options.
+	// Faults) and the engine over it. Every field is declared and
+	// documented once, on core.Options.
 	Options = core.Options
 )
 
@@ -86,17 +86,16 @@ type DB struct {
 	recovery *wal.RecoveryStats // nil when opened without a WAL
 }
 
+// lockWaitTimeout bounds lock waits, like innodb_lock_wait_timeout.
+const lockWaitTimeout = 2 * time.Second
+
 // Open creates (or recovers) a database. When Options.Path names an
 // existing log/snapshot, the committed state — including the §4
 // entanglement-aware group-rollback rule — is recovered before the engine
 // starts.
 func Open(opts Options) (*DB, error) {
 	cat := storage.NewCatalog()
-	lockTimeout := opts.LockWaitTimeout
-	if lockTimeout <= 0 {
-		lockTimeout = 2 * time.Second
-	}
-	locks := lock.NewSharded(lockTimeout, opts.LockShards)
+	locks := lock.New(lockWaitTimeout)
 	var log *wal.Log
 	var recovery *wal.RecoveryStats
 	var recoveredCSN uint64
@@ -306,8 +305,9 @@ func (db *DB) Tracer() *obs.Tracer { return db.engine.Tracer() }
 
 // Vacuum prunes MVCC row versions no active snapshot can reach and
 // returns the number of versions reclaimed. The watermark is the oldest
-// active snapshot (or the current commit clock when none is active).
-func (db *DB) Vacuum() int { return db.txm.Vacuum() }
+// active snapshot (or the current commit clock when none is active). Each
+// pass counts in Stats.Vacuums and Stats.VersionsPruned.
+func (db *DB) Vacuum() int { return db.engine.Vacuum() }
 
 // Checkpoint snapshots the database and truncates the log. The checkpoint
 // quiesces the transaction manager first: in-flight work (scheduler runs,

@@ -7,9 +7,9 @@ package entangle
 type StatsSnapshot struct {
 	Stats
 
-	// Service-layer counters, filled in by the network server's stats
-	// frame (always zero for an embedded DB — the engine itself never
-	// sheds, retries, or injects faults).
+	// Service-layer counters, filled in by server.Server.StatsSnapshot
+	// (always zero for an embedded DB — the engine itself never sheds,
+	// retries, or injects faults).
 	Sheds          int64 `json:"sheds"`
 	Retries        int64 `json:"retries"`
 	Reconnects     int64 `json:"reconnects"`

@@ -127,3 +127,22 @@ func TestTracedProgramsLeaveNoLiveTrace(t *testing.T) {
 		}
 	}
 }
+
+// A manual DB.Vacuum pass is what the vacuums and versions_pruned counters
+// count.
+func TestVacuumCountsInStats(t *testing.T) {
+	db := openTest(t, Options{})
+	for i := 0; i < 2; i++ {
+		if _, err := db.Exec("UPDATE Flights SET dest = 'SF' WHERE fno = 122"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pruned := db.Vacuum()
+	if pruned == 0 {
+		t.Fatal("vacuum after two updates pruned nothing")
+	}
+	s := db.StatsSnapshot()
+	if s.Vacuums != 1 || s.VersionsPruned != int64(pruned) {
+		t.Errorf("stats: vacuums=%d versions_pruned=%d, want 1 and %d", s.Vacuums, s.VersionsPruned, pruned)
+	}
+}

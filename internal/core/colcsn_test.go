@@ -94,12 +94,15 @@ var noop = Program{Name: "noop", Timeout: time.Minute, Body: func(*Tx) error { r
 
 // checkWake parks A on seatQuery, commits a change to column col, then
 // submits an unrelated arrival and returns the requeues that arrival's run
-// caused.
+// caused. The run settles the arrival before it requeues a woken member, so
+// a second no-op serves as the barrier: its run starts only after the
+// first one finished, and it wakes A in neither case.
 func checkWake(t *testing.T, col int) int64 {
 	e, _ := newSeatEngine(t)
 	submitRun(t, e, seatProg("A", "B"))
 	eventually(t, time.Second, "A to pool", func() bool { return e.Stats().Requeues == 1 })
 	rewriteFlight(t, e, col)
+	waitCommitted(t, submitRun(t, e, noop))
 	waitCommitted(t, submitRun(t, e, noop))
 	return e.Stats().Requeues - 1
 }

@@ -22,14 +22,6 @@ type Options struct {
 	Path string
 	// SyncWAL fsyncs commit records. Consumed by entangle.Open.
 	SyncWAL bool
-	// LockWaitTimeout bounds lock waits, like innodb_lock_wait_timeout
-	// (default 2s). Consumed by entangle.Open.
-	LockWaitTimeout time.Duration
-	// LockShards is the lock manager's shard count (default
-	// lock.DefaultShards). Resources hash by table name to a shard, so
-	// concurrent grounding and commit traffic on distinct tables does not
-	// convoy on one mutex. Consumed by entangle.Open.
-	LockShards int
 	// Faults, when set, arms the WAL's failpoints from the given registry
 	// (see internal/fault). Nil — the default — is zero-overhead. Consumed
 	// by entangle.Open.
@@ -78,11 +70,6 @@ type Options struct {
 	// in every round it is evaluated in. The field stays only until the
 	// benchmark module stops setting it.
 	GroundCache bool
-	// VacuumInterval triggers periodic version garbage collection: the
-	// storage layer prunes row versions older than the GC watermark (the
-	// oldest active snapshot). Zero disables automatic vacuuming; DB.Vacuum
-	// remains available for manual passes.
-	VacuumInterval time.Duration
 	// Trace receives schedule events (e.g. *isolation.Recorder); nil
 	// disables them.
 	Trace TraceSink
@@ -132,8 +119,8 @@ type Stats struct {
 	Failures       int64 `json:"failures"`        // programs failed with a non-retryable error
 	WidowsAverted  int64 `json:"widows_averted"`  // ready transactions aborted because a group member could not commit
 	WriteConflicts int64 `json:"write_conflicts"` // snapshot-isolation first-committer-wins losses (retried)
-	Vacuums        int64 `json:"vacuums"`         // automatic version-GC passes
-	VersionsPruned int64 `json:"versions_pruned"` // row versions reclaimed by automatic vacuuming
+	Vacuums        int64 `json:"vacuums"`         // version-GC passes (DB.Vacuum)
+	VersionsPruned int64 `json:"versions_pruned"` // row versions those passes reclaimed
 
 	GroundCacheHits   int64 `json:"ground_cache_hits"`   // always 0: kept for the stats vocabulary (no grounding cache exists)
 	GroundCacheMisses int64 `json:"ground_cache_misses"` // queries grounded: one per blocked member per evaluation round
@@ -303,6 +290,17 @@ func (e *Engine) Stats() Stats {
 	return e.met.stats()
 }
 
+// Vacuum runs one version-GC pass (txn.Manager.Vacuum), counts it in
+// Stats.Vacuums and Stats.VersionsPruned, and returns the versions pruned.
+func (e *Engine) Vacuum() int {
+	pruned := e.txm.Vacuum()
+	e.statsMu.Lock()
+	e.met.vacuums.Add(1)
+	e.met.versionsPrune.Add(int64(pruned))
+	e.statsMu.Unlock()
+	return pruned
+}
+
 // Submit queues an entangled transaction for execution and returns a
 // handle to await its outcome.
 func (e *Engine) Submit(p Program) *Handle {
@@ -453,19 +451,8 @@ func (e *Engine) loop() {
 	defer close(e.done)
 	ticker := time.NewTicker(e.opts.RetryInterval)
 	defer ticker.Stop()
-	// Version GC runs on its own cadence, between runs, from the scheduler
-	// goroutine — so it never races a run's finalize phase and the
-	// watermark (oldest active snapshot) bounds what it may prune.
-	var vacuumC <-chan time.Time
-	if e.opts.VacuumInterval > 0 {
-		vac := time.NewTicker(e.opts.VacuumInterval)
-		defer vac.Stop()
-		vacuumC = vac.C
-	}
 	for {
 		select {
-		case <-vacuumC:
-			e.vacuum()
 		case <-e.stop:
 			if e.dist != nil {
 				// Parked in-doubt groups outlive the scheduler: their prepare
@@ -675,14 +662,4 @@ func (e *Engine) sweepAll() []*pending {
 			return pool
 		}
 	}
-}
-
-// vacuum runs one version-GC pass between runs, pruning versions below the
-// oldest-active-snapshot watermark.
-func (e *Engine) vacuum() {
-	pruned := e.txm.Vacuum()
-	e.statsMu.Lock()
-	e.met.vacuums.Add(1)
-	e.met.versionsPrune.Add(int64(pruned))
-	e.statsMu.Unlock()
 }

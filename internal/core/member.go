@@ -58,50 +58,41 @@ func (m *member) simulateLatency() {
 	time.Sleep(d)
 }
 
-// autocommitTxn runs fn inside a fresh single-statement transaction.
-func (m *member) autocommitTxn(fn func(t *txn.Txn) error) error {
+// do runs one Tx operation on table: it records the read, simulates the
+// statement round trip, and runs op on the member's transaction — or, in
+// autocommit mode, on a fresh single-statement transaction committed at
+// once.
+func (m *member) do(table string, op func(*txn.Txn) error) error {
+	m.wait.note(table)
+	m.simulateLatency()
+	if !m.entry.prog.Autocommit {
+		return m.check(op(m.tx))
+	}
 	t, err := m.run.e.txm.Begin(txn.Serializable)
-	if err != nil {
-		return err
+	if err == nil {
+		if err = op(t); err != nil {
+			t.Abort()
+		} else {
+			err = t.Commit()
+		}
 	}
-	if err := fn(t); err != nil {
-		t.Abort()
-		return err
-	}
-	return t.Commit()
+	return m.check(err)
 }
 
-func (m *member) opScan(table string) ([]types.Tuple, error) {
-	m.wait.note(table)
-	m.simulateLatency()
-	if m.entry.prog.Autocommit {
-		var rows []types.Tuple
-		err := m.autocommitTxn(func(t *txn.Txn) error {
-			var e error
-			rows, e = t.Scan(table)
-			return e
-		})
-		return rows, m.check(err)
-	}
-	rows, err := m.tx.Scan(table)
-	return rows, m.check(err)
+func (m *member) opScan(table string) (rows []types.Tuple, err error) {
+	err = m.do(table, func(t *txn.Txn) (e error) {
+		rows, e = t.Scan(table)
+		return e
+	})
+	return rows, err
 }
 
-func (m *member) opScanIDs(table string) ([]storage.RowID, []types.Tuple, error) {
-	m.wait.note(table)
-	m.simulateLatency()
-	if m.entry.prog.Autocommit {
-		var ids []storage.RowID
-		var rows []types.Tuple
-		err := m.autocommitTxn(func(t *txn.Txn) error {
-			var e error
-			ids, rows, e = t.ScanIDs(table)
-			return e
-		})
-		return ids, rows, m.check(err)
-	}
-	ids, rows, err := m.tx.ScanIDs(table)
-	return ids, rows, m.check(err)
+func (m *member) opScanIDs(table string) (ids []storage.RowID, rows []types.Tuple, err error) {
+	err = m.do(table, func(t *txn.Txn) (e error) {
+		ids, rows, e = t.ScanIDs(table)
+		return e
+	})
+	return ids, rows, err
 }
 
 func (m *member) opLookup(table string, columns []string, key types.Tuple) ([]types.Tuple, error) {
@@ -109,59 +100,28 @@ func (m *member) opLookup(table string, columns []string, key types.Tuple) ([]ty
 	return rows, err
 }
 
-func (m *member) opLookupIDs(table string, columns []string, key types.Tuple) ([]storage.RowID, []types.Tuple, error) {
-	m.wait.note(table)
-	m.simulateLatency()
-	if m.entry.prog.Autocommit {
-		var ids []storage.RowID
-		var rows []types.Tuple
-		err := m.autocommitTxn(func(t *txn.Txn) error {
-			var e error
-			ids, rows, e = t.LookupIDs(table, columns, key)
-			return e
-		})
-		return ids, rows, m.check(err)
-	}
-	ids, rows, err := m.tx.LookupIDs(table, columns, key)
-	return ids, rows, m.check(err)
+func (m *member) opLookupIDs(table string, columns []string, key types.Tuple) (ids []storage.RowID, rows []types.Tuple, err error) {
+	err = m.do(table, func(t *txn.Txn) (e error) {
+		ids, rows, e = t.LookupIDs(table, columns, key)
+		return e
+	})
+	return ids, rows, err
 }
 
-func (m *member) opInsert(table string, row types.Tuple) (storage.RowID, error) {
-	m.wait.note(table)
-	m.simulateLatency()
-	if m.entry.prog.Autocommit {
-		var id storage.RowID
-		err := m.autocommitTxn(func(t *txn.Txn) error {
-			var e error
-			id, e = t.Insert(table, row)
-			return e
-		})
-		return id, m.check(err)
-	}
-	id, err := m.tx.Insert(table, row)
-	return id, m.check(err)
+func (m *member) opInsert(table string, row types.Tuple) (id storage.RowID, err error) {
+	err = m.do(table, func(t *txn.Txn) (e error) {
+		id, e = t.Insert(table, row)
+		return e
+	})
+	return id, err
 }
 
 func (m *member) opUpdate(table string, id storage.RowID, row types.Tuple) error {
-	m.wait.note(table)
-	m.simulateLatency()
-	if m.entry.prog.Autocommit {
-		return m.check(m.autocommitTxn(func(t *txn.Txn) error {
-			return t.Update(table, id, row)
-		}))
-	}
-	return m.check(m.tx.Update(table, id, row))
+	return m.do(table, func(t *txn.Txn) error { return t.Update(table, id, row) })
 }
 
 func (m *member) opDelete(table string, id storage.RowID) error {
-	m.wait.note(table)
-	m.simulateLatency()
-	if m.entry.prog.Autocommit {
-		return m.check(m.autocommitTxn(func(t *txn.Txn) error {
-			return t.Delete(table, id)
-		}))
-	}
-	return m.check(m.tx.Delete(table, id))
+	return m.do(table, func(t *txn.Txn) error { return t.Delete(table, id) })
 }
 
 // opEntangle blocks the member on an entangled query. The §3.1 semantics:

@@ -572,11 +572,6 @@ func FormableSet(queries []*Query) []bool {
 	return alive
 }
 
-// CanFormCombined is FormableSet for a single query.
-func CanFormCombined(queries []*Query, qi int) bool {
-	return FormableSet(queries)[qi]
-}
-
 // hasUnifiableProducer reports whether any other alive pending query has a
 // head atom unifiable with post atom p of query qi.
 func hasUnifiableProducer(queries []*Query, alive []bool, qi int, p Atom) bool {

@@ -35,10 +35,9 @@ func V(name string) Term { return Term{IsVar: true, Name: name} }
 // C returns a constant term.
 func C(v types.Value) Term { return Term{Value: v} }
 
-// CStr, CInt, CDate are constant-term shorthands.
-func CStr(s string) Term  { return C(types.Str(s)) }
-func CInt(i int64) Term   { return C(types.Int(i)) }
-func CDate(s string) Term { return C(types.MustDate(s)) }
+// CStr, CInt are constant-term shorthands.
+func CStr(s string) Term { return C(types.Str(s)) }
+func CInt(i int64) Term  { return C(types.Int(i)) }
 
 // String renders the term.
 func (t Term) String() string {

@@ -216,7 +216,7 @@ func TestChaosSoakCoordination(t *testing.T) {
 	if reg.Fired() == 0 {
 		t.Fatal("no fault ever fired — the soak never exercised the failure path")
 	}
-	stats := srv.ServiceStats()
+	stats := srv.StatsSnapshot()
 	if stats.FaultsInjected != reg.Fired() {
 		t.Fatalf("stats.FaultsInjected = %d, registry fired %d", stats.FaultsInjected, reg.Fired())
 	}
@@ -258,7 +258,7 @@ func TestRetryExactlyOnce(t *testing.T) {
 	if c.Reconnects() < 1 || c.Retries() < 1 {
 		t.Fatalf("client did not self-heal: reconnects=%d retries=%d", c.Reconnects(), c.Retries())
 	}
-	if s := srv.ServiceStats(); s.Retries < 1 || s.Reconnects < 1 {
+	if s := srv.StatsSnapshot(); s.Retries < 1 || s.Reconnects < 1 {
 		t.Fatalf("server saw no dedup replay: %+v", s)
 	}
 }
@@ -410,7 +410,7 @@ func TestOverloadShedTypedError(t *testing.T) {
 	if c.Retries() < 1 {
 		t.Fatal("overload never retried — the slot was free, test lost its teeth")
 	}
-	if s := srv.ServiceStats(); s.Sheds < 2 {
+	if s := srv.StatsSnapshot(); s.Sheds < 2 {
 		t.Fatalf("server sheds = %d, want >= 2", s.Sheds)
 	}
 }

@@ -18,10 +18,10 @@
 //
 // Retries are made exactly-once by a per-client dedup window: requests may
 // carry a client-assigned idempotency id, and the server remembers the
-// response of each completed idempotent request (bounded by
-// Options.DedupWindow). A retry of an already-executed request — typically
-// after the response was lost to a connection reset — replays the recorded
-// response instead of re-executing.
+// response of each of its last dedupWindow completed idempotent requests.
+// A retry of an already-executed request — typically after the response
+// was lost to a connection reset — replays the recorded response instead
+// of re-executing.
 //
 // The server sheds load instead of queueing without bound: a global
 // max-in-flight gate and a per-connection pending cap answer excess
@@ -64,22 +64,6 @@ type Options struct {
 	// connection. Beyond it the connection sheds instead of blocking its
 	// read loop. Default 64.
 	PerConnPending int
-	// WriteTimeout bounds one batched response write (default 30s). A
-	// client that stops reading its socket eventually fills the TCP send
-	// buffer; without a deadline the blocked flusher would buffer
-	// responses forever.
-	WriteTimeout time.Duration
-	// CloseFlushTimeout bounds the final drain of buffered responses
-	// during connection teardown (default 2s), so Shutdown is not held
-	// hostage by a peer that stopped reading.
-	CloseFlushTimeout time.Duration
-	// DedupWindow is how many completed idempotent responses are retained
-	// per client identity for retry replay (default 256).
-	DedupWindow int
-	// ClientTTL is how long a disconnected client identity's state
-	// (handles, dedup window) is retained awaiting a reconnect
-	// (default 5m).
-	ClientTTL time.Duration
 	// Faults, when set, arms the server's failpoints: "server.accept"
 	// (accepted connections are dropped), "server.dispatch" (requests fail
 	// or stall at dispatch), and "server.conn.read"/"server.conn.write"
@@ -95,29 +79,26 @@ func (o Options) withDefaults() Options {
 	if o.PerConnPending <= 0 {
 		o.PerConnPending = 64
 	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
-	if o.CloseFlushTimeout <= 0 {
-		o.CloseFlushTimeout = 2 * time.Second
-	}
-	if o.DedupWindow <= 0 {
-		o.DedupWindow = 256
-	}
-	if o.ClientTTL <= 0 {
-		o.ClientTTL = 5 * time.Minute
-	}
 	return o
 }
 
-// ServiceStats are the service-layer counters, reported alongside the
-// engine counters in the stats frame.
-type ServiceStats struct {
-	Sheds          int64 // requests refused by admission control
-	Retries        int64 // idempotent retries answered from the dedup window
-	Reconnects     int64 // hellos that re-bound an existing client identity
-	FaultsInjected int64 // faults fired by the configured registry
-}
+// Connection and client-identity bounds:
+//   - writeTimeout bounds one batched response write: a client that stops
+//     reading its socket eventually fills the TCP send buffer, and without a
+//     deadline the blocked flusher would buffer responses forever;
+//   - closeFlushTimeout bounds the final drain of buffered responses during
+//     connection teardown, so Shutdown is not held hostage by a peer that
+//     stopped reading;
+//   - dedupWindow is how many completed idempotent responses are retained
+//     per client identity for retry replay;
+//   - clientTTL is how long a disconnected client identity's state (handles,
+//     dedup window) is retained awaiting a reconnect.
+const (
+	writeTimeout      = 30 * time.Second
+	closeFlushTimeout = 2 * time.Second
+	dedupWindow       = 256
+	clientTTL         = 5 * time.Minute
+)
 
 // Server serves one DB over any number of listeners.
 type Server struct {
@@ -187,14 +168,17 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(ln)
 }
 
-// ServiceStats returns the service-layer counters.
-func (s *Server) ServiceStats() ServiceStats {
-	return ServiceStats{
-		Sheds:          s.sheds.Load(),
-		Retries:        s.retries.Load(),
-		Reconnects:     s.reconnects.Load(),
-		FaultsInjected: s.opts.Faults.Fired(),
-	}
+// StatsSnapshot returns the engine counters with the service-layer ones
+// filled in: requests shed by admission control, idempotent retries
+// answered from the dedup window, hellos that re-bound an existing client
+// identity, and faults fired by the configured registry.
+func (s *Server) StatsSnapshot() entangle.StatsSnapshot {
+	snap := s.db.StatsSnapshot()
+	snap.Sheds = s.sheds.Load()
+	snap.Retries = s.retries.Load()
+	snap.Reconnects = s.reconnects.Load()
+	snap.FaultsInjected = s.opts.Faults.Fired()
+	return snap
 }
 
 // Serve accepts connections on ln until Shutdown (or a fatal accept
@@ -306,7 +290,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 
 	// Teardown runs per-connection concurrently: close drains each
-	// connection's buffered responses (bounded by CloseFlushTimeout), and
+	// connection's buffered responses (bounded by closeFlushTimeout), and
 	// one stuck peer must not serialize behind another.
 	var closeWg sync.WaitGroup
 	for _, c := range conns {
@@ -357,7 +341,7 @@ type waiter interface {
 
 // clientState is the per-client-identity state: submitted-program handles
 // and the idempotency dedup window. Named states (bound by hello) live in
-// Server.clients and survive reconnects until ClientTTL; anonymous
+// Server.clients and survive reconnects until clientTTL; anonymous
 // connections get a private state with identical mechanics but
 // connection-scoped life.
 type clientState struct {
@@ -394,10 +378,10 @@ func (cs *clientState) begin(idem uint64) (entry *dedupEntry, owner bool) {
 	return e, true
 }
 
-// finish records the owner's response and prunes the window to size limit.
+// finish records the owner's response and prunes the window to dedupWindow.
 // Callers must finish before enqueueing the response: a retry that arrives
 // after the peer saw (or lost) the response must always find the record.
-func (cs *clientState) finish(idem uint64, resp wire.Response, limit int) {
+func (cs *clientState) finish(idem uint64, resp wire.Response) {
 	cs.mu.Lock()
 	e := cs.dedup[idem]
 	if e == nil { // aborted concurrently; nothing to record
@@ -406,7 +390,7 @@ func (cs *clientState) finish(idem uint64, resp wire.Response, limit int) {
 	}
 	e.resp = resp
 	cs.order = append(cs.order, idem)
-	for len(cs.order) > limit {
+	for len(cs.order) > dedupWindow {
 		evict := cs.order[0]
 		cs.order = cs.order[1:]
 		delete(cs.dedup, evict)
@@ -454,14 +438,14 @@ func (cs *clientState) dropHandle(id uint64) {
 
 // bindClient attaches a connection to the named client identity, creating
 // or reviving its state. Re-binding an identity that already existed is a
-// reconnect. Idle states past ClientTTL are pruned here — binds are rare,
+// reconnect. Idle states past clientTTL are pruned here — binds are rare,
 // so the scan is free on the hot path.
 func (s *Server) bindClient(c *conn, id string) {
 	now := time.Now()
 	s.mu.Lock()
 	for cid, cs := range s.clients {
 		cs.mu.Lock()
-		expired := cs.refs == 0 && now.Sub(cs.idleSince) > s.opts.ClientTTL
+		expired := cs.refs == 0 && now.Sub(cs.idleSince) > clientTTL
 		cs.mu.Unlock()
 		if expired {
 			delete(s.clients, cid)
@@ -484,7 +468,7 @@ func (s *Server) bindClient(c *conn, id string) {
 }
 
 // unbindClient releases a connection's claim on a named identity; the
-// state lingers for ClientTTL awaiting a reconnect.
+// state lingers for clientTTL awaiting a reconnect.
 func (s *Server) unbindClient(cs *clientState) {
 	if cs == nil || cs.id == "" {
 		return
@@ -687,7 +671,7 @@ func (c *conn) release(gated bool) {
 // retry must find the record.
 func (c *conn) finishAndEnqueue(req wire.Request, entry *dedupEntry, resp wire.Response) {
 	if entry != nil {
-		c.cs.finish(req.Idem, resp, c.srv.opts.DedupWindow)
+		c.cs.finish(req.Idem, resp)
 	}
 	c.enqueue(resp)
 }
@@ -773,7 +757,7 @@ func (c *conn) flusher() {
 
 		// The deadline bounds how long a non-reading client can stall the
 		// flusher (and with it every buffered response).
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_, err := c.nc.Write(buf)
 		c.outMu.Lock()
 		c.outSpare = buf[:0]
@@ -789,7 +773,7 @@ func (c *conn) flusher() {
 }
 
 // close tears down the connection and its sessions (open transactions roll
-// back); a named client identity is released to linger for ClientTTL.
+// back); a named client identity is released to linger for clientTTL.
 // Buffered responses get a bounded final flush before the socket closes.
 // Idempotent.
 func (c *conn) close() {
@@ -818,7 +802,7 @@ func (c *conn) close() {
 	c.outClosed = true
 	c.outCond.Broadcast()
 	c.outMu.Unlock()
-	c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.CloseFlushTimeout))
+	c.nc.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
 	<-c.flusherDone
 	c.nc.Close()
 }
@@ -935,13 +919,7 @@ func (c *conn) handle(req wire.Request) wire.Response {
 		return wire.Response{ID: req.ID, OK: true}
 
 	case wire.OpStats:
-		snap := c.srv.db.StatsSnapshot()
-		svc := c.srv.ServiceStats()
-		snap.Sheds = svc.Sheds
-		snap.Retries = svc.Retries
-		snap.Reconnects = svc.Reconnects
-		snap.FaultsInjected = svc.FaultsInjected
-		raw, err := json.Marshal(snap)
+		raw, err := json.Marshal(c.srv.StatsSnapshot())
 		if err != nil {
 			return fail(req.ID, err)
 		}

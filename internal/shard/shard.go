@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 
 	"repro/internal/social"
@@ -219,14 +218,4 @@ func Colocate(g *social.Graph, name func(int) string, shards int) map[string]int
 		return nil
 	}
 	return over
-}
-
-// Keys returns the override keys in sorted order (diagnostics, tests).
-func (m *Map) Keys() []string {
-	ks := make([]string, 0, len(m.Overrides))
-	for k := range m.Overrides {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -290,16 +290,9 @@ func (t *Table) Lookup(columns []string, key types.Tuple) ([]RowID, error) {
 	return t.LookupTx(0, columns, key)
 }
 
-// LookupAsOf returns the RowIDs of rows whose given columns equal key as
-// seen by snap — the lock-free indexed read.
-func (t *Table) LookupAsOf(snap Snapshot, columns []string, key types.Tuple) ([]RowID, error) {
-	ids, _, err := t.lookupNamed(snap, columns, key)
-	return ids, err
-}
-
-// LookupRowsAsOf is LookupAsOf returning the visible rows as well (cloned),
-// resolved in the same single pass under one lock acquisition — the hot
-// path of snapshot-isolated point reads.
+// LookupRowsAsOf returns the RowIDs and the visible rows (cloned) of rows
+// whose given columns equal key as seen by snap, resolved in one pass under
+// one lock acquisition — the hot path of snapshot-isolated point reads.
 func (t *Table) LookupRowsAsOf(snap Snapshot, columns []string, key types.Tuple) ([]RowID, []types.Tuple, error) {
 	ids, rows, err := t.lookupNamed(snap, columns, key)
 	for i, row := range rows {

@@ -83,17 +83,17 @@ func TestInsertAtReinstatesIdentity(t *testing.T) {
 	if _, err := tbl.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.InsertAt(id, row); err != nil {
+	if err := tbl.InsertAtCSN(id, row, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := tbl.Get(id)
 	if !ok || !got.Equal(row) {
 		t.Fatal("row not reinstated under original id")
 	}
-	if err := tbl.InsertAt(id, row); err == nil {
-		t.Error("InsertAt over occupied id accepted")
+	if err := tbl.InsertAtCSN(id, row, 0); err == nil {
+		t.Error("InsertAtCSN over occupied id accepted")
 	}
-	// RowIDs must not be reused after InsertAt bumps the counter.
+	// RowIDs must not be reused after InsertAtCSN bumps the counter.
 	id2, _ := tbl.Insert(row)
 	if id2 == id {
 		t.Error("RowID reused")

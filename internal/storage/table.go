@@ -217,15 +217,10 @@ func (t *Table) InsertTx(txID uint64, row types.Tuple) (RowID, error) {
 	return t.insertVersion(row, txID, uncommittedCSN)
 }
 
-// InsertAt reinstates a row under a specific RowID (used by snapshot
-// restore and replay). It fails if the RowID is live in the latest
-// committed state.
-func (t *Table) InsertAt(id RowID, row types.Tuple) error {
-	return t.InsertAtCSN(id, row, 0)
-}
-
 // InsertAtCSN reinstates a row under a specific RowID as a version
-// committed at csn (WAL replay stamps the recovered commit order this way).
+// committed at csn (snapshot restore and WAL replay, which stamps the
+// recovered commit order this way). It fails if the RowID is live in the
+// latest committed state.
 func (t *Table) InsertAtCSN(id RowID, row types.Tuple, csn uint64) error {
 	if err := t.schema.Validate(row); err != nil {
 		return fmt.Errorf("storage: insert-at into %s: %w", t.name, err)

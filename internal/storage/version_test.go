@@ -118,17 +118,17 @@ func TestIndexedLookupFiltersByVisibility(t *testing.T) {
 	tbl.Stamp(2, id, 2)
 	// Old snapshot finds the row under its old key, not its new one.
 	oldSnap := Snapshot{CSN: 1}
-	if ids, _ := tbl.LookupAsOf(oldSnap, []string{"town"}, types.Tuple{types.Str("SFO")}); len(ids) != 1 {
+	if ids, _, _ := tbl.LookupRowsAsOf(oldSnap, []string{"town"}, types.Tuple{types.Str("SFO")}); len(ids) != 1 {
 		t.Errorf("old snapshot lookup(SFO) = %v, want the row", ids)
 	}
-	if ids, _ := tbl.LookupAsOf(oldSnap, []string{"town"}, types.Tuple{types.Str("NYC")}); len(ids) != 0 {
+	if ids, _, _ := tbl.LookupRowsAsOf(oldSnap, []string{"town"}, types.Tuple{types.Str("NYC")}); len(ids) != 0 {
 		t.Errorf("old snapshot lookup(NYC) = %v, want none", ids)
 	}
 	newSnap := Snapshot{CSN: 2}
-	if ids, _ := tbl.LookupAsOf(newSnap, []string{"town"}, types.Tuple{types.Str("NYC")}); len(ids) != 1 {
+	if ids, _, _ := tbl.LookupRowsAsOf(newSnap, []string{"town"}, types.Tuple{types.Str("NYC")}); len(ids) != 1 {
 		t.Errorf("new snapshot lookup(NYC) = %v, want the row", ids)
 	}
-	if ids, _ := tbl.LookupAsOf(newSnap, []string{"town"}, types.Tuple{types.Str("SFO")}); len(ids) != 0 {
+	if ids, _, _ := tbl.LookupRowsAsOf(newSnap, []string{"town"}, types.Tuple{types.Str("SFO")}); len(ids) != 0 {
 		t.Errorf("new snapshot lookup(SFO) = %v, want none", ids)
 	}
 }

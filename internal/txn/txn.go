@@ -103,6 +103,11 @@ type Manager struct {
 	clock    atomic.Uint64 // newest published commit sequence number
 	commitMu sync.Mutex    // serializes CSN allocation + stamping + publication
 	snaps    *snapshotTable
+	// CommitUnits' scratch, reused under commitMu so a commit allocates
+	// neither its CSN list nor its WAL records (AppendBatch encodes the
+	// records before it returns).
+	unitCSN []uint64
+	recs    []*wal.Record
 
 	// Checkpoint quiescence gate: units of transactional work (a scheduler
 	// run, a direct transaction, a DDL statement) register via Enter/Exit;
@@ -280,9 +285,6 @@ func (m *Manager) Begin(level IsolationLevel) (*Txn, error) {
 
 // ID returns the transaction id.
 func (t *Txn) ID() uint64 { return t.id }
-
-// Level returns the isolation level.
-func (t *Txn) Level() IsolationLevel { return t.level }
 
 // State returns the lifecycle state.
 func (t *Txn) State() State { return t.state }
@@ -596,32 +598,9 @@ func (t *Txn) finishCommitted() {
 }
 
 // Commit makes the transaction's writes durable and visible, and releases
-// its locks. Write-bearing commits allocate the next CSN under the commit
-// mutex: log, stamp, publish — so concurrent snapshots see the commit
-// atomically.
+// its locks: CommitUnits over one single-transaction unit.
 func (t *Txn) Commit() error {
-	if err := t.ensureActive(); err != nil {
-		return err
-	}
-	m := t.mgr
-	m.commitMu.Lock()
-	var csn uint64
-	if len(t.undo) > 0 {
-		csn = m.clock.Load() + 1
-	}
-	if m.log != nil {
-		if err := m.log.Append(wal.Commit(wal.TxID(t.id), csn)); err != nil {
-			m.commitMu.Unlock()
-			return err
-		}
-	}
-	if csn != 0 {
-		t.stamp(csn)
-		m.clock.Store(csn)
-	}
-	m.commitMu.Unlock()
-	t.finishCommitted()
-	return nil
+	return t.mgr.CommitUnits([][]*Txn{{t}})
 }
 
 // Abort rolls back the transaction by removing its uncommitted versions
@@ -663,13 +642,6 @@ func (m *Manager) LogEntangle(opID uint64, txIDs []uint64) error {
 	return m.log.Append(wal.Entangle(wal.TxID(opID), group))
 }
 
-// CommitGroup atomically commits an entanglement group: one GroupCommit
-// record covers all members, then each is finalized. All transactions must
-// be active.
-func (m *Manager) CommitGroup(txns []*Txn) error {
-	return m.CommitUnits([][]*Txn{txns})
-}
-
 // CommitUnits commits several independent commit units — each a single
 // transaction or a whole entanglement group — through one batched WAL
 // append and at most one fsync (group commit across groups; the run
@@ -685,40 +657,41 @@ func (m *Manager) CommitUnits(units [][]*Txn) error {
 	for _, unit := range units {
 		for _, t := range unit {
 			if t.state != Active {
-				return fmt.Errorf("txn: group commit: transaction %d is %v", t.id, t.state)
+				return fmt.Errorf("%w: transaction %d is %v", ErrNotActive, t.id, t.state)
 			}
 		}
 	}
 	m.commitMu.Lock()
 	next := m.clock.Load()
-	unitCSN := make([]uint64, len(units))
-	for i, unit := range units {
-		writes := false
+	unitCSN := m.unitCSN[:0]
+	for _, unit := range units {
+		var csn uint64
 		for _, t := range unit {
 			if len(t.undo) > 0 {
-				writes = true
+				next++
+				csn = next
 				break
 			}
 		}
-		if writes {
-			next++
-			unitCSN[i] = next
-		}
+		unitCSN = append(unitCSN, csn)
 	}
+	m.unitCSN = unitCSN
 	if m.log != nil {
-		recs := make([]*wal.Record, 0, len(units))
+		for len(m.recs) < len(units) {
+			m.recs = append(m.recs, new(wal.Record))
+		}
 		for i, unit := range units {
 			if len(unit) == 1 {
-				recs = append(recs, wal.Commit(wal.TxID(unit[0].id), unitCSN[i]))
+				*m.recs[i] = *wal.Commit(wal.TxID(unit[0].id), unitCSN[i])
 				continue
 			}
 			group := make([]wal.TxID, len(unit))
 			for j, t := range unit {
 				group[j] = wal.TxID(t.id)
 			}
-			recs = append(recs, wal.GroupCommit(group, unitCSN[i]))
+			*m.recs[i] = *wal.GroupCommit(group, unitCSN[i])
 		}
-		if err := m.log.AppendBatch(recs); err != nil {
+		if err := m.log.AppendBatch(m.recs[:len(units)]); err != nil {
 			m.commitMu.Unlock()
 			return err
 		}

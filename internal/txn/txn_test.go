@@ -223,7 +223,7 @@ func TestGroupCommitAtomicInLog(t *testing.T) {
 	if err := m.LogEntangle(99, []uint64{a.ID(), b.ID()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitGroup([]*Txn{a, b}); err != nil {
+	if err := m.CommitUnits([][]*Txn{{a, b}}); err != nil {
 		t.Fatal(err)
 	}
 	if a.State() != Committed || b.State() != Committed {
@@ -244,7 +244,7 @@ func TestCommitGroupRejectsFinishedMember(t *testing.T) {
 	a, _ := m.Begin(Serializable)
 	b, _ := m.Begin(Serializable)
 	b.Abort()
-	if err := m.CommitGroup([]*Txn{a, b}); err == nil {
+	if err := m.CommitUnits([][]*Txn{{a, b}}); err == nil {
 		t.Fatal("group commit with aborted member accepted")
 	}
 	a.Abort()
