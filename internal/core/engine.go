@@ -240,6 +240,10 @@ type Engine struct {
 	// accounting (gauges).
 	streamStats eq.StreamStats
 	evalOpts    eq.EvalOptions // every round's evaluation options, fixed at NewEngine
+	// eval evaluates every round and keeps the round's memory for the next
+	// one; only the scheduler goroutine uses it. A round's groundings are
+	// valid until the next round, its answers own their memory.
+	eval eq.Evaluator
 }
 
 // NewEngine builds an engine over a transaction manager.

@@ -350,7 +350,7 @@ func (rd *round) groundAndSolve() {
 	}
 	e.bumpN(e.met.groundings, int64(len(pendings)))
 	start := time.Now()
-	res := eq.Evaluate(pendings, e.evalOpts)
+	res := e.eval.Evaluate(pendings, e.evalOpts)
 	rd.res = res
 	e.bumpN(e.met.solveSteps, int64(res.Solve.Steps))
 	if res.Solve.Exhausted {
@@ -479,7 +479,9 @@ func (rd *round) deliver() int {
 			if e.dist != nil && m.tx != nil {
 				// No local partner: remember what this round computed so the
 				// coordinator can offer the query to the matchmaker.
-				m.offerGrounds, m.offerTables, m.offerCSN = rd.res.Groundings[i], tables, rd.view.CSN
+				// The groundings are copied out of the evaluator's arena,
+				// which the next round reuses: the offer outlives the round.
+				m.offerGrounds, m.offerTables, m.offerCSN = eq.CloneGroundings(rd.res.Groundings[i]), tables, rd.view.CSN
 			}
 			continue
 		case eq.Errored:

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync"
@@ -347,5 +348,70 @@ func TestDecisionIsThreeState(t *testing.T) {
 	}
 	if st := m.Decision(group); !st.Known || st.Commit || st.Pending {
 		t.Errorf("overdue group = %+v, want known abort", st)
+	}
+}
+
+// flightOffer builds the offer of a user who wants the same flight to LA as
+// partner, grounded over flights with int, date and string columns.
+func flightOffer(t *testing.T, node string, id uint64, user, partner string) *Offer {
+	t.Helper()
+	flights := eq.MapReader{"Flights": {
+		{types.Int(122), types.MustDate("2011-05-03"), types.Str("LA")},
+		{types.Int(123), types.MustDate("2011-05-04"), types.Str("LA")},
+		{types.Int(235), types.MustDate("2011-05-05"), types.Str("Paris")},
+	}}
+	q := &eq.Query{
+		Head:   []eq.Atom{eq.NewAtom("FlightRes", eq.CStr(user), eq.V("fno"), eq.V("fdate"))},
+		Post:   []eq.Atom{eq.NewAtom("FlightRes", eq.CStr(partner), eq.V("fno"), eq.V("fdate"))},
+		Body:   []eq.Atom{eq.NewAtom("Flights", eq.V("fno"), eq.V("fdate"), eq.V("dest"))},
+		Where:  []eq.Constraint{{Left: eq.V("dest"), Op: eq.OpEq, Right: eq.CStr("LA")}},
+		Choose: 1,
+	}
+	gs, err := eq.Ground(q, flights, 0)
+	if err != nil || len(gs) != 2 {
+		t.Fatalf("ground: %d groundings, %v", len(gs), err)
+	}
+	return &Offer{Node: node, ID: id, Query: q, Grounds: gs, Tables: []string{"Flights"}, CSN: 7,
+		Deadline: time.Now().Add(time.Minute)}
+}
+
+// TestOfferWireShapeKeepsBindings: groundings cross between peers as JSON
+// (their values, variable names, head and postcondition), and an offer
+// that went through json.Marshal and json.Unmarshal yields the same
+// matchmaker answers — Tuples and Bindings — as the same offer handed over
+// in process.
+func TestOfferWireShapeKeepsBindings(t *testing.T) {
+	answers := func(wire bool) map[string]Answer {
+		s := newStubSender()
+		m := newTestMatchmaker(t, s, time.Minute)
+		for i, o := range []*Offer{flightOffer(t, "n0", 1, "Mickey", "Minnie"), flightOffer(t, "n1", 2, "Minnie", "Mickey")} {
+			if wire {
+				b, err := json.Marshal(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o = &Offer{}
+				if err := json.Unmarshal(b, o); err != nil {
+					t.Fatal(err)
+				}
+				if g := o.Grounds[0]; len(g.Vars) != 3 || len(g.Vals) != 3 {
+					t.Fatalf("offer %d decoded grounding %+v, want three variables with values", i, g)
+				}
+			}
+			m.AddOffer(o)
+		}
+		out := make(map[string]Answer)
+		for _, ev := range s.await(t, "prepare", 2) {
+			out[ev.node] = ev.prepare.Ans
+		}
+		return out
+	}
+	local, wire := answers(false), answers(true)
+	if len(local) != 2 || !reflect.DeepEqual(local, wire) {
+		t.Fatalf("answers over the wire differ from in process:\n%+v\n%+v", wire, local)
+	}
+	want := map[string]types.Value{"fno": types.Int(122), "fdate": types.MustDate("2011-05-03"), "dest": types.Str("LA")}
+	if b := local["n0"].Bindings; !reflect.DeepEqual(b, want) {
+		t.Errorf("bindings = %v, want %v", b, want)
 	}
 }

@@ -137,29 +137,54 @@ type EvalOptions struct {
 	PullDur *obs.Histogram
 }
 
+// Evaluator runs evaluation rounds and keeps between them everything a
+// round needs: the groundings' values, atoms and structs and the pointer
+// slices over them (one arena), the grounding stream's scratch, and the
+// solver's atom table and search buffers. A round then allocates in
+// proportion to its answers, not to its groundings. The lifetime rule:
+// Result.Groundings stays valid until the evaluator's next Evaluate, while
+// every Answer owns its Tuples and Bindings. An Evaluator is not safe for
+// concurrent use; the zero value is ready.
+type Evaluator struct {
+	ar     arena
+	stream groundStream
+	solver problem
+
+	groundings [][]*Grounding
+	errs       []error
+	producer   []int32 // per atom id: first answered query producing it, or -1
+	consumed   []bool  // per atom id: an answered query's postcondition holds it
+}
+
+// Evaluate runs one round on a fresh Evaluator, so nothing it returns is
+// reused.
+func Evaluate(pending []Pending, opts EvalOptions) *Result {
+	return new(Evaluator).Evaluate(pending, opts)
+}
+
 // Evaluate runs one round of entangled query answering over the pending
 // set, per Appendix A: ground every query in submission order, search for a
 // coordinating set, and classify every query's outcome. The underlying
 // database must not change during the round; the caller (the run
 // scheduler) guarantees this by grounding every query through readers
-// pinned to one snapshot.
-func Evaluate(pending []Pending, opts EvalOptions) *Result {
+// pinned to one snapshot. The round reuses the memory of the evaluator's
+// previous round.
+func (ev *Evaluator) Evaluate(pending []Pending, opts EvalOptions) *Result {
+	ev.ar.reset()
+	ev.stream.ar = &ev.ar
 	res := &Result{
 		Answers:      make(map[int]*Answer, len(pending)),
 		GroundTables: make(map[int][]string),
 		Groundings:   make(map[int][]*Grounding, len(pending)),
 	}
-	queries := make([]*Query, len(pending))
-	for i, p := range pending {
-		queries[i] = p.Query
-	}
 	groundStart := time.Now()
-	groundings := make([][]*Grounding, len(pending))
-	errored := make(map[int]error)
+	groundings := zeroed(ev.groundings, len(pending))
+	errs := zeroed(ev.errs, len(pending))
+	ev.groundings, ev.errs = groundings, errs
 	for i, p := range pending {
-		gs, err := groundPending(p, opts)
+		gs, err := ev.groundPending(p, opts)
 		if err != nil {
-			errored[i] = err
+			errs[i] = err
 			continue
 		}
 		groundings[i] = gs
@@ -169,60 +194,29 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 	res.GroundDur = time.Since(groundStart)
 
 	solveStart := time.Now()
-	chosen, solveStats := SolveBudget(groundings, opts.SolveBudget)
+	chosen, solveStats := ev.solver.solve(groundings, opts.SolveBudget)
 	res.Solve = solveStats
 	res.SolveDur = time.Since(solveStart)
 
-	// Entanglement membership: queries whose chosen groundings exchange
-	// atoms. Map each chosen head atom to its producers, then connect every
-	// chosen postcondition's consumer to them.
-	producerOf := make(map[string][]int)
-	for i, gi := range chosen {
-		if gi < 0 {
-			continue
-		}
-		for _, h := range groundings[i][gi].Head {
-			producerOf[h.Key()] = append(producerOf[h.Key()], i)
-		}
-	}
-	sets := NewDisjointSets(len(pending))
-	for i, gi := range chosen {
-		if gi < 0 {
-			continue
-		}
-		for _, p := range groundings[i][gi].Post {
-			for _, j := range producerOf[p.Key()] {
-				sets.Union(i, j)
-			}
-		}
-	}
-	// Unanswered queries exchange nothing and stay singletons.
-	for _, set := range sets.Sets() {
-		if chosen[set[0]] < 0 {
-			continue
-		}
-		ids := make([]int, len(set))
-		for k, i := range set {
-			ids[k] = pending[i].ID
-		}
-		res.Components = append(res.Components, ids)
-	}
+	res.Components = ev.components(pending, chosen)
 
-	formable := FormableSet(queries)
+	var formable []bool
 	for i, p := range pending {
-		if err, bad := errored[i]; bad {
+		if err := errs[i]; err != nil {
 			res.Answers[p.ID] = &Answer{Status: Errored, Err: err}
 			continue
 		}
-		gi := chosen[i]
-		if gi >= 0 {
+		if gi := chosen[i]; gi >= 0 {
 			g := groundings[i][gi]
-			bindings := make(map[string]types.Value, len(g.Val))
-			for k, v := range g.Val {
-				bindings[k] = v
-			}
-			res.Answers[p.ID] = &Answer{Status: Answered, Tuples: g.Head, Bindings: bindings}
+			res.Answers[p.ID] = &Answer{Status: Answered, Tuples: cloneAtoms(g.Head), Bindings: g.Bindings()}
 			continue
+		}
+		if formable == nil {
+			queries := make([]*Query, len(pending))
+			for j, q := range pending {
+				queries[j] = q.Query
+			}
+			formable = FormableSet(queries)
 		}
 		if formable[i] {
 			res.Answers[p.ID] = &Answer{Status: EmptyAnswer}
@@ -233,11 +227,67 @@ func Evaluate(pending []Pending, opts EvalOptions) *Result {
 	return res
 }
 
+// components is the round's entanglement membership: queries whose chosen
+// groundings exchange atoms. Every producer of a consumed atom joins its
+// first producer, and so does every consumer. Unanswered queries exchange
+// nothing and stay singletons, which are dropped.
+func (ev *Evaluator) components(pending []Pending, chosen []int) [][]int {
+	p := &ev.solver
+	first := zeroed(ev.producer, len(p.atoms))
+	consumed := zeroed(ev.consumed, len(p.atoms))
+	ev.producer, ev.consumed = first, consumed
+	for k := range first {
+		first[k] = -1
+	}
+	for i, gi := range chosen {
+		if gi < 0 {
+			continue
+		}
+		for _, k := range p.heads(i, gi) {
+			if first[k] < 0 {
+				first[k] = int32(i)
+			}
+		}
+		for _, k := range p.posts(i, gi) {
+			consumed[k] = true
+		}
+	}
+	sets := NewDisjointSets(len(pending))
+	for i, gi := range chosen {
+		if gi < 0 {
+			continue
+		}
+		for _, k := range p.heads(i, gi) {
+			if consumed[k] {
+				sets.Union(int(first[k]), i)
+			}
+		}
+		for _, k := range p.posts(i, gi) {
+			if first[k] >= 0 {
+				sets.Union(i, int(first[k]))
+			}
+		}
+	}
+	var out [][]int
+	for _, set := range sets.Sets() {
+		if chosen[set[0]] < 0 {
+			continue
+		}
+		ids := make([]int, len(set))
+		for k, i := range set {
+			ids[k] = pending[i].ID
+		}
+		out = append(out, ids)
+	}
+	return out
+}
+
 // groundPending enumerates one pending query's groundings. Supplied
 // groundings replace the grounding round trip entirely: no reader access,
 // no simulated latency. Otherwise the query pays EvalOptions.GroundLatency,
-// the simulated DBMS round trip, and streams through its reader.
-func groundPending(p Pending, opts EvalOptions) ([]*Grounding, error) {
+// the simulated DBMS round trip, and streams through its reader into the
+// evaluator's arena.
+func (ev *Evaluator) groundPending(p Pending, opts EvalOptions) ([]*Grounding, error) {
 	if p.HasCached {
 		return p.Cached, nil
 	}
@@ -247,9 +297,13 @@ func groundPending(p Pending, opts EvalOptions) ([]*Grounding, error) {
 	if p.Reader == nil {
 		return nil, fmt.Errorf("eq: query %d has no reader", p.ID)
 	}
-	return GroundWith(p.Query, p.Reader, GroundOptions{
+	if err := p.Query.Validate(); err != nil {
+		return nil, err
+	}
+	ev.stream.reset(planQuery(p.Query, p.Reader), p.Reader, GroundOptions{
 		MaxGroundings: maxRoundGroundings,
 		Stats:         opts.Stream,
 		PullDur:       opts.PullDur,
 	})
+	return ev.stream.run()
 }

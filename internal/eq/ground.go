@@ -97,13 +97,14 @@ rows:
 
 func (c *sliceCursor) Rewind() { c.pos = 0 }
 
-// eqBindings extracts the variables constrained equal to a non-NULL
-// constant (?v = c). They count as bound for atom ordering and index
-// probing, and reject rows early during matching. The valuation still binds
-// such variables to the row's value, exactly as the scan path does, so
-// int/date-interoperable constants cannot leak into answers.
-func eqBindings(q *Query) map[string]types.Value {
-	out := make(map[string]types.Value)
+// eqBindings extracts, per body variable slot of plan, the non-NULL
+// constant a ?v = c constraint fixes it to. Such variables count as bound
+// for atom ordering and index probing, and reject rows early during
+// matching. The valuation still binds such variables to the row's value,
+// exactly as the scan path does, so int/date-interoperable constants cannot
+// leak into answers.
+func eqBindings(q *Query, plan *joinPlan) []eqConst {
+	out := make([]eqConst, len(plan.vars))
 	for _, c := range q.Where {
 		if c.Op != OpEq {
 			continue
@@ -115,12 +116,12 @@ func eqBindings(q *Query) map[string]types.Value {
 		if !v.IsVar || k.IsVar || k.Value.IsNull() {
 			continue
 		}
-		if prev, ok := out[v.Name]; ok && !prev.Equal(k.Value) {
-			// Contradictory constants: the eager constraint check rejects
-			// every row anyway; keep the first binding.
-			continue
+		// A variable no atom binds has no slot; of contradictory constants
+		// the first is kept, and the eager constraint check rejects every
+		// row anyway.
+		if s := plan.slot(v.Name); s >= 0 && !out[s].ok {
+			out[s] = eqConst{val: k.Value, ok: true}
 		}
-		out[v.Name] = k.Value
 	}
 	return out
 }

@@ -2,7 +2,10 @@ package eq
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+
+	"repro/internal/types"
 )
 
 // Query is an entangled query in the intermediate representation {C} H ⇐ B.
@@ -90,11 +93,9 @@ func (q *Query) Validate() error {
 // the transaction (and, via quasi-reads, its entanglement partners) must
 // see a stable view of.
 func (q *Query) BodyTables() []string {
-	seen := make(map[string]bool)
 	var out []string
 	for _, a := range q.Body {
-		if !seen[a.Rel] {
-			seen[a.Rel] = true
+		if !slices.Contains(out, a.Rel) {
 			out = append(out, a.Rel)
 		}
 	}
@@ -192,25 +193,23 @@ func (q *Query) String() string {
 }
 
 // Grounding is one valuation of a query's body: the instantiated head and
-// postcondition atoms plus the valuation itself (for host-variable
-// binding).
+// postcondition atoms, and the value of every body variable — Vals[k] is
+// variable Vars[k], and every grounding of one query shares its Vars. The
+// head arguments, the postcondition arguments and Vals share one backing
+// array.
 type Grounding struct {
 	Head []GroundAtom
 	Post []GroundAtom
-	Val  Valuation
+	Vals []types.Value
+	Vars []string
 }
 
-// key is a canonical identity for deduplication.
-func (g *Grounding) key() string {
-	var b strings.Builder
-	for _, a := range g.Head {
-		b.WriteString(a.Key())
-		b.WriteByte('#')
+// Bindings maps every body variable to its value in this grounding — the
+// host-variable bindings of an answer.
+func (g *Grounding) Bindings() map[string]types.Value {
+	out := make(map[string]types.Value, len(g.Vars))
+	for k, name := range g.Vars {
+		out[name] = g.Vals[k]
 	}
-	b.WriteByte('|')
-	for _, a := range g.Post {
-		b.WriteString(a.Key())
-		b.WriteByte('#')
-	}
-	return b.String()
+	return out
 }

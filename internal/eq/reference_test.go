@@ -2,6 +2,7 @@ package eq
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/types"
 )
@@ -32,12 +33,14 @@ func (m MapReader) Probe(table string, _ []int, _ []types.Value) ([]types.Tuple,
 
 // GroundMaterialized is the pre-streaming grounding executor, kept as the
 // differential-testing oracle: it consumes the same joinPlan as the
-// streaming pipeline but materializes every level without a covering index
-// as a full row slice — bound or not, so the row loop alone filters what
-// the pipeline's unindexed probes and shared partitions serve — and every
-// index probe as a per-valuation slice, exactly as Ground did before the
-// cursor rewrite. The streaming ≡ materialized property test asserts Ground
-// enumerates byte-identical groundings in identical order.
+// streaming pipeline — its join order, access paths and pushed-down
+// constraints, not the slot program compiled from them; it binds a map
+// valuation — but materializes every level without a covering index as a
+// full row slice — bound or not, so the row loop alone filters what the
+// pipeline's unindexed probes serve — and every index probe as a
+// per-valuation slice, exactly as Ground did before the cursor rewrite. The
+// streaming ≡ materialized property test asserts Ground enumerates
+// byte-identical groundings in identical order.
 func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Grounding, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -67,6 +70,12 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 	var out []*Grounding
 	seen := make(map[string]bool)
 	val := make(Valuation)
+	eqBound := make(map[string]types.Value)
+	for k, name := range plan.vars {
+		if plan.eq[k].ok {
+			eqBound[name] = plan.eq[k].val
+		}
+	}
 
 	var join func(i int) error
 	join = func(i int) error {
@@ -75,7 +84,7 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 		}
 		if i == len(plan.steps) {
 			for _, c := range plan.final {
-				ok, err := c.eval(val)
+				ok, err := c.c.eval(val)
 				if err != nil {
 					return err
 				}
@@ -83,7 +92,10 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 					return nil
 				}
 			}
-			g := &Grounding{Val: val.clone()}
+			g := &Grounding{Vars: plan.vars, Vals: make([]types.Value, len(plan.vars))}
+			for k, name := range plan.vars {
+				g.Vals[k] = val[name]
+			}
 			for _, a := range q.Head {
 				ga, err := a.instantiate(val)
 				if err != nil {
@@ -118,7 +130,7 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 					if v, ok := val[t.Name]; ok {
 						vals[k] = v
 					} else {
-						vals[k] = plan.eqBound[t.Name]
+						vals[k] = eqBound[t.Name]
 					}
 				}
 			}
@@ -142,7 +154,7 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 							break
 						}
 					} else {
-						if c, isEq := plan.eqBound[t.Name]; isEq && !c.Equal(row[j]) {
+						if c, isEq := eqBound[t.Name]; isEq && !c.Equal(row[j]) {
 							ok = false
 							break
 						}
@@ -156,7 +168,7 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 			}
 			if ok {
 				for _, c := range step.checks {
-					holds, err := c.eval(val)
+					holds, err := c.c.eval(val)
 					if err != nil {
 						return err
 					}
@@ -181,4 +193,78 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 		return nil, err
 	}
 	return out, nil
+}
+
+// Valuation assigns database values to variables: the oracle's valuation,
+// independent of the pipeline's slots.
+type Valuation map[string]types.Value
+
+// clone copies the valuation.
+func (v Valuation) clone() Valuation {
+	out := make(Valuation, len(v))
+	for k, val := range v {
+		out[k] = val
+	}
+	return out
+}
+
+// instantiate applies a valuation to the atom's arguments; every variable
+// must be bound.
+func (a Atom) instantiate(val Valuation) (GroundAtom, error) {
+	args := make(types.Tuple, len(a.Args))
+	for i, t := range a.Args {
+		if t.IsVar {
+			v, ok := val[t.Name]
+			if !ok {
+				return GroundAtom{}, fmt.Errorf("eq: unbound variable %s in %s", t.Name, a)
+			}
+			args[i] = v
+		} else {
+			args[i] = t.Value
+		}
+	}
+	return GroundAtom{Rel: a.Rel, Args: args}, nil
+}
+
+// eval evaluates the constraint under a valuation; both sides must be
+// bound.
+func (c Constraint) eval(val Valuation) (bool, error) {
+	resolve := func(t Term) (types.Value, error) {
+		if !t.IsVar {
+			return t.Value, nil
+		}
+		v, ok := val[t.Name]
+		if !ok {
+			return types.Null(), fmt.Errorf("eq: unbound variable %s", t.Name)
+		}
+		return v, nil
+	}
+	l, err := resolve(c.Left)
+	if err != nil {
+		return false, err
+	}
+	r, err := resolve(c.Right)
+	if err != nil {
+		return false, err
+	}
+	return c.Op.holds(l, r)
+}
+
+// Key returns a canonical string for the ground atom.
+func (g GroundAtom) Key() string { return g.Rel + "|" + g.Args.Key() }
+
+// key is a canonical string for a grounding's (head, post) identity — the
+// identity the pipeline deduplicates by.
+func (g *Grounding) key() string {
+	var b strings.Builder
+	for _, a := range g.Head {
+		b.WriteString(a.Key())
+		b.WriteByte('#')
+	}
+	b.WriteByte('|')
+	for _, a := range g.Post {
+		b.WriteString(a.Key())
+		b.WriteByte('#')
+	}
+	return b.String()
 }

@@ -1,9 +1,8 @@
 package eq
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"encoding/binary"
+	"slices"
 )
 
 // Coordinating-set search: given the groundings of a set of pending
@@ -20,7 +19,7 @@ import (
 // greedy closure was exact only for disjoint structures.
 //
 // The search decomposes the pending set into independent components
-// (queries connected through produced/consumed atom keys), then runs a
+// (queries connected through produced/consumed atoms), then runs a
 // depth-first branch-and-bound per component:
 //
 //   - Queries are decided in submission order; for each query the
@@ -74,18 +73,22 @@ func Solve(groundings [][]*Grounding) []int {
 // DefaultSolveBudget; budget < 0 skips the exact search entirely and runs
 // the greedy closure alone (the pre-exact behavior, kept for ablation).
 func SolveBudget(groundings [][]*Grounding, budget int) ([]int, SolveStats) {
+	var p problem
+	return p.solve(groundings, budget)
+}
+
+// solve runs the search over groundings. The chosen slice it returns is
+// the problem's own and valid until its next solve.
+func (p *problem) solve(groundings [][]*Grounding, budget int) ([]int, SolveStats) {
 	if budget == 0 {
 		budget = DefaultSolveBudget
 	}
-	p := newProblem(groundings)
+	p.build(groundings)
 	comps := p.components()
 
 	stats := SolveStats{Components: len(comps)}
-	chosen := make([]int, len(groundings))
-	for i := range chosen {
-		chosen[i] = -1
-	}
-	g := &greedySolver{p: p, chosen: chosen, chosenHead: make(map[string]int)}
+	chosen := p.chosen
+	g := &greedySolver{p: p, chosen: chosen, chosenHead: p.chosenHead, trail: p.trail[:0]}
 
 	steps := 0
 	for _, comp := range comps {
@@ -96,18 +99,23 @@ func SolveBudget(groundings [][]*Grounding, budget int) ([]int, SolveStats) {
 			g.solveComponent(comp, &steps)
 			continue
 		}
-		ex := newExactSolver(p, comp, &steps, budget)
-		if best, ok := ex.search(); ok {
+		ex := &p.exact
+		ex.init(p, comp, &steps, budget)
+		best, ok := ex.search()
+		if ok {
 			for pi, qi := range comp {
 				chosen[qi] = best[pi]
 			}
-		} else {
+		}
+		ex.finish()
+		if !ok {
 			// Budget ran out mid-component: discard the partial search and
 			// answer this component greedily.
 			stats.Exhausted = true
 			g.solveComponent(comp, &steps)
 		}
 	}
+	p.trail = g.trail
 	stats.Steps = steps
 	for _, gi := range chosen {
 		if gi >= 0 {
@@ -117,55 +125,140 @@ func SolveBudget(groundings [][]*Grounding, budget int) ([]int, SolveStats) {
 	return chosen, stats
 }
 
-// problem is the shared indexed view of one Solve call's input.
+// problem is the indexed view of one solve call's input, and the buffers
+// the search runs in; an Evaluator keeps one and reuses it round after
+// round. Every distinct ground atom is interned to a dense id, so the
+// search indexes slices by atom id instead of hashing strings.
 type problem struct {
 	groundings [][]*Grounding
-	producers  map[string][]producer // ground head atom key -> producers
-	headKeys   [][][]string          // [query][grounding] head atom keys
-	postKeys   [][][]string          // [query][grounding] post atom keys
-	prodKeys   [][]string            // [query] distinct keys any grounding produces
+
+	atoms []GroundAtom // by id
+	table hashIndex    // atoms
+
+	// Grounding f (flat: first[qi]+gi) has head ids ids[off[f]:postAt[f]]
+	// and post ids ids[postAt[f]:off[f+1]].
+	first  []int32 // per query, then the total
+	off    []int32
+	postAt []int32
+	ids    []int32
+
+	// prods[prodOff[qi]:prodOff[qi+1]] are the distinct ids any grounding
+	// of query qi produces, in first-production order.
+	prodOff []int32
+	prods   []int32
+	// producers[prodAt[k]:prodAt[k+1]] are the groundings whose heads hold
+	// atom k, in (query, grounding, head position) order.
+	prodAt    []int32
+	producers []producer
+
+	chosen     []int
+	chosenHead []int32 // per atom id, refcount among the greedy closure's chosen heads
+	trail      []int
+	mark       []int32
+	exact      exactSolver
 }
 
 type producer struct {
-	query, grounding int
+	query, grounding int32
 }
 
-func newProblem(groundings [][]*Grounding) *problem {
-	p := &problem{
-		groundings: groundings,
-		producers:  make(map[string][]producer),
-		headKeys:   make([][][]string, len(groundings)),
-		postKeys:   make([][][]string, len(groundings)),
-		prodKeys:   make([][]string, len(groundings)),
+// intern returns the id of atom a, assigning the next one to a new atom.
+func (p *problem) intern(a GroundAtom) int32 {
+	h := a.hash()
+	if id := p.table.lookup(h, func(id int32) bool { return p.atoms[id].equal(a) }); id >= 0 {
+		return id
 	}
-	for qi, gs := range groundings {
-		p.headKeys[qi] = make([][]string, len(gs))
-		p.postKeys[qi] = make([][]string, len(gs))
-		seen := make(map[string]bool)
-		for gi, g := range gs {
-			hk := make([]string, len(g.Head))
-			for i, h := range g.Head {
-				k := h.Key()
-				hk[i] = k
-				p.producers[k] = append(p.producers[k], producer{query: qi, grounding: gi})
-				if !seen[k] {
-					seen[k] = true
-					p.prodKeys[qi] = append(p.prodKeys[qi], k)
-				}
+	p.atoms = append(p.atoms, a)
+	return p.table.add(h)
+}
+
+func (p *problem) heads(qi, gi int) []int32 {
+	f := p.first[qi] + int32(gi)
+	return p.ids[p.off[f]:p.postAt[f]]
+}
+
+func (p *problem) posts(qi, gi int) []int32 {
+	f := p.first[qi] + int32(gi)
+	return p.ids[p.postAt[f]:p.off[f+1]]
+}
+
+func (p *problem) prodIDs(qi int) []int32 { return p.prods[p.prodOff[qi]:p.prodOff[qi+1]] }
+
+func (p *problem) producersOf(k int32) []producer {
+	return p.producers[p.prodAt[k]:p.prodAt[k+1]]
+}
+
+// build interns the round's atoms and lays out the per-grounding,
+// per-query and per-atom indexes.
+func (p *problem) build(groundings [][]*Grounding) {
+	p.groundings = groundings
+	p.table.reset()
+	p.atoms = p.atoms[:0]
+	p.first, p.off, p.postAt, p.ids = p.first[:0], p.off[:0], p.postAt[:0], p.ids[:0]
+	for _, gs := range groundings {
+		p.first = append(p.first, int32(len(p.off)))
+		for _, g := range gs {
+			p.off = append(p.off, int32(len(p.ids)))
+			for _, a := range g.Head {
+				p.ids = append(p.ids, p.intern(a))
 			}
-			p.headKeys[qi][gi] = hk
-			pk := make([]string, len(g.Post))
-			for i, a := range g.Post {
-				pk[i] = a.Key()
+			p.postAt = append(p.postAt, int32(len(p.ids)))
+			for _, a := range g.Post {
+				p.ids = append(p.ids, p.intern(a))
 			}
-			p.postKeys[qi][gi] = pk
 		}
 	}
-	return p
+	p.first = append(p.first, int32(len(p.off)))
+	p.off = append(p.off, int32(len(p.ids)))
+	n := len(p.atoms)
+
+	// Producers, counting-sorted by atom id.
+	p.prodAt = zeroed(p.prodAt, n+1)
+	for f := range p.postAt {
+		for _, k := range p.ids[p.off[f]:p.postAt[f]] {
+			p.prodAt[k+1]++
+		}
+	}
+	for k := 0; k < n; k++ {
+		p.prodAt[k+1] += p.prodAt[k]
+	}
+	p.producers = zeroed(p.producers, int(p.prodAt[n]))
+	p.mark = zeroed(p.mark, n)
+	fill := p.mark // next free producer slot per atom, relative to prodAt
+	for qi, gs := range groundings {
+		for gi := range gs {
+			for _, k := range p.heads(qi, gi) {
+				p.producers[p.prodAt[k]+fill[k]] = producer{query: int32(qi), grounding: int32(gi)}
+				fill[k]++
+			}
+		}
+	}
+
+	// Distinct produced ids per query: mark[k] == qi+1 once seen.
+	clear(p.mark)
+	p.prodOff, p.prods = append(p.prodOff[:0], 0), p.prods[:0]
+	for qi, gs := range groundings {
+		for gi := range gs {
+			for _, k := range p.heads(qi, gi) {
+				if p.mark[k] != int32(qi+1) {
+					p.mark[k] = int32(qi + 1)
+					p.prods = append(p.prods, k)
+				}
+			}
+		}
+		p.prodOff = append(p.prodOff, int32(len(p.prods)))
+	}
+
+	p.chosen = zeroed(p.chosen, len(groundings))
+	for i := range p.chosen {
+		p.chosen[i] = -1
+	}
+	p.chosenHead = zeroed(p.chosenHead, n)
+	p.exact.size(n)
 }
 
 // components partitions the queries into independent subproblems: query a
-// and query b belong together when some atom key one of them can post is
+// and query b belong together when some atom one of them can post is
 // producible by the other (directly or transitively). Posts and heads
 // never cross a component boundary, so each component solves alone and the
 // global maximum is the sum of the component maxima. Components are
@@ -173,11 +266,11 @@ func newProblem(groundings [][]*Grounding) *problem {
 // submission order, for determinism.
 func (p *problem) components() [][]int {
 	sets := NewDisjointSets(len(p.groundings))
-	for qi := range p.groundings {
-		for _, pk := range p.postKeys[qi] {
-			for _, k := range pk {
-				for _, pr := range p.producers[k] {
-					sets.Union(qi, pr.query)
+	for qi, gs := range p.groundings {
+		for gi := range gs {
+			for _, k := range p.posts(qi, gi) {
+				for _, pr := range p.producersOf(k) {
+					sets.Union(qi, int(pr.query))
 				}
 			}
 		}
@@ -185,7 +278,9 @@ func (p *problem) components() [][]int {
 	return sets.Sets()
 }
 
-// exactSolver runs the branch-and-bound search over one component.
+// exactSolver runs the branch-and-bound search over one component. Its
+// per-atom arrays span the whole round's atom ids and are all zero between
+// components.
 type exactSolver struct {
 	p    *problem
 	comp []int // global query indices, ascending (submission order)
@@ -193,17 +288,20 @@ type exactSolver struct {
 	steps  *int
 	budget int
 
-	// Search state. Coverage is boolean per atom key: a post key is
-	// satisfied iff some chosen head produces it, however many posts need
-	// it or heads provide it — the counts only drive incremental updates.
-	cur       []int          // per component position: grounding or -1
-	have      map[string]int // chosen head key -> refcount
-	need      map[string]int // chosen post key -> refcount
-	uncovered map[string]bool
+	// Search state. Coverage is boolean per atom: a post atom is satisfied
+	// iff some chosen head produces it, however many posts need it or heads
+	// provide it — the counts only drive incremental updates.
+	cur  []int   // per component position: grounding or -1
+	have []int32 // per atom: refcount among chosen heads
+	need []int32 // per atom: refcount among chosen posts
+	// uncovered lists the atoms with need > 0 and have == 0; uncoveredAt[k]
+	// is 1 + k's position in it, 0 when absent.
+	uncovered   []int32
+	uncoveredAt []int32
 	// futureProd[k] counts the undecided component queries that still have
-	// a grounding producing k; an uncovered key with no future producer is
+	// a grounding producing k; an uncovered atom with no future producer is
 	// a dead obligation.
-	futureProd map[string]int
+	futureProd []int32
 
 	best    int
 	bestSet []int
@@ -211,43 +309,47 @@ type exactSolver struct {
 	// suffixAnswerable[i] = number of component queries at positions >= i
 	// that have at least one grounding (the bound's optimistic remainder).
 	suffixAnswerable []int
-	// postLastPos[k] = last component position whose groundings post k;
-	// heads for keys past their last post position cannot matter anymore,
-	// which keeps memo states small and maximally shared.
-	postLastPos map[string]int
+	// postLastPos[k] = 1 + the last component position whose groundings
+	// post k, 0 when none does; heads for atoms past their last post
+	// position cannot matter anymore, which keeps memo states small and
+	// maximally shared.
+	postLastPos []int32
 
 	// failed memoizes obligation states proven unsatisfiable: from this
 	// position, with these uncovered obligations and these already-provided
 	// heads, no assignment of the remaining queries covers everything.
 	failed map[string]bool
 	memo   bool
+	key    []byte  // stateKey's buffer
+	sorted []int32 // stateKey's scratch
 }
 
-func newExactSolver(p *problem, comp []int, steps *int, budget int) *exactSolver {
-	ex := &exactSolver{
-		p:          p,
-		comp:       comp,
-		steps:      steps,
-		budget:     budget,
-		cur:        make([]int, len(comp)),
-		have:       make(map[string]int),
-		need:       make(map[string]int),
-		uncovered:  make(map[string]bool),
-		futureProd: make(map[string]int),
-		best:       -1,
-		bestSet:    make([]int, len(comp)),
-		memo:       len(comp) >= 3,
-	}
+// size readies the per-atom arrays for n atoms, all zero.
+func (ex *exactSolver) size(n int) {
+	ex.have = zeroed(ex.have, n)
+	ex.need = zeroed(ex.need, n)
+	ex.uncoveredAt = zeroed(ex.uncoveredAt, n)
+	ex.futureProd = zeroed(ex.futureProd, n)
+	ex.postLastPos = zeroed(ex.postLastPos, n)
+	ex.uncovered = ex.uncovered[:0]
+}
+
+func (ex *exactSolver) init(p *problem, comp []int, steps *int, budget int) {
+	ex.p, ex.comp, ex.steps, ex.budget = p, comp, steps, budget
+	ex.cur = zeroed(ex.cur, len(comp))
+	ex.bestSet = zeroed(ex.bestSet, len(comp))
 	for i := range ex.cur {
 		ex.cur[i] = -1
 		ex.bestSet[i] = -1
 	}
+	ex.best = -1
+	ex.memo = len(comp) >= 3
 	for _, qi := range comp {
-		for _, k := range p.prodKeys[qi] {
+		for _, k := range p.prodIDs(qi) {
 			ex.futureProd[k]++
 		}
 	}
-	ex.suffixAnswerable = make([]int, len(comp)+1)
+	ex.suffixAnswerable = zeroed(ex.suffixAnswerable, len(comp)+1)
 	for i := len(comp) - 1; i >= 0; i-- {
 		n := 0
 		if len(p.groundings[comp[i]]) > 0 {
@@ -256,17 +358,37 @@ func newExactSolver(p *problem, comp []int, steps *int, budget int) *exactSolver
 		ex.suffixAnswerable[i] = ex.suffixAnswerable[i+1] + n
 	}
 	if ex.memo {
-		ex.failed = make(map[string]bool)
-		ex.postLastPos = make(map[string]int)
+		if ex.failed == nil {
+			ex.failed = make(map[string]bool)
+		}
+		clear(ex.failed)
 		for i, qi := range comp {
-			for _, pks := range p.postKeys[qi] {
-				for _, k := range pks {
-					ex.postLastPos[k] = i
+			for gi := range p.groundings[qi] {
+				for _, k := range p.posts(qi, gi) {
+					ex.postLastPos[k] = int32(i + 1)
 				}
 			}
 		}
 	}
-	return ex
+}
+
+// finish returns the per-atom arrays to zero for the next component. The
+// search undoes every apply, so only futureProd (and postLastPos) still
+// hold this component's values — and, after a search the budget cut short,
+// nothing else either.
+func (ex *exactSolver) finish() {
+	for _, qi := range ex.comp {
+		for _, k := range ex.p.prodIDs(qi) {
+			ex.futureProd[k] = 0
+		}
+		if ex.memo {
+			for gi := range ex.p.groundings[qi] {
+				for _, k := range ex.p.posts(qi, gi) {
+					ex.postLastPos[k] = 0
+				}
+			}
+		}
+	}
 }
 
 // search explores the component exhaustively. It returns the maximum
@@ -292,7 +414,7 @@ func (ex *exactSolver) dfs(i, answered int) (feasible, bounded, exhausted bool) 
 	}
 	// Dead-obligation check: an uncovered post no remaining query can
 	// produce can never be satisfied.
-	for k := range ex.uncovered {
+	for _, k := range ex.uncovered {
 		if ex.futureProd[k] == 0 {
 			return false, false, false
 		}
@@ -309,12 +431,8 @@ func (ex *exactSolver) dfs(i, answered int) (feasible, bounded, exhausted bool) 
 	if answered+ex.suffixAnswerable[i] <= ex.best {
 		return false, true, false
 	}
-	var key string
-	if ex.memo {
-		key = ex.stateKey(i)
-		if ex.failed[key] {
-			return false, false, false
-		}
+	if ex.memo && ex.failed[string(ex.stateKey(i))] {
+		return false, false, false
 	}
 	qi := ex.comp[i]
 	for gi := range ex.p.groundings[qi] {
@@ -339,26 +457,43 @@ func (ex *exactSolver) dfs(i, answered int) (feasible, bounded, exhausted bool) 
 	if ex.memo && !feasible && !bounded {
 		// Every branch died on obligations (not on the count bound): this
 		// obligation state is unsatisfiable regardless of the running best.
-		ex.failed[key] = true
+		// The search below restored the state, so the key is rebuilt as it
+		// was on entry.
+		ex.failed[string(ex.stateKey(i))] = true
 	}
 	return feasible, bounded, false
+}
+
+func (ex *exactSolver) cover(k int32) {
+	if at := ex.uncoveredAt[k]; at > 0 {
+		last := ex.uncovered[len(ex.uncovered)-1]
+		ex.uncovered[at-1] = last
+		ex.uncoveredAt[last] = at
+		ex.uncovered = ex.uncovered[:len(ex.uncovered)-1]
+		ex.uncoveredAt[k] = 0
+	}
+}
+
+func (ex *exactSolver) uncover(k int32) {
+	ex.uncovered = append(ex.uncovered, k)
+	ex.uncoveredAt[k] = int32(len(ex.uncovered))
 }
 
 // apply selects grounding gi for the query at component position i.
 func (ex *exactSolver) apply(i, gi int) {
 	qi := ex.comp[i]
 	ex.cur[i] = gi
-	for _, k := range ex.p.prodKeys[qi] {
+	for _, k := range ex.p.prodIDs(qi) {
 		ex.futureProd[k]--
 	}
-	for _, k := range ex.p.headKeys[qi][gi] {
+	for _, k := range ex.p.heads(qi, gi) {
 		if ex.have[k]++; ex.have[k] == 1 {
-			delete(ex.uncovered, k)
+			ex.cover(k)
 		}
 	}
-	for _, k := range ex.p.postKeys[qi][gi] {
+	for _, k := range ex.p.posts(qi, gi) {
 		if ex.need[k]++; ex.need[k] == 1 && ex.have[k] == 0 {
-			ex.uncovered[k] = true
+			ex.uncover(k)
 		}
 	}
 }
@@ -367,63 +502,68 @@ func (ex *exactSolver) apply(i, gi int) {
 func (ex *exactSolver) undo(i, gi int) {
 	qi := ex.comp[i]
 	ex.cur[i] = -1
-	for _, k := range ex.p.postKeys[qi][gi] {
+	for _, k := range ex.p.posts(qi, gi) {
 		if ex.need[k]--; ex.need[k] == 0 {
-			delete(ex.need, k)
-			delete(ex.uncovered, k)
+			ex.cover(k)
 		}
 	}
-	for _, k := range ex.p.headKeys[qi][gi] {
-		if ex.have[k]--; ex.have[k] == 0 {
-			delete(ex.have, k)
-			if ex.need[k] > 0 {
-				ex.uncovered[k] = true
-			}
+	for _, k := range ex.p.heads(qi, gi) {
+		if ex.have[k]--; ex.have[k] == 0 && ex.need[k] > 0 {
+			ex.uncover(k)
 		}
 	}
-	for _, k := range ex.p.prodKeys[qi] {
+	for _, k := range ex.p.prodIDs(qi) {
 		ex.futureProd[k]++
 	}
 }
 
 func (ex *exactSolver) decideSkip(qi int) {
-	for _, k := range ex.p.prodKeys[qi] {
+	for _, k := range ex.p.prodIDs(qi) {
 		ex.futureProd[k]--
 	}
 }
 
 func (ex *exactSolver) undoSkip(qi int) {
-	for _, k := range ex.p.prodKeys[qi] {
+	for _, k := range ex.p.prodIDs(qi) {
 		ex.futureProd[k]++
 	}
 }
 
 // stateKey canonicalizes the subtree-relevant search state at position i:
 // the uncovered obligations (all of which need a future head) plus the
-// already-provided head keys that some grounding at position >= i still
-// posts. Counts are irrelevant to the suffix — coverage is boolean — so
-// two prefixes reaching the same (position, obligations, useful heads)
-// triple have identical suffix feasibility.
-func (ex *exactSolver) stateKey(i int) string {
-	keys := make([]string, 0, len(ex.uncovered)+len(ex.have))
-	for k := range ex.uncovered {
-		keys = append(keys, "u\x00"+k)
+// already-provided head atoms that some grounding at position >= i still
+// posts, each as sorted atom ids. Counts are irrelevant to the suffix —
+// coverage is boolean — so two prefixes reaching the same (position,
+// obligations, useful heads) triple have identical suffix feasibility. The
+// key is the solver's buffer, valid until the next call.
+func (ex *exactSolver) stateKey(i int) []byte {
+	key := binary.AppendUvarint(ex.key[:0], uint64(i))
+	ids := append(ex.sorted[:0], ex.uncovered...)
+	slices.Sort(ids)
+	key = binary.AppendUvarint(key, uint64(len(ids)))
+	for _, k := range ids {
+		key = binary.AppendUvarint(key, uint64(k))
 	}
-	for k := range ex.have {
-		if last, ok := ex.postLastPos[k]; ok && last >= i {
-			keys = append(keys, "h\x00"+k)
+	// The provided heads are those of the groundings chosen at positions
+	// before i.
+	ids = ids[:0]
+	for pos, gi := range ex.cur[:i] {
+		if gi < 0 {
+			continue
+		}
+		for _, k := range ex.p.heads(ex.comp[pos], gi) {
+			if int(ex.postLastPos[k]) > i {
+				ids = append(ids, k)
+			}
 		}
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.Grow(8 + len(keys)*24)
-	b.WriteString(strconv.Itoa(i))
-	b.WriteByte('\x01')
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\x01')
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	for _, k := range ids {
+		key = binary.AppendUvarint(key, uint64(k))
 	}
-	return b.String()
+	ex.key, ex.sorted = key, ids
+	return key
 }
 
 // greedySolver is the pre-exact closure search, kept as the budget
@@ -433,7 +573,8 @@ func (ex *exactSolver) stateKey(i int) string {
 type greedySolver struct {
 	p          *problem
 	chosen     []int
-	chosenHead map[string]int // atom key -> refcount among chosen heads
+	chosenHead []int32 // per atom id, refcount among chosen heads
+	trail      []int   // query indices tentatively selected, for rollback
 	steps      int
 }
 
@@ -443,7 +584,7 @@ type greedySolver struct {
 const greedyBudget = DefaultSolveBudget
 
 // solveComponent runs the greedy closure over one component. Obligation
-// keys never cross components, so operating on the shared global
+// atoms never cross components, so operating on the shared global
 // chosen/chosenHead state is equivalent to solving the component alone.
 func (g *greedySolver) solveComponent(comp []int, steps *int) {
 	for _, qi := range comp {
@@ -463,11 +604,11 @@ func (g *greedySolver) solveComponent(comp []int, steps *int) {
 // tryClose attempts to select grounding gi for query qi and transitively
 // satisfy every obligation. On failure all tentative selections are undone.
 func (g *greedySolver) tryClose(qi, gi int) bool {
-	var trail []int // query indices tentatively selected, for rollback
-	ok := g.selectGrounding(qi, gi, &trail)
+	g.trail = g.trail[:0]
+	ok := g.selectGrounding(qi, gi)
 	if !ok {
-		for i := len(trail) - 1; i >= 0; i-- {
-			g.unselect(trail[i])
+		for i := len(g.trail) - 1; i >= 0; i-- {
+			g.unselect(g.trail[i])
 		}
 	}
 	return ok
@@ -475,46 +616,46 @@ func (g *greedySolver) tryClose(qi, gi int) bool {
 
 // selectGrounding marks (qi, gi) chosen and recursively covers its
 // postconditions. The trail records selections for rollback.
-func (g *greedySolver) selectGrounding(qi, gi int, trail *[]int) bool {
+func (g *greedySolver) selectGrounding(qi, gi int) bool {
 	g.steps++
 	if g.steps > greedyBudget {
 		return false
 	}
 	g.chosen[qi] = gi
-	*trail = append(*trail, qi)
-	for _, k := range g.p.headKeys[qi][gi] {
+	g.trail = append(g.trail, qi)
+	for _, k := range g.p.heads(qi, gi) {
 		g.chosenHead[k]++
 	}
-	for _, k := range g.p.postKeys[qi][gi] {
-		if !g.cover(k, trail) {
+	for _, k := range g.p.posts(qi, gi) {
+		if !g.cover(k) {
 			return false
 		}
 	}
 	return true
 }
 
-// cover ensures the ground atom key is among chosen heads, selecting a
-// producer if needed. Alternatives are tried with local backtracking.
-func (g *greedySolver) cover(key string, trail *[]int) bool {
-	if g.chosenHead[key] > 0 {
+// cover ensures ground atom k is among chosen heads, selecting a producer
+// if needed. Alternatives are tried with local backtracking.
+func (g *greedySolver) cover(k int32) bool {
+	if g.chosenHead[k] > 0 {
 		return true
 	}
-	for _, pr := range g.p.producers[key] {
+	for _, pr := range g.p.producersOf(k) {
 		if g.chosen[pr.query] >= 0 {
 			// Already selected with a different grounding; its head did not
-			// contain key (else chosenHead would be positive), and a query
-			// may contribute at most one grounding.
+			// contain k (else chosenHead would be positive), and a query may
+			// contribute at most one grounding.
 			continue
 		}
-		mark := len(*trail)
-		if g.selectGrounding(pr.query, pr.grounding, trail) {
+		mark := len(g.trail)
+		if g.selectGrounding(int(pr.query), int(pr.grounding)) {
 			return true
 		}
 		// Roll back the subtree this attempt selected.
-		for i := len(*trail) - 1; i >= mark; i-- {
-			g.unselect((*trail)[i])
+		for i := len(g.trail) - 1; i >= mark; i-- {
+			g.unselect(g.trail[i])
 		}
-		*trail = (*trail)[:mark]
+		g.trail = g.trail[:mark]
 	}
 	return false
 }
@@ -525,10 +666,8 @@ func (g *greedySolver) unselect(qi int) {
 	if gi < 0 {
 		return
 	}
-	for _, k := range g.p.headKeys[qi][gi] {
-		if g.chosenHead[k]--; g.chosenHead[k] == 0 {
-			delete(g.chosenHead, k)
-		}
+	for _, k := range g.p.heads(qi, gi) {
+		g.chosenHead[k]--
 	}
 	g.chosen[qi] = -1
 }

@@ -11,7 +11,7 @@ import (
 
 // Streaming executor: a pull-based nested-loop-with-probe pipeline over the
 // joinPlan. Each join level holds one cursor and one batch buffer; rows are
-// pulled BatchRows at a time, bound into the shared valuation, filtered by
+// pulled BatchRows at a time, bound into the slot valuation, filtered by
 // the level's pushed-down constraints, and only then does the next level's
 // cursor open. Nothing materializes a whole relation: resident state is one
 // batch per active level, so memory is O(levels x BatchRows) regardless of
@@ -82,53 +82,59 @@ type GroundOptions struct {
 type streamLevel struct {
 	step *planStep
 	cur  RowCursor     // current cursor (scan: cached+rewound; probe: per valuation)
-	buf  []types.Tuple // current batch
+	buf  []types.Tuple // current batch; grows to what the cursor yields, kept across opens
 	pos  int
 
 	scanCur   RowCursor     // cached scan cursor, reused via Rewind
 	probeVals []types.Value // reusable probe key buffer
-	bound     []string      // variable names bound by the current row
 }
 
-// groundStream drives one query's streaming join.
+// groundStream drives one query's streaming join. Its scratch — levels,
+// batch buffers, the slot valuation, the dedup index — outlives the query,
+// so an Evaluator grounds query after query and round after round through
+// one stream without reallocating it.
 type groundStream struct {
-	q       *Query
 	plan    *joinPlan
 	r       CursorReader
 	batch   int
 	stats   *StreamStats
 	pullDur *obs.Histogram
 
-	val    Valuation
+	vals   []types.Value // the slot valuation
 	levels []streamLevel
 
+	ar   *arena
 	out  []*Grounding
-	seen map[string]bool
+	seen hashIndex     // out by head and postcondition values
+	hp   []types.Value // the candidate grounding's head then postcondition arguments
 	max  int
 }
 
-func newGroundStream(q *Query, plan *joinPlan, r CursorReader, opts GroundOptions) *groundStream {
+func newGroundStream(plan *joinPlan, r CursorReader, opts GroundOptions) *groundStream {
+	s := &groundStream{ar: &arena{}}
+	s.reset(plan, r, opts)
+	return s
+}
+
+// reset points the stream at a new query's plan, keeping its scratch.
+func (s *groundStream) reset(plan *joinPlan, r CursorReader, opts GroundOptions) {
 	batch := opts.BatchRows
 	if batch <= 0 {
 		batch = DefaultBatchRows
 	}
-	s := &groundStream{
-		q:       q,
-		plan:    plan,
-		r:       r,
-		batch:   batch,
-		stats:   opts.Stats,
-		pullDur: opts.PullDur,
-		val:     make(Valuation),
-		seen:    make(map[string]bool),
-		max:     opts.MaxGroundings,
+	s.plan, s.r, s.batch = plan, r, batch
+	s.stats, s.pullDur, s.max = opts.Stats, opts.PullDur, opts.MaxGroundings
+	s.vals = zeroed(s.vals, len(plan.vars))
+	if cap(s.levels) < len(plan.steps) {
+		s.levels = append(s.levels[:cap(s.levels)], make([]streamLevel, len(plan.steps)-cap(s.levels))...)
 	}
-	s.levels = make([]streamLevel, len(plan.steps))
+	s.levels = s.levels[:len(plan.steps)]
 	for i := range s.levels {
-		s.levels[i].step = &plan.steps[i]
-		s.levels[i].buf = make([]types.Tuple, 0, batch)
+		lv := &s.levels[i]
+		*lv = streamLevel{step: &plan.steps[i], buf: lv.buf[:0], probeVals: lv.probeVals[:0]}
 	}
-	return s
+	s.out = s.out[:0]
+	s.seen.reset()
 }
 
 func (s *groundStream) capped() bool {
@@ -153,21 +159,10 @@ func (s *groundStream) open(i int) error {
 		}
 		lv.cur = lv.scanCur
 	} else {
-		if lv.probeVals == nil {
-			lv.probeVals = make([]types.Value, len(step.probeCols))
-		}
-		for k, c := range step.probeCols {
-			t := step.atom.Args[c]
-			switch {
-			case !t.IsVar:
-				lv.probeVals[k] = t.Value
-			default:
-				if v, ok := s.val[t.Name]; ok {
-					lv.probeVals[k] = v
-				} else {
-					lv.probeVals[k] = s.plan.eqBound[t.Name]
-				}
-			}
+		lv.probeVals = lv.probeVals[:0]
+		for _, o := range step.probeKey {
+			v, _ := o.get(s.vals)
+			lv.probeVals = append(lv.probeVals, v)
 		}
 		cur, err := s.r.ProbeCursor(step.atom.Rel, step.probeCols, lv.probeVals)
 		if err != nil {
@@ -213,9 +208,10 @@ func (s *groundStream) refill(i int) (bool, error) {
 }
 
 // join runs levels i.. of the pipeline for the current valuation,
-// identical in structure (bind, eager checks, recurse, unbind) to the
-// materialized executor, but pulling rows batch-wise and stopping the
-// moment the grounding cap is hit.
+// identical in structure (bind, eager checks, recurse) to the materialized
+// executor, but pulling rows batch-wise and stopping the moment the
+// grounding cap is hit. A row writes the slots its level binds and the
+// next row overwrites them, so nothing is unbound.
 func (s *groundStream) join(i int) error {
 	if s.capped() {
 		return nil
@@ -227,7 +223,7 @@ func (s *groundStream) join(i int) error {
 		return err
 	}
 	lv := &s.levels[i]
-	atom := lv.step.atom
+	step := lv.step
 	for {
 		if s.capped() {
 			return nil
@@ -243,44 +239,17 @@ func (s *groundStream) join(i int) error {
 		}
 		row := lv.buf[lv.pos]
 		lv.pos++
-		if len(row) != len(atom.Args) {
-			return fmt.Errorf("eq: atom %s has arity %d but relation has arity %d", atom, len(atom.Args), len(row))
+		if len(row) != len(step.args) {
+			return fmt.Errorf("eq: atom %s has arity %d but relation has arity %d", step.atom, len(step.args), len(row))
 		}
-		lv.bound = lv.bound[:0]
-		ok := true
-		for j, t := range atom.Args {
-			if t.IsVar {
-				if existing, isBound := s.val[t.Name]; isBound {
-					if !existing.Equal(row[j]) {
-						ok = false
-						break
-					}
-				} else {
-					if c, isEq := s.plan.eqBound[t.Name]; isEq && !c.Equal(row[j]) {
-						ok = false
-						break
-					}
-					s.val[t.Name] = row[j]
-					lv.bound = append(lv.bound, t.Name)
-				}
-			} else if !t.Value.Equal(row[j]) {
-				ok = false
-				break
-			}
+		if !s.bindRow(step, row) {
+			continue
 		}
-		if ok {
-			// Pushed-down selections: constraints that became fully bound at
-			// this level, applied before any deeper cursor opens.
-			for _, c := range lv.step.checks {
-				holds, err := c.eval(s.val)
-				if err != nil {
-					return err
-				}
-				if !holds {
-					ok = false
-					break
-				}
-			}
+		// Pushed-down selections: constraints that became fully bound at
+		// this level, applied before any deeper cursor opens.
+		ok, err := s.check(step.checks)
+		if err != nil {
+			return err
 		}
 		if ok {
 			if err := s.join(i + 1); err != nil {
@@ -289,46 +258,99 @@ func (s *groundStream) join(i int) error {
 			// The recursion may have swapped deeper levels' cursors; this
 			// level's state is untouched, continue the batch walk.
 		}
-		for _, name := range lv.bound {
-			delete(s.val, name)
+	}
+}
+
+// bindRow matches row against the level's atom, binding the slots the
+// level binds; false rejects the row.
+func (s *groundStream) bindRow(step *planStep, row types.Tuple) bool {
+	for j, op := range step.args {
+		v := row[j]
+		switch {
+		case op.slot == constSlot:
+			if !op.val.Equal(v) {
+				return false
+			}
+		case !op.bind:
+			if !s.vals[op.slot].Equal(v) {
+				return false
+			}
+		default:
+			if op.hasEq && !op.val.Equal(v) {
+				return false
+			}
+			s.vals[op.slot] = v
 		}
 	}
+	return true
+}
+
+// check evaluates constraints over the current valuation.
+func (s *groundStream) check(cs []slotCheck) (bool, error) {
+	for i := range cs {
+		ok, err := cs[i].eval(s.vals)
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // emit instantiates the current valuation into a grounding, applying the
 // residual constraints (ones no join level fully binds — evaluating them
 // surfaces the unbound-variable error for constraints over non-body
-// variables, exactly as the materialized path did).
+// variables, exactly as the materialized path does). A grounding whose
+// head and postcondition repeat an earlier one's is dropped: the index
+// finds candidates by hash, and equality of the values decides.
 func (s *groundStream) emit() error {
-	for _, c := range s.plan.final {
-		ok, err := c.eval(s.val)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
+	if ok, err := s.check(s.plan.final); !ok {
+		return err
+	}
+	hp := s.hp[:0]
+	for _, as := range [2][]slotAtom{s.plan.head, s.plan.post} {
+		for i := range as {
+			for j, o := range as[i].args {
+				v, ok := o.get(s.vals)
+				if !ok {
+					return fmt.Errorf("eq: unbound variable %s in %s", as[i].atom.Args[j].Name, as[i].atom)
+				}
+				hp = append(hp, v)
+			}
 		}
 	}
-	g := &Grounding{Val: s.val.clone()}
-	for _, a := range s.q.Head {
-		ga, err := a.instantiate(s.val)
-		if err != nil {
-			return err
-		}
-		g.Head = append(g.Head, ga)
+	s.hp = hp
+	h := types.Tuple(hp).Hash()
+	if s.seen.lookup(h, func(id int32) bool { return sameArgs(s.out[id], hp) }) >= 0 {
+		return nil
 	}
-	for _, a := range s.q.Post {
-		ga, err := a.instantiate(s.val)
-		if err != nil {
-			return err
-		}
-		g.Post = append(g.Post, ga)
-	}
-	if k := g.key(); !s.seen[k] {
-		s.seen[k] = true
-		s.out = append(s.out, g)
-	}
+	s.seen.add(h)
+	s.out = append(s.out, s.ar.grounding(s.plan, hp, s.vals))
 	return nil
+}
+
+// sameArgs reports whether g's head then postcondition arguments equal hp.
+func sameArgs(g *Grounding, hp []types.Value) bool {
+	k := 0
+	for _, as := range [2][]GroundAtom{g.Head, g.Post} {
+		for _, a := range as {
+			for _, v := range a.Args {
+				if !v.Equal(hp[k]) {
+					return false
+				}
+				k++
+			}
+		}
+	}
+	return true
+}
+
+// run grounds the stream's query. The groundings live in the stream's
+// arena; none at all is a nil slice.
+func (s *groundStream) run() ([]*Grounding, error) {
+	if err := s.join(0); err != nil || len(s.out) == 0 {
+		return nil, err
+	}
+	return s.ar.pointers(s.out), nil
 }
 
 // GroundWith enumerates the groundings of q against r through the
@@ -337,12 +359,7 @@ func GroundWith(q *Query, r CursorReader, opts GroundOptions) ([]*Grounding, err
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	plan := planQuery(q, r)
-	s := newGroundStream(q, plan, r, opts)
-	if err := s.join(0); err != nil {
-		return nil, err
-	}
-	return s.out, nil
+	return newGroundStream(planQuery(q, r), r, opts).run()
 }
 
 // Ground enumerates the groundings of q against r: every valuation of the

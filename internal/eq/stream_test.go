@@ -374,7 +374,7 @@ func TestGroundPullPathZeroAllocWhenDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := planQuery(q, db)
-	s := newGroundStream(q, plan, db, GroundOptions{BatchRows: 64})
+	s := newGroundStream(plan, db, GroundOptions{BatchRows: 64})
 	drain := func() {
 		if err := s.open(0); err != nil {
 			panic(err)

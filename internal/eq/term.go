@@ -17,6 +17,7 @@ package eq
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
 
 	"repro/internal/types"
@@ -74,32 +75,25 @@ func (a Atom) vars(out map[string]bool) {
 	}
 }
 
-// instantiate applies a valuation to the atom's arguments; every variable
-// must be bound.
-func (a Atom) instantiate(val Valuation) (GroundAtom, error) {
-	args := make(types.Tuple, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar {
-			v, ok := val[t.Name]
-			if !ok {
-				return GroundAtom{}, fmt.Errorf("eq: unbound variable %s in %s", t.Name, a)
-			}
-			args[i] = v
-		} else {
-			args[i] = t.Value
-		}
-	}
-	return GroundAtom{Rel: a.Rel, Args: args}, nil
-}
-
 // GroundAtom is an atom with all arguments constant.
 type GroundAtom struct {
 	Rel  string
 	Args types.Tuple
 }
 
-// Key returns a canonical map key for the ground atom.
-func (g GroundAtom) Key() string { return g.Rel + "|" + g.Args.Key() }
+// hash folds the atom into a 64-bit hash consistent with equal.
+func (g GroundAtom) hash() uint64 {
+	return g.Args.Hash() ^ maphash.String(relSeed, g.Rel)
+}
+
+// relSeed keys relation-name hashing; hashes are per process.
+var relSeed = maphash.MakeSeed()
+
+// equal reports whether two ground atoms are the same atom: same relation,
+// Equal arguments.
+func (g GroundAtom) equal(o GroundAtom) bool {
+	return g.Rel == o.Rel && g.Args.Equal(o.Args)
+}
 
 // String renders the ground atom.
 func (g GroundAtom) String() string {
@@ -154,22 +148,14 @@ func (c Constraint) String() string {
 	return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Right)
 }
 
-// eval evaluates the constraint under a valuation; both sides must be
-// bound. SQL three-valued logic: a comparison involving NULL is false.
-func (c Constraint) eval(val Valuation) (bool, error) {
-	l, err := resolve(c.Left, val)
-	if err != nil {
-		return false, err
-	}
-	r, err := resolve(c.Right, val)
-	if err != nil {
-		return false, err
-	}
+// holds applies the operator to two bound values. SQL three-valued logic:
+// a comparison involving NULL is false.
+func (o CmpOp) holds(l, r types.Value) (bool, error) {
 	if l.IsNull() || r.IsNull() {
 		return false, nil
 	}
 	cmp := l.Compare(r)
-	switch c.Op {
+	switch o {
 	case OpEq:
 		return l.Equal(r), nil
 	case OpNe:
@@ -183,41 +169,6 @@ func (c Constraint) eval(val Valuation) (bool, error) {
 	case OpGe:
 		return cmp >= 0, nil
 	default:
-		return false, fmt.Errorf("eq: unknown operator %v", c.Op)
+		return false, fmt.Errorf("eq: unknown operator %v", o)
 	}
-}
-
-// bound reports whether every variable the constraint mentions is bound.
-func (c Constraint) bound(val Valuation) bool {
-	for _, t := range []Term{c.Left, c.Right} {
-		if t.IsVar {
-			if _, ok := val[t.Name]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func resolve(t Term, val Valuation) (types.Value, error) {
-	if !t.IsVar {
-		return t.Value, nil
-	}
-	v, ok := val[t.Name]
-	if !ok {
-		return types.Null(), fmt.Errorf("eq: unbound variable %s", t.Name)
-	}
-	return v, nil
-}
-
-// Valuation assigns database values to variables.
-type Valuation map[string]types.Value
-
-// clone copies the valuation.
-func (v Valuation) clone() Valuation {
-	out := make(Valuation, len(v))
-	for k, val := range v {
-		out[k] = val
-	}
-	return out
 }

@@ -634,7 +634,7 @@ func TestEveryEnvelopeKindLoopbackAndTCP(t *testing.T) {
 			// prepare: the member revalidates, parks prepared, votes yes.
 			const group = 77
 			g := o.Grounds[0]
-			prep := &dist.Prepare{Group: group, Offer: o.ID, CSN: o.CSN, Ans: dist.Answer{Tuples: g.Head, Bindings: g.Val}}
+			prep := &dist.Prepare{Group: group, Offer: o.ID, CSN: o.CSN, Ans: dist.Answer{Tuples: g.Head, Bindings: g.Bindings()}}
 			if err := rt.via(t, srv, dist.Envelope{Prepare: prep}); err != nil {
 				t.Fatalf("prepare: %v", err)
 			}

@@ -272,6 +272,17 @@ func (s *Session) evalBool(e Expr, env *rowEnv, tx DataTx) (bool, error) {
 	}
 }
 
+// stored gives a value bound for a table row its own copy of a string
+// payload. A string literal shares its script's memory (the lexer slices it
+// out of the source), and a stored row must not keep the whole script
+// alive for as long as the row lives.
+func stored(v types.Value) types.Value {
+	if v.Kind() == types.KindString {
+		return types.Str(strings.Clone(v.Str64()))
+	}
+	return v
+}
+
 func (s *Session) execInsert(tx DataTx, cat Catalog, st *InsertStmt) (*Result, error) {
 	tbl, err := cat.Get(st.Table)
 	if err != nil {
@@ -288,7 +299,7 @@ func (s *Session) execInsert(tx DataTx, cat Catalog, st *InsertStmt) (*Result, e
 			if err != nil {
 				return nil, err
 			}
-			row[i] = coerce(v, schema.Columns[i].Type)
+			row[i] = stored(coerce(v, schema.Columns[i].Type))
 		}
 	} else {
 		if len(st.Columns) != len(st.Values) {
@@ -306,7 +317,7 @@ func (s *Session) execInsert(tx DataTx, cat Catalog, st *InsertStmt) (*Result, e
 			if err != nil {
 				return nil, err
 			}
-			row[j] = coerce(v, schema.Columns[j].Type)
+			row[j] = stored(coerce(v, schema.Columns[j].Type))
 		}
 	}
 	if _, err := tx.Insert(st.Table, row); err != nil {
@@ -578,7 +589,7 @@ func (s *Session) execUpdate(tx DataTx, cat Catalog, st *UpdateStmt) (*Result, e
 			if err != nil {
 				return nil, err
 			}
-			newRow[j] = coerce(v, schema.Columns[j].Type)
+			newRow[j] = stored(coerce(v, schema.Columns[j].Type))
 		}
 		if err := tx.Update(st.Table, id, newRow); err != nil {
 			return nil, err

@@ -35,7 +35,6 @@ const (
 type token struct {
 	kind tokenKind
 	text string // identifier (upper-cased for keywords via keyword()), literal text, or symbol
-	pos  int
 }
 
 func (t token) String() string {
@@ -53,7 +52,9 @@ func (t token) String() string {
 
 // lex splits src into tokens. Strings use single quotes with ” escapes.
 func lex(src string) ([]token, error) {
-	var toks []token
+	// A token averages more than four bytes of source with its spacing, so
+	// this capacity holds a typical script without growing.
+	toks := make([]token, 0, len(src)/4+1)
 	i := 0
 	n := len(src)
 	for i < n {
@@ -70,35 +71,39 @@ func lex(src string) ([]token, error) {
 			for i < n && (unicode.IsLetter(rune(src[i])) || unicode.IsDigit(rune(src[i])) || src[i] == '_') {
 				i++
 			}
-			toks = append(toks, token{kind: tokIdent, text: src[start:i], pos: start})
+			toks = append(toks, token{kind: tokIdent, text: src[start:i]})
 		case unicode.IsDigit(rune(c)):
 			start := i
 			for i < n && unicode.IsDigit(rune(src[i])) {
 				i++
 			}
-			toks = append(toks, token{kind: tokNumber, text: src[start:i], pos: start})
+			toks = append(toks, token{kind: tokNumber, text: src[start:i]})
 		case c == '\'':
 			i++
-			var b strings.Builder
+			start := i
+			escaped := false
 			closed := false
 			for i < n {
 				if src[i] == '\'' {
 					if i+1 < n && src[i+1] == '\'' {
-						b.WriteByte('\'')
+						escaped = true
 						i += 2
 						continue
 					}
 					closed = true
-					i++
 					break
 				}
-				b.WriteByte(src[i])
 				i++
 			}
 			if !closed {
 				return nil, fmt.Errorf("sql: unterminated string at offset %d", i)
 			}
-			toks = append(toks, token{kind: tokString, text: b.String(), pos: i})
+			text := src[start:i]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			toks = append(toks, token{kind: tokString, text: text})
+			i++
 		case c == '@':
 			i++
 			start := i
@@ -108,38 +113,38 @@ func lex(src string) ([]token, error) {
 			if start == i {
 				return nil, fmt.Errorf("sql: bare @ at offset %d", start)
 			}
-			toks = append(toks, token{kind: tokAtVar, text: src[start:i], pos: start})
+			toks = append(toks, token{kind: tokAtVar, text: src[start:i]})
 		case c == '<':
 			if i+1 < n && (src[i+1] == '=' || src[i+1] == '>') {
-				toks = append(toks, token{kind: tokSym, text: src[i : i+2], pos: i})
+				toks = append(toks, token{kind: tokSym, text: src[i : i+2]})
 				i += 2
 			} else {
-				toks = append(toks, token{kind: tokSym, text: "<", pos: i})
+				toks = append(toks, token{kind: tokSym, text: "<"})
 				i++
 			}
 		case c == '>':
 			if i+1 < n && src[i+1] == '=' {
-				toks = append(toks, token{kind: tokSym, text: ">=", pos: i})
+				toks = append(toks, token{kind: tokSym, text: ">="})
 				i += 2
 			} else {
-				toks = append(toks, token{kind: tokSym, text: ">", pos: i})
+				toks = append(toks, token{kind: tokSym, text: ">"})
 				i++
 			}
 		case c == '!':
 			if i+1 < n && src[i+1] == '=' {
-				toks = append(toks, token{kind: tokSym, text: "<>", pos: i})
+				toks = append(toks, token{kind: tokSym, text: "<>"})
 				i += 2
 			} else {
 				return nil, fmt.Errorf("sql: unexpected '!' at offset %d", i)
 			}
 		case strings.ContainsRune("(),;.=+-*", rune(c)):
-			toks = append(toks, token{kind: tokSym, text: string(c), pos: i})
+			toks = append(toks, token{kind: tokSym, text: string(c)})
 			i++
 		default:
 			return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: n})
+	toks = append(toks, token{kind: tokEOF})
 	return toks, nil
 }
 

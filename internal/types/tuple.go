@@ -65,8 +65,9 @@ func (t Tuple) String() string {
 
 // Key returns a canonical string key usable as a map key; distinct tuples
 // produce distinct keys (kind-tagged, length-prefixed encoding: a value is
-// "kind:payload;", a string's payload "len:bytes"). Index buckets and ground
-// atoms key through it, so it appends into one buffer instead of using fmt.
+// "kind:payload;", a string's payload "len:bytes"). It appends into one
+// buffer instead of using fmt. Index buckets and the entangled-query
+// evaluator key by Hash instead, which allocates nothing.
 func (t Tuple) Key() string {
 	var arr [64]byte
 	b := arr[:0]
