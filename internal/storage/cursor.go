@@ -8,23 +8,25 @@ import (
 
 // Streaming read path: cursors pull a table's snapshot-visible rows in
 // RowID order in caller-paced batches, instead of materializing the whole
-// relation the way AllAsOf/MatchAsOf do. A cursor captures an ascending
-// chain-id list once at open (a prefix of Table.order or of an index
-// bucket: no copy, no sort) and resolves visibility per batch under a short
-// read lock, so grounding a million-row table holds one batch of row
-// references at a time.
+// relation the way AllAsOf/MatchAsOf do. A scan cursor captures one id
+// bound at open (the table's next RowID) and walks the page directory below
+// it; a probe cursor captures its index bucket (no copy, no sort). Each
+// resolves visibility per batch under a short read lock, so grounding a
+// million-row table holds one batch of row references at a time.
 //
-// Returned rows alias stored version tuples. Versions are immutable once
-// installed (writers only append to chains), so the references stay valid
-// indefinitely — but callers must not mutate them and must copy any value
-// they retain past the batch, because the batch buffer itself is reused.
+// Returned rows alias stored tuples. Stored tuples are immutable: writers
+// only append versions, and GC copies survivors into fresh slab chunks
+// instead of moving them in place. A returned reference therefore stays
+// valid indefinitely, pinning only the slab chunk it was carved from — but
+// callers must not mutate it and must copy any value they retain past the
+// batch, because the batch buffer itself is reused.
 //
-// Snapshot stability makes the captured id list sound: chains appended, or
-// ids a bucket lists, after the capture hold only versions invisible to the
-// cursor's snapshot (their CSNs postdate it, or they are uncommitted by
-// someone else), and a chain removed after the capture (rollback, GC below
-// the snapshot watermark) resolves to "not visible" exactly as a live
-// tombstone would — as does a dead id the capture still lists. A cursor
+// Snapshot stability makes the capture sound: chains created past the id
+// bound, restored below it, or listed in a bucket after the capture hold
+// only versions invisible to the cursor's snapshot (their CSNs postdate it,
+// or they are uncommitted by someone else), and a chain removed after the
+// capture (rollback, GC below the snapshot watermark, its page released)
+// resolves to "not visible" exactly as a live tombstone would. A cursor
 // therefore enumerates precisely the rows ScanAsOf would (filtered, for a
 // probe), in the same order, no matter how the pulls interleave with
 // concurrent commits.
@@ -34,20 +36,19 @@ import (
 type ScanCursor struct {
 	tbl  *Table
 	snap Snapshot
-	ids  []RowID // all chain ids at open, ascending (shared, read-only)
-	pos  int
+	hi   RowID // the table's next RowID at open
+	pos  RowID // next id to resolve
 }
 
 // ScanCursorAsOf opens a cursor over the rows visible to snap. The open
-// captures the table's ascending chain-id list without copying it and
-// counts as one scan for ScanCount accounting; the per-batch visibility
-// resolution does not.
+// captures the table's next RowID and counts as one scan for ScanCount
+// accounting; the per-batch visibility resolution does not.
 func (t *Table) ScanCursorAsOf(snap Snapshot) *ScanCursor {
 	t.scans.Add(1)
 	t.mu.RLock()
-	ids := t.order[:len(t.order):len(t.order)]
+	hi := t.nextID
 	t.mu.RUnlock()
-	return &ScanCursor{tbl: t, snap: snap, ids: ids}
+	return &ScanCursor{tbl: t, snap: snap, hi: hi}
 }
 
 // Next appends up to max rows to buf and returns the extended slice; no
@@ -59,10 +60,14 @@ func (c *ScanCursor) Next(buf []types.Tuple, max int) ([]types.Tuple, error) {
 	}
 	want := len(buf) + max
 	c.tbl.mu.RLock()
-	for c.pos < len(c.ids) && len(buf) < want {
-		id := c.ids[c.pos]
-		c.pos++
-		if row, ok := visibleAt(c.tbl.rows[id], c.snap); ok {
+	for len(buf) < want {
+		id, vs := c.tbl.nextChain(c.pos, c.hi)
+		if vs == nil {
+			c.pos = c.hi
+			break
+		}
+		c.pos = id + 1
+		if row, ok := visibleAt(vs, c.snap); ok {
 			buf = append(buf, row)
 		}
 	}
@@ -70,7 +75,8 @@ func (c *ScanCursor) Next(buf []types.Tuple, max int) ([]types.Tuple, error) {
 	return buf, nil
 }
 
-// Rewind resets the cursor to the first row without re-capturing ids.
+// Rewind resets the cursor to the first row without re-capturing the
+// bound.
 func (c *ScanCursor) Rewind() { c.pos = 0 }
 
 // ProbeCursor streams the rows visible to a snapshot whose column
@@ -83,21 +89,25 @@ type ProbeCursor struct {
 	vals []types.Value
 	ids  []RowID // the index bucket at open, ascending (shared, read-only)
 	pos  int
+	scan *ScanCursor // empty cols: no index, every visible row matches
 }
 
 // ProbeCursor opens an equality-probe cursor. With no index over the column
 // set, the first probe builds an undeclared one (under the write lock,
-// re-checking first) that every write maintains from then on. The open
-// captures the bucket without copying it; visibility and the equality
-// predicate are checked per batch against the visible row, because a bucket
-// candidate may carry the key only in an invisible version, or only share
-// its hash.
+// re-checking first) that every write maintains from then on; a probe over
+// no columns is a scan. The open captures the bucket without copying it;
+// visibility and the equality predicate are checked per batch against the
+// visible row, because a bucket candidate may carry the key only in an
+// invisible version, or only share its hash.
 func (t *Table) ProbeCursor(snap Snapshot, cols []int, vals []types.Value) (*ProbeCursor, error) {
 	if err := t.checkProbe("probe", cols, vals); err != nil {
 		return nil, err
 	}
+	if len(cols) == 0 {
+		return &ProbeCursor{scan: t.ScanCursorAsOf(snap)}, nil
+	}
 	t.mu.RLock()
-	if len(cols) > 0 && t.index(cols) == nil {
+	if t.index(cols) == nil {
 		t.mu.RUnlock()
 		t.mu.Lock()
 		if t.index(cols) == nil {
@@ -106,7 +116,7 @@ func (t *Table) ProbeCursor(snap Snapshot, cols []int, vals []types.Value) (*Pro
 		t.mu.Unlock()
 		t.mu.RLock()
 	}
-	ids := t.candidates(cols, vals)
+	ids, _ := t.candidates(cols, vals)
 	t.mu.RUnlock()
 	return &ProbeCursor{tbl: t, snap: snap, cols: cols, vals: vals, ids: ids[:len(ids):len(ids)]}, nil
 }
@@ -114,6 +124,9 @@ func (t *Table) ProbeCursor(snap Snapshot, cols []int, vals []types.Value) (*Pro
 // Next appends up to max matching rows to buf and returns the extended
 // slice; no growth means the cursor is exhausted.
 func (c *ProbeCursor) Next(buf []types.Tuple, max int) ([]types.Tuple, error) {
+	if c.scan != nil {
+		return c.scan.Next(buf, max)
+	}
 	if max <= 0 {
 		max = 1
 	}
@@ -122,7 +135,7 @@ func (c *ProbeCursor) Next(buf []types.Tuple, max int) ([]types.Tuple, error) {
 	for c.pos < len(c.ids) && len(buf) < want {
 		id := c.ids[c.pos]
 		c.pos++
-		if row, ok := visibleAt(c.tbl.rows[id], c.snap); ok && matches(row, c.cols, c.vals) {
+		if row, ok := visibleAt(c.tbl.chain(id), c.snap); ok && matches(row, c.cols, c.vals) {
 			buf = append(buf, row)
 		}
 	}
@@ -131,4 +144,9 @@ func (c *ProbeCursor) Next(buf []types.Tuple, max int) ([]types.Tuple, error) {
 }
 
 // Rewind resets the cursor to the first candidate.
-func (c *ProbeCursor) Rewind() { c.pos = 0 }
+func (c *ProbeCursor) Rewind() {
+	if c.scan != nil {
+		c.scan.Rewind()
+	}
+	c.pos = 0
+}

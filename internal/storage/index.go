@@ -18,9 +18,11 @@ import (
 // table mutex is held, so it needs no locking of its own.
 //
 // Each bucket lists its row ids ascending, so reads come out in RowID order
-// with no sort. Like Table.order, a bucket is only ever appended past its
-// length or replaced, never changed in place, so a prefix captured under the
-// read lock (ProbeCursor) stays valid after the lock is released.
+// with no sort. A bucket is only ever appended past its length or replaced,
+// never changed in place, so a prefix captured under the read lock
+// (ProbeCursor) stays valid after the lock is released. A one-id bucket is
+// carved from the index's RowID slab, capped, so its first append copies
+// it out; Table.GC rebuilds every bucket map from the surviving versions.
 //
 // A declared index has a name: CREATE INDEX made it, Indexes lists it,
 // checkpoints persist it, and the grounding planner may order joins by it.
@@ -32,6 +34,12 @@ type hashIndex struct {
 	name    string // "" while undeclared
 	columns []int  // column positions in the table schema
 	buckets map[uint64][]RowID
+	ids     slab[RowID] // one-id buckets
+}
+
+// reset empties the index, dropping its buckets and slab.
+func (ix *hashIndex) reset() {
+	ix.buckets, ix.ids = make(map[uint64][]RowID), slab[RowID]{}
 }
 
 // hash is the bucket key of row.
@@ -54,11 +62,18 @@ func (ix *hashIndex) probeHash(cols []int, vals []types.Value) uint64 {
 }
 
 // insert lists id under row's key, at most once however many of the row's
-// versions share it. A new largest id appends; any other goes into a copy.
+// versions share it. A new bucket is carved from the slab, a new largest id
+// appends, and any other goes into a copy.
 func (ix *hashIndex) insert(id RowID, row types.Tuple) {
 	h := ix.hash(row)
 	ids := ix.buckets[h]
-	if n := len(ids); n == 0 || ids[n-1] < id {
+	switch n := len(ids); {
+	case n == 0:
+		ids = ix.ids.carve(1)
+		ids[0] = id
+		ix.buckets[h] = ids
+		return
+	case ids[n-1] < id:
 		ix.buckets[h] = append(ids, id)
 		return
 	}
@@ -86,15 +101,23 @@ func (ix *hashIndex) remove(id RowID, h uint64) {
 // t.mu (write).
 func (t *Table) buildIndex(name string, cols []int) *hashIndex {
 	t.scans.Add(1)
-	ix := &hashIndex{name: name, columns: cols, buckets: make(map[uint64][]RowID)}
-	for _, id := range t.order {
-		for _, v := range t.rows[id] {
+	ix := &hashIndex{name: name, columns: cols}
+	t.fill(ix)
+	return ix
+}
+
+// fill resets ix and lists every stored version in it. Caller holds t.mu
+// (write).
+func (t *Table) fill(ix *hashIndex) {
+	ix.reset()
+	t.eachChain(func(id RowID, vs []version) bool {
+		for _, v := range vs {
 			if v.row != nil {
 				ix.insert(id, v.row)
 			}
 		}
-	}
-	return ix
+		return true
+	})
 }
 
 // index returns an index whose column set is cols (any order, no
@@ -198,15 +221,15 @@ func (t *Table) Indexes() []IndexInfo {
 }
 
 // candidates returns, ascending, the chain ids that may hold a row whose
-// positions cols equal vals: the bucket of an index over the column set,
-// else every chain id (a scan). Readers resolve each id and re-check the
-// visible row with matches. Caller holds t.mu (read).
-func (t *Table) candidates(cols []int, vals []types.Value) []RowID {
+// positions cols equal vals: the bucket of an index over the column set.
+// With no such index it returns indexed false and the caller walks the
+// directory (a scan). Readers resolve each id and re-check the visible row
+// with matches. Caller holds t.mu (read).
+func (t *Table) candidates(cols []int, vals []types.Value) (ids []RowID, indexed bool) {
 	if ix := t.index(cols); ix != nil {
-		return ix.buckets[ix.probeHash(cols, vals)]
+		return ix.buckets[ix.probeHash(cols, vals)], true
 	}
-	t.scans.Add(1)
-	return t.order
+	return nil, false
 }
 
 // matches reports whether row's positions cols equal vals.
@@ -223,11 +246,21 @@ func matches(row types.Tuple, cols []int, vals []types.Value) bool {
 // vals, in RowID order. Rows are shared references into the immutable
 // version chains. Caller holds t.mu (read).
 func (t *Table) lookup(snap Snapshot, cols []int, vals []types.Value) (ids []RowID, rows []types.Tuple) {
-	for _, id := range t.candidates(cols, vals) {
-		if row, ok := visibleAt(t.rows[id], snap); ok && matches(row, cols, vals) {
+	visit := func(id RowID, vs []version) bool {
+		if row, ok := visibleAt(vs, snap); ok && matches(row, cols, vals) {
 			ids = append(ids, id)
 			rows = append(rows, row)
 		}
+		return true
+	}
+	bucket, indexed := t.candidates(cols, vals)
+	if !indexed {
+		t.scans.Add(1)
+		t.eachChain(visit)
+		return ids, rows
+	}
+	for _, id := range bucket {
+		visit(id, t.chain(id))
 	}
 	return ids, rows
 }

@@ -21,19 +21,69 @@ package storage
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/types"
 )
 
-// RowID identifies a row within a table. RowIDs are never reused, so an
-// undo of a delete can reinstate the row under its original identity.
+// RowID identifies a row within a table. RowIDs are dense and never
+// reused, so an undo of a delete can reinstate the row under its original
+// identity.
 type RowID int64
 
 // InvalidRowID is returned by operations that fail to locate a row.
 const InvalidRowID RowID = -1
+
+// Row layout. A table keeps its version chains in a directory of pages,
+// each holding the chains of pageSize consecutive RowIDs: a lookup is two
+// index operations, a scan walks the pages in order, and a page whose
+// chains are all gone is released, so ids that will never hold a row again
+// cost nothing. A new chain's first version, every stored tuple and every
+// one-id index bucket are carved out of per-table slabs (see slab), so a
+// stored row is no heap object of its own for the garbage collector to
+// trace. Stored tuples are immutable and share their chunk with their
+// neighbours; a reader holding one pins only that chunk. GC re-carves the
+// survivors into fresh slabs and rebuilds the index buckets, which releases
+// the chunks of pruned versions.
+const (
+	pageShift = 10
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// page holds the version chains of pageSize consecutive RowIDs.
+type page struct {
+	live   int // non-empty chains
+	chains [pageSize][]version
+}
+
+// Slab chunks grow by doubling from slabMin to slabMax elements, so a
+// small table stays small and a large one costs one heap object per
+// slabMax carved elements.
+const (
+	slabMin = 16
+	slabMax = 2048
+)
+
+// slab hands out slices carved from shared chunks. Each carved slice is
+// capped at its length, so appending to it copies out instead of writing
+// into a neighbour. A chunk lives as long as any slice carved from it.
+type slab[T any] struct {
+	free []T // unused tail of the current chunk
+	size int // length of the current chunk
+}
+
+// carve returns a zeroed, non-nil slice of n elements.
+func (s *slab[T]) carve(n int) []T {
+	if len(s.free) < n || s.free == nil {
+		s.size = min(max(2*s.size, slabMin), slabMax)
+		s.free = make([]T, max(s.size, n))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
 
 // Table is a heap of row version chains with a fixed schema. All methods
 // are safe for concurrent use.
@@ -42,19 +92,14 @@ type Table struct {
 	schema *types.Schema
 
 	mu       sync.RWMutex
-	rows     map[RowID][]version // oldest-first version chains
+	pages    []*page // pages[id>>pageShift]; nil where no chain is stored
 	nextID   RowID
-	indexes  []*hashIndex // declared and undeclared, in creation order
-	lastCSN  uint64       // newest CSN stamped into this table
-	colCSN   []uint64     // per column position: newest CSN whose commit changed it
-	versions int          // live version count (GC accounting)
-
-	// order lists every chain id ascending, so a scan needs no sort. Ids
-	// whose chain is gone stay listed (dead counts them) until a compaction.
-	// The slice is only ever appended past its length or replaced, never
-	// changed in place, so a captured prefix order[:n:n] stays valid.
-	order []RowID
-	dead  int
+	vers     slab[version]     // first versions of new chains
+	vals     slab[types.Value] // stored tuples
+	indexes  []*hashIndex      // declared and undeclared, in creation order
+	lastCSN  uint64            // newest CSN stamped into this table
+	colCSN   []uint64          // per column position: newest CSN whose commit changed it
+	versions int               // live version count (GC accounting)
 
 	scans atomic.Int64 // whole-table reads: scans, index builds, unindexed lookups
 }
@@ -64,7 +109,6 @@ func NewTable(name string, schema *types.Schema) *Table {
 	return &Table{
 		name:   name,
 		schema: schema,
-		rows:   make(map[RowID][]version),
 		colCSN: make([]uint64, len(schema.Columns)),
 	}
 }
@@ -75,16 +119,93 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() *types.Schema { return t.schema }
 
+// chain returns id's version chain, oldest first; nil when id has none,
+// including any id outside the directory. Caller holds t.mu.
+func (t *Table) chain(id RowID) []version {
+	p := uint64(id) >> pageShift // a negative id maps past every page
+	if p >= uint64(len(t.pages)) || t.pages[p] == nil {
+		return nil
+	}
+	return t.pages[p].chains[id&pageMask]
+}
+
+// setChain stores vs as id's chain (id >= 0). An empty vs removes the
+// chain, and the page goes once its last chain has. Caller holds t.mu.
+func (t *Table) setChain(id RowID, vs []version) {
+	p := int(id >> pageShift)
+	for len(t.pages) <= p {
+		t.pages = append(t.pages, nil)
+	}
+	pg := t.pages[p]
+	if pg == nil {
+		if len(vs) == 0 {
+			return
+		}
+		pg = new(page)
+		t.pages[p] = pg
+	}
+	slot := &pg.chains[id&pageMask]
+	switch {
+	case len(*slot) == 0 && len(vs) > 0:
+		pg.live++
+	case len(*slot) > 0 && len(vs) == 0:
+		if pg.live--; pg.live == 0 {
+			t.pages[p] = nil
+			return
+		}
+		vs = nil // an emptied slab slice would pin its chunk
+	}
+	*slot = vs
+}
+
+// eachChain calls fn on every stored chain in RowID order until fn
+// returns false. fn may replace or remove the chain it is given. Caller
+// holds t.mu.
+func (t *Table) eachChain(fn func(id RowID, vs []version) bool) {
+	for id, vs := t.nextChain(0, t.nextID); vs != nil && fn(id, vs); id, vs = t.nextChain(id+1, t.nextID) {
+	}
+}
+
+// nextChain returns the first id in [id, hi) that has a chain, with the
+// chain; it returns hi and nil when there is none. Caller holds t.mu.
+func (t *Table) nextChain(id, hi RowID) (RowID, []version) {
+	for id < hi {
+		p := int(id >> pageShift)
+		if p >= len(t.pages) {
+			break
+		}
+		pg := t.pages[p]
+		if pg == nil {
+			id = RowID(p+1) << pageShift
+			continue
+		}
+		for ; id < hi && int(id>>pageShift) == p; id++ {
+			if vs := pg.chains[id&pageMask]; len(vs) > 0 {
+				return id, vs
+			}
+		}
+	}
+	return hi, nil
+}
+
+// store copies row into the value slab. Caller holds t.mu (write).
+func (t *Table) store(row types.Tuple) types.Tuple {
+	s := t.vals.carve(len(row))
+	copy(s, row)
+	return s
+}
+
 // Len returns the number of rows live in the latest committed state.
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := 0
-	for _, vs := range t.rows {
+	t.eachChain(func(_ RowID, vs []version) bool {
 		if _, ok := latestVisible(vs, 0); ok {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 
@@ -122,41 +243,6 @@ func (t *Table) noteCommit(csn uint64, old, new types.Tuple) {
 	}
 }
 
-// addChain lists a fresh chain's id in t.order. Caller holds t.mu.
-func (t *Table) addChain(id RowID) {
-	n := len(t.order)
-	if n == 0 || t.order[n-1] < id {
-		t.order = append(t.order, id) // writes past every captured prefix
-		return
-	}
-	i, listed := slices.BinarySearch(t.order, id)
-	if listed {
-		t.dead-- // a dead id revived (restore of a row whose chain was pruned)
-		return
-	}
-	// Out of order (restore): the clipped slice has no spare capacity, so
-	// Insert allocates and captured prefixes keep the old array.
-	t.order = slices.Insert(slices.Clip(t.order), i, id)
-}
-
-// dropChain deletes id's emptied chain. Its id stays in t.order until dead
-// ids are over half the list; the compaction then builds a new slice.
-// Caller holds t.mu.
-func (t *Table) dropChain(id RowID) {
-	delete(t.rows, id)
-	t.dead++
-	if t.dead <= len(t.order)/2 {
-		return
-	}
-	live := make([]RowID, 0, len(t.order)-t.dead)
-	for _, id := range t.order {
-		if _, ok := t.rows[id]; ok {
-			live = append(live, id)
-		}
-	}
-	t.order, t.dead = live, 0
-}
-
 // VersionCount returns the total number of stored versions (live rows,
 // superseded images, tombstones, uncommitted writes).
 func (t *Table) VersionCount() int {
@@ -166,12 +252,17 @@ func (t *Table) VersionCount() int {
 }
 
 // appendVersion installs a version at the chain tail and indexes its key.
-// Caller holds t.mu.
+// A new chain's first version comes from the version slab; a later append
+// copies the capped chain out. Caller holds t.mu; id >= 0.
 func (t *Table) appendVersion(id RowID, v version) {
-	if len(t.rows[id]) == 0 {
-		t.addChain(id)
+	vs := t.chain(id)
+	if len(vs) == 0 {
+		vs = t.vers.carve(1)
+		vs[0] = v
+	} else {
+		vs = append(vs, v)
 	}
-	t.rows[id] = append(t.rows[id], v)
+	t.setChain(id, vs)
 	t.versions++
 	if v.row != nil {
 		for _, ix := range t.indexes {
@@ -202,7 +293,7 @@ func (t *Table) insertVersion(row types.Tuple, txID, csn uint64) (RowID, error) 
 	defer t.mu.Unlock()
 	id := t.nextID
 	t.nextID++
-	t.appendVersion(id, version{csn: csn, tx: txID, row: row.Clone()})
+	t.appendVersion(id, version{csn: csn, tx: txID, row: t.store(row)})
 	return id, nil
 }
 
@@ -220,17 +311,20 @@ func (t *Table) InsertTx(txID uint64, row types.Tuple) (RowID, error) {
 // InsertAtCSN reinstates a row under a specific RowID as a version
 // committed at csn (snapshot restore and WAL replay, which stamps the
 // recovered commit order this way). It fails if the RowID is live in the
-// latest committed state.
+// latest committed state or if the RowID is negative.
 func (t *Table) InsertAtCSN(id RowID, row types.Tuple, csn uint64) error {
+	if id < 0 {
+		return fmt.Errorf("storage: insert-at into %s: row id %d out of range", t.name, id)
+	}
 	if err := t.schema.Validate(row); err != nil {
 		return fmt.Errorf("storage: insert-at into %s: %w", t.name, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, live := latestVisible(t.rows[id], 0); live {
+	if _, live := latestVisible(t.chain(id), 0); live {
 		return fmt.Errorf("storage: %s row %d already exists", t.name, id)
 	}
-	t.appendVersion(id, version{csn: csn, row: row.Clone()})
+	t.appendVersion(id, version{csn: csn, row: t.store(row)})
 	if id >= t.nextID {
 		t.nextID = id + 1
 	}
@@ -245,11 +339,11 @@ func (t *Table) updateVersion(id RowID, row types.Tuple, txID, csn uint64) (type
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, live := latestVisible(t.rows[id], txID)
+	old, live := latestVisible(t.chain(id), txID)
 	if !live {
 		return nil, fmt.Errorf("storage: %s row %d not found", t.name, id)
 	}
-	t.appendVersion(id, version{csn: csn, tx: txID, row: row.Clone()})
+	t.appendVersion(id, version{csn: csn, tx: txID, row: t.store(row)})
 	return old, nil
 }
 
@@ -274,7 +368,7 @@ func (t *Table) UpdateCSN(id RowID, row types.Tuple, csn uint64) (types.Tuple, e
 func (t *Table) deleteVersion(id RowID, txID, csn uint64) (types.Tuple, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, live := latestVisible(t.rows[id], txID)
+	old, live := latestVisible(t.chain(id), txID)
 	if !live {
 		return nil, fmt.Errorf("storage: %s row %d not found", t.name, id)
 	}
@@ -302,11 +396,15 @@ func (t *Table) DeleteCSN(id RowID, csn uint64) (types.Tuple, error) {
 // Stamp marks every uncommitted version txID holds on row id as committed
 // at csn. The transaction layer calls it once per written row at commit,
 // after the commit record is logged. Only the columns whose committed
-// values change count as changed for ColsCSN.
+// values change count as changed for ColsCSN. An id with no chain has
+// nothing to stamp.
 func (t *Table) Stamp(txID uint64, id RowID, csn uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	vs := t.rows[id]
+	vs := t.chain(id)
+	if len(vs) == 0 {
+		return
+	}
 	prev, _ := latestVisible(vs, 0) // the committed image before this commit
 	last := prev
 	for i := range vs {
@@ -324,7 +422,7 @@ func (t *Table) Stamp(txID uint64, id RowID, csn uint64) {
 func (t *Table) Rollback(txID uint64, id RowID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	vs := t.rows[id]
+	vs := t.chain(id)
 	kept := vs[:0]
 	var removed []types.Tuple
 	for _, v := range vs {
@@ -337,14 +435,10 @@ func (t *Table) Rollback(txID uint64, id RowID) {
 		}
 		kept = append(kept, v)
 	}
-	if len(removed) == 0 && len(kept) == len(vs) {
+	if len(kept) == len(vs) {
 		return
 	}
-	if len(kept) == 0 {
-		t.dropChain(id)
-	} else {
-		t.rows[id] = kept
-	}
+	t.setChain(id, kept)
 	t.unindexOrphans(id, kept, removed)
 }
 
@@ -375,7 +469,7 @@ func (t *Table) unindexOrphans(id RowID, kept []version, removed []types.Tuple) 
 func (t *Table) GetTx(reader uint64, id RowID) (types.Tuple, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, ok := latestVisible(t.rows[id], reader)
+	row, ok := latestVisible(t.chain(id), reader)
 	if !ok {
 		return nil, false
 	}
@@ -389,7 +483,7 @@ func (t *Table) Get(id RowID) (types.Tuple, bool) { return t.GetTx(0, id) }
 func (t *Table) GetAsOf(snap Snapshot, id RowID) (types.Tuple, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, ok := visibleAt(t.rows[id], snap)
+	row, ok := visibleAt(t.chain(id), snap)
 	if !ok {
 		return nil, false
 	}
@@ -409,15 +503,10 @@ func (t *Table) ScanCount() int64 { return t.scans.Load() }
 func (t *Table) scanResolved(resolve func([]version) (types.Tuple, bool), fn func(id RowID, row types.Tuple) bool) {
 	t.scans.Add(1)
 	t.mu.RLock()
-	for _, id := range t.order {
-		row, ok := resolve(t.rows[id]) // a dead id's nil chain resolves to nothing
-		if !ok {
-			continue
-		}
-		if !fn(id, row) {
-			break
-		}
-	}
+	t.eachChain(func(id RowID, vs []version) bool {
+		row, ok := resolve(vs)
+		return !ok || fn(id, row)
+	})
 	t.mu.RUnlock()
 }
 
@@ -465,7 +554,7 @@ func (t *Table) AllAsOf(snap Snapshot) []types.Tuple {
 func (t *Table) CommittedCSN(id RowID) (uint64, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	vs := t.rows[id]
+	vs := t.chain(id)
 	for i := len(vs) - 1; i >= 0; i-- {
 		if vs[i].committed() {
 			return vs[i].csn, true
@@ -478,57 +567,65 @@ func (t *Table) CommittedCSN(id RowID) (uint64, bool) {
 func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rows = make(map[RowID][]version)
-	t.order, t.dead = nil, 0
+	t.pages, t.vers, t.vals = nil, slab[version]{}, slab[types.Value]{}
 	t.versions = 0
 	for _, ix := range t.indexes {
-		clear(ix.buckets)
+		ix.reset()
 	}
+}
+
+// keepFrom returns the position of the oldest version in vs that a
+// snapshot at or above watermark can still reach: the newest committed
+// version at or below the watermark, or the one after it when that is a
+// tombstone (absence of a version reads the same as a tombstone).
+func keepFrom(vs []version, watermark uint64) int {
+	for i := len(vs) - 1; i >= 0; i-- {
+		if vs[i].committed() && vs[i].csn <= watermark {
+			if vs[i].row == nil {
+				return i + 1
+			}
+			return i
+		}
+	}
+	return 0
 }
 
 // GC prunes versions that no current or future snapshot can reach, given
 // that every active snapshot's CSN is at least watermark: for each chain
-// the newest committed version at or below the watermark is the boundary —
-// everything older is dropped, and a boundary tombstone is dropped too
-// (absence of a version reads the same as a tombstone). Uncommitted
-// versions are always retained. Returns the number of versions pruned.
+// everything older than keepFrom is dropped. Uncommitted versions are
+// always retained. When it prunes anything it re-carves every surviving
+// version and tuple into fresh slabs and rebuilds every index, so the
+// pruned versions' chunks, emptied pages and buckets sized for a past peak
+// are released. Returns the number of versions pruned.
 func (t *Table) GC(watermark uint64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pruned := 0
-	for id, vs := range t.rows {
-		boundary := -1
-		for i := len(vs) - 1; i >= 0; i-- {
-			if vs[i].committed() && vs[i].csn <= watermark {
-				boundary = i
-				break
+	t.eachChain(func(_ RowID, vs []version) bool {
+		pruned += keepFrom(vs, watermark)
+		return true
+	})
+	if pruned == 0 {
+		return 0
+	}
+	t.versions -= pruned
+	t.vers, t.vals = slab[version]{}, slab[types.Value]{}
+	t.eachChain(func(id RowID, vs []version) bool {
+		var fresh []version
+		if vs = vs[keepFrom(vs, watermark):]; len(vs) > 0 {
+			fresh = t.vers.carve(len(vs))
+			for i, v := range vs {
+				if v.row != nil {
+					v.row = t.store(v.row)
+				}
+				fresh[i] = v
 			}
 		}
-		if boundary < 0 {
-			continue
-		}
-		keepFrom := boundary
-		if vs[boundary].row == nil {
-			keepFrom = boundary + 1 // boundary tombstone conveys nothing
-		}
-		if keepFrom == 0 {
-			continue
-		}
-		kept := append([]version(nil), vs[keepFrom:]...)
-		var removed []types.Tuple
-		for _, v := range vs[:keepFrom] {
-			if v.row != nil {
-				removed = append(removed, v.row)
-			}
-		}
-		pruned += keepFrom
-		t.versions -= keepFrom
-		if len(kept) == 0 {
-			t.dropChain(id)
-		} else {
-			t.rows[id] = kept
-		}
-		t.unindexOrphans(id, kept, removed)
+		t.setChain(id, fresh)
+		return true
+	})
+	for _, ix := range t.indexes {
+		t.fill(ix)
 	}
 	return pruned
 }
