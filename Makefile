@@ -79,13 +79,15 @@ chaos:
 # figure harnesses still run end to end (not a measurement; measurements
 # come from `go run -C bench .`). -benchmem puts B/op and allocs/op in the
 # artifact, so BenchmarkEQEvaluatePair and BenchmarkEQEvaluateCycle10 record
-# the evaluation round's allocations from change to change, and
+# the evaluation round's allocations from change to change,
 # BenchmarkTableGCMark (./internal/storage) records a forced collection's
-# time over a 100k-row table and the heap objects per stored row. Output is
-# written to bench-smoke.txt, which CI uploads as an artifact; a failing
-# run fails the target (no pipe, so no swallowed exit status).
+# time over a 100k-row table and the heap objects per stored row, and
+# BenchmarkClassicalJoin (./internal/sql) times a two-table indexed join at
+# 100, 300 and 1,000 rows per table. Output is written to bench-smoke.txt,
+# which CI uploads as an artifact; a failing run fails the target (no pipe,
+# so no swallowed exit status).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/storage > bench-smoke.txt 2>&1 || (cat bench-smoke.txt; exit 1)
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/storage ./internal/sql > bench-smoke.txt 2>&1 || (cat bench-smoke.txt; exit 1)
 	@cat bench-smoke.txt
 
 # bench/ is a module of its own (the repository's benchmark, see

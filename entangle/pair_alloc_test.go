@@ -73,3 +73,71 @@ CREATE TABLE Bookings (name VARCHAR, fno INT, fdate DATE, batch INT);`); err != 
 		t.Errorf("a pair allocates %.0f objects, want at most %d", allocs, maxPairAllocs)
 	}
 }
+
+// raceDetector is set when the tests run under the race detector.
+var raceDetector bool
+
+// Ceilings for one classical statement through DB.Exec against an indexed
+// 1,000-row Notes table: parse, one RunDirect, compile to an eq query, plan
+// and one index probe (plus, for the UPDATE, the write).
+const (
+	maxPointSelectAllocs, maxPointSelectBytes = 65, 4200
+	maxPointUpdateAllocs, maxPointUpdateBytes = 62, 5000
+)
+
+// TestClassicalStmtAllocs pins the allocations of a point SELECT and a
+// point UPDATE through DB.Exec, the statements classical_mix runs. A rise
+// means the compiled path allocates per statement again what a warm one
+// reuses, or a statement plans or reads more than one probe.
+func TestClassicalStmtAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("under the race detector sync.Pool drops entries at random, so a statement's allocations are not its own")
+	}
+	db, err := Open(Options{RetryInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ExecDDL("CREATE TABLE Notes (id INT, who VARCHAR, n INT); CREATE INDEX notes_id ON Notes (id);"); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for k := 0; k < 1000; k++ {
+		rows = append(rows, fmt.Sprintf("INSERT INTO Notes VALUES (%d, 'w%d', %d);", k, k%97, k))
+	}
+	if _, err := db.Exec(strings.Join(rows, "\n")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		src               string
+		maxAllocs, maxB   int64
+		wantRows, wantAff int
+	}{
+		{"SELECT n FROM Notes WHERE id=77", maxPointSelectAllocs, maxPointSelectBytes, 1, 0},
+		{"UPDATE Notes SET n=5 WHERE id=77", maxPointUpdateAllocs, maxPointUpdateBytes, 0, 1},
+	} {
+		exec := func() {
+			res, err := db.Exec(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != tc.wantRows || res.RowsAffected != tc.wantAff {
+				t.Fatalf("%s: %d rows, %d affected", tc.src, len(res.Rows), res.RowsAffected)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			exec()
+		}
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				exec()
+			}
+		})
+		t.Logf("%s: %d allocs, %d B per statement", tc.src, r.AllocsPerOp(), r.AllocedBytesPerOp())
+		if r.AllocsPerOp() > tc.maxAllocs || r.AllocedBytesPerOp() > tc.maxB {
+			t.Errorf("%s: %d allocs, %d B per statement, want at most %d and %d",
+				tc.src, r.AllocsPerOp(), r.AllocedBytesPerOp(), tc.maxAllocs, tc.maxB)
+		}
+	}
+}

@@ -48,6 +48,17 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
+// resized returns s with length n, keeping the memory its elements hold
+// for reuse (zeroed clears them).
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		grown := make([]T, n)
+		copy(grown, s[:cap(s)])
+		return grown
+	}
+	return s[:n]
+}
+
 // grounding copies a grounding into the arena: hp holds the head then the
 // postcondition arguments, vals the slot valuation. One value chunk backs
 // the head and postcondition arguments and Vals; one atom chunk backs Head

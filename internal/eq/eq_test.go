@@ -638,3 +638,45 @@ func TestReadCols(t *testing.T) {
 		}
 	}
 }
+
+// TestArithmeticAndDisjunction checks arithmetic terms in constraints and
+// heads (a NULL operand makes NULL; mismatched kinds are an error) and
+// disjunctive constraints (a NULL comparison is false in every disjunct).
+func TestArithmeticAndDisjunction(t *testing.T) {
+	db := MapReader{"T": {
+		{types.Int(1), types.Int(10)},
+		{types.Int(2), types.Null()},
+		{types.Int(3), types.Int(30)},
+	}}
+	q := &Query{
+		Head: []Atom{NewAtom("R", V("k"), Term{Arith: &Arith{Sub: true, L: V("n"), R: CInt(1)}})},
+		Body: []Atom{NewAtom("T", V("k"), V("n"))},
+		Where: []Constraint{{Or: [][]Constraint{
+			{{Left: Term{Arith: &Arith{L: V("n"), R: CInt(5)}}, Op: OpGt, Right: CInt(20)}},
+			{{Left: V("k"), Op: OpEq, Right: CInt(2)}, {Left: V("n"), Op: OpEq, Right: C(types.Null())}},
+			{{Left: V("k"), Op: OpEq, Right: CInt(1)}},
+		}}},
+	}
+	gs, err := Ground(q, db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, g := range gs {
+		got = append(got, g.Head[0].String())
+	}
+	if want := "R(1, 9) R(3, 29)"; strings.Join(got, " ") != want {
+		t.Errorf("groundings = %v, want %s", got, want)
+	}
+	if s := q.String(); !strings.Contains(s, "(?n - 1)") || !strings.Contains(s, "OR[[(?n + 5) > 20] [") {
+		t.Errorf("rendering %q", s)
+	}
+	q.Head = []Atom{NewAtom("R", V("k"), Term{Arith: &Arith{Sub: true, L: V("n"), R: CStr("x")}})}
+	if _, err := Ground(q, db, 0); err == nil {
+		t.Error("INT - VARCHAR grounded")
+	}
+	q.Body[0].Args[1] = Term{Arith: &Arith{L: V("n"), R: CInt(1)}}
+	if err := q.Validate(); err == nil {
+		t.Error("arithmetic body argument validated")
+	}
+}

@@ -149,6 +149,7 @@ type Evaluator struct {
 	ar     arena
 	stream groundStream
 	solver problem
+	plan   joinPlan // the plan Ground builds, reused call to call
 
 	groundings [][]*Grounding
 	errs       []error
@@ -225,6 +226,21 @@ func (ev *Evaluator) Evaluate(pending []Pending, opts EvalOptions) *Result {
 		}
 	}
 	return res
+}
+
+// Ground enumerates q's groundings against r through the evaluator's plan,
+// stream and arena, reusing their memory: one relational query, such as a
+// classical statement's. The groundings are valid until the evaluator's
+// next Ground or Evaluate.
+func (ev *Evaluator) Ground(q *Query, r CursorReader, opts GroundOptions) ([]*Grounding, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	ev.ar.reset()
+	ev.stream.ar = &ev.ar
+	ev.plan.build(q, r)
+	ev.stream.reset(&ev.plan, r, opts)
+	return ev.stream.run()
 }
 
 // components is the round's entanglement membership: queries whose chosen

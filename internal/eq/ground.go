@@ -62,7 +62,13 @@ func (m MapReader) ProbeCursor(table string, cols []int, vals []types.Value) (Ro
 	if !ok {
 		return nil, fmt.Errorf("eq: no such relation %s", table)
 	}
-	return &sliceCursor{rows: rows, cols: cols, vals: vals}, nil
+	return SliceCursor(rows, cols, vals), nil
+}
+
+// SliceCursor serves the rows whose positions cols equal vals (every row
+// when cols is empty), in slice order.
+func SliceCursor(rows []types.Tuple, cols []int, vals []types.Value) RowCursor {
+	return &sliceCursor{rows: rows, cols: cols, vals: vals}
 }
 
 // sliceCursor serves the rows of a slice whose positions cols equal vals
@@ -98,22 +104,30 @@ rows:
 func (c *sliceCursor) Rewind() { c.pos = 0 }
 
 // eqBindings extracts, per body variable slot of plan, the non-NULL
-// constant a ?v = c constraint fixes it to. Such variables count as bound
-// for atom ordering and index probing, and reject rows early during
-// matching. The valuation still binds such variables to the row's value,
-// exactly as the scan path does, so int/date-interoperable constants cannot
-// leak into answers.
-func eqBindings(q *Query, plan *joinPlan) []eqConst {
-	out := make([]eqConst, len(plan.vars))
+// constant a ?v = c constraint fixes it to, and the slot pairs ?x = ?y
+// constraints equate. Such variables count as bound for atom ordering and
+// index probing (a pair once either side is bound), and constants reject
+// rows early during matching. The valuation still binds such variables to
+// the row's value, exactly as the scan path does, so int/date-interoperable
+// constants cannot leak into answers.
+func (plan *joinPlan) eqBindings(q *Query) {
+	out := zeroed(plan.eq, len(plan.vars))
+	pairs := plan.pairs[:0]
 	for _, c := range q.Where {
-		if c.Op != OpEq {
+		if c.Op != OpEq || c.Or != nil {
 			continue
 		}
 		v, k := c.Left, c.Right
 		if !v.IsVar {
 			v, k = k, v
 		}
-		if !v.IsVar || k.IsVar || k.Value.IsNull() {
+		if v.IsVar && k.IsVar {
+			if a, b := plan.slot(v.Name), plan.slot(k.Name); a >= 0 && b >= 0 && a != b {
+				pairs = append(pairs, [2]int32{a, b})
+			}
+			continue
+		}
+		if !v.IsVar || !k.IsConst() || k.Value.IsNull() {
 			continue
 		}
 		// A variable no atom binds has no slot; of contradictory constants
@@ -123,5 +137,5 @@ func eqBindings(q *Query, plan *joinPlan) []eqConst {
 			out[s] = eqConst{val: k.Value, ok: true}
 		}
 	}
-	return out
+	plan.eq, plan.pairs = out, pairs
 }

@@ -1,6 +1,7 @@
 package eq
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -206,4 +207,45 @@ func TestEvaluateCachedGroundingsSkipReader(t *testing.T) {
 	if res2.Answers[1].Status != EmptyAnswer {
 		t.Errorf("empty cached groundings: %v, want EMPTY", res2.Answers[1].Status)
 	}
+}
+
+// TestGroundEquatedVariableProbes checks that a variable a ?x = ?y
+// constraint equates with a bound one counts as bound: the inner atom is
+// probed through its index with the outer value, and the constraint still
+// runs, so a NULL key joins nothing.
+func TestGroundEquatedVariableProbes(t *testing.T) {
+	r := &probeReader{
+		MapReader: MapReader{
+			"F": {{types.Int(5), types.Int(1)}, {types.Int(5), types.Int(2)}, {types.Int(5), types.Null()}, {types.Int(6), types.Int(3)}},
+			"U": {{types.Int(1), types.Str("a")}, {types.Int(2), types.Str("b")}, {types.Int(3), types.Str("c")}, {types.Null(), types.Str("n")}},
+		},
+		indexes: map[string][][]int{"F": {{0}}, "U": {{0}}},
+	}
+	q := &Query{
+		Head: []Atom{NewAtom("R", V("name"))},
+		Body: []Atom{NewAtom("U", V("uid"), V("name")), NewAtom("F", V("uid1"), V("uid2"))},
+		Where: []Constraint{
+			{Left: V("uid1"), Op: OpEq, Right: CInt(5)},
+			{Left: V("uid"), Op: OpEq, Right: V("uid2")},
+		},
+	}
+	gs, err := Ground(q, r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, g := range gs {
+		got = append(got, g.Head[0].Args[0].Str64())
+	}
+	if strings.Join(got, ",") != "a,b" {
+		t.Errorf("names = %v, want [a b]", got)
+	}
+	if r.scans != 0 || r.probes != 4 {
+		t.Errorf("probes=%d scans=%d, want 4 index probes (F once, U per F row) and no scan", r.probes, r.scans)
+	}
+	ref, err := GroundMaterialized(q, r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSequence(t, 0, "equated probe", gs, ref)
 }

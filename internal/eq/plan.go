@@ -14,8 +14,8 @@ import (
 // not-yet-placed atom with
 //
 //  1. the most bound argument positions (constants, variables constrained
-//     equal to a constant, variables bound by earlier atoms) — maximally
-//     selective joins run outermost;
+//     equal to a constant, variables bound by earlier atoms or constrained
+//     equal to one that is) — maximally selective joins run outermost;
 //  2. among ties, an atom whose bound positions a real index covers
 //     (CursorReader.CanProbe) — an index probe touches only matching rows;
 //  3. among ties, the fewest distinct free variables — fewer new bindings
@@ -57,7 +57,7 @@ import (
 type planStep struct {
 	atom      Atom
 	indexed   bool        // a real index covers probeCols (CanProbe)
-	probeCols []int       // schema positions the level probes on; nil: it scans
+	probeCols []int       // schema positions the level probes on; empty: it scans
 	probeKey  []operand   // per probeCols entry: where the probe value comes from
 	args      []argOp     // per atom position: how the row's value binds or matches
 	checks    []slotCheck // pushed-down constraints
@@ -69,11 +69,19 @@ type joinPlan struct {
 	final []slotCheck // constraints no level fully binds (checked at emission)
 
 	// Slot valuation: vars[k] is the body variable slot k holds, in
-	// first-mention order of the body, and eq[k] the constant a ?v = c
-	// constraint fixes it to. head and post instantiate from the slots.
+	// first-mention order of the body, eq[k] the constant a ?v = c
+	// constraint fixes it to, and pairs the slots ?x = ?y constraints
+	// equate. head and post instantiate from the slots.
 	vars       []string
 	eq         []eqConst
+	pairs      [][2]int32
 	head, post []slotAtom
+
+	// Planning scratch: the level that binds each slot, which atoms are
+	// placed, a candidate's bound positions.
+	level  []int32
+	placed []bool
+	pos    []int
 }
 
 // eqConst is the constant a ?v = c constraint fixes a variable to, if ok.
@@ -85,44 +93,86 @@ type eqConst struct {
 // Operand slots that name no valuation slot.
 const (
 	constSlot   = -1 // the operand is the constant val
-	unboundSlot = -2 // a variable no body atom binds: evaluating it is an error
+	unboundSlot = -2 // a variable no body atom binds (val holds its name): evaluating it is an error
+	arithSlot   = -3 // the operand is arith's sum or difference
 )
 
 // operand is a term compiled against the slot valuation.
 type operand struct {
-	slot int32
-	val  types.Value // the constant when slot == constSlot
+	slot  int32
+	val   types.Value // the constant when slot == constSlot
+	arith *arithOp    // when slot == arithSlot
 }
 
-// get resolves the operand under the slot valuation vals.
-func (o operand) get(vals []types.Value) (types.Value, bool) {
-	switch o.slot {
-	case constSlot:
-		return o.val, true
-	case unboundSlot:
-		return types.Value{}, false
-	}
-	return vals[o.slot], true
-}
-
-// slotCheck is a WHERE constraint compiled against the slot valuation; c
-// is kept for the error a variable no atom binds raises.
-type slotCheck struct {
-	c    Constraint
+// arithOp is an arithmetic term compiled against the slot valuation.
+type arithOp struct {
+	sub  bool
 	l, r operand
 }
 
-// eval evaluates the constraint; both sides must be bound.
-func (sc *slotCheck) eval(vals []types.Value) (bool, error) {
-	l, ok := sc.l.get(vals)
-	if !ok {
-		return false, fmt.Errorf("eq: unbound variable %s", sc.c.Left.Name)
+// get evaluates the operand under the slot valuation vals.
+func (o operand) get(vals []types.Value) (types.Value, error) {
+	switch o.slot {
+	case constSlot:
+		return o.val, nil
+	case unboundSlot:
+		return types.Value{}, fmt.Errorf("eq: unbound variable %s", o.val.Str64())
+	case arithSlot:
+		l, err := o.arith.l.get(vals)
+		if err != nil {
+			return l, err
+		}
+		r, err := o.arith.r.get(vals)
+		if err != nil || l.IsNull() || r.IsNull() {
+			return types.Value{}, err
+		}
+		if o.arith.sub {
+			return l.Sub(r)
+		}
+		return l.Add(r)
 	}
-	r, ok := sc.r.get(vals)
-	if !ok {
-		return false, fmt.Errorf("eq: unbound variable %s", sc.c.Right.Name)
+	return vals[o.slot], nil
+}
+
+// slotCheck is a WHERE constraint compiled against the slot valuation: a
+// comparison of l and r, or, when or is set, a disjunction of
+// conjunctions.
+type slotCheck struct {
+	c    Constraint
+	l, r operand
+	or   [][]slotCheck
+}
+
+// eval evaluates the constraint; every variable it reads must be bound.
+func (sc *slotCheck) eval(vals []types.Value) (bool, error) {
+	if sc.or != nil {
+		for _, conj := range sc.or {
+			if ok, err := checkAll(conj, vals); ok || err != nil {
+				return ok, err
+			}
+		}
+		return false, nil
+	}
+	l, err := sc.l.get(vals)
+	if err != nil {
+		return false, err
+	}
+	r, err := sc.r.get(vals)
+	if err != nil {
+		return false, err
 	}
 	return sc.c.Op.holds(l, r)
+}
+
+// checkAll evaluates a conjunction of constraints.
+func checkAll(cs []slotCheck, vals []types.Value) (bool, error) {
+	for i := range cs {
+		ok, err := cs[i].eval(vals)
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // slotAtom is a head or postcondition atom compiled against the slot
@@ -167,11 +217,17 @@ func probePath(r CursorReader, rel string, boundPos []int) (indexed bool, cols [
 // planQuery builds the join plan for q against r's index metadata.
 func planQuery(q *Query, r CursorReader) *joinPlan {
 	plan := &joinPlan{}
+	plan.build(q, r)
+	return plan
+}
+
+// build plans q into plan, reusing the memory of the plan it held before.
+func (plan *joinPlan) build(q *Query, r CursorReader) {
 	arity := 0
 	for _, a := range q.Body {
 		arity += len(a.Args)
 	}
-	plan.vars = make([]string, 0, arity)
+	plan.vars = resized(plan.vars, arity)[:0]
 	for _, a := range q.Body {
 		for _, t := range a.Args {
 			if t.IsVar && plan.slot(t.Name) < 0 {
@@ -179,31 +235,33 @@ func planQuery(q *Query, r CursorReader) *joinPlan {
 			}
 		}
 	}
-	nv := len(plan.vars)
-	plan.eq = eqBindings(q, plan)
+	plan.eqBindings(q)
 
 	// level: the level whose atom binds the slot, -1 before it is placed.
-	// Join order counts a slot bound once placed or fixed by a ?v = c
-	// constraint; the executor, only once placed.
-	level := make([]int32, nv)
+	// Join order counts a slot bound once placed, fixed by a ?v = c
+	// constraint, or equated with a placed slot; the executor, only once
+	// placed.
+	level := resized(plan.level, len(plan.vars))
 	for k := range level {
 		level[k] = -1
 	}
+	plan.level = level
 	bound := func(t Term) bool {
 		if !t.IsVar {
 			return true
 		}
 		k := plan.slot(t.Name)
-		return plan.eq[k].ok || level[k] >= 0
+		return plan.eq[k].ok || level[k] >= 0 || plan.partner(k, level) >= 0
 	}
 	n := len(q.Body)
-	used := make([]bool, n)
-	plan.steps = make([]planStep, 0, n)
-	pos := make([]int, 0, arity) // a candidate's bound positions
-	for len(plan.steps) < n {
+	placed := zeroed(plan.placed, n)
+	plan.placed = placed
+	plan.steps = resized(plan.steps, n)
+	pos := resized(plan.pos, arity)[:0] // a candidate's bound positions
+	for lv := range plan.steps {
 		best, bestBound, bestFree, bestIndexed := -1, 0, 0, false
 		for i, atom := range q.Body {
-			if used[i] {
+			if placed[i] {
 				continue
 			}
 			pos = pos[:0]
@@ -221,7 +279,7 @@ func planQuery(q *Query, r CursorReader) *joinPlan {
 				best, bestBound, bestFree, bestIndexed = i, len(pos), free, indexed
 			}
 		}
-		used[best] = true
+		placed[best] = true
 		atom := q.Body[best]
 		pos = pos[:0]
 		for j, t := range atom.Args {
@@ -229,60 +287,69 @@ func planQuery(q *Query, r CursorReader) *joinPlan {
 				pos = append(pos, j)
 			}
 		}
-		indexed, cols := probePath(r, atom.Rel, pos)
-		st := planStep{atom: atom, indexed: indexed, probeCols: slices.Clone(cols)}
-		lv := int32(len(plan.steps))
+		st := &plan.steps[lv]
+		var cols []int
+		st.atom = atom
+		st.indexed, cols = probePath(r, atom.Rel, pos)
+		st.probeCols = resized(st.probeCols, len(cols))
+		copy(st.probeCols, cols)
 		// A probe runs before the level binds anything: its variables are
-		// bound by an earlier level, or fixed by a ?v = c constraint.
-		st.probeKey = make([]operand, len(st.probeCols))
-		for k, c := range st.probeCols {
-			t := atom.Args[c]
-			st.probeKey[k] = plan.term(t)
-			if s := st.probeKey[k].slot; s >= 0 && level[s] < 0 {
-				st.probeKey[k] = operand{slot: constSlot, val: plan.eq[s].val}
+		// bound by an earlier level, fixed by a ?v = c constraint, or
+		// equated with a slot an earlier level binds (the ?x = ?y check
+		// still runs, so a NULL key matches nothing).
+		st.probeKey = resized(st.probeKey, len(cols))
+		for i, c := range st.probeCols {
+			o := plan.term(atom.Args[c])
+			if s := o.slot; s >= 0 && level[s] < 0 {
+				if plan.eq[s].ok {
+					o = operand{slot: constSlot, val: plan.eq[s].val}
+				} else {
+					o = operand{slot: plan.partner(s, level)}
+				}
 			}
+			st.probeKey[i] = o
 		}
-		st.args = make([]argOp, len(atom.Args))
+		st.args = resized(st.args, len(atom.Args))
 		for j, t := range atom.Args {
 			op := argOp{slot: constSlot, val: t.Value}
 			if t.IsVar {
 				k := plan.slot(t.Name)
 				op = argOp{slot: k}
 				if level[k] < 0 {
-					level[k] = lv
+					level[k] = int32(lv)
 					op.bind = true
 					op.val, op.hasEq = plan.eq[k].val, plan.eq[k].ok
 				}
 			}
 			st.args[j] = op
 		}
-		plan.steps = append(plan.steps, st)
+		st.checks = st.checks[:0]
 	}
+	plan.pos = pos
 
 	// Selection pushdown: a constraint runs at the level that binds the
 	// last of its variables (a constant-only one at the outermost level);
 	// one over a variable no atom binds is checked at emission, where it
 	// fails as unbound.
+	plan.final = plan.final[:0]
 	for _, c := range q.Where {
-		sc := slotCheck{c: c, l: plan.term(c.Left), r: plan.term(c.Right)}
 		lv := int32(0)
-		for _, o := range [2]operand{sc.l, sc.r} {
-			switch {
-			case o.slot == unboundSlot:
+		c.eachVar(func(v string) {
+			if k := plan.slot(v); k < 0 || lv < 0 {
 				lv = -1
-			case o.slot >= 0 && lv >= 0:
-				lv = max(lv, level[o.slot])
+			} else {
+				lv = max(lv, level[k])
 			}
-		}
+		})
+		sc := plan.check(c)
 		if lv < 0 || n == 0 {
 			plan.final = append(plan.final, sc)
 			continue
 		}
 		plan.steps[lv].checks = append(plan.steps[lv].checks, sc)
 	}
-	plan.head = plan.atoms(q.Head)
-	plan.post = plan.atoms(q.Post)
-	return plan
+	plan.head = plan.atoms(plan.head, q.Head)
+	plan.post = plan.atoms(plan.post, q.Post)
 }
 
 // better reports whether a candidate atom (bound positions, index cover,
@@ -309,6 +376,19 @@ func firstMention(args []Term, j int) bool {
 	return true
 }
 
+// partner returns the first slot a ?x = ?y constraint equates with slot k
+// that a placed level binds, or -1.
+func (plan *joinPlan) partner(k int32, level []int32) int32 {
+	for _, p := range plan.pairs {
+		for i, s := range p {
+			if s == k && level[p[1-i]] >= 0 {
+				return p[1-i]
+			}
+		}
+	}
+	return -1
+}
+
 // slot returns the slot of body variable name, or -1.
 func (plan *joinPlan) slot(name string) int32 {
 	return int32(slices.Index(plan.vars, name))
@@ -316,32 +396,43 @@ func (plan *joinPlan) slot(name string) int32 {
 
 // term compiles a term against the slots.
 func (plan *joinPlan) term(t Term) operand {
-	if !t.IsVar {
+	switch {
+	case t.Arith != nil:
+		return operand{slot: arithSlot, arith: &arithOp{sub: t.Arith.Sub, l: plan.term(t.Arith.L), r: plan.term(t.Arith.R)}}
+	case !t.IsVar:
 		return operand{slot: constSlot, val: t.Value}
 	}
 	if k := plan.slot(t.Name); k >= 0 {
 		return operand{slot: k}
 	}
-	return operand{slot: unboundSlot}
+	return operand{slot: unboundSlot, val: types.Str(t.Name)}
 }
 
-// atoms compiles head or postcondition atoms against the slots.
-func (plan *joinPlan) atoms(as []Atom) []slotAtom {
-	if len(as) == 0 {
-		return nil
+// check compiles a constraint against the slots.
+func (plan *joinPlan) check(c Constraint) slotCheck {
+	if c.Or == nil {
+		return slotCheck{c: c, l: plan.term(c.Left), r: plan.term(c.Right)}
 	}
-	n := 0
-	for _, a := range as {
-		n += len(a.Args)
-	}
-	ops := make([]operand, 0, n)
-	out := make([]slotAtom, len(as))
-	for i, a := range as {
-		start := len(ops)
-		for _, t := range a.Args {
-			ops = append(ops, plan.term(t))
+	sc := slotCheck{c: c, or: make([][]slotCheck, len(c.Or))}
+	for i, conj := range c.Or {
+		sc.or[i] = make([]slotCheck, len(conj))
+		for j, d := range conj {
+			sc.or[i][j] = plan.check(d)
 		}
-		out[i] = slotAtom{atom: a, args: ops[start:len(ops):len(ops)]}
+	}
+	return sc
+}
+
+// atoms compiles head or postcondition atoms against the slots into the
+// memory of out.
+func (plan *joinPlan) atoms(out []slotAtom, as []Atom) []slotAtom {
+	out = resized(out, len(as))
+	for i, a := range as {
+		ops := resized(out[i].args, len(a.Args))
+		for j, t := range a.Args {
+			ops[j] = plan.term(t)
+		}
+		out[i] = slotAtom{atom: a, args: ops}
 	}
 	return out
 }

@@ -54,34 +54,36 @@ func (q *Query) Validate() error {
 	if q.Choose < 0 || q.Choose > 1 {
 		return fmt.Errorf("eq: CHOOSE %d unsupported (only CHOOSE 1)", q.Choose)
 	}
-	bodyVars := make(map[string]bool)
+	var buf [16]string
+	body := buf[:0] // the body's variables; queries are small, so a scan beats a map
 	for _, a := range q.Body {
-		a.vars(bodyVars)
-	}
-	check := func(where string, vars map[string]bool) error {
-		for v := range vars {
-			if !bodyVars[v] {
-				return fmt.Errorf("eq: range restriction violated: variable %s in %s does not appear in the body", v, where)
+		for _, t := range a.Args {
+			switch {
+			case t.Arith != nil:
+				return fmt.Errorf("eq: body atom %s has an arithmetic argument", a)
+			case t.IsVar && !slices.Contains(body, t.Name):
+				body = append(body, t.Name)
 			}
 		}
-		return nil
 	}
-	headVars := make(map[string]bool)
-	for _, a := range q.Head {
-		a.vars(headVars)
+	missing := ""
+	find := func(v string) {
+		if missing == "" && !slices.Contains(body, v) {
+			missing = v
+		}
 	}
-	if err := check("head", headVars); err != nil {
-		return err
-	}
-	postVars := make(map[string]bool)
-	for _, a := range q.Post {
-		a.vars(postVars)
-	}
-	if err := check("postcondition", postVars); err != nil {
-		return err
+	for i, atoms := range [2][]Atom{q.Head, q.Post} {
+		for _, a := range atoms {
+			for _, t := range a.Args {
+				t.eachVar(find)
+			}
+		}
+		if missing != "" {
+			return fmt.Errorf("eq: range restriction violated: variable %s in %s does not appear in the body", missing, [2]string{"head", "postcondition"}[i])
+		}
 	}
 	for _, b := range q.Bind {
-		if !bodyVars[b] {
+		if !slices.Contains(body, b) {
 			return fmt.Errorf("eq: bind variable @%s does not appear in the body", b)
 		}
 	}
@@ -123,21 +125,20 @@ func (q *Query) ReadCols(a Atom) []int {
 // occurrences counts the places variable v appears in the query.
 func (q *Query) occurrences(v string) int {
 	n := 0
-	count := func(t Term) {
-		if t.IsVar && t.Name == v {
+	count := func(name string) {
+		if name == v {
 			n++
 		}
 	}
 	for _, as := range [...][]Atom{q.Head, q.Post, q.Body} {
 		for _, b := range as {
 			for _, t := range b.Args {
-				count(t)
+				t.eachVar(count)
 			}
 		}
 	}
 	for _, c := range q.Where {
-		count(c.Left)
-		count(c.Right)
+		c.eachVar(count)
 	}
 	for _, b := range q.Bind {
 		if b == v {

@@ -129,8 +129,10 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 				default:
 					if v, ok := val[t.Name]; ok {
 						vals[k] = v
+					} else if v, ok := eqBound[t.Name]; ok {
+						vals[k] = v
 					} else {
-						vals[k] = eqBound[t.Name]
+						vals[k] = partnerValue(q, val, t.Name)
 					}
 				}
 			}
@@ -193,6 +195,23 @@ func GroundMaterialized(q *Query, r sliceReader, maxGroundings int) ([]*Groundin
 		return nil, err
 	}
 	return out, nil
+}
+
+// partnerValue is the value of a bound variable a ?v = ?w constraint
+// equates with v: the planner probes such a position with it.
+func partnerValue(q *Query, val Valuation, v string) types.Value {
+	for _, c := range q.Where {
+		if c.Op != OpEq || !c.Left.IsVar || !c.Right.IsVar {
+			continue
+		}
+		if w, ok := val[c.Right.Name]; ok && c.Left.Name == v {
+			return w
+		}
+		if w, ok := val[c.Left.Name]; ok && c.Right.Name == v {
+			return w
+		}
+	}
+	return types.Null()
 }
 
 // Valuation assigns database values to variables: the oracle's valuation,

@@ -756,7 +756,7 @@ func atomsUnify(a, b Atom) bool {
 		return false
 	}
 	for i := range a.Args {
-		if !a.Args[i].IsVar && !b.Args[i].IsVar && !a.Args[i].Value.Equal(b.Args[i].Value) {
+		if a.Args[i].IsConst() && b.Args[i].IsConst() && !a.Args[i].Value.Equal(b.Args[i].Value) {
 			return false
 		}
 	}

@@ -110,12 +110,6 @@ type groundStream struct {
 	max  int
 }
 
-func newGroundStream(plan *joinPlan, r CursorReader, opts GroundOptions) *groundStream {
-	s := &groundStream{ar: &arena{}}
-	s.reset(plan, r, opts)
-	return s
-}
-
 // reset points the stream at a new query's plan, keeping its scratch.
 func (s *groundStream) reset(plan *joinPlan, r CursorReader, opts GroundOptions) {
 	batch := opts.BatchRows
@@ -125,10 +119,7 @@ func (s *groundStream) reset(plan *joinPlan, r CursorReader, opts GroundOptions)
 	s.plan, s.r, s.batch = plan, r, batch
 	s.stats, s.pullDur, s.max = opts.Stats, opts.PullDur, opts.MaxGroundings
 	s.vals = zeroed(s.vals, len(plan.vars))
-	if cap(s.levels) < len(plan.steps) {
-		s.levels = append(s.levels[:cap(s.levels)], make([]streamLevel, len(plan.steps)-cap(s.levels))...)
-	}
-	s.levels = s.levels[:len(plan.steps)]
+	s.levels = resized(s.levels, len(plan.steps))
 	for i := range s.levels {
 		lv := &s.levels[i]
 		*lv = streamLevel{step: &plan.steps[i], buf: lv.buf[:0], probeVals: lv.probeVals[:0]}
@@ -147,7 +138,7 @@ func (s *groundStream) capped() bool {
 func (s *groundStream) open(i int) error {
 	lv := &s.levels[i]
 	step := lv.step
-	if step.probeCols == nil {
+	if len(step.probeCols) == 0 {
 		if lv.scanCur == nil {
 			var err error
 			lv.scanCur, err = s.r.ScanCursor(step.atom.Rel)
@@ -161,7 +152,7 @@ func (s *groundStream) open(i int) error {
 	} else {
 		lv.probeVals = lv.probeVals[:0]
 		for _, o := range step.probeKey {
-			v, _ := o.get(s.vals)
+			v, _ := o.get(s.vals) // a probe key is a constant or a bound slot
 			lv.probeVals = append(lv.probeVals, v)
 		}
 		cur, err := s.r.ProbeCursor(step.atom.Rel, step.probeCols, lv.probeVals)
@@ -247,7 +238,7 @@ func (s *groundStream) join(i int) error {
 		}
 		// Pushed-down selections: constraints that became fully bound at
 		// this level, applied before any deeper cursor opens.
-		ok, err := s.check(step.checks)
+		ok, err := checkAll(step.checks, s.vals)
 		if err != nil {
 			return err
 		}
@@ -285,17 +276,6 @@ func (s *groundStream) bindRow(step *planStep, row types.Tuple) bool {
 	return true
 }
 
-// check evaluates constraints over the current valuation.
-func (s *groundStream) check(cs []slotCheck) (bool, error) {
-	for i := range cs {
-		ok, err := cs[i].eval(s.vals)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
 // emit instantiates the current valuation into a grounding, applying the
 // residual constraints (ones no join level fully binds — evaluating them
 // surfaces the unbound-variable error for constraints over non-body
@@ -303,16 +283,16 @@ func (s *groundStream) check(cs []slotCheck) (bool, error) {
 // head and postcondition repeat an earlier one's is dropped: the index
 // finds candidates by hash, and equality of the values decides.
 func (s *groundStream) emit() error {
-	if ok, err := s.check(s.plan.final); !ok {
+	if ok, err := checkAll(s.plan.final, s.vals); !ok {
 		return err
 	}
 	hp := s.hp[:0]
 	for _, as := range [2][]slotAtom{s.plan.head, s.plan.post} {
 		for i := range as {
-			for j, o := range as[i].args {
-				v, ok := o.get(s.vals)
-				if !ok {
-					return fmt.Errorf("eq: unbound variable %s in %s", as[i].atom.Args[j].Name, as[i].atom)
+			for _, o := range as[i].args {
+				v, err := o.get(s.vals)
+				if err != nil {
+					return err
 				}
 				hp = append(hp, v)
 			}
@@ -356,10 +336,7 @@ func (s *groundStream) run() ([]*Grounding, error) {
 // GroundWith enumerates the groundings of q against r through the
 // streaming pipeline. See Ground for the enumeration contract.
 func GroundWith(q *Query, r CursorReader, opts GroundOptions) ([]*Grounding, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return newGroundStream(planQuery(q, r), r, opts).run()
+	return new(Evaluator).Ground(q, r, opts)
 }
 
 // Ground enumerates the groundings of q against r: every valuation of the

@@ -374,7 +374,8 @@ func TestGroundPullPathZeroAllocWhenDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := planQuery(q, db)
-	s := newGroundStream(plan, db, GroundOptions{BatchRows: 64})
+	s := &groundStream{ar: &arena{}}
+	s.reset(plan, db, GroundOptions{BatchRows: 64})
 	drain := func() {
 		if err := s.open(0); err != nil {
 			panic(err)

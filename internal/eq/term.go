@@ -23,11 +23,21 @@ import (
 	"repro/internal/types"
 )
 
-// Term is a constant or a variable appearing in an atom or constraint.
+// Term is a constant, a variable, or the sum or difference of two terms,
+// appearing in an atom or constraint. A sum or difference may appear in a
+// constraint or a head atom, never in a body atom.
 type Term struct {
 	IsVar bool
 	Name  string      // variable name when IsVar
-	Value types.Value // constant value when !IsVar
+	Value types.Value // constant value when !IsVar and Arith is nil
+	Arith *Arith      // when set, the term is Arith's sum or difference
+}
+
+// Arith is L + R, or L - R when Sub. Either side NULL makes it NULL; other
+// mismatched kinds are an evaluation error (types.Value.Add and Sub).
+type Arith struct {
+	Sub  bool
+	L, R Term
 }
 
 // V returns a variable term.
@@ -40,10 +50,31 @@ func C(v types.Value) Term { return Term{Value: v} }
 func CStr(s string) Term { return C(types.Str(s)) }
 func CInt(i int64) Term  { return C(types.Int(i)) }
 
+// IsConst reports whether the term is a constant.
+func (t Term) IsConst() bool { return !t.IsVar && t.Arith == nil }
+
+// eachVar calls f with every variable the term mentions.
+func (t Term) eachVar(f func(string)) {
+	switch {
+	case t.IsVar:
+		f(t.Name)
+	case t.Arith != nil:
+		t.Arith.L.eachVar(f)
+		t.Arith.R.eachVar(f)
+	}
+}
+
 // String renders the term.
 func (t Term) String() string {
-	if t.IsVar {
+	switch {
+	case t.IsVar:
 		return "?" + t.Name
+	case t.Arith != nil:
+		op := '+'
+		if t.Arith.Sub {
+			op = '-'
+		}
+		return fmt.Sprintf("(%s %c %s)", t.Arith.L, op, t.Arith.R)
 	}
 	return t.Value.String()
 }
@@ -69,9 +100,7 @@ func (a Atom) String() string {
 // vars appends the variable names of the atom to out.
 func (a Atom) vars(out map[string]bool) {
 	for _, t := range a.Args {
-		if t.IsVar {
-			out[t.Name] = true
-		}
+		t.eachVar(func(v string) { out[v] = true })
 	}
 }
 
@@ -136,16 +165,34 @@ func (o CmpOp) String() string {
 	}
 }
 
-// Constraint is a comparison between two terms in the body.
+// Constraint is a comparison between two terms in the body, or a
+// disjunction of conjunctions of constraints.
 type Constraint struct {
 	Left  Term
 	Op    CmpOp
 	Right Term
+	// Or, when set, makes the constraint hold when every constraint of
+	// some Or[i] holds; Left, Op and Right are then unused.
+	Or [][]Constraint
+}
+
+// eachVar calls f with every variable the constraint mentions.
+func (c Constraint) eachVar(f func(string)) {
+	c.Left.eachVar(f)
+	c.Right.eachVar(f)
+	for _, conj := range c.Or {
+		for _, d := range conj {
+			d.eachVar(f)
+		}
+	}
 }
 
 // String renders the constraint.
 func (c Constraint) String() string {
-	return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Right)
+	if c.Or == nil {
+		return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Right)
+	}
+	return fmt.Sprint("OR", c.Or) // OR[[a b] [c]]: (a ∧ b) ∨ c
 }
 
 // holds applies the operator to two bound values. SQL three-valued logic:

@@ -24,9 +24,10 @@ type Binary struct {
 	L, R Expr
 }
 
-// InSubquery is "(exprs) IN (SELECT ...)". In classical statements the
-// subquery is evaluated and membership tested; in entangled SELECTs it
-// introduces body atoms.
+// InSubquery is "(exprs) IN (SELECT ...)", a top-level AND conjunct of a
+// WHERE clause. It compiles to the subquery's body atoms plus equalities
+// between exprs and the subquery's select list: a semi-join in classical
+// statements, variable bindings in entangled SELECTs.
 type InSubquery struct {
 	Exprs []Expr
 	Sub   *SelectStmt
@@ -103,9 +104,14 @@ type EntangledSelectStmt struct {
 // UpdateStmt: UPDATE table SET col=expr, ... [WHERE ...].
 type UpdateStmt struct {
 	Table string
-	Set   map[string]Expr
-	Cols  []string // SET order, for determinism
+	Set   []Assign // in SET order; no column twice
 	Where Expr
+}
+
+// Assign is one SET col=expr of an UPDATE.
+type Assign struct {
+	Col  string
+	Expr Expr
 }
 
 // DeleteStmt: DELETE FROM table [WHERE ...].

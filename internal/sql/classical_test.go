@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,6 +181,14 @@ func TestClassicalSemantics(t *testing.T) {
 			script: "SELECT fno, seats - 1 FROM Flights WHERE dest = 'LA' AND seats + 5 > 10",
 			cols:   []string{"fno", "expr"},
 			rows:   []string{"(122, 9)"}},
+		{name: "a NULL never matches in IN",
+			script: "SELECT name FROM Pilots WHERE airline IN (SELECT airline FROM Pilots)",
+			cols:   []string{"name"},
+			rows:   []string{"(Ann)", "(Bob)"}},
+		{name: "arithmetic on NULL is NULL",
+			script: "SELECT fno, seats + 1 FROM Flights WHERE seats - 1 < 100 OR fno = 235",
+			cols:   []string{"fno", "expr"},
+			rows:   []string{"(122, 11)", "(123, 1)", "(124, 6)", "(235, NULL)", "(235, NULL)", "(300, 2)"}},
 		{name: "three-table join",
 			script: "SELECT F.fno, P.name FROM Flights F, Airlines A, Pilots P WHERE F.fno = A.fno AND A.airline = P.airline",
 			cols:   []string{"fno", "name"},
@@ -254,5 +263,172 @@ func TestClassicalRowsAffected(t *testing.T) {
 		if res.RowsAffected != want {
 			t.Errorf("%s: RowsAffected = %d, want %d", src, res.RowsAffected, want)
 		}
+	}
+}
+
+// TestUnknownNamesAreErrors checks that an unknown column or table in a
+// select list, WHERE or SET fails the statement whatever the table holds:
+// FlightBookings is empty, and no Flights row has fno 99999.
+func TestUnknownNamesAreErrors(t *testing.T) {
+	e, cat := newSQLEngine(t)
+	for _, src := range []string{
+		"SELECT nope FROM Flights WHERE fno = 99999",
+		"SELECT nope FROM FlightBookings",
+		"SELECT name FROM FlightBookings WHERE nope = 1",
+		"SELECT fno FROM Flights WHERE X.fno = 1",
+		"SELECT fno FROM Flights F WHERE F.nope = 1 AND fno = 99999",
+		"SELECT fno FROM Nope",
+		"SELECT fno FROM Flights WHERE fno IN (SELECT nope FROM Airlines)",
+		"SELECT name FROM FlightBookings WHERE fno IN (SELECT fno FROM Airlines WHERE nope = 1)",
+		"UPDATE Flights SET nope = 1 WHERE fno = 99999",
+		"UPDATE FlightBookings SET nope = 1",
+		"UPDATE FlightBookings SET fno = nope + 1",
+		"DELETE FROM Flights WHERE nope = 1 AND fno = 99999",
+		"DELETE FROM FlightBookings WHERE nope = 1",
+	} {
+		if _, err := execAll(e, cat, src); err == nil {
+			t.Errorf("%s: committed", src)
+		}
+	}
+}
+
+// TestUpdateRejectsDuplicateSet checks that SET names a column once.
+func TestUpdateRejectsDuplicateSet(t *testing.T) {
+	for _, src := range []string{
+		"UPDATE Flights SET dest = 'A', dest = 'B'",
+		"UPDATE Flights SET dest = 'A', fno = 1, DEST = 'B' WHERE fno = 122",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("%s: parsed", src)
+		}
+	}
+	st, err := ParseOne("UPDATE Flights SET fno = 1, dest = 'A'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set := st.(*UpdateStmt).Set; len(set) != 2 || set[0].Col != "fno" || set[1].Col != "dest" {
+		t.Errorf("SET = %+v, want fno then dest", set)
+	}
+}
+
+// newJoinEngine builds n Users and n Friends rows, with indexes on
+// Friends(uid1) and Users(uid): user 5 has n/100 friends, the first with
+// hometown T5.
+func newJoinEngine(tb testing.TB, n int) (*core.Engine, *storage.Catalog) {
+	tb.Helper()
+	cat := storage.NewCatalog()
+	txm := txn.NewManager(cat, lock.New(500*time.Millisecond), nil)
+	for _, src := range []string{
+		"CREATE TABLE Friends (uid1 INT, uid2 INT)",
+		"CREATE TABLE Users (uid INT, hometown VARCHAR)",
+		"CREATE INDEX friends_uid1 ON Friends (uid1)",
+		"CREATE INDEX users_uid ON Users (uid)",
+	} {
+		st, err := ParseOne(src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := ExecDDL(txm, st); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	e := core.NewEngine(txm, core.Options{RunFrequency: 2})
+	tb.Cleanup(e.Close)
+	var ins []string
+	for i := 0; i < n; i++ {
+		ins = append(ins,
+			fmt.Sprintf("INSERT INTO Users VALUES (%d, 'T%d')", i, i%10),
+			fmt.Sprintf("INSERT INTO Friends VALUES (%d, %d)", i%100, (i*7+i/100)%n))
+	}
+	if _, err := execAll(e, cat, strings.Join(ins, ";")); err != nil {
+		tb.Fatal(err)
+	}
+	return e, cat
+}
+
+// classicalJoin is a friend-of-user join with both join keys indexed.
+const classicalJoin = "SELECT u.uid FROM Friends f, Users u WHERE f.uid1 = 5 AND u.uid = f.uid2 AND u.hometown = 'T5'"
+
+// fetchCounter wraps a DataTx and counts the rows its reads return.
+type fetchCounter struct {
+	DataTx
+	rows int
+}
+
+func (c *fetchCounter) Scan(table string) ([]types.Tuple, error) {
+	rows, err := c.DataTx.Scan(table)
+	c.rows += len(rows)
+	return rows, err
+}
+
+func (c *fetchCounter) ScanIDs(table string) ([]storage.RowID, []types.Tuple, error) {
+	ids, rows, err := c.DataTx.ScanIDs(table)
+	c.rows += len(rows)
+	return ids, rows, err
+}
+
+func (c *fetchCounter) LookupIDs(table string, columns []string, key types.Tuple) ([]storage.RowID, []types.Tuple, error) {
+	ids, rows, err := c.DataTx.LookupIDs(table, columns, key)
+	c.rows += len(rows)
+	return ids, rows, err
+}
+
+// TestClassicalJoinFetchesOnlyMatches gates the join's access paths: at
+// 1,000 rows per table the outer level probes Friends(uid1) and the inner
+// one probes Users(uid) once per friend, so the statement fetches the ten
+// friends and their ten users, not both tables. The rows match the
+// reference executor's.
+func TestClassicalJoinFetchesOnlyMatches(t *testing.T) {
+	e, cat := newJoinEngine(t, 1000)
+	st, err := ParseOne(classicalJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want *Result
+	fetched := 0
+	o := e.RunDirect(core.Program{Body: func(tx *core.Tx) error {
+		c := &fetchCounter{DataTx: tx}
+		var err error
+		if got, err = NewSession().Exec(c, cat, st); err != nil {
+			return err
+		}
+		fetched = c.rows
+		want, err = refSelect(NewSession(), tx, cat, st.(*SelectStmt))
+		return err
+	}})
+	if o.Status != core.StatusCommitted {
+		t.Fatalf("join: %+v", o)
+	}
+	if g, w := rowStrings(got.Rows), rowStrings(want.Rows); !slices.Equal(g, w) || len(g) == 0 {
+		t.Fatalf("rows %v, reference %v", g, w)
+	}
+	t.Logf("the join fetched %d rows", fetched)
+	if fetched > 64 {
+		t.Errorf("the join fetched %d rows, want at most 64", fetched)
+	}
+}
+
+// BenchmarkClassicalJoin times classicalJoin, one committed statement per
+// iteration, at 100, 300 and 1,000 rows per table.
+func BenchmarkClassicalJoin(b *testing.B) {
+	for _, n := range []int{100, 300, 1000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			e, cat := newJoinEngine(b, n)
+			st, err := ParseOne(classicalJoin)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := e.RunDirect(core.Program{Body: func(tx *core.Tx) error {
+					_, err := NewSession().Exec(tx, cat, st)
+					return err
+				}})
+				if o.Status != core.StatusCommitted {
+					b.Fatalf("join: %+v", o)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 package sql
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -27,37 +29,42 @@ func (s *Session) CompileEntangled(st *EntangledSelectStmt) (*eq.Query, map[stri
 	if st.Choose != 1 {
 		return nil, nil, fmt.Errorf("sql: only CHOOSE 1 is supported (got %d)", st.Choose)
 	}
-	c := &eqCompiler{
-		session:   s,
-		outerVars: make(map[string]string),
-	}
+	c := &eqCompiler{session: s, outerVars: make(map[string]string)}
 
 	clauses := flattenAnd(st.Where)
 	// Pass 1: subqueries establish variable bindings.
 	for _, cl := range clauses {
 		if sub, ok := cl.(*InSubquery); ok {
-			if err := c.addSubquery(sub); err != nil {
+			if err := c.in(sub, nil); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
-	// Pass 2: postconditions and loose comparisons.
+	return c.entangled(st, clauses)
+}
+
+// entangled compiles the rest of an entangled SELECT once its subqueries
+// have bound the outer columns. It is split from CompileEntangled to keep
+// the stack small while subqueries compile: every attempt grows it anew.
+func (c *eqCompiler) entangled(st *EntangledSelectStmt, clauses []Expr) (*eq.Query, map[string]string, error) {
+	// Pass 2: postconditions and loose comparisons over the bound columns.
 	for _, cl := range clauses {
 		switch t := cl.(type) {
 		case *InSubquery:
 			// handled
 		case *InAnswer:
-			atom, err := c.answerAtom(t)
-			if err != nil {
-				return nil, nil, err
+			atom := eq.Atom{Rel: t.Answer, Args: make([]eq.Term, len(t.Exprs))}
+			for i, e := range t.Exprs {
+				var err error
+				if atom.Args[i], _, err = c.term(e, nil); err != nil {
+					return nil, nil, err
+				}
 			}
 			c.post = append(c.post, atom)
-		case *Binary:
-			if err := c.addComparison(t); err != nil {
+		default:
+			if err := c.predicate(t, nil); err != nil {
 				return nil, nil, err
 			}
-		default:
-			return nil, nil, fmt.Errorf("sql: unsupported clause %T in entangled WHERE", cl)
 		}
 	}
 
@@ -69,7 +76,7 @@ func (s *Session) CompileEntangled(st *EntangledSelectStmt) (*eq.Query, map[stri
 		if item.Star {
 			return nil, nil, fmt.Errorf("sql: SELECT * not allowed in entangled queries")
 		}
-		term, err := c.term(item.Expr)
+		term, _, err := c.term(item.Expr, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -82,35 +89,41 @@ func (s *Session) CompileEntangled(st *EntangledSelectStmt) (*eq.Query, map[stri
 			bindVars = append(bindVars, term.Name)
 		}
 	}
-	q := &eq.Query{
-		Post:   c.post,
-		Body:   c.body,
-		Where:  c.constraints,
-		Bind:   bindVars,
-		Choose: 1,
-	}
 	for _, rel := range st.Answers {
-		q.Head = append(q.Head, eq.Atom{Rel: rel, Args: headArgs})
+		c.head = append(c.head, eq.Atom{Rel: rel, Args: headArgs})
 	}
+	q := &eq.Query{Head: c.head, Post: c.post, Body: c.body, Where: c.where, Bind: bindVars, Choose: 1}
 	if err := q.Validate(); err != nil {
 		return nil, nil, err
 	}
 	return q, binds, nil
 }
 
-// eqCompiler accumulates the pieces of an eq.Query.
+// eqCompiler accumulates the pieces of an eq.Query. Column references
+// resolve once, against a scope of FROM tables (classical statements and
+// subqueries) or against the outer columns IN clauses bound (an entangled
+// SELECT's own WHERE and select list, a nil scope).
 type eqCompiler struct {
-	session     *Session
-	outerVars   map[string]string // outer column name (lower) -> eq var
-	body        []eq.Atom
-	post        []eq.Atom
-	constraints []eq.Constraint
-	counter     int
+	session   *Session
+	outerVars map[string]string // entangled outer column name (lower) -> eq var
+	body      []eq.Atom
+	head      []eq.Atom
+	post      []eq.Atom
+	where     []eq.Constraint
+	scopes    []scopeTable // backs every block's scope
+	counter   int
+	rowIDs    bool // body atoms end in the row id txReader appends
 }
 
-func (c *eqCompiler) fresh(hint string) string {
-	c.counter++
-	return hint + "#" + strconv.Itoa(c.counter)
+// scope is the columns one SELECT block's FROM list brings into scope.
+type scope []scopeTable
+
+// scopeTable is one FROM entry and its body atom's arguments: a variable
+// per column, then, in a classical statement, one for the row id.
+type scopeTable struct {
+	ref    TableRef
+	schema *types.Schema
+	args   []eq.Term
 }
 
 func flattenAnd(e Expr) []Expr {
@@ -123,234 +136,313 @@ func flattenAnd(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// addSubquery compiles "(outer...) IN (SELECT cols FROM ... WHERE ...)".
-func (c *eqCompiler) addSubquery(in *InSubquery) error {
-	sub := in.Sub
-	if len(sub.From) == 0 {
-		return fmt.Errorf("sql: entangled subquery needs a FROM clause")
+// from adds one body atom per FROM entry, a fresh variable per column and,
+// in a classical statement, one for the row id.
+func (c *eqCompiler) from(refs []TableRef) (scope, error) {
+	if c.session.cat == nil {
+		return nil, fmt.Errorf("sql: no catalog to resolve %s", refs[0].Name)
 	}
-	if sub.Limit != 0 {
-		return fmt.Errorf("sql: LIMIT not supported in entangled subqueries")
-	}
-	// One body atom per FROM table; a fresh variable per column.
-	type tableVars struct {
-		ref  TableRef
-		vars []string
-		cols *types.Schema
-	}
-	var tabs []tableVars
-	for _, ref := range sub.From {
-		if c.session.cat == nil {
-			return fmt.Errorf("sql: no catalog to resolve %s", ref.Name)
-		}
+	start := len(c.scopes)
+	for _, ref := range refs {
 		tbl, err := c.session.cat.Get(ref.Name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		schema := tbl.Schema()
-		tv := tableVars{ref: ref, cols: schema}
-		args := make([]eq.Term, schema.Arity())
-		for i := range schema.Columns {
-			v := c.fresh(strings.ToLower(ref.Name) + "." + strings.ToLower(schema.Columns[i].Name))
-			tv.vars = append(tv.vars, v)
-			args[i] = eq.V(v)
+		n := schema.Arity()
+		if c.rowIDs {
+			n++
 		}
+		args := make([]eq.Term, n)
+		for j := range args {
+			c.counter++
+			args[j] = eq.V(strconv.Itoa(c.counter)) // allocates nothing below 100
+		}
+		c.scopes = append(c.scopes, scopeTable{ref: ref, schema: schema, args: args})
 		c.body = append(c.body, eq.Atom{Rel: tbl.Name(), Args: args})
-		tabs = append(tabs, tv)
 	}
-	resolveCol := func(col *Col) (string, error) {
+	return c.scopes[start:len(c.scopes):len(c.scopes)], nil
+}
+
+// resolve finds a column's variable and type: a qualified column in the
+// FROM entry its alias (or table name) names, an unqualified one in the
+// first entry that has it.
+func (sc scope) resolve(col *Col) (eq.Term, types.Kind, error) {
+	for _, t := range sc {
+		if col.Table != "" && !strings.EqualFold(cmp.Or(t.ref.Alias, t.ref.Name), col.Table) {
+			continue
+		}
+		if j := t.schema.Index(col.Name); j >= 0 {
+			return t.args[j], t.schema.Columns[j].Type, nil
+		}
 		if col.Table != "" {
-			for _, tv := range tabs {
-				name := tv.ref.Alias
-				if name == "" {
-					name = tv.ref.Name
-				}
-				if strings.EqualFold(name, col.Table) {
-					j := tv.cols.Index(col.Name)
-					if j < 0 {
-						return "", fmt.Errorf("sql: no column %s in %s", col.Name, tv.ref.Name)
-					}
-					return tv.vars[j], nil
-				}
-			}
-			return "", fmt.Errorf("sql: unknown table %s in subquery", col.Table)
+			return eq.Term{}, 0, fmt.Errorf("sql: no column %s in %s", col.Name, t.ref.Name)
 		}
-		for _, tv := range tabs {
-			if j := tv.cols.Index(col.Name); j >= 0 {
-				return tv.vars[j], nil
-			}
-		}
-		return "", fmt.Errorf("sql: unknown column %s in subquery", col.Name)
 	}
-	// Subquery WHERE: comparisons over subquery columns, constants, @vars.
-	for _, cl := range flattenAnd(sub.Where) {
-		b, ok := cl.(*Binary)
-		if !ok {
-			return fmt.Errorf("sql: unsupported clause %T in entangled subquery", cl)
-		}
-		op, err := cmpOp(b.Op)
-		if err != nil {
-			return err
-		}
-		lt, err := c.subTerm(b.L, resolveCol)
-		if err != nil {
-			return err
-		}
-		rt, err := c.subTerm(b.R, resolveCol)
-		if err != nil {
-			return err
-		}
-		c.constraints = append(c.constraints, eq.Constraint{Left: lt, Op: op, Right: rt})
+	if col.Table != "" {
+		return eq.Term{}, 0, fmt.Errorf("sql: unknown table %s", col.Table)
 	}
-	// Select list of the subquery gives the values the outer list binds to.
+	return eq.Term{}, 0, fmt.Errorf("sql: unknown column %s", col.Name)
+}
+
+// block compiles one SELECT block's FROM list and WHERE clause: body atoms
+// for the tables, and per conjunct a semi-join (IN (SELECT ...) adds the
+// subquery's atoms) or a check, which eq pushes down to the first join
+// level that binds its columns. An equality between columns is a join: eq
+// probes the later level with the earlier one's value.
+func (c *eqCompiler) block(from []TableRef, where Expr) (scope, error) {
+	sc, err := c.from(from)
+	if err != nil {
+		return nil, err
+	}
+	for _, cl := range flattenAnd(where) {
+		if in, ok := cl.(*InSubquery); ok {
+			if err := c.in(in, sc); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if err := c.predicate(cl, sc); err != nil {
+			return nil, err
+		}
+	}
+	return sc, nil
+}
+
+// in compiles "(exprs) IN (SELECT items FROM ... WHERE ...)": the
+// subquery's atoms join the body and each item equals its outer
+// expression, so a row matching several subquery rows still yields one
+// grounding per outer row (the head never mentions subquery variables),
+// and a NULL matches nothing.
+// In an entangled SELECT (outer nil), a first mention of an outer column
+// binds it to the item's variable.
+func (c *eqCompiler) in(in *InSubquery, outer scope) error {
+	sub := in.Sub
+	if len(sub.From) == 0 {
+		return fmt.Errorf("sql: IN subquery needs a FROM clause")
+	}
+	if sub.Limit != 0 {
+		return fmt.Errorf("sql: LIMIT not supported in IN subqueries")
+	}
+	inner, err := c.block(sub.From, sub.Where)
+	if err != nil {
+		return err
+	}
+	return c.equate(in, inner, outer)
+}
+
+// equate equates an IN clause's outer expressions with its subquery's
+// select list, compiled in inner, once block has returned (see entangled).
+func (c *eqCompiler) equate(in *InSubquery, inner, outer scope) error {
+	sub := in.Sub
 	if len(in.Exprs) != len(sub.Items) {
 		return fmt.Errorf("sql: IN arity mismatch: %d outer vs %d selected", len(in.Exprs), len(sub.Items))
 	}
 	for i, item := range sub.Items {
 		if item.Star {
-			return fmt.Errorf("sql: SELECT * not allowed in entangled subqueries")
+			return fmt.Errorf("sql: SELECT * not allowed in IN subqueries")
 		}
-		col, ok := item.Expr.(*Col)
-		if !ok {
-			return fmt.Errorf("sql: entangled subquery select list must be columns")
-		}
-		subVar, err := resolveCol(col)
+		it, ik, err := c.term(item.Expr, inner)
 		if err != nil {
 			return err
 		}
-		switch outer := in.Exprs[i].(type) {
-		case *Col:
-			key := strings.ToLower(outer.Name)
-			if existing, bound := c.outerVars[key]; bound {
-				c.constraints = append(c.constraints, eq.Constraint{Left: eq.V(existing), Op: eq.OpEq, Right: eq.V(subVar)})
-			} else {
-				c.outerVars[key] = subVar
+		if col, ok := in.Exprs[i].(*Col); ok && outer == nil {
+			key := strings.ToLower(col.Name)
+			if _, bound := c.outerVars[key]; !bound {
+				if !it.IsVar {
+					return fmt.Errorf("sql: entangled subquery select list must be columns")
+				}
+				c.outerVars[key] = it.Name
+				continue
 			}
-		case *Lit:
-			c.constraints = append(c.constraints, eq.Constraint{Left: eq.C(outer.Val), Op: eq.OpEq, Right: eq.V(subVar)})
-		case *Var:
-			v, err := c.sessionVar(outer.Name)
-			if err != nil {
+		}
+		ot, ok, err := c.term(in.Exprs[i], outer)
+		if err != nil {
+			return err
+		}
+		ot, it = coerceTerms(ot, ok, it, ik)
+		c.where = append(c.where, eq.Constraint{Left: ot, Op: eq.OpEq, Right: it})
+	}
+	return nil
+}
+
+// predicate compiles a WHERE conjunct other than a semi-join — a
+// comparison, a disjunction, or a boolean literal — to a check on c.where.
+func (c *eqCompiler) predicate(e Expr, sc scope) error {
+	switch ex := e.(type) {
+	case *Lit:
+		c.where = append(c.where, eq.Constraint{Left: eq.C(ex.Val), Op: eq.OpEq, Right: eq.C(types.Bool(true))})
+	case *Binary:
+		if ex.Op == "OR" {
+			return c.disjunction(ex, sc)
+		}
+		op, err := cmpOp(ex.Op)
+		if err != nil {
+			return err
+		}
+		l, lk, err := c.term(ex.L, sc)
+		if err != nil {
+			return err
+		}
+		r, rk, err := c.term(ex.R, sc)
+		if err != nil {
+			return err
+		}
+		l, r = coerceTerms(l, lk, r, rk)
+		c.where = append(c.where, eq.Constraint{Left: l, Op: op, Right: r})
+	case *InSubquery:
+		return fmt.Errorf("sql: IN (SELECT ...) is supported only as a top-level AND conjunct")
+	case *InAnswer:
+		return fmt.Errorf("sql: IN ANSWER is only meaningful inside an entangled SELECT")
+	default:
+		return fmt.Errorf("sql: expression %T is not a predicate", e)
+	}
+	return nil
+}
+
+// disjunction compiles L OR R: each side's conjuncts, compiled onto
+// c.where, move into one disjunctive check.
+func (c *eqCompiler) disjunction(ex *Binary, sc scope) error {
+	or := make([][]eq.Constraint, 2)
+	for i, d := range [2]Expr{ex.L, ex.R} {
+		start := len(c.where)
+		for _, cl := range flattenAnd(d) {
+			if err := c.predicate(cl, sc); err != nil {
 				return err
 			}
-			c.constraints = append(c.constraints, eq.Constraint{Left: eq.C(v), Op: eq.OpEq, Right: eq.V(subVar)})
-		default:
-			return fmt.Errorf("sql: unsupported outer IN expression %T", outer)
 		}
+		or[i] = slices.Clone(c.where[start:])
+		c.where = c.where[:start]
 	}
+	c.where = append(c.where, eq.Constraint{Or: or})
 	return nil
 }
 
-// subTerm resolves a term inside a subquery WHERE.
-func (c *eqCompiler) subTerm(e Expr, resolveCol func(*Col) (string, error)) (eq.Term, error) {
-	switch t := e.(type) {
-	case *Col:
-		v, err := resolveCol(t)
-		if err != nil {
-			return eq.Term{}, err
-		}
-		return eq.V(v), nil
-	case *Lit:
-		return eq.C(t.Val), nil
-	case *Var:
-		v, err := c.sessionVar(t.Name)
-		if err != nil {
-			return eq.Term{}, err
-		}
-		return eq.C(v), nil
-	default:
-		return eq.Term{}, fmt.Errorf("sql: unsupported term %T in entangled subquery", e)
-	}
-}
-
-// term resolves an expression in head/postcondition position.
-func (c *eqCompiler) term(e Expr) (eq.Term, error) {
+// term compiles a scalar expression and reports its type where known:
+// columns become variables, literals and host variables constants, and
+// + / - over constants folds while over a column it stays arithmetic. A
+// nil scope resolves columns against the outer columns IN clauses bound,
+// if any.
+func (c *eqCompiler) term(e Expr, sc scope) (eq.Term, types.Kind, error) {
 	switch t := e.(type) {
 	case *Lit:
-		return eq.C(t.Val), nil
+		return eq.C(t.Val), t.Val.Kind(), nil
 	case *Var:
-		v, err := c.sessionVar(t.Name)
-		if err != nil {
-			return eq.Term{}, err
+		v, ok := c.session.Vars[strings.ToLower(t.Name)]
+		if !ok {
+			return eq.Term{}, 0, fmt.Errorf("sql: unbound variable @%s", t.Name)
 		}
-		return eq.C(v), nil
+		return eq.C(v), v.Kind(), nil
 	case *Col:
+		if sc != nil {
+			return sc.resolve(t)
+		}
 		if v, ok := c.outerVars[strings.ToLower(t.Name)]; ok {
-			return eq.V(v), nil
+			return eq.V(v), types.KindNull, nil
 		}
-		return eq.Term{}, fmt.Errorf("sql: column %s is not bound by any IN (SELECT ...) clause", t.Name)
+		return eq.Term{}, 0, fmt.Errorf("sql: column %s is not in scope (an entangled SELECT's columns come from IN (SELECT ...))", t.Name)
 	case *Binary:
-		if t.Op == "+" || t.Op == "-" {
-			// Constant folding for expressions over session vars/literals.
-			v, err := c.session.evalScalar(t, nil, nil)
-			if err != nil {
-				return eq.Term{}, err
-			}
-			return eq.C(v), nil
+		if t.Op != "+" && t.Op != "-" {
+			return eq.Term{}, 0, fmt.Errorf("sql: unsupported operator %s in a value", t.Op)
 		}
-		return eq.Term{}, fmt.Errorf("sql: unsupported operator %s in answer tuple", t.Op)
-	default:
-		return eq.Term{}, fmt.Errorf("sql: unsupported expression %T in answer tuple", e)
-	}
-}
-
-func (c *eqCompiler) sessionVar(name string) (types.Value, error) {
-	v, ok := c.session.Vars[strings.ToLower(name)]
-	if !ok {
-		return types.Null(), fmt.Errorf("sql: unbound variable @%s in entangled query", name)
-	}
-	return v, nil
-}
-
-// answerAtom compiles "(exprs) IN ANSWER R" to a postcondition atom.
-func (c *eqCompiler) answerAtom(in *InAnswer) (eq.Atom, error) {
-	args := make([]eq.Term, 0, len(in.Exprs))
-	for _, e := range in.Exprs {
-		t, err := c.term(e)
+		l, lk, err := c.term(t.L, sc)
 		if err != nil {
-			return eq.Atom{}, err
+			return eq.Term{}, 0, err
 		}
-		args = append(args, t)
+		r, rk, err := c.term(t.R, sc)
+		if err != nil {
+			return eq.Term{}, 0, err
+		}
+		// A string operand that parses as a date is one: '2011-05-06' - fdate.
+		l, lk = dateOperand(l, lk)
+		r, rk = dateOperand(r, rk)
+		if l.IsConst() && r.IsConst() {
+			v, err := types.Null(), error(nil)
+			switch {
+			case l.Value.IsNull() || r.Value.IsNull(): // NULL, as eq's arithmetic gives
+			case t.Op == "+":
+				v, err = l.Value.Add(r.Value)
+			default:
+				v, err = l.Value.Sub(r.Value)
+			}
+			return eq.C(v), v.Kind(), err
+		}
+		kind := lk // date + int is a date, date - date an int
+		switch {
+		case t.Op == "-":
+			kind = types.KindInt
+		case rk == types.KindDate:
+			kind = rk
+		}
+		return eq.Term{Arith: &eq.Arith{Sub: t.Op == "-", L: l, R: r}}, kind, nil
+	default:
+		return eq.Term{}, 0, fmt.Errorf("sql: unsupported expression %T in a value", e)
 	}
-	return eq.Atom{Rel: in.Answer, Args: args}, nil
 }
 
-// addComparison handles loose comparisons in the entangled WHERE (outside
-// subqueries) over bound outer columns.
-func (c *eqCompiler) addComparison(b *Binary) error {
-	op, err := cmpOp(b.Op)
-	if err != nil {
-		return err
+// dateOperand turns a constant string that parses as a date into the date.
+func dateOperand(t eq.Term, kind types.Kind) (eq.Term, types.Kind) {
+	if d := coerce(t.Value, types.KindDate); t.IsConst() && d.Kind() == types.KindDate {
+		return eq.C(d), types.KindDate
 	}
-	lt, err := c.term(b.L)
-	if err != nil {
-		return err
+	return t, kind
+}
+
+// coerceTerms converts a constant string compared with a DATE operand to a
+// date, as SQL compares a date column with a date literal.
+func coerceTerms(l eq.Term, lk types.Kind, r eq.Term, rk types.Kind) (eq.Term, eq.Term) {
+	if lk == types.KindDate {
+		r, _ = dateOperand(r, rk)
 	}
-	rt, err := c.term(b.R)
-	if err != nil {
-		return err
+	if rk == types.KindDate {
+		l, _ = dateOperand(l, lk)
 	}
-	c.constraints = append(c.constraints, eq.Constraint{Left: lt, Op: op, Right: rt})
-	return nil
+	return l, r
 }
 
 func cmpOp(op string) (eq.CmpOp, error) {
-	switch op {
-	case "=":
-		return eq.OpEq, nil
-	case "<>":
-		return eq.OpNe, nil
-	case "<":
-		return eq.OpLt, nil
-	case "<=":
-		return eq.OpLe, nil
-	case ">":
-		return eq.OpGt, nil
-	case ">=":
-		return eq.OpGe, nil
-	default:
-		return 0, fmt.Errorf("sql: %s is not a comparison operator", op)
+	for o := eq.OpEq; o <= eq.OpGe; o++ {
+		if o.String() == op {
+			return o, nil
+		}
 	}
+	return 0, fmt.Errorf("sql: %s is not a comparison operator", op)
+}
+
+// selectStmt compiles a classical SELECT. The head is each FROM row's id,
+// then the select list: groundings, which eq deduplicates by head, are
+// then exactly the matching row combinations — duplicates kept, and one
+// per outer row however many subquery rows an IN clause matches. It
+// returns the result's column names.
+func (c *eqCompiler) selectStmt(st *SelectStmt) ([]string, error) {
+	sc, err := c.block(st.From, st.Where)
+	if err != nil {
+		return nil, err
+	}
+	args := make([]eq.Term, len(sc), len(sc)+len(st.Items))
+	for i, t := range sc {
+		args[i] = t.args[len(t.args)-1]
+	}
+	cols := make([]string, 0, len(st.Items))
+	for _, item := range st.Items {
+		if item.Star {
+			for _, t := range sc {
+				for j, col := range t.schema.Columns {
+					cols = append(cols, col.Name)
+					args = append(args, t.args[j])
+				}
+			}
+			continue
+		}
+		term, _, err := c.term(item.Expr, sc)
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, term)
+		cols = append(cols, itemName(item))
+	}
+	c.head = append(c.head, eq.Atom{Rel: "Result", Args: args})
+	return cols, nil
 }
 
 // --- script-to-program compilation --------------------------------------
@@ -407,11 +499,4 @@ func BuildProgram(cat Catalog, script string) (core.Program, error) {
 		return nil
 	}
 	return prog, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/eq"
 	"repro/internal/storage"
@@ -11,11 +12,13 @@ import (
 
 // DataTx is the data access surface the executor runs against. core.Tx
 // satisfies it, so compiled programs run under the entangled transaction
-// engine; txn.Txn satisfies the read/write subset for classical use.
+// engine; txn.Txn satisfies the read/write subset for classical use. A
+// classical statement reads through ScanIDs and LookupIDs only (see
+// txReader), and owns the slices they return; the executor never calls
+// Scan, which the package's read-counting test wrappers still forward.
 type DataTx interface {
 	Scan(table string) ([]types.Tuple, error)
 	ScanIDs(table string) ([]storage.RowID, []types.Tuple, error)
-	Lookup(table string, columns []string, key types.Tuple) ([]types.Tuple, error)
 	LookupIDs(table string, columns []string, key types.Tuple) ([]storage.RowID, []types.Tuple, error)
 	Insert(table string, row types.Tuple) (storage.RowID, error)
 	Update(table string, id storage.RowID, row types.Tuple) error
@@ -56,15 +59,15 @@ func (s *Session) Exec(tx DataTx, cat Catalog, stmt Stmt) (*Result, error) {
 	case *InsertStmt:
 		return s.execInsert(tx, cat, st)
 	case *SelectStmt:
-		return s.execSelect(tx, cat, st)
+		return s.execSelect(tx, st)
 	case *EntangledSelectStmt:
 		return s.execEntangled(tx, st)
 	case *UpdateStmt:
-		return s.execUpdate(tx, cat, st)
+		return s.execWrite(tx, st.Table, st.Where, st.Set, true)
 	case *DeleteStmt:
-		return s.execDelete(tx, cat, st)
+		return s.execWrite(tx, st.Table, st.Where, nil, false)
 	case *SetStmt:
-		v, err := s.evalScalar(st.Expr, nil, nil)
+		v, err := s.evalScalar(st.Expr)
 		if err != nil {
 			return nil, err
 		}
@@ -86,190 +89,11 @@ func coerce(v types.Value, want types.Kind) types.Value {
 	return v
 }
 
-// coercePair aligns a string literal with a date operand for comparison.
-func coercePair(a, b types.Value) (types.Value, types.Value) {
-	if a.Kind() == types.KindDate && b.Kind() == types.KindString {
-		return a, coerce(b, types.KindDate)
-	}
-	if a.Kind() == types.KindString && b.Kind() == types.KindDate {
-		return coerce(a, types.KindDate), b
-	}
-	return a, b
-}
-
-// rowEnv resolves column references during row-wise evaluation.
-type rowEnv struct {
-	tables  []TableRef
-	schemas []*types.Schema
-	row     []types.Tuple // one tuple per FROM table
-}
-
-// resolve finds the value of a column reference.
-func (r *rowEnv) resolve(c *Col) (types.Value, error) {
-	if c.Table != "" {
-		for i, ref := range r.tables {
-			name := ref.Alias
-			if name == "" {
-				name = ref.Name
-			}
-			if strings.EqualFold(name, c.Table) {
-				j := r.schemas[i].Index(c.Name)
-				if j < 0 {
-					return types.Null(), fmt.Errorf("sql: no column %s in %s", c.Name, ref.Name)
-				}
-				return r.row[i][j], nil
-			}
-		}
-		return types.Null(), fmt.Errorf("sql: unknown table %s", c.Table)
-	}
-	for i := range r.tables {
-		if j := r.schemas[i].Index(c.Name); j >= 0 {
-			return r.row[i][j], nil
-		}
-	}
-	return types.Null(), fmt.Errorf("sql: unknown column %s", c.Name)
-}
-
-// evalScalar evaluates an expression to a value. env may be nil for
-// row-independent expressions.
-func (s *Session) evalScalar(e Expr, env *rowEnv, tx DataTx) (types.Value, error) {
-	switch ex := e.(type) {
-	case *Lit:
-		return ex.Val, nil
-	case *Var:
-		v, ok := s.Vars[strings.ToLower(ex.Name)]
-		if !ok {
-			return types.Null(), fmt.Errorf("sql: unbound variable @%s", ex.Name)
-		}
-		return v, nil
-	case *Col:
-		if env == nil {
-			return types.Null(), fmt.Errorf("sql: column %s outside row context", ex.Name)
-		}
-		return env.resolve(ex)
-	case *Binary:
-		switch ex.Op {
-		case "+", "-":
-			l, err := s.evalScalar(ex.L, env, tx)
-			if err != nil {
-				return types.Null(), err
-			}
-			r, err := s.evalScalar(ex.R, env, tx)
-			if err != nil {
-				return types.Null(), err
-			}
-			l, r = coercePair(l, r)
-			// '2011-05-06' - @day: coerce lone strings that parse as dates
-			// when the other side is numeric.
-			if l.Kind() == types.KindString {
-				l = coerce(l, types.KindDate)
-			}
-			if r.Kind() == types.KindString {
-				r = coerce(r, types.KindDate)
-			}
-			if ex.Op == "+" {
-				return l.Add(r)
-			}
-			return l.Sub(r)
-		default:
-			b, err := s.evalBool(e, env, tx)
-			if err != nil {
-				return types.Null(), err
-			}
-			return types.Bool(b), nil
-		}
-	default:
-		return types.Null(), fmt.Errorf("sql: expression %T has no scalar value", e)
-	}
-}
-
-// evalBool evaluates a predicate.
-func (s *Session) evalBool(e Expr, env *rowEnv, tx DataTx) (bool, error) {
-	switch ex := e.(type) {
-	case *Lit:
-		return ex.Val.AsBool(), nil
-	case *Binary:
-		switch ex.Op {
-		case "AND":
-			l, err := s.evalBool(ex.L, env, tx)
-			if err != nil || !l {
-				return false, err
-			}
-			return s.evalBool(ex.R, env, tx)
-		case "OR":
-			l, err := s.evalBool(ex.L, env, tx)
-			if err != nil {
-				return false, err
-			}
-			if l {
-				return true, nil
-			}
-			return s.evalBool(ex.R, env, tx)
-		case "=", "<>", "<", "<=", ">", ">=":
-			l, err := s.evalScalar(ex.L, env, tx)
-			if err != nil {
-				return false, err
-			}
-			r, err := s.evalScalar(ex.R, env, tx)
-			if err != nil {
-				return false, err
-			}
-			l, r = coercePair(l, r)
-			if l.IsNull() || r.IsNull() {
-				return false, nil
-			}
-			switch ex.Op {
-			case "=":
-				return l.Equal(r), nil
-			case "<>":
-				return !l.Equal(r), nil
-			case "<":
-				return l.Compare(r) < 0, nil
-			case "<=":
-				return l.Compare(r) <= 0, nil
-			case ">":
-				return l.Compare(r) > 0, nil
-			case ">=":
-				return l.Compare(r) >= 0, nil
-			}
-		}
-		return false, fmt.Errorf("sql: operator %s is not a predicate", ex.Op)
-	case *InSubquery:
-		// Membership: evaluate the outer exprs, run the subquery, compare.
-		key := make(types.Tuple, len(ex.Exprs))
-		for i, oe := range ex.Exprs {
-			v, err := s.evalScalar(oe, env, tx)
-			if err != nil {
-				return false, err
-			}
-			key[i] = v
-		}
-		res, err := s.execSelect(tx, s.cat, ex.Sub)
-		if err != nil {
-			return false, err
-		}
-		for _, row := range res.Rows {
-			if len(row) != len(key) {
-				return false, fmt.Errorf("sql: IN arity mismatch: %d vs %d", len(key), len(row))
-			}
-			match := true
-			for i := range key {
-				a, b := coercePair(key[i], row[i])
-				if !a.Equal(b) {
-					match = false
-					break
-				}
-			}
-			if match {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *InAnswer:
-		return false, fmt.Errorf("sql: IN ANSWER is only meaningful inside an entangled SELECT")
-	default:
-		return false, fmt.Errorf("sql: expression %T is not a predicate", e)
-	}
+// evalScalar evaluates a row-independent expression — a literal, a host
+// variable, or + / - over them — folded as the compiler folds constants.
+func (s *Session) evalScalar(e Expr) (types.Value, error) {
+	t, _, err := (&eqCompiler{session: s}).term(e, nil)
+	return t.Value, err
 }
 
 // stored gives a value bound for a table row its own copy of a string
@@ -295,7 +119,7 @@ func (s *Session) execInsert(tx DataTx, cat Catalog, st *InsertStmt) (*Result, e
 			return nil, fmt.Errorf("sql: INSERT arity %d, table %s has %d columns", len(st.Values), st.Table, schema.Arity())
 		}
 		for i, e := range st.Values {
-			v, err := s.evalScalar(e, nil, tx)
+			v, err := s.evalScalar(e)
 			if err != nil {
 				return nil, err
 			}
@@ -313,7 +137,7 @@ func (s *Session) execInsert(tx DataTx, cat Catalog, st *InsertStmt) (*Result, e
 			if j < 0 {
 				return nil, fmt.Errorf("sql: no column %s in %s", col, st.Table)
 			}
-			v, err := s.evalScalar(st.Values[i], nil, tx)
+			v, err := s.evalScalar(st.Values[i])
 			if err != nil {
 				return nil, err
 			}
@@ -326,17 +150,15 @@ func (s *Session) execInsert(tx DataTx, cat Catalog, st *InsertStmt) (*Result, e
 	return &Result{RowsAffected: 1}, nil
 }
 
-// execSelect evaluates a classical SELECT by nested-loop join. The cat
-// parameter may be nil; schemas come from scanning via DataTx plus the
-// embedded storage schema — so we need catalog access; exec keeps a
-// reference through the closure below.
-func (s *Session) execSelect(tx DataTx, cat Catalog, st *SelectStmt) (*Result, error) {
+// execSelect runs a classical SELECT: compiled to an eq query, planned
+// and streamed through a txReader, its rows read off the groundings' heads.
+func (s *Session) execSelect(tx DataTx, st *SelectStmt) (*Result, error) {
 	if len(st.From) == 0 {
 		// Expression-only SELECT (e.g. SELECT @x).
 		var row types.Tuple
 		var cols []string
 		for _, item := range st.Items {
-			v, err := s.evalScalar(item.Expr, nil, tx)
+			v, err := s.evalScalar(item.Expr)
 			if err != nil {
 				return nil, err
 			}
@@ -347,100 +169,55 @@ func (s *Session) execSelect(tx DataTx, cat Catalog, st *SelectStmt) (*Result, e
 		s.applyBindings(st.Items, row)
 		return res, nil
 	}
-	env := &rowEnv{tables: st.From}
-	var data [][]types.Tuple
-	for _, ref := range st.From {
-		rows, err := s.selectRows(tx, cat, st, ref)
-		if err != nil {
-			return nil, err
-		}
-		schema, err := s.schemaOf(tx, cat, ref.Name)
-		if err != nil {
-			return nil, err
-		}
-		env.schemas = append(env.schemas, schema)
-		data = append(data, rows)
-	}
-	var cols []string
-	for _, item := range st.Items {
-		if item.Star {
-			for i := range st.From {
-				for _, c := range env.schemas[i].Columns {
-					cols = append(cols, c.Name)
-				}
-			}
-		} else {
-			cols = append(cols, itemName(item))
-		}
-	}
-	res := &Result{Columns: cols}
-	env.row = make([]types.Tuple, len(st.From))
-	var recurse func(i int) error
-	recurse = func(i int) error {
-		if st.Limit > 0 && len(res.Rows) >= st.Limit {
-			return nil
-		}
-		if i == len(st.From) {
-			if st.Where != nil {
-				ok, err := s.evalBool(st.Where, env, tx)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-			}
-			var out types.Tuple
-			for _, item := range st.Items {
-				if item.Star {
-					for j := range st.From {
-						out = append(out, env.row[j]...)
-					}
-					continue
-				}
-				v, err := s.evalScalar(item.Expr, env, tx)
-				if err != nil {
-					return err
-				}
-				out = append(out, v)
-			}
-			res.Rows = append(res.Rows, out)
-			return nil
-		}
-		for _, row := range data[i] {
-			env.row[i] = row
-			if err := recurse(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := recurse(0); err != nil {
+	g := s.grounder(tx)
+	defer g.release()
+	cols, err := g.c.selectStmt(st)
+	if err != nil {
 		return nil, err
 	}
-	if len(res.Rows) > 0 {
+	g.q = eq.Query{Head: g.c.head, Body: g.c.body, Where: g.c.where}
+	gs, err := g.ev.Ground(&g.q, &g.r, eq.GroundOptions{MaxGroundings: st.Limit})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Columns: cols}
+	if len(gs) > 0 {
+		res.Rows = make([]types.Tuple, len(gs))
+		vals := make([]types.Value, len(gs)*len(cols))
+		for i, gr := range gs {
+			res.Rows[i] = vals[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+			copy(res.Rows[i], gr.Head[0].Args[len(st.From):])
+		}
 		s.applyBindings(st.Items, res.Rows[0])
 	}
 	return res, nil
 }
 
-// selectRows fetches one FROM table's rows: a single-table SELECT whose
-// WHERE pins an equality index routes through the hash index, everything
-// else scans.
-func (s *Session) selectRows(tx DataTx, cat Catalog, st *SelectStmt, ref TableRef) ([]types.Tuple, error) {
-	if len(st.From) == 1 && st.Where != nil {
-		c := cat
-		if c == nil {
-			c = s.cat
-		}
-		if c != nil {
-			if tbl, err := c.Get(ref.Name); err == nil {
-				_, rows, err := s.scanOrProbe(tx, tbl, ref.Name, ref.Alias, st.Where)
-				return rows, err
-			}
-		}
-	}
-	return tx.Scan(ref.Name)
+// grounder is the memory a classical statement compiles, plans, reads and
+// grounds in. A pool recycles it from statement to statement, so the
+// statement's query and groundings live until it is released.
+type grounder struct {
+	c  eqCompiler
+	q  eq.Query
+	ev eq.Evaluator
+	r  txReader
+}
+
+var grounders = sync.Pool{New: func() any { return &grounder{r: txReader{scans: make(map[string][]types.Tuple)}} }}
+
+// grounder takes a grounder from the pool for a statement over tx.
+func (s *Session) grounder(tx DataTx) *grounder {
+	g := grounders.Get().(*grounder)
+	g.c = eqCompiler{session: s, rowIDs: true, body: g.c.body[:0], head: g.c.head[:0], where: g.c.where[:0], scopes: g.c.scopes[:0]}
+	g.r.tx, g.r.cat = tx, s.cat
+	return g
+}
+
+// release returns g to the pool, dropping what it holds of the statement.
+func (g *grounder) release() {
+	clear(g.r.scans)
+	g.c.session, g.r.tx, g.r.cat = nil, nil, nil
+	grounders.Put(g)
 }
 
 // applyBindings stores AS @var and bare-@var select items into the session
@@ -473,161 +250,55 @@ func itemName(item SelectItem) string {
 	return "expr"
 }
 
-// schemaOf fetches a table's schema through the catalog.
-func (s *Session) schemaOf(tx DataTx, cat Catalog, table string) (*types.Schema, error) {
-	if cat == nil {
-		return nil, fmt.Errorf("sql: no catalog available to resolve %s", table)
-	}
-	tbl, err := cat.Get(table)
+// execWrite grounds the rows of table that where selects, then updates
+// them as set says or deletes them: every row is read before the first is
+// written. Each grounding's head is the row id, then, for an UPDATE, the
+// row as SET leaves it.
+func (s *Session) execWrite(tx DataTx, table string, where Expr, set []Assign, update bool) (*Result, error) {
+	g := s.grounder(tx)
+	defer g.release()
+	sc, err := g.c.block([]TableRef{{Name: table}}, where)
 	if err != nil {
 		return nil, err
 	}
-	return tbl.Schema(), nil
-}
-
-// equalityKeys extracts the row-independent equality conjuncts of a WHERE
-// clause over a single table: column = literal/@var/foldable-expression.
-// They are the probe candidates for index routing.
-func (s *Session) equalityKeys(where Expr, tx DataTx, table string, alias string) map[string]types.Value {
-	out := make(map[string]types.Value)
-	for _, cl := range flattenAnd(where) {
-		b, ok := cl.(*Binary)
-		if !ok || b.Op != "=" {
-			continue
+	t, arity := sc[0], len(sc[0].args)-1
+	args := []eq.Term{t.args[arity]}
+	if update {
+		args = append(args, t.args[:arity]...)
+	}
+	for _, a := range set {
+		j := t.schema.Index(a.Col)
+		if j < 0 {
+			return nil, fmt.Errorf("sql: no column %s in %s", a.Col, table)
 		}
-		col, val := b.L, b.R
-		if _, ok := col.(*Col); !ok {
-			col, val = b.R, b.L
-		}
-		c, ok := col.(*Col)
-		if !ok {
-			continue
-		}
-		if c.Table != "" && !strings.EqualFold(c.Table, table) && !strings.EqualFold(c.Table, alias) {
-			continue
-		}
-		v, err := s.evalScalar(val, nil, tx)
+		term, _, err := g.c.term(a.Expr, sc)
 		if err != nil {
-			continue // row-dependent or unbound: not a probe constant
-		}
-		key := strings.ToLower(c.Name)
-		if _, dup := out[key]; !dup {
-			out[key] = v
-		}
-	}
-	return out
-}
-
-// scanOrProbe fetches the candidate (id, row) pairs for a single-table
-// statement: when the WHERE clause pins every column of some equality
-// index to a constant, the read routes through the hash index (row-granular
-// locks / snapshot point reads) instead of a full table scan. The caller
-// still evaluates the complete WHERE clause per row — the equality
-// conjuncts simply re-verify against the probe key.
-//
-// Locking trade-off: under the 2PL levels the probe takes IS + per-row S
-// locks instead of the table S lock a scan takes, so predicate phantoms
-// against concurrent inserts become possible (the documented txn.Lookup
-// semantics, as in an InnoDB index read without gap locks). Entangled
-// grounding and quasi-read protection are unaffected — they run on
-// Scan-level table locks and round-snapshot validation in internal/core.
-func (s *Session) scanOrProbe(tx DataTx, tbl *storage.Table, table string, alias string, where Expr) ([]storage.RowID, []types.Tuple, error) {
-	if where != nil {
-		eqKeys := s.equalityKeys(where, tx, table, alias)
-		if len(eqKeys) > 0 {
-			schema := tbl.Schema()
-			for _, ix := range tbl.Indexes() {
-				key := make(types.Tuple, 0, len(ix.Columns))
-				usable := true
-				for _, col := range ix.Columns {
-					v, ok := eqKeys[strings.ToLower(col)]
-					if !ok {
-						usable = false
-						break
-					}
-					key = append(key, coerce(v, schema.Columns[schema.Index(col)].Type))
-				}
-				if usable {
-					return tx.LookupIDs(table, ix.Columns, key)
-				}
-			}
-		}
-	}
-	return tx.ScanIDs(table)
-}
-
-func (s *Session) execUpdate(tx DataTx, cat Catalog, st *UpdateStmt) (*Result, error) {
-	tbl, err := cat.Get(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	schema := tbl.Schema()
-	ids, rows, err := s.scanOrProbe(tx, tbl, st.Table, "", st.Where)
-	if err != nil {
-		return nil, err
-	}
-	env := &rowEnv{tables: []TableRef{{Name: st.Table}}, schemas: []*types.Schema{schema}, row: make([]types.Tuple, 1)}
-	affected := 0
-	for i, id := range ids {
-		env.row[0] = rows[i]
-		if st.Where != nil {
-			ok, err := s.evalBool(st.Where, env, tx)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		newRow := rows[i].Clone()
-		for col, e := range st.Set {
-			j := schema.Index(col)
-			if j < 0 {
-				return nil, fmt.Errorf("sql: no column %s in %s", col, st.Table)
-			}
-			v, err := s.evalScalar(e, env, tx)
-			if err != nil {
-				return nil, err
-			}
-			newRow[j] = stored(coerce(v, schema.Columns[j].Type))
-		}
-		if err := tx.Update(st.Table, id, newRow); err != nil {
 			return nil, err
 		}
-		affected++
-	}
-	return &Result{RowsAffected: affected}, nil
-}
-
-func (s *Session) execDelete(tx DataTx, cat Catalog, st *DeleteStmt) (*Result, error) {
-	tbl, err := cat.Get(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	schema := tbl.Schema()
-	ids, rows, err := s.scanOrProbe(tx, tbl, st.Table, "", st.Where)
-	if err != nil {
-		return nil, err
-	}
-	env := &rowEnv{tables: []TableRef{{Name: st.Table}}, schemas: []*types.Schema{schema}, row: make([]types.Tuple, 1)}
-	affected := 0
-	for i, id := range ids {
-		env.row[0] = rows[i]
-		if st.Where != nil {
-			ok, err := s.evalBool(st.Where, env, tx)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+		if term.IsConst() {
+			term = eq.C(stored(coerce(term.Value, t.schema.Columns[j].Type)))
 		}
-		if err := tx.Delete(st.Table, id); err != nil {
+		args[1+j] = term
+	}
+	g.c.head = append(g.c.head, eq.Atom{Rel: table, Args: args})
+	g.q = eq.Query{Head: g.c.head, Body: g.c.body, Where: g.c.where}
+	gs, err := g.ev.Ground(&g.q, &g.r, eq.GroundOptions{})
+	if err != nil {
+		return nil, err
+	}
+	for _, gr := range gs {
+		row := gr.Head[0].Args
+		id := storage.RowID(row[0].Int64())
+		if update {
+			err = tx.Update(table, id, row[1:].Clone())
+		} else {
+			err = tx.Delete(table, id)
+		}
+		if err != nil {
 			return nil, err
 		}
-		affected++
 	}
-	return &Result{RowsAffected: affected}, nil
+	return &Result{RowsAffected: len(gs)}, nil
 }
 
 // execEntangled compiles the entangled SELECT against the session's
@@ -653,4 +324,71 @@ func (s *Session) execEntangled(tx DataTx, st *EntangledSelectStmt) (*Result, er
 		res.Rows = append(res.Rows, ga.Args)
 	}
 	return res, nil
+}
+
+// txReader is the eq.CursorReader a classical statement grounds through.
+// Every read goes through the statement's DataTx, so the transaction's
+// locks and read set are the ones ScanIDs and LookupIDs take: a level with
+// nothing bound scans (table S lock), a bound level whose columns a
+// declared index covers probes it (IS plus row S locks), and any other
+// bound level scans and filters. Each row carries its RowID as a trailing
+// position, which the compiled atoms bind. A table is scanned at most once
+// per statement; later levels over it filter that scan.
+type txReader struct {
+	tx    DataTx
+	cat   Catalog
+	scans map[string][]types.Tuple // a table's rows, each with its RowID
+	names []string                 // a probe's column names
+}
+
+// ScanCursor streams every row of table.
+func (r *txReader) ScanCursor(table string) (eq.RowCursor, error) {
+	return r.ProbeCursor(table, nil, nil)
+}
+
+// CanProbe reports whether a declared index on table covers cols.
+func (r *txReader) CanProbe(table string, cols []int) bool {
+	tbl, err := r.cat.Get(table)
+	return err == nil && tbl.HasIndexForCols(cols)
+}
+
+// ProbeCursor streams the rows of table whose positions cols equal vals:
+// through LookupIDs when a declared index covers cols, else by filtering
+// the table's scan.
+func (r *txReader) ProbeCursor(table string, cols []int, vals []types.Value) (eq.RowCursor, error) {
+	if tbl, err := r.cat.Get(table); err == nil && len(cols) > 0 && tbl.HasIndexForCols(cols) {
+		r.names = r.names[:0]
+		for _, c := range cols {
+			r.names = append(r.names, tbl.Schema().Columns[c].Name)
+		}
+		ids, rows, err := r.tx.LookupIDs(table, r.names, types.Tuple(vals))
+		if err != nil {
+			return nil, err
+		}
+		return eq.SliceCursor(withIDs(ids, rows), nil, nil), nil
+	}
+	rows, ok := r.scans[table]
+	if !ok {
+		ids, all, err := r.tx.ScanIDs(table)
+		if err != nil {
+			return nil, err
+		}
+		rows = withIDs(ids, all)
+		r.scans[table] = rows
+	}
+	return eq.SliceCursor(rows, cols, vals), nil
+}
+
+// withIDs extends each row, in place, by its RowID.
+func withIDs(ids []storage.RowID, rows []types.Tuple) []types.Tuple {
+	if len(rows) == 0 {
+		return rows
+	}
+	w := len(rows[0]) + 1
+	vals := make([]types.Value, 0, len(rows)*w)
+	for i, row := range rows {
+		vals = append(append(vals, row...), types.Int(int64(ids[i])))
+		rows[i] = vals[len(vals)-w : len(vals) : len(vals)]
+	}
+	return rows
 }

@@ -433,12 +433,16 @@ func (p *parser) parseUpdate() (Stmt, error) {
 	if err := p.expectKeyword("SET"); err != nil {
 		return nil, err
 	}
-	set := make(map[string]Expr)
-	var cols []string
+	var set []Assign
 	for {
 		col, err := p.expectIdent()
 		if err != nil {
 			return nil, err
+		}
+		for _, a := range set {
+			if strings.EqualFold(a.Col, col) {
+				return nil, fmt.Errorf("sql: column %s assigned twice in SET", col)
+			}
 		}
 		if err := p.expectSym("="); err != nil {
 			return nil, err
@@ -447,15 +451,14 @@ func (p *parser) parseUpdate() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		set[strings.ToLower(col)] = e
-		cols = append(cols, col)
+		set = append(set, Assign{Col: col, Expr: e})
 		if p.peek().kind == tokSym && p.peek().text == "," {
 			p.next()
 			continue
 		}
 		break
 	}
-	stmt := &UpdateStmt{Table: table, Set: set, Cols: cols}
+	stmt := &UpdateStmt{Table: table, Set: set}
 	if p.acceptKeyword("WHERE") {
 		w, err := p.parseWhere()
 		if err != nil {

@@ -19,7 +19,10 @@ import (
 // they compiled to eq plans, kept as the differential-testing oracle: it
 // reads every FROM table whole, walks their cross product in FROM order and
 // evaluates the WHERE clause on each combination, re-running an IN
-// subquery once per combination.
+// subquery once per combination. Two rules follow SQL where the old
+// executor did not: arithmetic with a NULL operand is NULL (it was an
+// error), and a NULL never matches in IN (NULL IN (SELECT ...) was true
+// when the subquery returned a NULL).
 func refSelect(s *Session, tx DataTx, cat Catalog, st *SelectStmt) (*Result, error) {
 	env := &refEnv{tables: st.From}
 	var data [][]types.Tuple
@@ -170,6 +173,9 @@ func refScalar(s *Session, tx DataTx, cat Catalog, e Expr, env *refEnv) (types.V
 			}
 			l, r = refCoercePair(l, r)
 			l, r = refCoerceDate(l), refCoerceDate(r)
+			if l.IsNull() || r.IsNull() {
+				return types.Null(), nil
+			}
 			if ex.Op == "+" {
 				return l.Add(r)
 			}
@@ -251,7 +257,7 @@ func refBool(s *Session, tx DataTx, cat Catalog, e Expr, env *refEnv) (bool, err
 			match := true
 			for i := range key {
 				a, b := refCoercePair(key[i], row[i])
-				if !a.Equal(b) {
+				if a.IsNull() || b.IsNull() || !a.Equal(b) {
 					match = false
 					break
 				}
