@@ -23,10 +23,15 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestDist|TestWake|TestArrival|TestCommittedWrite|TestPull|TestSelection|TestQuasiLock|TestProbeIndex|Column|TestPrepare' ./internal/core/ ./internal/storage/
 
-# Vet plus the formatting gate: any file gofmt would change fails it.
+# Vet plus the formatting gate: any file gofmt would change fails it. The
+# clock gate: core, dist and server decide every timeout on the injected
+# clock (internal/clock), so a wall-clock timer in their non-test files
+# fails it.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'time\.(NewTimer|NewTicker|AfterFunc|After|Tick)\(' internal/core internal/dist internal/server); \
+		if [ -n "$$out" ]; then echo "wall-clock timer outside internal/clock (use the injected clock):"; echo "$$out"; exit 1; fi
 
 # Static analysis gate. CI installs staticcheck; locally the target skips
 # with a notice when the binary is absent so `make ci` stays runnable in

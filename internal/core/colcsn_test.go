@@ -153,14 +153,16 @@ func TestReadColumnCommitVoidsAnswer(t *testing.T) {
 // reservation's delivery validates A's offer against it. It returns the
 // averted widows once both committed.
 func checkPrepare(t *testing.T, col int) int64 {
-	net, ea, eb := newDistPairRetry(t, 3*time.Second, noTick)
+	net, ea, eb := newDistPairRetry(t, noTick)
 	addSeatFlights(t, ea)
 	addSeatFlights(t, eb)
-	net.slowPrepare["A"] = 300 * time.Millisecond
+	inFlight := make(chan struct{})
+	net.prepareGate = map[string]chan struct{}{"A": inFlight}
 	h1 := submitRun(t, ea, seatProg("A", "B"))
 	h2 := eb.Submit(seatProg("B", "A"))
 	eventually(t, time.Second, "B to park", func() bool { return eb.Parked() == 1 })
 	rewriteFlight(t, ea, col)
+	close(inFlight)
 	for _, h := range []*Handle{h1, h2} {
 		if o := waitWithin(t, h, 10*time.Second); o.Status != StatusCommitted {
 			t.Fatalf("outcome %+v", o)

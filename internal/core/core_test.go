@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/eq"
 	"repro/internal/lock"
 	"repro/internal/storage"
@@ -246,6 +247,25 @@ func TestNoPartnerTimesOut(t *testing.T) {
 	}
 	if st := e.Stats(); st.Timeouts != 1 {
 		t.Errorf("Timeouts = %d", st.Timeouts)
+	}
+}
+
+// TestLoneMemberTimesOutAtItsDeadline: with no tick to find it, a pooled
+// member is settled by the deadline timer when the clock reaches its
+// deadline (§3.1), not at the next run — and without another attempt.
+func TestLoneMemberTimesOutAtItsDeadline(t *testing.T) {
+	clk := clock.NewFake(time.Now())
+	e := newTestEngine(t, Options{RetryInterval: time.Hour, Clock: clk})
+	h := e.Submit(bookFlightProg("Donald", "Daffy", 100*time.Millisecond))
+	eventually(t, 5*time.Second, "the arrival run", func() bool { return e.Stats().Requeues == 1 })
+	clk.Advance(99 * time.Millisecond)
+	if o, done := h.Poll(); done {
+		t.Fatalf("settled 1ms before its deadline: %+v", o)
+	}
+	clk.Advance(time.Millisecond)
+	o := waitWithin(t, h, 5*time.Second)
+	if o.Status != StatusTimedOut || !errors.Is(o.Err, ErrTimeout) || o.Attempts != 1 {
+		t.Fatalf("outcome = %+v, want a timeout after the one arrival attempt", o)
 	}
 }
 

@@ -26,11 +26,10 @@ func (e *Engine) RunDirect(p Program) Outcome {
 		timeout = e.opts.DefaultTimeout
 	}
 	start := time.Now()
-	deadline := start.Add(timeout)
-	ent := &pending{prog: p, deadline: deadline}
+	ent := &pending{prog: p, deadline: e.opts.Clock.Now().Add(timeout)}
 
 	for {
-		o, done := e.runDirectOnce(p, ent, deadline)
+		o, done := e.runDirectOnce(p, ent)
 		if done {
 			e.met.execLatency.Observe(time.Since(start))
 			// Record the exec span but do NOT finish the trace: a traced
@@ -48,7 +47,7 @@ func (e *Engine) RunDirect(p Program) Outcome {
 
 // runDirectOnce performs one attempt of RunDirect. It reports done=false
 // when the attempt hit a retryable abort and should be retried.
-func (e *Engine) runDirectOnce(p Program, ent *pending, deadline time.Time) (Outcome, bool) {
+func (e *Engine) runDirectOnce(p Program, ent *pending) (Outcome, bool) {
 	ent.attempts++
 	// A direct run never blocks on an entangled answer (opEntangle refuses
 	// before touching run state), so the coordination fields — cond,
@@ -90,7 +89,7 @@ func (e *Engine) runDirectOnce(p Program, ent *pending, deadline time.Time) (Out
 		if m.tx != nil {
 			m.tx.Abort()
 		}
-		if time.Now().After(deadline) {
+		if !e.opts.Clock.Now().Before(ent.deadline) {
 			e.bump(e.met.timeouts)
 			return Outcome{Status: StatusTimedOut, Err: ErrTimeout, Attempts: ent.attempts}, true
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dist"
 	"repro/internal/eq"
 	"repro/internal/obs"
@@ -34,12 +35,14 @@ type DistConfig struct {
 	Node string
 	// Transport reaches the matchmaker. Required.
 	Transport DistTransport
-	// StatusGrace is how long a parked group waits for the pushed decision
-	// before it starts polling Status. Default 1s.
-	StatusGrace time.Duration
-	// StatusTick is the poll cadence after the grace. Default 300ms.
-	StatusTick time.Duration
 }
+
+// A parked group waits statusGrace for the pushed decision, then asks the
+// coordinator every statusTick (on the engine's clock) until it is decided.
+const (
+	statusGrace = time.Second
+	statusTick  = 300 * time.Millisecond
+)
 
 // EnableDist switches the engine's commit path to the distributed
 // coordinator. Must be called right after NewEngine, before any Submit:
@@ -48,19 +51,12 @@ func (e *Engine) EnableDist(cfg DistConfig) {
 	if cfg.Transport == nil {
 		panic("core: EnableDist requires a transport")
 	}
-	if cfg.StatusGrace <= 0 {
-		cfg.StatusGrace = time.Second
-	}
-	if cfg.StatusTick <= 0 {
-		cfg.StatusTick = 300 * time.Millisecond
-	}
 	d := &distRuntime{
 		e:        e,
 		cfg:      cfg,
 		offers:   make(map[uint64]*liveOffer),
 		prepares: make(map[uint64]*dist.Prepare),
 		parked:   make(map[uint64]*parkedGroup),
-		stop:     make(chan struct{}),
 	}
 	e.dist = d
 	e.coord = &distCoordinator{e: e, d: d, local: &localCoordinator{e: e}}
@@ -79,7 +75,7 @@ type liveOffer struct {
 // the coordinator's verdict.
 type parkedGroup struct {
 	members []*member
-	done    chan struct{} // closed by take: the group is resolved, its poller exits
+	poll    clock.Timer // the status poll; stopped when the group leaves parked
 }
 
 // distRuntime is the engine's participant state for cross-shard group
@@ -93,8 +89,6 @@ type distRuntime struct {
 	offers   map[uint64]*liveOffer    // offer id -> exported offer
 	prepares map[uint64]*dist.Prepare // offer id -> undelivered reservation
 	parked   map[uint64]*parkedGroup  // group id -> prepared members
-	stop     chan struct{}
-	stopped  sync.Once
 }
 
 // registerOffer records (or refreshes) the member's offer and returns the
@@ -164,9 +158,10 @@ func (d *distRuntime) park(group uint64, ms []*member) {
 	for range ms {
 		e.txm.Enter()
 	}
+	pg := &parkedGroup{members: ms}
 	d.mu.Lock()
-	pg := &parkedGroup{members: ms, done: make(chan struct{})}
 	d.parked[group] = pg
+	pg.poll = e.opts.Clock.AfterFunc(statusGrace, func() { d.pollDecision(group, pg) })
 	d.mu.Unlock()
 	for _, m := range ms {
 		v := dist.Vote{Group: group, Offer: m.entry.offerID, Node: d.cfg.Node, Yes: true}
@@ -175,7 +170,6 @@ func (d *distRuntime) park(group uint64, ms []*member) {
 		}
 		go d.cfg.Transport.Vote(v)
 	}
-	go d.pollDecision(group, pg.done)
 }
 
 func (d *distRuntime) take(group uint64) *parkedGroup {
@@ -184,7 +178,7 @@ func (d *distRuntime) take(group uint64) *parkedGroup {
 	pg := d.parked[group]
 	if pg != nil {
 		delete(d.parked, group)
-		close(pg.done)
+		pg.poll.Stop()
 	}
 	return pg
 }
@@ -201,37 +195,33 @@ func (e *Engine) Parked() int {
 	return len(d.parked)
 }
 
-// pollDecision is the parked group's safety net: if the pushed decision is
-// lost, ask the coordinator — after StatusGrace, then every StatusTick. A
-// pending group keeps us waiting (the coordinator's timeout will decide
-// it); a group the coordinator has no record of is a presumed abort. done
-// ends the poller the moment the group is resolved.
-func (d *distRuntime) pollDecision(group uint64, done <-chan struct{}) {
-	wait := time.NewTimer(d.cfg.StatusGrace)
-	defer wait.Stop()
-	for {
-		select {
-		case <-wait.C:
-		case <-done:
-			return
-		case <-d.stop:
-			return
-		}
-		if st, err := d.cfg.Transport.Status(group); err == nil && !st.Pending {
-			d.e.ApplyDecision(group, st.Known && st.Commit)
-			return
-		}
-		wait.Reset(d.cfg.StatusTick)
+// pollDecision is the parked group's safety net, run by its poll timer: if
+// the pushed decision is lost, ask the coordinator — after statusGrace,
+// then every statusTick. A pending group keeps us waiting (the
+// coordinator's group timer will decide it); a group the coordinator has
+// no record of is a presumed abort. Once the group leaves parked
+// (resolved, or failed by shutdown) its timer stays stopped.
+func (d *distRuntime) pollDecision(group uint64, pg *parkedGroup) {
+	if st, err := d.cfg.Transport.Status(group); err == nil && !st.Pending {
+		d.e.ApplyDecision(group, st.Known && st.Commit)
+		return
 	}
+	d.mu.Lock()
+	if d.parked[group] == pg {
+		pg.poll.Reset(statusTick)
+	}
+	d.mu.Unlock()
 }
 
 // shutdown fails the handles of parked members without aborting their
 // transactions: the WAL prepare records stand, and restart resolves them
 // against the coordinator's logged decision.
 func (d *distRuntime) shutdown() {
-	d.stopped.Do(func() { close(d.stop) })
 	d.mu.Lock()
 	groups := d.parked
+	for _, pg := range groups {
+		pg.poll.Stop()
+	}
 	d.parked = make(map[uint64]*parkedGroup)
 	d.offers = make(map[uint64]*liveOffer)
 	d.prepares = make(map[uint64]*dist.Prepare)

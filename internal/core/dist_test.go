@@ -8,34 +8,48 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/dist"
 )
 
 // memNet wires two engines and a matchmaker together in-process: the
 // participant transports call straight into the matchmaker, and the
 // matchmaker's sends call straight into the engines — the full
-// cross-shard protocol minus the sockets.
+// cross-shard protocol minus the sockets. All three share one fake clock:
+// deadlines, group timers, status polls and the retry tick move only when
+// a test advances it.
 type memNet struct {
+	clock   *clock.Fake
 	mm      *dist.Matchmaker
 	engines map[string]*Engine
 	// dropYes makes the first N yes-votes vanish (a lost vote; the group
 	// must time out and abort).
 	dropYes atomic.Int64
-	// slowPrepare, when set, delays the delivery of prepares to that node.
-	slowPrepare map[string]time.Duration
+	// prepareGate, when set for a node, holds prepares to it until the
+	// channel is closed (a prepare in flight).
+	prepareGate map[string]chan struct{}
+	// dropDecide makes every decide sent to that node vanish (a lost
+	// decide; the parked member must ask for the verdict).
+	dropDecide string
+	// statusCalls counts in-doubt Status inquiries.
+	statusCalls atomic.Int64
 	// failLog makes the coordinator unable to log a commit decision, so
 	// every fully-voted group is decided abort.
 	failLog atomic.Bool
 }
 
 func (n *memNet) Prepare(node string, p dist.Prepare) error {
-	time.Sleep(n.slowPrepare[node])
+	if gate := n.prepareGate[node]; gate != nil {
+		<-gate
+	}
 	n.engines[node].DeliverPrepare(p)
 	return nil
 }
 
 func (n *memNet) Decide(node string, d dist.Decide) error {
-	n.engines[node].ApplyDecision(d.Group, d.Commit)
+	if node != n.dropDecide {
+		n.engines[node].ApplyDecision(d.Group, d.Commit)
+	}
 	return nil
 }
 
@@ -54,6 +68,7 @@ func (t *memTransport) Vote(v dist.Vote) {
 }
 
 func (t *memTransport) Status(group uint64) (dist.Status, error) {
+	t.net.statusCalls.Add(1)
 	return t.net.mm.Decision(group), nil
 }
 
@@ -63,13 +78,13 @@ const noTick = time.Hour
 
 // newDistPair builds two sharded engines over disjoint copies of the
 // travel schema, joined by an in-memory matchmaker.
-func newDistPair(t *testing.T, groupTimeout time.Duration) (*memNet, *Engine, *Engine) {
-	return newDistPairRetry(t, groupTimeout, 10*time.Millisecond)
+func newDistPair(t *testing.T) (*memNet, *Engine, *Engine) {
+	return newDistPairRetry(t, 10*time.Millisecond)
 }
 
-func newDistPairRetry(t *testing.T, groupTimeout, retry time.Duration) (*memNet, *Engine, *Engine) {
+func newDistPairRetry(t *testing.T, retry time.Duration) (*memNet, *Engine, *Engine) {
 	t.Helper()
-	net := &memNet{engines: make(map[string]*Engine), slowPrepare: make(map[string]time.Duration)}
+	net := &memNet{clock: clock.NewFake(time.Now()), engines: make(map[string]*Engine)}
 	net.mm = dist.New(dist.Options{
 		Send: net,
 		Log: func(_ uint64, commit bool) error {
@@ -78,17 +93,14 @@ func newDistPairRetry(t *testing.T, groupTimeout, retry time.Duration) (*memNet,
 			}
 			return nil
 		},
-		GroupTimeout:  groupTimeout,
-		SweepInterval: 20 * time.Millisecond,
+		Clock: net.clock,
 	})
 	t.Cleanup(net.mm.Close)
-	opts := Options{RetryInterval: retry}
+	opts := Options{RetryInterval: retry, Clock: net.clock}
 	ea := newTestEngine(t, opts)
 	eb := newTestEngine(t, opts)
-	ea.EnableDist(DistConfig{Shard: 0, Node: "A", Transport: &memTransport{net: net, node: "A"},
-		StatusGrace: 200 * time.Millisecond, StatusTick: 50 * time.Millisecond})
-	eb.EnableDist(DistConfig{Shard: 1, Node: "B", Transport: &memTransport{net: net, node: "B"},
-		StatusGrace: 200 * time.Millisecond, StatusTick: 50 * time.Millisecond})
+	ea.EnableDist(DistConfig{Shard: 0, Node: "A", Transport: &memTransport{net: net, node: "A"}})
+	eb.EnableDist(DistConfig{Shard: 1, Node: "B", Transport: &memTransport{net: net, node: "B"}})
 	net.engines["A"] = ea
 	net.engines["B"] = eb
 	return net, ea, eb
@@ -98,7 +110,7 @@ func newDistPairRetry(t *testing.T, groupTimeout, retry time.Duration) (*memNet,
 // level: a flight-booking pair split across two engines with disjoint
 // storage coordinates through the matchmaker and commits atomically.
 func TestDistPairCommitsAcrossEngines(t *testing.T) {
-	_, ea, eb := newDistPair(t, 3*time.Second)
+	_, ea, eb := newDistPair(t)
 	h1 := ea.Submit(bookFlightProg("Mickey", "Minnie", 5*time.Second))
 	h2 := eb.Submit(bookFlightProg("Minnie", "Mickey", 5*time.Second))
 	o1, o2 := h1.Wait(), h2.Wait()
@@ -123,17 +135,23 @@ func TestDistPairCommitsAcrossEngines(t *testing.T) {
 }
 
 // TestDistLostVoteAbortsThenRetries injects a lost yes-vote: the first
-// group must resolve to abort (all-or-nothing — nobody commits on a group
-// whose tally never completed), after which both members retry and commit
-// in a later group. Without a tick, the abort decision alone must wake both
-// members into that retry.
+// group must resolve to abort at the group timeout (all-or-nothing —
+// nobody commits on a group whose tally never completed), after which both
+// members retry and commit in a later group. Without a tick, the abort
+// decision alone must wake both members into that retry.
 func TestDistLostVoteAbortsThenRetries(t *testing.T) {
 	for name, retry := range map[string]time.Duration{"tick": 10 * time.Millisecond, "no tick": noTick} {
 		t.Run(name, func(t *testing.T) {
-			net, ea, eb := newDistPairRetry(t, 300*time.Millisecond, retry)
+			net, ea, eb := newDistPairRetry(t, retry)
 			net.dropYes.Store(1)
 			h1 := ea.Submit(bookFlightProg("Mickey", "Minnie", 15*time.Second))
 			h2 := eb.Submit(bookFlightProg("Minnie", "Mickey", 15*time.Second))
+			// Both members voted (one vote lost) and parked; the group
+			// timer then presumes abort.
+			eventually(t, 5*time.Second, "both votes", func() bool {
+				return net.dropYes.Load() == -1 && ea.Parked()+eb.Parked() == 2
+			})
+			net.clock.Advance(dist.GroupTimeout)
 			o1, o2 := waitWithin(t, h1, 5*time.Second), waitWithin(t, h2, 5*time.Second)
 			if o1.Status != StatusCommitted || o2.Status != StatusCommitted {
 				t.Fatalf("outcomes = %+v, %+v", o1, o2)
@@ -158,9 +176,13 @@ func TestDistLostVoteAbortsThenRetries(t *testing.T) {
 // other's posts just time out on their own shards; the matchmaker must not
 // invent a group.
 func TestDistSingletonOffersDoNotMatch(t *testing.T) {
-	_, ea, eb := newDistPair(t, time.Second)
+	net, ea, eb := newDistPair(t)
 	h1 := ea.Submit(bookFlightProg("Mickey", "Goofy", 400*time.Millisecond))
 	h2 := eb.Submit(bookFlightProg("Minnie", "Donald", 400*time.Millisecond))
+	eventually(t, 5*time.Second, "both arrival runs", func() bool {
+		return ea.Stats().Requeues == 1 && eb.Stats().Requeues == 1
+	})
+	net.clock.Advance(400 * time.Millisecond)
 	o1, o2 := h1.Wait(), h2.Wait()
 	if o1.Status != StatusTimedOut || o2.Status != StatusTimedOut {
 		t.Fatalf("outcomes = %+v, %+v, want timeouts", o1, o2)
@@ -191,7 +213,7 @@ func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
 // TestDistPairCommitsWithoutTick: a delivered prepare wakes its member, so
 // a cross-shard pair commits on arrivals and wakes alone.
 func TestDistPairCommitsWithoutTick(t *testing.T) {
-	_, ea, eb := newDistPairRetry(t, 3*time.Second, noTick)
+	_, ea, eb := newDistPairRetry(t, noTick)
 	h1 := ea.Submit(bookFlightProg("Mickey", "Minnie", 5*time.Second))
 	h2 := eb.Submit(bookFlightProg("Minnie", "Mickey", 5*time.Second))
 	o1, o2 := waitWithin(t, h1, time.Second), waitWithin(t, h2, time.Second)
@@ -208,7 +230,7 @@ func TestDistPairCommitsWithoutTick(t *testing.T) {
 // prepare addressed. A partner-less bystander pooled beside it is not
 // re-executed and pays no requeue.
 func TestWakeRunsOnlyTheWokenMember(t *testing.T) {
-	_, ea, eb := newDistPairRetry(t, 3*time.Second, noTick)
+	_, ea, eb := newDistPairRetry(t, noTick)
 	h1 := ea.Submit(bookFlightProg("Mickey", "Minnie", 5*time.Second))
 	eventually(t, time.Second, "Mickey's arrival run", func() bool { return ea.Stats().Requeues == 1 })
 	// The bystander's arrival run holds the bystander alone: nothing it asks
@@ -241,19 +263,8 @@ func TestWakeRunsOnlyTheWokenMember(t *testing.T) {
 // executing, after that run's last beforeRound, is consumed by a second run
 // as soon as the first returns.
 func TestDistPrepareMidRunIsConsumedWithoutTick(t *testing.T) {
-	_, ea, eb := newDistPairRetry(t, 3*time.Second, noTick)
-	unwinding, release := make(chan struct{}), make(chan struct{})
-	prog := bookFlightProg("Mickey", "Minnie", 5*time.Second)
-	body, first := prog.Body, true
-	prog.Body = func(tx *Tx) error {
-		if first {
-			first = false
-			// Hold the first run open while it aborts its blocked member.
-			defer func() { close(unwinding); <-release }()
-		}
-		return body(tx)
-	}
-	h1 := ea.Submit(prog)
+	_, ea, eb := newDistPairRetry(t, noTick)
+	h1, unwinding, release := submitHeldOpen(ea, bookFlightProg("Mickey", "Minnie", 5*time.Second))
 	<-unwinding
 	h2 := eb.Submit(bookFlightProg("Minnie", "Mickey", 5*time.Second))
 	eventually(t, time.Second, "the prepare to reach the busy shard", func() bool {
@@ -268,18 +279,41 @@ func TestDistPrepareMidRunIsConsumedWithoutTick(t *testing.T) {
 	}
 }
 
+// submitHeldOpen submits prog and holds its first run open while that run
+// aborts the blocked member: the member's first attempt closes unwinding
+// as it unwinds, then waits for release before the run can finish.
+func submitHeldOpen(e *Engine, prog Program) (h *Handle, unwinding, release chan struct{}) {
+	unwinding, release = make(chan struct{}), make(chan struct{})
+	body, first := prog.Body, true
+	prog.Body = func(tx *Tx) error {
+		if first {
+			first = false
+			defer func() { close(unwinding); <-release }()
+		}
+		return body(tx)
+	}
+	return e.Submit(prog), unwinding, release
+}
+
 // TestDistExpiredReservationVotesNo: a member that settles while holding a
 // reservation it never consumed votes it down, so its parked partner is
-// released at once instead of holding locks until GroupTimeout.
+// released at once instead of holding locks until the group timeout.
 func TestDistExpiredReservationVotesNo(t *testing.T) {
-	const groupTimeout = 30 * time.Second
-	net, ea, eb := newDistPairRetry(t, groupTimeout, noTick)
-	// A's prepare arrives after A's deadline: the run it wakes expires A
-	// with the reservation stored and unconsumed.
-	net.slowPrepare["A"] = 400 * time.Millisecond
-	h1 := ea.Submit(bookFlightProg("Mickey", "Minnie", 200*time.Millisecond))
+	net, ea, eb := newDistPairRetry(t, noTick)
+	// A's prepare arrives while A's first run is still unwinding, and A's
+	// deadline passes before that run ends: the run's requeue expires A with
+	// the reservation stored and unconsumed.
+	h1, unwinding, release := submitHeldOpen(ea, bookFlightProg("Mickey", "Minnie", 200*time.Millisecond))
+	<-unwinding
 	h2 := eb.Submit(bookFlightProg("Minnie", "Mickey", 5*time.Second))
 	eventually(t, time.Second, "B to park", func() bool { return eb.Parked() == 1 })
+	eventually(t, time.Second, "A's reservation", func() bool {
+		ea.dist.mu.Lock()
+		defer ea.dist.mu.Unlock()
+		return len(ea.dist.prepares) == 1
+	})
+	net.clock.Advance(200 * time.Millisecond)
+	close(release)
 	if o := waitWithin(t, h1, 2*time.Second); o.Status != StatusTimedOut {
 		t.Fatalf("A outcome = %+v, want timeout", o)
 	}
@@ -298,7 +332,7 @@ func TestDistExpiredReservationVotesNo(t *testing.T) {
 // member one eager retry; when that retry's group aborts too, the members
 // wait for the tick (here: Flush) instead of spinning through groups.
 func TestDistAbortingGroupRetriesAtTickCadence(t *testing.T) {
-	net, ea, eb := newDistPairRetry(t, 3*time.Second, noTick)
+	net, ea, eb := newDistPairRetry(t, noTick)
 	net.failLog.Store(true)
 	ea.Submit(bookFlightProg("Mickey", "Minnie", time.Minute))
 	eb.Submit(bookFlightProg("Minnie", "Mickey", time.Minute))
@@ -319,21 +353,54 @@ func TestDistAbortingGroupRetriesAtTickCadence(t *testing.T) {
 }
 
 // TestDistPollerExitsWithItsGroup: resolving a parked group ends its
-// decision poller, long before StatusGrace would have.
+// decision poller, long before the status grace would have (the fake clock
+// never reaches it).
 func TestDistPollerExitsWithItsGroup(t *testing.T) {
-	_, ea, eb := newDistPair(t, 3*time.Second)
-	for _, e := range []*Engine{ea, eb} {
-		e.dist.cfg.StatusGrace = time.Hour
-	}
+	net, ea, eb := newDistPair(t)
 	h1 := ea.Submit(bookFlightProg("Mickey", "Minnie", 5*time.Second))
 	h2 := eb.Submit(bookFlightProg("Minnie", "Mickey", 5*time.Second))
 	if o1, o2 := h1.Wait(), h2.Wait(); o1.Status != StatusCommitted || o2.Status != StatusCommitted {
 		t.Fatalf("outcomes = %+v, %+v", o1, o2)
 	}
-	// Both ApplyDecision calls have returned (the handles settled inside
-	// them); the pollers need only be scheduled to see done closed.
+	// Both ApplyDecision calls took their groups out of parked, stopping
+	// the poll timers, before the handles settled.
 	eventually(t, time.Second, "the decision pollers to exit", func() bool {
 		buf := make([]byte, 1<<20)
 		return !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "pollDecision")
 	})
+	net.clock.Advance(statusGrace)
+	if n := net.statusCalls.Load(); n != 0 {
+		t.Errorf("%d status calls after the groups resolved, want 0", n)
+	}
+}
+
+// TestDistLostDecideIsPolledAfterTheGrace: a parked member whose decide was
+// lost does not ask the coordinator before the status grace has passed on
+// the clock, asks once it has, and applies the verdict.
+func TestDistLostDecideIsPolledAfterTheGrace(t *testing.T) {
+	net, ea, eb := newDistPairRetry(t, noTick)
+	net.dropDecide = "A"
+	h1 := ea.Submit(bookFlightProg("Mickey", "Minnie", 5*time.Second))
+	h2 := eb.Submit(bookFlightProg("Minnie", "Mickey", 5*time.Second))
+	if o := waitWithin(t, h2, 5*time.Second); o.Status != StatusCommitted {
+		t.Fatalf("B outcome = %+v", o)
+	}
+	// B committed, so the group was decided commit; A never heard of it.
+	if n := ea.Parked(); n != 1 {
+		t.Fatalf("A parked groups = %d, want 1", n)
+	}
+	net.clock.Advance(statusGrace - time.Nanosecond)
+	if n := net.statusCalls.Load(); n != 0 {
+		t.Fatalf("%d status calls before the grace passed", n)
+	}
+	net.clock.Advance(time.Nanosecond)
+	if n := net.statusCalls.Load(); n != 1 {
+		t.Fatalf("%d status calls once the grace passed, want 1", n)
+	}
+	if o := waitWithin(t, h1, 5*time.Second); o.Status != StatusCommitted {
+		t.Fatalf("A outcome = %+v, want the polled commit", o)
+	}
+	if n := ea.Parked(); n != 0 {
+		t.Errorf("A parked groups = %d after the verdict, want 0", n)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/eq"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -39,12 +40,17 @@ type Options struct {
 	Connections int
 	// DefaultTimeout applies to programs that do not set one. Default 10s.
 	DefaultTimeout time.Duration
-	// RetryInterval is the scheduler's backstop tick: it runs the whole pool
-	// (§4's rule), so timeouts expire, a lost cross-shard offer is
-	// re-exported, and bodies that depend on Attempt() or the clock retry.
-	// Nothing on the commit path waits for it: arrivals pull in their
+	// RetryInterval is the scheduler's backstop tick on Clock: it runs the
+	// whole pool (§4's rule), so a lost cross-shard offer is re-exported and
+	// bodies that depend on Attempt() or the clock retry. Timeouts do not
+	// wait for it: the scheduler's timer also falls due at the earliest
+	// pooled deadline. Nor does the commit path: arrivals pull in their
 	// partners, prepares and abort decisions wake theirs. Default 25ms.
 	RetryInterval time.Duration
+	// Clock decides every timeout: deadlines, the scheduler's timer and, on
+	// a shard, the status poll and the hosted matchmaker's group timers.
+	// Measurements stay on the wall clock. Nil is clock.Wall.
+	Clock clock.Clock
 	// StmtLatency simulates the per-statement client-DBMS round trip of the
 	// paper's middle-tier-over-MySQL deployment. Zero for tests; the
 	// benchmark harness sets it so that throughput is connection-bound, as
@@ -100,6 +106,7 @@ func (o *Options) withDefaults() Options {
 	if out.RetryInterval <= 0 {
 		out.RetryInterval = 25 * time.Millisecond
 	}
+	out.Clock = clock.Or(out.Clock)
 	return out
 }
 
@@ -224,6 +231,12 @@ type Engine struct {
 	// Buffered so an abort decision's deliverer does not wait for a run in
 	// progress; the scheduler drains it at the top of every turn.
 	requeueq chan *pending
+	// timer pokes the scheduler at armedAt: the earlier of nextTick, when
+	// the backstop tick is due, and the earliest deadline in the pool as of
+	// the last expiry pass. Scheduler goroutine only, like the pool.
+	timer    clock.Timer
+	armedAt  time.Time
+	nextTick time.Time
 
 	// statsMu orders program-lifecycle counter increments against Stats
 	// snapshots: every submitted/settled transition bumps its registry
@@ -282,6 +295,9 @@ func NewEngine(txm *txn.Manager, opts Options) *Engine {
 	return e
 }
 
+// Clock is the clock the engine decides timeouts on (Options.Clock).
+func (e *Engine) Clock() clock.Clock { return e.opts.Clock }
+
 // Txm exposes the substrate transaction manager (DDL, direct access).
 func (e *Engine) Txm() *txn.Manager { return e.txm }
 
@@ -315,7 +331,7 @@ func (e *Engine) Submit(p Program) *Handle {
 		timeout = e.opts.DefaultTimeout
 	}
 	now := time.Now()
-	ent := &pending{prog: p, deadline: now.Add(timeout), handle: h, submitAt: now, enqueued: now}
+	ent := &pending{prog: p, deadline: e.opts.Clock.Now().Add(timeout), handle: h, submitAt: now, enqueued: now}
 	// The enqueue happens under e.mu, the same lock Close and Drain take to
 	// flip their flags, so a program is either published before the flag
 	// (and swept by the scheduler's shutdown/drain pass) or refused — never
@@ -449,12 +465,14 @@ func (e *Engine) Close() {
 }
 
 // loop is the scheduler: it forms runs per the run-frequency policy, runs
-// woken entries as soon as they are woken, and on the backstop tick retries
-// the whole pool and expires timeouts.
+// woken entries as soon as they are woken, expires timeouts at their
+// deadlines, and on the backstop tick retries the whole pool.
 func (e *Engine) loop() {
 	defer close(e.done)
-	ticker := time.NewTicker(e.opts.RetryInterval)
-	defer ticker.Stop()
+	e.nextTick = e.opts.Clock.Now().Add(e.opts.RetryInterval)
+	e.armedAt = e.nextTick
+	e.timer = e.opts.Clock.AfterFunc(e.opts.RetryInterval, e.poke)
+	defer e.timer.Stop()
 	for {
 		select {
 		case <-e.stop:
@@ -481,9 +499,12 @@ func (e *Engine) loop() {
 			}
 			msg.reply <- len(e.pool) + len(e.arrivalq)
 		case <-e.wake:
-			e.runIfDue(false)
-		case <-ticker.C:
-			e.runIfDue(true)
+			now := e.opts.Clock.Now()
+			tick := !now.Before(e.nextTick)
+			if tick {
+				e.nextTick = now.Add(e.opts.RetryInterval)
+			}
+			e.runIfDue(tick)
 		}
 	}
 }
@@ -497,8 +518,9 @@ func (e *Engine) loop() {
 // Such a run re-executes only what the arrivals can entangle with; force
 // (retry tick, Flush, Drain) runs the whole dormant pool, per §4: "include
 // in a run all transactions present in the dormant pool", so pending
-// transactions are retried and timeouts expire. With neither, the run holds
-// exactly the woken set.
+// transactions are retried. With neither, the run holds exactly the woken
+// set. Every pass also expires the pooled timeouts and re-arms the timer,
+// so the turn it pokes at a deadline settles that member.
 //
 // The pool is only touched from the scheduler goroutine.
 func (e *Engine) runIfDue(force bool) {
@@ -533,16 +555,21 @@ func (e *Engine) runIfDue(force bool) {
 		}
 		// Expire timeouts — §3.1: a transaction whose entangled query
 		// cannot succeed before the timeout expires cannot complete.
-		now := time.Now()
+		now := e.opts.Clock.Now()
+		var earliest time.Time
 		kept := e.pool[:0]
 		for _, ent := range e.pool {
-			if now.After(ent.deadline) {
+			if !now.Before(ent.deadline) {
 				e.settle(ent, e.met.timeouts, Outcome{Status: StatusTimedOut, Err: ErrTimeout, Attempts: ent.attempts})
-			} else {
-				kept = append(kept, ent)
+				continue
+			}
+			kept = append(kept, ent)
+			if earliest.IsZero() || ent.deadline.Before(earliest) {
+				earliest = ent.deadline
 			}
 		}
 		e.pool = kept
+		e.armTimer(now, earliest)
 		batch, rest := e.selectBatch(woken, trigger, force)
 		if trigger || force {
 			for _, ent := range batch {
@@ -558,15 +585,26 @@ func (e *Engine) runIfDue(force bool) {
 	}
 }
 
-// requeue returns an entry to the pool (or expires it).
-func (e *Engine) requeue(ent *pending) {
-	now := time.Now()
-	if now.After(ent.deadline) {
-		e.settle(ent, e.met.timeouts, Outcome{Status: StatusTimedOut, Err: ErrTimeout, Attempts: ent.attempts})
-		return
+// armTimer points the scheduler's timer at the earlier of the next tick and
+// earliest, the earliest pooled deadline (zero: none). Every ingest and
+// requeue is followed by an expiry pass before the scheduler waits, so the
+// pass alone keeps the timer in place.
+func (e *Engine) armTimer(now, earliest time.Time) {
+	at := e.nextTick
+	if !earliest.IsZero() && earliest.Before(at) {
+		at = earliest
 	}
+	if !at.Equal(e.armedAt) {
+		e.armedAt = at
+		e.timer.Reset(at.Sub(now))
+	}
+}
+
+// requeue returns an entry to the pool. An expired one is settled by the
+// expiry pass that follows every requeue in runIfDue.
+func (e *Engine) requeue(ent *pending) {
 	e.bump(e.met.requeues)
-	ent.enqueued = now // the next submit span measures this pool wait
+	ent.enqueued = time.Now() // the next submit span measures this pool wait
 	// Called from the scheduler goroutine only (finalize, requeueq ingest),
 	// so appending to the pool directly is safe.
 	e.pool = append(e.pool, ent)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/eq"
 	"repro/internal/obs"
 )
@@ -26,12 +27,10 @@ type Options struct {
 	// coordinator's WAL append (flushed). Required for commit decisions;
 	// nil logs nothing (tests).
 	Log func(group uint64, commit bool) error
-	// GroupTimeout bounds how long a formed group waits for all votes
-	// before the coordinator presumes abort. Default 3s.
-	GroupTimeout time.Duration
-	// SweepInterval is the janitor cadence (expired offers, overdue
-	// groups). Default 100ms.
-	SweepInterval time.Duration
+	// Clock runs the group timers and expires offers past their
+	// deadlines. Nil is clock.Wall; a server passes its engine's clock,
+	// whose deadlines the offers carry.
+	Clock clock.Clock
 	// Tracer, when set, assembles the group's one merged trace from the
 	// spans participants export with their votes.
 	Tracer *obs.Tracer
@@ -47,12 +46,16 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+// GroupTimeout bounds how long a formed group waits for all votes before
+// the coordinator presumes abort.
+const GroupTimeout = 3 * time.Second
+
 type groupState struct {
 	id      uint64
 	members []*Offer
 	answers map[string]Answer // by offer key
 	votes   map[string]*bool  // by offer key; nil = outstanding
-	formed  time.Time
+	timer   clock.Timer       // presumes abort at GroupTimeout; stopped on decision
 	decided bool
 }
 
@@ -64,26 +67,20 @@ type groupState struct {
 type Matchmaker struct {
 	mu        sync.Mutex
 	opts      Options
+	closed    bool
 	offers    map[string]*Offer
 	groups    map[uint64]*groupState
 	inflight  map[string]uint64 // offer key -> undecided group holding it
 	held      map[string]*Offer // offer key in flight -> its latest re-offer
 	decisions map[uint64]bool
-	stop      chan struct{}
-	done      chan struct{}
 
 	cOffers, cGroups, cCommits, cAborts *obs.Counter
 }
 
-// New builds and starts a matchmaker (janitor goroutine included); Close
-// stops it.
+// New builds a matchmaker. It starts no goroutine: a group's timer runs
+// on the clock, and Close stops the open groups' timers.
 func New(opts Options) *Matchmaker {
-	if opts.GroupTimeout <= 0 {
-		opts.GroupTimeout = 3 * time.Second
-	}
-	if opts.SweepInterval <= 0 {
-		opts.SweepInterval = 100 * time.Millisecond
-	}
+	opts.Clock = clock.Or(opts.Clock)
 	m := &Matchmaker{
 		opts:      opts,
 		offers:    make(map[string]*Offer),
@@ -91,8 +88,6 @@ func New(opts Options) *Matchmaker {
 		inflight:  make(map[string]uint64),
 		held:      make(map[string]*Offer),
 		decisions: make(map[uint64]bool),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 	for g, c := range opts.Decisions {
 		m.decisions[g] = c
@@ -103,15 +98,18 @@ func New(opts Options) *Matchmaker {
 		m.cCommits = reg.Counter("dist_group_commits")
 		m.cAborts = reg.Counter("dist_group_aborts")
 	}
-	go m.janitor()
 	return m
 }
 
-// Close stops the janitor. Pending groups are left undecided; restarted
-// participants resolve them through Status (presumed abort).
+// Close stops the group timers. Pending groups are left undecided;
+// restarted participants resolve them through Status (presumed abort).
 func (m *Matchmaker) Close() {
-	close(m.stop)
-	<-m.done
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.closed = true
+	for _, g := range m.groups {
+		g.timer.Stop()
+	}
 }
 
 func bump(c *obs.Counter) {
@@ -148,18 +146,23 @@ func (m *Matchmaker) AddOffer(o *Offer) {
 }
 
 // match runs one coordinating-set search over the pooled offers and forms
-// a group per answered component. Caller holds m.mu; returns the groups to
-// fan prepares out for.
+// a group per answered component. An offer whose deadline has passed is
+// dropped first: its member has timed out on its home shard. Caller holds
+// m.mu; returns the groups to fan prepares out for.
 func (m *Matchmaker) match() []*groupState {
-	if len(m.offers) < 2 {
+	now := m.opts.Clock.Now()
+	keys := make([]string, 0, len(m.offers))
+	for k, o := range m.offers {
+		if !o.Deadline.IsZero() && !now.Before(o.Deadline) {
+			delete(m.offers, k)
+		} else {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) < 2 {
 		return nil
 	}
-	// Deterministic order: sorted by key.
-	keys := make([]string, 0, len(m.offers))
-	for k := range m.offers {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	sort.Strings(keys) // deterministic order
 	pend := make([]eq.Pending, len(keys))
 	for i, k := range keys {
 		o := m.offers[k]
@@ -178,7 +181,6 @@ func (m *Matchmaker) match() []*groupState {
 			id:      obs.MintID(),
 			answers: make(map[string]Answer, len(comp)),
 			votes:   make(map[string]*bool, len(comp)),
-			formed:  time.Now(),
 		}
 		for _, i := range comp {
 			o := m.offers[keys[i]]
@@ -189,6 +191,7 @@ func (m *Matchmaker) match() []*groupState {
 			delete(m.offers, keys[i])
 			m.inflight[o.Key()] = g.id
 		}
+		g.timer = m.opts.Clock.AfterFunc(GroupTimeout, func() { m.expire(g) })
 		m.groups[g.id] = g
 		bump(m.cGroups)
 		formed = append(formed, g)
@@ -250,12 +253,24 @@ func (m *Matchmaker) HandleVote(v Vote) {
 	m.mu.Unlock()
 }
 
+// expire is a group timer's callback: a group still collecting votes at
+// GroupTimeout is presumed aborted. After Close it leaves the group
+// undecided.
+func (m *Matchmaker) expire(g *groupState) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.closed {
+		m.decideLocked(g, false)
+	}
+}
+
 // decideLocked logs and fans out the verdict. Caller holds m.mu.
 func (m *Matchmaker) decideLocked(g *groupState, commit bool) {
 	if g.decided {
 		return
 	}
 	g.decided = true
+	g.timer.Stop()
 	delete(m.groups, g.id)
 	for _, o := range g.members {
 		delete(m.inflight, o.Key())
@@ -349,34 +364,4 @@ func (m *Matchmaker) Decision(group uint64) Status {
 		return Status{Group: group, Pending: true}
 	}
 	return Status{Group: group, Known: false}
-}
-
-// janitor expires stale offers and presumes abort for overdue groups.
-func (m *Matchmaker) janitor() {
-	defer close(m.done)
-	t := time.NewTicker(m.opts.SweepInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case now := <-t.C:
-			m.mu.Lock()
-			for k, o := range m.offers {
-				if !o.Deadline.IsZero() && now.After(o.Deadline) {
-					delete(m.offers, k)
-				}
-			}
-			var overdue []*groupState
-			for _, g := range m.groups {
-				if now.Sub(g.formed) > m.opts.GroupTimeout {
-					overdue = append(overdue, g)
-				}
-			}
-			for _, g := range overdue {
-				m.decideLocked(g, false)
-			}
-			m.mu.Unlock()
-		}
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/eq"
 	"repro/internal/types"
 )
@@ -87,8 +88,9 @@ func (s *stubSender) await(t *testing.T, kind string, n int) []event {
 	}
 }
 
-// quiet asserts that no further event of kind arrives for a few janitor
-// sweeps beyond the n already seen.
+// quiet asserts that no further event of kind arrives within 60ms beyond
+// the n already seen: prepares and decides fan out on goroutines of their
+// own.
 func (s *stubSender) quiet(t *testing.T, kind string, n int) {
 	t.Helper()
 	time.Sleep(60 * time.Millisecond)
@@ -98,6 +100,10 @@ func (s *stubSender) quiet(t *testing.T, kind string, n int) {
 }
 
 var slots = eq.MapReader{"Slots": {{types.Int(1)}, {types.Int(2)}}}
+
+// epoch is where every test matchmaker's fake clock starts; offers expire a
+// minute after it unless a test says otherwise.
+var epoch = time.Date(2011, 5, 3, 0, 0, 0, 0, time.UTC)
 
 // pairOffer builds the offer of a user who wants the same slot as partner:
 // head R(user, s), post R(partner, s), grounded over the two-slot table.
@@ -130,19 +136,22 @@ func groundedOffer(t *testing.T, node string, id uint64, q *eq.Query) *Offer {
 		t.Fatal(err)
 	}
 	return &Offer{Node: node, ID: id, Query: q, Grounds: gs, Tables: []string{"Slots"}, CSN: 7,
-		Deadline: time.Now().Add(time.Minute)}
+		Deadline: epoch.Add(time.Minute)}
 }
 
-func newTestMatchmaker(t *testing.T, s *stubSender, groupTimeout time.Duration) *Matchmaker {
+// newTestMatchmaker builds a matchmaker on a fake clock that reads epoch;
+// time moves only when the test advances the returned clock.
+func newTestMatchmaker(t *testing.T, s *stubSender) (*Matchmaker, *clock.Fake) {
 	t.Helper()
-	m := New(Options{Send: s, Log: s.log, GroupTimeout: groupTimeout, SweepInterval: 5 * time.Millisecond})
+	clk := clock.NewFake(epoch)
+	m := New(Options{Send: s, Log: s.log, Clock: clk})
 	t.Cleanup(m.Close)
-	return m
+	return m, clk
 }
 
 func TestTwoUnifyingOffersFormOneGroup(t *testing.T) {
 	s := newStubSender()
-	m := newTestMatchmaker(t, s, time.Minute)
+	m, _ := newTestMatchmaker(t, s)
 	m.AddOffer(pairOffer(t, "n0", 1, "A", "B"))
 	s.quiet(t, "prepare", 0) // a postcondition nobody produces yet
 	m.AddOffer(pairOffer(t, "n1", 2, "B", "A"))
@@ -177,7 +186,7 @@ func TestTwoUnifyingOffersFormOneGroup(t *testing.T) {
 
 func TestLoneAnsweredOfferFormsNoGroup(t *testing.T) {
 	s := newStubSender()
-	m := newTestMatchmaker(t, s, time.Minute)
+	m, _ := newTestMatchmaker(t, s)
 	// Each offer is answered by the solver on its own (no postcondition),
 	// and a waiting pair member stays unanswered: nothing needs cross-shard
 	// coordination.
@@ -190,7 +199,7 @@ func TestLoneAnsweredOfferFormsNoGroup(t *testing.T) {
 
 func TestNoVoteAbortsEveryMemberAfterLogging(t *testing.T) {
 	s := newStubSender()
-	m := newTestMatchmaker(t, s, time.Minute)
+	m, _ := newTestMatchmaker(t, s)
 	m.AddOffer(pairOffer(t, "n0", 1, "A", "B"))
 	m.AddOffer(pairOffer(t, "n1", 2, "B", "A"))
 	group := s.await(t, "prepare", 2)[0].prepare.Group
@@ -233,7 +242,7 @@ func TestNoVoteAbortsEveryMemberAfterLogging(t *testing.T) {
 
 func TestUnanimousYesCommitsAfterLogging(t *testing.T) {
 	s := newStubSender()
-	m := newTestMatchmaker(t, s, time.Minute)
+	m, _ := newTestMatchmaker(t, s)
 	m.AddOffer(pairOffer(t, "n0", 1, "A", "B"))
 	m.AddOffer(pairOffer(t, "n1", 2, "B", "A"))
 	group := s.await(t, "prepare", 2)[0].prepare.Group
@@ -258,7 +267,7 @@ func TestUnanimousYesCommitsAfterLogging(t *testing.T) {
 func TestFailedPrepareSendIsANoVote(t *testing.T) {
 	s := newStubSender()
 	s.prepareErr = map[string]error{"n1": errors.New("unreachable")}
-	m := newTestMatchmaker(t, s, time.Minute)
+	m, _ := newTestMatchmaker(t, s)
 	m.AddOffer(pairOffer(t, "n0", 1, "A", "B"))
 	m.AddOffer(pairOffer(t, "n1", 2, "B", "A"))
 	for _, ev := range s.await(t, "decide", 2) {
@@ -274,7 +283,7 @@ func TestFailedPrepareSendIsANoVote(t *testing.T) {
 // the abort pools it without the member offering again.
 func TestInflightOfferIsNotRepooled(t *testing.T) {
 	s := newStubSender()
-	m := newTestMatchmaker(t, s, time.Minute)
+	m, _ := newTestMatchmaker(t, s)
 	group := reofferDuringGroup(t, s, m)
 
 	m.HandleVote(Vote{Group: group, Offer: 2, Node: "n1", Yes: false})
@@ -293,7 +302,7 @@ func TestInflightOfferIsNotRepooled(t *testing.T) {
 // second B must not be matched with it.
 func TestCommitDiscardsHeldOffer(t *testing.T) {
 	s := newStubSender()
-	m := newTestMatchmaker(t, s, time.Minute)
+	m, _ := newTestMatchmaker(t, s)
 	group := reofferDuringGroup(t, s, m)
 
 	m.HandleVote(Vote{Group: group, Offer: 1, Node: "n0", Yes: true})
@@ -318,8 +327,8 @@ func reofferDuringGroup(t *testing.T, s *stubSender, m *Matchmaker) uint64 {
 
 func TestDecisionIsThreeState(t *testing.T) {
 	s := newStubSender()
-	m := New(Options{Send: s, GroupTimeout: 200 * time.Millisecond, SweepInterval: 5 * time.Millisecond,
-		Decisions: map[uint64]bool{41: true, 42: false}})
+	clk := clock.NewFake(epoch)
+	m := New(Options{Send: s, Clock: clk, Decisions: map[uint64]bool{41: true, 42: false}})
 	t.Cleanup(m.Close)
 
 	// Known: recovered from the coordinator log.
@@ -341,6 +350,7 @@ func TestDecisionIsThreeState(t *testing.T) {
 	if st := m.Decision(group); st.Known || !st.Pending {
 		t.Errorf("open group = %+v, want pending", st)
 	}
+	clk.Advance(GroupTimeout)
 	for _, ev := range s.await(t, "decide", 2) {
 		if ev.decide.Commit {
 			t.Errorf("overdue group decided %+v, want abort", ev.decide)
@@ -348,6 +358,102 @@ func TestDecisionIsThreeState(t *testing.T) {
 	}
 	if st := m.Decision(group); !st.Known || st.Commit || st.Pending {
 		t.Errorf("overdue group = %+v, want known abort", st)
+	}
+}
+
+// TestThreeCycleGroupCommitsOrTimesOut is a cross-shard group larger than a
+// pair: a 3-cycle of offers from three nodes (A wants B's slot, B wants C's,
+// C wants A's) forms one group with one prepare per node. It commits only
+// on the third yes vote. With one vote withheld it is still undecided 1ns
+// before the group timeout on the clock, and every member is aborted
+// exactly at it.
+func TestThreeCycleGroupCommitsOrTimesOut(t *testing.T) {
+	cycle := func(t *testing.T) (*stubSender, *Matchmaker, *clock.Fake, []event) {
+		s := newStubSender()
+		m, clk := newTestMatchmaker(t, s)
+		m.AddOffer(pairOffer(t, "n0", 1, "A", "B"))
+		m.AddOffer(pairOffer(t, "n1", 2, "B", "C"))
+		s.quiet(t, "prepare", 0) // the cycle closes only with its last member
+		m.AddOffer(pairOffer(t, "n2", 3, "C", "A"))
+		prepares := s.await(t, "prepare", 3)
+		s.quiet(t, "prepare", 3)
+		nodes := make(map[string]bool)
+		for _, ev := range prepares {
+			nodes[ev.node] = true
+			if p := ev.prepare; p.Group == 0 || p.Group != prepares[0].prepare.Group ||
+				!p.Ans.Bindings["s"].Equal(prepares[0].prepare.Ans.Bindings["s"]) {
+				t.Fatalf("prepares = %+v, want one group answering one slot", prepares)
+			}
+		}
+		if len(nodes) != 3 {
+			t.Fatalf("prepares reached %v, want one per node", nodes)
+		}
+		return s, m, clk, prepares
+	}
+	yes := func(m *Matchmaker, ev event) {
+		m.HandleVote(Vote{Group: ev.prepare.Group, Offer: ev.prepare.Offer, Node: ev.node, Yes: true})
+	}
+	decided := func(t *testing.T, s *stubSender, commit bool) {
+		t.Helper()
+		nodes := make(map[string]bool)
+		for _, ev := range s.await(t, "decide", 3) {
+			nodes[ev.node] = true
+			if ev.decide.Commit != commit {
+				t.Errorf("decide = %+v, want commit=%v", ev.decide, commit)
+			}
+		}
+		if len(nodes) != 3 {
+			t.Errorf("decides reached %v, want all three nodes", nodes)
+		}
+	}
+
+	t.Run("commit", func(t *testing.T) {
+		s, m, _, prepares := cycle(t)
+		yes(m, prepares[0])
+		yes(m, prepares[1])
+		s.quiet(t, "decide", 0)
+		yes(m, prepares[2])
+		decided(t, s, true)
+	})
+	t.Run("timeout", func(t *testing.T) {
+		s, m, clk, prepares := cycle(t)
+		group := prepares[0].prepare.Group
+		yes(m, prepares[0])
+		yes(m, prepares[1])
+		clk.Advance(GroupTimeout - time.Nanosecond)
+		if st := m.Decision(group); !st.Pending {
+			t.Fatalf("group = %+v 1ns before the timeout, want pending", st)
+		}
+		s.quiet(t, "decide", 0)
+		clk.Advance(time.Nanosecond)
+		if st := m.Decision(group); !st.Known || st.Commit {
+			t.Fatalf("group = %+v at the timeout, want known abort", st)
+		}
+		decided(t, s, false)
+	})
+}
+
+// TestExpiredOfferNeverJoinsAGroup: an offer whose deadline has passed on
+// the clock is dropped before matching — its member has timed out at home
+// — so the partner that arrives next pairs with nobody, while a fresh offer
+// from the same node still matches.
+func TestExpiredOfferNeverJoinsAGroup(t *testing.T) {
+	s := newStubSender()
+	m, clk := newTestMatchmaker(t, s)
+	stale := pairOffer(t, "n0", 1, "A", "B")
+	stale.Deadline = epoch.Add(time.Second)
+	m.AddOffer(stale)
+	clk.Advance(time.Second)
+	m.AddOffer(pairOffer(t, "n1", 2, "B", "A"))
+	s.quiet(t, "prepare", 0)
+
+	m.AddOffer(pairOffer(t, "n0", 3, "A", "B"))
+	got := make(map[uint64]bool)
+	for _, ev := range s.await(t, "prepare", 2) {
+		got[ev.prepare.Offer] = true
+	}
+	if !got[2] || !got[3] {
+		t.Errorf("prepared offers %v, want the live offers 2 and 3", got)
 	}
 }
 
@@ -372,7 +478,7 @@ func flightOffer(t *testing.T, node string, id uint64, user, partner string) *Of
 		t.Fatalf("ground: %d groundings, %v", len(gs), err)
 	}
 	return &Offer{Node: node, ID: id, Query: q, Grounds: gs, Tables: []string{"Flights"}, CSN: 7,
-		Deadline: time.Now().Add(time.Minute)}
+		Deadline: epoch.Add(time.Minute)}
 }
 
 // TestOfferWireShapeKeepsBindings: groundings cross between peers as JSON
@@ -383,7 +489,7 @@ func flightOffer(t *testing.T, node string, id uint64, user, partner string) *Of
 func TestOfferWireShapeKeepsBindings(t *testing.T) {
 	answers := func(wire bool) map[string]Answer {
 		s := newStubSender()
-		m := newTestMatchmaker(t, s, time.Minute)
+		m, _ := newTestMatchmaker(t, s)
 		for i, o := range []*Offer{flightOffer(t, "n0", 1, "Mickey", "Minnie"), flightOffer(t, "n1", 2, "Minnie", "Mickey")} {
 			if wire {
 				b, err := json.Marshal(o)

@@ -323,7 +323,14 @@ func TestChaosStaleSessionTypedError(t *testing.T) {
 	}
 
 	reg.Enable("server.conn.read", fault.Trigger{OneShot: true}, fault.Action{Kind: fault.KindReset})
-	c.Ping() // trigger the reset; the retryable ping rides the reconnect
+	// Trigger the reset; the retryable pings ride the reconnect. The
+	// server's read loop is already parked in a read when the failpoint is
+	// armed, so the reset fires on the read after it: ping until the client
+	// has reconnected, or the stale exec can go out on the dying connection
+	// and fail untyped.
+	for pings := 0; c.Reconnects() < 1 && pings < 100; pings++ {
+		c.Ping()
+	}
 
 	_, err = ses.Exec("SELECT fno FROM Flights")
 	if err == nil {

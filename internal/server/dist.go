@@ -33,20 +33,11 @@ import (
 // arrive at the wrong server are forwarded to their routing key's home
 // shard over the same connections — any node can serve any client.
 
-// ShardOptions tunes the sharded deployment member; zero values select
-// the protocol defaults.
-type ShardOptions struct {
-	// GroupTimeout bounds how long a formed cross-shard group waits for
-	// all votes before the coordinator presumes abort (shard 0 only;
-	// default 3s).
-	GroupTimeout time.Duration
-	// SweepInterval is the matchmaker janitor cadence (shard 0 only).
-	SweepInterval time.Duration
-	// StatusGrace / StatusTick tune the participant's in-doubt status
-	// polling (defaults 1s / 300ms).
-	StatusGrace time.Duration
-	StatusTick  time.Duration
-}
+// ShardOptions has no fields: the protocol's timers are constants on the
+// engine's clock (entangle.Options.Clock), which the hosted matchmaker
+// shares. The type and EnableSharding's parameter remain for existing
+// callers that pass ShardOptions{}.
+type ShardOptions struct{}
 
 // distState is one server's view of the sharded deployment. It implements
 // both halves of the cross-shard transport: core.DistTransport for its own
@@ -82,7 +73,7 @@ type peerConn struct {
 // shard shardID of the given placement map (Nodes[i] serves shard i).
 // Call after NewWithOptions and before Serve — the engine's commit path
 // swap is not synchronized against running traffic.
-func (s *Server) EnableSharding(m *shard.Map, shardID int, opts ShardOptions) error {
+func (s *Server) EnableSharding(m *shard.Map, shardID int, _ ShardOptions) error {
 	if m == nil || m.Shards < 1 || len(m.Nodes) != m.Shards {
 		return errors.New("server: placement map must name one node per shard")
 	}
@@ -106,24 +97,17 @@ func (s *Server) EnableSharding(m *shard.Map, shardID int, opts ShardOptions) er
 	}
 	if shardID == 0 {
 		ds.mm = dist.New(dist.Options{
-			Send:          ds,
-			Log:           s.db.LogDecision,
-			GroupTimeout:  opts.GroupTimeout,
-			SweepInterval: opts.SweepInterval,
-			Tracer:        s.db.Tracer(),
-			Self:          ds.self,
-			Decisions:     s.db.RecoveredDecisions(),
-			Metrics:       s.db.Metrics(),
+			Send:      ds,
+			Log:       s.db.LogDecision,
+			Clock:     s.db.Engine().Clock(),
+			Tracer:    s.db.Tracer(),
+			Self:      ds.self,
+			Decisions: s.db.RecoveredDecisions(),
+			Metrics:   s.db.Metrics(),
 		})
 	}
 	s.dist = ds
-	s.db.EnableDist(entangle.DistConfig{
-		Shard:       shardID,
-		Node:        ds.self,
-		Transport:   ds,
-		StatusGrace: opts.StatusGrace,
-		StatusTick:  opts.StatusTick,
-	})
+	s.db.EnableDist(entangle.DistConfig{Shard: shardID, Node: ds.self, Transport: ds})
 	return nil
 }
 
@@ -155,8 +139,8 @@ func (s *Server) CloseSharding() {
 // all — presumed abort) discards them. Every pass asks about every
 // remaining group, so one undecided group cannot starve the others; pending
 // groups and an unreachable coordinator are retried until the budget
-// expires, then the unresolved groups stay in-doubt (their effects stay
-// withheld) and the error names each of them.
+// expires on the engine's clock, then the unresolved groups stay in-doubt
+// (their effects stay withheld) and the error names each of them.
 func (s *Server) ResolveInDoubtGroups(budget time.Duration) error {
 	ds := s.dist
 	if ds == nil {
@@ -169,7 +153,8 @@ func (s *Server) ResolveInDoubtGroups(budget time.Duration) error {
 		}
 	}
 	slices.Sort(groups)
-	deadline := time.Now().Add(budget)
+	clk := s.db.Engine().Clock()
+	deadline := clk.Now().Add(budget)
 	for {
 		var left []uint64
 		for _, g := range groups {
@@ -187,11 +172,13 @@ func (s *Server) ResolveInDoubtGroups(budget time.Duration) error {
 		if len(left) == 0 {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if clk.Now().After(deadline) {
 			return fmt.Errorf("server: in-doubt groups %v unresolved: coordinator unreachable or undecided", left)
 		}
 		groups = left
-		time.Sleep(100 * time.Millisecond)
+		retry := make(chan struct{})
+		clk.AfterFunc(100*time.Millisecond, func() { close(retry) })
+		<-retry
 	}
 }
 

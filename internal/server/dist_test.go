@@ -16,6 +16,7 @@ import (
 
 	"repro/entangle"
 	"repro/entangle/client"
+	"repro/internal/clock"
 	"repro/internal/dist"
 	"repro/internal/eq"
 	"repro/internal/fault"
@@ -29,18 +30,20 @@ import (
 // shardedPair is a two-shard deployment over loopback TCP: two servers,
 // two engines with disjoint storage, shard 0 hosting the matchmaker. The
 // placement map pins the test users explicitly so every test controls
-// which shard is home.
+// which shard is home. Both engines, and so the matchmaker, share one fake
+// clock: deadlines, group timers, status polls and retry ticks move only
+// when a test advances it.
 type shardedPair struct {
 	addrs [2]string
 	dbs   [2]*entangle.DB
 	srvs  [2]*Server
 	place *shard.Map
+	clock *clock.Fake
 }
 
-func startShardedPair(t *testing.T, groupTimeout time.Duration,
-	dbOpts func(i int) entangle.Options, srvOpts func(i int) Options) *shardedPair {
+func startShardedPair(t *testing.T, dbOpts func(i int) entangle.Options, srvOpts func(i int) Options) *shardedPair {
 	t.Helper()
-	sp := &shardedPair{}
+	sp := &shardedPair{clock: clock.NewFake(time.Now())}
 	var lns [2]net.Listener
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -60,32 +63,32 @@ func startShardedPair(t *testing.T, groupTimeout time.Duration,
 		if dbOpts != nil {
 			opts = dbOpts(i)
 		}
+		opts.Clock = sp.clock
 		var so Options
 		if srvOpts != nil {
 			so = srvOpts(i)
 		}
-		sp.dbs[i], sp.srvs[i] = startShardMember(t, lns[i], sp.place, i, groupTimeout, opts, so)
+		sp.dbs[i], sp.srvs[i] = startShardMember(t, lns[i], sp.place, i, opts, so)
 	}
 	return sp
 }
 
 // startShardMember opens one engine and serves it on ln as shard i of the
 // placement; cleanup shuts the server down, then the engine, then the
-// peer connections.
-func startShardMember(t *testing.T, ln net.Listener, place *shard.Map, i int, groupTimeout time.Duration,
+// peer connections. A nil opts.Clock gets a fake clock of its own that
+// nothing advances: no timer fires unless the test drives one.
+func startShardMember(t *testing.T, ln net.Listener, place *shard.Map, i int,
 	opts entangle.Options, so Options) (*entangle.DB, *Server) {
 	t.Helper()
+	if opts.Clock == nil {
+		opts.Clock = clock.NewFake(time.Now())
+	}
 	db, err := entangle.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := NewWithOptions(db, so)
-	if err := srv.EnableSharding(place, i, ShardOptions{
-		GroupTimeout:  groupTimeout,
-		SweepInterval: 20 * time.Millisecond,
-		StatusGrace:   200 * time.Millisecond,
-		StatusTick:    50 * time.Millisecond,
-	}); err != nil {
+	if err := srv.EnableSharding(place, i, ShardOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
@@ -123,6 +126,16 @@ func (sp *shardedPair) seed(t *testing.T, p *client.Pool) {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 func bookingsOn(t *testing.T, c *client.Client, name string) []string {
 	t.Helper()
 	res, err := c.Query(fmt.Sprintf("SELECT fno FROM Bookings WHERE name='%s'", name))
@@ -141,7 +154,7 @@ func bookingsOn(t *testing.T, c *client.Client, name string) []string {
 // answered atomically — both commit the same flight, each on its own
 // shard, through the two-phase cross-shard group commit.
 func TestShardedPairCommitsAcrossServers(t *testing.T) {
-	sp := startShardedPair(t, 3*time.Second, nil, nil)
+	sp := startShardedPair(t, nil, nil)
 	pool, err := client.DialShardedPool(sp.addrs[0], client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +205,7 @@ func TestShardedPairCommitsAcrossServers(t *testing.T) {
 // only; Minnie's submission must be forwarded to its home shard and still
 // coordinate with Mickey's. Any node serves any client.
 func TestSubmitForwardsToHomeShard(t *testing.T) {
-	sp := startShardedPair(t, 3*time.Second, nil, nil)
+	sp := startShardedPair(t, nil, nil)
 	pool, err := client.DialShardedPool(sp.addrs[0], client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -225,13 +238,13 @@ func TestSubmitForwardsToHomeShard(t *testing.T) {
 }
 
 // TestShardedVoteLossAllOrNothing injects a dropped yes-vote on shard 1:
-// the first cross-shard group must abort as a unit (nobody commits on an
-// incomplete tally), then both members retry into a clean commit.
+// the first cross-shard group must abort as a unit at the group timeout
+// (nobody commits on an incomplete tally), then both members retry into a
+// clean commit.
 func TestShardedVoteLossAllOrNothing(t *testing.T) {
 	regs := [2]*fault.Registry{fault.NewRegistry(1), fault.NewRegistry(2)}
 	regs[1].Enable("dist.vote", fault.Trigger{EveryNth: 1, OneShot: true}, fault.Action{Kind: fault.KindDrop})
-	sp := startShardedPair(t, 300*time.Millisecond, nil,
-		func(i int) Options { return Options{Faults: regs[i]} })
+	sp := startShardedPair(t, nil, func(i int) Options { return Options{Faults: regs[i]} })
 	pool, err := client.DialShardedPool(sp.addrs[0], client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +260,12 @@ func TestShardedVoteLossAllOrNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both members parked and shard 1's vote was lost; the group timer then
+	// presumes abort.
+	waitFor(t, "the lost vote", func() bool {
+		return regs[1].Fired() == 1 && sp.dbs[0].Engine().Parked() == 1 && sp.dbs[1].Engine().Parked() == 1
+	})
+	sp.clock.Advance(dist.GroupTimeout)
 	if o := h1.Wait(); o.Status != entangle.StatusCommitted {
 		t.Fatalf("Mickey: %+v", o)
 	}
@@ -276,8 +295,7 @@ func TestShardedVoteLossAllOrNothing(t *testing.T) {
 func TestShardedPrepareLossAborts(t *testing.T) {
 	regs := [2]*fault.Registry{fault.NewRegistry(3), fault.NewRegistry(4)}
 	regs[0].Enable("dist.prepare", fault.Trigger{EveryNth: 1, OneShot: true}, fault.Action{Kind: fault.KindError})
-	sp := startShardedPair(t, 2*time.Second, nil,
-		func(i int) Options { return Options{Faults: regs[i]} })
+	sp := startShardedPair(t, nil, func(i int) Options { return Options{Faults: regs[i]} })
 	pool, err := client.DialShardedPool(sp.addrs[0], client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -293,6 +311,19 @@ func TestShardedPrepareLossAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The member whose prepare was lost is not woken by the abort: the retry
+	// tick re-offers it. Its partner either took the abort decision or
+	// parked after it arrived and must ask for it after the status grace.
+	// Advance the clock by that grace (1s) once the group aborted and the
+	// partner did one or the other.
+	waitFor(t, "the aborted group", func() bool {
+		var n int64
+		for _, db := range sp.dbs {
+			n += int64(db.Engine().Parked()) + db.Engine().Stats().WidowsAverted
+		}
+		return sp.dbs[0].Metrics().Snapshot().Counters["dist_group_aborts"] == 1 && n == 1
+	})
+	sp.clock.Advance(time.Second)
 	if o := h1.Wait(); o.Status != entangle.StatusCommitted {
 		t.Fatalf("Mickey: %+v", o)
 	}
@@ -315,7 +346,7 @@ func TestTwoProcessTraceMergesIntoOneTrace(t *testing.T) {
 		obs.NewTracer(obs.TracerOptions{Shard: 0}),
 		obs.NewTracer(obs.TracerOptions{Shard: 1}),
 	}
-	sp := startShardedPair(t, 3*time.Second, func(i int) entangle.Options {
+	sp := startShardedPair(t, func(i int) entangle.Options {
 		return entangle.Options{
 			RetryInterval: 10 * time.Millisecond,
 			Tracer:        tracers[i],
@@ -551,8 +582,7 @@ func TestEveryEnvelopeKindLoopbackAndTCP(t *testing.T) {
 		t.Run(rt.name+"/coordinator", func(t *testing.T) {
 			fake, ln, reg := startFakeNode(t), listen(t), counted("dist.prepare")
 			place := shard.New([]string{ln.Addr().String(), fake.addr})
-			db, srv := startShardMember(t, ln, place, 0, 30*time.Second,
-				entangle.Options{}, Options{Faults: reg})
+			db, srv := startShardMember(t, ln, place, 0, entangle.Options{}, Options{Faults: reg})
 			counter := func(name string) int64 { return db.Metrics().Snapshot().Counters[name] }
 
 			// An empty message is refused, by either route.
@@ -606,7 +636,7 @@ func TestEveryEnvelopeKindLoopbackAndTCP(t *testing.T) {
 			fake, ln, reg := startFakeNode(t), listen(t), counted("dist.vote")
 			place := shard.New([]string{fake.addr, ln.Addr().String()})
 			place.Overrides = map[string]int{"Minnie": 1}
-			db, srv := startShardMember(t, ln, place, 1, 30*time.Second,
+			db, srv := startShardMember(t, ln, place, 1,
 				entangle.Options{RetryInterval: 10 * time.Millisecond}, Options{Faults: reg})
 			c := dialTest(t, srv.dist.self)
 			setupFlights(t, c)
@@ -716,12 +746,26 @@ func TestResolveInDoubtAsksEveryGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	place := shard.New([]string{coord.addr, ln.Addr().String()})
-	part, srv := startShardMember(t, ln, place, 1, 30*time.Second, entangle.Options{Path: restart}, Options{})
+	clk := clock.NewFake(time.Now())
+	part, srv := startShardMember(t, ln, place, 1, entangle.Options{Path: restart, Clock: clk}, Options{})
 	if n := len(part.InDoubt()); n != 2 {
 		t.Fatalf("in-doubt transactions after restart = %d, want 2", n)
 	}
 
-	err = srv.ResolveInDoubtGroups(300 * time.Millisecond)
+	// The budget and the waits between passes run on the engine's clock:
+	// advance it until the resolver gives up on A.
+	resolved := make(chan error, 1)
+	go func() { resolved <- srv.ResolveInDoubtGroups(300 * time.Millisecond) }()
+	for err = nil; err == nil; {
+		select {
+		case err = <-resolved:
+			if err == nil {
+				t.Fatal("resolved every group, want group A left in doubt")
+			}
+		case <-time.After(time.Millisecond):
+			clk.Advance(100 * time.Millisecond)
+		}
+	}
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(groupA)) || strings.Contains(err.Error(), fmt.Sprint(groupB)) {
 		t.Fatalf("err = %v, want one naming group %d only", err, groupA)
 	}
@@ -769,7 +813,7 @@ func TestUnreachablePeerDoesNotStallHealthyPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	place := shard.New([]string{ln.Addr().String(), hole.Addr().String(), live.addr})
-	_, srv := startShardMember(t, ln, place, 0, time.Second, entangle.Options{}, Options{})
+	_, srv := startShardMember(t, ln, place, 0, entangle.Options{}, Options{})
 
 	stuck := make(chan error, 2)
 	for i := 0; i < 2; i++ {

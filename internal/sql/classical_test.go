@@ -355,12 +355,6 @@ type fetchCounter struct {
 	rows int
 }
 
-func (c *fetchCounter) Scan(table string) ([]types.Tuple, error) {
-	rows, err := c.DataTx.Scan(table)
-	c.rows += len(rows)
-	return rows, err
-}
-
 func (c *fetchCounter) ScanIDs(table string) ([]storage.RowID, []types.Tuple, error) {
 	ids, rows, err := c.DataTx.ScanIDs(table)
 	c.rows += len(rows)

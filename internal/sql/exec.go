@@ -14,10 +14,8 @@ import (
 // satisfies it, so compiled programs run under the entangled transaction
 // engine; txn.Txn satisfies the read/write subset for classical use. A
 // classical statement reads through ScanIDs and LookupIDs only (see
-// txReader), and owns the slices they return; the executor never calls
-// Scan, which the package's read-counting test wrappers still forward.
+// txReader), and owns the slices they return.
 type DataTx interface {
-	Scan(table string) ([]types.Tuple, error)
 	ScanIDs(table string) ([]storage.RowID, []types.Tuple, error)
 	LookupIDs(table string, columns []string, key types.Tuple) ([]storage.RowID, []types.Tuple, error)
 	Insert(table string, row types.Tuple) (storage.RowID, error)

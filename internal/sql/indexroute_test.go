@@ -15,11 +15,6 @@ type countingTx struct {
 	lookups int
 }
 
-func (c *countingTx) Scan(table string) ([]types.Tuple, error) {
-	c.scans++
-	return c.DataTx.Scan(table)
-}
-
 func (c *countingTx) ScanIDs(table string) ([]storage.RowID, []types.Tuple, error) {
 	c.scans++
 	return c.DataTx.ScanIDs(table)
