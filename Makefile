@@ -26,12 +26,16 @@ race:
 # Vet plus the formatting gate: any file gofmt would change fails it. The
 # clock gate: core, dist and server decide every timeout on the injected
 # clock (internal/clock), so a wall-clock timer in their non-test files
-# fails it.
+# fails it. The writer gate: internal/txn is the one module that writes a
+# transaction's log records, so a transaction record built in a non-test
+# file of core, dist, server, entangle or cmd fails it.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'time\.(NewTimer|NewTicker|AfterFunc|After|Tick)\(' internal/core internal/dist internal/server); \
 		if [ -n "$$out" ]; then echo "wall-clock timer outside internal/clock (use the injected clock):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'wal\.(Begin|Insert|Update|Delete|Commit|Abort|GroupCommit|Entangle|Prepare)\(' internal/core internal/dist internal/server entangle cmd); \
+		if [ -n "$$out" ]; then echo "transaction log record written outside internal/txn:"; echo "$$out"; exit 1; fi
 
 # Static analysis gate. CI installs staticcheck; locally the target skips
 # with a notice when the binary is absent so `make ci` stays runnable in

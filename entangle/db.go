@@ -214,22 +214,30 @@ func (db *DB) ExecTraced(script string, trace uint64) (*Result, error) {
 		case *sql.EntangledSelectStmt:
 			return nil, fmt.Errorf("entangle: entangled queries require SubmitScript")
 		}
-		stmt := st
-		var res *Result
-		o := db.engine.RunDirect(core.Program{Trace: trace, Body: func(tx *core.Tx) error {
-			var err error
-			res, err = session.Exec(tx, db.cat, stmt)
-			return err
-		}})
-		if o.Status != core.StatusCommitted {
-			if o.Err != nil {
-				return nil, o.Err
-			}
-			return nil, fmt.Errorf("entangle: statement %v", o.Status)
+		if last, err = db.execStmt(session, st, trace); err != nil {
+			return nil, err
 		}
-		last = res
 	}
 	return last, nil
+}
+
+// execStmt runs one classical statement as its own direct transaction, the
+// one path of every statement outside a BEGIN block: a deadlock victim is
+// retried, and the statement counts in Stats().Commits and exec_latency.
+func (db *DB) execStmt(session *sql.Session, st sql.Stmt, trace uint64) (*Result, error) {
+	var res *Result
+	o := db.engine.RunDirect(core.Program{Trace: trace, Body: func(tx *core.Tx) error {
+		var err error
+		res, err = session.Exec(tx, db.cat, st)
+		return err
+	}})
+	if o.Status != core.StatusCommitted {
+		if o.Err != nil {
+			return nil, o.Err
+		}
+		return nil, fmt.Errorf("entangle: statement %v", o.Status)
+	}
+	return res, nil
 }
 
 // Query runs a single SELECT and returns its rows.

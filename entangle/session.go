@@ -85,8 +85,8 @@ func (s *InteractiveSession) execOne(st sql.Stmt) (*Result, error) {
 		}
 		// An open interactive block is one unit of work against the
 		// checkpoint quiescence gate: a checkpoint waits for COMMIT or
-		// ROLLBACK, so it can never tear this transaction's log records
-		// away from its commit record.
+		// ROLLBACK, so this transaction's commit never lands in the middle
+		// of a checkpoint's snapshot.
 		s.db.txm.Enter()
 		tx, err := s.db.engine.BeginClassical()
 		if err != nil {
@@ -130,22 +130,7 @@ func (s *InteractiveSession) execOne(st sql.Stmt) (*Result, error) {
 			}
 			return res, nil
 		}
-		// Autocommit statement: one self-contained unit of work.
-		s.db.txm.Enter()
-		defer s.db.txm.Exit()
-		tx, err := s.db.engine.BeginClassical()
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.session.Exec(classicalTx{tx}, s.db.cat, stmt)
-		if err != nil {
-			tx.Abort()
-			return nil, err
-		}
-		if err := tx.Commit(); err != nil {
-			return nil, err
-		}
-		return res, nil
+		return s.db.execStmt(s.session, stmt, 0)
 	}
 }
 

@@ -110,8 +110,8 @@ func (e *Engine) runDirectOnce(p Program, ent *pending) (Outcome, bool) {
 	}
 }
 
-// Begin/Commit helpers for code that wants a bare classical transaction
-// without the Program wrapper (the SQL shell uses this).
+// BeginClassical starts a bare classical transaction without the Program
+// wrapper, for an interactive session's BEGIN block.
 func (e *Engine) BeginClassical() (*txn.Txn, error) {
 	return e.txm.Begin(e.policy.level)
 }

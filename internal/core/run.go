@@ -372,10 +372,10 @@ func (rd *round) groundAndSolve() {
 }
 
 // validate turns one answered component into an entanglement operation:
-// the members' lifecycle traces merge, the operation is logged, mutual
-// partnership is recorded for group commit, and at the locking levels the
-// component's grounding reads are made repeatable. Members that fail are
-// marked stale; deliver aborts them.
+// the members' lifecycle traces merge, mutual partnership is recorded for
+// group commit, and at the locking levels the component's grounding reads
+// are made repeatable. Members that fail are marked stale; deliver aborts
+// them.
 func (rd *round) validate(comp []int) {
 	e := rd.r.e
 	start := time.Now()
@@ -397,57 +397,50 @@ func (rd *round) validate(comp []int) {
 	if len(traces) > 1 {
 		e.tracer.Merge(traces)
 	}
-	staleAll := func() {
-		for _, i := range comp {
-			rd.stale[i] = true
+	opID := e.nextOpID()
+	for _, m := range members {
+		for _, p := range members {
+			if m != p {
+				m.partners[p] = true
+			}
 		}
 	}
-	opID := e.nextOpID()
-	if len(txIDs) > 0 && e.txm.LogEntangle(opID, txIDs) != nil {
-		staleAll()
-	} else {
+	if e.policy.quasiLocks {
+		// Quasi-read locks (§3.3.3): every participant locks the union of
+		// the component's grounded tables — its own (the locks its
+		// grounding reads would have held under 2PL, acquired post hoc)
+		// and its partners', including tables grounded by autocommit
+		// members, whose answers partners consumed all the same. A lock
+		// that is not free at once, like a stale grounding, aborts the
+		// whole component (like deadlock victims, invisible to the
+		// program), which releases its locks and retries in a later run.
+		reads := &readSet{}
 		for _, m := range members {
-			for _, p := range members {
-				if m != p {
-					m.partners[p] = true
-				}
-			}
+			reads.addQuery(m.query)
 		}
-		if e.policy.quasiLocks {
-			// Quasi-read locks (§3.3.3): every participant locks the union of
-			// the component's grounded tables — its own (the locks its
-			// grounding reads would have held under 2PL, acquired post hoc)
-			// and its partners', including tables grounded by autocommit
-			// members, whose answers partners consumed all the same. A lock
-			// that is not free at once, like a stale grounding, aborts the
-			// whole component (like deadlock victims, invisible to the
-			// program), which releases its locks and retries in a later run.
-			reads := &readSet{}
-			for _, m := range members {
-				reads.addQuery(m.query)
-			}
-			for k, i := range comp {
-				if e.lockAndValidate(members[k].tx, reads, rd.view.CSN) != nil {
-					staleAll()
-					break
+		for k, i := range comp {
+			if e.lockAndValidate(members[k].tx, reads, rd.view.CSN) != nil {
+				for _, i := range comp {
+					rd.stale[i] = true
 				}
-				if sink := e.opts.Trace; sink != nil && members[k].tx != nil {
-					for _, j := range comp {
-						if j != i {
-							for _, table := range rd.res.GroundTables[j] {
-								sink.QuasiRead(members[k].tx.ID(), table)
-							}
+				break
+			}
+			if sink := e.opts.Trace; sink != nil && members[k].tx != nil {
+				for _, j := range comp {
+					if j != i {
+						for _, table := range rd.res.GroundTables[j] {
+							sink.QuasiRead(members[k].tx.ID(), table)
 						}
 					}
 				}
 			}
 		}
-		if sink := e.opts.Trace; sink != nil {
-			sink.Entangle(opID, txIDs)
-		}
 	}
-	// The validate span covers entangle logging, quasi-read locks and
-	// round-snapshot validation, on every traced member of the component.
+	if sink := e.opts.Trace; sink != nil {
+		sink.Entangle(opID, txIDs)
+	}
+	// The validate span covers quasi-read locks and round-snapshot
+	// validation, on every traced member of the component.
 	d := time.Since(start)
 	for _, i := range comp {
 		note := rd.note

@@ -416,6 +416,23 @@ func (t *Table) Stamp(txID uint64, id RowID, csn uint64) {
 	t.noteCommit(csn, prev, last)
 }
 
+// AppendTxRows appends the images (nil for a tombstone) of txID's
+// uncommitted versions of row id, oldest first, not to be modified: the
+// chain's tail, as txID holds the row's X lock from its first write.
+func (t *Table) AppendTxRows(dst []types.Tuple, txID uint64, id RowID) []types.Tuple {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	vs := t.chain(id)
+	i := len(vs)
+	for i > 0 && !vs[i-1].committed() && vs[i-1].tx == txID {
+		i--
+	}
+	for _, v := range vs[i:] {
+		dst = append(dst, v.row)
+	}
+	return dst
+}
+
 // Rollback removes every uncommitted version txID holds on row id (abort).
 // Index entries whose keys no longer appear in the chain are dropped; an
 // emptied chain disappears entirely.

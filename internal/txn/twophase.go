@@ -3,30 +3,34 @@ package txn
 import (
 	"fmt"
 
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
 // Two-phase distributed group commit, participant and coordinator halves.
 //
-// A participant's writes are already in the log (records are appended at
-// operation time), so preparing needs exactly one flushed record: the
-// prepare mark that makes the transaction in-doubt at recovery instead of
-// a loser. The transaction stays Active — locks held, versions uncommitted
-// — until the group coordinator's decision arrives; commit then goes
-// through the ordinary CommitUnits path, abort through Abort.
+// Preparing is a participant's one moment in the log: its redo records and
+// the prepare mark that makes it in-doubt at recovery go out in one flushed
+// append. The transaction stays Active — locks held, versions uncommitted —
+// until the coordinator's decision: commit (CommitUnits) then logs only the
+// commit record, abort one Abort. A participant that wrote nothing logs
+// nothing.
 
-// Prepare parks t as an in-doubt participant of the distributed group: one
-// flushed prepare record, no state transition. The caller must hold the
-// transaction through to the decision.
+// Prepare parks t as an in-doubt participant of the distributed group, with
+// no state transition. The caller must hold the transaction through to the
+// decision.
 func (m *Manager) Prepare(t *Txn, group uint64) error {
 	if t.state != Active {
 		return fmt.Errorf("txn: prepare: transaction %d is %v", t.id, t.state)
 	}
-	if m.log == nil {
+	if m.log == nil || len(t.undo) == 0 {
 		return nil
 	}
-	return m.log.Append(wal.Prepare(wal.TxID(t.id), group))
+	var b redoBatch
+	t.appendRedo(&b)
+	b.recs = append(b.recs, *wal.Prepare(wal.TxID(t.id), group))
+	err := b.append(m.log)
+	t.prepared = err == nil
+	return err
 }
 
 // LogDecision durably records the coordinator's verdict for a distributed
@@ -59,23 +63,8 @@ func (m *Manager) CommitRecovered(tx wal.TxID, recs []*wal.Record) error {
 		}
 	}
 	for _, r := range recs {
-		tbl, err := m.cat.Get(r.Table)
-		if err != nil {
+		if err := wal.Redo(m.cat, r, csn); err != nil {
 			return fmt.Errorf("txn: commit recovered: %w", err)
-		}
-		switch r.Type {
-		case wal.RecInsert:
-			if err := tbl.InsertAtCSN(storage.RowID(r.RowID), r.Row, csn); err != nil {
-				return fmt.Errorf("txn: commit recovered: %w", err)
-			}
-		case wal.RecDelete:
-			if _, err := tbl.DeleteCSN(storage.RowID(r.RowID), csn); err != nil {
-				return fmt.Errorf("txn: commit recovered: %w", err)
-			}
-		case wal.RecUpdate:
-			if _, err := tbl.UpdateCSN(storage.RowID(r.RowID), r.Row, csn); err != nil {
-				return fmt.Errorf("txn: commit recovered: %w", err)
-			}
 		}
 	}
 	m.clock.Store(csn)

@@ -20,11 +20,11 @@
 //     manager entirely, which is what lets read-heavy workloads scale past
 //     the 2PL contention wall.
 //
-// Commit allocates a CSN under the commit mutex, logs it, stamps the
-// transaction's versions, and only then publishes the clock — so snapshots
-// observe whole commits or nothing. Group commit stamps every unit of a
-// batch before one publication, preserving the §4 entangled group-commit
-// atomicity.
+// Commit allocates a CSN under the commit mutex, logs the redo and commit
+// records in one append, stamps the versions, and only then publishes the
+// clock — so snapshots observe whole commits or nothing. Group commit
+// stamps every unit of a batch before one publication, preserving the §4
+// entangled group-commit atomicity.
 package txn
 
 import (
@@ -104,10 +104,9 @@ type Manager struct {
 	commitMu sync.Mutex    // serializes CSN allocation + stamping + publication
 	snaps    *snapshotTable
 	// CommitUnits' scratch, reused under commitMu so a commit allocates
-	// neither its CSN list nor its WAL records (AppendBatch encodes the
-	// records before it returns).
+	// neither its CSN list nor its WAL records.
 	unitCSN []uint64
-	recs    []*wal.Record
+	redo    redoBatch
 
 	// Checkpoint quiescence gate: units of transactional work (a scheduler
 	// run, a direct transaction, a DDL statement) register via Enter/Exit;
@@ -241,28 +240,27 @@ func (m *Manager) CreateIndex(table, index string, columns []string) error {
 	return nil
 }
 
-// writeRef remembers one written row so commit can stamp its versions with
-// the allocated CSN and abort can remove them.
+// writeRef remembers one write so commit can log and stamp the row and
+// abort can roll it back; insert marks the write that created the row.
 type writeRef struct {
-	table *storage.Table
-	rowID storage.RowID
+	table  *storage.Table
+	rowID  storage.RowID
+	insert bool
 }
 
 // Txn is one classical transaction. A Txn is not safe for concurrent use by
 // multiple goroutines (one connection = one transaction, as in the paper's
 // MySQL setup).
 type Txn struct {
-	id    uint64
-	mgr   *Manager
-	level IsolationLevel
-	state State
-	undo  []writeRef
+	id       uint64
+	mgr      *Manager
+	level    IsolationLevel
+	state    State
+	undo     []writeRef
+	prepared bool // Prepare logged the redo: commit logs only its record
 
 	snap       storage.Snapshot // SnapshotIsolation read view
 	snapHandle uint64           // registration in the manager's snapshot table
-
-	reads  int64
-	writes int64
 }
 
 // Begin starts a transaction at the given isolation level.
@@ -274,12 +272,6 @@ func (m *Manager) Begin(level IsolationLevel) (*Txn, error) {
 		t.snap = storage.Snapshot{CSN: csn, Self: id}
 		t.snapHandle = handle
 	}
-	if m.log != nil {
-		if err := m.log.Append(wal.Begin(wal.TxID(id))); err != nil {
-			t.releaseSnapshot()
-			return nil, err
-		}
-	}
 	return t, nil
 }
 
@@ -288,9 +280,6 @@ func (t *Txn) ID() uint64 { return t.id }
 
 // State returns the lifecycle state.
 func (t *Txn) State() State { return t.state }
-
-// Stats returns the number of read and write operations performed.
-func (t *Txn) Stats() (reads, writes int64) { return t.reads, t.writes }
 
 // SnapshotView returns the transaction's read snapshot (zero unless the
 // transaction runs at SnapshotIsolation).
@@ -394,7 +383,6 @@ func (t *Txn) scan(table string, wantIDs bool) ([]types.Tuple, []storage.RowID, 
 		defer t.statementEnd()
 		tbl.ScanTx(t.id, collect)
 	}
-	t.reads++
 	if o := t.mgr.obs(); o != nil {
 		o.OnRead(t.id, tbl.Name(), int64(lock.AllRows))
 	}
@@ -448,7 +436,6 @@ func (t *Txn) LookupIDs(table string, columns []string, key types.Tuple) ([]stor
 			}
 		}
 	}
-	t.reads++
 	if o := t.mgr.obs(); o != nil {
 		o.OnRead(t.id, tbl.Name(), int64(lock.AllRows))
 	}
@@ -498,18 +485,9 @@ func (t *Txn) Insert(table string, row types.Tuple) (storage.RowID, error) {
 	if err != nil {
 		return storage.InvalidRowID, err
 	}
+	t.wrote(tbl, id, true)
 	if err := t.mgr.locks.Acquire(t.id, lock.TableRow{Table: table, Row: int64(id)}, lock.X); err != nil {
 		return storage.InvalidRowID, err
-	}
-	if t.mgr.log != nil {
-		if err := t.mgr.log.Append(wal.Insert(wal.TxID(t.id), tbl.Name(), id, row)); err != nil {
-			return storage.InvalidRowID, err
-		}
-	}
-	t.undo = append(t.undo, writeRef{table: tbl, rowID: id})
-	t.writes++
-	if o := t.mgr.obs(); o != nil {
-		o.OnWrite(t.id, tbl.Name(), int64(id))
 	}
 	return id, nil
 }
@@ -529,20 +507,10 @@ func (t *Txn) Update(table string, id storage.RowID, row types.Tuple) error {
 	if err := t.checkWriteConflict(tbl, id); err != nil {
 		return err
 	}
-	old, err := tbl.UpdateTx(t.id, id, row)
-	if err != nil {
+	if _, err := tbl.UpdateTx(t.id, id, row); err != nil {
 		return err
 	}
-	if t.mgr.log != nil {
-		if err := t.mgr.log.Append(wal.Update(wal.TxID(t.id), tbl.Name(), id, old, row)); err != nil {
-			return err
-		}
-	}
-	t.undo = append(t.undo, writeRef{table: tbl, rowID: id})
-	t.writes++
-	if o := t.mgr.obs(); o != nil {
-		o.OnWrite(t.id, tbl.Name(), int64(id))
-	}
+	t.wrote(tbl, id, false)
 	return nil
 }
 
@@ -561,21 +529,71 @@ func (t *Txn) Delete(table string, id storage.RowID) error {
 	if err := t.checkWriteConflict(tbl, id); err != nil {
 		return err
 	}
-	old, err := tbl.DeleteTx(t.id, id)
-	if err != nil {
+	if _, err := tbl.DeleteTx(t.id, id); err != nil {
 		return err
 	}
-	if t.mgr.log != nil {
-		if err := t.mgr.log.Append(wal.Delete(wal.TxID(t.id), tbl.Name(), id, old)); err != nil {
-			return err
-		}
-	}
-	t.undo = append(t.undo, writeRef{table: tbl, rowID: id})
-	t.writes++
+	t.wrote(tbl, id, false)
+	return nil
+}
+
+func (t *Txn) wrote(tbl *storage.Table, id storage.RowID, insert bool) {
+	t.undo = append(t.undo, writeRef{table: tbl, rowID: id, insert: insert})
 	if o := t.mgr.obs(); o != nil {
 		o.OnWrite(t.id, tbl.Name(), int64(id))
 	}
-	return nil
+}
+
+// appendRedo appends t's redo to b: per written row, in first-write order,
+// one record per version t installed, carrying the stored image: Insert for
+// the first version of a row t inserted, Delete for a tombstone, else Update.
+func (t *Txn) appendRedo(b *redoBatch) {
+	var logged map[writeRef]bool // rows written more than once, once logged
+	for _, w := range t.undo {
+		b.rows = w.table.AppendTxRows(b.rows[:0], t.id, w.rowID)
+		if len(b.rows) > 1 {
+			key := writeRef{table: w.table, rowID: w.rowID}
+			if logged[key] {
+				continue
+			}
+			if logged == nil {
+				logged = make(map[writeRef]bool)
+			}
+			logged[key] = true
+		}
+		for k, row := range b.rows {
+			r := wal.Record{Type: wal.RecUpdate, Tx: wal.TxID(t.id), Table: w.table.Name(), RowID: int64(w.rowID), Row: row}
+			switch {
+			case row == nil:
+				r.Type = wal.RecDelete
+			case k == 0 && w.insert:
+				r.Type = wal.RecInsert
+			}
+			b.recs = append(b.recs, r)
+		}
+	}
+}
+
+// redoBatch collects the records of one log append. Its slices are reused
+// from batch to batch; AppendBatch encodes the records before it returns.
+type redoBatch struct {
+	recs []wal.Record
+	ptrs []*wal.Record
+	rows []types.Tuple // appendRedo's reused buffer
+}
+
+// append writes the collected records with one AppendBatch and empties the
+// batch, dropping the records' references to row images.
+func (b *redoBatch) append(log *wal.Log) error {
+	for i := range b.recs {
+		b.ptrs = append(b.ptrs, &b.recs[i])
+	}
+	err := log.AppendBatch(b.ptrs)
+	clear(b.recs)
+	b.recs, b.ptrs = b.recs[:0], b.ptrs[:0]
+	if cap(b.recs) > 4096 { // a bulk transaction's buffers are not kept
+		b.recs, b.ptrs = nil, nil
+	}
+	return err
 }
 
 // stamp marks every version the transaction wrote as committed at csn.
@@ -604,7 +622,8 @@ func (t *Txn) Commit() error {
 }
 
 // Abort rolls back the transaction by removing its uncommitted versions
-// and releases its locks. Abort of a non-active transaction is a no-op.
+// and releases its locks; only a prepared transaction logs its abort.
+// Abort of a non-active transaction is a no-op.
 func (t *Txn) Abort() error {
 	if t.state != Active {
 		return nil
@@ -613,7 +632,7 @@ func (t *Txn) Abort() error {
 		w := t.undo[i]
 		w.table.Rollback(t.id, w.rowID)
 	}
-	if t.mgr.log != nil {
+	if t.prepared {
 		if err := t.mgr.log.Append(wal.Abort(wal.TxID(t.id))); err != nil {
 			return err
 		}
@@ -628,31 +647,18 @@ func (t *Txn) Abort() error {
 	return nil
 }
 
-// LogEntangle records that the given transactions participated in an
-// entanglement operation — state the recovery algorithm needs for the §4
-// group-rollback rule.
-func (m *Manager) LogEntangle(opID uint64, txIDs []uint64) error {
-	if m.log == nil {
-		return nil
-	}
-	group := make([]wal.TxID, len(txIDs))
-	for i, id := range txIDs {
-		group[i] = wal.TxID(id)
-	}
-	return m.log.Append(wal.Entangle(wal.TxID(opID), group))
-}
-
 // CommitUnits commits several independent commit units — each a single
 // transaction or a whole entanglement group — through one batched WAL
 // append and at most one fsync (group commit across groups; the run
 // scheduler retires every committable group of a run this way). Atomicity
-// is per unit: a single-transaction unit emits one Commit record and a
-// multi-transaction unit one GroupCommit record, each carrying the unit's
-// CSN, so recovery after a crash mid-batch replays a prefix of whole
-// units, never a partial group. Version stamping happens for all units
-// before one clock publication, so snapshot readers see the entire batch
-// appear atomically. All transactions must be active; on a WAL error no
-// unit commits.
+// is per unit: a unit's redo records precede its one commit record — a
+// Commit for a single transaction, a GroupCommit for several — which
+// carries the unit's CSN, so recovery after a crash mid-batch replays a
+// prefix of whole units, never a partial group. A unit that wrote nothing
+// logs nothing; a prepared transaction's redo is already in the log.
+// Version stamping happens for all units before one clock publication, so
+// snapshot readers see the entire batch appear atomically. All
+// transactions must be active; on a WAL error no unit commits.
 func (m *Manager) CommitUnits(units [][]*Txn) error {
 	for _, unit := range units {
 		for _, t := range unit {
@@ -664,6 +670,7 @@ func (m *Manager) CommitUnits(units [][]*Txn) error {
 	m.commitMu.Lock()
 	next := m.clock.Load()
 	unitCSN := m.unitCSN[:0]
+	b := &m.redo
 	for _, unit := range units {
 		var csn uint64
 		for _, t := range unit {
@@ -674,24 +681,27 @@ func (m *Manager) CommitUnits(units [][]*Txn) error {
 			}
 		}
 		unitCSN = append(unitCSN, csn)
+		if csn == 0 || m.log == nil {
+			continue
+		}
+		for _, t := range unit {
+			if !t.prepared {
+				t.appendRedo(b)
+			}
+		}
+		if len(unit) == 1 {
+			b.recs = append(b.recs, *wal.Commit(wal.TxID(unit[0].id), csn))
+			continue
+		}
+		group := make([]wal.TxID, len(unit))
+		for j, t := range unit {
+			group[j] = wal.TxID(t.id)
+		}
+		b.recs = append(b.recs, *wal.GroupCommit(group, csn))
 	}
 	m.unitCSN = unitCSN
 	if m.log != nil {
-		for len(m.recs) < len(units) {
-			m.recs = append(m.recs, new(wal.Record))
-		}
-		for i, unit := range units {
-			if len(unit) == 1 {
-				*m.recs[i] = *wal.Commit(wal.TxID(unit[0].id), unitCSN[i])
-				continue
-			}
-			group := make([]wal.TxID, len(unit))
-			for j, t := range unit {
-				group[j] = wal.TxID(t.id)
-			}
-			*m.recs[i] = *wal.GroupCommit(group, unitCSN[i])
-		}
-		if err := m.log.AppendBatch(m.recs[:len(units)]); err != nil {
+		if err := b.append(m.log); err != nil {
 			m.commitMu.Unlock()
 			return err
 		}

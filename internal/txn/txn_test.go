@@ -220,9 +220,6 @@ func TestGroupCommitAtomicInLog(t *testing.T) {
 	b, _ := m.Begin(Serializable)
 	a.Insert("User", types.Tuple{types.Int(1), types.Str("A")})
 	b.Insert("User", types.Tuple{types.Int(2), types.Str("B")})
-	if err := m.LogEntangle(99, []uint64{a.ID(), b.ID()}); err != nil {
-		t.Fatal(err)
-	}
 	if err := m.CommitUnits([][]*Txn{{a, b}}); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ type Log struct {
 	sync    bool
 	buf     []byte
 	lsn     int64 // records appended since open
-	appends int64
 	flushes int64 // physical writes (a batch counts once)
 	failed  error // first write/sync error; latches the log (fail-stop)
 
@@ -149,7 +148,6 @@ func (l *Log) AppendBatch(rs []*Record) error {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.lsn += int64(len(rs))
-	l.appends += int64(len(rs))
 	l.flushes++
 	if l.sync && needSync {
 		if err := l.ptSyncErr.Fire(); err != nil {

@@ -5,10 +5,10 @@
 // rolled back during recovery.
 //
 // The log is an append-only file of length-prefixed, CRC-protected records.
-// Commit of an entanglement group is a single atomic GroupCommit record, so
-// the pathological partial-group commit can only arise if a buggy caller
-// commits group members individually — recovery still detects and rolls
-// back such groups.
+// Commit of an entanglement group is a single atomic GroupCommit record
+// after the group's redo records, in one append. Legacy logs also carry
+// Entangle records; recovery still rolls back a group they name whose
+// members did not all commit.
 package wal
 
 import (
@@ -37,10 +37,10 @@ const (
 	RecCreateTable
 	RecCreateIndex
 	// Two-phase distributed group commit (sharded deployments). A prepare
-	// record parks a participant transaction: its writes are already in the
-	// log (logged at operation time), so the prepare record alone marks it
-	// in-doubt at recovery until a decision record — written by the group
-	// coordinator before any commit/abort fan-out — resolves it.
+	// record parks a participant transaction: it follows the participant's
+	// redo records in one append and marks it in-doubt at recovery until a
+	// decision record — written by the group coordinator before any
+	// commit/abort fan-out — resolves it.
 	RecPrepare      // Tx = participant, Group = [group id]
 	RecDecideCommit // Group = [group id]
 	RecDecideAbort  // Group = [group id]
@@ -84,8 +84,8 @@ func (rt RecordType) String() string {
 //   - Begin/Abort: Tx.
 //   - Commit: Tx, CSN (commit sequence number; 0 for read-only commits).
 //   - Insert: Tx, Table, Row (new image), RowID.
-//   - Delete: Tx, Table, Row (old image), RowID.
-//   - Update: Tx, Table, RowID, Old, Row (new image).
+//   - Delete: Tx, Table, RowID (and Row, the old image, in legacy logs).
+//   - Update: Tx, Table, RowID, Row (new image) (and Old in legacy logs).
 //   - GroupCommit: Group (all transaction ids committing atomically), CSN.
 //   - Entangle: Tx = entanglement op id, Group = participating transactions.
 //   - CreateTable: Table, Schema columns flattened into Row as

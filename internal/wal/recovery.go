@@ -47,6 +47,10 @@ type RecoveryStats struct {
 // every isolation level, including snapshot isolation), conflicting writes
 // of winners appear in the log in commit-CSN order, so redo-only replay
 // rebuilds each row's version chain exactly as the live system ordered it.
+// Only legacy logs, written by earlier versions, carry Begin and Entangle
+// records, Aborts of unprepared transactions, Update before-images
+// (Record.Old) and Delete row images; the engine now commits a group in
+// one GroupCommit record, so rule 2 never demotes what it writes.
 func Recover(path string, cat *storage.Catalog) (*RecoveryStats, error) {
 	records, err := ReadAll(path)
 	if err != nil {
@@ -198,38 +202,12 @@ func Recover(path string, cat *storage.Catalog) (*RecoveryStats, error) {
 			if err := tbl.CreateIndex(r.Row[0].Str64(), cols...); err != nil && !tbl.HasIndexOn(cols...) {
 				return nil, fmt.Errorf("wal: recover index: %w", err)
 			}
-		case RecInsert:
+		case RecInsert, RecDelete, RecUpdate:
 			if !winners[r.Tx] {
 				continue
 			}
-			tbl, err := cat.Get(r.Table)
-			if err != nil {
-				return nil, fmt.Errorf("wal: recover insert: %w", err)
-			}
-			if err := tbl.InsertAtCSN(storage.RowID(r.RowID), r.Row, commitCSN[r.Tx]); err != nil {
-				return nil, fmt.Errorf("wal: recover insert: %w", err)
-			}
-		case RecDelete:
-			if !winners[r.Tx] {
-				continue
-			}
-			tbl, err := cat.Get(r.Table)
-			if err != nil {
-				return nil, fmt.Errorf("wal: recover delete: %w", err)
-			}
-			if _, err := tbl.DeleteCSN(storage.RowID(r.RowID), commitCSN[r.Tx]); err != nil {
-				return nil, fmt.Errorf("wal: recover delete: %w", err)
-			}
-		case RecUpdate:
-			if !winners[r.Tx] {
-				continue
-			}
-			tbl, err := cat.Get(r.Table)
-			if err != nil {
-				return nil, fmt.Errorf("wal: recover update: %w", err)
-			}
-			if _, err := tbl.UpdateCSN(storage.RowID(r.RowID), r.Row, commitCSN[r.Tx]); err != nil {
-				return nil, fmt.Errorf("wal: recover update: %w", err)
+			if err := Redo(cat, r, commitCSN[r.Tx]); err != nil {
+				return nil, fmt.Errorf("wal: recover: %w", err)
 			}
 		}
 	}
@@ -241,6 +219,27 @@ func Recover(path string, cat *storage.Catalog) (*RecoveryStats, error) {
 		}
 	}
 	return stats, nil
+}
+
+// Redo applies one Insert, Delete or Update record to cat as a version
+// committed at csn: recovery's replay, and the commit of an in-doubt
+// transaction after restart.
+func Redo(cat *storage.Catalog, r *Record, csn uint64) error {
+	tbl, err := cat.Get(r.Table)
+	if err == nil {
+		switch id := storage.RowID(r.RowID); r.Type {
+		case RecInsert:
+			err = tbl.InsertAtCSN(id, r.Row, csn)
+		case RecDelete:
+			_, err = tbl.DeleteCSN(id, csn)
+		case RecUpdate:
+			_, err = tbl.UpdateCSN(id, r.Row, csn)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("%v: %w", r.Type, err)
+	}
+	return nil
 }
 
 // unionFind is a tiny union-find over TxIDs for entanglement groups.
