@@ -113,12 +113,15 @@ bench-test:
 	$(GO) test -C bench ./...
 
 # Fuzz smoke: a short randomized run of each wire-protocol fuzz target
-# (frame reader and binary codec) on top of the committed seed corpus.
-# One -fuzz pattern per invocation — Go's fuzzer requires exactly one
-# matching target when fuzzing.
+# (frame reader and binary codec) on top of the committed seed corpus, and
+# of the statement-shape target (texts with one shape key parse alike but
+# for their literals; text that fails to parse leaves no cache entry),
+# seeded from the parser's seed scripts. One -fuzz pattern per invocation
+# — Go's fuzzer requires exactly one matching target when fuzzing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryFrame$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzStatementShape$$' -fuzztime 10s ./internal/sql
 
 # CPU + heap profile of the Figure 6(b) pending-queries sweep (every
 # pending query re-grounds in every run); inspect with

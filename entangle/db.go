@@ -82,6 +82,7 @@ type DB struct {
 	log      *wal.Log
 	txm      *txn.Manager
 	engine   *core.Engine
+	shapes   *sql.Cache // classical statements compiled once per shape
 	path     string
 	recovery *wal.RecoveryStats // nil when opened without a WAL
 }
@@ -121,7 +122,7 @@ func Open(opts Options) (*DB, error) {
 		txm.SeedTx(recovery.MaxTx)
 	}
 	engine := core.NewEngine(txm, opts)
-	return &DB{cat: cat, locks: locks, log: log, txm: txm, engine: engine, path: opts.Path, recovery: recovery}, nil
+	return &DB{cat: cat, locks: locks, log: log, txm: txm, engine: engine, shapes: sql.NewCache(cat), path: opts.Path, recovery: recovery}, nil
 }
 
 // Close stops the engine and closes the log. Pending transactions fail
@@ -182,7 +183,8 @@ func (db *DB) Exec(script string) (*Result, error) {
 // ExecTraced is Exec under a caller-supplied trace id (0 = untraced) —
 // the server passes the id that arrived on the wire so the trace spans
 // the full request. The id's lifecycle belongs to this call: the trace is
-// finished when it returns.
+// finished when it returns. A classical statement whose shape ran before
+// is neither parsed nor compiled again (sql.Cache).
 func (db *DB) ExecTraced(script string, trace uint64) (*Result, error) {
 	tracer := db.engine.Tracer()
 	var parseStart time.Time
@@ -191,7 +193,7 @@ func (db *DB) ExecTraced(script string, trace uint64) (*Result, error) {
 		tracer.Begin(trace, parseStart)
 		defer tracer.Finish(trace, time.Now())
 	}
-	stmts, err := sql.Parse(script)
+	stmts, err := db.shapes.Parse(script)
 	if trace != 0 {
 		note := ""
 		if err != nil {
@@ -204,10 +206,11 @@ func (db *DB) ExecTraced(script string, trace uint64) (*Result, error) {
 	}
 	session := sql.NewSession()
 	var last *Result
-	for _, st := range stmts {
-		switch st.(type) {
+	for i := range stmts {
+		st := &stmts[i]
+		switch st.Stmt.(type) {
 		case *sql.CreateTableStmt, *sql.CreateIndexStmt:
-			if err := sql.ExecDDL(db.txm, st); err != nil {
+			if err := sql.ExecDDL(db.txm, st.Stmt); err != nil {
 				return nil, err
 			}
 			continue
@@ -224,11 +227,11 @@ func (db *DB) ExecTraced(script string, trace uint64) (*Result, error) {
 // execStmt runs one classical statement as its own direct transaction, the
 // one path of every statement outside a BEGIN block: a deadlock victim is
 // retried, and the statement counts in Stats().Commits and exec_latency.
-func (db *DB) execStmt(session *sql.Session, st sql.Stmt, trace uint64) (*Result, error) {
+func (db *DB) execStmt(session *sql.Session, st *sql.Statement, trace uint64) (*Result, error) {
 	var res *Result
 	o := db.engine.RunDirect(core.Program{Trace: trace, Body: func(tx *core.Tx) error {
 		var err error
-		res, err = session.Exec(tx, db.cat, st)
+		res, err = session.Run(tx, st)
 		return err
 	}})
 	if o.Status != core.StatusCommitted {

@@ -78,17 +78,20 @@ CREATE TABLE Bookings (name VARCHAR, fno INT, fdate DATE, batch INT);`); err != 
 var raceDetector bool
 
 // Ceilings for one classical statement through DB.Exec against an indexed
-// 1,000-row Notes table: parse, one RunDirect, compile to an eq query, plan
-// and one index probe (plus, for the UPDATE, the write).
+// 1,000-row Notes table: lex the statement, look its shape up, bind its
+// literal, one RunDirect and one index probe (plus, for the UPDATE, the
+// write). A warm shape neither parses nor compiles nor plans.
 const (
-	maxPointSelectAllocs, maxPointSelectBytes = 65, 4200
-	maxPointUpdateAllocs, maxPointUpdateBytes = 62, 5000
+	maxPointSelectAllocs, maxPointSelectBytes = 30, 2400
+	maxPointUpdateAllocs, maxPointUpdateBytes = 33, 3000
 )
 
 // TestClassicalStmtAllocs pins the allocations of a point SELECT and a
-// point UPDATE through DB.Exec, the statements classical_mix runs. A rise
-// means the compiled path allocates per statement again what a warm one
-// reuses, or a statement plans or reads more than one probe.
+// point UPDATE through DB.Exec, the statements classical_mix runs, both
+// with one literal text and with a literal that changes on every
+// execution. A rise means the compiled path allocates per statement again
+// what a warm one reuses, a statement parses or compiles again, or it
+// plans or reads more than one probe.
 func TestClassicalStmtAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("under the race detector sync.Pool drops entries at random, so a statement's allocations are not its own")
@@ -109,28 +112,40 @@ func TestClassicalStmtAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		src               string
+		src               string // with %d, the literal of each execution
 		maxAllocs, maxB   int64
 		wantRows, wantAff int
 	}{
 		{"SELECT n FROM Notes WHERE id=77", maxPointSelectAllocs, maxPointSelectBytes, 1, 0},
+		{"SELECT n FROM Notes WHERE id=%d", maxPointSelectAllocs, maxPointSelectBytes, 1, 0},
 		{"UPDATE Notes SET n=5 WHERE id=77", maxPointUpdateAllocs, maxPointUpdateBytes, 0, 1},
+		{"UPDATE Notes SET n=5 WHERE id=%d", maxPointUpdateAllocs, maxPointUpdateBytes, 0, 1},
 	} {
+		srcs := []string{tc.src}
+		if strings.Contains(tc.src, "%d") {
+			srcs = make([]string, 1000)
+			for k := range srcs {
+				srcs[k] = fmt.Sprintf(tc.src, (k*7)%1000)
+			}
+		}
+		i := 0
 		exec := func() {
-			res, err := db.Exec(tc.src)
+			src := srcs[i%len(srcs)]
+			i++
+			res, err := db.Exec(src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.Rows) != tc.wantRows || res.RowsAffected != tc.wantAff {
-				t.Fatalf("%s: %d rows, %d affected", tc.src, len(res.Rows), res.RowsAffected)
+				t.Fatalf("%s: %d rows, %d affected", src, len(res.Rows), res.RowsAffected)
 			}
 		}
-		for i := 0; i < 20; i++ {
+		for range 20 {
 			exec()
 		}
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			for range b.N {
 				exec()
 			}
 		})

@@ -60,13 +60,13 @@ func (c classicalTx) Entangle(q *eq.Query) *eq.Answer {
 // A statement error inside a block aborts the transaction, as a DBMS
 // client would experience after a failed statement followed by ROLLBACK.
 func (s *InteractiveSession) Exec(src string) (*Result, error) {
-	stmts, err := sql.Parse(src)
+	stmts, err := s.db.shapes.Parse(src)
 	if err != nil {
 		return nil, err
 	}
 	var last *Result
-	for _, st := range stmts {
-		res, err := s.execOne(st)
+	for i := range stmts {
+		res, err := s.execOne(&stmts[i])
 		if err != nil {
 			return nil, err
 		}
@@ -77,8 +77,8 @@ func (s *InteractiveSession) Exec(src string) (*Result, error) {
 	return last, nil
 }
 
-func (s *InteractiveSession) execOne(st sql.Stmt) (*Result, error) {
-	switch stmt := st.(type) {
+func (s *InteractiveSession) execOne(st *sql.Statement) (*Result, error) {
+	switch st.Stmt.(type) {
 	case *sql.BeginStmt:
 		if s.tx != nil {
 			return nil, fmt.Errorf("entangle: transaction already open")
@@ -115,12 +115,12 @@ func (s *InteractiveSession) execOne(st sql.Stmt) (*Result, error) {
 		if s.tx != nil {
 			return nil, fmt.Errorf("entangle: DDL inside a transaction block is not supported")
 		}
-		return &Result{}, sql.ExecDDL(s.db.txm, st)
+		return &Result{}, sql.ExecDDL(s.db.txm, st.Stmt)
 	case *sql.EntangledSelectStmt:
 		return nil, ErrInteractiveEntangle
 	default:
 		if s.tx != nil {
-			res, err := s.session.Exec(classicalTx{s.tx}, s.db.cat, st)
+			res, err := s.session.Run(classicalTx{s.tx}, st)
 			if err != nil {
 				// Statement failure poisons the block: roll back.
 				s.tx.Abort()
@@ -130,7 +130,7 @@ func (s *InteractiveSession) execOne(st sql.Stmt) (*Result, error) {
 			}
 			return res, nil
 		}
-		return s.db.execStmt(s.session, stmt, 0)
+		return s.db.execStmt(s.session, st, 0)
 	}
 }
 

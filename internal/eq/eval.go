@@ -149,7 +149,7 @@ type Evaluator struct {
 	ar     arena
 	stream groundStream
 	solver problem
-	plan   joinPlan // the plan Ground builds, reused call to call
+	plan   Plan // the plan Ground builds, reused call to call
 
 	groundings [][]*Grounding
 	errs       []error
@@ -229,17 +229,29 @@ func (ev *Evaluator) Evaluate(pending []Pending, opts EvalOptions) *Result {
 }
 
 // Ground enumerates q's groundings against r through the evaluator's plan,
-// stream and arena, reusing their memory: one relational query, such as a
-// classical statement's. The groundings are valid until the evaluator's
-// next Ground or Evaluate.
+// stream and arena, reusing their memory: one relational query. The
+// groundings are valid until the evaluator's next Ground, GroundPlan or
+// Evaluate.
 func (ev *Evaluator) Ground(q *Query, r CursorReader, opts GroundOptions) ([]*Grounding, error) {
-	if err := q.Validate(); err != nil {
+	if err := ev.plan.Build(q, r); err != nil {
 		return nil, err
+	}
+	return ev.GroundPlan(&ev.plan, r, nil, opts)
+}
+
+// GroundPlan enumerates the groundings of a built plan against r, params[i]
+// bound to parameter i, through the evaluator's stream and arena: a
+// classical statement's execution. Values past the plan's parameters are
+// ignored. The groundings are valid until the evaluator's next Ground,
+// GroundPlan or Evaluate.
+func (ev *Evaluator) GroundPlan(p *Plan, r CursorReader, params []types.Value, opts GroundOptions) ([]*Grounding, error) {
+	if len(params) < p.jp.params {
+		return nil, fmt.Errorf("eq: plan takes %d parameters, got %d", p.jp.params, len(params))
 	}
 	ev.ar.reset()
 	ev.stream.ar = &ev.ar
-	ev.plan.build(q, r)
-	ev.stream.reset(&ev.plan, r, opts)
+	ev.stream.reset(&p.jp, r, opts)
+	copy(ev.stream.vals[len(p.jp.vars):], params)
 	return ev.stream.run()
 }
 

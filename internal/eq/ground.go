@@ -104,12 +104,12 @@ rows:
 func (c *sliceCursor) Rewind() { c.pos = 0 }
 
 // eqBindings extracts, per body variable slot of plan, the non-NULL
-// constant a ?v = c constraint fixes it to, and the slot pairs ?x = ?y
-// constraints equate. Such variables count as bound for atom ordering and
-// index probing (a pair once either side is bound), and constants reject
-// rows early during matching. The valuation still binds such variables to
-// the row's value, exactly as the scan path does, so int/date-interoperable
-// constants cannot leak into answers.
+// constant or the parameter a ?v = c constraint fixes it to, and the slot
+// pairs ?x = ?y constraints equate. Such variables count as bound for atom
+// ordering and index probing (a pair once either side is bound), and
+// constants reject rows early during matching. The valuation still binds
+// such variables to the row's value, exactly as the scan path does, so
+// int/date-interoperable constants cannot leak into answers.
 func (plan *joinPlan) eqBindings(q *Query) {
 	out := zeroed(plan.eq, len(plan.vars))
 	pairs := plan.pairs[:0]
@@ -127,14 +127,15 @@ func (plan *joinPlan) eqBindings(q *Query) {
 			}
 			continue
 		}
-		if !v.IsVar || !k.IsConst() || k.Value.IsNull() {
+		if !v.IsVar || k.Param == 0 && (!k.IsConst() || k.Value.IsNull()) {
 			continue
 		}
 		// A variable no atom binds has no slot; of contradictory constants
 		// the first is kept, and the eager constraint check rejects every
-		// row anyway.
+		// row anyway. A parameter bound to NULL still fails the check.
 		if s := plan.slot(v.Name); s >= 0 && !out[s].ok {
-			out[s] = eqConst{val: k.Value, ok: true}
+			o := plan.term(k)
+			out[s] = eqConst{val: o.val, ok: true, param: o.slot}
 		}
 	}
 	plan.eq, plan.pairs = out, pairs

@@ -47,6 +47,12 @@ import (
 // read slots, and the head and postcondition instantiate from them — the
 // executor keeps no map of what is bound and unbinds nothing.
 //
+// A parameter (P) takes the slot after the body variables' slots that
+// matches its number, bound before the first level runs: it probes, matches
+// and fixes a ?v = $n variable just as a constant does, so a Plan built once
+// grounds any parameter values, and only the declared indexes CanProbe
+// reports can make it stale.
+//
 // The plan fetches no rows: access-path choice consults only
 // CursorReader.CanProbe. Row flow is the executor's job (stream.go), which
 // is what lets planning stay allocation-light and the pipeline lazy.
@@ -76,6 +82,7 @@ type joinPlan struct {
 	eq         []eqConst
 	pairs      [][2]int32
 	head, post []slotAtom
+	params     int // parameter slots after the variables' (the largest P)
 
 	// Planning scratch: the level that binds each slot, which atoms are
 	// placed, a candidate's bound positions.
@@ -84,10 +91,12 @@ type joinPlan struct {
 	pos    []int
 }
 
-// eqConst is the constant a ?v = c constraint fixes a variable to, if ok.
+// eqConst is the constant (val) or the parameter (the slot param) a
+// ?v = c constraint fixes a variable to, if ok.
 type eqConst struct {
-	val types.Value
-	ok  bool
+	val   types.Value
+	ok    bool
+	param int32 // constSlot for a constant
 }
 
 // Operand slots that name no valuation slot.
@@ -184,13 +193,22 @@ type slotAtom struct {
 
 // argOp is what a join level does with one position of its row: match a
 // constant (slot == constSlot), match the slot an earlier position or level
-// bound (bind false), or bind the slot — first checking the constant a
-// ?v = c constraint fixes, when hasEq.
+// bound, or a parameter's (bind false), or bind the slot — first checking
+// the constant or parameter a ?v = c constraint fixes, when hasEq.
 type argOp struct {
 	slot  int32
 	bind  bool
 	hasEq bool
-	val   types.Value // the constant to match (constSlot) or the ?v = c value (hasEq)
+	val   types.Value // the constant to match (constSlot) or the ?v = c constant (hasEq)
+	eq    int32       // with hasEq: the ?v = c parameter's slot, or constSlot for val
+}
+
+// eqValue is the value a ?v = c constraint fixes the argument to (hasEq).
+func (op *argOp) eqValue(vals []types.Value) types.Value {
+	if op.eq == constSlot {
+		return op.val
+	}
+	return vals[op.eq]
 }
 
 // probePath decides the access path for an atom given its currently-bound
@@ -221,6 +239,23 @@ func planQuery(q *Query, r CursorReader) *joinPlan {
 	return plan
 }
 
+// Plan is a query planned once for any number of groundings: its join
+// order, access paths and checks, compiled against slots. Its parameters
+// are slots each GroundPlan binds, so one Plan grounds every execution of
+// a statement whatever its constants. A built Plan is read-only: any number
+// of goroutines may ground it at once.
+type Plan struct{ jp joinPlan }
+
+// Build validates q and plans it against r's index metadata, reusing the
+// memory of the plan p held before.
+func (p *Plan) Build(q *Query, r CursorReader) error {
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	p.jp.build(q, r)
+	return nil
+}
+
 // build plans q into plan, reusing the memory of the plan it held before.
 func (plan *joinPlan) build(q *Query, r CursorReader) {
 	arity := 0
@@ -228,6 +263,7 @@ func (plan *joinPlan) build(q *Query, r CursorReader) {
 		arity += len(a.Args)
 	}
 	plan.vars = resized(plan.vars, arity)[:0]
+	plan.params = 0
 	for _, a := range q.Body {
 		for _, t := range a.Args {
 			if t.IsVar && plan.slot(t.Name) < 0 {
@@ -300,9 +336,9 @@ func (plan *joinPlan) build(q *Query, r CursorReader) {
 		st.probeKey = resized(st.probeKey, len(cols))
 		for i, c := range st.probeCols {
 			o := plan.term(atom.Args[c])
-			if s := o.slot; s >= 0 && level[s] < 0 {
+			if s := o.slot; s >= 0 && int(s) < len(level) && level[s] < 0 {
 				if plan.eq[s].ok {
-					o = operand{slot: constSlot, val: plan.eq[s].val}
+					o = operand{slot: plan.eq[s].param, val: plan.eq[s].val}
 				} else {
 					o = operand{slot: plan.partner(s, level)}
 				}
@@ -312,13 +348,17 @@ func (plan *joinPlan) build(q *Query, r CursorReader) {
 		st.args = resized(st.args, len(atom.Args))
 		for j, t := range atom.Args {
 			op := argOp{slot: constSlot, val: t.Value}
-			if t.IsVar {
+			switch {
+			case t.Param > 0:
+				op = argOp{slot: plan.term(t).slot}
+			case t.IsVar:
 				k := plan.slot(t.Name)
 				op = argOp{slot: k}
 				if level[k] < 0 {
 					level[k] = int32(lv)
 					op.bind = true
-					op.val, op.hasEq = plan.eq[k].val, plan.eq[k].ok
+					e := plan.eq[k]
+					op.val, op.eq, op.hasEq = e.val, e.param, e.ok
 				}
 			}
 			st.args[j] = op
@@ -399,6 +439,9 @@ func (plan *joinPlan) term(t Term) operand {
 	switch {
 	case t.Arith != nil:
 		return operand{slot: arithSlot, arith: &arithOp{sub: t.Arith.Sub, l: plan.term(t.Arith.L), r: plan.term(t.Arith.R)}}
+	case t.Param > 0:
+		plan.params = max(plan.params, int(t.Param))
+		return operand{slot: int32(len(plan.vars)) + t.Param - 1}
 	case !t.IsVar:
 		return operand{slot: constSlot, val: t.Value}
 	}

@@ -110,7 +110,8 @@ type groundStream struct {
 	max  int
 }
 
-// reset points the stream at a new query's plan, keeping its scratch.
+// reset points the stream at a new query's plan, keeping its scratch. The
+// plan's parameter slots, after the variables', are zero until set.
 func (s *groundStream) reset(plan *joinPlan, r CursorReader, opts GroundOptions) {
 	batch := opts.BatchRows
 	if batch <= 0 {
@@ -118,7 +119,7 @@ func (s *groundStream) reset(plan *joinPlan, r CursorReader, opts GroundOptions)
 	}
 	s.plan, s.r, s.batch = plan, r, batch
 	s.stats, s.pullDur, s.max = opts.Stats, opts.PullDur, opts.MaxGroundings
-	s.vals = zeroed(s.vals, len(plan.vars))
+	s.vals = zeroed(s.vals, len(plan.vars)+plan.params)
 	s.levels = resized(s.levels, len(plan.steps))
 	for i := range s.levels {
 		lv := &s.levels[i]
@@ -267,7 +268,7 @@ func (s *groundStream) bindRow(step *planStep, row types.Tuple) bool {
 				return false
 			}
 		default:
-			if op.hasEq && !op.val.Equal(v) {
+			if op.hasEq && !op.eqValue(s.vals).Equal(v) {
 				return false
 			}
 			s.vals[op.slot] = v
@@ -304,7 +305,7 @@ func (s *groundStream) emit() error {
 		return nil
 	}
 	s.seen.add(h)
-	s.out = append(s.out, s.ar.grounding(s.plan, hp, s.vals))
+	s.out = append(s.out, s.ar.grounding(s.plan, hp, s.vals[:len(s.plan.vars)]))
 	return nil
 }
 

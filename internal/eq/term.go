@@ -23,11 +23,13 @@ import (
 	"repro/internal/types"
 )
 
-// Term is a constant, a variable, or the sum or difference of two terms,
-// appearing in an atom or constraint. A sum or difference may appear in a
-// constraint or a head atom, never in a body atom.
+// Term is a constant, a variable, a parameter, or the sum or difference of
+// two terms, appearing in an atom or constraint. A sum or difference may
+// appear in a constraint or a head atom, never in a body atom. A parameter
+// is a constant whose value each grounding of a Plan binds (GroundPlan).
 type Term struct {
 	IsVar bool
+	Param int32       // parameter number from 1 when a parameter, else 0
 	Name  string      // variable name when IsVar
 	Value types.Value // constant value when !IsVar and Arith is nil
 	Arith *Arith      // when set, the term is Arith's sum or difference
@@ -46,12 +48,16 @@ func V(name string) Term { return Term{IsVar: true, Name: name} }
 // C returns a constant term.
 func C(v types.Value) Term { return Term{Value: v} }
 
+// P returns the term for parameter i, counted from 0: params[i] of each
+// GroundPlan.
+func P(i int) Term { return Term{Param: int32(i + 1)} }
+
 // CStr, CInt are constant-term shorthands.
 func CStr(s string) Term { return C(types.Str(s)) }
 func CInt(i int64) Term  { return C(types.Int(i)) }
 
-// IsConst reports whether the term is a constant.
-func (t Term) IsConst() bool { return !t.IsVar && t.Arith == nil }
+// IsConst reports whether the term is a constant (not a parameter).
+func (t Term) IsConst() bool { return !t.IsVar && t.Arith == nil && t.Param == 0 }
 
 // eachVar calls f with every variable the term mentions.
 func (t Term) eachVar(f func(string)) {
@@ -69,6 +75,8 @@ func (t Term) String() string {
 	switch {
 	case t.IsVar:
 		return "?" + t.Name
+	case t.Param > 0:
+		return fmt.Sprintf("$%d", t.Param)
 	case t.Arith != nil:
 		op := '+'
 		if t.Arith.Sub {

@@ -134,10 +134,16 @@ func (e *entry) dequeue(seq uint64) {
 // one table hashes to the same shard, so grants, queues, and wakeups for an
 // entry are entirely shard-local.
 type shard struct {
+	idx   int // position in Manager.shards
 	mu    sync.Mutex
 	cond  *sync.Cond
 	locks map[TableRow]*entry
 	held  map[uint64]map[TableRow]modeSet // per-transaction inventory, this shard
+
+	// Emptied entries and inventories, kept for reuse (up to maxFree each):
+	// a request that conflicts with nothing then allocates nothing.
+	freeEntries []*entry
+	freeInvs    []map[TableRow]modeSet
 
 	// Stats (guarded by mu).
 	acquisitions int64
@@ -148,12 +154,107 @@ type shard struct {
 // DefaultShards is the shard count New uses.
 const DefaultShards = 16
 
+// maxFree bounds each of a shard's lists of emptied entries and
+// inventories.
+const maxFree = 64
+
+// entry returns obj's entry, creating it (from the free list when it can)
+// if obj has none.
+func (sh *shard) entry(obj TableRow) *entry {
+	e := sh.locks[obj]
+	if e == nil {
+		if n := len(sh.freeEntries); n > 0 {
+			e = sh.freeEntries[n-1]
+			sh.freeEntries = sh.freeEntries[:n-1]
+		} else {
+			e = &entry{holders: make(map[uint64]modeSet)}
+		}
+		sh.locks[obj] = e
+	}
+	return e
+}
+
+// unhold drops tx's holding of obj's entry e, and the entry itself once
+// nobody holds or waits for it.
+func (sh *shard) unhold(tx uint64, obj TableRow, e *entry) {
+	delete(e.holders, tx)
+	if len(e.holders) == 0 && len(e.queue) == 0 {
+		delete(sh.locks, obj)
+		if len(sh.freeEntries) < maxFree {
+			sh.freeEntries = append(sh.freeEntries, e)
+		}
+	}
+}
+
+// inventory returns tx's inventory in this shard, creating it (from the
+// free list when it can) if tx has none.
+func (sh *shard) inventory(tx uint64) (inv map[TableRow]modeSet, fresh bool) {
+	if inv = sh.held[tx]; inv != nil {
+		return inv, false
+	}
+	if n := len(sh.freeInvs); n > 0 {
+		inv = sh.freeInvs[n-1]
+		sh.freeInvs = sh.freeInvs[:n-1]
+	} else {
+		inv = make(map[TableRow]modeSet)
+	}
+	sh.held[tx] = inv
+	return inv, true
+}
+
+// dropInventory forgets tx's emptied or released inventory inv.
+func (sh *shard) dropInventory(tx uint64, inv map[TableRow]modeSet) {
+	delete(sh.held, tx)
+	if len(sh.freeInvs) < maxFree {
+		clear(inv)
+		sh.freeInvs = append(sh.freeInvs, inv)
+	}
+}
+
 // Manager is the lock manager. The zero value is not usable; call New or
 // NewSharded.
 type Manager struct {
 	shards  []*shard
 	timeout time.Duration // 0 = wait forever
 	nextSeq atomic.Uint64 // global FIFO ticket counter
+	touched [touchedSlots]touchedSlot
+}
+
+// touchedSlots partitions the record of which shards each transaction holds
+// locks in, by transaction id, so unrelated transactions seldom share its
+// mutex.
+const touchedSlots = 64
+
+// touchedSlot maps a transaction to the shards it holds locks in: bit i%64
+// for shard i. A release visits only those shards.
+type touchedSlot struct {
+	mu sync.Mutex
+	m  map[uint64]uint64
+}
+
+// touch records that tx holds a lock in shard i. The caller holds that
+// shard's mutex.
+func (m *Manager) touch(tx uint64, i int) {
+	ts := &m.touched[tx%touchedSlots]
+	ts.mu.Lock()
+	if ts.m == nil {
+		ts.m = make(map[uint64]uint64)
+	}
+	ts.m[tx] |= 1 << (i % 64)
+	ts.mu.Unlock()
+}
+
+// shardMask returns the shards tx holds locks in as touch recorded them,
+// forgetting them when forget is set (a release of everything).
+func (m *Manager) shardMask(tx uint64, forget bool) uint64 {
+	ts := &m.touched[tx%touchedSlots]
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	mask := ts.m[tx]
+	if forget {
+		delete(ts.m, tx)
+	}
+	return mask
 }
 
 // New returns a lock manager with DefaultShards shards. waitTimeout of 0
@@ -171,6 +272,7 @@ func NewSharded(waitTimeout time.Duration, n int) *Manager {
 	m := &Manager{timeout: waitTimeout, shards: make([]*shard, n)}
 	for i := range m.shards {
 		s := &shard{
+			idx:   i,
 			locks: make(map[TableRow]*entry),
 			held:  make(map[uint64]map[TableRow]modeSet),
 		}
@@ -228,11 +330,7 @@ func (m *Manager) acquire(tx uint64, obj TableRow, mode Mode, wait bool) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	e := sh.locks[obj]
-	if e == nil {
-		e = &entry{holders: make(map[uint64]modeSet)}
-		sh.locks[obj] = e
-	}
+	e := sh.entry(obj)
 	if e.holders[tx].covers(mode) {
 		return nil
 	}
@@ -240,10 +338,7 @@ func (m *Manager) acquire(tx uint64, obj TableRow, mode Mode, wait bool) error {
 	w := waiter{tx: tx, mode: mode, seq: m.nextSeq.Add(1)}
 	e.queue = append(e.queue, w)
 
-	var deadline time.Time
-	if m.timeout > 0 {
-		deadline = time.Now().Add(m.timeout)
-	}
+	var deadline time.Time // set when the request first waits
 	waited := false
 	var lastBlockers []uint64
 	for {
@@ -252,10 +347,9 @@ func (m *Manager) acquire(tx uint64, obj TableRow, mode Mode, wait bool) error {
 		if len(blockers) == 0 {
 			e.dequeue(w.seq)
 			e.holders[tx] = e.holders[tx].with(mode)
-			inv := sh.held[tx]
-			if inv == nil {
-				inv = make(map[TableRow]modeSet)
-				sh.held[tx] = inv
+			inv, fresh := sh.inventory(tx)
+			if fresh {
+				m.touch(tx, sh.idx)
 			}
 			inv[obj] = inv[obj].with(mode)
 			sh.acquisitions++
@@ -298,6 +392,9 @@ func (m *Manager) acquire(tx uint64, obj TableRow, mode Mode, wait bool) error {
 		if !waited {
 			sh.waits++
 			waited = true
+			if m.timeout > 0 {
+				deadline = time.Now().Add(m.timeout)
+			}
 		}
 		if m.timeout > 0 {
 			if time.Now().After(deadline) {
@@ -420,9 +517,14 @@ func (m *Manager) cycleFrom(start uint64) bool {
 }
 
 // ReleaseAll drops every lock held by tx (commit or abort under Strict 2PL)
-// and wakes waiters on every shard the transaction touched.
+// and wakes waiters on every shard the transaction touched. It visits only
+// those shards.
 func (m *Manager) ReleaseAll(tx uint64) {
-	for _, sh := range m.shards {
+	mask := m.shardMask(tx, true)
+	for i, sh := range m.shards {
+		if mask&(1<<(i%64)) == 0 {
+			continue
+		}
 		sh.mu.Lock()
 		inv := sh.held[tx]
 		if inv == nil {
@@ -431,13 +533,10 @@ func (m *Manager) ReleaseAll(tx uint64) {
 		}
 		for obj := range inv {
 			if e := sh.locks[obj]; e != nil {
-				delete(e.holders, tx)
-				if len(e.holders) == 0 && len(e.queue) == 0 {
-					delete(sh.locks, obj)
-				}
+				sh.unhold(tx, obj, e)
 			}
 		}
-		delete(sh.held, tx)
+		sh.dropInventory(tx, inv)
 		sh.cond.Broadcast()
 		sh.mu.Unlock()
 	}
@@ -447,7 +546,11 @@ func (m *Manager) ReleaseAll(tx uint64) {
 // retaining IX/X — the read-committed relaxation where read locks are
 // released early while write locks are held to commit.
 func (m *Manager) ReleaseShared(tx uint64) {
-	for _, sh := range m.shards {
+	mask := m.shardMask(tx, false)
+	for i, sh := range m.shards {
+		if mask&(1<<(i%64)) == 0 {
+			continue
+		}
 		sh.mu.Lock()
 		inv := sh.held[tx]
 		changed := false
@@ -461,10 +564,7 @@ func (m *Manager) ReleaseShared(tx uint64) {
 			if newSet == 0 {
 				delete(inv, obj)
 				if e != nil {
-					delete(e.holders, tx)
-					if len(e.holders) == 0 && len(e.queue) == 0 {
-						delete(sh.locks, obj)
-					}
+					sh.unhold(tx, obj, e)
 				}
 			} else {
 				inv[obj] = newSet
@@ -473,8 +573,8 @@ func (m *Manager) ReleaseShared(tx uint64) {
 				}
 			}
 		}
-		if len(inv) == 0 {
-			delete(sh.held, tx)
+		if inv != nil && len(inv) == 0 {
+			sh.dropInventory(tx, inv)
 		}
 		if changed {
 			sh.cond.Broadcast()

@@ -422,6 +422,41 @@ func TestOverloadShedTypedError(t *testing.T) {
 	}
 }
 
+// TestOverloadShedNeverAfterReply: a request's admission slot is free by
+// the time its reply can reach the client. Under MaxInFlight 1, a client
+// that reads each reply and at once sends its next request on its other
+// connection is never shed. A slot released after the enqueue leaves a
+// window of a few instructions; under the race detector (make chaos) 4,000
+// round trips reach into it in most runs.
+func TestOverloadShedNeverAfterReply(t *testing.T) {
+	addr, _, srv := startFaultServer(t, entangle.Options{}, Options{MaxInFlight: 1})
+	var conns [2]net.Conn
+	for i := range conns {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i] = c
+	}
+	for i := 0; i < 4000; i++ {
+		c := conns[i%2]
+		if err := wire.WriteFrame(c, wire.Request{ID: uint64(i + 1), Op: wire.OpPing}); err != nil {
+			t.Fatal(err)
+		}
+		var resp wire.Response
+		if err := wire.ReadInto(c, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK {
+			t.Fatalf("request %d: %+v", i, resp)
+		}
+	}
+	if s := srv.StatsSnapshot(); s.Sheds != 0 {
+		t.Fatalf("server sheds = %d, want 0", s.Sheds)
+	}
+}
+
 // TestShedRetryReexecutes: a per-connection shed of a parking op must not
 // poison the dedup window — the client's retry of the same idempotency id
 // has to re-execute, not replay the refusal.

@@ -610,19 +610,21 @@ func (c *conn) serve() {
 					// Completed: replay inline, under the retry's own ID.
 					resp := entry.resp
 					resp.ID = req.ID
-					c.enqueue(resp)
 					c.release(gated)
+					c.enqueue(resp)
+					c.done()
 				default:
 					// Still executing (the original, on a conn the client
 					// may have abandoned): park a replayer. The owner always
 					// finishes — handlers return exactly one response — so
 					// this cannot leak.
 					go func(id uint64, entry *dedupEntry) {
-						defer c.release(gated)
 						<-entry.done
 						resp := entry.resp
 						resp.ID = id
+						c.release(gated)
 						c.enqueue(resp)
+						c.done()
 					}(req.ID, entry)
 				}
 				continue
@@ -630,8 +632,10 @@ func (c *conn) serve() {
 		}
 
 		if req.Op != wire.OpWait && req.Op != wire.OpSessionExec {
-			c.finishAndEnqueue(req, entry, c.dispatch(req))
+			resp := c.dispatch(req)
 			c.release(gated)
+			c.finishAndEnqueue(req, entry, resp)
+			c.done()
 			continue
 		}
 		// Parked ops are capped per connection: beyond PerConnPending the
@@ -645,23 +649,33 @@ func (c *conn) serve() {
 			if entry != nil {
 				c.cs.abort(req.Idem, shed)
 			}
-			c.enqueue(shed)
 			c.release(gated)
+			c.enqueue(shed)
+			c.done()
 			continue
 		}
 		go func(req wire.Request, entry *dedupEntry) {
-			defer c.release(gated)
-			defer func() { <-c.slots }()
-			c.finishAndEnqueue(req, entry, c.dispatch(req))
+			resp := c.dispatch(req)
+			<-c.slots
+			c.release(gated)
+			c.finishAndEnqueue(req, entry, resp)
+			c.done()
 		}(req, entry)
 	}
 }
 
-// release undoes one request's admission-gate and wait-group registration.
+// release gives back one request's admission slot. It runs before the reply
+// is enqueued: a client that reads the reply and at once sends its next
+// request, on any connection, must find the slot free.
 func (c *conn) release(gated bool) {
 	if gated {
 		c.srv.inflight.Add(-1)
 	}
+}
+
+// done undoes one request's wait-group registration. It runs after the
+// reply is enqueued, so Drain and Shutdown still wait for the bytes.
+func (c *conn) done() {
 	c.srv.reqWg.Done()
 	c.inflight.Done()
 }

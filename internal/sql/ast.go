@@ -9,8 +9,13 @@ import (
 // Expr is a SQL expression.
 type Expr interface{ isExpr() }
 
-// Lit is a literal value.
-type Lit struct{ Val types.Value }
+// Lit is a literal value. In a statement parsed for its shape (Cache), a
+// literal that is a parameter has its number from 1 in Param and no Val:
+// each execution supplies its value.
+type Lit struct {
+	Val   types.Value
+	Param int32
+}
 
 // Col is a (possibly qualified) column reference.
 type Col struct{ Table, Name string }

@@ -103,6 +103,11 @@ func (c *eqCompiler) entangled(st *EntangledSelectStmt, clauses []Expr) (*eq.Que
 // resolve once, against a scope of FROM tables (classical statements and
 // subqueries) or against the outer columns IN clauses bound (an entangled
 // SELECT's own WHERE and select list, a nil scope).
+//
+// Compiling a statement's shape (shape set), every constant that a
+// literal parameter or a session variable decides is a parameter of the
+// query (eq.P), not a constant: params says how each execution computes
+// its value, vals holds this compilation's.
 type eqCompiler struct {
 	session   *Session
 	outerVars map[string]string // entangled outer column name (lower) -> eq var
@@ -113,6 +118,11 @@ type eqCompiler struct {
 	scopes    []scopeTable // backs every block's scope
 	counter   int
 	rowIDs    bool // body atoms end in the row id txReader appends
+
+	lits   []types.Value // the literal parameters' values (Lit.Param)
+	shape  bool
+	params []param
+	vals   []types.Value
 }
 
 // scope is the columns one SELECT block's FROM list brings into scope.
@@ -260,7 +270,7 @@ func (c *eqCompiler) equate(in *InSubquery, inner, outer scope) error {
 		if err != nil {
 			return err
 		}
-		ot, it = coerceTerms(ot, ok, it, ik)
+		ot, it = c.coerceTerms(ot, ok, it, ik)
 		c.where = append(c.where, eq.Constraint{Left: ot, Op: eq.OpEq, Right: it})
 	}
 	return nil
@@ -271,7 +281,8 @@ func (c *eqCompiler) equate(in *InSubquery, inner, outer scope) error {
 func (c *eqCompiler) predicate(e Expr, sc scope) error {
 	switch ex := e.(type) {
 	case *Lit:
-		c.where = append(c.where, eq.Constraint{Left: eq.C(ex.Val), Op: eq.OpEq, Right: eq.C(types.Bool(true))})
+		l, _, _ := c.term(ex, sc) // a literal always compiles
+		c.where = append(c.where, eq.Constraint{Left: l, Op: eq.OpEq, Right: eq.C(types.Bool(true))})
 	case *Binary:
 		if ex.Op == "OR" {
 			return c.disjunction(ex, sc)
@@ -288,7 +299,7 @@ func (c *eqCompiler) predicate(e Expr, sc scope) error {
 		if err != nil {
 			return err
 		}
-		l, r = coerceTerms(l, lk, r, rk)
+		l, r = c.coerceTerms(l, lk, r, rk)
 		c.where = append(c.where, eq.Constraint{Left: l, Op: op, Right: r})
 	case *InSubquery:
 		return fmt.Errorf("sql: IN (SELECT ...) is supported only as a top-level AND conjunct")
@@ -326,13 +337,17 @@ func (c *eqCompiler) disjunction(ex *Binary, sc scope) error {
 func (c *eqCompiler) term(e Expr, sc scope) (eq.Term, types.Kind, error) {
 	switch t := e.(type) {
 	case *Lit:
-		return eq.C(t.Val), t.Val.Kind(), nil
+		if t.Param == 0 {
+			return eq.C(t.Val), t.Val.Kind(), nil
+		}
+		v := c.lits[t.Param-1]
+		return c.konst(t, v), v.Kind(), nil
 	case *Var:
 		v, ok := c.session.Vars[strings.ToLower(t.Name)]
 		if !ok {
 			return eq.Term{}, 0, fmt.Errorf("sql: unbound variable @%s", t.Name)
 		}
-		return eq.C(v), v.Kind(), nil
+		return c.konst(t, v), v.Kind(), nil
 	case *Col:
 		if sc != nil {
 			return sc.resolve(t)
@@ -345,6 +360,7 @@ func (c *eqCompiler) term(e Expr, sc scope) (eq.Term, types.Kind, error) {
 		if t.Op != "+" && t.Op != "-" {
 			return eq.Term{}, 0, fmt.Errorf("sql: unsupported operator %s in a value", t.Op)
 		}
+		n := len(c.params)
 		l, lk, err := c.term(t.L, sc)
 		if err != nil {
 			return eq.Term{}, 0, err
@@ -354,18 +370,25 @@ func (c *eqCompiler) term(e Expr, sc scope) (eq.Term, types.Kind, error) {
 			return eq.Term{}, 0, err
 		}
 		// A string operand that parses as a date is one: '2011-05-06' - fdate.
-		l, lk = dateOperand(l, lk)
-		r, rk = dateOperand(r, rk)
-		if l.IsConst() && r.IsConst() {
+		l, lk = c.dateOperand(l, lk)
+		r, rk = c.dateOperand(r, rk)
+		if c.isConst(l) && c.isConst(r) {
+			lv, rv := c.value(l), c.value(r)
 			v, err := types.Null(), error(nil)
 			switch {
-			case l.Value.IsNull() || r.Value.IsNull(): // NULL, as eq's arithmetic gives
+			case lv.IsNull() || rv.IsNull(): // NULL, as eq's arithmetic gives
 			case t.Op == "+":
-				v, err = l.Value.Add(r.Value)
+				v, err = lv.Add(rv)
 			default:
-				v, err = l.Value.Sub(r.Value)
+				v, err = lv.Sub(rv)
 			}
-			return eq.C(v), v.Kind(), err
+			if len(c.params) == n { // over constants the shape keeps
+				return eq.C(v), v.Kind(), err
+			}
+			// One parameter, computed by the whole sum, replaces the
+			// operands'.
+			c.params, c.vals = c.params[:n], c.vals[:n]
+			return c.konst(t, v), v.Kind(), err
 		}
 		kind := lk // date + int is a date, date - date an int
 		switch {
@@ -380,8 +403,45 @@ func (c *eqCompiler) term(e Expr, sc scope) (eq.Term, types.Kind, error) {
 	}
 }
 
+// konst is the term for the constant v that src, a literal parameter, a
+// session variable or a sum over them, evaluates to: v itself, or,
+// compiling a shape, a parameter each execution computes from src. A NULL
+// stays a constant, as the planner treats ?v = NULL apart; its parameter
+// only checks that later executions' value is NULL too.
+func (c *eqCompiler) konst(src Expr, v types.Value) eq.Term {
+	if !c.shape {
+		return eq.C(v)
+	}
+	c.params = append(c.params, param{src: src, kind: v.Kind()})
+	c.vals = append(c.vals, v)
+	if v.IsNull() {
+		return eq.C(v)
+	}
+	return eq.P(len(c.params) - 1)
+}
+
+// isConst reports whether t is a constant or a parameter.
+func (c *eqCompiler) isConst(t eq.Term) bool { return t.IsConst() || t.Param > 0 }
+
+// value is the value of a constant or parameter term in this compilation.
+func (c *eqCompiler) value(t eq.Term) types.Value {
+	if t.Param > 0 {
+		return c.vals[t.Param-1]
+	}
+	return t.Value
+}
+
 // dateOperand turns a constant string that parses as a date into the date.
-func dateOperand(t eq.Term, kind types.Kind) (eq.Term, types.Kind) {
+// A parameter reads its value so in every execution.
+func (c *eqCompiler) dateOperand(t eq.Term, kind types.Kind) (eq.Term, types.Kind) {
+	if t.Param > 0 {
+		c.params[t.Param-1].date = true
+		if d := coerce(c.vals[t.Param-1], types.KindDate); d.Kind() == types.KindDate {
+			c.params[t.Param-1].kind, c.vals[t.Param-1] = types.KindDate, d
+			return t, types.KindDate
+		}
+		return t, kind
+	}
 	if d := coerce(t.Value, types.KindDate); t.IsConst() && d.Kind() == types.KindDate {
 		return eq.C(d), types.KindDate
 	}
@@ -390,12 +450,12 @@ func dateOperand(t eq.Term, kind types.Kind) (eq.Term, types.Kind) {
 
 // coerceTerms converts a constant string compared with a DATE operand to a
 // date, as SQL compares a date column with a date literal.
-func coerceTerms(l eq.Term, lk types.Kind, r eq.Term, rk types.Kind) (eq.Term, eq.Term) {
+func (c *eqCompiler) coerceTerms(l eq.Term, lk types.Kind, r eq.Term, rk types.Kind) (eq.Term, eq.Term) {
 	if lk == types.KindDate {
-		r, _ = dateOperand(r, rk)
+		r, _ = c.dateOperand(r, rk)
 	}
 	if rk == types.KindDate {
-		l, _ = dateOperand(l, lk)
+		l, _ = c.dateOperand(l, lk)
 	}
 	return l, r
 }

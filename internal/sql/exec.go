@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -49,23 +50,24 @@ type Result struct {
 
 // Exec executes one statement. DDL statements (CREATE ...) are rejected
 // here — they are session-independent and handled by the database wrapper.
+// A classical statement compiles for this execution alone; Run executes
+// one whose shape a Cache keeps compiled.
 func (s *Session) Exec(tx DataTx, cat Catalog, stmt Stmt) (*Result, error) {
 	if cat != nil {
 		s.cat = cat
 	}
 	switch st := stmt.(type) {
-	case *InsertStmt:
-		return s.execInsert(tx, cat, st)
-	case *SelectStmt:
-		return s.execSelect(tx, st)
+	case *InsertStmt, *SelectStmt, *UpdateStmt, *DeleteStmt:
+		g := s.grounder(tx)
+		defer g.release()
+		if err := g.compile(&g.cs, stmt, nil, false); err != nil {
+			return nil, err
+		}
+		return g.run(&g.cs, nil)
 	case *EntangledSelectStmt:
 		return s.execEntangled(tx, st)
-	case *UpdateStmt:
-		return s.execWrite(tx, st.Table, st.Where, st.Set, true)
-	case *DeleteStmt:
-		return s.execWrite(tx, st.Table, st.Where, nil, false)
 	case *SetStmt:
-		v, err := s.evalScalar(st.Expr)
+		v, err := s.constant(st.Expr, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -87,10 +89,11 @@ func coerce(v types.Value, want types.Kind) types.Value {
 	return v
 }
 
-// evalScalar evaluates a row-independent expression — a literal, a host
-// variable, or + / - over them — folded as the compiler folds constants.
-func (s *Session) evalScalar(e Expr) (types.Value, error) {
-	t, _, err := (&eqCompiler{session: s}).term(e, nil)
+// constant evaluates a row-independent expression — a literal, a host
+// variable, or + / - over them — folded as the compiler folds constants,
+// lits the values of its literal parameters.
+func (s *Session) constant(e Expr, lits []types.Value) (types.Value, error) {
+	t, _, err := (&eqCompiler{session: s, lits: lits}).term(e, nil)
 	return t.Value, err
 }
 
@@ -105,100 +108,293 @@ func stored(v types.Value) types.Value {
 	return v
 }
 
-func (s *Session) execInsert(tx DataTx, cat Catalog, st *InsertStmt) (*Result, error) {
-	tbl, err := cat.Get(st.Table)
+// compiled is a classical statement compiled against the catalog: the
+// parsed statement, its eq query and join plan, or an INSERT's row, with
+// parameters (eq.P) where its shape's literals and session variables are.
+// A Cache's compiled statements are immutable, so any number of
+// executions share one.
+type compiled struct {
+	stmt   Stmt
+	key    string  // the shape key (Cache)
+	epoch  uint64  // the catalog epoch compiled at (Cache)
+	params []param // how an execution computes each parameter
+	q      eq.Query
+	plan   eq.Plan
+	cols   []string  // a SELECT's result columns
+	nfrom  int       // a SELECT's FROM entries: its head starts with their row ids
+	table  string    // the table an INSERT, UPDATE or DELETE writes
+	row    []eq.Term // an INSERT's row, or a FROM-less SELECT's items
+}
+
+// param says how an execution computes one parameter of a compiled
+// statement: src, a literal, a session variable or a sum over them,
+// evaluated; read as a date if date and it parses as one; then, if store,
+// coerced to the column kind col and copied for a row. Its kind before the
+// store must be kind, which the compilation assumed, or the statement
+// compiles again.
+type param struct {
+	src   Expr
+	kind  types.Kind
+	date  bool
+	store bool
+	col   types.Kind
+}
+
+// compile compiles a classical statement into cs, reusing cs's memory:
+// if shape, the shape cs is keyed by (Cache), its literal parameters'
+// values lits; else the statement as parsed, every constant in place.
+func (g *grounder) compile(cs *compiled, stmt Stmt, lits []types.Value, shape bool) error {
+	c := &g.c
+	*c = eqCompiler{session: c.session, rowIDs: true, scopes: c.scopes[:0], vals: c.vals[:0],
+		body: cs.q.Body[:0], head: cs.q.Head[:0], where: cs.q.Where[:0],
+		lits: lits, shape: shape, params: cs.params[:0]}
+	cs.stmt, cs.nfrom, cs.row = stmt, 0, cs.row[:0]
+	switch st := stmt.(type) {
+	case *InsertStmt:
+		if err := c.insert(cs, st); err != nil {
+			return err
+		}
+	case *SelectStmt:
+		if len(st.From) == 0 {
+			// Expression-only SELECT (e.g. SELECT @x).
+			cs.cols = nil
+			for _, item := range st.Items {
+				t, _, err := c.term(item.Expr, nil)
+				if err != nil {
+					return err
+				}
+				cs.row = append(cs.row, t)
+				cs.cols = append(cs.cols, itemName(item))
+			}
+			break
+		}
+		cols, err := c.selectStmt(st)
+		if err != nil {
+			return err
+		}
+		cs.cols, cs.nfrom = cols, len(st.From)
+	case *UpdateStmt:
+		if err := c.write(cs, st.Table, st.Where, st.Set, true); err != nil {
+			return err
+		}
+	case *DeleteStmt:
+		if err := c.write(cs, st.Table, st.Where, nil, false); err != nil {
+			return err
+		}
+	}
+	cs.params = c.params
+	if len(c.body) == 0 {
+		return nil
+	}
+	cs.q = eq.Query{Head: c.head, Body: c.body, Where: c.where}
+	return cs.plan.Build(&cs.q, &g.r)
+}
+
+// insert compiles an INSERT: the table's row, each position a constant or
+// a parameter bound for the column.
+func (c *eqCompiler) insert(cs *compiled, st *InsertStmt) error {
+	tbl, err := c.session.cat.Get(st.Table)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	schema := tbl.Schema()
-	row := make(types.Tuple, schema.Arity())
+	cs.table = st.Table
+	cs.row = slices.Grow(cs.row, schema.Arity())[:schema.Arity()]
+	value := func(j int, e Expr) error {
+		t, _, err := c.term(e, nil)
+		if err != nil {
+			return err
+		}
+		cs.row[j] = c.stored(t, schema.Columns[j].Type)
+		return nil
+	}
 	if len(st.Columns) == 0 {
 		if len(st.Values) != schema.Arity() {
-			return nil, fmt.Errorf("sql: INSERT arity %d, table %s has %d columns", len(st.Values), st.Table, schema.Arity())
+			return fmt.Errorf("sql: INSERT arity %d, table %s has %d columns", len(st.Values), st.Table, schema.Arity())
 		}
 		for i, e := range st.Values {
-			v, err := s.evalScalar(e)
-			if err != nil {
-				return nil, err
+			if err := value(i, e); err != nil {
+				return err
 			}
-			row[i] = stored(coerce(v, schema.Columns[i].Type))
 		}
-	} else {
-		if len(st.Columns) != len(st.Values) {
-			return nil, fmt.Errorf("sql: INSERT has %d columns but %d values", len(st.Columns), len(st.Values))
+		return nil
+	}
+	if len(st.Columns) != len(st.Values) {
+		return fmt.Errorf("sql: INSERT has %d columns but %d values", len(st.Columns), len(st.Values))
+	}
+	for i := range cs.row {
+		cs.row[i] = eq.C(types.Null())
+	}
+	for i, col := range st.Columns {
+		j := schema.Index(col)
+		if j < 0 {
+			return fmt.Errorf("sql: no column %s in %s", col, st.Table)
 		}
-		for i := range row {
-			row[i] = types.Null()
-		}
-		for i, col := range st.Columns {
-			j := schema.Index(col)
-			if j < 0 {
-				return nil, fmt.Errorf("sql: no column %s in %s", col, st.Table)
-			}
-			v, err := s.evalScalar(st.Values[i])
-			if err != nil {
-				return nil, err
-			}
-			row[j] = stored(coerce(v, schema.Columns[j].Type))
+		if err := value(j, st.Values[i]); err != nil {
+			return err
 		}
 	}
-	if _, err := tx.Insert(st.Table, row); err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: 1}, nil
+	return nil
 }
 
-// execSelect runs a classical SELECT: compiled to an eq query, planned
-// and streamed through a txReader, its rows read off the groundings' heads.
-func (s *Session) execSelect(tx DataTx, st *SelectStmt) (*Result, error) {
-	if len(st.From) == 0 {
-		// Expression-only SELECT (e.g. SELECT @x).
-		var row types.Tuple
-		var cols []string
-		for _, item := range st.Items {
-			v, err := s.evalScalar(item.Expr)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-			cols = append(cols, itemName(item))
+// stored is a constant or parameter term bound for a column of kind col:
+// its value coerced to the column and copied for the row (see stored).
+func (c *eqCompiler) stored(t eq.Term, col types.Kind) eq.Term {
+	switch {
+	case t.Param > 0:
+		c.params[t.Param-1].store, c.params[t.Param-1].col = true, col
+	case t.IsConst():
+		t = eq.C(stored(coerce(t.Value, col)))
+	}
+	return t
+}
+
+// write compiles an UPDATE or a DELETE: a grounding per row of table that
+// where selects, its head the row id then, for an UPDATE, the row as SET
+// leaves it.
+func (c *eqCompiler) write(cs *compiled, table string, where Expr, set []Assign, update bool) error {
+	sc, err := c.block([]TableRef{{Name: table}}, where)
+	if err != nil {
+		return err
+	}
+	cs.table = table
+	t, arity := sc[0], len(sc[0].args)-1
+	args := []eq.Term{t.args[arity]}
+	if update {
+		args = append(args, t.args[:arity]...)
+	}
+	for _, a := range set {
+		j := t.schema.Index(a.Col)
+		if j < 0 {
+			return fmt.Errorf("sql: no column %s in %s", a.Col, table)
 		}
-		res := &Result{Columns: cols, Rows: []types.Tuple{row}}
-		s.applyBindings(st.Items, row)
+		term, _, err := c.term(a.Expr, sc)
+		if err != nil {
+			return err
+		}
+		args[1+j] = c.stored(term, t.schema.Columns[j].Type)
+	}
+	c.head = append(c.head, eq.Atom{Rel: table, Args: args})
+	return nil
+}
+
+// bind computes cs's parameters for an execution with literal values lits
+// into g.params. False means a parameter's kind is not the one cs was
+// compiled for: the execution needs a compilation of its own.
+func (g *grounder) bind(cs *compiled, lits []types.Value) (bool, error) {
+	g.params = g.params[:0]
+	s := g.c.session
+	for i := range cs.params {
+		p := &cs.params[i]
+		var v types.Value
+		switch src := p.src.(type) {
+		case *Lit:
+			v = lits[src.Param-1]
+		case *Var:
+			var ok bool
+			if v, ok = s.Vars[strings.ToLower(src.Name)]; !ok {
+				return false, fmt.Errorf("sql: unbound variable @%s", src.Name)
+			}
+		default:
+			var err error
+			if v, err = s.constant(src, lits); err != nil {
+				return false, err
+			}
+		}
+		if p.date {
+			if d := coerce(v, types.KindDate); d.Kind() == types.KindDate {
+				v = d
+			}
+		}
+		if v.Kind() != p.kind {
+			return false, nil
+		}
+		if p.store {
+			v = stored(coerce(v, p.col))
+		}
+		g.params = append(g.params, v)
+	}
+	return true, nil
+}
+
+// values is cs.row's values in an execution with params.
+func (cs *compiled) values(params []types.Value) types.Tuple {
+	row := make(types.Tuple, len(cs.row))
+	for i, t := range cs.row {
+		row[i] = t.Value
+		if t.Param > 0 {
+			row[i] = params[t.Param-1]
+		}
+	}
+	return row
+}
+
+// run executes a compiled classical statement with its parameters bound
+// to params: an INSERT stores its row; a SELECT, UPDATE or DELETE grounds
+// its plan through a txReader, its rows read off the groundings' heads,
+// and an UPDATE or DELETE then writes every row it read.
+func (g *grounder) run(cs *compiled, params []types.Value) (*Result, error) {
+	s, tx := g.c.session, g.r.tx
+	switch st := cs.stmt.(type) {
+	case *InsertStmt:
+		if _, err := tx.Insert(cs.table, cs.values(params)); err != nil {
+			return nil, err
+		}
+		return &Result{RowsAffected: 1}, nil
+	case *SelectStmt:
+		res := &Result{Columns: cs.cols}
+		if cs.nfrom == 0 {
+			row := cs.values(params)
+			res.Rows = []types.Tuple{row}
+			s.applyBindings(st.Items, row)
+			return res, nil
+		}
+		gs, err := g.ev.GroundPlan(&cs.plan, &g.r, params, eq.GroundOptions{MaxGroundings: st.Limit})
+		if err != nil {
+			return nil, err
+		}
+		if len(gs) > 0 {
+			n := len(cs.cols)
+			res.Rows = make([]types.Tuple, len(gs))
+			vals := make([]types.Value, len(gs)*n)
+			for i, gr := range gs {
+				res.Rows[i] = vals[i*n : (i+1)*n : (i+1)*n]
+				copy(res.Rows[i], gr.Head[0].Args[cs.nfrom:])
+			}
+			s.applyBindings(st.Items, res.Rows[0])
+		}
 		return res, nil
 	}
-	g := s.grounder(tx)
-	defer g.release()
-	cols, err := g.c.selectStmt(st)
+	gs, err := g.ev.GroundPlan(&cs.plan, &g.r, params, eq.GroundOptions{})
 	if err != nil {
 		return nil, err
 	}
-	g.q = eq.Query{Head: g.c.head, Body: g.c.body, Where: g.c.where}
-	gs, err := g.ev.Ground(&g.q, &g.r, eq.GroundOptions{MaxGroundings: st.Limit})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Columns: cols}
-	if len(gs) > 0 {
-		res.Rows = make([]types.Tuple, len(gs))
-		vals := make([]types.Value, len(gs)*len(cols))
-		for i, gr := range gs {
-			res.Rows[i] = vals[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
-			copy(res.Rows[i], gr.Head[0].Args[len(st.From):])
+	_, update := cs.stmt.(*UpdateStmt)
+	for _, gr := range gs {
+		row := gr.Head[0].Args
+		id := storage.RowID(row[0].Int64())
+		if update {
+			err = tx.Update(cs.table, id, row[1:].Clone())
+		} else {
+			err = tx.Delete(cs.table, id)
 		}
-		s.applyBindings(st.Items, res.Rows[0])
+		if err != nil {
+			return nil, err
+		}
 	}
-	return res, nil
+	return &Result{RowsAffected: len(gs)}, nil
 }
 
-// grounder is the memory a classical statement compiles, plans, reads and
+// grounder is the memory a classical statement compiles, binds, reads and
 // grounds in. A pool recycles it from statement to statement, so the
-// statement's query and groundings live until it is released.
+// statement's groundings live until it is released. cs holds a statement
+// compiled for one execution (Exec); a Cache's are their own.
 type grounder struct {
-	c  eqCompiler
-	q  eq.Query
-	ev eq.Evaluator
-	r  txReader
+	c      eqCompiler
+	cs     compiled
+	params []types.Value
+	ev     eq.Evaluator
+	r      txReader
 }
 
 var grounders = sync.Pool{New: func() any { return &grounder{r: txReader{scans: make(map[string][]types.Tuple)}} }}
@@ -206,7 +402,7 @@ var grounders = sync.Pool{New: func() any { return &grounder{r: txReader{scans: 
 // grounder takes a grounder from the pool for a statement over tx.
 func (s *Session) grounder(tx DataTx) *grounder {
 	g := grounders.Get().(*grounder)
-	g.c = eqCompiler{session: s, rowIDs: true, body: g.c.body[:0], head: g.c.head[:0], where: g.c.where[:0], scopes: g.c.scopes[:0]}
+	g.c.session = s
 	g.r.tx, g.r.cat = tx, s.cat
 	return g
 }
@@ -214,7 +410,9 @@ func (s *Session) grounder(tx DataTx) *grounder {
 // release returns g to the pool, dropping what it holds of the statement.
 func (g *grounder) release() {
 	clear(g.r.scans)
-	g.c.session, g.r.tx, g.r.cat = nil, nil, nil
+	clear(g.c.vals)
+	clear(g.params)
+	g.c.session, g.c.lits, g.r.tx, g.r.cat = nil, nil, nil, nil
 	grounders.Put(g)
 }
 
@@ -246,57 +444,6 @@ func itemName(item SelectItem) string {
 		return c.Name
 	}
 	return "expr"
-}
-
-// execWrite grounds the rows of table that where selects, then updates
-// them as set says or deletes them: every row is read before the first is
-// written. Each grounding's head is the row id, then, for an UPDATE, the
-// row as SET leaves it.
-func (s *Session) execWrite(tx DataTx, table string, where Expr, set []Assign, update bool) (*Result, error) {
-	g := s.grounder(tx)
-	defer g.release()
-	sc, err := g.c.block([]TableRef{{Name: table}}, where)
-	if err != nil {
-		return nil, err
-	}
-	t, arity := sc[0], len(sc[0].args)-1
-	args := []eq.Term{t.args[arity]}
-	if update {
-		args = append(args, t.args[:arity]...)
-	}
-	for _, a := range set {
-		j := t.schema.Index(a.Col)
-		if j < 0 {
-			return nil, fmt.Errorf("sql: no column %s in %s", a.Col, table)
-		}
-		term, _, err := g.c.term(a.Expr, sc)
-		if err != nil {
-			return nil, err
-		}
-		if term.IsConst() {
-			term = eq.C(stored(coerce(term.Value, t.schema.Columns[j].Type)))
-		}
-		args[1+j] = term
-	}
-	g.c.head = append(g.c.head, eq.Atom{Rel: table, Args: args})
-	g.q = eq.Query{Head: g.c.head, Body: g.c.body, Where: g.c.where}
-	gs, err := g.ev.Ground(&g.q, &g.r, eq.GroundOptions{})
-	if err != nil {
-		return nil, err
-	}
-	for _, gr := range gs {
-		row := gr.Head[0].Args
-		id := storage.RowID(row[0].Int64())
-		if update {
-			err = tx.Update(table, id, row[1:].Clone())
-		} else {
-			err = tx.Delete(table, id)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &Result{RowsAffected: len(gs)}, nil
 }
 
 // execEntangled compiles the entangled SELECT against the session's

@@ -23,25 +23,46 @@ func Parse(src string) ([]Stmt, error) {
 	}
 	p := &parser{toks: toks}
 	var out []Stmt
-	for {
-		for p.peek().kind == tokSym && p.peek().text == ";" {
-			p.next()
-		}
-		if p.peek().kind == tokEOF {
-			break
-		}
+	for p.more() {
 		stmt, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, stmt)
-		if p.peek().kind == tokSym && p.peek().text == ";" {
-			p.next()
-		} else if p.peek().kind != tokEOF {
-			return nil, fmt.Errorf("sql: expected ';' or end of input, got %s", p.peek())
+		if err := p.endStmt(); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// more skips empty statements and reports whether another one starts.
+func (p *parser) more() bool {
+	for p.peek().kind == tokSym && p.peek().text == ";" {
+		p.next()
+	}
+	return p.peek().kind != tokEOF
+}
+
+// stmtEnd is the position of the ';' or end of input after the statement
+// at p.pos.
+func (p *parser) stmtEnd() int {
+	end := p.pos
+	for t := p.toks[end]; t.kind != tokEOF && !(t.kind == tokSym && t.text == ";"); t = p.toks[end] {
+		end++
+	}
+	return end
+}
+
+// endStmt consumes the ';' that ends a statement, if any; anything else
+// but the end of input is an error.
+func (p *parser) endStmt() error {
+	if p.peek().kind == tokSym && p.peek().text == ";" {
+		p.next()
+	} else if p.peek().kind != tokEOF {
+		return fmt.Errorf("sql: expected ';' or end of input, got %s", p.peek())
+	}
+	return nil
 }
 
 // ParseOne parses exactly one statement.
@@ -723,6 +744,9 @@ func (p *parser) parseAdd() (Expr, error) {
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch {
+	case t.param > 0:
+		p.next()
+		return &Lit{Param: t.param}, nil
 	case t.kind == tokNumber:
 		p.next()
 		n, err := strconv.ParseInt(t.text, 10, 64)

@@ -16,8 +16,11 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
+
+	"repro/internal/types"
 )
 
 // tokenKind classifies lexer tokens.
@@ -33,8 +36,9 @@ const (
 )
 
 type token struct {
-	kind tokenKind
-	text string // identifier (upper-cased for keywords via keyword()), literal text, or symbol
+	kind  tokenKind
+	text  string // identifier (upper-cased for keywords via keyword()), literal text, or symbol
+	param int32  // the literal's parameter number from 1 in its statement's shape; 0 when the shape keeps it
 }
 
 func (t token) String() string {
@@ -151,4 +155,52 @@ func lex(src string) ([]token, error) {
 // keyword reports whether tok is the given keyword (case-insensitive).
 func (t token) isKeyword(kw string) bool {
 	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
+}
+
+// shapeKey appends to key the shape of the statement toks holds, and to
+// lits its parameters' values. The shape is each token's kind and text,
+// except that a literal is a parameter: its kind alone goes into the key,
+// and the token gets its parameter number (from 1). A number the parser
+// reads itself stays in the key: one right after a keyword (LIMIT 5,
+// CHOOSE 1), and one too large for an INT, which the parser rejects. Two
+// statements with one key parse alike but for their parameters.
+func shapeKey(key []byte, toks []token, lits []types.Value) ([]byte, []types.Value) {
+	n := len(lits)
+	for i := range toks {
+		t := &toks[i]
+		switch t.kind {
+		case tokString:
+			lits = append(lits, types.Str(t.text))
+			t.param = int32(len(lits) - n)
+		case tokNumber:
+			v, err := strconv.ParseInt(t.text, 10, 64)
+			if err != nil || i > 0 && toks[i-1].kind == tokIdent {
+				break
+			}
+			lits = append(lits, types.Int(v))
+			t.param = int32(len(lits) - n)
+		}
+		if t.param > 0 {
+			key = append(key, byte(t.kind)|0x80, 0)
+			continue
+		}
+		key = append(append(append(key, byte(t.kind)), t.text...), 0)
+	}
+	return key, lits
+}
+
+// rebase points the texts of toks' non-parameter tokens into key, which
+// shapeKey built from them, so that a statement parsed from toks holds on
+// to its key and not to the script the tokens came from.
+func rebase(key string, toks []token) {
+	off := 0
+	for i := range toks {
+		off++ // the kind
+		if toks[i].param == 0 {
+			n := len(toks[i].text)
+			toks[i].text = key[off : off+n]
+			off += n
+		}
+		off++ // the terminator
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/types"
 )
@@ -12,7 +13,14 @@ import (
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table // keyed by lower-case name
+	epoch  atomic.Uint64     // DDL count: Create, Drop, CreateIndex
 }
+
+// Epoch counts the catalog's DDL: creating or dropping a table and
+// declaring an index each add one, after the change is visible. Whatever
+// was compiled or planned from the catalog at one epoch holds until the
+// next.
+func (c *Catalog) Epoch() uint64 { return c.epoch.Load() }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
@@ -40,7 +48,9 @@ func (c *Catalog) Create(name string, schema *types.Schema) (*Table, error) {
 		return nil, fmt.Errorf("storage: table %s already exists", name)
 	}
 	t := NewTable(name, schema)
+	t.epoch = &c.epoch
 	c.tables[key] = t
+	c.epoch.Add(1)
 	return t, nil
 }
 
@@ -72,6 +82,7 @@ func (c *Catalog) Drop(name string) error {
 		return fmt.Errorf("storage: no such table %s", name)
 	}
 	delete(c.tables, key)
+	c.epoch.Add(1)
 	return nil
 }
 

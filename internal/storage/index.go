@@ -174,6 +174,9 @@ func (t *Table) CreateIndex(name string, columns ...string) error {
 	default: // the declared column order keys the buckets differently
 		*ix = *t.buildIndex(name, cols)
 	}
+	if t.epoch != nil {
+		t.epoch.Add(1)
+	}
 	return nil
 }
 

@@ -102,6 +102,8 @@ type Table struct {
 	versions int               // live version count (GC accounting)
 
 	scans atomic.Int64 // whole-table reads: scans, index builds, unindexed lookups
+
+	epoch *atomic.Uint64 // the catalog's DDL epoch (Catalog.Epoch); nil outside a catalog
 }
 
 // NewTable creates an empty table.
@@ -406,12 +408,17 @@ func (t *Table) Stamp(txID uint64, id RowID, csn uint64) {
 		return
 	}
 	prev, _ := latestVisible(vs, 0) // the committed image before this commit
+	// txID's versions are the chain's tail, as it holds the row's X lock
+	// from its first write (see AppendTxRows), so the walk stops there and
+	// costs the commit's own writes, not the row's history.
+	i := len(vs)
+	for i > 0 && !vs[i-1].committed() && vs[i-1].tx == txID {
+		i--
+		vs[i].csn = csn
+	}
 	last := prev
-	for i := range vs {
-		if !vs[i].committed() && vs[i].tx == txID {
-			vs[i].csn = csn
-			last = vs[i].row
-		}
+	if i < len(vs) {
+		last = vs[len(vs)-1].row
 	}
 	t.noteCommit(csn, prev, last)
 }
