@@ -28,7 +28,10 @@ race:
 # clock (internal/clock), so a wall-clock timer in their non-test files
 # fails it. The writer gate: internal/txn is the one module that writes a
 # transaction's log records, so a transaction record built in a non-test
-# file of core, dist, server, entangle or cmd fails it.
+# file of core, dist, server, entangle or cmd fails it. The codec gate: the
+# cross-shard messages and what they carry (dist, eq, types) travel in the
+# binary codec of internal/wire/envelope.go, so encoding/json imported by a
+# non-test file of those packages or of internal/server/dist.go fails it.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -36,6 +39,8 @@ vet:
 		if [ -n "$$out" ]; then echo "wall-clock timer outside internal/clock (use the injected clock):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'wal\.(Begin|Insert|Update|Delete|Commit|Abort|GroupCommit|Entangle|Prepare)\(' internal/core internal/dist internal/server entangle cmd); \
 		if [ -n "$$out" ]; then echo "transaction log record written outside internal/txn:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' '"encoding/json"' internal/dist internal/eq internal/types internal/server/dist.go); \
+		if [ -n "$$out" ]; then echo "encoding/json on the cross-shard message path (use the wire envelope codec):"; echo "$$out"; exit 1; fi
 
 # Static analysis gate. CI installs staticcheck; locally the target skips
 # with a notice when the binary is absent so `make ci` stays runnable in
@@ -113,7 +118,8 @@ bench-test:
 	$(GO) test -C bench ./...
 
 # Fuzz smoke: a short randomized run of each wire-protocol fuzz target
-# (frame reader and binary codec) on top of the committed seed corpus, and
+# (frame reader, binary codec and cross-shard envelope codec) on top of the
+# committed seed corpus, and
 # of the statement-shape target (texts with one shape key parse alike but
 # for their literals; text that fails to parse leaves no cache entry),
 # seeded from the parser's seed scripts. One -fuzz pattern per invocation
@@ -121,6 +127,7 @@ bench-test:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryFrame$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzStatementShape$$' -fuzztime 10s ./internal/sql
 
 # CPU + heap profile of the Figure 6(b) pending-queries sweep (every

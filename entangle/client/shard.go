@@ -1,7 +1,6 @@
 package client
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/dist"
@@ -50,25 +49,21 @@ func (c *Client) SubmitScriptTraced(script string, trace uint64) (*Handle, error
 }
 
 // ShardSend delivers one 2PC message (offer, prepare, vote or decide) to
-// the peer server, JSON-encoded in the request's Body.
+// the peer server, in the request's Body (wire.AppendEnvelope).
 func (c *Client) ShardSend(msg dist.Envelope) error {
-	raw, err := json.Marshal(msg)
-	if err != nil {
-		return fmt.Errorf("client: encode shard message: %w", err)
-	}
-	_, err = c.call(wire.Request{Op: wire.OpShardMsg, Body: raw})
+	_, err := c.call(wire.Request{Op: wire.OpShardMsg, Body: wire.AppendEnvelope(nil, &msg)})
 	return err
 }
 
 // ShardStatus inquires a group's verdict (in-doubt resolution). The group
 // id travels in the request's Handle field — the same opaque-u64 shape.
 func (c *Client) ShardStatus(group uint64) (dist.Status, error) {
-	var st dist.Status
 	resp, err := c.call(wire.Request{Op: wire.OpShardStatus, Handle: group})
 	if err != nil {
-		return st, err
+		return dist.Status{}, err
 	}
-	if err := json.Unmarshal(resp.Body, &st); err != nil {
+	st, err := wire.DecodeStatus(resp.Body)
+	if err != nil {
 		return st, fmt.Errorf("client: decode status: %w", err)
 	}
 	return st, nil

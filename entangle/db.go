@@ -204,7 +204,7 @@ func (db *DB) ExecTraced(script string, trace uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	session := sql.NewSession()
+	var session sql.Session
 	var last *Result
 	for i := range stmts {
 		st := &stmts[i]
@@ -217,7 +217,7 @@ func (db *DB) ExecTraced(script string, trace uint64) (*Result, error) {
 		case *sql.EntangledSelectStmt:
 			return nil, fmt.Errorf("entangle: entangled queries require SubmitScript")
 		}
-		if last, err = db.execStmt(session, st, trace); err != nil {
+		if last, err = db.execStmt(&session, st, trace); err != nil {
 			return nil, err
 		}
 	}

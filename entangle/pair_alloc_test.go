@@ -80,10 +80,11 @@ var raceDetector bool
 // Ceilings for one classical statement through DB.Exec against an indexed
 // 1,000-row Notes table: lex the statement, look its shape up, bind its
 // literal, one RunDirect and one index probe (plus, for the UPDATE, the
-// write). A warm shape neither parses nor compiles nor plans.
+// write). A warm shape neither parses nor compiles nor plans, and a
+// statement that binds no @variable makes no session variable map.
 const (
-	maxPointSelectAllocs, maxPointSelectBytes = 30, 2400
-	maxPointUpdateAllocs, maxPointUpdateBytes = 33, 3000
+	maxPointSelectAllocs, maxPointSelectBytes = 29, 2350
+	maxPointUpdateAllocs, maxPointUpdateBytes = 32, 2950
 )
 
 // TestClassicalStmtAllocs pins the allocations of a point SELECT and a

@@ -19,8 +19,9 @@ var ErrInDoubt = errors.New("core: shutdown with in-doubt distributed group")
 
 // DistTransport carries the participant side of the cross-shard protocol.
 // Offer and Vote are fire-and-forget (delivery failures surface as group
-// timeouts, which resolve to abort); Status is the synchronous in-doubt
-// inquiry.
+// timeouts, which resolve to abort), and the engine calls them from its
+// outbox goroutine, one at a time in emission order; Status is the
+// synchronous in-doubt inquiry.
 type DistTransport interface {
 	Offer(o dist.Offer)
 	Vote(v dist.Vote)
@@ -89,6 +90,54 @@ type distRuntime struct {
 	offers   map[uint64]*liveOffer    // offer id -> exported offer
 	prepares map[uint64]*dist.Prepare // offer id -> undelivered reservation
 	parked   map[uint64]*parkedGroup  // group id -> prepared members
+
+	// The outbox: offers and votes wait in outq, in the order emit queued
+	// them, for the one goroutine that hands them to the transport; sending
+	// is set while that goroutine runs.
+	outMu   sync.Mutex
+	outq    []dist.Envelope
+	sending bool
+}
+
+// emit queues an offer or a vote for the coordinator (any goroutine; never
+// blocks). The participant's envelopes reach the transport one at a time,
+// in emission order, from a goroutine that runs while the queue is
+// non-empty; loopback delivery to a co-located matchmaker runs there too,
+// never on the engine loop. Order matters: a vote that overtook its
+// member's re-offer could decide the group first, and the matchmaker would
+// pool the late re-offer of a member that has already committed.
+func (d *distRuntime) emit(env dist.Envelope) {
+	d.outMu.Lock()
+	d.outq = append(d.outq, env)
+	start := !d.sending
+	d.sending = true
+	d.outMu.Unlock()
+	if start {
+		go d.send()
+	}
+}
+
+// send drains the outbox, then exits.
+func (d *distRuntime) send() {
+	var batch []dist.Envelope
+	for {
+		d.outMu.Lock()
+		batch, d.outq = d.outq, batch[:0]
+		if len(batch) == 0 {
+			d.sending = false
+			d.outMu.Unlock()
+			return
+		}
+		d.outMu.Unlock()
+		for _, env := range batch {
+			if env.Offer != nil {
+				d.cfg.Transport.Offer(*env.Offer)
+			} else {
+				d.cfg.Transport.Vote(*env.Vote)
+			}
+		}
+		clear(batch)
+	}
 }
 
 // registerOffer records (or refreshes) the member's offer and returns the
@@ -147,7 +196,7 @@ func (d *distRuntime) forget(ent *pending) *dist.Prepare {
 }
 
 func (d *distRuntime) voteNo(group, offer uint64) {
-	go d.cfg.Transport.Vote(dist.Vote{Group: group, Offer: offer, Node: d.cfg.Node, Yes: false})
+	d.emit(dist.Envelope{Vote: &dist.Vote{Group: group, Offer: offer, Node: d.cfg.Node, Yes: false}})
 }
 
 // park stores a prepared group. Each member holds one Enter on the
@@ -164,11 +213,11 @@ func (d *distRuntime) park(group uint64, ms []*member) {
 	pg.poll = e.opts.Clock.AfterFunc(statusGrace, func() { d.pollDecision(group, pg) })
 	d.mu.Unlock()
 	for _, m := range ms {
-		v := dist.Vote{Group: group, Offer: m.entry.offerID, Node: d.cfg.Node, Yes: true}
+		v := &dist.Vote{Group: group, Offer: m.entry.offerID, Node: d.cfg.Node, Yes: true}
 		if begin, spans, ok := e.tracer.Export(m.entry.prog.Trace); ok {
 			v.Trace, v.TraceBegin, v.Spans = m.entry.prog.Trace, begin, spans
 		}
-		go d.cfg.Transport.Vote(v)
+		d.emit(dist.Envelope{Vote: v})
 	}
 }
 
@@ -373,7 +422,7 @@ func (dc *distCoordinator) afterRound(r *run) {
 			continue
 		}
 		if o := dc.d.registerOffer(m); o != nil {
-			go dc.d.cfg.Transport.Offer(*o)
+			dc.d.emit(dist.Envelope{Offer: o})
 		}
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/dist"
+	"repro/internal/obs"
 )
 
 // memNet wires two engines and a matchmaker together in-process: the
@@ -36,6 +38,13 @@ type memNet struct {
 	// failLog makes the coordinator unable to log a commit decision, so
 	// every fully-voted group is decided abort.
 	failLog atomic.Bool
+	// holdOffer, when set, runs before each offer reaches the matchmaker
+	// (a send that may stall in transit).
+	holdOffer atomic.Pointer[func(node string)]
+	// offered counts the offers the matchmaker has taken in.
+	offered atomic.Int64
+	// metrics is the matchmaker's registry.
+	metrics *obs.Registry
 }
 
 func (n *memNet) Prepare(node string, p dist.Prepare) error {
@@ -58,7 +67,13 @@ type memTransport struct {
 	node string
 }
 
-func (t *memTransport) Offer(o dist.Offer) { t.net.mm.AddOffer(&o) }
+func (t *memTransport) Offer(o dist.Offer) {
+	if hold := t.net.holdOffer.Load(); hold != nil {
+		(*hold)(t.node)
+	}
+	t.net.mm.AddOffer(&o)
+	t.net.offered.Add(1)
+}
 
 func (t *memTransport) Vote(v dist.Vote) {
 	if v.Yes && t.net.dropYes.Add(-1) >= 0 {
@@ -84,9 +99,10 @@ func newDistPair(t *testing.T) (*memNet, *Engine, *Engine) {
 
 func newDistPairRetry(t *testing.T, retry time.Duration) (*memNet, *Engine, *Engine) {
 	t.Helper()
-	net := &memNet{clock: clock.NewFake(time.Now()), engines: make(map[string]*Engine)}
+	net := &memNet{clock: clock.NewFake(time.Now()), engines: make(map[string]*Engine), metrics: obs.NewRegistry()}
 	net.mm = dist.New(dist.Options{
-		Send: net,
+		Metrics: net.metrics,
+		Send:    net,
 		Log: func(_ uint64, commit bool) error {
 			if commit && net.failLog.Load() {
 				return errors.New("memNet: decision log unavailable")
@@ -208,6 +224,71 @@ func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
 			t.Fatalf("timed out after %v waiting for %s", d, what)
 		}
 	}
+}
+
+// TestDistReofferNeverOvertakesItsVote: a participant's envelopes reach
+// the matchmaker in the order its engine emitted them. Minnie's re-offer
+// stalls in transit while her group forms from her first offer; her yes
+// vote, emitted after it, must not reach the matchmaker first. Had it
+// overtaken, the group would be decided before the re-offer arrived, and
+// the matchmaker would pool the re-offer of a member that has already
+// committed, re-solving it in every later match until its deadline.
+func TestDistReofferNeverOvertakesItsVote(t *testing.T) {
+	const retry = 10 * time.Millisecond
+	net, ea, eb := newDistPairRetry(t, retry)
+	pooled := net.metrics.Counter("dist_offers")
+	h2 := eb.Submit(bookFlightProg("Minnie", "Mickey", 5*time.Second))
+	eventually(t, 5*time.Second, "Minnie's offer", func() bool { return pooled.Load() == 1 })
+
+	inTransit, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hold := func(node string) {
+		if node == "B" {
+			once.Do(func() { close(inTransit); <-release })
+		}
+	}
+	net.holdOffer.Store(&hold)
+	net.clock.Advance(retry) // the tick re-executes Minnie: she re-offers
+	select {
+	case <-inTransit:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Minnie did not re-offer on the tick")
+	}
+	h1 := ea.Submit(bookFlightProg("Mickey", "Minnie", 5*time.Second))
+	// Her first offer matches Mickey's; both members prepare and vote. Let
+	// the re-offer go once Minnie's vote has either overtaken it (the group
+	// is decided and she has committed) or queued behind it.
+	eventually(t, 5*time.Second, "Minnie's vote", func() bool {
+		_, settled := h2.Poll()
+		return settled || voteQueued(eb)
+	})
+	close(release)
+	o1, o2 := waitWithin(t, h1, 5*time.Second), waitWithin(t, h2, 5*time.Second)
+	if o1.Status != StatusCommitted || o2.Status != StatusCommitted {
+		t.Fatalf("outcomes = %+v, %+v", o1, o2)
+	}
+	eventually(t, 5*time.Second, "the re-offer", func() bool { return net.offered.Load() == 3 })
+	// One offer per member pooled: the re-offer reached the matchmaker while
+	// the group was undecided, was held, and went with the commit.
+	if n := pooled.Load(); n != 2 {
+		t.Errorf("matchmaker pooled %d offers, want 2: a committed member's re-offer stays pooled", n)
+	}
+	if n := net.metrics.Counter("dist_groups").Load(); n != 1 {
+		t.Errorf("groups = %d, want 1", n)
+	}
+}
+
+// voteQueued reports whether a vote waits in the engine's outbox.
+func voteQueued(e *Engine) bool {
+	d := e.dist
+	d.outMu.Lock()
+	defer d.outMu.Unlock()
+	for _, env := range d.outq {
+		if env.Vote != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // TestDistPairCommitsWithoutTick: a delivered prepare wakes its member, so

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -113,16 +112,34 @@ type loggedOffer struct {
 }
 
 func (l *offerLog) Offer(o dist.Offer) {
-	b, err := json.Marshal(o.Grounds)
-	if err != nil {
-		panic(err)
-	}
-	l.got <- loggedOffer{o: &o, bytes: b}
+	l.got <- loggedOffer{o: &o, bytes: groundsBytes(o.Grounds)}
 }
 
 func (l *offerLog) Vote(dist.Vote) {}
 
 func (l *offerLog) Status(uint64) (dist.Status, error) { return dist.Status{}, nil }
+
+// groundsBytes snapshots groundings in the binary value encoding: every
+// variable name, value and ground atom, in order.
+func groundsBytes(gs []*eq.Grounding) []byte {
+	var b []byte
+	atoms := func(as []eq.GroundAtom) {
+		for _, a := range as {
+			b = append(append(b, a.Rel...), 0)
+			b = types.EncodeTuple(b, a.Args)
+		}
+		b = append(b, 0)
+	}
+	for _, g := range gs {
+		for _, v := range g.Vars {
+			b = append(append(b, v...), 0)
+		}
+		b = types.EncodeTuple(b, g.Vals)
+		atoms(g.Head)
+		atoms(g.Post)
+	}
+	return b
+}
 
 // TestOfferOutlivesLaterRounds: a shard-0 member's offer, held in process
 // the way the matchmaker holds it, keeps byte-identical groundings after
@@ -157,11 +174,7 @@ func TestOfferOutlivesLaterRounds(t *testing.T) {
 
 	runRomePair(t, e, "Later1")
 	runRomePair(t, e, "Later2")
-	got, err := json.Marshal(offer.o.Grounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(offer.bytes) {
-		t.Errorf("offer groundings changed under later rounds:\n%s\nwant\n%s", got, offer.bytes)
+	if got := groundsBytes(offer.o.Grounds); string(got) != string(offer.bytes) {
+		t.Errorf("offer groundings changed under later rounds:\n%q\nwant\n%q", got, offer.bytes)
 	}
 }

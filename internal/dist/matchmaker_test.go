@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"errors"
 	"reflect"
 	"sync"
@@ -479,45 +478,4 @@ func flightOffer(t *testing.T, node string, id uint64, user, partner string) *Of
 	}
 	return &Offer{Node: node, ID: id, Query: q, Grounds: gs, Tables: []string{"Flights"}, CSN: 7,
 		Deadline: epoch.Add(time.Minute)}
-}
-
-// TestOfferWireShapeKeepsBindings: groundings cross between peers as JSON
-// (their values, variable names, head and postcondition), and an offer
-// that went through json.Marshal and json.Unmarshal yields the same
-// matchmaker answers — Tuples and Bindings — as the same offer handed over
-// in process.
-func TestOfferWireShapeKeepsBindings(t *testing.T) {
-	answers := func(wire bool) map[string]Answer {
-		s := newStubSender()
-		m, _ := newTestMatchmaker(t, s)
-		for i, o := range []*Offer{flightOffer(t, "n0", 1, "Mickey", "Minnie"), flightOffer(t, "n1", 2, "Minnie", "Mickey")} {
-			if wire {
-				b, err := json.Marshal(o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o = &Offer{}
-				if err := json.Unmarshal(b, o); err != nil {
-					t.Fatal(err)
-				}
-				if g := o.Grounds[0]; len(g.Vars) != 3 || len(g.Vals) != 3 {
-					t.Fatalf("offer %d decoded grounding %+v, want three variables with values", i, g)
-				}
-			}
-			m.AddOffer(o)
-		}
-		out := make(map[string]Answer)
-		for _, ev := range s.await(t, "prepare", 2) {
-			out[ev.node] = ev.prepare.Ans
-		}
-		return out
-	}
-	local, wire := answers(false), answers(true)
-	if len(local) != 2 || !reflect.DeepEqual(local, wire) {
-		t.Fatalf("answers over the wire differ from in process:\n%+v\n%+v", wire, local)
-	}
-	want := map[string]types.Value{"fno": types.Int(122), "fdate": types.MustDate("2011-05-03"), "dest": types.Str("LA")}
-	if b := local["n0"].Bindings; !reflect.DeepEqual(b, want) {
-		t.Errorf("bindings = %v, want %v", b, want)
-	}
 }

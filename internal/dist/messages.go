@@ -35,35 +35,35 @@ import (
 // those groundings are valid at. Offers are keyed by (Node, ID); a
 // re-offer after re-grounding replaces the previous one.
 type Offer struct {
-	Node     string          `json:"node"` // participant address (prepare/decide callback target)
-	Shard    int             `json:"shard"`
-	ID       uint64          `json:"id"` // stable per submitted program on its home shard
-	Trace    uint64          `json:"trace,omitempty"`
-	Query    *eq.Query       `json:"query"`
-	Grounds  []*eq.Grounding `json:"grounds"`
-	Tables   []string        `json:"tables"`
-	CSN      uint64          `json:"csn"`
-	Deadline time.Time       `json:"deadline"`
+	Node     string // participant address (prepare/decide callback target)
+	Shard    int
+	ID       uint64 // stable per submitted program on its home shard
+	Trace    uint64
+	Query    *eq.Query
+	Grounds  []*eq.Grounding
+	Tables   []string
+	CSN      uint64
+	Deadline time.Time
 }
 
 // Key identifies the offer in the matchmaker pool.
 func (o *Offer) Key() string { return o.Node + "/" + strconv.FormatUint(o.ID, 10) }
 
-// Answer is the JSON-safe projection of eq.Answer a Prepare delivers (no
-// error field — errors never travel on the prepare path).
+// Answer is the projection of eq.Answer a Prepare delivers (no error
+// field — errors never travel on the prepare path).
 type Answer struct {
-	Tuples   []eq.GroundAtom        `json:"tuples,omitempty"`
-	Bindings map[string]types.Value `json:"bindings,omitempty"`
+	Tuples   []eq.GroundAtom
+	Bindings map[string]types.Value
 }
 
 // Prepare asks a participant to deliver a matched answer to one of its
 // offered members and park it prepared. Validation is local: the
 // participant re-checks its own offered tables against its own offer CSN.
 type Prepare struct {
-	Group uint64 `json:"group"`
-	Offer uint64 `json:"offer"` // the participant's offer id
-	CSN   uint64 `json:"csn"`   // the offer CSN the answer was computed at
-	Ans   Answer `json:"answer"`
+	Group uint64
+	Offer uint64 // the participant's offer id
+	CSN   uint64 // the offer CSN the answer was computed at
+	Ans   Answer
 }
 
 // Vote is a participant's response to a Prepare: yes means the member
@@ -71,31 +71,31 @@ type Prepare struct {
 // The exported trace spans let the coordinator assemble the one merged
 // trace of the group.
 type Vote struct {
-	Group      uint64     `json:"group"`
-	Offer      uint64     `json:"offer"`
-	Node       string     `json:"node"`
-	Yes        bool       `json:"yes"`
-	Trace      uint64     `json:"trace,omitempty"`
-	TraceBegin time.Time  `json:"trace_begin,omitempty"`
-	Spans      []obs.Span `json:"spans,omitempty"`
+	Group      uint64
+	Offer      uint64
+	Node       string
+	Yes        bool
+	Trace      uint64
+	TraceBegin time.Time
+	Spans      []obs.Span
 }
 
 // Decide carries the coordinator's logged verdict to a participant.
 type Decide struct {
-	Group  uint64 `json:"group"`
-	Commit bool   `json:"commit"`
+	Group  uint64
+	Commit bool
 }
 
 // Envelope is the one fire-and-forget message shard servers exchange:
 // exactly one member is set, and it names the kind. A transport moves
-// envelopes without looking inside; the receiving server's deliver
-// switches on the member. Status is not here — it is a request/response
+// envelopes without looking inside (over TCP, as wire.AppendEnvelope
+// bytes); the receiving server's deliver switches on the member. Status is not here — it is a request/response
 // inquiry, not a message.
 type Envelope struct {
-	Offer   *Offer   `json:"offer,omitempty"`   // participant -> coordinator
-	Prepare *Prepare `json:"prepare,omitempty"` // coordinator -> participant
-	Vote    *Vote    `json:"vote,omitempty"`    // participant -> coordinator
-	Decide  *Decide  `json:"decide,omitempty"`  // coordinator -> participant
+	Offer   *Offer   // participant -> coordinator
+	Prepare *Prepare // coordinator -> participant
+	Vote    *Vote    // participant -> coordinator
+	Decide  *Decide  // coordinator -> participant
 }
 
 // Status is a participant's in-doubt inquiry and its answer. Pending
@@ -103,8 +103,8 @@ type Envelope struct {
 // false with Pending false means no record exists at all — which, under
 // presumed abort, is an abort verdict.
 type Status struct {
-	Group   uint64 `json:"group"`
-	Known   bool   `json:"known"`
-	Commit  bool   `json:"commit"`
-	Pending bool   `json:"pending,omitempty"`
+	Group   uint64
+	Known   bool
+	Commit  bool
+	Pending bool
 }

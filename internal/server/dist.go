@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -319,10 +318,10 @@ func (s *Server) handleShard(req wire.Request) wire.Response {
 		if ds.mm == nil {
 			return fail(req.ID, errNotCoordinator)
 		}
-		body, err = json.Marshal(ds.mm.Decision(req.Handle))
+		body = wire.AppendStatus(nil, ds.mm.Decision(req.Handle))
 	case wire.OpShardMsg:
 		var msg dist.Envelope
-		if err = json.Unmarshal(req.Body, &msg); err != nil {
+		if msg, err = wire.DecodeEnvelope(req.Body); err != nil {
 			err = fmt.Errorf("bad shard message: %w", err)
 		} else {
 			err = ds.deliver(msg)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -488,8 +487,8 @@ func (f *fakeNode) serve(nc net.Conn) {
 		resp := wire.Response{ID: req.ID, OK: true, Version: wire.ProtocolVersion}
 		switch req.Op {
 		case wire.OpShardMsg:
-			var msg dist.Envelope
-			if err := json.Unmarshal(req.Body, &msg); err != nil {
+			msg, err := wire.DecodeEnvelope(req.Body)
+			if err != nil {
 				resp = wire.Response{ID: req.ID, Error: err.Error()}
 				break
 			}
@@ -507,7 +506,7 @@ func (f *fakeNode) serve(nc net.Conn) {
 			default: // re-offers on every retry tick: the first few suffice
 			}
 		case wire.OpShardStatus:
-			resp.Body, _ = json.Marshal(f.status(req.Handle))
+			resp.Body = wire.AppendStatus(nil, f.status(req.Handle))
 		}
 		if wire.WriteFrame(nc, resp) != nil {
 			return

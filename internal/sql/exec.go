@@ -37,8 +37,17 @@ type Session struct {
 	cat  Catalog // remembered from Exec for subquery schema resolution
 }
 
-// NewSession returns an empty session.
+// NewSession returns an empty session. A zero Session is empty too: its
+// Vars map is made by the first write.
 func NewSession() *Session { return &Session{Vars: make(map[string]types.Value)} }
+
+// setVar binds host variable @name.
+func (s *Session) setVar(name string, v types.Value) {
+	if s.Vars == nil {
+		s.Vars = make(map[string]types.Value)
+	}
+	s.Vars[strings.ToLower(name)] = v
+}
 
 // Result is the outcome of executing one statement.
 type Result struct {
@@ -71,7 +80,7 @@ func (s *Session) Exec(tx DataTx, cat Catalog, stmt Stmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Vars[strings.ToLower(st.Name)] = v
+		s.setVar(st.Name, v)
 		return &Result{}, nil
 	default:
 		return nil, fmt.Errorf("sql: statement %T not executable here", stmt)
@@ -427,7 +436,7 @@ func (s *Session) applyBindings(items []SelectItem, row types.Tuple) {
 			return // positional binding undefined under *
 		}
 		if item.BindVar != "" && i < len(row) {
-			s.Vars[strings.ToLower(item.BindVar)] = row[i]
+			s.setVar(item.BindVar, row[i])
 		}
 		i++
 	}
@@ -460,7 +469,7 @@ func (s *Session) execEntangled(tx DataTx, st *EntangledSelectStmt) (*Result, er
 	if a.Status == eq.Answered {
 		for varName, eqVar := range binds {
 			if v, ok := a.Bindings[eqVar]; ok {
-				s.Vars[strings.ToLower(varName)] = v
+				s.setVar(varName, v)
 			}
 		}
 	}

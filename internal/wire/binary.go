@@ -7,7 +7,8 @@ import (
 	"repro/internal/types"
 )
 
-// The frame payload encoding (wire protocol v2). Layout discipline follows
+// The frame payload encoding (wire protocol v2; v3 changed only the shard
+// ops' Body, see envelope.go). Layout discipline follows
 // types.EncodeTuple: every message's encoded size is computed exactly
 // before encoding, so one frame is one grow (≤1 allocation) and the
 // length prefix is written without buffering the payload separately.
@@ -47,9 +48,9 @@ import (
 //	[Tables]  uvarint n, n×(string name; string schema; varint rows)
 //	[Trace]   uvarint trace id
 //
-// Decoding is strict: unknown opcodes, truncated fields, element counts
-// exceeding the remaining payload (rejected before allocating), and
-// trailing garbage are all errors. The fuzz wall in binary_fuzz_test.go
+// Decoding is strict: unknown opcodes, truncated fields, non-minimal
+// varints, element counts exceeding the remaining payload (rejected before
+// allocating), and trailing garbage are all errors. The fuzz wall in binary_fuzz_test.go
 // holds the decoder to "never panic, never over-allocate".
 
 // Codec is the frame format: it turns Request/Response payloads into
@@ -312,7 +313,7 @@ func (r *breader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.buf[r.pos+n-1] == 0 {
 		r.fail("bad uvarint")
 		return 0
 	}
@@ -325,7 +326,7 @@ func (r *breader) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.buf[r.pos:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.buf[r.pos+n-1] == 0 {
 		r.fail("bad varint")
 		return 0
 	}

@@ -7,9 +7,10 @@ import (
 
 // ProtocolVersion is bumped on incompatible frame-shape changes; hello and
 // ping responses carry it so clients can detect mismatched servers.
-// Version 2 is the single binary frame format of binary.go, spoken from
-// the first byte of every connection.
-const ProtocolVersion = 2
+// Version 2 made the binary frame format of binary.go the only one, spoken
+// from the first byte of every connection; version 3 carries the shard
+// ops' bodies in the binary layout of envelope.go instead of JSON.
+const ProtocolVersion = 3
 
 // An Op names a request's operation; its value is the opcode byte of the
 // frame, so numbers are append-only. One TCP connection carries any mix;
@@ -68,12 +69,13 @@ const (
 	// dial time and re-fetch when a routed request misses.
 	OpPlacement Op = 15
 	// OpShardStatus: participant → coordinator. Inquire a group's verdict
-	// (Request.Handle carries the group id; dist.Status returns as JSON in
-	// Response.Body). Recovery uses it to resolve in-doubt groups.
+	// (Request.Handle carries the group id; dist.Status returns in
+	// Response.Body, encoded by AppendStatus). Recovery uses it to resolve
+	// in-doubt groups.
 	OpShardStatus Op = 16
 	// OpShardMsg: one fire-and-forget message of the cross-shard group
-	// commit — a dist.Envelope (offer, prepare, vote or decide) as JSON in
-	// Request.Body. Server-to-server traffic reuses the client protocol:
+	// commit — a dist.Envelope (offer, prepare, vote or decide) in
+	// Request.Body, encoded by AppendEnvelope. Server-to-server traffic reuses the client protocol:
 	// each serve process dials its peers like any client would.
 	OpShardMsg Op = 17
 
