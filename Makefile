@@ -119,16 +119,18 @@ bench-test:
 
 # Fuzz smoke: a short randomized run of each wire-protocol fuzz target
 # (frame reader, binary codec and cross-shard envelope codec) on top of the
-# committed seed corpus, and
-# of the statement-shape target (texts with one shape key parse alike but
-# for their literals; text that fails to parse leaves no cache entry),
-# seeded from the parser's seed scripts. One -fuzz pattern per invocation
+# committed seed corpus, of the statement-shape target (texts with one
+# shape key parse alike but for their literals; text that fails to parse
+# leaves no cache entry), seeded from the parser's seed scripts, and of the
+# checkpoint snapshot decoder (no panic; a lying table, row or index count
+# is rejected before it sizes anything). One -fuzz pattern per invocation
 # — Go's fuzzer requires exactly one matching target when fuzzing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzStatementShape$$' -fuzztime 10s ./internal/sql
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s ./internal/wal
 
 # CPU + heap profile of the Figure 6(b) pending-queries sweep (every
 # pending query re-grounds in every run); inspect with

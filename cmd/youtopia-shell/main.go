@@ -15,7 +15,7 @@
 //	\stats           engine counters (JSON snapshot)
 //	\metrics         observability registry (counters + latency percentiles)
 //	\trace <id>      one traced query's span tree (ids print on submit)
-//	\checkpoint      snapshot + truncate the WAL (embedded -wal mode only)
+//	\checkpoint      snapshot + retire the WAL (embedded -wal mode only)
 //	\async           submit the next BEGIN...COMMIT block without waiting
 //	\wait            wait for all outstanding async transactions
 //	\quit            exit
@@ -71,7 +71,7 @@ type backend interface {
 	Metrics() (obs.Snapshot, error)
 	// Trace fetches one traced query's span tree by id (\trace <id>).
 	Trace(id uint64) (obs.Trace, error)
-	// Checkpoint snapshots the database and truncates the WAL (embedded
+	// Checkpoint snapshots the database and retires the WAL (embedded
 	// mode only; requires -wal).
 	Checkpoint() error
 	Close() error
@@ -285,7 +285,7 @@ func main() {
 					fmt.Println("  error:", err)
 					break
 				}
-				fmt.Println("  checkpoint complete (snapshot written, log truncated)")
+				fmt.Println("  checkpoint complete (snapshot written, old log retired)")
 			case "\\async":
 				async = true
 				fmt.Println("  next transaction will be submitted asynchronously")

@@ -111,6 +111,7 @@ func Open(opts Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
+		log.Adopt(stats)
 	}
 	txm := txn.NewManager(cat, locks, log)
 	// New commits must allocate CSNs past everything already recovered, so
@@ -320,27 +321,21 @@ func (db *DB) Tracer() *obs.Tracer { return db.engine.Tracer() }
 // pass counts in Stats.Vacuums and Stats.VersionsPruned.
 func (db *DB) Vacuum() int { return db.engine.Vacuum() }
 
-// Checkpoint snapshots the database and truncates the log. The checkpoint
-// quiesces the transaction manager first: in-flight work (scheduler runs,
-// direct transactions, open interactive blocks, DDL) drains while new work
-// blocks, so no commit can land between the snapshot scan and the log
-// truncation — a racing commit would otherwise be torn across tables in
-// the snapshot while its log records were erased. The snapshot header
-// records the commit clock, and recovery restarts the clock from
-// max(snapshot CSN, log CSNs), so sequence numbers are never reused across
-// a checkpointed restart.
-//
-// Checkpoint blocks until in-flight work drains; an interactive session
-// holding an open BEGIN block stalls it (and new work) until that block
-// ends. Do NOT call Checkpoint from inside a Program body or an open
-// interactive block — it would wait on its own unit of work and deadlock.
+// Checkpoint snapshots the database at a commit sequence number and
+// retires the log before it, bounding recovery time. Nothing waits for it
+// and it waits for nothing: scheduler runs, direct transactions, open
+// interactive blocks and members parked prepared carry on. The log is
+// CSN-ordered, so the snapshot covers exactly the log it retires; the new
+// log segment repeats the undecided prepares and the coordinator's
+// decisions. The snapshot records the commit clock, and recovery restarts
+// the clock from max(snapshot CSN, log CSNs), so sequence numbers are never
+// reused across a checkpointed restart. It may be called from anywhere,
+// a program body included.
 func (db *DB) Checkpoint() error {
 	if db.log == nil {
 		return fmt.Errorf("entangle: no WAL configured")
 	}
-	return db.txm.Quiesced(func(csn uint64) error {
-		return wal.Checkpoint(db.log, db.cat, csn)
-	})
+	return db.txm.Checkpoint()
 }
 
 // Flush synchronously executes one scheduling run (deterministic testing).

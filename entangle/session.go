@@ -83,14 +83,8 @@ func (s *InteractiveSession) execOne(st *sql.Statement) (*Result, error) {
 		if s.tx != nil {
 			return nil, fmt.Errorf("entangle: transaction already open")
 		}
-		// An open interactive block is one unit of work against the
-		// checkpoint quiescence gate: a checkpoint waits for COMMIT or
-		// ROLLBACK, so this transaction's commit never lands in the middle
-		// of a checkpoint's snapshot.
-		s.db.txm.Enter()
 		tx, err := s.db.engine.BeginClassical()
 		if err != nil {
-			s.db.txm.Exit()
 			return nil, err
 		}
 		s.tx = tx
@@ -101,7 +95,6 @@ func (s *InteractiveSession) execOne(st *sql.Statement) (*Result, error) {
 		}
 		err := s.tx.Commit()
 		s.tx = nil
-		s.db.txm.Exit()
 		return &Result{}, err
 	case *sql.RollbackStmt:
 		if s.tx == nil {
@@ -109,7 +102,6 @@ func (s *InteractiveSession) execOne(st *sql.Statement) (*Result, error) {
 		}
 		err := s.tx.Abort()
 		s.tx = nil
-		s.db.txm.Exit()
 		return &Result{}, err
 	case *sql.CreateTableStmt, *sql.CreateIndexStmt:
 		if s.tx != nil {
@@ -125,7 +117,6 @@ func (s *InteractiveSession) execOne(st *sql.Statement) (*Result, error) {
 				// Statement failure poisons the block: roll back.
 				s.tx.Abort()
 				s.tx = nil
-				s.db.txm.Exit()
 				return nil, err
 			}
 			return res, nil
@@ -139,7 +130,6 @@ func (s *InteractiveSession) Close() error {
 	if s.tx != nil {
 		err := s.tx.Abort()
 		s.tx = nil
-		s.db.txm.Exit()
 		return err
 	}
 	return nil

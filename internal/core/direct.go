@@ -58,10 +58,6 @@ func (e *Engine) runDirectOnce(p Program, ent *pending) (Outcome, bool) {
 	m := &member{run: r, entry: ent}
 	r.members = []*member{m}
 
-	// Each direct attempt is one unit of work against the checkpoint
-	// quiescence gate: begin, body, and commit/abort all inside it.
-	e.txm.Enter()
-	defer e.txm.Exit()
 	e.acquireConn()
 	var beginErr error
 	if !p.Autocommit {

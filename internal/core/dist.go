@@ -199,14 +199,9 @@ func (d *distRuntime) voteNo(group, offer uint64) {
 	d.emit(dist.Envelope{Vote: &dist.Vote{Group: group, Offer: offer, Node: d.cfg.Node, Yes: false}})
 }
 
-// park stores a prepared group. Each member holds one Enter on the
-// checkpoint quiescence gate from here to the decision, so the WAL cannot
-// be truncated while its prepare record is load-bearing.
+// park stores a prepared group until its decision.
 func (d *distRuntime) park(group uint64, ms []*member) {
 	e := d.e
-	for range ms {
-		e.txm.Enter()
-	}
 	pg := &parkedGroup{members: ms}
 	d.mu.Lock()
 	d.parked[group] = pg
@@ -278,7 +273,6 @@ func (d *distRuntime) shutdown() {
 	for _, pg := range groups {
 		for _, m := range pg.members {
 			d.e.settle(m.entry, d.e.met.failures, Outcome{Status: StatusFailed, Err: ErrInDoubt, Attempts: m.entry.attempts})
-			d.e.txm.Exit()
 		}
 	}
 }
@@ -323,12 +317,10 @@ func (e *Engine) ApplyDecision(group uint64, commit bool) {
 	}
 	if commit {
 		e.commitUnits([][]*member{pg.members}, true)
+		return
 	}
 	for _, m := range pg.members {
-		if !commit {
-			e.requeueAborted(m)
-		}
-		e.txm.Exit()
+		e.requeueAborted(m)
 	}
 }
 
@@ -392,7 +384,7 @@ func (dc *distCoordinator) beforeRound(r *run, blocked []*member) (int, []*membe
 func (dc *distCoordinator) deliver(r *run, m *member, lo *liveOffer, p *dist.Prepare) bool {
 	e := dc.e
 	start := time.Now()
-	ok := lo != nil && m.query != nil && m.tx != nil && m.query.String() == lo.query.String() &&
+	ok := lo != nil && m.query != nil && m.tx != nil && m.query.Equal(lo.query) &&
 		e.lockAndValidate(m.tx, readsOf(lo.query), p.CSN) == nil
 	note := "2pc"
 	if !ok {

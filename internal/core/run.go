@@ -76,12 +76,6 @@ var (
 // members, alternate member execution with entangled-query evaluation
 // rounds, then commit/abort per the group-commit rules.
 func (e *Engine) executeRun(batch []*pending) {
-	// One run is one unit of work against the checkpoint quiescence gate:
-	// every member transaction begins, logs, and finalizes inside this
-	// bracket, so a checkpoint either runs before the whole run or after
-	// it — never against a half-committed run.
-	e.txm.Enter()
-	defer e.txm.Exit()
 	r := &run{e: e}
 	r.cond = sync.NewCond(&r.mu)
 	for _, ent := range batch {

@@ -1,7 +1,9 @@
 package dist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -53,9 +55,9 @@ const GroupTimeout = 3 * time.Second
 type groupState struct {
 	id      uint64
 	members []*Offer
-	answers map[string]Answer // by offer key
-	votes   map[string]*bool  // by offer key; nil = outstanding
-	timer   clock.Timer       // presumes abort at GroupTimeout; stopped on decision
+	answers map[offerKey]Answer
+	votes   map[offerKey]*bool // nil = outstanding
+	timer   clock.Timer        // presumes abort at GroupTimeout; stopped on decision
 	decided bool
 }
 
@@ -68,10 +70,10 @@ type Matchmaker struct {
 	mu        sync.Mutex
 	opts      Options
 	closed    bool
-	offers    map[string]*Offer
+	offers    map[offerKey]*Offer
 	groups    map[uint64]*groupState
-	inflight  map[string]uint64 // offer key -> undecided group holding it
-	held      map[string]*Offer // offer key in flight -> its latest re-offer
+	inflight  map[offerKey]uint64 // -> undecided group holding it
+	held      map[offerKey]*Offer // in flight -> its latest re-offer
 	decisions map[uint64]bool
 
 	cOffers, cGroups, cCommits, cAborts *obs.Counter
@@ -83,10 +85,10 @@ func New(opts Options) *Matchmaker {
 	opts.Clock = clock.Or(opts.Clock)
 	m := &Matchmaker{
 		opts:      opts,
-		offers:    make(map[string]*Offer),
+		offers:    make(map[offerKey]*Offer),
 		groups:    make(map[uint64]*groupState),
-		inflight:  make(map[string]uint64),
-		held:      make(map[string]*Offer),
+		inflight:  make(map[offerKey]uint64),
+		held:      make(map[offerKey]*Offer),
 		decisions: make(map[uint64]bool),
 	}
 	for g, c := range opts.Decisions {
@@ -126,17 +128,17 @@ func (m *Matchmaker) AddOffer(o *Offer) {
 		return
 	}
 	m.mu.Lock()
-	if _, busy := m.inflight[o.Key()]; busy {
+	if _, busy := m.inflight[o.key()]; busy {
 		// The member is already promised to an undecided group; pooling a
 		// second copy could entangle it twice (a cross-shard widow). Hold the
 		// latest copy for the decision instead: a member that votes its
 		// prepare down re-offers at once, and that re-offer can arrive before
 		// the no vote does.
-		m.held[o.Key()] = o
+		m.held[o.key()] = o
 		m.mu.Unlock()
 		return
 	}
-	m.offers[o.Key()] = o
+	m.offers[o.key()] = o
 	bump(m.cOffers)
 	formed := m.match()
 	m.mu.Unlock()
@@ -151,7 +153,7 @@ func (m *Matchmaker) AddOffer(o *Offer) {
 // m.mu; returns the groups to fan prepares out for.
 func (m *Matchmaker) match() []*groupState {
 	now := m.opts.Clock.Now()
-	keys := make([]string, 0, len(m.offers))
+	keys := make([]offerKey, 0, len(m.offers))
 	for k, o := range m.offers {
 		if !o.Deadline.IsZero() && !now.Before(o.Deadline) {
 			delete(m.offers, k)
@@ -162,7 +164,9 @@ func (m *Matchmaker) match() []*groupState {
 	if len(keys) < 2 {
 		return nil
 	}
-	sort.Strings(keys) // deterministic order
+	slices.SortFunc(keys, func(a, b offerKey) int { // deterministic order
+		return cmp.Or(strings.Compare(a.Node, b.Node), cmp.Compare(a.ID, b.ID))
+	})
 	pend := make([]eq.Pending, len(keys))
 	for i, k := range keys {
 		o := m.offers[k]
@@ -179,17 +183,17 @@ func (m *Matchmaker) match() []*groupState {
 		}
 		g := &groupState{
 			id:      obs.MintID(),
-			answers: make(map[string]Answer, len(comp)),
-			votes:   make(map[string]*bool, len(comp)),
+			answers: make(map[offerKey]Answer, len(comp)),
+			votes:   make(map[offerKey]*bool, len(comp)),
 		}
 		for _, i := range comp {
 			o := m.offers[keys[i]]
 			a := res.Answers[i]
 			g.members = append(g.members, o)
-			g.answers[o.Key()] = Answer{Tuples: a.Tuples, Bindings: a.Bindings}
-			g.votes[o.Key()] = nil
+			g.answers[o.key()] = Answer{Tuples: a.Tuples, Bindings: a.Bindings}
+			g.votes[o.key()] = nil
 			delete(m.offers, keys[i])
-			m.inflight[o.Key()] = g.id
+			m.inflight[o.key()] = g.id
 		}
 		g.timer = m.opts.Clock.AfterFunc(GroupTimeout, func() { m.expire(g) })
 		m.groups[g.id] = g
@@ -210,7 +214,7 @@ func (m *Matchmaker) sendPrepares(g *groupState) {
 				Group: g.id,
 				Offer: o.ID,
 				CSN:   o.CSN,
-				Ans:   g.answers[o.Key()],
+				Ans:   g.answers[o.key()],
 			})
 			if err != nil {
 				m.HandleVote(Vote{Group: g.id, Offer: o.ID, Node: o.Node, Yes: false})
@@ -234,7 +238,7 @@ func (m *Matchmaker) HandleVote(v Vote) {
 		m.mu.Unlock()
 		return
 	}
-	key := (&Offer{Node: v.Node, ID: v.Offer}).Key()
+	key := offerKey{v.Node, v.Offer}
 	if _, tracked := g.votes[key]; !tracked {
 		m.mu.Unlock()
 		return
@@ -273,7 +277,7 @@ func (m *Matchmaker) decideLocked(g *groupState, commit bool) {
 	g.timer.Stop()
 	delete(m.groups, g.id)
 	for _, o := range g.members {
-		delete(m.inflight, o.Key())
+		delete(m.inflight, o.key())
 	}
 	if commit && m.opts.Log != nil {
 		if err := m.opts.Log(g.id, true); err != nil {
@@ -336,10 +340,10 @@ func (m *Matchmaker) decideLocked(g *groupState, commit bool) {
 	// matches at once, a commit discards them (their members are done).
 	repooled := false
 	for _, o := range g.members {
-		h := m.held[o.Key()]
-		delete(m.held, o.Key())
+		h := m.held[o.key()]
+		delete(m.held, o.key())
 		if h != nil && !commit {
-			m.offers[o.Key()] = h
+			m.offers[o.key()] = h
 			bump(m.cOffers)
 			repooled = true
 		}

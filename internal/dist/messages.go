@@ -21,7 +21,6 @@
 package dist
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/eq"
@@ -46,8 +45,14 @@ type Offer struct {
 	Deadline time.Time
 }
 
-// Key identifies the offer in the matchmaker pool.
-func (o *Offer) Key() string { return o.Node + "/" + strconv.FormatUint(o.ID, 10) }
+// offerKey identifies an offer in the matchmaker: its node and its id
+// there.
+type offerKey struct {
+	Node string
+	ID   uint64
+}
+
+func (o *Offer) key() offerKey { return offerKey{o.Node, o.ID} }
 
 // Answer is the projection of eq.Answer a Prepare delivers (no error
 // field — errors never travel on the prepare path).

@@ -680,3 +680,47 @@ func TestArithmeticAndDisjunction(t *testing.T) {
 		t.Error("arithmetic body argument validated")
 	}
 }
+
+// TestQueryEqual: Equal tells queries apart term by term — where their
+// renderings agree, too — and allocates nothing.
+func TestQueryEqual(t *testing.T) {
+	build := func() *Query {
+		q := mickeyQuery()
+		q.Bind = []string{"fno"}
+		q.Where = append(q.Where,
+			Constraint{Left: V("fno"), Op: OpLt, Right: Term{Arith: &Arith{L: CInt(100), R: CInt(1)}}},
+			Constraint{Or: [][]Constraint{{{Left: V("fno"), Op: OpEq, Right: CInt(122)}}, {{Left: V("fno"), Op: OpEq, Right: P(0)}}}})
+		return q
+	}
+	q := build()
+	if !q.Equal(build()) {
+		t.Fatal("a query differs from its rebuild")
+	}
+	other := build()
+	if n := testing.AllocsPerRun(100, func() { q.Equal(other) }); n != 0 {
+		t.Fatalf("Equal allocates %v per call", n)
+	}
+	for name, edit := range map[string]func(*Query){
+		"constant kind":  func(q *Query) { q.Head[0].Args[0] = C(types.Int(7)) },
+		"variable":       func(q *Query) { q.Head[0].Args[1] = V("other") },
+		"relation":       func(q *Query) { q.Body[0].Rel = "Airlines" },
+		"bound variable": func(q *Query) { q.Bind = nil },
+		"choice":         func(q *Query) { q.Choose = 2 },
+		"arithmetic":     func(q *Query) { q.Where[len(q.Where)-2].Right.Arith.Sub = true },
+		"parameter":      func(q *Query) { q.Where[len(q.Where)-1].Or[1][0].Right = P(1) },
+		"operator":       func(q *Query) { q.Where[0].Op = OpNe },
+		"postcondition":  func(q *Query) { q.Post = nil },
+	} {
+		e := build()
+		edit(e)
+		if q.Equal(e) || e.Equal(q) {
+			t.Errorf("%s: edited query reads equal", name)
+		}
+	}
+	// Str("7") and Int(7) render alike; the queries still differ.
+	a, b := build(), build()
+	a.Head[0].Args[0], b.Head[0].Args[0] = CStr("7"), CInt(7)
+	if a.String() != b.String() || a.Equal(b) {
+		t.Fatalf("renderings %q / %q, Equal %v", a, b, a.Equal(b))
+	}
+}

@@ -162,6 +162,19 @@ func (q *Query) AnswerRelations() []string {
 	return out
 }
 
+// Equal reports whether q and o are the same query term by term: the same
+// atoms and constraints in the same order, bound variables and choice.
+// Constants are equal when kind and value are. It allocates nothing.
+func (q *Query) Equal(o *Query) bool {
+	if q == o {
+		return true
+	}
+	atoms := func(a, b []Atom) bool { return slices.EqualFunc(a, b, Atom.equal) }
+	return q != nil && o != nil && q.Choose == o.Choose && slices.Equal(q.Bind, o.Bind) &&
+		atoms(q.Head, o.Head) && atoms(q.Post, o.Post) && atoms(q.Body, o.Body) &&
+		slices.EqualFunc(q.Where, o.Where, Constraint.equal)
+}
+
 // String renders the query in the paper's {C} H ⇐ B notation.
 func (q *Query) String() string {
 	var b strings.Builder

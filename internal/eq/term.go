@@ -18,6 +18,7 @@ package eq
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"strings"
 
 	"repro/internal/types"
@@ -70,6 +71,14 @@ func (t Term) eachVar(f func(string)) {
 	}
 }
 
+// equal reports whether t and u are the same term.
+func (t Term) equal(u Term) bool {
+	if t.IsVar != u.IsVar || t.Param != u.Param || t.Name != u.Name || t.Value != u.Value || (t.Arith == nil) != (u.Arith == nil) {
+		return false
+	}
+	return t.Arith == nil || t.Arith.Sub == u.Arith.Sub && t.Arith.L.equal(u.Arith.L) && t.Arith.R.equal(u.Arith.R)
+}
+
 // String renders the term.
 func (t Term) String() string {
 	switch {
@@ -95,6 +104,10 @@ type Atom struct {
 
 // NewAtom builds an atom.
 func NewAtom(rel string, args ...Term) Atom { return Atom{Rel: rel, Args: args} }
+
+func (a Atom) equal(b Atom) bool {
+	return a.Rel == b.Rel && slices.EqualFunc(a.Args, b.Args, Term.equal)
+}
 
 // String renders the atom.
 func (a Atom) String() string {
@@ -193,6 +206,11 @@ func (c Constraint) eachVar(f func(string)) {
 			d.eachVar(f)
 		}
 	}
+}
+
+func (c Constraint) equal(d Constraint) bool {
+	return c.Op == d.Op && c.Left.equal(d.Left) && c.Right.equal(d.Right) &&
+		slices.EqualFunc(c.Or, d.Or, func(x, y []Constraint) bool { return slices.EqualFunc(x, y, Constraint.equal) })
 }
 
 // String renders the constraint.

@@ -7,10 +7,7 @@
 // coordinate, and clients fetch it to route directly.
 //
 // Placement is deterministic hash placement (FNV-1a mod shards) with an
-// optional override table. The override table is how the social-graph-
-// aware assignment plugs in: Colocate walks friendship edges and pins
-// likely-entangled friends to the same shard, emitting only the keys whose
-// hash shard would differ.
+// optional override table that pins chosen keys to a shard.
 package shard
 
 import (
@@ -18,8 +15,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
-
-	"repro/internal/social"
 )
 
 // Map is one version of the placement: Nodes[i] serves shard i. A key's
@@ -122,100 +117,4 @@ func RouteKey(script string) string {
 		return b.String() // unterminated literal: best effort
 	}
 	return ""
-}
-
-// Colocate computes placement overrides that pin friends to the same
-// shard: likely-entangled pairs (graph edges) then resolve their group
-// locally instead of across shards. The pass is greedy and deterministic —
-// edges in ascending order, each unassigned endpoint joining its partner's
-// shard (or both joining the less-loaded shard) subject to a per-shard
-// capacity of ceil(n/shards * slack). Returned overrides include only keys
-// whose hash shard differs from the assignment, keeping the table small.
-func Colocate(g *social.Graph, name func(int) string, shards int) map[string]int {
-	if g == nil || shards <= 1 {
-		return nil
-	}
-	n := g.N()
-	cap := (n + shards - 1) / shards
-	cap += cap / 4 // 25% slack before a shard refuses new members
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	load := make([]int, shards)
-	place := func(u, s int) bool {
-		if load[s] >= cap {
-			return false
-		}
-		assign[u] = s
-		load[s]++
-		return true
-	}
-	leastLoaded := func() int {
-		best := 0
-		for s := 1; s < shards; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		return best
-	}
-	for _, e := range g.Edges() {
-		u, v := e[0], e[1]
-		switch {
-		case assign[u] >= 0 && assign[v] < 0:
-			place(v, assign[u])
-		case assign[v] >= 0 && assign[u] < 0:
-			place(u, assign[v])
-		case assign[u] < 0 && assign[v] < 0:
-			s := leastLoaded()
-			if place(u, s) {
-				place(v, s)
-			}
-		}
-	}
-	for u := range assign {
-		if assign[u] < 0 {
-			place(u, leastLoaded())
-		}
-	}
-	// Refinement sweeps (deterministic label propagation): move a node to
-	// the shard holding most of its friends when that strictly increases
-	// its local-edge count and the target shard has room. Hubs settle where
-	// their neighbourhoods are, fixing the edges the greedy pass cut.
-	for sweep := 0; sweep < 4; sweep++ {
-		moved := false
-		for u := 0; u < n; u++ {
-			counts := make([]int, shards)
-			for _, v := range g.Friends(u) {
-				counts[assign[v]]++
-			}
-			best := assign[u]
-			for s := 0; s < shards; s++ {
-				if counts[s] > counts[best] {
-					best = s
-				}
-			}
-			if best != assign[u] && load[best] < cap {
-				load[assign[u]]--
-				load[best]++
-				assign[u] = best
-				moved = true
-			}
-		}
-		if !moved {
-			break
-		}
-	}
-	over := make(map[string]int)
-	for u, s := range assign {
-		key := name(u)
-		if int(Hash(key)%uint32(shards)) != s {
-			over[key] = s
-		}
-	}
-	if len(over) == 0 {
-		return nil
-	}
-	return over
 }

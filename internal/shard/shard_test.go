@@ -1,11 +1,6 @@
 package shard
 
-import (
-	"fmt"
-	"testing"
-
-	"repro/internal/social"
-)
+import "testing"
 
 func TestHomeDeterministicAndTotal(t *testing.T) {
 	m := New([]string{"a:1", "b:2"})
@@ -75,60 +70,5 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := Unmarshal([]byte("{")); err == nil {
 		t.Fatal("bad payload must error")
-	}
-}
-
-// Colocate must (a) place every friend pair on one shard far more often
-// than hash placement does, (b) stay balanced within the slack bound, and
-// (c) be deterministic.
-func TestColocateFriends(t *testing.T) {
-	g, err := social.Generate(200, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := func(u int) string { return fmt.Sprintf("u%d", u) }
-	const shards = 2
-	over := Colocate(g, name, shards)
-	again := Colocate(g, name, shards)
-	if len(over) != len(again) {
-		t.Fatalf("non-deterministic: %d vs %d overrides", len(over), len(again))
-	}
-	for k, v := range over {
-		if again[k] != v {
-			t.Fatalf("non-deterministic override for %s: %d vs %d", k, v, again[k])
-		}
-	}
-	m := &Map{Version: 2, Shards: shards, Overrides: over}
-	hashOnly := &Map{Version: 1, Shards: shards}
-	loc, hashLoc := 0, 0
-	load := make([]int, shards)
-	seen := map[int]bool{}
-	for _, e := range g.Edges() {
-		u, v := name(e[0]), name(e[1])
-		if m.Home(u) == m.Home(v) {
-			loc++
-		}
-		if hashOnly.Home(u) == hashOnly.Home(v) {
-			hashLoc++
-		}
-		for _, x := range []int{e[0], e[1]} {
-			if !seen[x] {
-				seen[x] = true
-				load[m.Home(name(x))]++
-			}
-		}
-	}
-	if loc <= hashLoc {
-		t.Fatalf("colocation no better than hashing: %d vs %d local edges", loc, hashLoc)
-	}
-	total := len(g.Edges())
-	if loc*100 < total*70 {
-		t.Fatalf("only %d/%d edges local after colocation", loc, total)
-	}
-	cap := (g.N()+shards-1)/shards + (g.N()+shards-1)/shards/4
-	for s, n := range load {
-		if n > cap {
-			t.Fatalf("shard %d overloaded: %d > %d", s, n, cap)
-		}
 	}
 }

@@ -265,20 +265,6 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	tbl := NewTable("Flights", flightsSchema())
-	tbl.CreateIndex("by_dest", "dest")
-	tbl.Insert(types.Tuple{types.Int(122), types.Date(0), types.Str("LA")})
-	tbl.Truncate()
-	if tbl.Len() != 0 {
-		t.Error("rows survive truncate")
-	}
-	ids, _ := tbl.Lookup([]string{"dest"}, types.Tuple{types.Str("LA")})
-	if len(ids) != 0 {
-		t.Error("index entries survive truncate")
-	}
-}
-
 func TestConcurrentInsertsAndScans(t *testing.T) {
 	tbl := NewTable("Flights", flightsSchema())
 	tbl.CreateIndex("by_dest", "dest")

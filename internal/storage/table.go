@@ -587,17 +587,6 @@ func (t *Table) CommittedCSN(id RowID) (uint64, bool) {
 	return 0, false
 }
 
-// Truncate removes all rows and versions (used by recovery before replay).
-func (t *Table) Truncate() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.pages, t.vers, t.vals = nil, slab[version]{}, slab[types.Value]{}
-	t.versions = 0
-	for _, ix := range t.indexes {
-		ix.reset()
-	}
-}
-
 // keepFrom returns the position of the oldest version in vs that a
 // snapshot at or above watermark can still reach: the newest committed
 // version at or below the watermark, or the one after it when that is a

@@ -108,16 +108,7 @@ type Manager struct {
 	unitCSN []uint64
 	redo    redoBatch
 
-	// Checkpoint quiescence gate: units of transactional work (a scheduler
-	// run, a direct transaction, a DDL statement) register via Enter/Exit;
-	// Quiesced raises the gate, drains the active units, and runs the
-	// checkpoint against the then-frozen committed state. Gating whole
-	// units — not individual Begins — is what keeps a run's members from
-	// deadlocking against a checkpoint that is waiting for their siblings.
-	qmu     sync.Mutex
-	qcond   *sync.Cond
-	qgate   bool
-	qactive int
+	ckptMu sync.Mutex // one checkpoint at a time
 
 	obsMu    sync.RWMutex
 	observer Observer
@@ -126,65 +117,31 @@ type Manager struct {
 // NewManager wires a transaction manager over a catalog, lock manager, and
 // optional write-ahead log.
 func NewManager(cat *storage.Catalog, locks *lock.Manager, log *wal.Log) *Manager {
-	m := &Manager{cat: cat, locks: locks, log: log, snaps: newSnapshotTable()}
-	m.qcond = sync.NewCond(&m.qmu)
-	return m
+	return &Manager{cat: cat, locks: locks, log: log, snaps: newSnapshotTable()}
 }
 
-// Enter registers one unit of transactional work — a scheduler run (with
-// all its member transactions), a direct transaction, or a DDL statement —
-// blocking while a checkpoint is quiescing. Every Enter must be paired
-// with Exit after the unit's last transaction finished and its last log
-// record was appended.
-func (m *Manager) Enter() {
-	m.qmu.Lock()
-	for m.qgate {
-		m.qcond.Wait()
+// Checkpoint snapshots the committed state at the current commit clock
+// and retires the log before it, while transactions go on. Under commitMu
+// — so the log ends with the commit record of the clock's CSN c — it pins
+// a snapshot at c (Vacuum keeps what c sees) and switches the log to a new
+// segment, which repeats the undecided prepares and the decisions. Then,
+// with commits running again, the log writes the catalog as of c and
+// deletes the old segment (wal.Log.Seal). Checkpoints run one at a time.
+func (m *Manager) Checkpoint() error {
+	if m.log == nil {
+		return errors.New("txn: checkpoint: no log")
 	}
-	m.qactive++
-	m.qmu.Unlock()
-}
-
-// Exit deregisters a unit of transactional work.
-func (m *Manager) Exit() {
-	m.qmu.Lock()
-	m.qactive--
-	m.qcond.Broadcast()
-	m.qmu.Unlock()
-}
-
-// Quiesced raises the checkpoint gate (new units block in Enter), waits
-// for every active unit to drain, and then runs fn with the published
-// commit clock — at which point no transaction is in flight, no commit can
-// land mid-snapshot, and no log record can slip between the snapshot scan
-// and a truncate. Concurrent Quiesced calls serialize. The gate is always
-// lowered again, even when fn fails.
-//
-// Quiesced blocks without a deadline: an open unit that never finishes (an
-// interactive BEGIN block parked at a prompt) stalls the checkpoint — and,
-// transitively, every new unit — until it commits, rolls back, or
-// disconnects; that wait-for-the-open-transaction behavior is inherent to
-// a quiescent checkpoint (compare FLUSH TABLES WITH READ LOCK). It must
-// never be called from inside a unit of work — a program body invoking the
-// checkpoint would wait for its own unit to drain and deadlock.
-func (m *Manager) Quiesced(fn func(csn uint64) error) error {
-	m.qmu.Lock()
-	for m.qgate {
-		m.qcond.Wait()
+	m.ckptMu.Lock()
+	defer m.ckptMu.Unlock()
+	m.commitMu.Lock()
+	handle, csn := m.snaps.register(&m.clock)
+	seg, err := m.log.Switch()
+	m.commitMu.Unlock()
+	defer m.snaps.release(handle)
+	if err != nil {
+		return err
 	}
-	m.qgate = true
-	for m.qactive > 0 {
-		m.qcond.Wait()
-	}
-	m.qmu.Unlock()
-
-	err := fn(m.clock.Load())
-
-	m.qmu.Lock()
-	m.qgate = false
-	m.qcond.Broadcast()
-	m.qmu.Unlock()
-	return err
+	return m.log.Seal(seg, m.cat, csn)
 }
 
 // Catalog exposes the underlying catalog (read-mostly helpers, DDL).
@@ -209,8 +166,6 @@ func (m *Manager) obs() Observer {
 
 // CreateTable creates a table and logs the DDL for recovery.
 func (m *Manager) CreateTable(name string, schema *types.Schema) (*storage.Table, error) {
-	m.Enter()
-	defer m.Exit()
 	t, err := m.cat.Create(name, schema)
 	if err != nil {
 		return nil, err
@@ -225,8 +180,6 @@ func (m *Manager) CreateTable(name string, schema *types.Schema) (*storage.Table
 
 // CreateIndex builds an equality index and logs the DDL for recovery.
 func (m *Manager) CreateIndex(table, index string, columns []string) error {
-	m.Enter()
-	defer m.Exit()
 	tbl, err := m.cat.Get(table)
 	if err != nil {
 		return err

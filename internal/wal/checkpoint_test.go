@@ -94,3 +94,80 @@ func TestCheckpointCrashAfterSwitchKeepsIndexes(t *testing.T) {
 		}
 	})
 }
+
+// TestCheckpointCarriesUndecidedPrepares: a checkpoint's new segment
+// repeats the undecided prepare and every decision, and a reopened log
+// (Adopt) keeps repeating them, until the prepare's commit is logged.
+func TestCheckpointCarriesUndecidedPrepares(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending := types.Tuple{types.Int(5), types.Str("LAX")}
+	must(l.AppendBatch([]*Record{CreateTable("User", usersSchema())}))
+	must(l.AppendBatch([]*Record{Insert(5, "User", 0, pending), Prepare(5, 77)}))
+	must(l.AppendBatch([]*Record{Insert(6, "User", 1, types.Tuple{types.Int(6), types.Str("ORD")}), Prepare(6, 78)}))
+	must(l.AppendBatch([]*Record{Commit(6, 1), DecideCommit(90), DecideAbort(91)}))
+
+	recoverAndCheck := func(label string) *RecoveryStats {
+		t.Helper()
+		cat := storage.NewCatalog()
+		st, err := RecoverAll(path, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if g, ok := st.InDoubt[5]; !ok || g != 77 || len(st.InDoubt) != 1 {
+			t.Fatalf("%s: in doubt %v, want tx 5 in group 77", label, st.InDoubt)
+		}
+		if recs := st.InDoubtRecords[5]; len(recs) != 1 || !recs[0].Row.Equal(pending) {
+			t.Fatalf("%s: in-doubt records %v", label, recs)
+		}
+		if c, ok := st.Decisions[90]; !ok || !c {
+			t.Fatalf("%s: decision 90 = %v/%v, want a logged commit", label, c, ok)
+		}
+		if c, ok := st.Decisions[91]; !ok || c {
+			t.Fatalf("%s: decision 91 = %v/%v, want a logged abort", label, c, ok)
+		}
+		if tbl, _ := cat.Get("User"); tbl.Len() != 1 {
+			t.Fatalf("%s: %d rows, want the one committed row", label, tbl.Len())
+		}
+		return st
+	}
+	live := storage.NewCatalog()
+	recoverAndCheck("before the checkpoint")
+	if _, err := RecoverAll(path, live); err != nil {
+		t.Fatal(err)
+	}
+	must(Checkpoint(l, live, 1))
+	st := recoverAndCheck("after the checkpoint")
+	l.Close()
+
+	// Reopened, the log learns what is undecided from recovery.
+	l, err = Open(path, Options{})
+	must(err)
+	defer l.Close()
+	l.Adopt(st)
+	must(Checkpoint(l, live, 1))
+	recoverAndCheck("after a checkpoint of the reopened log")
+
+	// Once its commit is logged, the prepare is no longer carried and the
+	// snapshot holds its row.
+	must(l.Append(Commit(5, 2)))
+	live = storage.NewCatalog()
+	_, err = RecoverAll(path, live)
+	must(err)
+	must(Checkpoint(l, live, 2))
+	cat := storage.NewCatalog()
+	st, err = RecoverAll(path, cat)
+	must(err)
+	if tbl, _ := cat.Get("User"); len(st.InDoubt) != 0 || tbl.Len() != 2 {
+		t.Fatalf("after the commit: in doubt %v, %d rows; want none and 2", st.InDoubt, tbl.Len())
+	}
+}

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/fault"
@@ -17,20 +17,39 @@ import (
 // durability is optional (the experiments disable fsync, as the paper's
 // measurements are not I/O-bound — the entanglement overhead is the object
 // of study).
+//
+// The file at the log's path is its live segment. A checkpoint (see
+// snapshot.go) switches appends to a new segment at the same path and
+// keeps the old one, renamed, until its snapshot is durable.
 type Log struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
+	seg     uint64 // id of the live segment: 0 until the first checkpoint
 	sync    bool
 	buf     []byte
-	lsn     int64 // records appended since open
+	lsn     int64 // records appended to the live segment since open
 	flushes int64 // physical writes (a batch counts once)
 	failed  error // first write/sync error; latches the log (fail-stop)
+
+	// What the next segment must repeat, kept as the batches reach the
+	// file: the frames of each prepare not yet decided (its redo records
+	// and its Prepare record), and every decision logged.
+	open      map[TxID]carried
+	committed []uint64 // groups decided commit
+	aborted   []uint64 // groups decided abort
 
 	// Failpoints (nil without a fault registry; see internal/fault).
 	ptAppendErr   *fault.Point // "wal.append.error": write fails, nothing lands
 	ptAppendShort *fault.Point // "wal.append.short": torn write of KeepBytes
 	ptSyncErr     *fault.Point // "wal.sync.error": fsync fails after the write
+	ptCheckpoint  *fault.Point // "wal.checkpoint": a checkpoint's file operation fails undone
+}
+
+// carried is one undecided prepare's frames and their record count.
+type carried struct {
+	frames []byte
+	n      int
 }
 
 // Options configures a Log.
@@ -38,23 +57,50 @@ type Options struct {
 	// Sync forces an fsync after every commit-class record.
 	Sync bool
 	// Faults, when set, arms the log's failpoints ("wal.append.error",
-	// "wal.append.short", "wal.sync.error") from the given registry.
+	// "wal.append.short", "wal.sync.error", "wal.checkpoint") from the
+	// given registry.
 	Faults *fault.Registry
 }
 
-// Open opens (creating if needed) the log file at path.
+// Open opens (creating if needed) the log file at path. A log that
+// recovery found undecided prepares or decisions in must be told of them
+// (Adopt) before its first checkpoint.
 func Open(path string, opts Options) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	l := &Log{f: f, path: path, sync: opts.Sync}
+	seg, err := segmentHeader(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	l := &Log{f: f, path: path, seg: seg, sync: opts.Sync}
 	if opts.Faults != nil {
 		l.ptAppendErr = opts.Faults.Point("wal.append.error")
 		l.ptAppendShort = opts.Faults.Point("wal.append.short")
 		l.ptSyncErr = opts.Faults.Point("wal.sync.error")
+		l.ptCheckpoint = opts.Faults.Point("wal.checkpoint")
 	}
 	return l, nil
+}
+
+// Adopt tells a reopened log what recovery left undecided in it: the
+// in-doubt transactions, whose records the next segment must repeat until
+// their decision is logged, and the decisions themselves.
+func (l *Log) Adopt(st *RecoveryStats) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for tx, group := range st.InDoubt {
+		l.note(append(slices.Clip(st.InDoubtRecords[tx]), Prepare(tx, group)))
+	}
+	for g, commit := range st.Decisions {
+		if commit {
+			l.committed = append(l.committed, g)
+		} else {
+			l.aborted = append(l.aborted, g)
+		}
+	}
 }
 
 // frameInto appends r's length-prefixed, CRC-framed encoding to buf. The
@@ -149,6 +195,7 @@ func (l *Log) AppendBatch(rs []*Record) error {
 	}
 	l.lsn += int64(len(rs))
 	l.flushes++
+	l.note(rs)
 	if l.sync && needSync {
 		if err := l.ptSyncErr.Fire(); err != nil {
 			l.failed = err
@@ -160,6 +207,37 @@ func (l *Log) AppendBatch(rs []*Record) error {
 		}
 	}
 	return nil
+}
+
+// note keeps what the next segment must repeat from a batch that reached
+// the file: a prepare's frames until its transaction's commit or abort is
+// logged, and every decision.
+func (l *Log) note(rs []*Record) {
+	for _, r := range rs {
+		switch r.Type {
+		case RecPrepare:
+			var c carried
+			for _, d := range rs {
+				if d.Tx == r.Tx && (d == r || d.Type == RecInsert || d.Type == RecUpdate || d.Type == RecDelete) {
+					c.frames, c.n = frameInto(c.frames, d), c.n+1
+				}
+			}
+			if l.open == nil {
+				l.open = make(map[TxID]carried)
+			}
+			l.open[r.Tx] = c
+		case RecCommit, RecAbort:
+			delete(l.open, r.Tx)
+		case RecGroupCommit:
+			for _, tx := range r.Group {
+				delete(l.open, tx)
+			}
+		case RecDecideCommit:
+			l.committed = append(l.committed, uint64(r.Group[0]))
+		case RecDecideAbort:
+			l.aborted = append(l.aborted, uint64(r.Group[0]))
+		}
+	}
 }
 
 // Flushes returns the number of physical write calls issued — with batched
@@ -229,23 +307,6 @@ func ReadAll(path string) ([]*Record, error) {
 		pos += 8 + n
 	}
 	return out, nil
-}
-
-// Truncate discards the log contents (used after a checkpoint snapshot).
-func (l *Log) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return fmt.Errorf("wal: log closed")
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	l.lsn = 0
-	return nil
 }
 
 // Convenience constructors for the record kinds.

@@ -44,6 +44,8 @@ const (
 	RecPrepare      // Tx = participant, Group = [group id]
 	RecDecideCommit // Group = [group id]
 	RecDecideAbort  // Group = [group id]
+	// A checkpoint starts each new log segment with a header record.
+	RecSegment // RowID = segment id, CSN = number of carried records after it
 )
 
 func (rt RecordType) String() string {
@@ -74,6 +76,8 @@ func (rt RecordType) String() string {
 		return "DECIDE-COMMIT"
 	case RecDecideAbort:
 		return "DECIDE-ABORT"
+	case RecSegment:
+		return "SEGMENT"
 	default:
 		return fmt.Sprintf("RecordType(%d)", uint8(rt))
 	}
@@ -90,6 +94,8 @@ func (rt RecordType) String() string {
 //   - Entangle: Tx = entanglement op id, Group = participating transactions.
 //   - CreateTable: Table, Schema columns flattened into Row as
 //     name/type pairs.
+//   - Segment: RowID = segment id, CSN = number of carried records that
+//     follow it.
 //
 // The CSN on commit-class records lets recovery rebuild the version order
 // of the MVCC store exactly as the live system produced it, and reseed the

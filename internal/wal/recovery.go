@@ -56,6 +56,11 @@ func Recover(path string, cat *storage.Catalog) (*RecoveryStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	return replay(records, cat)
+}
+
+// replay is Recover over records already read, in log order.
+func replay(records []*Record, cat *storage.Catalog) (*RecoveryStats, error) {
 	stats := &RecoveryStats{RecordsScanned: len(records)}
 
 	// Pass 1: analysis — committed set (with each winner's CSN, so replay
@@ -196,9 +201,8 @@ func Recover(path string, cat *storage.Catalog) (*RecoveryStats, error) {
 			for _, v := range r.Row[1:] {
 				cols = append(cols, v.Str64())
 			}
-			// Idempotent vs. snapshots that already carry data: rebuilding
-			// an index that exists (same name) is an error we tolerate by
-			// skipping.
+			// Idempotent: a snapshot taken after the switch that logged
+			// this DDL already carries the index.
 			if err := tbl.CreateIndex(r.Row[0].Str64(), cols...); err != nil && !tbl.HasIndexOn(cols...) {
 				return nil, fmt.Errorf("wal: recover index: %w", err)
 			}

@@ -23,6 +23,15 @@ func tmpLog(t *testing.T) (*Log, string) {
 	return l, path
 }
 
+// writeSnapshot writes cat's snapshot as of csn for logPath, naming the
+// log's first segment.
+func writeSnapshot(t *testing.T, logPath string, cat *storage.Catalog, csn uint64) {
+	t.Helper()
+	if err := os.WriteFile(SnapshotPath(logPath), encodeSnapshot(cat, csn, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func usersSchema() *types.Schema {
 	return types.NewSchema(
 		types.Column{Name: "uid", Type: types.KindInt},
@@ -340,7 +349,7 @@ func TestCheckpointAndRecoverAll(t *testing.T) {
 
 func TestSnapshotMissingIsNotError(t *testing.T) {
 	cat := storage.NewCatalog()
-	csn, ok, err := LoadSnapshot(filepath.Join(t.TempDir(), "x.log"), cat)
+	csn, _, ok, err := loadSnapshot(filepath.Join(t.TempDir(), "x.log"), cat)
 	if err != nil || ok || csn != 0 {
 		t.Fatalf("csn=%d ok=%v err=%v", csn, ok, err)
 	}
@@ -352,13 +361,11 @@ func TestSnapshotCRCDetected(t *testing.T) {
 	cat := storage.NewCatalog()
 	tbl, _ := cat.Create("User", usersSchema())
 	tbl.Insert(types.Tuple{types.Int(1), types.Str("SFO")})
-	if err := WriteSnapshot(logPath, cat, 1); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshot(t, logPath, cat, 1)
 	data, _ := os.ReadFile(SnapshotPath(logPath))
 	data[len(data)-1] ^= 0xFF
 	os.WriteFile(SnapshotPath(logPath), data, 0o644)
-	if _, _, err := LoadSnapshot(logPath, storage.NewCatalog()); err == nil {
+	if _, _, _, err := loadSnapshot(logPath, storage.NewCatalog()); err == nil {
 		t.Fatal("corrupt snapshot accepted")
 	}
 }
@@ -468,7 +475,7 @@ func TestFailedWriteLatchesLog(t *testing.T) {
 }
 
 // TestSnapshotCarriesCSN: the checkpoint CSN written into the snapshot
-// header round-trips through LoadSnapshot and RecoverAll, including over a
+// header round-trips through loadSnapshot and RecoverAll, including over a
 // truncated (empty) log — the crash shape that used to reset the clock.
 func TestSnapshotCarriesCSN(t *testing.T) {
 	dir := t.TempDir()
@@ -477,13 +484,11 @@ func TestSnapshotCarriesCSN(t *testing.T) {
 	tbl, _ := cat.Create("User", usersSchema())
 	tbl.Insert(types.Tuple{types.Int(1), types.Str("SFO")})
 	const csn = 42
-	if err := WriteSnapshot(logPath, cat, csn); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshot(t, logPath, cat, csn)
 	fresh := storage.NewCatalog()
-	got, ok, err := LoadSnapshot(logPath, fresh)
+	got, _, ok, err := loadSnapshot(logPath, fresh)
 	if err != nil || !ok || got != csn {
-		t.Fatalf("LoadSnapshot csn=%d ok=%v err=%v, want csn %d", got, ok, err, uint64(csn))
+		t.Fatalf("loadSnapshot csn=%d ok=%v err=%v, want csn %d", got, ok, err, uint64(csn))
 	}
 	ftbl, _ := fresh.Get("User")
 	if ftbl.Len() != 1 {
@@ -551,7 +556,7 @@ func TestSnapshotV1Fallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := storage.NewCatalog()
-	csn, ok, err := LoadSnapshot(logPath, cat)
+	csn, _, ok, err := loadSnapshot(logPath, cat)
 	if err != nil || !ok || csn != 0 {
 		t.Fatalf("v1 snapshot: csn=%d ok=%v err=%v", csn, ok, err)
 	}
@@ -575,8 +580,8 @@ func TestSnapshotRestoreBumpsEveryColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := storage.NewCatalog()
-	if _, ok, err := LoadSnapshot(path, fresh); err != nil || !ok {
-		t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
+	if _, _, ok, err := loadSnapshot(path, fresh); err != nil || !ok {
+		t.Fatalf("loadSnapshot: ok=%v err=%v", ok, err)
 	}
 	got, _ := fresh.Get("User")
 	for c := range got.Schema().Columns {
