@@ -28,7 +28,8 @@ race:
 # clock (internal/clock), so a wall-clock timer in their non-test files
 # fails it. The writer gate: internal/txn is the one module that writes a
 # transaction's log records, so a transaction record built in a non-test
-# file of core, dist, server, entangle or cmd fails it. The codec gate: the
+# file of core, dist, server, entangle or cmd, by a constructor or as a
+# wal.Record literal, fails it. The codec gate: the
 # cross-shard messages and what they carry (dist, eq, types) travel in the
 # binary codec of internal/wire/envelope.go, so encoding/json imported by a
 # non-test file of those packages or of internal/server/dist.go fails it.
@@ -37,7 +38,7 @@ vet:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'time\.(NewTimer|NewTicker|AfterFunc|After|Tick)\(' internal/core internal/dist internal/server); \
 		if [ -n "$$out" ]; then echo "wall-clock timer outside internal/clock (use the injected clock):"; echo "$$out"; exit 1; fi
-	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'wal\.(Begin|Insert|Update|Delete|Commit|Abort|GroupCommit|Entangle|Prepare)\(' internal/core internal/dist internal/server entangle cmd); \
+	@out=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'wal\.(Insert|Commit|Abort|GroupCommit|Prepare)\(|wal\.Record\{' internal/core internal/dist internal/server entangle cmd); \
 		if [ -n "$$out" ]; then echo "transaction log record written outside internal/txn:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' '"encoding/json"' internal/dist internal/eq internal/types internal/server/dist.go); \
 		if [ -n "$$out" ]; then echo "encoding/json on the cross-shard message path (use the wire envelope codec):"; echo "$$out"; exit 1; fi

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/types"
 	"repro/internal/wal"
 )
 
@@ -118,10 +119,11 @@ func TestCrashRecoveryGroupAtomicity(t *testing.T) {
 		}
 		tbl, _ := cat.Get("Bookings")
 		byPair := make(map[string][]string)
-		for _, row := range tbl.All() {
+		tbl.ScanTx(0, func(_ storage.RowID, row types.Tuple) bool {
 			name := row[0].Str64()
 			byPair[name[1:]] = append(byPair[name[1:]], name)
-		}
+			return true
+		})
 		for pid, members := range byPair {
 			if len(members) != 2 {
 				t.Fatalf("snapshot %d: pair %s recovered partially: %v (group commit violated)", i, pid, members)
@@ -226,10 +228,11 @@ func TestCrashDuringGroupCommitBatch(t *testing.T) {
 		}
 		tbl, _ := cat.Get("Bookings")
 		byPair := make(map[string]int)
-		for _, row := range tbl.All() {
+		tbl.ScanTx(0, func(_ storage.RowID, row types.Tuple) bool {
 			name := row[0].Str64()
 			byPair[name[:2]]++
-		}
+			return true
+		})
 		for pid, n := range byPair {
 			if n != 2 {
 				t.Fatalf("crash at byte %d: pair %s recovered %d of 2 members (group atomicity violated)", cut, pid, n)
@@ -415,9 +418,10 @@ func TestCheckpointConcurrentCommitsAtomic(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			out := make(map[int64]int)
-			for _, r := range tbl.All() {
+			tbl.ScanTx(0, func(_ storage.RowID, r types.Tuple) bool {
 				out[r[0].Int64()]++
-			}
+				return true
+			})
 			return out
 		}
 		l, r := rows("L"), rows("R")

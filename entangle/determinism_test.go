@@ -6,6 +6,9 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/storage"
+	"repro/internal/types"
 )
 
 // Determinism regression for run evaluation: the same seeded workload of
@@ -77,9 +80,10 @@ func runDeterministicWorkload(t *testing.T, pairs, seed int) map[string][]string
 			t.Fatal(err)
 		}
 		var rows []string
-		for _, row := range tbl.All() {
+		tbl.ScanTx(0, func(_ storage.RowID, row types.Tuple) bool {
 			rows = append(rows, row.String())
-		}
+			return true
+		})
 		sort.Strings(rows)
 		state[name] = rows
 	}

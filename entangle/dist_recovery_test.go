@@ -204,11 +204,12 @@ func TestPreparedTornTailSweep(t *testing.T) {
 		}
 		if cat.Has("Pledges") {
 			tbl, _ := cat.Get("Pledges")
-			for _, row := range tbl.All() {
+			tbl.ScanTx(0, func(_ storage.RowID, row types.Tuple) bool {
 				if row[0].Str64() == "mickey" {
 					t.Fatalf("cut at byte %d: prepared effects redone without a verdict", cut)
 				}
-			}
+				return true
+			})
 		}
 		if len(stats.InDoubt) > 0 {
 			sawInDoubt = true

@@ -10,7 +10,7 @@ import (
 // walBytes returns the size of db's log file.
 func walBytes(t *testing.T, db *DB) int64 {
 	t.Helper()
-	fi, err := os.Stat(db.log.Path())
+	fi, err := os.Stat(db.path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,8 +91,8 @@ func drawSteps(t *testing.T, d *workload.Dataset, rng *rand.Rand) []equivStep {
 			u, v := d.NextPair()
 			add(d.Entangled(workload.EntangledT, u, v), d.Entangled(workload.EntangledT, v, u))
 		case 2:
-			orphan, _ := d.OrphanPair()
-			add(orphan)
+			u, v := d.NextPair() // v never comes
+			add(d.Entangled(workload.EntangledT, u, v))
 		case 3, 4:
 			s := workload.Cycle
 			if rng.Intn(2) == 0 {

@@ -569,15 +569,11 @@ func TestQueryStringRendering(t *testing.T) {
 	}
 }
 
-func TestBodyTablesAndAnswerRelations(t *testing.T) {
+func TestBodyTables(t *testing.T) {
 	q := minnieQuery()
 	bt := q.BodyTables()
 	if len(bt) != 2 || bt[0] != "Flights" || bt[1] != "Airlines" {
 		t.Errorf("BodyTables = %v", bt)
-	}
-	ar := q.AnswerRelations()
-	if len(ar) != 1 || ar[0] != "Reservation" {
-		t.Errorf("AnswerRelations = %v", ar)
 	}
 }
 

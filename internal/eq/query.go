@@ -148,20 +148,6 @@ func (q *Query) occurrences(v string) int {
 	return n
 }
 
-// AnswerRelations returns the distinct ANSWER relations mentioned by head
-// and postcondition, in first-mention order.
-func (q *Query) AnswerRelations() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, a := range append(append([]Atom{}, q.Head...), q.Post...) {
-		if !seen[a.Rel] {
-			seen[a.Rel] = true
-			out = append(out, a.Rel)
-		}
-	}
-	return out
-}
-
 // Equal reports whether q and o are the same query term by term: the same
 // atoms and constraints in the same order, bound variables and choice.
 // Constants are equal when kind and value are. It allocates nothing.

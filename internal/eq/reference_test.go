@@ -269,8 +269,17 @@ func (c Constraint) eval(val Valuation) (bool, error) {
 	return c.Op.holds(l, r)
 }
 
-// Key returns a canonical string for the ground atom.
-func (g GroundAtom) Key() string { return g.Rel + "|" + g.Args.Key() }
+// Key returns a canonical string for the ground atom. A date folds into
+// an int with the same payload, as Equal has it.
+func (g GroundAtom) Key() string {
+	args := make(types.Tuple, len(g.Args))
+	for i, v := range g.Args {
+		if args[i] = v; v.Kind() == types.KindDate {
+			args[i] = types.Int(v.Int64())
+		}
+	}
+	return g.Rel + "|" + string(types.EncodeTuple(nil, args))
+}
 
 // key is a canonical string for a grounding's (head, post) identity — the
 // identity the pipeline deduplicates by.

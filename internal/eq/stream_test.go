@@ -120,7 +120,9 @@ func randomCase(rng *rand.Rand) (MapReader, map[string][][]int, *Query) {
 	}
 	bodyVars := make(map[string]bool)
 	for _, a := range body {
-		a.vars(bodyVars)
+		for _, t := range a.Args {
+			t.eachVar(func(v string) { bodyVars[v] = true })
+		}
 	}
 	var bvs []string
 	for _, v := range vars {

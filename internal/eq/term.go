@@ -118,13 +118,6 @@ func (a Atom) String() string {
 	return fmt.Sprintf("%s(%s)", a.Rel, strings.Join(parts, ", "))
 }
 
-// vars appends the variable names of the atom to out.
-func (a Atom) vars(out map[string]bool) {
-	for _, t := range a.Args {
-		t.eachVar(func(v string) { out[v] = true })
-	}
-}
-
 // GroundAtom is an atom with all arguments constant.
 type GroundAtom struct {
 	Rel  string

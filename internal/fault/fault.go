@@ -131,31 +131,6 @@ func (r *Registry) Enable(name string, t Trigger, a Action) *Point {
 	return p
 }
 
-// Disable disarms the named point (a no-op if it was never created).
-func (r *Registry) Disable(name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	p := r.pts[name]
-	r.mu.Unlock()
-	if p != nil {
-		p.armed.Store(false)
-	}
-}
-
-// DisableAll disarms every point in the registry.
-func (r *Registry) DisableAll() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, p := range r.pts {
-		p.armed.Store(false)
-	}
-}
-
 // Fired reports how many faults this registry has injected in total.
 func (r *Registry) Fired() int64 {
 	if r == nil {
@@ -200,14 +175,6 @@ type Point struct {
 	rng   *rand.Rand
 }
 
-// Name returns the point's registered name ("" for a nil point).
-func (p *Point) Name() string {
-	if p == nil {
-		return ""
-	}
-	return p.name
-}
-
 // Eval is the core hook: it decides whether the point fires now and, for
 // KindDelay, performs the sleep inline. It returns the action and true when
 // the caller must apply a non-delay action, and false on the fast path.
@@ -223,7 +190,7 @@ func (p *Point) EvalTagged(trace uint64) (Action, bool) {
 		return Action{}, false
 	}
 	p.mu.Lock()
-	if !p.armed.Load() { // re-check: lost a race with Disable
+	if !p.armed.Load() { // re-check: lost a race with a one-shot firing
 		p.mu.Unlock()
 		return Action{}, false
 	}

@@ -368,49 +368,6 @@ func MeasureStructure(cfg Config, structure workload.Structure, k, f int) (float
 	return time.Since(start).Seconds(), nil
 }
 
-// MeasureCompeting runs `groups` competing structures of the given kind
-// (buyers sizes MarketContest; f is the run frequency) and returns the
-// wall time and the total number of answered participants — observable as
-// verified Reserve rows. On competing structures the exact solver answers
-// strictly more than the greedy ablation (Config.SolveBudget < 0); on the
-// disjoint §5.2 structures the two must match.
-func MeasureCompeting(cfg Config, kind workload.CompetingKind, buyers, groups, f int) (float64, int, error) {
-	db, d, err := newDB(cfg, 100, f)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer db.Close()
-	start := time.Now()
-	const batchGroups = 8
-	for g := 0; g < groups; g += batchGroups {
-		nb := batchGroups
-		if g+nb > groups {
-			nb = groups - g
-		}
-		var handles []*entangle.Handle
-		for b := 0; b < nb; b++ {
-			progs, err := d.BuildCompeting(kind, buyers, g+b)
-			if err != nil {
-				return 0, 0, err
-			}
-			for _, p := range progs {
-				handles = append(handles, db.Submit(p))
-			}
-		}
-		for i, h := range handles {
-			if o := h.Wait(); o.Status != entangle.StatusCommitted {
-				return 0, 0, fmt.Errorf("competing tx %d: %v (%v)", i, o.Status, o.Err)
-			}
-		}
-	}
-	secs := time.Since(start).Seconds()
-	answered, err := workload.VerifyReserve(db)
-	if err != nil {
-		return 0, 0, err
-	}
-	return secs, answered, nil
-}
-
 // PrintSeries renders series as an aligned table: one row per X, one
 // column per series.
 func PrintSeries(w io.Writer, title, xLabel string, series []Series) {

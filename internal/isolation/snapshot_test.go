@@ -170,7 +170,9 @@ func TestSnapshotIsolatedEngineCommitsEntangledPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := tbl.All()
+	snap := e.Txm().AcquireSnapshot()
+	rows := tbl.AllAsOf(snap.View)
+	snap.Release()
 	if len(rows) != 2 || !rows[0][1].Equal(rows[1][1]) {
 		t.Fatalf("bookings = %v, want a coordinated pair", rows)
 	}

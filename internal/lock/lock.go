@@ -282,9 +282,6 @@ func NewSharded(waitTimeout time.Duration, n int) *Manager {
 	return m
 }
 
-// ShardCount returns the number of shards.
-func (m *Manager) ShardCount() int { return len(m.shards) }
-
 // shardFor hashes the resource's table name (inline FNV-1a: this sits on
 // every lock operation, so no hasher or []byte allocations), so table locks
 // and the row locks beneath them share a shard.

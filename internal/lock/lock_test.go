@@ -189,6 +189,63 @@ func TestWaitTimeout(t *testing.T) {
 	}
 }
 
+// TestFailedRequestsLeaveNoEntry: a request fails — a TryAcquire that
+// would block, a wait that times out, a deadlock victim — only while
+// another transaction holds or waits for the object, so the failure adds no
+// entry to the lock table, and the last holder's release removes it.
+func TestFailedRequestsLeaveNoEntry(t *testing.T) {
+	m := New(time.Millisecond)
+	const rows = 1000
+	for i := 0; i < rows; i++ {
+		if err := m.Acquire(1, TableRow{Table: "T", Row: int64(i)}, X); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := m.entryCount()
+	for i := 0; i < rows; i++ {
+		if err := m.TryAcquire(2, TableRow{Table: "T", Row: int64(i)}, S); !errors.Is(err, ErrWouldBlock) {
+			t.Fatalf("row %d: %v, want ErrWouldBlock", i, err)
+		}
+	}
+	if err := m.Acquire(2, TableRow{Table: "T", Row: 0}, S); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("wait: %v, want ErrTimeout", err)
+	}
+	if n := m.entryCount(); n != held {
+		t.Fatalf("%d entries after the failed requests, want the %d held", n, held)
+	}
+	m.ReleaseAll(1)
+	if n := m.entryCount(); n != 0 {
+		t.Fatalf("%d entries after the release", n)
+	}
+
+	m = New(0)
+	if err := m.Acquire(1, table("A"), X); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(2, table("B"), X); err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- m.Acquire(1, table("B"), X) }()
+	for {
+		if _, waits, _ := m.Stats(); waits == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := m.Acquire(2, table("A"), X); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	m.ReleaseAll(2)
+	if err := <-waited; err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(1)
+	if n := m.entryCount(); n != 0 {
+		t.Fatalf("%d entries with no holder and no waiter", n)
+	}
+}
+
 func TestReleaseSharedKeepsExclusive(t *testing.T) {
 	m := New(0)
 	if err := m.Acquire(1, table("T"), IX); err != nil {

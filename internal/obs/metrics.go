@@ -9,15 +9,13 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Counter is a monotonic (or max-tracking) atomic counter. The zero of
-// usefulness: a nil *Counter accepts Add/SetMax/Load as no-ops, so call
-// sites never guard.
+// Counter is a monotonic atomic counter. The zero of usefulness: a nil
+// *Counter accepts Add/Load as no-ops, so call sites never guard.
 type Counter struct {
 	v atomic.Int64
 }
@@ -26,27 +24,6 @@ type Counter struct {
 func (c *Counter) Add(n int64) {
 	if c != nil {
 		c.v.Add(n)
-	}
-}
-
-// SetMax raises the counter to v if v is greater (high-water-mark
-// semantics). No-op on a nil receiver.
-func (c *Counter) SetMax(v int64) {
-	if c == nil {
-		return
-	}
-	for {
-		cur := c.v.Load()
-		if v <= cur || c.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Store sets the counter to v. No-op on a nil receiver.
-func (c *Counter) Store(v int64) {
-	if c != nil {
-		c.v.Store(v)
 	}
 }
 
@@ -131,14 +108,6 @@ func bucketIndex(ns int64) int {
 		}
 	}
 	return lo
-}
-
-// Count returns the number of observations; 0 on nil.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Quantile returns an estimate of the q-quantile (0 < q < 1) of the
@@ -309,25 +278,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s
-}
-
-// Names returns the registered counter and gauge names, sorted — for
-// deterministic rendering in tests and the shell.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.ctrs)+len(r.gauges))
-	for name := range r.ctrs {
-		out = append(out, name)
-	}
-	for name := range r.gauges {
-		if _, dup := r.ctrs[name]; !dup {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

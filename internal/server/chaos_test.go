@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -123,7 +124,13 @@ func TestChaosSoakCoordination(t *testing.T) {
 	reg.Enable("server.conn.read", fault.Trigger{Prob: 0.02}, fault.Action{Kind: fault.KindReset})
 	reg.Enable("server.dispatch", fault.Trigger{Prob: 0.05},
 		fault.Action{Kind: fault.KindDelay, Delay: 2 * time.Millisecond})
-	defer reg.DisableAll()
+	// quiet re-arms the three points with a trigger that never fires.
+	quiet := func() {
+		for _, name := range []string{"server.conn.write", "server.conn.read", "server.dispatch"} {
+			reg.Enable(name, fault.Trigger{After: math.MaxInt}, fault.Action{})
+		}
+	}
+	defer quiet()
 
 	// committed[name] records sides whose Wait reported a clean commit;
 	// those MUST have their row. Sides whose Wait lost its outcome to the
@@ -166,7 +173,7 @@ func TestChaosSoakCoordination(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	reg.DisableAll() // quiet network for the verification reads
+	quiet() // quiet network for the verification reads
 
 	// Atomicity sweep straight through the embedded DB — no wire, no
 	// client, no place for a stale cache to hide a half-applied group.

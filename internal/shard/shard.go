@@ -52,15 +52,6 @@ func (m *Map) Home(key string) int {
 	return int(Hash(key) % uint32(m.Shards))
 }
 
-// NodeFor returns the address serving key's home shard ("" when the map
-// carries no node list).
-func (m *Map) NodeFor(key string) string {
-	if m == nil || len(m.Nodes) == 0 {
-		return ""
-	}
-	return m.Nodes[m.Home(key)%len(m.Nodes)]
-}
-
 // Clone returns a deep copy (servers hand maps to concurrent readers).
 func (m *Map) Clone() *Map {
 	if m == nil {

@@ -76,12 +76,6 @@ func (g *Graph) addEdge(u, v int) {
 // N returns the number of users.
 func (g *Graph) N() int { return g.n }
 
-// Friends returns u's friend list (sorted, no duplicates by construction).
-func (g *Graph) Friends(u int) []int { return g.adj[u] }
-
-// Degree returns u's number of friends.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
 // Edges returns every undirected edge once, as ordered pairs (u < v).
 func (g *Graph) Edges() [][2]int {
 	var out [][2]int

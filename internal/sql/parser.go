@@ -65,18 +65,6 @@ func (p *parser) endStmt() error {
 	return nil
 }
 
-// ParseOne parses exactly one statement.
-func ParseOne(src string) (Stmt, error) {
-	stmts, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("sql: expected one statement, got %d", len(stmts))
-	}
-	return stmts[0], nil
-}
-
 func (p *parser) peek() token { return p.toks[p.pos] }
 func (p *parser) peek2() token {
 	if p.pos+1 < len(p.toks) {

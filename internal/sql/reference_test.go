@@ -192,7 +192,7 @@ func refScalar(s *Session, tx DataTx, cat Catalog, e Expr, env *refEnv) (types.V
 func refBool(s *Session, tx DataTx, cat Catalog, e Expr, env *refEnv) (bool, error) {
 	switch ex := e.(type) {
 	case *Lit:
-		return ex.Val.AsBool(), nil
+		return ex.Val.Equal(types.Bool(true)), nil
 	case *Binary:
 		switch ex.Op {
 		case "AND":

@@ -13,13 +13,12 @@ import (
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table // keyed by lower-case name
-	epoch  atomic.Uint64     // DDL count: Create, Drop, CreateIndex
+	epoch  atomic.Uint64     // DDL count: Create, CreateIndex
 }
 
-// Epoch counts the catalog's DDL: creating or dropping a table and
-// declaring an index each add one, after the change is visible. Whatever
-// was compiled or planned from the catalog at one epoch holds until the
-// next.
+// Epoch counts the catalog's DDL: creating a table and declaring an index
+// each add one, after the change is visible. Whatever was compiled or
+// planned from the catalog at one epoch holds until the next.
 func (c *Catalog) Epoch() uint64 { return c.epoch.Load() }
 
 // NewCatalog returns an empty catalog.
@@ -71,19 +70,6 @@ func (c *Catalog) Has(name string) bool {
 	defer c.mu.RUnlock()
 	_, ok := c.tables[canonical(name)]
 	return ok
-}
-
-// Drop removes the named table.
-func (c *Catalog) Drop(name string) error {
-	key := canonical(name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[key]; !ok {
-		return fmt.Errorf("storage: no such table %s", name)
-	}
-	delete(c.tables, key)
-	c.epoch.Add(1)
-	return nil
 }
 
 // Names returns all table names in sorted order.

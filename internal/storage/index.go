@@ -320,12 +320,6 @@ func (t *Table) LookupTx(reader uint64, columns []string, key types.Tuple) ([]Ro
 	return ids, err
 }
 
-// Lookup returns the RowIDs of rows whose given columns equal key in the
-// latest committed state.
-func (t *Table) Lookup(columns []string, key types.Tuple) ([]RowID, error) {
-	return t.LookupTx(0, columns, key)
-}
-
 // LookupRowsAsOf returns the RowIDs and the visible rows (cloned) of rows
 // whose given columns equal key as seen by snap, resolved in one pass under
 // one lock acquisition — the hot path of snapshot-isolated point reads.

@@ -254,15 +254,6 @@ func TestCatalog(t *testing.T) {
 	if len(names) != 2 || names[0] != "Airlines" || names[1] != "Flights" {
 		t.Errorf("Names = %v", names)
 	}
-	if err := c.Drop("flights"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Has("Flights") {
-		t.Error("table present after drop")
-	}
-	if err := c.Drop("flights"); err == nil {
-		t.Error("double drop accepted")
-	}
 }
 
 func TestConcurrentInsertsAndScans(t *testing.T) {

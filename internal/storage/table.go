@@ -35,6 +35,12 @@ type RowID int64
 // InvalidRowID is returned by operations that fail to locate a row.
 const InvalidRowID RowID = -1
 
+// MaxRowID is the largest row id a table holds. The row directory grows to
+// the largest id stored, so InsertAtCSN refuses a larger one, which a
+// corrupt snapshot or log record could carry, and an insert never hands
+// one out.
+const MaxRowID RowID = 1<<31 - 1
+
 // Row layout. A table keeps its version chains in a directory of pages,
 // each holding the chains of pageSize consecutive RowIDs: a lookup is two
 // index operations, a scan walks the pages in order, and a page whose
@@ -91,15 +97,14 @@ type Table struct {
 	name   string
 	schema *types.Schema
 
-	mu       sync.RWMutex
-	pages    []*page // pages[id>>pageShift]; nil where no chain is stored
-	nextID   RowID
-	vers     slab[version]     // first versions of new chains
-	vals     slab[types.Value] // stored tuples
-	indexes  []*hashIndex      // declared and undeclared, in creation order
-	lastCSN  uint64            // newest CSN stamped into this table
-	colCSN   []uint64          // per column position: newest CSN whose commit changed it
-	versions int               // live version count (GC accounting)
+	mu      sync.RWMutex
+	pages   []*page // pages[id>>pageShift]; nil where no chain is stored
+	nextID  RowID
+	vers    slab[version]     // first versions of new chains
+	vals    slab[types.Value] // stored tuples
+	indexes []*hashIndex      // declared and undeclared, in creation order
+	lastCSN uint64            // newest CSN stamped into this table
+	colCSN  []uint64          // per column position: newest CSN whose commit changed it
 
 	scans atomic.Int64 // whole-table reads: scans, index builds, unindexed lookups
 
@@ -245,14 +250,6 @@ func (t *Table) noteCommit(csn uint64, old, new types.Tuple) {
 	}
 }
 
-// VersionCount returns the total number of stored versions (live rows,
-// superseded images, tombstones, uncommitted writes).
-func (t *Table) VersionCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.versions
-}
-
 // appendVersion installs a version at the chain tail and indexes its key.
 // A new chain's first version comes from the version slab; a later append
 // copies the capped chain out. Caller holds t.mu; id >= 0.
@@ -265,7 +262,6 @@ func (t *Table) appendVersion(id RowID, v version) {
 		vs = append(vs, v)
 	}
 	t.setChain(id, vs)
-	t.versions++
 	if v.row != nil {
 		for _, ix := range t.indexes {
 			ix.insert(id, v.row)
@@ -279,14 +275,13 @@ func (t *Table) appendVersion(id RowID, v version) {
 // --- write path -----------------------------------------------------------
 //
 // The transactional mutators install uncommitted versions (txID != 0) that
-// Stamp or Rollback later resolve. The legacy mutators (Insert, InsertAt,
-// Update, Delete) write committed versions at CSN 0 — "committed since
-// forever", visible to every snapshot — which is what bulk loaders,
-// checkpoint restore, and storage-level tests want.
+// Stamp or Rollback later resolve. The CSN mutators (InsertAtCSN,
+// UpdateCSN, DeleteCSN) write versions committed at a given CSN, which is
+// what checkpoint restore and WAL replay want.
 
-// insertVersion validates and stores a new row under a fresh RowID. A
-// txID of 0 with a real csn is the load/replay path; txID != 0 with
-// uncommittedCSN is the transactional path.
+// insertVersion validates and stores a new row under a fresh RowID: with
+// txID 0 committed at csn, with txID != 0 and uncommittedCSN as that
+// transaction's uncommitted version.
 func (t *Table) insertVersion(row types.Tuple, txID, csn uint64) (RowID, error) {
 	if err := t.schema.Validate(row); err != nil {
 		return InvalidRowID, fmt.Errorf("storage: insert into %s: %w", t.name, err)
@@ -294,15 +289,12 @@ func (t *Table) insertVersion(row types.Tuple, txID, csn uint64) (RowID, error) 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.nextID
+	if id > MaxRowID {
+		return InvalidRowID, fmt.Errorf("storage: insert into %s: row id %d out of range", t.name, id)
+	}
 	t.nextID++
 	t.appendVersion(id, version{csn: csn, tx: txID, row: t.store(row)})
 	return id, nil
-}
-
-// Insert stores a new row as committed-at-load (CSN 0), returning its
-// RowID. Transactions use InsertTx instead.
-func (t *Table) Insert(row types.Tuple) (RowID, error) {
-	return t.insertVersion(row, 0, 0)
 }
 
 // InsertTx stores a new row as an uncommitted version of txID.
@@ -313,9 +305,9 @@ func (t *Table) InsertTx(txID uint64, row types.Tuple) (RowID, error) {
 // InsertAtCSN reinstates a row under a specific RowID as a version
 // committed at csn (snapshot restore and WAL replay, which stamps the
 // recovered commit order this way). It fails if the RowID is live in the
-// latest committed state or if the RowID is negative.
+// latest committed state or lies outside [0, MaxRowID].
 func (t *Table) InsertAtCSN(id RowID, row types.Tuple, csn uint64) error {
-	if id < 0 {
+	if id < 0 || id > MaxRowID {
 		return fmt.Errorf("storage: insert-at into %s: row id %d out of range", t.name, id)
 	}
 	if err := t.schema.Validate(row); err != nil {
@@ -349,12 +341,6 @@ func (t *Table) updateVersion(id RowID, row types.Tuple, txID, csn uint64) (type
 	return old, nil
 }
 
-// Update replaces the row at id with a committed-at-load version,
-// returning the previous image. Transactions use UpdateTx.
-func (t *Table) Update(id RowID, row types.Tuple) (types.Tuple, error) {
-	return t.updateVersion(id, row, 0, 0)
-}
-
 // UpdateTx replaces the row at id with an uncommitted version of txID.
 func (t *Table) UpdateTx(txID uint64, id RowID, row types.Tuple) (types.Tuple, error) {
 	return t.updateVersion(id, row, txID, uncommittedCSN)
@@ -376,12 +362,6 @@ func (t *Table) deleteVersion(id RowID, txID, csn uint64) (types.Tuple, error) {
 	}
 	t.appendVersion(id, version{csn: csn, tx: txID})
 	return old, nil
-}
-
-// Delete removes the row at id (committed-at-load tombstone), returning
-// the deleted image. Transactions use DeleteTx.
-func (t *Table) Delete(id RowID) (types.Tuple, error) {
-	return t.deleteVersion(id, 0, 0)
 }
 
 // DeleteTx removes the row at id as an uncommitted tombstone of txID.
@@ -454,7 +434,6 @@ func (t *Table) Rollback(txID uint64, id RowID) {
 			if v.row != nil {
 				removed = append(removed, v.row)
 			}
-			t.versions--
 			continue
 		}
 		kept = append(kept, v)
@@ -500,20 +479,6 @@ func (t *Table) GetTx(reader uint64, id RowID) (types.Tuple, bool) {
 	return row.Clone(), true
 }
 
-// Get returns a copy of the row in the latest committed state.
-func (t *Table) Get(id RowID) (types.Tuple, bool) { return t.GetTx(0, id) }
-
-// GetAsOf returns a copy of the row as seen by snap.
-func (t *Table) GetAsOf(snap Snapshot, id RowID) (types.Tuple, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	row, ok := visibleAt(t.chain(id), snap)
-	if !ok {
-		return nil, false
-	}
-	return row.Clone(), true
-}
-
 // ScanCount returns the number of whole-table reads this table has served:
 // scan cursors and callbacks, index builds, and lookups no index covers.
 // The grounding tests use it to assert that an evaluation round with k
@@ -540,25 +505,11 @@ func (t *Table) ScanTx(reader uint64, fn func(id RowID, row types.Tuple) bool) {
 	t.scanResolved(func(vs []version) (types.Tuple, bool) { return latestVisible(vs, reader) }, fn)
 }
 
-// Scan calls fn for every row of the latest committed state in RowID order.
-func (t *Table) Scan(fn func(id RowID, row types.Tuple) bool) { t.ScanTx(0, fn) }
-
 // ScanAsOf calls fn for every row visible to snap in RowID order — the
 // lock-free snapshot read that grounding rounds and snapshot-isolated
 // transactions use.
 func (t *Table) ScanAsOf(snap Snapshot, fn func(id RowID, row types.Tuple) bool) {
 	t.scanResolved(func(vs []version) (types.Tuple, bool) { return visibleAt(vs, snap) }, fn)
-}
-
-// All returns a deterministic snapshot of the latest committed state in
-// RowID order.
-func (t *Table) All() []types.Tuple {
-	var out []types.Tuple
-	t.Scan(func(_ RowID, row types.Tuple) bool {
-		out = append(out, row.Clone())
-		return true
-	})
-	return out
 }
 
 // AllAsOf returns every row visible to snap, cloned, in RowID order.
@@ -621,7 +572,6 @@ func (t *Table) GC(watermark uint64) int {
 	if pruned == 0 {
 		return 0
 	}
-	t.versions -= pruned
 	t.vers, t.vals = slab[version]{}, slab[types.Value]{}
 	t.eachChain(func(id RowID, vs []version) bool {
 		var fresh []version

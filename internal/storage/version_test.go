@@ -145,7 +145,7 @@ func TestScanAsOfIsStableAgainstLaterCommits(t *testing.T) {
 	if got := len(tbl.AllAsOf(snap)); got != 5 {
 		t.Errorf("snapshot scan sees %d rows, want 5", got)
 	}
-	if got := len(tbl.All()); got != 6 {
+	if got := tbl.Len(); got != 6 {
 		t.Errorf("latest scan sees %d rows, want 6", got)
 	}
 }

@@ -191,9 +191,10 @@ func checkRecovered(t *testing.T, label, dir string, acked int, prepared wal.TxI
 		t.Fatalf("%s: %v", label, err)
 	}
 	got := make(map[int64]string)
-	for _, row := range tbl.All() {
+	tbl.ScanTx(0, func(_ storage.RowID, row types.Tuple) bool {
 		got[row[0].Int64()] = row[1].Str64()
-	}
+		return true
+	})
 	if want := sweepWant(acked); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%s: recovered %v, want the state after %d commits %v", label, got, acked, want)
 	}

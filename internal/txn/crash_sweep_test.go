@@ -368,7 +368,7 @@ func crashSweep(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 		cat := storage.NewCatalog()
-		stats, err := wal.Recover(cut, cat)
+		stats, err := wal.RecoverAll(cut, cat)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", b, err)
 		}

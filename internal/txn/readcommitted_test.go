@@ -23,10 +23,10 @@ func TestReadCommittedScanReleasesAllSharedLocks(t *testing.T) {
 	if _, err := tx.Scan("User"); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.Locks().HeldCount(tx.ID()); n != 0 {
+	if n := m.locks.HeldCount(tx.ID()); n != 0 {
 		t.Fatalf("S locks leak after statement end: HeldCount = %d", n)
 	}
-	if m.Locks().Holds(tx.ID(), lock.TableRow{Table: "User", Row: lock.AllRows}, lock.S) {
+	if m.locks.Holds(tx.ID(), lock.TableRow{Table: "User", Row: lock.AllRows}, lock.S) {
 		t.Fatal("table S lock survives statementEnd")
 	}
 	tx.Commit()
@@ -47,7 +47,7 @@ func TestReadCommittedLookupReleasesRowLocks(t *testing.T) {
 		t.Fatalf("lookup = %v, %v", ids, err)
 	}
 	// IS table lock and both row S locks must all be released.
-	if n := m.Locks().HeldCount(tx.ID()); n != 0 {
+	if n := m.locks.HeldCount(tx.ID()); n != 0 {
 		t.Fatalf("lookup locks leak after statement end: HeldCount = %d", n)
 	}
 	tx.Commit()
@@ -65,7 +65,7 @@ func TestReadCommittedNoLeakAcrossStatements(t *testing.T) {
 		if _, err := tx.Scan("B"); err != nil {
 			t.Fatal(err)
 		}
-		if n := m.Locks().HeldCount(tx.ID()); n != 0 {
+		if n := m.locks.HeldCount(tx.ID()); n != 0 {
 			t.Fatalf("statement %d leaked %d lock entries", i, n)
 		}
 	}
@@ -87,14 +87,14 @@ func TestReadCommittedKeepsWriteLocksToCommit(t *testing.T) {
 	if _, err := tx.Scan("User"); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Locks().Holds(tx.ID(), lock.TableRow{Table: "User", Row: int64(id)}, lock.X) {
+	if !m.locks.Holds(tx.ID(), lock.TableRow{Table: "User", Row: int64(id)}, lock.X) {
 		t.Fatal("row X lock lost at statement end under ReadCommitted")
 	}
-	if !m.Locks().Holds(tx.ID(), lock.TableRow{Table: "User", Row: lock.AllRows}, lock.IX) {
+	if !m.locks.Holds(tx.ID(), lock.TableRow{Table: "User", Row: lock.AllRows}, lock.IX) {
 		t.Fatal("table IX lock lost at statement end under ReadCommitted")
 	}
 	tx.Commit()
-	if n := m.Locks().HeldCount(tx.ID()); n != 0 {
+	if n := m.locks.HeldCount(tx.ID()); n != 0 {
 		t.Fatalf("locks leak after commit: HeldCount = %d", n)
 	}
 }

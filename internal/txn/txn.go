@@ -147,10 +147,6 @@ func (m *Manager) Checkpoint() error {
 // Catalog exposes the underlying catalog (read-mostly helpers, DDL).
 func (m *Manager) Catalog() *storage.Catalog { return m.cat }
 
-// Locks exposes the lock manager (the entangled layer takes quasi-read
-// locks through it).
-func (m *Manager) Locks() *lock.Manager { return m.locks }
-
 // SetObserver installs an operation observer (nil to clear).
 func (m *Manager) SetObserver(o Observer) {
 	m.obsMu.Lock()
@@ -233,10 +229,6 @@ func (t *Txn) ID() uint64 { return t.id }
 
 // State returns the lifecycle state.
 func (t *Txn) State() State { return t.state }
-
-// SnapshotView returns the transaction's read snapshot (zero unless the
-// transaction runs at SnapshotIsolation).
-func (t *Txn) SnapshotView() storage.Snapshot { return t.snap }
 
 // RefreshSnapshot advances a snapshot-isolated transaction's read view to
 // view's CSN (never backward). The run scheduler refreshes members to the
@@ -342,19 +334,13 @@ func (t *Txn) scan(table string, wantIDs bool) ([]types.Tuple, []storage.RowID, 
 	return rows, ids, nil
 }
 
-// Lookup returns rows whose columns equal key. Under the locking levels it
-// locks at row granularity like an InnoDB index read: IS on the table plus
-// S on each matching row, so point reads by different transactions on
-// different rows do not force table-level upgrades. (Phantoms are possible
-// against concurrent inserts; use Scan for a full-table read lock, which is
-// what quasi-read locking uses.) Under snapshot isolation it is lock-free.
-func (t *Txn) Lookup(table string, columns []string, key types.Tuple) ([]types.Tuple, error) {
-	_, rows, err := t.LookupIDs(table, columns, key)
-	return rows, err
-}
-
-// LookupIDs is Lookup returning row ids as well (for targeted updates and
-// deletes).
+// LookupIDs returns the ids and rows of rows whose columns equal key.
+// Under the locking levels it locks at row granularity like an InnoDB index
+// read: IS on the table plus S on each matching row, so point reads by
+// different transactions on different rows do not force table-level
+// upgrades. (Phantoms are possible against concurrent inserts; use Scan for
+// a full-table read lock, which is what quasi-read locking uses.) Under
+// snapshot isolation it is lock-free.
 func (t *Txn) LookupIDs(table string, columns []string, key types.Tuple) ([]storage.RowID, []types.Tuple, error) {
 	if err := t.ensureActive(); err != nil {
 		return nil, nil, err

@@ -179,7 +179,7 @@ func TestLookup(t *testing.T) {
 	setup.Insert("User", types.Tuple{types.Int(3), types.Str("NYC")})
 	setup.Commit()
 	tx, _ := m.Begin(Serializable)
-	rows, err := tx.Lookup("User", []string{"hometown"}, types.Tuple{types.Str("SFO")})
+	_, rows, err := tx.LookupIDs("User", []string{"hometown"}, types.Tuple{types.Str("SFO")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,9 +41,6 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
-// Has reports whether the schema contains the named column.
-func (s *Schema) Has(name string) bool { return s.Index(name) >= 0 }
-
 // Validate checks a tuple against the schema: correct arity and each value
 // either NULL or of the declared type (with int/date interchangeable).
 func (s *Schema) Validate(t Tuple) error {

@@ -119,9 +119,6 @@ func (v Value) Str64() string {
 	return ""
 }
 
-// AsBool returns the boolean payload (false unless KindBool).
-func (v Value) AsBool() bool { return v.kind == KindBool && v.i != 0 }
-
 // String renders the value for display.
 func (v Value) String() string {
 	switch v.kind {
@@ -158,7 +155,7 @@ func (v Value) Equal(o Value) bool {
 	return v.i == o.i
 }
 
-// foldedKind is the kind Equal, Compare, Key and Hash go by: Date folds
+// foldedKind is the kind Equal, Compare and Hash go by: Date folds
 // into Int.
 func (v Value) foldedKind() Kind {
 	if v.kind == KindDate {

@@ -69,7 +69,11 @@ func TestCheckpointCrashBeforeRetireKeepsRows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("crash at step %d: %v", step, err)
 		}
-		got := tbl.All()
+		var got []types.Tuple
+		tbl.ScanTx(0, func(_ storage.RowID, row types.Tuple) bool {
+			got = append(got, row.Clone())
+			return true
+		})
 		if len(got) != 2 || got[0][1].Str64() != "SFO" || got[1][1].Str64() != "NYC" {
 			t.Fatalf("crash at step %d: rows %v, want the two committed rows", step, got)
 		}

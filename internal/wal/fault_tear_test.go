@@ -101,7 +101,7 @@ func TestFaultShortWriteSweep(t *testing.T) {
 		l.Close()
 
 		cat := storage.NewCatalog()
-		if _, err := Recover(path, cat); err != nil {
+		if _, err := RecoverAll(path, cat); err != nil {
 			t.Fatalf("cut %d: recover: %v", cut, err)
 		}
 		tbl, err := cat.Get("User")
@@ -110,13 +110,13 @@ func TestFaultShortWriteSweep(t *testing.T) {
 		}
 		// Durable prefix group: always both rows.
 		for _, id := range []storage.RowID{0, 1} {
-			if _, ok := tbl.Get(id); !ok {
+			if _, ok := tbl.GetTx(0, id); !ok {
 				t.Fatalf("cut %d: committed prefix row %d lost", cut, id)
 			}
 		}
 		// Torn group: both rows or neither, never one.
-		_, a := tbl.Get(10)
-		_, b := tbl.Get(11)
+		_, a := tbl.GetTx(0, 10)
+		_, b := tbl.GetTx(0, 11)
 		if a != b {
 			t.Fatalf("cut %d: torn group half-applied (row10=%v row11=%v)", cut, a, b)
 		}
@@ -147,8 +147,8 @@ func TestFaultTearAtCheckpointBoundary(t *testing.T) {
 		// snapshot + truncated log, exactly PR 5's boundary.
 		cat := storage.NewCatalog()
 		tbl, _ := cat.Create("User", usersSchema())
-		tbl.Insert(types.Tuple{types.Int(1), types.Str("SFO")})
-		tbl.Insert(types.Tuple{types.Int(2), types.Str("NYC")})
+		load(tbl, types.Tuple{types.Int(1), types.Str("SFO")})
+		load(tbl, types.Tuple{types.Int(2), types.Str("NYC")})
 		seedCommittedGroup(t, l)
 		if err := Checkpoint(l, cat, ckptCSN); err != nil {
 			t.Fatal(err)
@@ -176,8 +176,8 @@ func TestFaultTearAtCheckpointBoundary(t *testing.T) {
 		if ftbl.Len() < 2 {
 			t.Fatalf("cut %d: snapshot rows lost: %d", cut, ftbl.Len())
 		}
-		_, a := ftbl.Get(10)
-		_, b := ftbl.Get(11)
+		_, a := ftbl.GetTx(0, 10)
+		_, b := ftbl.GetTx(0, 11)
 		if a != b {
 			t.Fatalf("cut %d: post-checkpoint group half-applied", cut)
 		}

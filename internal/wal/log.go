@@ -28,7 +28,6 @@ type Log struct {
 	seg     uint64 // id of the live segment: 0 until the first checkpoint
 	sync    bool
 	buf     []byte
-	lsn     int64 // records appended to the live segment since open
 	flushes int64 // physical writes (a batch counts once)
 	failed  error // first write/sync error; latches the log (fail-stop)
 
@@ -193,7 +192,6 @@ func (l *Log) AppendBatch(rs []*Record) error {
 		l.failed = err
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.lsn += int64(len(rs))
 	l.flushes++
 	l.note(rs)
 	if l.sync && needSync {
@@ -248,13 +246,6 @@ func (l *Log) Flushes() int64 {
 	return l.flushes
 }
 
-// LSN returns the number of records appended since the log was opened.
-func (l *Log) LSN() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lsn
-}
-
 // Close closes the underlying file.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -266,9 +257,6 @@ func (l *Log) Close() error {
 	l.f = nil
 	return err
 }
-
-// Path returns the log file path.
-func (l *Log) Path() string { return l.path }
 
 // ReadAll parses every intact record in the file at path. A torn tail
 // (truncated or CRC-corrupt final record) terminates the scan without
@@ -311,22 +299,9 @@ func ReadAll(path string) ([]*Record, error) {
 
 // Convenience constructors for the record kinds.
 
-// Begin returns a BEGIN record.
-func Begin(tx TxID) *Record { return &Record{Type: RecBegin, Tx: tx} }
-
 // Insert returns an INSERT record with the new row image.
 func Insert(tx TxID, table string, rowID storage.RowID, row types.Tuple) *Record {
 	return &Record{Type: RecInsert, Tx: tx, Table: table, RowID: int64(rowID), Row: row}
-}
-
-// Delete returns a DELETE record with the old row image.
-func Delete(tx TxID, table string, rowID storage.RowID, old types.Tuple) *Record {
-	return &Record{Type: RecDelete, Tx: tx, Table: table, RowID: int64(rowID), Row: old}
-}
-
-// Update returns an UPDATE record with both images.
-func Update(tx TxID, table string, rowID storage.RowID, old, new types.Tuple) *Record {
-	return &Record{Type: RecUpdate, Tx: tx, Table: table, RowID: int64(rowID), Old: old, Row: new}
 }
 
 // Commit returns a COMMIT record for a single (non-entangled) transaction,
@@ -341,12 +316,6 @@ func Abort(tx TxID) *Record { return &Record{Type: RecAbort, Tx: tx} }
 // atomically at one commit sequence number.
 func GroupCommit(group []TxID, csn uint64) *Record {
 	return &Record{Type: RecGroupCommit, Group: group, CSN: csn}
-}
-
-// Entangle returns a record noting that the transactions in group
-// participated in entanglement operation op.
-func Entangle(op TxID, group []TxID) *Record {
-	return &Record{Type: RecEntangle, Tx: op, Group: group}
 }
 
 // Prepare returns a two-phase-commit participant prepare record: tx is

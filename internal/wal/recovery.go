@@ -29,7 +29,7 @@ type RecoveryStats struct {
 	Decisions      map[uint64]bool    // group id -> committed (coordinator log)
 }
 
-// Recover rebuilds database state from the log at path into cat. Tables
+// replay rebuilds database state into cat from records in log order. Tables
 // referenced by data records must either exist in cat already or be created
 // by CreateTable records earlier in the log.
 //
@@ -51,15 +51,6 @@ type RecoveryStats struct {
 // records, Aborts of unprepared transactions, Update before-images
 // (Record.Old) and Delete row images; the engine now commits a group in
 // one GroupCommit record, so rule 2 never demotes what it writes.
-func Recover(path string, cat *storage.Catalog) (*RecoveryStats, error) {
-	records, err := ReadAll(path)
-	if err != nil {
-		return nil, err
-	}
-	return replay(records, cat)
-}
-
-// replay is Recover over records already read, in log order.
 func replay(records []*Record, cat *storage.Catalog) (*RecoveryStats, error) {
 	stats := &RecoveryStats{RecordsScanned: len(records)}
 

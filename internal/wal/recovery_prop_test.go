@@ -99,7 +99,7 @@ func TestRecoveryPropertyRandomHistories(t *testing.T) {
 			tx := txns[s.tx]
 			w := tx.writes[s.w]
 			row := types.Tuple{types.Int(w.key), types.Int(w.value)}
-			id, err := tbl.Insert(row)
+			id, err := load(tbl, row)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestRecoveryPropertyRandomHistories(t *testing.T) {
 
 		// Recover and compare against the model.
 		fresh := storage.NewCatalog()
-		if _, err := Recover(path, fresh); err != nil {
+		if _, err := RecoverAll(path, fresh); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := fresh.Get("T")
@@ -156,11 +156,12 @@ func TestRecoveryPropertyRandomHistories(t *testing.T) {
 		if got.Len() != len(want) {
 			t.Fatalf("iter %d: recovered %d rows, want %d", iter, got.Len(), len(want))
 		}
-		for _, row := range got.All() {
+		got.ScanTx(0, func(_ storage.RowID, row types.Tuple) bool {
 			k, v := row[0].Int64(), row[1].Int64()
 			if want[k] != v {
 				t.Fatalf("iter %d: key %d recovered %d, want %d", iter, k, v, want[k])
 			}
-		}
+			return true
+		})
 	}
 }

@@ -111,7 +111,7 @@ func (l *Log) Switch() (uint64, error) {
 		return 0, fmt.Errorf("wal: switch: %w", err)
 	}
 	_ = l.f.Close() // no append reaches the old segment again; recovery reads it by name
-	l.f, l.seg, l.lsn = f, seg, 0
+	l.f, l.seg = f, seg
 	return seg, l.syncDir()
 }
 
@@ -139,18 +139,6 @@ func (l *Log) Seal(seg uint64, cat *storage.Catalog, csn uint64) error {
 		}
 	}
 	return err
-}
-
-// Checkpoint switches l to a new segment and seals it with a snapshot of
-// cat as of csn. The caller guarantees that csn is the CSN of the last
-// commit appended before the switch (txn.Manager.Checkpoint holds its
-// commit mutex across it) and that checkpoints do not overlap.
-func Checkpoint(l *Log, cat *storage.Catalog, csn uint64) error {
-	seg, err := l.Switch()
-	if err != nil {
-		return err
-	}
-	return l.Seal(seg, cat, csn)
 }
 
 // fileOp runs one file operation of a checkpoint through the

@@ -21,8 +21,8 @@ const maxSnapAllocPerByte = 128
 func snapSeeds(t testing.TB) (valid, lying [][]byte) {
 	cat := storage.NewCatalog()
 	users, _ := cat.Create("User", usersSchema())
-	users.Insert(types.Tuple{types.Int(1), types.Str("SFO")})
-	users.Insert(types.Tuple{types.Int(2), types.Null()})
+	load(users, types.Tuple{types.Int(1), types.Str("SFO")})
+	load(users, types.Tuple{types.Int(2), types.Null()})
 	if err := users.CreateIndex("byTown", "hometown"); err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +105,9 @@ func TestSnapshotRejectsLyingCounts(t *testing.T) {
 // FuzzLoadSnapshot holds the snapshot decoder to its contract: arbitrary
 // bytes never panic it and a lying count never makes it allocate more than
 // the bytes can describe. Each input is checked as it is (the CRC gate)
-// and with its CRC made right (the parser behind it). Loading differs from
-// checking only in the catalog calls; it is not fuzzed, as a row id alone
-// sizes its table's row directory.
+// and with its CRC made right (the parser behind it), and the latter is
+// also restored into a fresh catalog, where a row id past
+// storage.MaxRowID is an error.
 func FuzzLoadSnapshot(f *testing.F) {
 	valid, lying := snapSeeds(f)
 	for _, data := range append(valid, lying...) {
@@ -121,5 +121,6 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAllocs(t, data)
 		checkAllocs(t, withCRC(data))
+		decodeSnapshot(withCRC(data), storage.NewCatalog())
 	})
 }

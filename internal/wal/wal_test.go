@@ -12,6 +12,15 @@ import (
 	"repro/internal/types"
 )
 
+// load stores row in tbl committed at CSN 0, as a bulk load would.
+func load(tbl *storage.Table, row types.Tuple) (storage.RowID, error) {
+	id, err := tbl.InsertTx(1, row)
+	if err == nil {
+		tbl.Stamp(1, id, 0)
+	}
+	return id, err
+}
+
 func tmpLog(t *testing.T) (*Log, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal.log")
@@ -56,9 +65,6 @@ func TestAppendReadRoundTrip(t *testing.T) {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if l.LSN() != int64(len(recs)) {
-		t.Errorf("LSN = %d", l.LSN())
 	}
 	got, err := ReadAll(path)
 	if err != nil {
@@ -167,7 +173,7 @@ func TestRecoverRedoOnlyCommitted(t *testing.T) {
 	l, path := tmpLog(t)
 	seedLogForRecovery(t, l)
 	cat := storage.NewCatalog()
-	stats, err := Recover(path, cat)
+	stats, err := RecoverAll(path, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +184,7 @@ func TestRecoverRedoOnlyCommitted(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatalf("recovered %d rows, want 1", tbl.Len())
 	}
-	row, ok := tbl.Get(0)
+	row, ok := tbl.GetTx(0, 0)
 	if !ok || row[0].Int64() != 1 {
 		t.Fatalf("recovered row = %v", row)
 	}
@@ -204,14 +210,14 @@ func TestRecoverUpdateDelete(t *testing.T) {
 	must(l.Append(Delete(2, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")})))
 	must(l.Append(Commit(2, 0)))
 	cat := storage.NewCatalog()
-	if _, err := Recover(path, cat); err != nil {
+	if _, err := RecoverAll(path, cat); err != nil {
 		t.Fatal(err)
 	}
 	tbl, _ := cat.Get("User")
 	if tbl.Len() != 1 {
 		t.Fatalf("rows = %d", tbl.Len())
 	}
-	row, _ := tbl.Get(0)
+	row, _ := tbl.GetTx(0, 0)
 	if row[1].Str64() != "LAX" {
 		t.Fatalf("row = %v", row)
 	}
@@ -236,7 +242,7 @@ func TestRecoverPartialGroupRolledBack(t *testing.T) {
 	// Buggy individual commit of tx1 only; crash before tx2 commits.
 	must(l.Append(Commit(1, 0)))
 	cat := storage.NewCatalog()
-	stats, err := Recover(path, cat)
+	stats, err := RecoverAll(path, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +277,7 @@ func TestRecoverTransitiveGroup(t *testing.T) {
 	must(l.Append(Commit(2, 0)))
 	// tx3 never commits -> all three roll back.
 	cat := storage.NewCatalog()
-	if _, err := Recover(path, cat); err != nil {
+	if _, err := RecoverAll(path, cat); err != nil {
 		t.Fatal(err)
 	}
 	tbl, _ := cat.Get("User")
@@ -295,7 +301,7 @@ func TestRecoverGroupCommitAtomic(t *testing.T) {
 	must(l.Append(Insert(2, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")})))
 	must(l.Append(GroupCommit([]TxID{1, 2}, 0)))
 	cat := storage.NewCatalog()
-	stats, err := Recover(path, cat)
+	stats, err := RecoverAll(path, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +311,27 @@ func TestRecoverGroupCommitAtomic(t *testing.T) {
 	}
 	if stats.GroupsRecovered != 1 {
 		t.Errorf("stats = %+v", stats)
+	}
+}
+
+// TestRecoverRejectsRowIDPastCeiling: a CRC-valid insert record whose row
+// id lies just past storage.MaxRowID fails recovery instead of sizing the
+// table's row directory by it.
+func TestRecoverRejectsRowIDPastCeiling(t *testing.T) {
+	l, path := tmpLog(t)
+	row := types.Tuple{types.Int(1), types.Str("SFO")}
+	if err := l.AppendBatch([]*Record{
+		CreateTable("User", usersSchema()),
+		Insert(1, "User", storage.MaxRowID+1, row),
+		Commit(1, 1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecoverAll(path, storage.NewCatalog()); err == nil {
+		t.Fatalf("recovered a row at id %d", storage.MaxRowID+1)
 	}
 }
 
@@ -319,19 +346,19 @@ func TestCheckpointAndRecoverAll(t *testing.T) {
 	}
 	must(l.Append(CreateTable("User", usersSchema())))
 	must(l.Append(Begin(1)))
-	id, _ := tbl.Insert(types.Tuple{types.Int(1), types.Str("SFO")})
+	id, _ := load(tbl, types.Tuple{types.Int(1), types.Str("SFO")})
 	must(l.Append(Insert(1, "User", id, types.Tuple{types.Int(1), types.Str("SFO")})))
 	must(l.Append(Commit(1, 0)))
 
 	// Checkpoint: snapshot current state, truncate log.
 	must(Checkpoint(l, cat, 7))
-	if l.LSN() != 0 {
-		t.Errorf("LSN after checkpoint = %d", l.LSN())
+	if recs, err := ReadAll(path); err != nil || len(recs) != 1 || recs[0].Type != RecSegment {
+		t.Errorf("live segment after checkpoint: %v %v, want only its header", recs, err)
 	}
 
 	// Post-checkpoint committed work goes to the (now empty) log.
 	must(l.Append(Begin(2)))
-	id2, _ := tbl.Insert(types.Tuple{types.Int(2), types.Str("NYC")})
+	id2, _ := load(tbl, types.Tuple{types.Int(2), types.Str("NYC")})
 	must(l.Append(Insert(2, "User", id2, types.Tuple{types.Int(2), types.Str("NYC")})))
 	must(l.Append(Commit(2, 0)))
 
@@ -360,7 +387,7 @@ func TestSnapshotCRCDetected(t *testing.T) {
 	logPath := filepath.Join(dir, "wal.log")
 	cat := storage.NewCatalog()
 	tbl, _ := cat.Create("User", usersSchema())
-	tbl.Insert(types.Tuple{types.Int(1), types.Str("SFO")})
+	load(tbl, types.Tuple{types.Int(1), types.Str("SFO")})
 	writeSnapshot(t, logPath, cat, 1)
 	data, _ := os.ReadFile(SnapshotPath(logPath))
 	data[len(data)-1] ^= 0xFF
@@ -410,9 +437,6 @@ func TestAppendBatchSingleFlush(t *testing.T) {
 	}
 	if got := l.Flushes(); got != 1 {
 		t.Fatalf("Flushes = %d, want 1 for the whole batch", got)
-	}
-	if got := l.LSN(); got != 3 {
-		t.Fatalf("LSN = %d, want 3", got)
 	}
 	recs, err := ReadAll(path)
 	if err != nil || len(recs) != 3 {
@@ -482,7 +506,7 @@ func TestSnapshotCarriesCSN(t *testing.T) {
 	logPath := filepath.Join(dir, "wal.log")
 	cat := storage.NewCatalog()
 	tbl, _ := cat.Create("User", usersSchema())
-	tbl.Insert(types.Tuple{types.Int(1), types.Str("SFO")})
+	load(tbl, types.Tuple{types.Int(1), types.Str("SFO")})
 	const csn = 42
 	writeSnapshot(t, logPath, cat, csn)
 	fresh := storage.NewCatalog()
@@ -516,7 +540,7 @@ func TestSnapshotCarriesCSN(t *testing.T) {
 	if err := l.Append(Begin(9)); err != nil {
 		t.Fatal(err)
 	}
-	id, _ := tbl.Insert(types.Tuple{types.Int(2), types.Str("NYC")})
+	id, _ := load(tbl, types.Tuple{types.Int(2), types.Str("NYC")})
 	if err := l.Append(Insert(9, "User", id, types.Tuple{types.Int(2), types.Str("NYC")})); err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +597,7 @@ func TestSnapshotRestoreBumpsEveryColumn(t *testing.T) {
 	l, path := tmpLog(t)
 	cat := storage.NewCatalog()
 	tbl, _ := cat.Create("User", usersSchema())
-	if _, err := tbl.Insert(types.Tuple{types.Int(1), types.Str("SFO")}); err != nil {
+	if _, err := load(tbl, types.Tuple{types.Int(1), types.Str("SFO")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Checkpoint(l, cat, 7); err != nil {

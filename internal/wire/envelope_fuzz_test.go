@@ -36,12 +36,20 @@ func FuzzEnvelope(f *testing.F) {
 	f.Add([]byte(`{"vote":{"group":7,"offer":3,"node":"127.0.0.1:7272","yes":true}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		env, err := DecodeEnvelope(data)
-		runtime.ReadMemStats(&after)
-		if n := after.TotalAlloc - before.TotalAlloc; n > uint64(maxAllocPerByte*len(data)+4096) {
-			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), n)
+		// The process-wide counter also sees other goroutines (the fuzzing
+		// engine's), so the least of three decodes counts.
+		var env dist.Envelope
+		var err error
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			env, err = DecodeEnvelope(data)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > uint64(maxAllocPerByte*len(data)+4096) {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), least)
 		}
 		if err != nil {
 			return

@@ -62,7 +62,6 @@ type Dataset struct {
 
 	samePairs [][2]int // vertex-disjoint same-hometown friend pairs, shuffled
 	pairNext  int
-	orphanSeq int
 }
 
 // NewDataset builds the graph, hometown assignment, and coordination-pair

@@ -222,20 +222,3 @@ func (d *Dataset) Batch(kind Kind, n int) []entangle.Program {
 	}
 	return out
 }
-
-// OrphanPair returns an entangled transaction whose partner is withheld
-// (for the Figure 6(b) pending-transaction experiment) together with the
-// partner program to be submitted at the very end of the experiment. Each
-// orphan pair coordinates on a private answer relation so that long-lived
-// orphans cannot accidentally coordinate with the main stream.
-func (d *Dataset) OrphanPair() (orphan, partner entangle.Program) {
-	u, v := d.NextPair()
-	d.orphanSeq++
-	rel := fmt.Sprintf("Orphan_%d", d.orphanSeq)
-	orphan = d.entangledOn(rel, EntangledT, u, v)
-	partner = d.entangledOn(rel, EntangledT, v, u)
-	// Orphans pend for the whole experiment; give them room.
-	orphan.Timeout = 10 * DefaultTimeout
-	partner.Timeout = 10 * DefaultTimeout
-	return orphan, partner
-}

@@ -214,7 +214,8 @@ func TestStructureErrors(t *testing.T) {
 
 func TestOrphanPairBlocksThenCompletes(t *testing.T) {
 	d, db := testDataset(t)
-	orphan, partner := d.OrphanPair()
+	u, v := d.NextPair()
+	orphan, partner := d.Entangled(EntangledT, u, v), d.Entangled(EntangledT, v, u)
 	h1 := db.Submit(orphan)
 	db.Flush() // orphan runs alone and returns to the pool
 	h2 := db.Submit(partner)
