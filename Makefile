@@ -122,16 +122,20 @@ bench-test:
 # (frame reader, binary codec and cross-shard envelope codec) on top of the
 # committed seed corpus, of the statement-shape target (texts with one
 # shape key parse alike but for their literals; text that fails to parse
-# leaves no cache entry), seeded from the parser's seed scripts, and of the
+# leaves no cache entry), seeded from the parser's seed scripts, of the
 # checkpoint snapshot decoder (no panic; a lying table, row or index count
-# is rejected before it sizes anything). One -fuzz pattern per invocation
-# — Go's fuzzer requires exactly one matching target when fuzzing.
+# is rejected before it sizes anything) and of log recovery (no panic; a
+# log allocates at most a constant per byte, a lying frame length
+# included), seeded from internal/wal/testdata's log. One -fuzz pattern per
+# invocation — Go's fuzzer requires exactly one matching target when
+# fuzzing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzStatementShape$$' -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/wal
 
 # CPU + heap profile of the Figure 6(b) pending-queries sweep (every
 # pending query re-grounds in every run); inspect with

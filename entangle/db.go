@@ -91,9 +91,10 @@ type DB struct {
 const lockWaitTimeout = 2 * time.Second
 
 // Open creates (or recovers) a database. When Options.Path names an
-// existing log/snapshot, the committed state — including the §4
-// entanglement-aware group-rollback rule — is recovered before the engine
-// starts.
+// existing log/snapshot, the committed state is recovered before the
+// engine starts: every transaction whose commit record is in the log, and
+// no other. The rows an in-doubt transaction writes stay X-locked under its
+// id until ResolveInDoubt settles it.
 func Open(opts Options) (*DB, error) {
 	cat := storage.NewCatalog()
 	locks := lock.New(lockWaitTimeout)
@@ -121,6 +122,12 @@ func Open(opts Options) (*DB, error) {
 		// Fresh transaction ids must not collide with in-doubt predecessors
 		// still awaiting their group decision.
 		txm.SeedTx(recovery.MaxTx)
+		for tx, recs := range recovery.InDoubtRecords {
+			if err := txm.LockRecovered(tx, recs); err != nil {
+				log.Close()
+				return nil, fmt.Errorf("entangle: recovery: %w", err)
+			}
+		}
 	}
 	engine := core.NewEngine(txm, opts)
 	return &DB{cat: cat, locks: locks, log: log, txm: txm, engine: engine, shapes: sql.NewCache(cat), path: opts.Path, recovery: recovery}, nil

@@ -1,10 +1,13 @@
 package entangle
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
@@ -16,6 +19,16 @@ import (
 // given group, and the WAL bytes at that instant are returned — the state
 // a restart sees.
 func prepareAndCrash(t *testing.T, group uint64) []byte {
+	t.Helper()
+	return prepareWriteAndCrash(t, group, func(tx *txn.Txn) error {
+		_, err := tx.Insert("Pledges", types.Tuple{types.Str("mickey"), types.Int(40)})
+		return err
+	})
+}
+
+// prepareWriteAndCrash is prepareAndCrash with the prepared transaction's
+// writes made by write, over table Pledges holding ('seed', 1) at row 0.
+func prepareWriteAndCrash(t *testing.T, group uint64, write func(*txn.Txn) error) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "part.wal")
 	db, err := Open(Options{Path: path})
@@ -34,7 +47,7 @@ func prepareAndCrash(t *testing.T, group uint64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Insert("Pledges", types.Tuple{types.Str("mickey"), types.Int(40)}); err != nil {
+	if err := write(tx); err != nil {
 		t.Fatal(err)
 	}
 	if err := txm.Prepare(tx, group); err != nil {
@@ -50,11 +63,18 @@ func prepareAndCrash(t *testing.T, group uint64) []byte {
 
 func reopenFrom(t *testing.T, data []byte) (*DB, string) {
 	t.Helper()
+	return reopenWith(t, data, Options{})
+}
+
+// reopenWith is reopenFrom opening with opts, its Path set to the copy.
+func reopenWith(t *testing.T, data []byte, opts Options) (*DB, string) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "restart.wal")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(Options{Path: path})
+	opts.Path = path
+	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,5 +242,63 @@ func TestPreparedTornTailSweep(t *testing.T) {
 	}
 	if !sawInDoubt {
 		t.Fatal("no cut produced an in-doubt transaction; the sweep never crossed the prepare record")
+	}
+}
+
+// TestInDoubtInsertKeepsItsRowID: after a restart, a fresh INSERT does not
+// take the row id the in-doubt insert holds, so committing the in-doubt
+// transaction keeps both rows, and the database opens again. The short
+// program timeout fails the INSERT, rather than retrying it under a new
+// row id, should it ever wait on the in-doubt row's lock.
+func TestInDoubtInsertKeepsItsRowID(t *testing.T) {
+	const group = 80
+	db, path := reopenWith(t, prepareAndCrash(t, group), Options{DefaultTimeout: 100 * time.Millisecond})
+	if _, err := db.Exec("INSERT INTO Pledges VALUES ('minnie', 50)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ResolveInDoubt(group, true); err != nil {
+		t.Fatal(err)
+	}
+	if n := countPledges(t, db); n != 3 {
+		t.Fatalf("pledges after commit resolution = %d, want 3", n)
+	}
+	db.Close()
+	db2, err := Open(Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if n := countPledges(t, db2); n != 3 {
+		t.Fatalf("pledges after second restart = %d, want 3", n)
+	}
+}
+
+// TestInDoubtUpdateHoldsRowLock: the row an in-doubt transaction updated
+// stays X-locked after a restart, as its prepared self held it: a fresh
+// UPDATE of it times out before the decision (after one lock wait, as its
+// program's timeout is shorter) and goes through after it, over the
+// committed in-doubt image.
+func TestInDoubtUpdateHoldsRowLock(t *testing.T) {
+	const group = 81
+	data := prepareWriteAndCrash(t, group, func(tx *txn.Txn) error {
+		return tx.Update("Pledges", 0, types.Tuple{types.Str("seed"), types.Int(2)})
+	})
+	db, _ := reopenWith(t, data, Options{DefaultTimeout: 100 * time.Millisecond})
+	const bump = "UPDATE Pledges SET amount = amount + 10 WHERE name = 'seed'"
+	if _, err := db.Exec(bump); !errors.Is(err, core.ErrTimeout) {
+		t.Fatalf("UPDATE of an in-doubt row before the decision: %v, want a timeout", err)
+	}
+	if err := db.ResolveInDoubt(group, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(bump); err != nil {
+		t.Fatalf("UPDATE after the decision: %v", err)
+	}
+	res, err := db.Query("SELECT amount FROM Pledges WHERE name = 'seed'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int64() != 12 {
+		t.Fatalf("seed amount = %v, want 12", res.Rows)
 	}
 }

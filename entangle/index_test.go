@@ -134,15 +134,14 @@ func TestUndeclaredIndexNeverPersisted(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := wal.ReadAll(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var logged []string
-	for _, r := range recs {
+	if _, err := wal.Scan(path, func(r *wal.Record) error {
 		if r.Type == wal.RecCreateIndex {
 			logged = append(logged, r.Table+"."+r.Row[0].Str64())
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	// The snapshot carries the index definitions; the restart below must
 	// find exactly the declared ones.

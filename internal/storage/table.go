@@ -325,6 +325,18 @@ func (t *Table) InsertAtCSN(id RowID, row types.Tuple, csn uint64) error {
 	return nil
 }
 
+// Reserve moves the next row id a fresh insert takes past id, which an
+// in-doubt transaction's insert holds until its decision is known.
+func (t *Table) Reserve(id RowID) error {
+	if id < 0 || id > MaxRowID {
+		return fmt.Errorf("storage: reserve in %s: row id %d out of range", t.name, id)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.nextID = max(t.nextID, id+1)
+	return nil
+}
+
 // updateVersion appends a replacement version, returning the previous
 // image seen by (txID)'s current-state view.
 func (t *Table) updateVersion(id RowID, row types.Tuple, txID, csn uint64) (types.Tuple, error) {

@@ -311,7 +311,7 @@ func crashSweep(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := wal.ReadAll(path)
+	full, err := readAll(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package txn
 import (
 	"fmt"
 
+	"repro/internal/lock"
 	"repro/internal/wal"
 )
 
@@ -47,12 +48,25 @@ func (m *Manager) LogDecision(group uint64, commit bool) error {
 	return m.log.Append(wal.DecideAbort(group))
 }
 
+// LockRecovered X-locks the rows an in-doubt transaction's records write,
+// under its own id, as its prepared self held them before the restart: a
+// fresh writer of one waits for the decision. CommitRecovered or
+// AbortRecovered releases them.
+func (m *Manager) LockRecovered(tx wal.TxID, recs []*wal.Record) error {
+	for _, r := range recs {
+		if err := m.locks.TryAcquire(uint64(tx), lock.TableRow{Table: r.Table, Row: r.RowID}, lock.X); err != nil {
+			return fmt.Errorf("txn: lock in-doubt %v of tx %d: %w", r.Type, tx, err)
+		}
+	}
+	return nil
+}
+
 // CommitRecovered applies a commit decision to an in-doubt transaction
 // after restart. Recovery withheld the transaction's effects; they are
 // redone here at a fresh CSN, with the commit record logged first and the
-// clock published last — the same order the live commit path uses. The
-// records must be the transaction's data records in log order
-// (RecoveryStats.InDoubtRecords).
+// clock published last — the same order the live commit path uses — and
+// then its row locks are released. The records must be the transaction's
+// data records in log order (RecoveryStats.InDoubtRecords).
 func (m *Manager) CommitRecovered(tx wal.TxID, recs []*wal.Record) error {
 	m.commitMu.Lock()
 	defer m.commitMu.Unlock()
@@ -68,17 +82,21 @@ func (m *Manager) CommitRecovered(tx wal.TxID, recs []*wal.Record) error {
 		}
 	}
 	m.clock.Store(csn)
+	m.locks.ReleaseAll(uint64(tx))
 	return nil
 }
 
 // AbortRecovered resolves an in-doubt transaction to abort: the abort
 // record ends the in-doubt state (the effects were never applied, so
-// there is nothing to undo).
+// there is nothing to undo) and its row locks are released.
 func (m *Manager) AbortRecovered(tx wal.TxID) error {
-	if m.log == nil {
-		return nil
+	if m.log != nil {
+		if err := m.log.Append(wal.Abort(tx)); err != nil {
+			return err
+		}
 	}
-	return m.log.Append(wal.Abort(tx))
+	m.locks.ReleaseAll(uint64(tx))
+	return nil
 }
 
 // SeedTx advances the transaction-id counter past ids recovered from the

@@ -123,7 +123,11 @@ func EncodeTuple(buf []byte, t Tuple) []byte {
 }
 
 // DecodeTuple decodes one tuple from buf, returning it and bytes consumed.
-func DecodeTuple(buf []byte) (Tuple, int, error) {
+func DecodeTuple(buf []byte) (Tuple, int, error) { return DecodeTupleInto(nil, buf) }
+
+// DecodeTupleInto is DecodeTuple decoding into dst's storage when dst is
+// non-nil and large enough.
+func DecodeTupleInto(dst Tuple, buf []byte) (Tuple, int, error) {
 	n, w := binary.Uvarint(buf)
 	if w <= 0 {
 		return nil, 0, fmt.Errorf("types: bad tuple length varint")
@@ -135,7 +139,10 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 	if n > uint64(len(buf)-pos) {
 		return nil, 0, fmt.Errorf("types: tuple count %d exceeds %d remaining bytes", n, len(buf)-pos)
 	}
-	t := make(Tuple, 0, n)
+	t := dst[:0]
+	if t == nil || uint64(cap(t)) < n {
+		t = make(Tuple, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		v, used, err := DecodeValue(buf[pos:])
 		if err != nil {

@@ -1,31 +1,36 @@
 package wal
 
 import (
+	"slices"
+
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-// Builders of the records only logs written by earlier versions carry
-// (Begin, Entangle, Update before-images, Delete row images), for the tests
-// of their recovery, and a checkpoint in one call.
-
-// Begin returns a BEGIN record.
-func Begin(tx TxID) *Record { return &Record{Type: RecBegin, Tx: tx} }
-
-// Delete returns a DELETE record with the old row image.
-func Delete(tx TxID, table string, rowID storage.RowID, old types.Tuple) *Record {
-	return &Record{Type: RecDelete, Tx: tx, Table: table, RowID: int64(rowID), Row: old}
+// ReadAll returns every intact record of the log segment at path, each a
+// copy that outlives the scan.
+func ReadAll(path string) ([]*Record, error) {
+	var out []*Record
+	_, err := Scan(path, func(r *Record) error {
+		c := *r
+		c.Row, c.Group = nil, slices.Clone(r.Group)
+		if len(r.Row) > 0 {
+			c.Row = r.Row.Clone()
+		}
+		out = append(out, &c)
+		return nil
+	})
+	return out, err
 }
 
-// Update returns an UPDATE record with both images.
-func Update(tx TxID, table string, rowID storage.RowID, old, new types.Tuple) *Record {
-	return &Record{Type: RecUpdate, Tx: tx, Table: table, RowID: int64(rowID), Old: old, Row: new}
+// Update returns an UPDATE record with the new row image.
+func Update(tx TxID, table string, rowID storage.RowID, row types.Tuple) *Record {
+	return &Record{Type: RecUpdate, Tx: tx, Table: table, RowID: int64(rowID), Row: row}
 }
 
-// Entangle returns a record noting that the transactions in group
-// participated in entanglement operation op.
-func Entangle(op TxID, group []TxID) *Record {
-	return &Record{Type: RecEntangle, Tx: op, Group: group}
+// Delete returns a DELETE record.
+func Delete(tx TxID, table string, rowID storage.RowID) *Record {
+	return &Record{Type: RecDelete, Tx: tx, Table: table, RowID: int64(rowID)}
 }
 
 // Checkpoint switches l to a new segment and seals it with a snapshot of

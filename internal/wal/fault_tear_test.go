@@ -23,9 +23,6 @@ import (
 // durable by one batched append, as the run scheduler's group commit does.
 func groupBatch() []*Record {
 	return []*Record{
-		Begin(3),
-		Begin(4),
-		Entangle(101, []TxID{3, 4}),
 		Insert(3, "User", 10, types.Tuple{types.Int(3), types.Str("LAX")}),
 		Insert(4, "User", 11, types.Tuple{types.Int(4), types.Str("ORD")}),
 		GroupCommit([]TxID{3, 4}, 9),
@@ -57,9 +54,6 @@ func seedCommittedGroup(t *testing.T, l *Log) {
 	t.Helper()
 	if err := l.AppendBatch([]*Record{
 		CreateTable("User", usersSchema()),
-		Begin(1),
-		Begin(2),
-		Entangle(100, []TxID{1, 2}),
 		Insert(1, "User", 0, types.Tuple{types.Int(1), types.Str("SFO")}),
 		Insert(2, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")}),
 		GroupCommit([]TxID{1, 2}, 5),
@@ -213,8 +207,8 @@ func TestFaultAppendErrorLatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 7 { // the seed batch only; the failed commit never landed
-		t.Fatalf("records on disk = %d, want 7", len(recs))
+	if len(recs) != 4 { // the seed batch only; the failed commit never landed
+		t.Fatalf("records on disk = %d, want 4", len(recs))
 	}
 }
 
@@ -236,9 +230,9 @@ func TestFaultSyncErrorLatches(t *testing.T) {
 	if err := l.Append(Commit(2, 2)); err == nil || !strings.Contains(err.Error(), "log failed") {
 		t.Fatalf("append after sync failure = %v, want latched", err)
 	}
-	// A non-durable record (Begin) would not have synced anyway, but the
-	// latch is unconditional: fail-stop means fail-stop.
-	if err := l.Append(Begin(3)); err == nil {
+	// A non-durable record (a redo record) would not have synced anyway,
+	// but the latch is unconditional: fail-stop means fail-stop.
+	if err := l.Append(Insert(3, "User", 0, types.Tuple{types.Int(3), types.Str("LAX")})); err == nil {
 		t.Fatal("non-durable append slipped past the latch")
 	}
 }

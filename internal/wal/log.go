@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"slices"
 	"sync"
@@ -69,7 +71,7 @@ func Open(path string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	seg, err := segmentHeader(f)
+	seg, err := segmentID(path)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -147,9 +149,10 @@ func (l *Log) Append(r *Record) error {
 // A write or sync error latches the log failed (fail-stop, as a DBMS
 // panics on a WAL write failure): a short write can leave a torn frame
 // mid-file, and appending valid records after it would make every later
-// record unrecoverable (ReadAll tolerates a torn tail, not a torn middle)
+// record unrecoverable (recovery tolerates a torn tail, not a torn middle)
 // while their commits were acknowledged. Latched, every later append fails
-// loudly instead, and the on-disk log stays a recoverable prefix.
+// loudly instead, and the on-disk log stays a recoverable prefix, whose
+// torn tail recovery cuts before a restarted process appends again.
 func (l *Log) AppendBatch(rs []*Record) error {
 	if len(rs) == 0 {
 		return nil
@@ -258,46 +261,59 @@ func (l *Log) Close() error {
 	return err
 }
 
-// ReadAll parses every intact record in the file at path. A torn tail
-// (truncated or CRC-corrupt final record) terminates the scan without
-// error, as in standard recovery; corruption mid-log is reported.
-func ReadAll(path string) ([]*Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: read: %w", err)
+// Scan calls fn with each intact record of the log segment at path, in
+// order, and returns the offset where the intact records end. The record
+// and its slices are reused once fn returns. A torn tail (a truncated or
+// CRC-corrupt final frame) ends the scan without error, as in standard
+// recovery; corruption mid-log is reported. A frame's length is checked
+// against the bytes left in the file before it sizes anything. A missing
+// file holds no records.
+func Scan(path string, fn func(*Record) error) (int64, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, nil
 	}
-	var out []*Record
-	pos := 0
-	for pos < len(data) {
-		if len(data)-pos < 8 {
-			break // torn frame header at tail
+	var fi os.FileInfo
+	if err == nil {
+		defer f.Close()
+		fi, err = f.Stat()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("wal: read: %w", err)
+	}
+	pos, size := int64(0), fi.Size()
+	in := bufio.NewReaderSize(f, int(min(size, 64<<10)))
+	var hdr [8]byte
+	var payload []byte
+	var r Record
+	for size-pos >= 8 {
+		if _, err := io.ReadFull(in, hdr[:]); err != nil {
+			return pos, fmt.Errorf("wal: read %s: %w", path, err)
 		}
-		n := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-		want := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
-		if len(data)-pos-8 < n {
-			break // torn payload at tail
+		n := int64(binary.LittleEndian.Uint32(hdr[:4]))
+		if n > size-pos-8 {
+			break // torn payload at the tail
 		}
-		payload := data[pos+8 : pos+8+n]
-		if crc32.ChecksumIEEE(payload) != want {
-			if pos+8+n == len(data) {
+		payload = slices.Grow(payload[:0], int(n))[:n]
+		if _, err := io.ReadFull(in, payload); err != nil {
+			return pos, fmt.Errorf("wal: read %s: %w", path, err)
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:]) {
+			if pos+8+n == size {
 				break // corrupt final record: treat as torn
 			}
-			return nil, fmt.Errorf("wal: CRC mismatch at offset %d", pos)
+			return pos, fmt.Errorf("wal: %s: CRC mismatch at offset %d", path, pos)
 		}
-		r, err := decodeRecord(payload)
-		if err != nil {
-			return nil, err
+		if err := r.decode(payload); err != nil {
+			return pos, fmt.Errorf("%w (%s, offset %d)", err, path, pos)
 		}
-		out = append(out, r)
+		if err := fn(&r); err != nil {
+			return pos, err
+		}
 		pos += 8 + n
 	}
-	return out, nil
+	return pos, nil
 }
-
-// Convenience constructors for the record kinds.
 
 // Insert returns an INSERT record with the new row image.
 func Insert(tx TxID, table string, rowID storage.RowID, row types.Tuple) *Record {

@@ -1,14 +1,11 @@
 // Package wal implements the write-ahead log and crash recovery for the
-// engine, including the entanglement-aware recovery rule from §4 of the
-// paper ("Persistence and Recovery"): if transactions entangle and only
-// some of them manage to commit before a crash, the whole group must be
-// rolled back during recovery.
-//
-// The log is an append-only file of length-prefixed, CRC-protected records.
-// Commit of an entanglement group is a single atomic GroupCommit record
-// after the group's redo records, in one append. Legacy logs also carry
-// Entangle records; recovery still rolls back a group they name whose
-// members did not all commit.
+// engine. The log is an append-only file of length-prefixed, CRC-protected
+// records. A transaction's redo records go out in the same append as its
+// Commit, its group's GroupCommit or its Prepare, so §4 of the paper
+// ("Persistence and Recovery": no member of an entanglement group survives
+// a crash without the others) holds by construction: a torn append loses
+// the whole unit, and recovery redoes a transaction exactly when its
+// commit record is in the log.
 package wal
 
 import (
@@ -24,16 +21,18 @@ type TxID uint64
 // RecordType enumerates log record kinds.
 type RecordType uint8
 
-// Log record kinds.
+// Log record kinds. Kinds 1 (BEGIN) and 8 (ENTANGLE) belonged to logs
+// written before redo rode in its commit's append; a log that holds one
+// no longer opens.
 const (
-	RecBegin RecordType = iota + 1
+	recBegin RecordType = iota + 1
 	RecInsert
 	RecDelete
 	RecUpdate
 	RecCommit
 	RecAbort
 	RecGroupCommit
-	RecEntangle
+	recEntangle
 	RecCreateTable
 	RecCreateIndex
 	// Two-phase distributed group commit (sharded deployments). A prepare
@@ -48,52 +47,33 @@ const (
 	RecSegment // RowID = segment id, CSN = number of carried records after it
 )
 
+var recordNames = [...]string{
+	recBegin: "BEGIN", RecInsert: "INSERT", RecDelete: "DELETE", RecUpdate: "UPDATE",
+	RecCommit: "COMMIT", RecAbort: "ABORT", RecGroupCommit: "GROUP-COMMIT",
+	recEntangle: "ENTANGLE", RecCreateTable: "CREATE-TABLE", RecCreateIndex: "CREATE-INDEX",
+	RecPrepare: "PREPARE", RecDecideCommit: "DECIDE-COMMIT", RecDecideAbort: "DECIDE-ABORT",
+	RecSegment: "SEGMENT",
+}
+
 func (rt RecordType) String() string {
-	switch rt {
-	case RecBegin:
-		return "BEGIN"
-	case RecInsert:
-		return "INSERT"
-	case RecDelete:
-		return "DELETE"
-	case RecUpdate:
-		return "UPDATE"
-	case RecCommit:
-		return "COMMIT"
-	case RecAbort:
-		return "ABORT"
-	case RecGroupCommit:
-		return "GROUP-COMMIT"
-	case RecEntangle:
-		return "ENTANGLE"
-	case RecCreateTable:
-		return "CREATE-TABLE"
-	case RecCreateIndex:
-		return "CREATE-INDEX"
-	case RecPrepare:
-		return "PREPARE"
-	case RecDecideCommit:
-		return "DECIDE-COMMIT"
-	case RecDecideAbort:
-		return "DECIDE-ABORT"
-	case RecSegment:
-		return "SEGMENT"
-	default:
-		return fmt.Sprintf("RecordType(%d)", uint8(rt))
+	if int(rt) < len(recordNames) && recordNames[rt] != "" {
+		return recordNames[rt]
 	}
+	return fmt.Sprintf("RecordType(%d)", uint8(rt))
 }
 
 // Record is one log entry. Field usage depends on Type:
 //
-//   - Begin/Abort: Tx.
+//   - Abort: Tx.
 //   - Commit: Tx, CSN (commit sequence number; 0 for read-only commits).
-//   - Insert: Tx, Table, Row (new image), RowID.
-//   - Delete: Tx, Table, RowID (and Row, the old image, in legacy logs).
-//   - Update: Tx, Table, RowID, Row (new image) (and Old in legacy logs).
+//   - Insert, Update: Tx, Table, RowID, Row (the new image).
+//   - Delete: Tx, Table, RowID.
 //   - GroupCommit: Group (all transaction ids committing atomically), CSN.
-//   - Entangle: Tx = entanglement op id, Group = participating transactions.
+//   - Prepare: Tx, Group = [distributed group id].
+//   - DecideCommit, DecideAbort: Group = [distributed group id].
 //   - CreateTable: Table, Schema columns flattened into Row as
 //     name/type pairs.
+//   - CreateIndex: Table, Row = index name then column names.
 //   - Segment: RowID = segment id, CSN = number of carried records that
 //     follow it.
 //
@@ -106,12 +86,13 @@ type Record struct {
 	Table string
 	RowID int64
 	Row   types.Tuple
-	Old   types.Tuple
 	Group []TxID
 	CSN   uint64
 }
 
-// encode appends the record payload (without framing) to buf.
+// encode appends the record payload (without framing) to buf. The byte
+// after the row image is the empty slot of a before-image, which logs
+// written before redo-only updates filled and every log still carries.
 func (r *Record) encode(buf []byte) []byte {
 	buf = append(buf, byte(r.Type))
 	buf = binary.AppendUvarint(buf, uint64(r.Tx))
@@ -119,7 +100,7 @@ func (r *Record) encode(buf []byte) []byte {
 	buf = append(buf, r.Table...)
 	buf = binary.AppendVarint(buf, r.RowID)
 	buf = types.EncodeTuple(buf, r.Row)
-	buf = types.EncodeTuple(buf, r.Old)
+	buf = append(buf, 0)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Group)))
 	for _, id := range r.Group {
 		buf = binary.AppendUvarint(buf, uint64(id))
@@ -128,72 +109,103 @@ func (r *Record) encode(buf []byte) []byte {
 	return buf
 }
 
-// decodeRecord parses one record payload.
-func decodeRecord(buf []byte) (*Record, error) {
+// decode parses one record payload into r, reusing r's row and group
+// storage and, when the name repeats, its table name.
+func (r *Record) decode(buf []byte) error {
 	if len(buf) == 0 {
-		return nil, fmt.Errorf("wal: empty record")
+		return fmt.Errorf("wal: empty record")
 	}
-	r := &Record{Type: RecordType(buf[0])}
-	pos := 1
-	tx, w := binary.Uvarint(buf[pos:])
+	switch r.Type = RecordType(buf[0]); {
+	case r.Type == recBegin || r.Type == recEntangle:
+		return fmt.Errorf("wal: %v record: an older log format, not read", r.Type)
+	case r.Type == 0 || int(r.Type) >= len(recordNames):
+		return fmt.Errorf("wal: unknown record kind %d", r.Type)
+	}
+	d := &reader{b: buf, pos: 1, of: r.Type}
+	r.Tx = TxID(d.count("tx id", 0))
+	if name := d.bytes("table name"); r.Table != string(name) {
+		r.Table = string(name)
+	}
+	r.RowID = d.varint("row id")
+	r.Row = d.tupleInto(r.Row)
+	if d.count("before-image", 0) > 0 {
+		return fmt.Errorf("wal: %v record: a before-image, not read", r.Type)
+	}
+	r.Group = r.Group[:0]
+	for n := d.count("group length", 1); n > 0 && d.err == nil; n-- {
+		r.Group = append(r.Group, TxID(d.count("group member", 0)))
+	}
+	r.CSN = d.count("csn", 0)
+	if d.err == nil && d.pos != len(d.b) {
+		d.fail("trailing bytes")
+	}
+	return d.err
+}
+
+// reader walks an encoded record or snapshot body; its first error
+// sticks. Every count is checked against the bytes left before anything is
+// sized by it.
+type reader struct {
+	b   []byte
+	pos int
+	err error
+	of  any // what is read, for errors
+}
+
+func (r *reader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("wal: %v malformed %s", r.of, what)
+	}
+}
+
+// count reads a uvarint count of items that take at least min bytes each
+// (0: a plain number).
+func (r *reader) count(what string, min int) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	n, w := binary.Uvarint(r.b[r.pos:])
+	if w <= 0 || min > 0 && n > uint64((len(r.b)-r.pos-w)/min) {
+		r.fail(what)
+		return 0
+	}
+	r.pos += w
+	return n
+}
+
+func (r *reader) varint(what string) int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, w := binary.Varint(r.b[r.pos:])
 	if w <= 0 {
-		return nil, fmt.Errorf("wal: bad tx id")
+		r.fail(what)
+		return 0
 	}
-	pos += w
-	r.Tx = TxID(tx)
-	n, w := binary.Uvarint(buf[pos:])
-	if w <= 0 || uint64(len(buf)-pos-w) < n {
-		return nil, fmt.Errorf("wal: bad table name")
+	r.pos += w
+	return v
+}
+
+// bytes reads a length-prefixed byte string, which aliases the input.
+func (r *reader) bytes(what string) []byte {
+	n := int(r.count(what, 1))
+	r.pos += n
+	return r.b[r.pos-n : r.pos]
+}
+
+func (r *reader) str(what string) string { return string(r.bytes(what)) }
+
+// tupleInto reads a tuple into dst's storage (see types.DecodeTupleInto).
+func (r *reader) tupleInto(dst types.Tuple) types.Tuple {
+	if r.err != nil {
+		return dst[:0]
 	}
-	pos += w
-	r.Table = string(buf[pos : pos+int(n)])
-	pos += int(n)
-	rowID, w := binary.Varint(buf[pos:])
-	if w <= 0 {
-		return nil, fmt.Errorf("wal: bad row id")
-	}
-	pos += w
-	r.RowID = rowID
-	row, used, err := types.DecodeTuple(buf[pos:])
+	t, used, err := types.DecodeTupleInto(dst, r.b[r.pos:])
 	if err != nil {
-		return nil, fmt.Errorf("wal: row image: %w", err)
+		r.err = fmt.Errorf("wal: %v: %w", r.of, err)
 	}
-	pos += used
-	if len(row) > 0 {
-		r.Row = row
-	}
-	old, used, err := types.DecodeTuple(buf[pos:])
-	if err != nil {
-		return nil, fmt.Errorf("wal: old image: %w", err)
-	}
-	pos += used
-	if len(old) > 0 {
-		r.Old = old
-	}
-	gn, w := binary.Uvarint(buf[pos:])
-	if w <= 0 {
-		return nil, fmt.Errorf("wal: bad group length")
-	}
-	pos += w
-	for i := uint64(0); i < gn; i++ {
-		id, w := binary.Uvarint(buf[pos:])
-		if w <= 0 {
-			return nil, fmt.Errorf("wal: bad group member")
-		}
-		pos += w
-		r.Group = append(r.Group, TxID(id))
-	}
-	// Trailing CSN field. Absent in logs written before CSN stamping was
-	// introduced — treat those records as CSN 0 ("committed since
-	// forever"), which is exactly how replay loads pre-MVCC state.
-	if pos < len(buf) {
-		csn, w := binary.Uvarint(buf[pos:])
-		if w <= 0 {
-			return nil, fmt.Errorf("wal: bad csn")
-		}
-		r.CSN = csn
-	}
-	return r, nil
+	r.pos += used
+	return t
 }
 
 // schemaToTuple flattens a schema into a tuple of alternating column name

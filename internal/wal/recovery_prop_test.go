@@ -10,10 +10,12 @@ import (
 	"repro/internal/types"
 )
 
-// Property test: for random interleaved transaction histories, recovery
-// reproduces exactly the effects of the committed transactions — aborted
-// and in-flight transactions vanish, and entanglement groups are
-// all-or-nothing.
+// Property test: for random transaction histories, in the shapes the
+// engine writes them, recovery reproduces exactly the effects of the
+// committed transactions — aborted and in-flight transactions vanish, and
+// entanglement groups are all-or-nothing. A unit's redo goes out in one
+// append with its Commit, its group's GroupCommit or its Prepare; an Abort
+// follows a Prepare; an in-flight transaction is prepared and undecided.
 
 // modelTxn is one scripted transaction in the random history.
 type modelTxn struct {
@@ -72,75 +74,94 @@ func TestRecoveryPropertyRandomHistories(t *testing.T) {
 		tbl, _ := cat.Create("T", schema)
 
 		txns := genHistory(rng, 4+rng.Intn(6))
-		for i := range txns {
-			log.Append(Begin(txns[i].id))
-		}
-		// Entangle records.
 		groups := make(map[int][]TxID)
 		for _, tx := range txns {
 			if tx.group >= 0 {
 				groups[tx.group] = append(groups[tx.group], tx.id)
 			}
 		}
-		for gid, members := range groups {
-			log.Append(Entangle(TxID(1000+gid), members))
-		}
-		// Interleave writes randomly.
-		type step struct{ tx, w int }
-		var steps []step
-		for i, tx := range txns {
-			for w := range tx.writes {
-				steps = append(steps, step{i, w})
-			}
-		}
-		rng.Shuffle(len(steps), func(i, j int) { steps[i], steps[j] = steps[j], steps[i] })
-		rowIDs := make(map[[2]int]storage.RowID)
-		for _, s := range steps {
-			tx := txns[s.tx]
-			w := tx.writes[s.w]
-			row := types.Tuple{types.Int(w.key), types.Int(w.value)}
-			id, err := load(tbl, row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowIDs[[2]int{s.tx, s.w}] = id
-			log.Append(Insert(tx.id, "T", id, row))
-		}
-		// Outcomes. A group commits atomically only if all its members
-		// want to commit; otherwise nobody in the group commits.
+		// A group commits atomically only if all its members want to
+		// commit; otherwise nobody in the group commits, and each member
+		// was prepared, then aborted or left in flight.
 		groupCommits := make(map[int]bool)
-		for gid, members := range groups {
-			ok := true
+		for gid := range groups {
+			groupCommits[gid] = true
 			for _, tx := range txns {
 				if tx.group == gid && tx.outcome != 0 {
-					ok = false
+					groupCommits[gid] = false
 				}
-			}
-			if ok {
-				log.Append(GroupCommit(members, 0))
-				groupCommits[gid] = true
 			}
 		}
-		for _, tx := range txns {
-			if tx.group >= 0 {
-				if !groupCommits[tx.group] && tx.outcome == 1 {
-					log.Append(Abort(tx.id))
+		// Units: a committed group is one; any other transaction is one,
+		// plus its Abort if it aborts. They reach the log in random order.
+		var units [][]*modelTxn
+		unitOf := make(map[int]int) // committing group -> its unit
+		for i := range txns {
+			tx := &txns[i]
+			if tx.group >= 0 && groupCommits[tx.group] {
+				if u, ok := unitOf[tx.group]; ok {
+					units[u] = append(units[u], tx)
+					continue
 				}
-				continue
+				unitOf[tx.group] = len(units)
 			}
-			switch tx.outcome {
-			case 0:
-				log.Append(Commit(tx.id, 0))
-			case 1:
-				log.Append(Abort(tx.id))
+			units = append(units, []*modelTxn{tx})
+		}
+		rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
+		var aborts []*Record
+		csn := uint64(0)
+		for _, u := range units {
+			var batch []*Record
+			for _, tx := range u {
+				for _, w := range tx.writes {
+					row := types.Tuple{types.Int(w.key), types.Int(w.value)}
+					id, err := load(tbl, row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batch = append(batch, Insert(tx.id, "T", id, row))
+				}
 			}
+			tx := u[0]
+			switch {
+			case tx.group >= 0 && groupCommits[tx.group]:
+				csn++
+				batch = append(batch, GroupCommit(groups[tx.group], csn))
+			case tx.group < 0 && tx.outcome == 0:
+				csn++
+				batch = append(batch, Commit(tx.id, csn))
+			default:
+				batch = append(batch, Prepare(tx.id, uint64(1000+tx.group)))
+				if tx.outcome == 1 || tx.group >= 0 && tx.outcome == 0 {
+					aborts = append(aborts, Abort(tx.id))
+				}
+			}
+			if err := log.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			// Some aborts land at once, the rest after later units.
+			for len(aborts) > 0 && rng.Intn(2) == 0 {
+				if err := log.Append(aborts[0]); err != nil {
+					t.Fatal(err)
+				}
+				aborts = aborts[1:]
+			}
+		}
+		if err := log.AppendBatch(aborts); err != nil {
+			t.Fatal(err)
 		}
 		log.Close()
 
 		// Recover and compare against the model.
 		fresh := storage.NewCatalog()
-		if _, err := RecoverAll(path, fresh); err != nil {
+		st, err := RecoverAll(path, fresh)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, tx := range txns {
+			if _, inDoubt := st.InDoubt[tx.id]; inDoubt != (tx.outcome == 2) {
+				t.Fatalf("iter %d: tx %d (outcome %d) in doubt: %v", iter, tx.id, tx.outcome, inDoubt)
+			}
 		}
 		got, _ := fresh.Get("T")
 		want := make(map[int64]int64) // key -> value for committed writes

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -199,24 +197,23 @@ func retiredSegments(logPath string) ([]uint64, error) {
 	return ids, nil
 }
 
-// segmentHeader reads the id in the header record of the segment in f. A
-// file that does not start with one — empty, or written before the log's
-// first checkpoint — is segment 0.
-func segmentHeader(f io.ReaderAt) (uint64, error) {
-	var hdr [9]byte
-	if n, err := f.ReadAt(hdr[:], 0); n < len(hdr) || RecordType(hdr[8]) != RecSegment {
-		if n < len(hdr) && err != io.EOF {
-			return 0, fmt.Errorf("wal: read segment header: %w", err)
+// errStop ends a Scan early.
+var errStop = errors.New("wal: scan stopped")
+
+// segmentID returns the id in the header record of the segment at path. A
+// segment that does not start with one — empty, or written before the
+// log's first checkpoint — is segment 0.
+func segmentID(path string) (id uint64, err error) {
+	_, err = Scan(path, func(r *Record) error {
+		if r.Type == RecSegment {
+			id = uint64(r.RowID)
 		}
-		return 0, nil
+		return errStop
+	})
+	if errors.Is(err, errStop) {
+		err = nil
 	}
-	payload := make([]byte, min(binary.LittleEndian.Uint32(hdr[:4]), 64))
-	_, err := f.ReadAt(payload, 8)
-	r, derr := decodeRecord(payload)
-	if err != nil || derr != nil || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return 0, fmt.Errorf("wal: corrupt segment header")
-	}
-	return uint64(r.RowID), nil
+	return id, err
 }
 
 // encodeSnapshot serializes every table of cat as of csn, with its index
@@ -271,55 +268,8 @@ func loadSnapshot(logPath string, cat *storage.Catalog) (csn, seg uint64, ok boo
 	return csn, seg, err == nil, err
 }
 
-// snapReader walks a snapshot body; its first error sticks. Every count is
-// checked against the bytes left before anything is sized by it.
-type snapReader struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (r *snapReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("wal: snapshot malformed %s", what)
-	}
-}
-
-// count reads a uvarint count of items that take at least min bytes each
-// (0: a plain number).
-func (r *snapReader) count(what string, min int) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	n, w := binary.Uvarint(r.b[r.pos:])
-	if w <= 0 || min > 0 && n > uint64((len(r.b)-r.pos-w)/min) {
-		r.fail(what)
-		return 0
-	}
-	r.pos += w
-	return n
-}
-
-func (r *snapReader) str(what string) string {
-	n := int(r.count(what, 1))
-	r.pos += n
-	return string(r.b[r.pos-n : r.pos])
-}
-
-func (r *snapReader) tuple() types.Tuple {
-	if r.err != nil {
-		return nil
-	}
-	t, used, err := types.DecodeTuple(r.b[r.pos:])
-	if err != nil {
-		r.err = fmt.Errorf("wal: snapshot: %w", err)
-	}
-	r.pos += used
-	return t
-}
-
 // indexCount reads a table's index count; v1 and v2 carry none.
-func indexCount(r *snapReader, version byte) uint64 {
+func indexCount(r *reader, version byte) uint64 {
 	if version < 3 {
 		return 0
 	}
@@ -334,7 +284,7 @@ func decodeSnapshot(data []byte, cat *storage.Catalog) (csn, seg uint64, err err
 	if len(data) < 4 || crc32.ChecksumIEEE(data[4:]) != binary.LittleEndian.Uint32(data) {
 		return 0, 0, fmt.Errorf("wal: snapshot CRC mismatch")
 	}
-	r := &snapReader{b: data[4:]}
+	r := &reader{b: data[4:], of: "snapshot"}
 	version := byte(1)
 	if len(r.b) >= len(snapMagic) && [4]byte(r.b[:4]) == [4]byte(snapMagic[:4]) {
 		if version = r.b[4]; version < 2 || version > snapMagic[4] {
@@ -350,7 +300,7 @@ func decodeSnapshot(data []byte, cat *storage.Catalog) (csn, seg uint64, err err
 	// one-byte count (eight for a fixed-width row count).
 	for t := r.count("table count", 4); t > 0 && r.err == nil; t-- {
 		name := r.str("table name")
-		schema, err := tupleToSchema(r.tuple())
+		schema, err := tupleToSchema(r.tupleInto(nil))
 		var tbl *storage.Table
 		if err != nil {
 			r.err = err
@@ -384,14 +334,13 @@ func decodeSnapshot(data []byte, cat *storage.Catalog) (csn, seg uint64, err err
 			r.fail("row count")
 		}
 		for last := int64(-1); rows > 0 && r.err == nil; rows-- {
-			id, w := binary.Varint(r.b[r.pos:])
-			if w <= 0 || id <= last {
+			if id := r.varint("row id"); id <= last {
 				r.fail("row id")
-				break
+			} else {
+				last = id
 			}
-			r.pos, last = r.pos+w, id
-			if row := r.tuple(); tbl != nil && r.err == nil {
-				if err := tbl.InsertAtCSN(storage.RowID(id), row, csn); err != nil {
+			if row := r.tupleInto(nil); tbl != nil && r.err == nil {
+				if err := tbl.InsertAtCSN(storage.RowID(last), row, csn); err != nil {
 					return 0, 0, fmt.Errorf("wal: snapshot: %w", err)
 				}
 			}
@@ -401,71 +350,4 @@ func decodeSnapshot(data []byte, cat *storage.Catalog) (csn, seg uint64, err err
 		r.fail("trailing bytes")
 	}
 	return csn, seg, r.err
-}
-
-// RecoverAll restores the snapshot (if any), then replays the log segments
-// from the one it names to the live one. The returned MaxCSN — where the
-// commit clock restarts — is the larger of the snapshot's CSN and the
-// highest CSN replayed, so a checkpoint just before a crash never rewinds
-// the clock.
-func RecoverAll(logPath string, cat *storage.Catalog) (*RecoveryStats, error) {
-	// A crash between Switch's two renames left the live segment at .next.
-	if _, err := os.Stat(logPath); errors.Is(err, fs.ErrNotExist) {
-		if _, err := os.Stat(nextPath(logPath)); err == nil {
-			if err := os.Rename(nextPath(logPath), logPath); err != nil {
-				return nil, fmt.Errorf("wal: recover: %w", err)
-			}
-		}
-	}
-	snapCSN, seg, _, err := loadSnapshot(logPath, cat)
-	if err != nil {
-		return nil, err
-	}
-	records, err := readSegments(logPath, seg)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := replay(records, cat)
-	if err != nil {
-		return nil, err
-	}
-	stats.MaxCSN = max(stats.MaxCSN, snapCSN)
-	stats.SnapshotCSN = snapCSN
-	return stats, nil
-}
-
-// readSegments returns the records of segments from..live in log order,
-// without headers, and without a segment's copies when the segment before
-// it is replayed too (they repeat that one's records).
-func readSegments(logPath string, from uint64) ([]*Record, error) {
-	retired, err := retiredSegments(logPath)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, id := range retired {
-		if id >= from {
-			files = append(files, segmentPath(logPath, id))
-		}
-	}
-	var out []*Record
-	for i, name := range append(files, logPath) {
-		recs, err := ReadAll(name)
-		if err != nil {
-			return nil, err
-		}
-		var id uint64
-		if len(recs) > 0 && recs[0].Type == RecSegment {
-			hdr := recs[0]
-			id, recs = uint64(hdr.RowID), recs[1:]
-			if i > 0 {
-				recs = recs[min(hdr.CSN, uint64(len(recs))):]
-			}
-		}
-		if id != from+uint64(i) {
-			return nil, fmt.Errorf("wal: %s is segment %d, want %d", name, id, from+uint64(i))
-		}
-		out = append(out, recs...)
-	}
-	return out, nil
 }

@@ -51,13 +51,12 @@ func usersSchema() *types.Schema {
 func TestAppendReadRoundTrip(t *testing.T) {
 	l, path := tmpLog(t)
 	recs := []*Record{
-		Begin(1),
 		CreateTable("User", usersSchema()),
 		Insert(1, "User", 0, types.Tuple{types.Int(36513), types.Str("SFO")}),
-		Update(1, "User", 0, types.Tuple{types.Int(36513), types.Str("SFO")}, types.Tuple{types.Int(36513), types.Str("LAX")}),
-		Delete(1, "User", 0, types.Tuple{types.Int(36513), types.Str("LAX")}),
-		Entangle(7, []TxID{1, 2}),
+		Update(1, "User", 0, types.Tuple{types.Int(36513), types.Str("LAX")}),
+		Delete(1, "User", 0),
 		GroupCommit([]TxID{1, 2}, 0),
+		Prepare(3, 7),
 		Abort(3),
 		Commit(4, 0),
 	}
@@ -78,7 +77,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 		if r.Type != w.Type || r.Tx != w.Tx || r.Table != w.Table || r.RowID != w.RowID {
 			t.Errorf("record %d: got %+v want %+v", i, r, w)
 		}
-		if !r.Row.Equal(w.Row) || !r.Old.Equal(w.Old) {
+		if !r.Row.Equal(w.Row) {
 			t.Errorf("record %d images differ", i)
 		}
 		if len(r.Group) != len(w.Group) {
@@ -96,7 +95,7 @@ func TestReadAllMissingFile(t *testing.T) {
 
 func TestTornTailIgnored(t *testing.T) {
 	l, path := tmpLog(t)
-	if err := l.Append(Begin(1)); err != nil {
+	if err := l.Append(Abort(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(Commit(1, 0)); err != nil {
@@ -112,14 +111,14 @@ func TestTornTailIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Type != RecBegin {
+	if len(recs) != 1 || recs[0].Type != RecAbort {
 		t.Fatalf("recs = %+v", recs)
 	}
 }
 
 func TestCorruptFinalRecordTreatedAsTorn(t *testing.T) {
 	l, path := tmpLog(t)
-	l.Append(Begin(1))
+	l.Append(Abort(1))
 	l.Append(Commit(1, 0))
 	l.Close()
 	data, _ := os.ReadFile(path)
@@ -136,7 +135,7 @@ func TestCorruptFinalRecordTreatedAsTorn(t *testing.T) {
 
 func TestCorruptMidLogReported(t *testing.T) {
 	l, path := tmpLog(t)
-	l.Append(Begin(1))
+	l.Append(Abort(1))
 	l.Append(Commit(1, 0))
 	l.Close()
 	data, _ := os.ReadFile(path)
@@ -157,15 +156,11 @@ func seedLogForRecovery(t *testing.T, l *Log) {
 	}
 	must(l.Append(CreateTable("User", usersSchema())))
 	// tx1: committed insert.
-	must(l.Append(Begin(1)))
-	must(l.Append(Insert(1, "User", 0, types.Tuple{types.Int(1), types.Str("SFO")})))
-	must(l.Append(Commit(1, 0)))
-	// tx2: aborted insert (no commit record).
-	must(l.Append(Begin(2)))
-	must(l.Append(Insert(2, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")})))
+	must(l.AppendBatch([]*Record{Insert(1, "User", 0, types.Tuple{types.Int(1), types.Str("SFO")}), Commit(1, 1)}))
+	// tx2: prepared insert, then aborted.
+	must(l.AppendBatch([]*Record{Insert(2, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")}), Prepare(2, 7)}))
 	must(l.Append(Abort(2)))
-	// tx3: in-flight at crash (no outcome record).
-	must(l.Append(Begin(3)))
+	// tx3: in-flight at crash (its commit record never landed).
 	must(l.Append(Insert(3, "User", 2, types.Tuple{types.Int(3), types.Str("LAX")})))
 }
 
@@ -188,7 +183,7 @@ func TestRecoverRedoOnlyCommitted(t *testing.T) {
 	if !ok || row[0].Int64() != 1 {
 		t.Fatalf("recovered row = %v", row)
 	}
-	if stats.TxCommitted != 1 || stats.TxRolledBack != 2 {
+	if stats.MaxCSN != 1 || stats.MaxTx != 3 || len(stats.InDoubt) != 0 {
 		t.Errorf("stats = %+v", stats)
 	}
 }
@@ -201,14 +196,16 @@ func TestRecoverUpdateDelete(t *testing.T) {
 		}
 	}
 	must(l.Append(CreateTable("User", usersSchema())))
-	must(l.Append(Begin(1)))
-	must(l.Append(Insert(1, "User", 0, types.Tuple{types.Int(1), types.Str("SFO")})))
-	must(l.Append(Insert(1, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")})))
-	must(l.Append(Commit(1, 0)))
-	must(l.Append(Begin(2)))
-	must(l.Append(Update(2, "User", 0, types.Tuple{types.Int(1), types.Str("SFO")}, types.Tuple{types.Int(1), types.Str("LAX")})))
-	must(l.Append(Delete(2, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")})))
-	must(l.Append(Commit(2, 0)))
+	must(l.AppendBatch([]*Record{
+		Insert(1, "User", 0, types.Tuple{types.Int(1), types.Str("SFO")}),
+		Insert(1, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")}),
+		Commit(1, 0),
+	}))
+	must(l.AppendBatch([]*Record{
+		Update(2, "User", 0, types.Tuple{types.Int(1), types.Str("LAX")}),
+		Delete(2, "User", 1),
+		Commit(2, 0),
+	}))
 	cat := storage.NewCatalog()
 	if _, err := RecoverAll(path, cat); err != nil {
 		t.Fatal(err)
@@ -223,69 +220,6 @@ func TestRecoverUpdateDelete(t *testing.T) {
 	}
 }
 
-// TestRecoverPartialGroupRolledBack checks the §4 rule: if members of an
-// entanglement group commit individually and one is missing its commit at
-// the crash, the entire group is rolled back.
-func TestRecoverPartialGroupRolledBack(t *testing.T) {
-	l, path := tmpLog(t)
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(l.Append(CreateTable("User", usersSchema())))
-	must(l.Append(Begin(1)))
-	must(l.Append(Begin(2)))
-	must(l.Append(Entangle(100, []TxID{1, 2})))
-	must(l.Append(Insert(1, "User", 0, types.Tuple{types.Int(1), types.Str("SFO")})))
-	must(l.Append(Insert(2, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")})))
-	// Buggy individual commit of tx1 only; crash before tx2 commits.
-	must(l.Append(Commit(1, 0)))
-	cat := storage.NewCatalog()
-	stats, err := RecoverAll(path, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := cat.Get("User")
-	if tbl.Len() != 0 {
-		t.Fatalf("widowed group survived recovery: %d rows", tbl.Len())
-	}
-	if stats.GroupsRolledBack != 1 || stats.GroupsRecovered != 0 {
-		t.Errorf("stats = %+v", stats)
-	}
-}
-
-// TestRecoverTransitiveGroup checks that the group rule applies through
-// transitive entanglement: 1~2 and 2~3 form one group.
-func TestRecoverTransitiveGroup(t *testing.T) {
-	l, path := tmpLog(t)
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(l.Append(CreateTable("User", usersSchema())))
-	for tx := TxID(1); tx <= 3; tx++ {
-		must(l.Append(Begin(tx)))
-	}
-	must(l.Append(Entangle(100, []TxID{1, 2})))
-	must(l.Append(Entangle(101, []TxID{2, 3})))
-	must(l.Append(Insert(1, "User", 0, types.Tuple{types.Int(1), types.Str("A")})))
-	must(l.Append(Insert(2, "User", 1, types.Tuple{types.Int(2), types.Str("B")})))
-	must(l.Append(Insert(3, "User", 2, types.Tuple{types.Int(3), types.Str("C")})))
-	must(l.Append(Commit(1, 0)))
-	must(l.Append(Commit(2, 0)))
-	// tx3 never commits -> all three roll back.
-	cat := storage.NewCatalog()
-	if _, err := RecoverAll(path, cat); err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := cat.Get("User")
-	if tbl.Len() != 0 {
-		t.Fatalf("transitive group not rolled back: %d rows", tbl.Len())
-	}
-}
-
 func TestRecoverGroupCommitAtomic(t *testing.T) {
 	l, path := tmpLog(t)
 	must := func(err error) {
@@ -294,12 +228,11 @@ func TestRecoverGroupCommitAtomic(t *testing.T) {
 		}
 	}
 	must(l.Append(CreateTable("User", usersSchema())))
-	must(l.Append(Begin(1)))
-	must(l.Append(Begin(2)))
-	must(l.Append(Entangle(100, []TxID{1, 2})))
-	must(l.Append(Insert(1, "User", 0, types.Tuple{types.Int(1), types.Str("SFO")})))
-	must(l.Append(Insert(2, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")})))
-	must(l.Append(GroupCommit([]TxID{1, 2}, 0)))
+	must(l.AppendBatch([]*Record{
+		Insert(1, "User", 0, types.Tuple{types.Int(1), types.Str("SFO")}),
+		Insert(2, "User", 1, types.Tuple{types.Int(2), types.Str("NYC")}),
+		GroupCommit([]TxID{1, 2}, 1),
+	}))
 	cat := storage.NewCatalog()
 	stats, err := RecoverAll(path, cat)
 	if err != nil {
@@ -309,7 +242,7 @@ func TestRecoverGroupCommitAtomic(t *testing.T) {
 	if tbl.Len() != 2 {
 		t.Fatalf("group commit rows = %d, want 2", tbl.Len())
 	}
-	if stats.GroupsRecovered != 1 {
+	if stats.MaxCSN != 1 || stats.MaxTx != 2 {
 		t.Errorf("stats = %+v", stats)
 	}
 }
@@ -345,7 +278,6 @@ func TestCheckpointAndRecoverAll(t *testing.T) {
 		}
 	}
 	must(l.Append(CreateTable("User", usersSchema())))
-	must(l.Append(Begin(1)))
 	id, _ := load(tbl, types.Tuple{types.Int(1), types.Str("SFO")})
 	must(l.Append(Insert(1, "User", id, types.Tuple{types.Int(1), types.Str("SFO")})))
 	must(l.Append(Commit(1, 0)))
@@ -357,7 +289,6 @@ func TestCheckpointAndRecoverAll(t *testing.T) {
 	}
 
 	// Post-checkpoint committed work goes to the (now empty) log.
-	must(l.Append(Begin(2)))
 	id2, _ := load(tbl, types.Tuple{types.Int(2), types.Str("NYC")})
 	must(l.Append(Insert(2, "User", id2, types.Tuple{types.Int(2), types.Str("NYC")})))
 	must(l.Append(Commit(2, 0)))
@@ -400,7 +331,7 @@ func TestSnapshotCRCDetected(t *testing.T) {
 func TestAppendAfterClose(t *testing.T) {
 	l, _ := tmpLog(t)
 	l.Close()
-	if err := l.Append(Begin(1)); err == nil {
+	if err := l.Append(Commit(1, 0)); err == nil {
 		t.Fatal("append after close accepted")
 	}
 }
@@ -412,7 +343,7 @@ func TestSyncModeCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(Begin(1)); err != nil {
+	if err := l.Append(Insert(1, "User", 0, types.Tuple{types.Int(1), types.Str("SFO")})); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(Commit(1, 0)); err != nil {
@@ -535,9 +466,6 @@ func TestSnapshotCarriesCSN(t *testing.T) {
 	// A log with a newer commit wins over the snapshot header.
 	l, err := Open(logPath, Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(Begin(9)); err != nil {
 		t.Fatal(err)
 	}
 	id, _ := load(tbl, types.Tuple{types.Int(2), types.Str("NYC")})
